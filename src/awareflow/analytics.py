@@ -14,7 +14,7 @@ from scipy.stats import rankdata
 
 from .awareness import NEVER, awareness_percentage
 from .domain import EDUCATIONS, GENDERS, OCCUPATIONS
-from .errors import AnalyticsError, CohortError
+from .errors import AnalyticsError, CohortError, ParseError
 from .netinfer import LAYERS, layer_fractions
 
 PHASE_ORDER = ("Normal", "Beginning", "Growth", "Peak", "PostPeak")
@@ -304,13 +304,22 @@ def segment_phases(province_pct, national_pct, thresholds=None):
     return PhaseSegmentation(phases=phases, complete=complete)
 
 
+def cross_ratio(pa, pb):
+    """Elementwise pa / pb of awareness percentages: inf where only pb is 0,
+    NaN (undefined) where both are."""
+    pa = np.asarray(pa, dtype=np.float64)
+    pb = np.asarray(pb, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pb > 0, pa / pb, np.where(pa > 0, np.inf, np.nan))
+
+
 def cross_group_ratio(timeline, group_a, group_b, t):
-    """P_aware(A) / P_aware(B) at time t; inf when only B is silent."""
+    """P_aware(A) / P_aware(B) at time t; inf when only B is silent, None
+    when both are."""
     pa = awareness_percentage(timeline, group_a, t)
     pb = awareness_percentage(timeline, group_b, t)
-    if pb > 0:
-        return pa / pb
-    return np.inf if pa > 0 else None
+    r = float(cross_ratio(pa, pb))
+    return None if np.isnan(r) else r
 
 
 def neighborhood_awareness_ratio(graph, layer, timeline, t):
@@ -521,8 +530,43 @@ def format_value(v):
     return str(v)
 
 
+def parse_number(text):
+    """Inverse of format_value for a numeric field: NA is None, INF is inf."""
+    return None if text == "NA" else float(text)
+
+
 def write_tsv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(format_value(v) for v in row) + "\n")
+
+
+def read_tsv(path, columns, header=True):
+    """Rows of a write_tsv file (``header=False``: one without a header).
+
+    ``columns`` holds (name, parse) pairs such as ("day", int); a wrong header,
+    field count or field (parse raises ValueError/OverflowError) is a ParseError.
+    """
+    names = [name for name, _ in columns]
+    rows = []
+    # undecodable bytes become U+FFFD, which every non-str column rejects
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        if header:
+            found = fh.readline().rstrip("\n").split("\t")
+            if found != names:
+                raise ParseError(path, 1, f"expected header {names}, found {found}")
+        for line_no, line in enumerate(fh, start=1 + header):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != len(columns):
+                raise ParseError(
+                    path, line_no, f"expected {len(columns)} fields, found {len(fields)}"
+                )
+            row = []
+            for (name, parse), text in zip(columns, fields):
+                try:
+                    row.append(parse(text))
+                except (ValueError, OverflowError):
+                    raise ParseError(path, line_no, f"bad {name} {text!r}") from None
+            rows.append(tuple(row))
+    return rows

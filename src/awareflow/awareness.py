@@ -80,10 +80,6 @@ class QueryMatcher:
         self.patterns = tuple(patterns)
         self._cache = {}
 
-    @property
-    def n_patterns(self):
-        return len(self.patterns)
-
     def matches(self, text):
         hit = self._cache.get(text)
         if hit is not None:

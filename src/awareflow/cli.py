@@ -7,10 +7,19 @@ and the qualified cohort, ``segment`` computes trends and phases,
 correlation series, ``regress`` the time-evolving model suite, ``report``
 a summary bundle, and ``all`` chains them in order.
 
+Each stage is declared once, by ``@stage(name, reads=..., writes=...)`` in
+pipeline order.  The subcommand list, the order of ``all``, every
+manifest's inputs and outputs and the stage named by a missing-artifact
+error all come from these declarations.
+
 Every subcommand writes its artifacts plus a deterministic manifest (no
 timestamps, no absolute paths) so that identical config + seed runs are
-byte-identical.  Exit codes: 0 ok, 2 config error, 3 missing artifact,
-4 data integrity, 5 numerical/analytic failure.
+byte-identical.  A manifest's ``inputs`` hash every file the stage read,
+the dataset files included; its ``outputs`` every file it wrote.  Artifacts
+of earlier stages are read back through validating readers.  Exit codes:
+0 ok, 2 config error, 3 missing artifact, 4 a dataset file or an earlier
+stage's artifact failed parsing or integrity checks, 5 numerical/analytic
+failure.
 """
 
 import argparse
@@ -18,7 +27,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,6 +38,7 @@ from .analytics import (
     Phase,
     PhaseSegmentation,
     PhaseThresholds,
+    cross_ratio,
     daily_counts,
     default_event_marks,
     format_value,
@@ -39,7 +50,9 @@ from .analytics import (
     aware_group_means,
     national_percentage,
     neighborhood_awareness_ratio,
+    parse_number,
     province_percentages,
+    read_tsv,
     segment_phases,
     write_tsv,
     GEO_FACTORS,
@@ -53,7 +66,7 @@ from .awareness import (
     load_patterns,
 )
 from .domain import (
-    ADDRESS_KINDS,
+    DATASET_FILES,
     Calendar,
     load_dataset,
     save_dataset,
@@ -81,32 +94,14 @@ from .regress import (
     run_time_evolving,
     typical_profile,
 )
-from .simulate import SimConfig, generate
+from .simulate import TRUTH_FILES, SimConfig, generate
 
 DAY = 86400
 # RNG stream for drawing the regression sample; simulator streams are < 100
 SAMPLE_STREAM = 101
+CALENDAR_FILE = "calendar.json"
 
-GROUPINGS = (
-    "gender",
-    "education",
-    "occupation",
-    "purchasing_power",
-    "has_child",
-    "married",
-)
-
-COMMANDS = (
-    "gen",
-    "infer-net",
-    "label",
-    "segment",
-    "cohort",
-    "geo-corr",
-    "regress",
-    "report",
-    "all",
-)
+GROUPINGS = ("gender", "education", "occupation", "purchasing_power", "has_child", "married")
 
 REGRESSION_DEFAULTS = {
     "sample_size": 100_000,
@@ -120,10 +115,67 @@ REGRESSION_DEFAULTS = {
     "p_threshold": 0.05,
 }
 
+# Columns of the TSV artifacts that later stages read back, as (name, parse)
+# pairs for analytics.read_tsv; their writers take the header from here.
+# Ids and timestamps parse to the numpy types they are stored in.
+TABLES = {
+    "labels.tsv": (
+        ("individual_id", np.uint64), ("first_aware_ts", np.int64),
+        ("first_aware_day", int), ("first_aware_date", str),
+    ),
+    "qualified.txt": (("individual_id", np.uint64),),  # the one file without a header
+    "phases.tsv": (
+        ("phase", str), ("start_day", int), ("end_day", int),
+        ("start_date", str), ("end_date", str), ("complete", int),
+    ),
+    "profiles.tsv": (
+        ("phase", str), ("feature", str), ("direction", str),
+        ("n_significant", int), ("n_models", int),
+    ),
+    "geo_correlations.tsv": (
+        ("level", str), ("factor", str), ("day", int), ("date", str), ("rho", parse_number),
+    ),
+    "hysteresis.tsv": (
+        ("event", str), ("event_time", int), ("event_date", str), ("baseline_count", int),
+        ("threshold", parse_number), ("duration_seconds", parse_number), ("status", str),
+    ),
+}
+
+
+def header_of(table):
+    return tuple(name for name, _ in TABLES[table])
+
 
 # ---------------------------------------------------------------------------
 # run configuration
 # ---------------------------------------------------------------------------
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fits(value, default):
+    """Whether ``value`` has the type of ``default`` (an int counts as a float)."""
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(default, float):
+        return _is_int(value) or isinstance(value, float)
+    return _is_int(value)
+
+
+def _section_problems(label, values, defaults):
+    """Problems of a config object whose keys and value types follow ``defaults``."""
+    if not isinstance(values, dict):
+        return [f"{label} must be an object"]
+    unknown = sorted(set(values) - set(defaults))
+    if unknown:
+        return [f"unknown {label} keys: {', '.join(unknown)}"]
+    return [
+        f"{label} {k} must be of type {type(defaults[k]).__name__}"
+        for k, v in values.items()
+        if not _fits(v, defaults[k])
+    ]
+
 
 @dataclass
 class RunConfig:
@@ -149,62 +201,44 @@ class RunConfig:
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError(f"unknown run config keys: {', '.join(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return cls(**data).validate()
 
     def validate(self):
+        """Type-check every field, then range-check; raises ConfigError."""
         problems = []
-        if not isinstance(self.seed, int) or self.seed < 0:
-            problems.append("seed must be a non-negative integer")
-        if not isinstance(self.jobs, int) or self.jobs < 0:
-            problems.append("jobs must be a non-negative integer")
-        if self.threshold < 1:
-            problems.append("threshold must be >= 1")
-        if self.history_months < 1:
-            problems.append("history_months must be >= 1")
-        if self.min_purchases_per_month < 1:
-            problems.append("min_purchases_per_month must be >= 1")
-        if not isinstance(self.caps, dict):
-            problems.append("caps must be an object")
-        else:
-            bad = sorted(set(self.caps) - set(ADDRESS_KINDS))
-            if bad:
-                problems.append(f"caps has unknown address kinds: {', '.join(bad)}")
-            for k, v in self.caps.items():
-                if not isinstance(v, int) or v < 2:
-                    problems.append(f"cap for {k!r} must be an integer >= 2")
-        unknown = sorted(set(self.regression) - set(REGRESSION_DEFAULTS))
-        if unknown:
-            problems.append(f"unknown regression keys: {', '.join(unknown)}")
+        for name, low in (
+            ("seed", 0), ("jobs", 0), ("threshold", 1),
+            ("history_months", 1), ("min_purchases_per_month", 1),
+        ):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                problems.append(f"{name} must be an integer >= {low}")
+        if self.patterns is not None and not (
+            isinstance(self.patterns, str) and os.path.exists(self.patterns)
+        ):
+            problems.append(f"pattern file {self.patterns!r} does not exist")
+        problems += _section_problems("caps", self.caps, DEFAULT_CAPS)
+        if isinstance(self.caps, dict):
+            small = [k for k, v in self.caps.items() if _is_int(v) and v < 2]
+            problems += [f"cap for {k!r} must be >= 2" for k in small]
+        problems += _section_problems(
+            "phase threshold", self.phase_thresholds, asdict(PhaseThresholds())
+        )
+        problems += _section_problems("regression", self.regression, REGRESSION_DEFAULTS)
         if self.marks is not None:
             if not isinstance(self.marks, list):
                 problems.append("marks must be a list or null")
-            else:
-                for m in self.marks:
-                    if not isinstance(m, dict) or "label" not in m or "timestamp" not in m:
-                        problems.append("each mark needs label and timestamp")
-                        break
+            elif not all(
+                isinstance(m, dict) and "label" in m and _is_int(m.get("timestamp"))
+                and _is_int(m.get("scope_id", 0))
+                for m in self.marks
+            ):
+                problems.append("each mark needs a label and integer timestamp and scope_id")
         if problems:
             raise ConfigError("; ".join(problems))
+        self.thresholds()
+        self.regression_config()
         return self
-
-    def to_dict(self):
-        return {
-            "out_dir": self.out_dir,
-            "dataset_dir": self.dataset_dir,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "patterns": self.patterns,
-            "threshold": self.threshold,
-            "history_months": self.history_months,
-            "min_purchases_per_month": self.min_purchases_per_month,
-            "caps": dict(self.caps),
-            "phase_thresholds": dict(self.phase_thresholds),
-            "marks": self.marks,
-            "regression": dict(self.regression),
-            "simulator": self.simulator,
-        }
 
     # resolved accessors ----------------------------------------------------
 
@@ -215,13 +249,8 @@ class RunConfig:
         return self.patterns or default_patterns_path()
 
     def thresholds(self):
-        extra = dict(self.phase_thresholds)
-        known = set(PhaseThresholds.__dataclass_fields__)
-        unknown = sorted(set(extra) - known)
-        if unknown:
-            raise ConfigError(f"unknown phase threshold keys: {', '.join(unknown)}")
         try:
-            return PhaseThresholds(**extra).validate()
+            return PhaseThresholds(**self.phase_thresholds).validate()
         except AnalyticsError as exc:
             raise ConfigError(str(exc))
 
@@ -236,25 +265,33 @@ class RunConfig:
     def event_marks(self, calendar):
         if self.marks is None:
             return default_event_marks(calendar)
-        out = []
-        for m in self.marks:
-            out.append(
-                EventMark(
-                    label=str(m["label"]),
-                    timestamp=int(m["timestamp"]),
-                    scope=str(m.get("scope", "national")),
-                    scope_id=int(m.get("scope_id", 0)),
-                )
+        return [
+            EventMark(
+                label=str(m["label"]),
+                timestamp=int(m["timestamp"]),
+                scope=str(m.get("scope", "national")),
+                scope_id=int(m.get("scope_id", 0)),
             )
-        return out
+            for m in self.marks
+        ]
 
     def digest(self):
         """Hash of the semantic config: everything except where it is written."""
-        data = self.to_dict()
+        data = asdict(self)
         data.pop("out_dir")
         data.pop("dataset_dir")
         blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def read_config_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+            ) from None
 
 
 def load_run_config(spec_arg):
@@ -266,14 +303,7 @@ def load_run_config(spec_arg):
             f"config {spec_arg!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
             f"nor an existing file"
         )
-    with open(spec_arg, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{spec_arg}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            )
-    return RunConfig.from_dict(data)
+    return RunConfig.from_dict(read_config_json(spec_arg))
 
 
 def apply_flags(cfg, args):
@@ -284,46 +314,110 @@ def apply_flags(cfg, args):
     if args.jobs is not None:
         cfg.jobs = args.jobs
     if args.patterns is not None:
-        if not os.path.exists(args.patterns):
-            raise ConfigError(f"pattern file {args.patterns!r} does not exist")
         cfg.patterns = args.patterns
     if args.phase_thresholds is not None:
-        with open(args.phase_thresholds, "r", encoding="utf-8") as fh:
-            try:
-                cfg.phase_thresholds = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{args.phase_thresholds}:{exc.lineno}:{exc.colno}: "
-                    f"invalid JSON: {exc.msg}"
-                )
-    cfg.validate()
-    cfg.thresholds()
-    cfg.regression_config()
-    return cfg
+        if not os.path.exists(args.phase_thresholds):
+            raise ConfigError(f"phase threshold file {args.phase_thresholds!r} does not exist")
+        cfg.phase_thresholds = read_config_json(args.phase_thresholds)
+    return cfg.validate()
 
 
 # ---------------------------------------------------------------------------
-# pipeline state: artifacts on disk, cached in memory for `all`
+# artifact readers
 # ---------------------------------------------------------------------------
+
+def read_json(path):
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+
+
+def read_calendar(path):
+    data = read_json(path)
+    try:
+        return Calendar.from_dates(data["start_date"], data["end_date"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(path, 1, f"needs ISO start_date <= end_date ({exc!r})") from None
+
+
+def read_manifest(path):
+    manifest = read_json(path)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("stats"), dict):
+        raise ParseError(path, 1, "expected a manifest object with a stats object")
+    return manifest
+
+
+def phase_segmentation(rows):
+    """The PhaseSegmentation of phases.tsv rows."""
+    phases = [Phase(r[0], r[1], r[2]) for r in rows]
+    return PhaseSegmentation(phases, bool(rows[-1][5]) if rows else True)
+
+
+# ---------------------------------------------------------------------------
+# stage declarations and pipeline state
+# ---------------------------------------------------------------------------
+
+# A stage reads and writes artifacts: files in the run directory, named by
+# file name, or the groups "dataset" (the four dataset JSONL files plus
+# calendar.json when it exists), "truth" (the simulator's ground truth next
+# to them) and "patterns" (the query pattern file).
+Stage = namedtuple("Stage", "name reads writes")
+STAGES = {}  # stage name -> Stage, in pipeline order
+STEP_FUNCS = {}  # stage name -> cmd_<stage>; `all` and each subcommand dispatch here
+
+
+def manifest_name(command):
+    return f"manifest_{command.replace('-', '_')}.json"
+
+
+def producer(artifact):
+    """The stage that writes ``artifact``."""
+    return next(
+        s.name for s in STAGES.values()
+        if artifact in s.writes or artifact == manifest_name(s.name)
+    )
+
+
+def stage(name, reads=(), writes=()):
+    """Declare the decorated body as stage ``name``; declare in pipeline order.
+
+    The body returns the manifest stats.  The ``cmd_<stage>`` that takes
+    its place runs the body, then writes the manifest: its inputs are the
+    files of ``reads``, its outputs the files of ``writes``.
+    """
+    spec = STAGES[name] = Stage(name, tuple(reads), tuple(writes))
+
+    def declare(body):
+        def cmd(state):
+            stats = body(state)
+            return write_manifest(
+                state, name, state.files(spec.reads), state.files(spec.writes), stats
+            )
+
+        cmd.__name__ = cmd.__qualname__ = body.__name__
+        cmd.__doc__ = body.__doc__
+        STEP_FUNCS[name] = cmd
+        return cmd
+
+    return declare
+
 
 class PipelineState:
-    """Lazy access to pipeline artifacts.
+    """Artifacts of one run, cached in memory for `all`.
 
-    Each accessor serves the in-memory object when a previous step of the
-    same process produced it, otherwise loads from disk, otherwise raises
-    MissingArtifactError naming the subcommand that would create it.
+    ``load`` serves an artifact from ``loaded`` when an earlier stage of the
+    same process left it there, otherwise parses it from disk through its
+    validating reader, otherwise raises MissingArtifactError naming the
+    stage that writes it.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self._dataset = None
-        self._graph = None
-        self._timeline = None
-        self._qualified = None
-        self._segmentation = None
-        self._matcher = None
+        self.loaded = {}
 
-    # path helpers ----------------------------------------------------------
+    # paths -----------------------------------------------------------------
 
     def out_path(self, name):
         return os.path.join(self.cfg.out_dir, name)
@@ -340,82 +434,55 @@ class PipelineState:
             return os.path.basename(path)
         return rp.replace(os.sep, "/")
 
-    # artifact accessors ----------------------------------------------------
+    def files(self, artifacts):
+        """Every file of the named artifacts."""
+        out = []
+        for name in artifacts:
+            if name == "dataset":
+                out += [self.dataset_path(n) for n in DATASET_FILES]
+                if os.path.exists(self.dataset_path(CALENDAR_FILE)):
+                    out.append(self.dataset_path(CALENDAR_FILE))
+            elif name == "truth":
+                out += [self.dataset_path(n) for n in TRUTH_FILES]
+            elif name == "patterns":
+                out.append(self.cfg.patterns_path())
+            else:
+                out.append(self.out_path(name))
+        return out
 
-    def dataset(self):
-        if self._dataset is None:
-            ddir = self.cfg.resolved_dataset_dir()
-            names = ("population.jsonl", "regions.jsonl", "addresses.jsonl", "events.jsonl")
-            paths = [os.path.join(ddir, n) for n in names]
-            for n, p in zip(names, paths):
-                if not os.path.exists(p):
-                    raise MissingArtifactError(os.path.join(ddir, n), "gen")
-            calendar = None
-            cal_path = os.path.join(ddir, "calendar.json")
-            if os.path.exists(cal_path):
-                with open(cal_path, "r", encoding="utf-8") as fh:
-                    c = json.load(fh)
-                calendar = Calendar.from_dates(c["start_date"], c["end_date"])
-            self._dataset = load_dataset(*paths, calendar=calendar)
-        return self._dataset
+    # artifacts -------------------------------------------------------------
 
-    def graph(self):
-        if self._graph is None:
-            path = self.out_path("networks.edges")
-            if not os.path.exists(path):
-                raise MissingArtifactError("networks.edges", "infer-net")
-            self._graph = read_edges(path, self.dataset().columns().ids)
-        return self._graph
+    def load(self, name):
+        if name not in self.loaded:
+            paths = self.files([name])
+            for path in paths:
+                if not os.path.exists(path):
+                    raise MissingArtifactError(path, producer(name))
+            self.loaded[name] = self._read(name, paths)
+        return self.loaded[name]
 
-    def timeline(self):
-        if self._timeline is None:
-            path = self.out_path("labels.tsv")
-            if not os.path.exists(path):
-                raise MissingArtifactError("labels.tsv", "label")
-            ids, ts = [], []
-            with open(path, "r", encoding="utf-8") as fh:
-                next(fh)  # header
-                for line in fh:
-                    parts = line.rstrip("\n").split("\t")
-                    ids.append(int(parts[0]))
-                    ts.append(int(parts[1]))
-            self._timeline = AwarenessTimeline(
-                np.array(ids, dtype=np.uint64), np.array(ts, dtype=np.int64)
+    def _read(self, name, paths):
+        if name == "dataset":
+            n = len(DATASET_FILES)
+            calendar = read_calendar(paths[n]) if len(paths) > n else None
+            return load_dataset(*paths[:n], calendar=calendar)
+        (path,) = paths
+        if name == "networks.edges":
+            return read_edges(path, self.load("dataset").columns().ids)
+        if name.startswith("manifest_"):
+            return read_manifest(path)
+        rows = read_tsv(path, TABLES[name], header=name != "qualified.txt")
+        if name == "qualified.txt":
+            return np.array(sorted(r[0] for r in rows), dtype=np.uint64)
+        if name == "labels.tsv":
+            return AwarenessTimeline(
+                np.array([r[0] for r in rows], dtype=np.uint64),
+                np.array([r[1] for r in rows], dtype=np.int64),
             )
-        return self._timeline
-
-    def qualified(self):
-        if self._qualified is None:
-            path = self.out_path("qualified.txt")
-            if not os.path.exists(path):
-                raise MissingArtifactError("qualified.txt", "label")
-            with open(path, "r", encoding="utf-8") as fh:
-                vals = [int(line) for line in fh if line.strip()]
-            self._qualified = np.array(sorted(vals), dtype=np.uint64)
-        return self._qualified
-
-    def segmentation(self):
-        if self._segmentation is None:
-            path = self.out_path("phases.tsv")
-            if not os.path.exists(path):
-                raise MissingArtifactError("phases.tsv", "segment")
-            phases, complete = [], True
-            with open(path, "r", encoding="utf-8") as fh:
-                next(fh)
-                for line in fh:
-                    parts = line.rstrip("\n").split("\t")
-                    phases.append(Phase(parts[0], int(parts[1]), int(parts[2])))
-                    complete = parts[5] == "1"
-            self._segmentation = PhaseSegmentation(phases, complete)
-        return self._segmentation
-
-    def matcher(self):
-        if self._matcher is None:
-            self._matcher = compile_query_set(load_patterns(self.cfg.patterns_path()))
-        return self._matcher
+        return rows
 
     def cohort_timeline(self):
-        return self.timeline().restrict(self.qualified())
+        return self.load("labels.tsv").restrict(self.load("qualified.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +508,11 @@ def write_manifest(state, command, inputs, outputs, stats=None):
         "outputs": {state.rel(p): sha256_file(p) for p in outputs},
         "stats": stats or {},
     }
-    path = state.out_path(f"manifest_{command.replace('-', '_')}.json")
+    path = state.out_path(manifest_name(command))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def read_manifest(state, command):
-    path = state.out_path(f"manifest_{command.replace('-', '_')}.json")
-    if not os.path.exists(path):
-        raise MissingArtifactError(os.path.basename(path), command)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def day_end_ts(calendar, d):
@@ -461,9 +520,10 @@ def day_end_ts(calendar, d):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages, in pipeline order
 # ---------------------------------------------------------------------------
 
+@stage("gen", writes=("dataset", "truth"))
 def cmd_gen(state):
     cfg = state.cfg
     if cfg.simulator is None:
@@ -479,16 +539,14 @@ def cmd_gen(state):
             report.violations,
         )
     ddir = cfg.resolved_dataset_dir()
-    paths = save_dataset(dataset, ddir)
-    truth_paths = truth.save(ddir)
-    cal_path = os.path.join(ddir, "calendar.json")
+    save_dataset(dataset, ddir)
+    truth.save(ddir)
     iso = dataset.calendar.iso_dates()
-    with open(cal_path, "w", encoding="utf-8") as fh:
+    with open(state.dataset_path(CALENDAR_FILE), "w", encoding="utf-8") as fh:
         json.dump({"start_date": iso[0], "end_date": iso[-1]}, fh, sort_keys=True)
         fh.write("\n")
-    state._dataset = dataset
-    outputs = list(paths.values()) + list(truth_paths.values()) + [cal_path]
-    stats = {
+    state.loaded["dataset"] = dataset
+    return {
         "individuals": len(dataset.individuals),
         "regions": len(dataset.regions),
         "addresses": len(dataset.addresses),
@@ -496,38 +554,33 @@ def cmd_gen(state):
         "truth_aware": len(truth.timeline),
         "n_days": dataset.calendar.n_days,
     }
-    return write_manifest(state, "gen", [], outputs, stats)
 
 
+@stage("infer-net", reads=("dataset",), writes=("networks.edges",))
 def cmd_infer_net(state):
-    cfg = state.cfg
-    dataset = state.dataset()
-    caps = {**DEFAULT_CAPS, **cfg.caps}
+    dataset = state.load("dataset")
+    caps = {**DEFAULT_CAPS, **state.cfg.caps}
     graph = infer_networks(dataset.addresses, caps=caps, ids=dataset.columns().ids)
-    path = state.out_path("networks.edges")
-    write_edges(graph, path)
-    state._graph = graph
-    inputs = [state.dataset_path("addresses.jsonl"), state.dataset_path("population.jsonl")]
-    stats = {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}
-    return write_manifest(state, "infer-net", inputs, [path], stats)
+    write_edges(graph, state.out_path("networks.edges"))
+    state.loaded["networks.edges"] = graph
+    return {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}
 
 
+@stage("label", reads=("dataset", "patterns"), writes=("qualified.txt", "labels.tsv"))
 def cmd_label(state):
     cfg = state.cfg
-    dataset = state.dataset()
+    dataset = state.load("dataset")
     calendar = dataset.calendar
-    matcher = state.matcher()
+    matcher = compile_query_set(load_patterns(cfg.patterns_path()))
     window = history_window(calendar, cfg.history_months)
     qualified = filter_qualified(
         dataset.events, window, min_per_month=cfg.min_purchases_per_month
     )
     timeline = label_awareness(dataset.events, matcher, threshold=cfg.threshold)
 
-    qual_path = state.out_path("qualified.txt")
-    with open(qual_path, "w", encoding="utf-8") as fh:
+    with open(state.out_path("qualified.txt"), "w", encoding="utf-8") as fh:
         fh.write("".join(f"{int(i)}\n" for i in qualified))
 
-    labels_path = state.out_path("labels.tsv")
     iso = calendar.iso_dates()
     days = calendar.day_of(timeline.first_aware) if len(timeline) else np.empty(0, int)
     rows = []
@@ -535,38 +588,35 @@ def cmd_label(state):
         d = int(days[k])
         date = iso[d] if 0 <= d < calendar.n_days else "NA"
         rows.append((int(timeline.ids[k]), int(timeline.first_aware[k]), d, date))
-    write_tsv(
-        labels_path,
-        ("individual_id", "first_aware_ts", "first_aware_day", "first_aware_date"),
-        rows,
-    )
-    state._timeline = timeline
-    state._qualified = qualified
-    inputs = [state.dataset_path("events.jsonl"), cfg.patterns_path()]
-    n_qual_aware = int(np.isin(timeline.ids, qualified).sum())
-    stats = {
+    write_tsv(state.out_path("labels.tsv"), header_of("labels.tsv"), rows)
+    state.loaded["labels.tsv"] = timeline
+    state.loaded["qualified.txt"] = qualified
+    return {
         "aware": len(timeline),
         "qualified": int(len(qualified)),
-        "qualified_aware": n_qual_aware,
+        "qualified_aware": int(np.isin(timeline.ids, qualified).sum()),
         "threshold": cfg.threshold,
     }
-    return write_manifest(state, "label", inputs, [qual_path, labels_path], stats)
 
 
+@stage(
+    "segment",
+    reads=("dataset", "labels.tsv", "qualified.txt"),
+    writes=("national_trend.tsv", "province_trend.tsv", "phases.tsv"),
+)
 def cmd_segment(state):
     cfg = state.cfg
-    dataset = state.dataset()
+    dataset = state.load("dataset")
     calendar = dataset.calendar
-    qualified = state.qualified()
+    qualified = state.load("qualified.txt")
     tlq = state.cohort_timeline()
     iso = calendar.iso_dates()
 
     new, cum = daily_counts(tlq, calendar)
     nat = national_percentage(tlq, dataset, qualified)
     nat_growth = growth_rates(nat)
-    nat_path = state.out_path("national_trend.tsv")
     write_tsv(
-        nat_path,
+        state.out_path("national_trend.tsv"),
         ("day", "date", "new_aware", "cumulative_aware", "percentage", "growth_rate"),
         [
             (d, iso[d], int(new[d]), int(cum[d]), nat[d], nat_growth[d])
@@ -575,46 +625,57 @@ def cmd_segment(state):
     )
 
     prov_ids, prov = province_percentages(tlq, dataset, qualified)
-    prov_path = state.out_path("province_trend.tsv")
     prov_rows = []
     for k, pid in enumerate(prov_ids):
         g = growth_rates(prov[k])
         for d in range(calendar.n_days):
             prov_rows.append((d, iso[d], int(pid), prov[k, d], g[d]))
-    write_tsv(prov_path, ("day", "date", "province_id", "percentage", "growth_rate"), prov_rows)
+    write_tsv(
+        state.out_path("province_trend.tsv"),
+        ("day", "date", "province_id", "percentage", "growth_rate"),
+        prov_rows,
+    )
 
     seg = segment_phases(prov, nat, cfg.thresholds())
-    phases_path = state.out_path("phases.tsv")
     write_tsv(
-        phases_path,
-        ("phase", "start_day", "end_day", "start_date", "end_date", "complete"),
+        state.out_path("phases.tsv"),
+        header_of("phases.tsv"),
         [
             (p.name, p.start_day, p.end_day, iso[p.start_day], iso[p.end_day], seg.complete)
             for p in seg.phases
         ],
     )
-    state._segmentation = seg
-    inputs = [state.out_path("labels.tsv"), state.out_path("qualified.txt")]
-    stats = {
+    return {
         "complete": seg.complete,
         "phases": {p.name: [p.start_day, p.end_day] for p in seg.phases},
         "final_percentage": float(nat[-1]),
     }
-    return write_manifest(state, "segment", inputs, [nat_path, prov_path, phases_path], stats)
 
 
+@stage(
+    "cohort",
+    reads=("dataset", "labels.tsv", "qualified.txt", "networks.edges", "phases.tsv"),
+    writes=(
+        "trends.tsv",
+        "cross_ratios.tsv",
+        "neighborhood_ratios.tsv",
+        "neighborhood_phase_means.tsv",
+        "aware_purchasing_power.tsv",
+        "hysteresis.tsv",
+        "lead_days.tsv",
+    ),
+)
 def cmd_cohort(state):
     cfg = state.cfg
-    dataset = state.dataset()
+    dataset = state.load("dataset")
     calendar = dataset.calendar
-    qualified = state.qualified()
-    timeline = state.timeline()
+    qualified = state.load("qualified.txt")
+    timeline = state.load("labels.tsv")
     tlq = state.cohort_timeline()
-    graph = state.graph()
-    seg = state.segmentation()
+    graph = state.load("networks.edges")
+    seg = phase_segmentation(state.load("phases.tsv"))
     iso = calendar.iso_dates()
     D = calendar.n_days
-    outputs = []
 
     # per-group awareness trends
     trends = {g: group_trend(tlq, dataset, g, qualified) for g in GROUPINGS}
@@ -625,39 +686,28 @@ def cmd_cohort(state):
                 trend_rows.append(
                     (grouping, series.key, series.size, d, iso[d], series.values[d])
                 )
-    trends_path = state.out_path("trends.tsv")
     write_tsv(
-        trends_path,
+        state.out_path("trends.tsv"),
         ("grouping", "group", "group_size", "day", "date", "percentage"),
         trend_rows,
     )
-    outputs.append(trends_path)
 
-    # pairwise cross-group ratios from the same series (inf when only the
-    # denominator is silent, NA when both are)
+    # pairwise cross-group ratios from the same series
     ratio_rows = []
     for grouping in GROUPINGS:
         series = trends[grouping]
         for a in range(len(series)):
             for b in range(a + 1, len(series)):
-                pa, pb = series[a].values, series[b].values
+                r = cross_ratio(series[a].values, series[b].values)
                 for d in range(D):
-                    if pb[d] > 0:
-                        r = pa[d] / pb[d]
-                    elif pa[d] > 0:
-                        r = np.inf
-                    else:
-                        r = None
                     ratio_rows.append(
-                        (grouping, series[a].key, series[b].key, d, iso[d], r)
+                        (grouping, series[a].key, series[b].key, d, iso[d], r[d])
                     )
-    ratios_path = state.out_path("cross_ratios.tsv")
     write_tsv(
-        ratios_path,
+        state.out_path("cross_ratios.tsv"),
         ("grouping", "group_a", "group_b", "day", "date", "ratio"),
         ratio_rows,
     )
-    outputs.append(ratios_path)
 
     # neighborhood awareness ratios per layer per day, plus phase means
     nb_rows = []
@@ -675,16 +725,14 @@ def cmd_cohort(state):
             if r.value is not None and np.isfinite(r.value):
                 vals[d] = r.value
         nb_values[layer] = vals
-    nb_path = state.out_path("neighborhood_ratios.tsv")
     write_tsv(
-        nb_path,
+        state.out_path("neighborhood_ratios.tsv"),
         (
             "layer", "day", "date", "ratio", "numerator", "denominator",
             "n_aware", "n_unaware", "status",
         ),
         nb_rows,
     )
-    outputs.append(nb_path)
 
     mean_rows = []
     for layer in LAYERS:
@@ -693,13 +741,11 @@ def cmd_cohort(state):
             defined = window[~np.isnan(window)]
             mean = float(defined.mean()) if len(defined) else None
             mean_rows.append((layer, p.name, mean, len(defined), p.n_days))
-    means_path = state.out_path("neighborhood_phase_means.tsv")
     write_tsv(
-        means_path,
+        state.out_path("neighborhood_phase_means.tsv"),
         ("layer", "phase", "mean_ratio", "n_defined", "n_days"),
         mean_rows,
     )
-    outputs.append(means_path)
 
     # mean purchasing power of the aware, by occupation
     pp_rows = []
@@ -709,13 +755,11 @@ def cmd_cohort(state):
             tlq, dataset, "occupation", day_end_ts(calendar, d), pp_values, qualified
         ):
             pp_rows.append((name, d, iso[d], mean, n))
-    pp_path = state.out_path("aware_purchasing_power.tsv")
     write_tsv(
-        pp_path,
+        state.out_path("aware_purchasing_power.tsv"),
         ("group", "day", "date", "mean_purchasing_power", "n_aware"),
         pp_rows,
     )
-    outputs.append(pp_path)
 
     # hysteresis per event mark
     hys_rows = []
@@ -733,44 +777,30 @@ def cmd_cohort(state):
             dur = durations[f]
             status = "ok" if dur is not None else "absent"
             hys_rows.append((mark.label, mark.timestamp, date, n_e, f, dur, status))
-    hys_path = state.out_path("hysteresis.tsv")
-    write_tsv(
-        hys_path,
-        (
-            "event", "event_time", "event_date", "baseline_count",
-            "threshold", "duration_seconds", "status",
-        ),
-        hys_rows,
-    )
-    outputs.append(hys_path)
+    write_tsv(state.out_path("hysteresis.tsv"), header_of("hysteresis.tsv"), hys_rows)
 
     # which factorization's fastest group leads, day by day
     ld = lead_days(trends["occupation"], trends["purchasing_power"])
-    lead_path = state.out_path("lead_days.tsv")
     write_tsv(
-        lead_path,
+        state.out_path("lead_days.tsv"),
         ("factorization_a", "factorization_b", "a_leads", "b_leads", "ties", "defined_days"),
         [("occupation", "purchasing_power", ld.a_leads, ld.b_leads, ld.ties, ld.defined_days)],
     )
-    outputs.append(lead_path)
-
-    inputs = [
-        state.out_path("labels.tsv"),
-        state.out_path("qualified.txt"),
-        state.out_path("networks.edges"),
-        state.out_path("phases.tsv"),
-    ]
-    stats = {
+    return {
         "lead_days": {"a_leads": ld.a_leads, "b_leads": ld.b_leads, "ties": ld.ties},
         "groupings": list(GROUPINGS),
     }
-    return write_manifest(state, "cohort", inputs, outputs, stats)
 
 
+@stage(
+    "geo-corr",
+    reads=("dataset", "labels.tsv", "qualified.txt"),
+    writes=("geo_correlations.tsv",),
+)
 def cmd_geo_corr(state):
-    dataset = state.dataset()
+    dataset = state.load("dataset")
     calendar = dataset.calendar
-    qualified = state.qualified()
+    qualified = state.load("qualified.txt")
     tlq = state.cohort_timeline()
     iso = calendar.iso_dates()
     rows = []
@@ -780,10 +810,8 @@ def cmd_geo_corr(state):
         rho = geo_correlation_series(dataset, tlq, factor, level=level, cohort_ids=qualified)
         for d in range(calendar.n_days):
             rows.append((level, factor, d, iso[d], rho[d]))
-    path = state.out_path("geo_correlations.tsv")
-    write_tsv(path, ("level", "factor", "day", "date", "rho"), rows)
-    inputs = [state.out_path("labels.tsv"), state.out_path("qualified.txt")]
-    return write_manifest(state, "geo-corr", inputs, [path], {"series": len(plans)})
+    write_tsv(state.out_path("geo_correlations.tsv"), header_of("geo_correlations.tsv"), rows)
+    return {"series": len(plans)}
 
 
 def regression_sample(cfg, qualified):
@@ -801,14 +829,19 @@ def regression_sample(cfg, qualified):
     return np.sort(qualified[order[:size]])
 
 
+@stage(
+    "regress",
+    reads=("dataset", "labels.tsv", "qualified.txt", "networks.edges", "phases.tsv"),
+    writes=("schedule.tsv", "regression.tsv", "profiles.tsv"),
+)
 def cmd_regress(state):
     cfg = state.cfg
-    dataset = state.dataset()
+    dataset = state.load("dataset")
     calendar = dataset.calendar
-    qualified = state.qualified()
+    qualified = state.load("qualified.txt")
     tlq = state.cohort_timeline()
-    graph = state.graph()
-    seg = state.segmentation()
+    graph = state.load("networks.edges")
+    seg = phase_segmentation(state.load("phases.tsv"))
     reg = cfg.regression_config()
     iso = calendar.iso_dates()
 
@@ -821,9 +854,8 @@ def cmd_regress(state):
         d = int(calendar.day_of(ts))
         return iso[d] if 0 <= d < calendar.n_days else "NA"
 
-    sched_path = state.out_path("schedule.tsv")
     write_tsv(
-        sched_path,
+        state.out_path("schedule.tsv"),
         ("position", "kind", "trigger", "time", "date", "value"),
         [
             (k, c.kind, c.trigger, c.time, date_of(c.time), c.value)
@@ -862,9 +894,8 @@ def cmd_regress(state):
                     r.se[j], r.z[j], r.p[j], r.odds_ratio[j], None,
                 )
             )
-    reg_path = state.out_path("regression.tsv")
     write_tsv(
-        reg_path,
+        state.out_path("regression.tsv"),
         (
             "position", "kind", "trigger", "time", "date", "n_obs", "n_aware",
             "converged", "ridge", "n_iter", "feature", "coefficient",
@@ -874,89 +905,61 @@ def cmd_regress(state):
     )
 
     profile = typical_profile(models, seg, calendar, p_threshold=reg["p_threshold"])
-    prof_path = state.out_path("profiles.tsv")
     write_tsv(
-        prof_path,
-        ("phase", "feature", "direction", "n_significant", "n_models"),
+        state.out_path("profiles.tsv"),
+        header_of("profiles.tsv"),
         [(e.phase, e.feature, e.direction, e.n_significant, e.n_models) for e in profile],
     )
-
-    inputs = [
-        state.out_path("labels.tsv"),
-        state.out_path("qualified.txt"),
-        state.out_path("networks.edges"),
-        state.out_path("phases.tsv"),
-    ]
-    n_failed = sum(1 for m in models if m.result is None)
-    stats = {
+    return {
         "checkpoints": len(schedule.entries),
         "missing_percentages": schedule.missing,
         "sample_size": int(len(sample)),
-        "failed_fits": n_failed,
+        "failed_fits": sum(1 for m in models if m.result is None),
         "ridge_fits": sum(1 for m in models if m.result is not None and m.result.ridge_used),
     }
-    return write_manifest(
-        state, "regress", inputs, [sched_path, reg_path, prof_path], stats
-    )
 
 
-def _read_tsv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        rows = [line.rstrip("\n").split("\t") for line in fh]
-    return header, rows
-
-
+@stage(
+    "report",
+    # the manifest of every earlier stage, for its stats
+    reads=tuple(map(manifest_name, STAGES))
+    + ("phases.tsv", "profiles.tsv", "geo_correlations.tsv", "hysteresis.tsv"),
+    writes=("report.json", "report.txt"),
+)
 def cmd_report(state):
     """Summary bundle assembled from the artifacts (never from memory, so
     `all` and stepwise invocations produce identical bytes)."""
     cfg = state.cfg
-    gen_stats = read_manifest(state, "gen")["stats"]
-    net_stats = read_manifest(state, "infer-net")["stats"]
-    label_stats = read_manifest(state, "label")["stats"]
-    segment_stats = read_manifest(state, "segment")["stats"]
-    cohort_stats = read_manifest(state, "cohort")["stats"]
-    read_manifest(state, "geo-corr")
-    regress_stats = read_manifest(state, "regress")["stats"]
+    stats = {
+        name: state.load(manifest_name(name))["stats"] for name in STAGES if name != "report"
+    }
+    gen_stats = stats["gen"]
+    label_stats = stats["label"]
+    segment_stats = stats["segment"]
+    regress_stats = stats["regress"]
 
-    _, phase_rows = _read_tsv(state.out_path("phases.tsv"))
-    phases = [
-        {
-            "phase": r[0],
-            "start_day": int(r[1]),
-            "end_day": int(r[2]),
-            "start_date": r[3],
-            "end_date": r[4],
-        }
-        for r in phase_rows
-    ]
-    _, profile_rows = _read_tsv(state.out_path("profiles.tsv"))
-    profiles = [
-        {"phase": r[0], "feature": r[1], "direction": r[2]} for r in profile_rows
-    ]
-    _, geo_rows = _read_tsv(state.out_path("geo_correlations.tsv"))
+    phases = [dict(zip(header_of("phases.tsv")[:5], r)) for r in state.load("phases.tsv")]
+    profiles = [dict(zip(header_of("profiles.tsv")[:3], r)) for r in state.load("profiles.tsv")]
     geo_peak = {}
-    for level, factor, day, date, rho in geo_rows:
-        if rho in ("NA", "INF", "-INF"):
+    for level, factor, day, date, rho in state.load("geo_correlations.tsv"):
+        if rho is None or not np.isfinite(rho):
             continue
         key = f"{level}/{factor}"
-        val = float(rho)
-        if key not in geo_peak or abs(val) > abs(geo_peak[key]["rho"]):
-            geo_peak[key] = {"day": int(day), "date": date, "rho": val}
-    _, hys_rows = _read_tsv(state.out_path("hysteresis.tsv"))
-    n_hys_ok = sum(1 for r in hys_rows if r[6] == "ok")
+        if key not in geo_peak or abs(rho) > abs(geo_peak[key]["rho"]):
+            geo_peak[key] = {"day": day, "date": date, "rho": rho}
+    n_hys_ok = sum(1 for r in state.load("hysteresis.tsv") if r[6] == "ok")
 
     report = {
         "version": __version__,
         "seed": cfg.seed,
         "config_sha256": cfg.digest(),
         "population": gen_stats,
-        "network_edges": net_stats.get("edges", {}),
+        "network_edges": stats["infer-net"].get("edges", {}),
         "labeling": label_stats,
         "phases": phases,
         "phases_complete": segment_stats.get("complete"),
         "final_percentage": segment_stats.get("final_percentage"),
-        "lead_days": cohort_stats.get("lead_days"),
+        "lead_days": stats["cohort"].get("lead_days"),
         "hysteresis_defined": n_hys_ok,
         "schedule": {
             "checkpoints": regress_stats.get("checkpoints"),
@@ -966,8 +969,7 @@ def cmd_report(state):
         "profiles": profiles,
         "geo_peak_rho": geo_peak,
     }
-    json_path = state.out_path("report.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with open(state.out_path("report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -1002,40 +1004,17 @@ def cmd_report(state):
     lines.append("typical profile:")
     for pr in profiles:
         lines.append(f"  {pr['phase']:<10} {pr['direction']:<8} {pr['feature']}")
-    txt_path = state.out_path("report.txt")
-    with open(txt_path, "w", encoding="utf-8") as fh:
+    with open(state.out_path("report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-    inputs = [
-        state.out_path("phases.tsv"),
-        state.out_path("profiles.tsv"),
-        state.out_path("geo_correlations.tsv"),
-        state.out_path("hysteresis.tsv"),
-    ]
-    return write_manifest(state, "report", inputs, [json_path, txt_path])
-
-
-STEP_ORDER = ("gen", "infer-net", "label", "segment", "cohort", "geo-corr", "regress", "report")
-
-STEP_FUNCS = {
-    "gen": cmd_gen,
-    "infer-net": cmd_infer_net,
-    "label": cmd_label,
-    "segment": cmd_segment,
-    "cohort": cmd_cohort,
-    "geo-corr": cmd_geo_corr,
-    "regress": cmd_regress,
-    "report": cmd_report,
-}
+    return {}
 
 
 def cmd_all(state):
-    manifests = []
-    for name in STEP_ORDER:
-        manifests.append(STEP_FUNCS[name](state))
+    for name, cmd in STEP_FUNCS.items():
+        cmd(state)
         print(f"[{name}] ok", flush=True)
-    outputs = sorted(manifests)
-    return write_manifest(state, "all", [], outputs, {"steps": list(STEP_ORDER)})
+    manifests = [state.out_path(manifest_name(name)) for name in STAGES]
+    return write_manifest(state, "all", [], manifests, {"steps": list(STEP_FUNCS)})
 
 
 # ---------------------------------------------------------------------------
@@ -1056,7 +1035,7 @@ def build_parser():
         description="batch pipeline for awareness diffusion analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in (*STEP_FUNCS, "all"):
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument(
             "--config",

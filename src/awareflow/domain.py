@@ -7,6 +7,7 @@ standard time (UTC+8, no DST).  Ids are unsigned 64-bit decimals.
 """
 
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
@@ -30,6 +31,8 @@ OCCUPATIONS = (
     "individual_operation_service",
 )
 ADDRESS_KINDS = ("home", "school_dorm", "company")
+# the dataset's files, in load_dataset's argument order
+DATASET_FILES = ("population.jsonl", "regions.jsonl", "addresses.jsonl", "events.jsonl")
 EVENT_KIND_QUERY = 0
 EVENT_KIND_PURCHASE = 1
 
@@ -153,8 +156,7 @@ class AddressRecord:
 class EventLog:
     """Columnar store for the mixed query/purchase stream.
 
-    Globally sorted by (timestamp, individual_id, kind, text); the
-    per-individual view (sorted by individual, then time) is derived lazily.
+    Globally sorted by (timestamp, individual_id, kind, text).
     """
 
     def __init__(self, kind, individual_id, timestamp, text, is_ppe,
@@ -168,7 +170,6 @@ class EventLog:
         # text_code maps each row into it.  Optional; set by canonical().
         self.text_pool = text_pool
         self.text_code = text_code
-        self._ind_order = None
 
     @classmethod
     def empty(cls):
@@ -266,12 +267,6 @@ class EventLog:
         for i in range(len(self)):
             yield self.record(i)
 
-    def individual_order(self):
-        """Row permutation sorting by (individual_id, timestamp)."""
-        if self._ind_order is None:
-            self._ind_order = np.lexsort((self.timestamp, self.individual_id))
-        return self._ind_order
-
     def queries_mask(self):
         return self.kind == EVENT_KIND_QUERY
 
@@ -367,9 +362,6 @@ class Dataset:
                 index_of={p.id: i for i, p in enumerate(self.individuals)},
             )
         return self._columns
-
-    def region_by_city(self):
-        return {r.city_id: r for r in self.regions}
 
     def distance_km(self):
         """Per-individual distance to the epicenter via the home city."""
@@ -682,15 +674,8 @@ def write_events(path, events):
 
 def save_dataset(dataset, directory):
     """Write the four dataset files into ``directory``; returns their paths."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
-    paths = {
-        "population": os.path.join(directory, "population.jsonl"),
-        "regions": os.path.join(directory, "regions.jsonl"),
-        "addresses": os.path.join(directory, "addresses.jsonl"),
-        "events": os.path.join(directory, "events.jsonl"),
-    }
+    paths = {name.split(".")[0]: os.path.join(directory, name) for name in DATASET_FILES}
     write_population(paths["population"], dataset.individuals)
     write_regions(paths["regions"], dataset.regions)
     write_addresses(paths["addresses"], dataset.addresses)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import IntegrityError
+from .errors import IntegrityError, ParseError
 
 LAYERS = ("family", "schoolmate", "workmate")
 KIND_TO_LAYER = {"home": "family", "school_dorm": "schoolmate", "company": "workmate"}
@@ -244,17 +244,24 @@ def write_edges(graph, path):
 
 
 def read_edges(path, ids):
-    """Rebuild a MultiplexGraph from a write_edges dump over given ids."""
+    """Rebuild a MultiplexGraph from a write_edges dump over given ids.
+
+    A line that is not ``layer id id`` over a known layer and two of the
+    given ids raises ParseError.
+    """
     ids = np.asarray(ids, dtype=np.uint64)
     index_of = {int(v): k for k, v in enumerate(ids)}
     pairs = {name: [] for name in LAYERS}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line_no, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
-            name, a, b = parts[0], int(parts[1]), int(parts[2])
-            pairs[name].append((index_of[a], index_of[b]))
+            try:
+                name, a, b = parts
+                pairs[name].append((index_of[int(a)], index_of[int(b)]))
+            except (ValueError, KeyError):
+                raise ParseError(path, line_no, f"bad edge line {line.strip()!r}") from None
     layers = {
         name: _build_layer(
             np.array(pairs[name], dtype=np.int64).reshape(-1, 2), len(ids)

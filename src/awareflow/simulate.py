@@ -9,6 +9,7 @@ not depend on evaluation order or chunking.
 """
 
 import json
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -356,19 +357,7 @@ class SimConfig:
         return cls(**data, **kwargs).validate()
 
 
-def load_sim_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
-    return SimConfig.from_dict(data)
-
-
-def save_sim_config(config, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+TRUTH_FILES = ("truth_labels.jsonl", "truth_network.edges")
 
 
 @dataclass
@@ -379,10 +368,8 @@ class GroundTruth:
     graph: MultiplexGraph
 
     def save(self, directory):
-        import os
-
         os.makedirs(directory, exist_ok=True)
-        labels_path = os.path.join(directory, "truth_labels.jsonl")
+        labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
         aligned = self.timeline.aligned(self.graph.ids)
         with open(labels_path, "w", encoding="utf-8") as fh:
             for i, ind_id in enumerate(self.graph.ids):
@@ -394,15 +381,12 @@ class GroundTruth:
                     )
                     + "\n"
                 )
-        edges_path = os.path.join(directory, "truth_network.edges")
         write_edges(self.graph, edges_path)
         return {"truth_labels": labels_path, "truth_network": edges_path}
 
     @classmethod
     def load(cls, directory, ids):
-        import os
-
-        labels_path = os.path.join(directory, "truth_labels.jsonl")
+        labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
         got_ids, got_ts = [], []
         with open(labels_path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -413,7 +397,7 @@ class GroundTruth:
         timeline = AwarenessTimeline(
             np.array(got_ids, dtype=np.uint64), np.array(got_ts, dtype=np.int64)
         )
-        graph = read_edges(os.path.join(directory, "truth_network.edges"), ids)
+        graph = read_edges(edges_path, ids)
         return cls(timeline, graph)
 
 

@@ -5,6 +5,8 @@ layers, a mid-window shock, qualified and unqualified shoppers) while
 staying fast to generate, so it is built once per session.
 """
 
+import os
+
 import pytest
 
 from awareflow import kernels
@@ -24,6 +26,11 @@ from awareflow.simulate import (
     SimConfig,
     generate,
 )
+
+
+# interpreters that tests start import the package from the same tree
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session", autouse=True)

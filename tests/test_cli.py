@@ -1,9 +1,11 @@
 """End-to-end command line runs on a miniature world: artifact layout,
 manifest determinism, exit codes, flag handling."""
 
+import builtins
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -107,7 +109,7 @@ def test_manifest_shape(all_run, micro_config):
     assert m["stats"]["qualified"] > 0 and m["stats"]["aware"] > 0
     with open(os.path.join(all_run, "manifest_all.json")) as fh:
         top = json.load(fh)
-    assert top["stats"]["steps"] == list(cli.STEP_ORDER)
+    assert top["stats"]["steps"] == list(cli.STEP_FUNCS)
 
 
 def test_report_is_consistent_with_manifests(all_run):
@@ -124,7 +126,7 @@ def test_report_is_consistent_with_manifests(all_run):
 
 def test_stepwise_run_matches_all(all_run, micro_config, tmp_path):
     out = tmp_path / "steps"
-    for name in cli.STEP_ORDER:
+    for name in cli.STEP_FUNCS:
         assert cli.main([name, "--config", micro_config, "--out", str(out)]) == 0
     want = tree_hashes(all_run)
     got = tree_hashes(str(out))
@@ -231,6 +233,92 @@ def test_corrupt_dataset_exits_4(tmp_path, micro_config, capsys):
         fh.write("this is not json\n")
     assert cli.main(["infer-net", "--config", micro_config, "--out", str(out)]) == 4
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def append(name, text):
+    def fault(out, config):
+        with open(out / name, "a", encoding="utf-8") as fh:
+            fh.write(text)
+    return fault
+
+
+def replace(name, text):
+    def fault(out, config):
+        (out / name).write_text(text)
+    return fault
+
+
+# (stage, fault, exit code); a fault edits the finished run or the config
+# and returns extra command-line arguments, if any
+FAULTS = [
+    pytest.param("segment", append("labels.tsv", "garbage\n"), 4, id="labels-garbage"),
+    pytest.param("segment", append("qualified.txt", "garbage\n"), 4, id="qualified-garbage"),
+    pytest.param("segment", append("qualified.txt", "-5\n"), 4, id="qualified-negative-id"),
+    pytest.param("report", append("phases.tsv", "garbage\n"), 4, id="phases-garbage"),
+    pytest.param(
+        "report", append("geo_correlations.tsv", "city\tdistance_to_epicenter\t0\n"), 4,
+        id="geo-short-row",
+    ),
+    pytest.param(
+        "cohort", append("networks.edges", "family 999999999 999999998\n"), 4,
+        id="edges-unknown-id",
+    ),
+    pytest.param("infer-net", replace("dataset/calendar.json", "{}\n"), 4, id="calendar-empty"),
+    pytest.param("report", replace("manifest_gen.json", "not json\n"), 4, id="manifest-not-json"),
+    pytest.param(
+        "segment", lambda out, config: ["--phase-thresholds", str(out / "missing.json")], 2,
+        id="missing-phase-thresholds",
+    ),
+    pytest.param(
+        "label", lambda out, config: config.update(threshold="3"), 2, id="threshold-string"
+    ),
+]
+
+
+@pytest.mark.parametrize("stage, fault, code", FAULTS)
+def test_faults_exit_with_documented_code(
+    all_run, micro_config, tmp_path, capsys, stage, fault, code
+):
+    out = tmp_path / "run"
+    shutil.copytree(all_run, out)
+    with open(micro_config) as fh:
+        config = json.load(fh)
+    extra = fault(out, config) or []
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main([stage, "--config", str(cfg_path), "--out", str(out), *extra]) == code
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", list(cli.STEP_FUNCS))
+def test_manifest_lists_every_file_the_stage_opens(
+    all_run, micro_config, tmp_path, monkeypatch, stage
+):
+    out = tmp_path / "run"
+    shutil.copytree(all_run, out)
+    opened = set()
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.add(os.path.realpath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    assert cli.main([stage, "--config", micro_config, "--out", str(out)]) == 0
+    monkeypatch.undo()
+
+    manifest_path = out / cli.manifest_name(stage)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    listed = set(manifest["inputs"]) | set(manifest["outputs"])
+    # a manifest cannot list itself; the config is recorded by its digest
+    exempt = {os.path.realpath(micro_config), os.path.realpath(manifest_path)}
+    root = os.path.realpath(out)
+    for path in sorted(opened - exempt):
+        rel = os.path.relpath(path, root)
+        key = os.path.basename(path) if rel.startswith("..") else rel
+        assert key in listed, f"{stage} opened {key} but its manifest omits it"
 
 
 def test_analytic_failures_exit_5(monkeypatch, micro_config, capsys):

@@ -118,13 +118,6 @@ def test_records_round_trip_through_columns():
     assert log.is_ppe.sum() == 1
 
 
-def test_individual_order_sorts_by_id_then_time():
-    log = EventLog.from_records(sample_records())
-    order = log.individual_order()
-    pairs = list(zip(log.individual_id[order], log.timestamp[order]))
-    assert pairs == sorted(pairs)
-
-
 # --- JSONL readers ----------------------------------------------------------
 
 def test_empty_events_file(tmp_path):
