@@ -12,6 +12,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from awareflow.analytics import DEFAULT_EVENT_DATES
 from awareflow.domain import Calendar
 from awareflow.simulate import SimConfig, ShockEvent
 
@@ -24,22 +25,7 @@ def noon_ts(iso_date):
     return Calendar.from_dates(iso_date, iso_date).day_start_ts(0) + 43200
 
 
-# the canonical eleven news events of the observation window
-NEWS_EVENTS = (
-    ("retrospective_first_case", "2019-12-08", "city", 0),
-    ("epicenter_outbreak_briefing", "2019-12-31", "national", 0),
-    ("epicenter_59_cases_report", "2020-01-05", "national", 0),
-    ("epicenter_exit_screening", "2020-01-16", "national", 0),
-    ("h2h_transmission_confirmed", "2020-01-20", "national", 0),
-    ("epicenter_lockdown", "2020-01-23", "national", 0),
-    ("province_level1_response", "2020-01-24", "province", 0),
-    ("national_level1_response", "2020-01-25", "national", 0),
-    ("who_pheic_declared", "2020-01-31", "national", 0),
-    ("epicenter_quarantine_strategies", "2020-02-02", "national", 0),
-    ("disease_named", "2020-02-11", "national", 0),
-)
-
-# shock magnitudes (hazard logit bumps) for the news events above
+# shock magnitudes (hazard logit bumps) for the canonical news events
 NEWS_MAGNITUDES = {
     "retrospective_first_case": 1.0,
     "epicenter_outbreak_briefing": 3.0,
@@ -72,7 +58,7 @@ SUSTAINED_COVERAGE = (
 
 def news_shocks():
     out = []
-    for label, date, scope, scope_id in NEWS_EVENTS:
+    for label, date, scope, scope_id in DEFAULT_EVENT_DATES:
         out.append(
             ShockEvent(
                 label=label,
@@ -95,7 +81,7 @@ def sustained_shocks():
 def marks_json():
     return [
         {"label": label, "timestamp": noon_ts(date), "scope": scope, "scope_id": sid}
-        for label, date, scope, sid in NEWS_EVENTS
+        for label, date, scope, sid in DEFAULT_EVENT_DATES
     ]
 
 

@@ -14,8 +14,8 @@ of their third matching query, cumulatively, and stays aware forever.
 
 import numpy as np
 
-from .domain import month_number
-from .errors import CohortError, PatternSyntaxError
+from .domain import iter_text_lines, month_number
+from .errors import CohortError, ConfigError, ParseError, PatternSyntaxError
 
 # Sentinel for "never aware"; any real timestamp compares smaller, so
 # aware_mask_at reduces to first_aware <= t with no special cases.
@@ -103,11 +103,13 @@ def compile_query_set(expressions):
 def load_patterns(path):
     """Read pattern expressions from a file: one per line, '#' comments."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+    try:
+        for _, raw in iter_text_lines(path):
             line = raw.split("#", 1)[0].strip()
             if line:
                 out.append(line)
+    except ParseError as exc:
+        raise ConfigError(f"pattern file {exc}") from None
     return out
 
 

@@ -94,7 +94,7 @@ from .regress import (
     run_time_evolving,
     typical_profile,
 )
-from .simulate import TRUTH_FILES, SimConfig, generate
+from .simulate import TRUTH_FILES, SimConfig, fits, generate, is_int
 
 DAY = 86400
 # RNG stream for drawing the regression sample; simulator streams are < 100
@@ -150,19 +150,6 @@ def header_of(table):
 # run configuration
 # ---------------------------------------------------------------------------
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _fits(value, default):
-    """Whether ``value`` has the type of ``default`` (an int counts as a float)."""
-    if isinstance(default, str):
-        return isinstance(value, str)
-    if isinstance(default, float):
-        return _is_int(value) or isinstance(value, float)
-    return _is_int(value)
-
-
 def _section_problems(label, values, defaults):
     """Problems of a config object whose keys and value types follow ``defaults``."""
     if not isinstance(values, dict):
@@ -173,7 +160,7 @@ def _section_problems(label, values, defaults):
     return [
         f"{label} {k} must be of type {type(defaults[k]).__name__}"
         for k, v in values.items()
-        if not _fits(v, defaults[k])
+        if not fits(v, defaults[k])
     ]
 
 
@@ -206,12 +193,18 @@ class RunConfig:
     def validate(self):
         """Type-check every field, then range-check; raises ConfigError."""
         problems = []
+        if not isinstance(self.out_dir, str):
+            problems.append("out_dir must be a string")
+        if self.dataset_dir is not None and not isinstance(self.dataset_dir, str):
+            problems.append("dataset_dir must be a string or null")
+        if self.simulator is not None and not isinstance(self.simulator, dict):
+            problems.append("simulator must be an object or null")
         for name, low in (
             ("seed", 0), ("jobs", 0), ("threshold", 1),
             ("history_months", 1), ("min_purchases_per_month", 1),
         ):
             value = getattr(self, name)
-            if not _is_int(value) or value < low:
+            if not is_int(value) or value < low:
                 problems.append(f"{name} must be an integer >= {low}")
         if self.patterns is not None and not (
             isinstance(self.patterns, str) and os.path.exists(self.patterns)
@@ -219,7 +212,7 @@ class RunConfig:
             problems.append(f"pattern file {self.patterns!r} does not exist")
         problems += _section_problems("caps", self.caps, DEFAULT_CAPS)
         if isinstance(self.caps, dict):
-            small = [k for k, v in self.caps.items() if _is_int(v) and v < 2]
+            small = [k for k, v in self.caps.items() if is_int(v) and v < 2]
             problems += [f"cap for {k!r} must be >= 2" for k in small]
         problems += _section_problems(
             "phase threshold", self.phase_thresholds, asdict(PhaseThresholds())
@@ -229,8 +222,8 @@ class RunConfig:
             if not isinstance(self.marks, list):
                 problems.append("marks must be a list or null")
             elif not all(
-                isinstance(m, dict) and "label" in m and _is_int(m.get("timestamp"))
-                and _is_int(m.get("scope_id", 0))
+                isinstance(m, dict) and "label" in m and is_int(m.get("timestamp"))
+                and is_int(m.get("scope_id", 0))
                 for m in self.marks
             ):
                 problems.append("each mark needs a label and integer timestamp and scope_id")
@@ -531,6 +524,8 @@ def cmd_gen(state):
     sim = SimConfig.from_dict(cfg.simulator)
     sim.seed = cfg.seed
     sim.validate()
+    ddir = cfg.resolved_dataset_dir()
+    make_dir(ddir, "dataset directory")
     dataset, truth = generate(sim)
     report = validate_dataset(dataset)
     if report.violations:
@@ -538,7 +533,6 @@ def cmd_gen(state):
             "generated dataset failed validation: " + "; ".join(report.violations[:10]),
             report.violations,
         )
-    ddir = cfg.resolved_dataset_dir()
     save_dataset(dataset, ddir)
     truth.save(ddir)
     iso = dataset.calendar.iso_dates()
@@ -1052,8 +1046,15 @@ def build_parser():
     return parser
 
 
+def make_dir(path, what):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {what} {path!r}: {exc.strerror}") from None
+
+
 def run_subcommand(name, cfg):
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    make_dir(cfg.out_dir, "output directory")
     state = PipelineState(cfg)
     if name == "all":
         return cmd_all(state)

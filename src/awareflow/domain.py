@@ -237,17 +237,6 @@ class EventLog:
             ts.append(r.timestamp)
         return cls.canonical(kind, iid, ts, np.array(text, dtype=object), ppe)
 
-    def take(self, order):
-        return EventLog(
-            self.kind[order],
-            self.individual_id[order],
-            self.timestamp[order],
-            self.text[order],
-            self.is_ppe[order],
-            text_pool=self.text_pool,
-            text_code=None if self.text_code is None else self.text_code[order],
-        )
-
     def __len__(self):
         return len(self.timestamp)
 
@@ -390,19 +379,36 @@ class ValidationReport:
 # parsing helpers
 # ---------------------------------------------------------------------------
 
-def _iter_jsonl(path):
+def iter_text_lines(path):
+    """(line_no, line) of a UTF-8 text file; undecodable bytes raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        try:
+            yield from enumerate(fh, start=1)
+            return
+        except UnicodeDecodeError:
+            pass
+    # text mode decodes ahead of the line it yields: find the line at fault
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise ParseError(path, line_no, "expected a JSON object")
-            yield line_no, obj
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    raise ParseError(path, line_no, "not valid UTF-8")
+
+
+def _iter_jsonl(path):
+    for line_no, line in iter_text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise ParseError(path, line_no, "expected a JSON object")
+        yield line_no, obj
 
 
 def _need(obj, key, path, line_no):

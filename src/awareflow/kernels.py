@@ -1,14 +1,9 @@
-"""Hot numeric kernels with twin implementations.
-
-Every kernel here exists twice: a numba ``@njit`` version and a pure-numpy
-version with identical integer semantics, so both backends produce
-bit-identical results.  The numpy path is selected by setting the
-environment variable ``AWAREFLOW_NO_NUMBA=1`` (or automatically when numba
-is not importable).  ``benchmarks/bench_kernels.py`` times the two paths
-against each other.
+"""Hot numeric kernels, vectorized with numpy.
 
 Graphs are passed around in CSR form: ``indptr`` (int64, length n+1) and
 ``indices`` (int32) with every undirected edge stored in both directions.
+The neighbor counts take any CSR slice, so a caller that needs counts for
+some rows only passes :func:`csr_rows` of those rows.
 
 Random draws are counter-based: a splitmix64-style hash of
 (seed, stream, id, tag) mapped to a float64 in [0, 1).  Draws are therefore
@@ -16,9 +11,9 @@ independent of evaluation order, which keeps parallel and serial runs
 identical.
 """
 
-import os
-
 import numpy as np
+
+BACKEND = "numpy"
 
 U64 = np.uint64
 
@@ -28,23 +23,8 @@ _MIX2 = U64(0x94D049BB133111EB)
 _TAG = U64(0xC2B2AE3D27D4EB4F)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
-NUMBA_DISABLED = os.environ.get("AWAREFLOW_NO_NUMBA", "0") not in ("", "0")
 
-try:  # pragma: no cover - exercised via the env flag in the benchmark
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by AWAREFLOW_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _np_counter_uniforms(seed, stream, ids, tag):
+def counter_uniforms(seed, stream, ids, tag):
     """Hash (seed, stream, id, tag) into float64 uniforms in [0, 1)."""
     with np.errstate(over="ignore"):  # uint64 wraparound is the point
         z = U64(seed) ^ (U64(stream) * _GOLDEN)
@@ -56,7 +36,19 @@ def _np_counter_uniforms(seed, stream, ids, tag):
     return (z >> U64(11)).astype(np.float64) * _INV53
 
 
-def _np_count_marked_neighbors(indptr, indices, marked):
+def csr_rows(indptr, indices, rows):
+    """CSR slice of ``rows``: its indptr runs over ``rows``, its indices stay global."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    sub_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lens, out=sub_indptr[1:])
+    # entry j of row r sits at starts[r] + (j - sub_indptr[r])
+    pos = np.repeat(starts - sub_indptr[:-1], lens)
+    pos += np.arange(len(pos), dtype=np.int64)
+    return sub_indptr, indices[pos]
+
+
+def count_marked_neighbors(indptr, indices, marked):
     """Per node, count neighbors whose ``marked`` flag is set."""
     vals = marked[indices].astype(np.int64)
     csum = np.zeros(len(vals) + 1, dtype=np.int64)
@@ -64,10 +56,10 @@ def _np_count_marked_neighbors(indptr, indices, marked):
     return csum[indptr[1:]] - csum[indptr[:-1]]
 
 
-def _np_count_marked_neighbors_two(indptr, indices, base, hit):
+def count_marked_neighbors_two(indptr, indices, base, hit):
     """Counts of neighbors in ``base`` and of neighbors in ``base & hit``."""
-    b = base[indices].astype(np.int64)
-    h = (base[indices] & hit[indices]).astype(np.int64)
+    b = base[indices]
+    h = b & hit[indices]
     cb = np.zeros(len(b) + 1, dtype=np.int64)
     ch = np.zeros(len(h) + 1, dtype=np.int64)
     np.cumsum(b, out=cb[1:])
@@ -75,117 +67,7 @@ def _np_count_marked_neighbors_two(indptr, indices, base, hit):
     return cb[indptr[1:]] - cb[indptr[:-1]], ch[indptr[1:]] - ch[indptr[:-1]]
 
 
-def _np_increment_neighbor_counts(indptr, indices, nodes, counts):
+def increment_neighbor_counts(indptr, indices, nodes, counts):
     """counts[v] += 1 for every neighbor v of every node in ``nodes``."""
-    if len(nodes) == 0:
-        return
-    starts = indptr[nodes]
-    lens = indptr[nodes + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return
-    rep_starts = np.repeat(starts, lens)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    np.add.at(counts, indices[rep_starts + offsets], 1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same integer semantics, loop form)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_counter_uniforms(seed, stream, ids, tag):
-        n = ids.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        base = seed ^ (stream * _GOLDEN)
-        tagged = tag * _TAG
-        for k in range(n):
-            z = base ^ ids[k] ^ tagged
-            z = z + _GOLDEN
-            z = (z ^ (z >> U64(30))) * _MIX1
-            z = (z ^ (z >> U64(27))) * _MIX2
-            z = z ^ (z >> U64(31))
-            out[k] = (z >> U64(11)) * _INV53
-        return out
-
-    @njit(cache=True)
-    def _nb_count_marked_neighbors(indptr, indices, marked):
-        n = indptr.shape[0] - 1
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            c = 0
-            for j in range(indptr[i], indptr[i + 1]):
-                if marked[indices[j]]:
-                    c += 1
-            out[i] = c
-        return out
-
-    @njit(cache=True)
-    def _nb_count_marked_neighbors_two(indptr, indices, base, hit):
-        n = indptr.shape[0] - 1
-        nb = np.zeros(n, dtype=np.int64)
-        nh = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            cb = 0
-            ch = 0
-            for j in range(indptr[i], indptr[i + 1]):
-                v = indices[j]
-                if base[v]:
-                    cb += 1
-                    if hit[v]:
-                        ch += 1
-            nb[i] = cb
-            nh[i] = ch
-        return nb, nh
-
-    @njit(cache=True)
-    def _nb_increment_neighbor_counts(indptr, indices, nodes, counts):
-        for k in range(nodes.shape[0]):
-            v = nodes[k]
-            for j in range(indptr[v], indptr[v + 1]):
-                counts[indices[j]] += 1
-
-
-def _nb_counter_uniforms_wrapper(seed, stream, ids, tag):
-    # numba wants homogeneous uint64 scalars
-    return _nb_counter_uniforms(
-        U64(seed), U64(stream), np.ascontiguousarray(ids, dtype=np.uint64), U64(tag)
-    )
-
-
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    counter_uniforms = _nb_counter_uniforms_wrapper
-    count_marked_neighbors = _nb_count_marked_neighbors
-    count_marked_neighbors_two = _nb_count_marked_neighbors_two
-    increment_neighbor_counts = _nb_increment_neighbor_counts
-else:
-    BACKEND = "numpy"
-    counter_uniforms = _np_counter_uniforms
-    count_marked_neighbors = _np_count_marked_neighbors
-    count_marked_neighbors_two = _np_count_marked_neighbors_two
-    increment_neighbor_counts = _np_increment_neighbor_counts
-
-
-def counter_uniform(seed, stream, ident, tag=0):
-    """Scalar convenience wrapper around :func:`counter_uniforms`."""
-    return float(
-        counter_uniforms(seed, stream, np.array([ident], dtype=np.uint64), tag)[0]
-    )
-
-
-def warmup():
-    """Force jit compilation of all kernels (no-op on the numpy path)."""
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    indices = np.array([1, 0], dtype=np.int32)
-    marked = np.array([True, False])
-    counter_uniforms(1, 2, np.arange(4, dtype=np.uint64), 3)
-    count_marked_neighbors(indptr, indices, marked)
-    count_marked_neighbors_two(indptr, indices, marked, marked)
-    increment_neighbor_counts(
-        indptr, indices, np.array([0], dtype=np.int64), np.zeros(2, dtype=np.int64)
-    )
+    _, neighbors = csr_rows(indptr, indices, nodes)
+    np.add.at(counts, neighbors, 1)

@@ -95,7 +95,6 @@ class DesignBuilder:
                 "sample covers the whole population; nobody is left to "
                 "compute neighbor exposure against"
             )
-        self.graph = graph
         # graph rows and dataset rows must mean the same individual
         if not np.array_equal(graph.ids, cols.ids):
             raise ConfigError("graph node universe does not match the dataset")
@@ -138,15 +137,18 @@ class DesignBuilder:
         X[:, col["has_child"]] = cols.has_child[self.sample_rows]
         X[:, col["married"]] = cols.married[self.sample_rows]
 
+        # exposure is only ever read for the sample rows, so each layer keeps
+        # the CSR slice of their neighbor lists and counts over that alone
+        self._sample_csr = {}
         self._frac_cols = {}
         self._retained_deg = {}
         for layer in LAYERS:
             lyr = graph.layer(layer)
-            base, _ = kernels.count_marked_neighbors_two(
-                lyr.indptr, lyr.indices, retained, retained
-            )
+            sub = kernels.csr_rows(lyr.indptr, lyr.indices, self.sample_rows)
+            base, _ = kernels.count_marked_neighbors_two(*sub, retained, retained)
+            self._sample_csr[layer] = sub
             self._retained_deg[layer] = base
-            X[:, col[f"{layer}_has_neighbors"]] = base[self.sample_rows] > 0
+            X[:, col[f"{layer}_has_neighbors"]] = base > 0
             self._frac_cols[layer] = col[f"{layer}_aware_frac"]
         self._static = X
 
@@ -154,16 +156,16 @@ class DesignBuilder:
         """(X, y) at time t: exposure columns filled, labels thresholded."""
         X = self._static.copy()
         aware = self.aligned_all <= t
+        retained_aware = self.retained & aware
         for layer in LAYERS:
-            lyr = self.graph.layer(layer)
-            base, hit = kernels.count_marked_neighbors_two(
-                lyr.indptr, lyr.indices, self.retained, self.retained & aware
+            _, hit = kernels.count_marked_neighbors_two(
+                *self._sample_csr[layer], self.retained, retained_aware
             )
             deg = self._retained_deg[layer]
             frac = np.zeros(len(deg), dtype=np.float64)
             nz = deg > 0
             frac[nz] = hit[nz] / deg[nz]
-            X[:, self._frac_cols[layer]] = frac[self.sample_rows]
+            X[:, self._frac_cols[layer]] = frac
         y = aware[self.sample_rows].astype(np.float64)
         return X, y
 

@@ -9,8 +9,9 @@ not depend on evaluation order or chunking.
 """
 
 import json
+import numbers
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -91,6 +92,70 @@ def month_start_ts(months):
     m = np.asarray(months, dtype=np.int64).astype("datetime64[M]")
     days = m.astype("datetime64[D]").astype(np.int64)
     return days * SECONDS_PER_DAY - CHINA_UTC_OFFSET
+
+
+def is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def fits(value, like):
+    """Whether ``value`` has the type of the example ``like``.
+
+    An int counts as a float; the values of a dict and the items of a tuple
+    must fit the example's first one.
+    """
+    if isinstance(like, str):
+        return isinstance(value, str)
+    if isinstance(like, float):
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if isinstance(like, dict):
+        first = next(iter(like.values()))
+        return isinstance(value, dict) and all(fits(v, first) for v in value.values())
+    if isinstance(like, tuple):
+        return isinstance(value, tuple) and all(fits(v, like[0]) for v in value)
+    if isinstance(like, list) or is_dataclass(like):
+        return isinstance(value, type(like))
+    return is_int(value)
+
+
+def _type_problems(obj, label):
+    """Fields of the config dataclass ``obj`` whose value lacks the field's type."""
+    problems = []
+    for f in fields(obj):
+        if f.default is not MISSING:
+            like = f.default
+        elif f.default_factory is not MISSING:
+            like = f.default_factory()
+        else:
+            like = f.type()
+        value = getattr(obj, f.name)
+        if not fits(value, like):
+            kind = {tuple: "list", dict: "object"}.get(type(like), type(like).__name__)
+            problems.append(f"{label}{f.name} must be of type {kind}")
+        elif is_dataclass(like):
+            problems += _type_problems(value, f"{label}{f.name}.")
+    return problems
+
+
+def _build(cls, values, label):
+    """``cls(**values)`` from a JSON object; unknown or missing keys raise ConfigError."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{label} must be an object")
+    unknown = set(values) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
+    missing = [
+        f.name for f in fields(cls)
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{label} lacks keys: {missing}")
+    return cls(**values)
+
+
+def _as_tuple(value):
+    # JSON gives lists; anything else is left for validate() to reject
+    return tuple(value) if isinstance(value, list) else value
 
 
 @dataclass
@@ -189,7 +254,7 @@ class DemographicsConfig:
     qualified_p: float = 0.90
 
     def __post_init__(self):
-        self.purchasing_power_probs = tuple(self.purchasing_power_probs)
+        self.purchasing_power_probs = _as_tuple(self.purchasing_power_probs)
 
 
 @dataclass
@@ -203,7 +268,7 @@ class NetworkConfig:
     company_size_max: int = 15
 
     def __post_init__(self):
-        self.family_size_probs = tuple(self.family_size_probs)
+        self.family_size_probs = _as_tuple(self.family_size_probs)
 
 
 @dataclass
@@ -230,12 +295,23 @@ class SimConfig:
     purchase_categories: tuple = DEFAULT_CATEGORIES
     ppe_category: str = "n95 respirator mask"
 
+    def __post_init__(self):
+        self.aware_query_texts = _as_tuple(self.aware_query_texts)
+        self.noise_query_texts = _as_tuple(self.noise_query_texts)
+        self.purchase_categories = _as_tuple(self.purchase_categories)
+
     def calendar(self):
         start = Calendar.from_dates(self.calendar_start, self.calendar_start)
         return Calendar(start.start_day, self.n_days)
 
     def validate(self):
-        problems = []
+        """Type-check every field, then range-check; raises ConfigError."""
+        problems = _type_problems(self, "")
+        if not problems:
+            for i, ev in enumerate(self.events):
+                problems += _type_problems(ev, f"events[{i}].")
+        if problems:
+            raise ConfigError("invalid simulator config: " + "; ".join(problems))
         if self.n_individuals < 1:
             problems.append("n_individuals must be >= 1")
         if self.n_days < 1:
@@ -321,6 +397,8 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ConfigError("simulator must be an object")
         data = dict(data)
         sections = {
             "regions": RegionConfig,
@@ -328,33 +406,14 @@ class SimConfig:
             "network": NetworkConfig,
             "hazard": HazardCoefficients,
         }
-        kwargs = {}
         for key, section_cls in sections.items():
             if key in data:
-                sub = data.pop(key)
-                known = section_cls.__dataclass_fields__
-                unknown = set(sub) - set(known)
-                if unknown:
-                    raise ConfigError(
-                        f"unknown simulator.{key} keys: {sorted(unknown)}"
-                    )
-                kwargs[key] = section_cls(**sub)
+                data[key] = _build(section_cls, data[key], f"simulator.{key}")
         if "events" in data:
-            events = []
-            for ev in data.pop("events"):
-                unknown = set(ev) - set(ShockEvent.__dataclass_fields__)
-                if unknown:
-                    raise ConfigError(f"unknown event keys: {sorted(unknown)}")
-                events.append(ShockEvent(**ev))
-            kwargs["events"] = events
-        known = cls.__dataclass_fields__
-        unknown = set(data) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown simulator keys: {sorted(unknown)}")
-        for key in ("aware_query_texts", "noise_query_texts", "purchase_categories"):
-            if key in data:
-                data[key] = tuple(data[key])
-        return cls(**data, **kwargs).validate()
+            if not isinstance(data["events"], list):
+                raise ConfigError("simulator.events must be a list")
+            data["events"] = [_build(ShockEvent, ev, "event") for ev in data["events"]]
+        return _build(cls, data, "simulator").validate()
 
 
 TRUTH_FILES = ("truth_labels.jsonl", "truth_network.edges")

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from awareflow import kernels
+import awareflow
 from awareflow.awareness import (
     compile_query_set,
     filter_qualified,
@@ -29,14 +29,8 @@ from awareflow.simulate import (
 
 
 # interpreters that tests start import the package from the same tree
-_SRC = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(awareflow.__file__)))
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jitted kernels once so timings inside tests stay honest
-    kernels.warmup()
 
 
 def small_world_config():

@@ -152,16 +152,13 @@ def test_different_seed_differs(all_run, micro_config, tmp_path):
     assert m["outputs"]["dataset/events.jsonl"] != base["outputs"]["dataset/events.jsonl"]
 
 
-def test_numpy_backend_reproduces_numba_run(all_run, micro_config, tmp_path):
-    out = tmp_path / "nonumba"
-    env = {**os.environ, "AWAREFLOW_NO_NUMBA": "1"}
+def test_fresh_interpreter_reproduces_run(all_run, micro_config, tmp_path):
+    out = tmp_path / "fresh"
     code = (
         "import sys; from awareflow import cli; "
         f"sys.exit(cli.main(['all', '--config', {micro_config!r}, '--out', {str(out)!r}]))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert tree_hashes(str(out)) == tree_hashes(all_run)
 
@@ -235,10 +232,10 @@ def test_corrupt_dataset_exits_4(tmp_path, micro_config, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
-def append(name, text):
+def append(name, data):
     def fault(out, config):
-        with open(out / name, "a", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(out / name, "ab") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
     return fault
 
 
@@ -246,6 +243,12 @@ def replace(name, text):
     def fault(out, config):
         (out / name).write_text(text)
     return fault
+
+
+def patterns_file(out, data):
+    path = out / "patterns.txt"
+    path.write_bytes(data)
+    return ["--patterns", str(path)]
 
 
 # (stage, fault, exit code); a fault edits the finished run or the config
@@ -271,6 +274,27 @@ FAULTS = [
     ),
     pytest.param(
         "label", lambda out, config: config.update(threshold="3"), 2, id="threshold-string"
+    ),
+    pytest.param(
+        "gen", lambda out, config: config["simulator"].update(n_individuals="10"), 2,
+        id="simulator-count-string",
+    ),
+    pytest.param(
+        "infer-net", lambda out, config: config.update(dataset_dir=5), 2, id="dataset-dir-number"
+    ),
+    pytest.param(
+        "gen", lambda out, config: ["--out", str(out / "labels.tsv")], 2, id="out-is-a-file"
+    ),
+    pytest.param(
+        "gen", lambda out, config: config.update(dataset_dir=str(out / "labels.tsv")), 2,
+        id="dataset-dir-is-a-file",
+    ),
+    pytest.param(
+        "infer-net", append("dataset/regions.jsonl", b"\xff\xfe{}"), 4, id="dataset-not-utf8"
+    ),
+    pytest.param(
+        "label", lambda out, config: patterns_file(out, b"(mask)\n\xff\xfe\n"), 2,
+        id="patterns-not-utf8",
     ),
 ]
 

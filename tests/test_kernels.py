@@ -1,22 +1,12 @@
-"""Kernel twins: both backends must agree bit for bit."""
-
-import os
-import subprocess
-import sys
+"""Kernels against brute force, and the counter RNG against pinned draws."""
 
 import numpy as np
-import pytest
 
-from awareflow import kernels
 from awareflow.kernels import (
-    _np_count_marked_neighbors,
-    _np_count_marked_neighbors_two,
-    _np_counter_uniforms,
-    _np_increment_neighbor_counts,
     count_marked_neighbors,
     count_marked_neighbors_two,
-    counter_uniform,
     counter_uniforms,
+    csr_rows,
     increment_neighbor_counts,
 )
 
@@ -81,20 +71,21 @@ def test_stream_tag_and_seed_separation():
         assert abs(np.corrcoef(base, other)[0, 1]) < 0.1
 
 
-def test_counter_uniform_scalar_matches_vector():
+def test_uniforms_match_pinned_draws():
+    # the stream every simulated dataset is drawn from; changing it changes
+    # every artifact, so it is pinned to literal values
     ids = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
-    vec = counter_uniforms(11, 4, ids, 9)
-    for i, ident in enumerate(ids):
-        assert counter_uniform(11, 4, int(ident), 9) == vec[i]
-
-
-def test_uniforms_numpy_twin_bit_identical():
-    rng = np.random.default_rng(0)
-    ids = rng.integers(0, 2**64, size=5000, dtype=np.uint64)
-    for seed, stream, tag in [(1, 1, 0), (99, 14, 7), (2**32, 101, 2**31)]:
-        a = counter_uniforms(seed, stream, ids, tag)
-        b = _np_counter_uniforms(seed, stream, ids, tag)
-        assert np.array_equal(a, b)
+    pinned = {
+        (1, 1, 0): [0.9125972035944532, 0.43152799704850997, 0.9454956800914366, 0.0],
+        (99, 14, 7): [
+            0.8436219575922235, 0.3599712786674809, 0.8815177355769744, 0.18730441831510036,
+        ],
+        (2**32, 101, 2**31): [
+            0.3717568611980021, 0.5405514171381266, 0.4245925645515046, 0.9420742343488566,
+        ],
+    }
+    for (seed, stream, tag), want in pinned.items():
+        assert counter_uniforms(seed, stream, ids, tag).tolist() == want
 
 
 def test_neighbor_count_twins_and_brute_force():
@@ -104,7 +95,6 @@ def test_neighbor_count_twins_and_brute_force():
         indptr, indices = random_csr(rng, n, int(rng.integers(0, 3 * n)))
         marked = rng.random(n) < 0.4
         got = count_marked_neighbors(indptr, indices, marked)
-        assert np.array_equal(got, _np_count_marked_neighbors(indptr, indices, marked))
         brute = [
             sum(bool(marked[v]) for v in indices[indptr[i] : indptr[i + 1]])
             for i in range(n)
@@ -120,8 +110,6 @@ def test_neighbor_count_two_twins_and_brute_force():
         base = rng.random(n) < 0.6
         hit = rng.random(n) < 0.5
         nb, nh = count_marked_neighbors_two(indptr, indices, base, hit)
-        nb2, nh2 = _np_count_marked_neighbors_two(indptr, indices, base, hit)
-        assert np.array_equal(nb, nb2) and np.array_equal(nh, nh2)
         for i in range(n):
             neigh = indices[indptr[i] : indptr[i + 1]]
             assert nb[i] == sum(bool(base[v]) for v in neigh)
@@ -137,15 +125,25 @@ def test_increment_neighbor_counts_twins():
         indptr, indices = random_csr(rng, n, int(rng.integers(0, 3 * n)))
         nodes = np.flatnonzero(rng.random(n) < 0.3).astype(np.int64)
         a = np.zeros(n, dtype=np.int64)
-        b = np.zeros(n, dtype=np.int64)
         increment_neighbor_counts(indptr, indices, nodes, a)
-        _np_increment_neighbor_counts(indptr, indices, nodes, b)
-        assert np.array_equal(a, b)
         brute = np.zeros(n, dtype=np.int64)
         for v in nodes:
             for w in indices[indptr[v] : indptr[v + 1]]:
                 brute[w] += 1
         assert np.array_equal(a, brute)
+
+
+def test_csr_rows_slices_neighbor_lists():
+    rng = np.random.default_rng(4)
+    for _ in range(25):
+        n = int(rng.integers(2, 40))
+        indptr, indices = random_csr(rng, n, int(rng.integers(0, 3 * n)))
+        rows = rng.permutation(n)[: int(rng.integers(0, n + 1))].astype(np.int64)
+        sub_indptr, sub_indices = csr_rows(indptr, indices, rows)
+        assert len(sub_indptr) == len(rows) + 1
+        for k, r in enumerate(rows):
+            got = sub_indices[sub_indptr[k] : sub_indptr[k + 1]]
+            assert got.tolist() == indices[indptr[r] : indptr[r + 1]].tolist()
 
 
 def test_empty_graph_and_empty_nodes():
@@ -158,26 +156,3 @@ def test_empty_graph_and_empty_nodes():
     counts = np.zeros(5, dtype=np.int64)
     increment_neighbor_counts(indptr, indices, np.zeros(0, dtype=np.int64), counts)
     assert counts.sum() == 0
-
-
-def test_backend_flag_consistency():
-    assert kernels.BACKEND in ("numba", "numpy")
-    if kernels.NUMBA_DISABLED:
-        assert kernels.BACKEND == "numpy"
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, AWAREFLOW_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from awareflow import kernels; print(kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend not active")
-def test_numba_backend_selected_when_available():
-    assert kernels.BACKEND == "numba"

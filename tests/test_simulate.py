@@ -262,6 +262,26 @@ def test_unknown_keys_rejected():
         SimConfig.from_dict({"events": [{"label": "x", "timestamp": 0, "magnitude": 1.0, "where": "cn"}]})
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"n_individuals": "10"}, "n_individuals must be of type int"),
+    ({"seed": True}, "seed must be of type int"),
+    ({"query_noise": "0.1"}, "query_noise must be of type float"),
+    ({"aware_query_texts": "mask"}, "aware_query_texts must be of type list"),
+    ({"aware_query_texts": ["mask", 3]}, "aware_query_texts must be of type list"),
+    ({"regions": 5}, "simulator.regions must be an object"),
+    ({"regions": {"n_cities": 2.5}}, "regions.n_cities must be of type int"),
+    ({"demographics": {"purchasing_power_probs": 3}}, "purchasing_power_probs must be of type list"),
+    ({"hazard": {"education": {"bachelor": "x"}}}, "hazard.education must be of type object"),
+    ({"events": 7}, "simulator.events must be a list"),
+    ({"events": [{"label": "x"}]}, "event lacks keys"),
+    ({"events": [{"label": "x", "timestamp": "noon", "magnitude": 1.0}]},
+     "events\\[0\\].timestamp must be of type int"),
+])
+def test_wrong_value_types_rejected(data, message):
+    with pytest.raises(ConfigError, match=message):
+        SimConfig.from_dict(data)
+
+
 def test_validate_rejects_oversized_families():
     cfg = SimConfig(network=NetworkConfig(family_size_probs=tuple([0.0] * 10 + [1.0])))
     with pytest.raises(ConfigError, match="family sizes above 10 would exceed the home-layer cap"):
