@@ -10,7 +10,6 @@ zero-to-zero is 0, and day 0 (no previous day) is undefined (NaN).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .awareness import NEVER, awareness_percentage
 from .domain import EDUCATIONS, GENDERS, OCCUPATIONS
@@ -439,6 +438,9 @@ def spearman(xs, ys):
         raise AnalyticsError("spearman needs at least two observations")
     if np.ptp(xs) == 0 or np.ptp(ys) == 0:
         raise AnalyticsError("spearman is undefined for constant input")
+    # scipy.stats costs about half a second to import; only this needs it
+    from scipy.stats import rankdata
+
     rx = rankdata(xs)
     ry = rankdata(ys)
     return float(np.corrcoef(rx, ry)[0, 1])

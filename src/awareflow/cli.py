@@ -403,12 +403,14 @@ class PipelineState:
     ``load`` serves an artifact from ``loaded`` when an earlier stage of the
     same process left it there, otherwise parses it from disk through its
     validating reader, otherwise raises MissingArtifactError naming the
-    stage that writes it.
+    stage that writes it.  ``digests`` maps each file path hashed into a
+    manifest to its SHA-256, so that `all` hashes each file once.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.loaded = {}
+        self.digests = {}
 
     # paths -----------------------------------------------------------------
 
@@ -492,13 +494,21 @@ def sha256_file(path):
 
 def write_manifest(state, command, inputs, outputs, stats=None):
     cfg = state.cfg
+    digests = state.digests
+    # an input was hashed when an earlier stage of this process wrote or
+    # read it; the stage's own outputs are new and always hashed
+    for path in inputs:
+        if path not in digests:
+            digests[path] = sha256_file(path)
+    for path in outputs:
+        digests[path] = sha256_file(path)
     manifest = {
         "command": command,
         "version": __version__,
         "seed": cfg.seed,
         "config_sha256": cfg.digest(),
-        "inputs": {state.rel(p): sha256_file(p) for p in inputs},
-        "outputs": {state.rel(p): sha256_file(p) for p in outputs},
+        "inputs": {state.rel(p): digests[p] for p in inputs},
+        "outputs": {state.rel(p): digests[p] for p in outputs},
         "stats": stats or {},
     }
     path = state.out_path(manifest_name(command))

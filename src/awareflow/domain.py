@@ -6,6 +6,7 @@ epoch seconds; calendar days are local midnight-to-midnight in China
 standard time (UTC+8, no DST).  Ids are unsigned 64-bit decimals.
 """
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -37,6 +38,9 @@ EVENT_KIND_QUERY = 0
 EVENT_KIND_PURCHASE = 1
 
 MAX_PURCHASING_POWER = 7
+# events.jsonl is written this many rows and read this many lines at a time
+WRITE_CHUNK_ROWS = 100_000
+READ_BLOCK_LINES = 5_000
 
 
 def day_number(ts):
@@ -153,6 +157,15 @@ class AddressRecord:
     active_end: int
 
 
+def intern_texts(text):
+    """The sorted distinct texts of an object array, and each row's index into them."""
+    values = text.tolist()
+    pool = sorted(set(values))
+    rank = {t: i for i, t in enumerate(pool)}
+    codes = np.fromiter((rank[t] for t in values), dtype=np.int64, count=len(values))
+    return pool, codes
+
+
 class EventLog:
     """Columnar store for the mixed query/purchase stream.
 
@@ -189,11 +202,7 @@ class EventLog:
         log = cls(kind, individual_id, timestamp, text, is_ppe)
         if len(log) == 0:
             return cls.empty()
-        distinct = sorted(set(log.text.tolist()))
-        rank = {t: i for i, t in enumerate(distinct)}
-        codes = np.fromiter(
-            (rank[t] for t in log.text.tolist()), dtype=np.int64, count=len(log)
-        )
+        distinct, codes = intern_texts(log.text)
         order = np.lexsort(
             (log.is_ppe, codes, log.kind, log.individual_id, log.timestamp)
         )
@@ -397,18 +406,27 @@ def iter_text_lines(path):
     raise ParseError(path, line_no, "not valid UTF-8")
 
 
-def _iter_jsonl(path):
+def _numbered_lines(path):
+    """(line_no, stripped line) of the non-blank lines of a text file."""
     for line_no, line in iter_text_lines(path):
         line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
-        if not isinstance(obj, dict):
-            raise ParseError(path, line_no, "expected a JSON object")
-        yield line_no, obj
+        if line:
+            yield line_no, line
+
+
+def _json_object(path, line_no, line):
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise ParseError(path, line_no, "expected a JSON object")
+    return obj
+
+
+def _iter_jsonl(path):
+    for line_no, line in _numbered_lines(path):
+        yield line_no, _json_object(path, line_no, line)
 
 
 def _need(obj, key, path, line_no):
@@ -428,6 +446,8 @@ def _need_int(obj, key, path, line_no):
     v = _need(obj, key, path, line_no)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ParseError(path, line_no, f"{key} must be an integer")
+    if not -(2**63) <= v < 2**63:
+        raise ParseError(path, line_no, f"{key} must fit in a signed 64-bit integer")
     return v
 
 
@@ -539,7 +559,10 @@ def read_addresses(path):
         if (
             not isinstance(interval, list)
             or len(interval) != 2
-            or any(not isinstance(v, int) or isinstance(v, bool) for v in interval)
+            or any(
+                not isinstance(v, int) or isinstance(v, bool) or not -(2**63) <= v < 2**63
+                for v in interval
+            )
         ):
             raise ParseError(
                 path, line_no, "active_interval must be [start, end] epoch seconds"
@@ -557,23 +580,88 @@ def read_addresses(path):
     return out
 
 
+def _event_row(obj, path, line_no):
+    """(kind, individual_id, timestamp, text, is_ppe) of one event object."""
+    etype = _need_enum(obj, "type", ("query", "purchase"), path, line_no)
+    iid = _need_id(obj, "individual_id", path, line_no)
+    ts = _need_int(obj, "timestamp", path, line_no)
+    if etype == "query":
+        return EVENT_KIND_QUERY, iid, ts, _need_str(obj, "query_text", path, line_no), False
+    return (
+        EVENT_KIND_PURCHASE, iid, ts,
+        _need_str(obj, "category", path, line_no),
+        _need_bool(obj, "is_ppe", path, line_no),
+    )
+
+
+def _event_columns(kind, iid, ts, text, ppe):
+    return (
+        np.array(kind, dtype=np.uint8),
+        np.array(iid, dtype=np.uint64),
+        np.array(ts, dtype=np.int64),
+        np.array(text, dtype=object),
+        np.array(ppe, dtype=bool),
+    )
+
+
+def _parse_event_block(lines):
+    """Event columns of stripped lines, parsed with one json.loads and checked
+    in bulk; None when any line is not an event the per-line path accepts."""
+    n = len(lines)
+    body = ",\n".join(lines)
+    # Every "}" must end its line.  Then the n objects parsed can only be
+    # the n lines: an object spanning lines, or a line holding two values,
+    # needs a "}" inside a line.
+    if not (body[-1] == "}" and body.count("}") == n and body.count("},\n") == n - 1):
+        return None
+    try:
+        objs = json.loads(f"[{body}]")
+    except json.JSONDecodeError:
+        return None
+    if len(objs) != n or set(map(type, objs)) != {dict}:
+        return None
+    try:
+        etype = [o["type"] for o in objs]
+        iid = [o["individual_id"] for o in objs]
+        ts = [o["timestamp"] for o in objs]
+        query = [t == "query" for t in etype]
+        text = [o["query_text"] if q else o["category"] for o, q in zip(objs, query)]
+        ppe = [False if q else o["is_ppe"] for o, q in zip(objs, query)]
+    except KeyError:
+        return None
+    if (
+        etype.count("query") + etype.count("purchase") != n
+        or set(map(type, iid)) != {int} or min(iid) < 0 or max(iid) >= 2**64
+        or set(map(type, ts)) != {int} or min(ts) < -(2**63) or max(ts) >= 2**63
+        or set(map(type, text)) != {str}
+        or set(map(type, ppe)) != {bool}
+    ):
+        return None
+    kind = [EVENT_KIND_QUERY if q else EVENT_KIND_PURCHASE for q in query]
+    return _event_columns(kind, iid, ts, text, ppe)
+
+
 def read_events(path):
-    kind, iid, ts, text, ppe = [], [], [], [], []
-    k_append, i_append = kind.append, iid.append
-    t_append, x_append, p_append = ts.append, text.append, ppe.append
-    for line_no, obj in _iter_jsonl(path):
-        etype = _need_enum(obj, "type", ("query", "purchase"), path, line_no)
-        i_append(_need_id(obj, "individual_id", path, line_no))
-        t_append(_need_int(obj, "timestamp", path, line_no))
-        if etype == "query":
-            k_append(EVENT_KIND_QUERY)
-            x_append(_need_str(obj, "query_text", path, line_no))
-            p_append(False)
-        else:
-            k_append(EVENT_KIND_PURCHASE)
-            x_append(_need_str(obj, "category", path, line_no))
-            p_append(_need_bool(obj, "is_ppe", path, line_no))
-    return EventLog.canonical(kind, iid, ts, np.array(text, dtype=object), ppe)
+    """The canonical EventLog of an events.jsonl file.
+
+    Lines are parsed a block at a time; a block that fails the bulk checks
+    is parsed again line by line, which raises its first bad line's
+    ParseError.
+    """
+    blocks = []
+    numbered = _numbered_lines(path)
+    while block := list(itertools.islice(numbered, READ_BLOCK_LINES)):
+        columns = _parse_event_block([line for _, line in block])
+        if columns is None:
+            rows = [
+                _event_row(_json_object(path, line_no, line), path, line_no)
+                for line_no, line in block
+            ]
+            columns = _event_columns(*zip(*rows))
+        blocks.append(columns)
+    if not blocks:
+        return EventLog.empty()
+    return EventLog.canonical(*(np.concatenate(col) for col in zip(*blocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,36 +734,38 @@ def write_addresses(path, addresses):
 
 
 def write_events(path, events):
-    dumps = json.dumps
+    """One line per event, as ``json.dumps(obj, separators=(",", ":"))`` writes it.
+
+    Each distinct text is JSON-encoded once, into three line tails: a query's
+    and a purchase's with ``is_ppe`` false or true.  A row picks its tail by
+    ``3 * text_code + variant``.
+    """
+    pool, code = events.text_pool, events.text_code
+    if pool is None:
+        pool, code = intern_texts(events.text)
+    tails = []
+    for t in pool:
+        enc = json.dumps(t)
+        tails += (
+            f',"query_text":{enc}}}\n',
+            f',"category":{enc},"is_ppe":false}}\n',
+            f',"category":{enc},"is_ppe":true}}\n',
+        )
+    heads = ('{"type":"query","individual_id":', '{"type":"purchase","individual_id":')
+    purchase = events.kind != EVENT_KIND_QUERY
+    variant = 3 * np.asarray(code, dtype=np.int64) + purchase + (purchase & events.is_ppe)
     with open(path, "w", encoding="utf-8") as fh:
-        kind = events.kind
-        iid = events.individual_id
-        ts = events.timestamp
-        text = events.text
-        ppe = events.is_ppe
-        lines = []
-        for i in range(len(events)):
-            if kind[i] == EVENT_KIND_QUERY:
-                obj = {
-                    "type": "query",
-                    "individual_id": int(iid[i]),
-                    "timestamp": int(ts[i]),
-                    "query_text": text[i],
-                }
-            else:
-                obj = {
-                    "type": "purchase",
-                    "individual_id": int(iid[i]),
-                    "timestamp": int(ts[i]),
-                    "category": text[i],
-                    "is_ppe": bool(ppe[i]),
-                }
-            lines.append(dumps(obj, separators=(",", ":")))
-            if len(lines) >= 100_000:
-                fh.write("\n".join(lines) + "\n")
-                lines = []
-        if lines:
-            fh.write("\n".join(lines) + "\n")
+        for lo in range(0, len(events), WRITE_CHUNK_ROWS):
+            rows = slice(lo, lo + WRITE_CHUNK_ROWS)
+            fh.write("".join([
+                f'{heads[p]}{i},"timestamp":{t}{tails[v]}'
+                for p, i, t, v in zip(
+                    purchase[rows].tolist(),
+                    events.individual_id[rows].tolist(),
+                    events.timestamp[rows].tolist(),
+                    variant[rows].tolist(),
+                )
+            ]))
 
 
 def save_dataset(dataset, directory):

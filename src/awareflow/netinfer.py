@@ -239,8 +239,9 @@ def write_edges(graph, path):
             lo = np.minimum(src, dst)
             hi = np.maximum(src, dst)
             order = np.lexsort((hi, lo))
-            for k in order:
-                fh.write(f"{name} {lo[k]} {hi[k]}\n")
+            fh.write("".join([
+                f"{name} {a} {b}\n" for a, b in zip(lo[order].tolist(), hi[order].tolist())
+            ]))
 
 
 def read_edges(path, ids):

@@ -13,8 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 from . import kernels
 from .domain import EDUCATIONS, GENDERS, OCCUPATIONS
@@ -282,7 +281,8 @@ def fit_logistic(X, y, config=None, names=None):
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.nan)
-    p = np.where(np.isnan(z), np.nan, 2.0 * norm.sf(np.abs(z)))
+    # two-sided normal tail; ndtr(-x) is the normal survival function at x
+    p = np.where(np.isnan(z), np.nan, 2.0 * ndtr(-np.abs(z)))
     return FitResult(
         coef=beta,
         se=se,

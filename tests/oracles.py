@@ -7,6 +7,7 @@ bug in the package cannot hide in its own oracle.
 """
 
 import datetime
+import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -397,3 +398,23 @@ def first_aware_scan(events_by_individual, match_fn, threshold=3):
         if len(hits) >= threshold:
             out[iid] = hits[threshold - 1]
     return out
+
+
+# ---------------------------------------------------------------------------
+# dataset files
+# ---------------------------------------------------------------------------
+
+
+def write_events_rows(path, kind, individual_id, timestamp, text, is_ppe):
+    """events.jsonl, one json.dumps per row; kind 0 is a query, any other a
+    purchase."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for k, i, t, x, p in zip(kind, individual_id, timestamp, text, is_ppe):
+            if k == 0:
+                obj = {"type": "query", "individual_id": int(i), "timestamp": int(t), "query_text": x}
+            else:
+                obj = {
+                    "type": "purchase", "individual_id": int(i), "timestamp": int(t),
+                    "category": x, "is_ppe": bool(p),
+                }
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")

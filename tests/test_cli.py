@@ -134,10 +134,16 @@ def test_stepwise_run_matches_all(all_run, micro_config, tmp_path):
     assert got == want
 
 
-def test_same_seed_runs_are_byte_identical(all_run, micro_config, tmp_path):
+def test_same_seed_runs_are_byte_identical(all_run, micro_config, tmp_path, monkeypatch):
+    hashed = []
+    sha256_file = cli.sha256_file
+    monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(path) or sha256_file(path))
     out = tmp_path / "again"
     assert cli.main(["all", "--config", micro_config, "--out", str(out)]) == 0
     assert tree_hashes(str(out)) == tree_hashes(all_run)
+    # seven manifests list the dataset files; each is hashed once
+    dataset = [p for p in hashed if os.path.dirname(p) == str(out / "dataset")]
+    assert len(dataset) == len(set(dataset)) == len(os.listdir(out / "dataset"))
 
 
 def test_different_seed_differs(all_run, micro_config, tmp_path):
@@ -161,6 +167,45 @@ def test_fresh_interpreter_reproduces_run(all_run, micro_config, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert tree_hashes(str(out)) == tree_hashes(all_run)
+
+
+# The dataset bytes of `gen --config small`, which the batched event and
+# edge writers must reproduce exactly.
+SMALL_DATASET_SHA256 = {
+    "addresses.jsonl": "5c379d8645893f366d2bc7310723cfdf343389071dc42c9ed904663a71170c06",
+    "calendar.json": "d7b4a1642b58953a818455192559feae2bc0fe523e1c32e7d0d82b56769e99b5",
+    "events.jsonl": "b8f7554081370eb7a856ad369341f27a85d477752c55dcc49c79b74d1affa1a7",
+    "population.jsonl": "3f317e0411148533011a9f58234168e7a08840b6ae2a99417faa0617ca59acf5",
+    "regions.jsonl": "489a8f4b63abc45f62abef0ca78821a809eae8950aa8d9af67944b1608c41020",
+    "truth_labels.jsonl": "33d2a42f714b7a1ec205be37986c84ae1544e877e1505402095b5f4e93cc4312",
+    "truth_network.edges": "4fe6d332c4b40e8a3886859923e8602e953ecd09e39af97aeff759e61e2d5868",
+}
+
+
+def test_small_preset_dataset_bytes_are_pinned(tmp_path):
+    assert cli.main(["gen", "--config", "small", "--out", str(tmp_path)]) == 0
+    assert tree_hashes(str(tmp_path / "dataset")) == SMALL_DATASET_SHA256
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    code = "import sys, awareflow.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_compare_runs_script_flags_changed_files(all_run, tmp_path):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "compare_runs.py")
+    copy = tmp_path / "copy"
+    shutil.copytree(all_run, copy)
+    compare = [sys.executable, script, all_run, str(copy)]
+    assert subprocess.run(compare, capture_output=True).returncode == 0
+    (copy / "labels.tsv").write_text("changed\n")
+    (copy / "dataset" / "calendar.json").unlink()
+    proc = subprocess.run(compare, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "differs: labels.tsv" in proc.stdout
+    assert f"only in {all_run}: dataset/calendar.json" in proc.stdout
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -295,6 +340,22 @@ FAULTS = [
     pytest.param(
         "label", lambda out, config: patterns_file(out, b"(mask)\n\xff\xfe\n"), 2,
         id="patterns-not-utf8",
+    ),
+    pytest.param(
+        "label",
+        append(
+            "dataset/events.jsonl",
+            f'{{"type":"query","individual_id":1,"timestamp":{10**20},"query_text":"x"}}\n',
+        ),
+        4, id="event-timestamp-overflow",
+    ),
+    pytest.param(
+        "infer-net",
+        append(
+            "dataset/addresses.jsonl",
+            f'{{"individual_id":1,"address_id":1,"kind":"home","active_interval":[0,{10**20}]}}\n',
+        ),
+        4, id="address-interval-overflow",
     ),
 ]
 

@@ -8,6 +8,7 @@ from datetime import date, datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from awareflow import domain
 from awareflow.domain import (
     Calendar,
     Dataset,
@@ -27,6 +28,8 @@ from awareflow.domain import (
     write_events,
 )
 from awareflow.errors import IntegrityError, ParseError
+
+from oracles import write_events_rows
 
 CN = timezone(timedelta(hours=8))
 
@@ -137,6 +140,126 @@ def test_events_file_roundtrip_and_line_shuffle(tmp_path):
     shuffled = tmp_path / "shuffled.jsonl"
     shuffled.write_text("\n".join(lines) + "\n")
     assert read_events(shuffled) == log
+
+
+def test_write_events_matches_per_row_writer(tmp_path, monkeypatch):
+    # several write chunks; texts that JSON escapes; both is_ppe values; a
+    # query row whose is_ppe flag the file does not carry
+    monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", 3)
+    texts = ["口罩 N95", 'say "mask"', "back\\slash", "tab\there", "é ", "mask"]
+    n = 14
+    columns = (
+        [i % 2 for i in range(n)],
+        [2**64 - 1 - i for i in range(n)],
+        [-5 + 1000 * i for i in range(n)],
+        np.array([texts[i % len(texts)] for i in range(n)], dtype=object),
+        [i % 3 == 0 for i in range(n)],
+    )
+    raw = EventLog(*columns)
+    assert raw.text_pool is None
+    for log in (raw, EventLog.canonical(*columns)):
+        write_events(tmp_path / "events.jsonl", log)
+        write_events_rows(
+            tmp_path / "reference.jsonl",
+            log.kind, log.individual_id, log.timestamp, log.text, log.is_ppe,
+        )
+        written = (tmp_path / "events.jsonl").read_bytes()
+        assert written == (tmp_path / "reference.jsonl").read_bytes()
+        assert len(written.splitlines()) == n
+
+
+def _query(iid, ts, text="mask"):
+    return json.dumps(
+        {"type": "query", "individual_id": iid, "timestamp": ts, "query_text": text},
+        separators=(",", ":"),
+    )
+
+
+def _purchase(iid, ts, category="n95", is_ppe=True):
+    return json.dumps(
+        {"type": "purchase", "individual_id": iid, "timestamp": ts, "category": category,
+         "is_ppe": is_ppe},
+        separators=(",", ":"),
+    )
+
+
+EVENT_LINES = [
+    _query(1, 100), _purchase(2, 100), _query(3, 101, '口罩 "N95" \\'),
+    _purchase(1, 102, "food", False), _query(2, 103), _purchase(3, 104),
+    _query(4, 105), _purchase(4, 106, "soap", False), _query(5, 107), _purchase(5, 108),
+]
+EXTRA = _query(6, 109, "fever")
+
+# A bad line at line 7, in the middle of the second of three 4-line blocks,
+# and the error the per-line reader raises for it.
+BLOCK_FAULTS = [
+    pytest.param(EXTRA + "," + EXTRA, "invalid JSON: Extra data", id="two-objects-one-line"),
+    pytest.param("[" + EXTRA + "]", "expected a JSON object", id="array-wrapped-line"),
+    pytest.param("[", "invalid JSON: Expecting value", id="open-bracket-line"),
+    pytest.param(
+        EXTRA.replace('"individual_id":6', '"individual_id":true'),
+        "individual_id must be an unsigned 64-bit integer", id="bool-id",
+    ),
+    pytest.param(
+        EXTRA.replace('"individual_id":6', f'"individual_id":{2**64}'),
+        "individual_id must be an unsigned 64-bit integer", id="id-2-to-64",
+    ),
+    pytest.param(
+        EXTRA.replace('"timestamp":109', '"timestamp":109.0'),
+        "timestamp must be an integer", id="float-timestamp",
+    ),
+    pytest.param(
+        EXTRA.replace('"type":"query",', ""), "missing field 'type'", id="missing-type"
+    ),
+    pytest.param(
+        EXTRA.encode().replace(b"fever", b"fe\xffver"), "not valid UTF-8", id="not-utf8"
+    ),
+    # two lines whose pieces re-join into two valid objects inside a block
+    pytest.param(
+        EXTRA + "," + EXTRA[:-1] + ',"x":[{}\n{}]}', "invalid JSON: Extra data",
+        id="object-split-over-lines",
+    ),
+    pytest.param(
+        EXTRA.replace('"timestamp":109', f'"timestamp":{10**20}'),
+        "timestamp must fit in a signed 64-bit integer", id="timestamp-overflow",
+    ),
+]
+
+
+def _events_file(path, lines, newline=b"\n"):
+    data = [line.encode() if isinstance(line, str) else line for line in lines]
+    path.write_bytes(newline.join(data) + newline)
+    return path
+
+
+@pytest.mark.parametrize("bad, message", BLOCK_FAULTS)
+def test_block_reader_raises_the_per_line_error(tmp_path, monkeypatch, bad, message):
+    monkeypatch.setattr(domain, "READ_BLOCK_LINES", 4)
+    path = _events_file(tmp_path / "events.jsonl", EVENT_LINES[:6] + [bad] + EVENT_LINES[6:])
+    with pytest.raises(ParseError) as exc:
+        read_events(path)
+    assert exc.value.line_no == 7
+    assert str(exc.value) == f"{path}:7: {message}"
+
+
+def test_block_reader_line_endings_blank_lines_and_fallback(tmp_path, monkeypatch):
+    monkeypatch.setattr(domain, "READ_BLOCK_LINES", 4)
+    lines = EVENT_LINES + [EXTRA]
+    expected = read_events(_events_file(tmp_path / "plain.jsonl", lines))
+    assert len(expected) == 11
+    assert read_events(_events_file(tmp_path / "crlf.jsonl", lines, b"\r\n")) == expected
+    padded = lines[:5] + ["   ", "\t", " \t "] + lines[5:]
+    assert read_events(_events_file(tmp_path / "blank.jsonl", padded)) == expected
+    # a "}" inside a text sends its block down the per-line path
+    braced = lines[:-1] + [_query(6, 109, "fe}ver")]
+    log = read_events(_events_file(tmp_path / "brace.jsonl", braced))
+    assert "fe}ver" in log.text_pool
+    # blank lines count toward the line number of the error after them
+    bad = EXTRA.replace('"individual_id":6', '"individual_id":-1')
+    path = _events_file(tmp_path / "bad.jsonl", padded[:8] + [bad])
+    with pytest.raises(ParseError) as exc:
+        read_events(path)
+    assert exc.value.line_no == 9
 
 
 def test_purchasing_power_out_of_range_is_parse_error(tmp_path):
