@@ -17,11 +17,11 @@ from .awareness import (
     load_patterns,
 )
 from .domain import (
-    AddressRecord,
+    AddressColumns,
     Calendar,
     Dataset,
     EventLog,
-    Individual,
+    PopulationColumns,
     PurchaseEvent,
     QueryEvent,
     Region,
@@ -47,7 +47,6 @@ from .netinfer import (
     LAYERS,
     MultiplexGraph,
     infer_networks,
-    neighbor_awareness_fraction,
     read_edges,
     write_edges,
 )

@@ -164,16 +164,15 @@ def growth_rates(values):
 
 
 def _cohort_rows(dataset, cohort_ids):
-    cols = dataset.columns()
     if cohort_ids is None:
-        return np.arange(cols.n, dtype=np.int64)
-    return cols.rows_of(np.asarray(cohort_ids, dtype=np.uint64))
+        return np.arange(dataset.population.n, dtype=np.int64)
+    return dataset.population.rows_of(cohort_ids)
 
 
 def _group_percentages(timeline, dataset, group_codes, n_groups, rows):
     """Cumulative per-group awareness percentage matrix, shape (G, D)."""
     calendar = dataset.calendar
-    cols = dataset.columns()
+    cols = dataset.population
     D = calendar.n_days
     aligned = timeline.aligned(cols.ids[rows])
     # the never-aware sentinel would overflow day arithmetic; bucket it at D
@@ -211,7 +210,7 @@ def group_trend(timeline, dataset, grouping, cohort_ids=None):
         raise AnalyticsError(
             f"unknown grouping {grouping!r}; expected one of {sorted(_GROUPINGS)}"
         )
-    cols = dataset.columns()
+    cols = dataset.population
     rows = _cohort_rows(dataset, cohort_ids)
     if len(rows) == 0:
         raise CohortError(f"empty cohort for grouping {grouping!r}")
@@ -355,7 +354,7 @@ def aware_group_means(timeline, dataset, grouping, t, values, cohort_ids=None):
     """
     if grouping not in _GROUPINGS:
         raise AnalyticsError(f"unknown grouping {grouping!r}")
-    cols = dataset.columns()
+    cols = dataset.population
     rows = _cohort_rows(dataset, cohort_ids)
     codes_all, names = _GROUPINGS[grouping](cols)
     codes = codes_all[rows]
@@ -491,7 +490,7 @@ def geo_correlation_series(dataset, timeline, factor, level="province", cohort_i
     rows = _cohort_rows(dataset, cohort_ids)
     if len(rows) == 0:
         raise CohortError("empty cohort for geographic correlation")
-    cols = dataset.columns()
+    cols = dataset.population
     unit_of = (
         cols.home_city if level == "city" else dataset.province_of_individuals()
     )

@@ -285,6 +285,8 @@ def read_config_json(path):
             raise ConfigError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def load_run_config(spec_arg):
@@ -325,6 +327,8 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ParseError(path, 1, "invalid JSON: nested too deeply") from None
 
 
 def read_calendar(path):
@@ -463,7 +467,7 @@ class PipelineState:
             return load_dataset(*paths[:n], calendar=calendar)
         (path,) = paths
         if name == "networks.edges":
-            return read_edges(path, self.load("dataset").columns().ids)
+            return read_edges(path, self.load("dataset").population.ids)
         if name.startswith("manifest_"):
             return read_manifest(path)
         rows = read_tsv(path, TABLES[name], header=name != "qualified.txt")
@@ -551,7 +555,7 @@ def cmd_gen(state):
         fh.write("\n")
     state.loaded["dataset"] = dataset
     return {
-        "individuals": len(dataset.individuals),
+        "individuals": dataset.population.n,
         "regions": len(dataset.regions),
         "addresses": len(dataset.addresses),
         "events": len(dataset.events),
@@ -564,7 +568,7 @@ def cmd_gen(state):
 def cmd_infer_net(state):
     dataset = state.load("dataset")
     caps = {**DEFAULT_CAPS, **state.cfg.caps}
-    graph = infer_networks(dataset.addresses, caps=caps, ids=dataset.columns().ids)
+    graph = infer_networks(dataset.addresses, dataset.population.ids, caps=caps)
     write_edges(graph, state.out_path("networks.edges"))
     state.loaded["networks.edges"] = graph
     return {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}
@@ -753,7 +757,7 @@ def cmd_cohort(state):
 
     # mean purchasing power of the aware, by occupation
     pp_rows = []
-    pp_values = dataset.columns().purchasing_power.astype(np.float64)
+    pp_values = dataset.population.purchasing_power.astype(np.float64)
     for d in range(D):
         for name, mean, n in aware_group_means(
             tlq, dataset, "occupation", day_end_ts(calendar, d), pp_values, qualified

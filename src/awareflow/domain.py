@@ -1,15 +1,20 @@
-"""Shared data model: records, columnar event log, calendar, dataset I/O.
+"""Shared data model: population and address columns, columnar event log,
+region records, calendar, dataset I/O.
 
-All on-disk formats are line-delimited JSON (one object per line, UTF-8),
-with field names matching the dataclasses below.  Timestamps are integer
-epoch seconds; calendar days are local midnight-to-midnight in China
-standard time (UTC+8, no DST).  Ids are unsigned 64-bit decimals.
+All on-disk formats are line-delimited JSON (one object per line, UTF-8).
+In memory the population, address and event tables are numpy columns named
+after the file fields (``ids`` holds the population's ``id``, an address's
+``active_interval`` is split into ``active_start`` and ``active_end``, and
+enum fields hold indexes into the tuples below); regions stay records.
+Timestamps are integer epoch seconds; calendar days are local
+midnight-to-midnight in China standard time (UTC+8, no DST).  Ids are
+unsigned 64-bit decimals.
 """
 
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
@@ -31,9 +36,11 @@ OCCUPATIONS = (
     "agri_forestry_husbandry_fishery",
     "individual_operation_service",
 )
-ADDRESS_KINDS = ("home", "school_dorm", "company")
+# alphabetical, so sorting kind codes sorts kind names
+ADDRESS_KINDS = ("company", "home", "school_dorm")
 # the dataset's files, in load_dataset's argument order
 DATASET_FILES = ("population.jsonl", "regions.jsonl", "addresses.jsonl", "events.jsonl")
+EVENT_TYPES = ("query", "purchase")  # indexed by the EVENT_KIND_* codes
 EVENT_KIND_QUERY = 0
 EVENT_KIND_PURCHASE = 1
 
@@ -104,20 +111,6 @@ class Calendar:
 
 
 @dataclass(frozen=True)
-class Individual:
-    id: int
-    gender: str
-    age: int
-    education: str
-    occupation: str
-    purchasing_power: int
-    has_child: bool
-    married: bool
-    home_city: int
-    qualified: bool
-
-
-@dataclass(frozen=True)
 class Region:
     city_id: int
     province_id: int
@@ -146,15 +139,6 @@ class PurchaseEvent:
     timestamp: int
     category: str
     is_ppe: bool
-
-
-@dataclass(frozen=True)
-class AddressRecord:
-    individual_id: int
-    address_id: int
-    kind: str
-    active_start: int
-    active_end: int
 
 
 def intern_texts(text):
@@ -283,94 +267,120 @@ class EventLog:
         )
 
 
-@dataclass
-class PopulationColumns:
-    """Columnar view over the individual table, aligned to dataset order."""
+def rows_of_ids(ids, individual_ids):
+    """Rows of ``individual_ids`` in the ascending array ``ids``.
 
-    ids: np.ndarray
-    gender: np.ndarray
-    age: np.ndarray
-    education: np.ndarray
-    occupation: np.ndarray
-    purchasing_power: np.ndarray
-    has_child: np.ndarray
-    married: np.ndarray
-    home_city: np.ndarray
-    qualified: np.ndarray
-    index_of: dict
+    An id that ``ids`` does not hold raises IntegrityError naming it.
+    """
+    wanted = np.asarray(individual_ids, dtype=np.uint64)
+    rows = np.searchsorted(ids, wanted)
+    found = rows < len(ids)
+    found[found] = ids[rows[found]] == wanted[found]
+    if not found.all():
+        raise IntegrityError(f"unknown individual id {int(wanted[~found][0])}")
+    return rows
+
+
+class Columns:
+    """A table held as equal-length numpy columns, one attribute each.
+
+    ``DTYPES`` names the columns, in row-tuple order, with their dtypes.
+    """
+
+    DTYPES = {}
+
+    def __init__(self, **columns):
+        for name, dtype in self.DTYPES.items():
+            setattr(self, name, np.asarray(columns.pop(name), dtype=dtype))
+        if columns:
+            raise TypeError(f"unknown columns {sorted(columns)}")
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The table of a list of row tuples."""
+        columns = list(zip(*rows)) or [()] * len(cls.DTYPES)
+        return cls(**dict(zip(cls.DTYPES, columns)))
+
+    def __len__(self):
+        return len(getattr(self, next(iter(self.DTYPES))))
+
+    def take(self, rows):
+        return type(self)(**{name: getattr(self, name)[rows] for name in self.DTYPES})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.DTYPES
+        )
+
+
+class PopulationColumns(Columns):
+    """The individual table, ids ascending.
+
+    ``gender``, ``education`` and ``occupation`` index GENDERS, EDUCATIONS
+    and OCCUPATIONS.
+    """
+
+    DTYPES = {
+        "ids": np.uint64,
+        "gender": np.int8,
+        "age": np.int16,
+        "education": np.int8,
+        "occupation": np.int8,
+        "purchasing_power": np.int8,
+        "has_child": bool,
+        "married": bool,
+        "home_city": np.int64,
+        "qualified": bool,
+    }
 
     @property
     def n(self):
         return len(self.ids)
 
     def rows_of(self, individual_ids):
-        return np.fromiter(
-            (self.index_of[int(i)] for i in individual_ids),
-            dtype=np.int64,
-            count=len(individual_ids),
-        )
+        return rows_of_ids(self.ids, individual_ids)
+
+
+class AddressColumns(Columns):
+    """The address table; ``kind`` indexes ADDRESS_KINDS."""
+
+    DTYPES = {
+        "individual_id": np.uint64,
+        "address_id": np.uint64,
+        "kind": np.int8,
+        "active_start": np.int64,
+        "active_end": np.int64,
+    }
+
+    def canonical(self):
+        """The rows sorted by (individual_id, kind, address_id, active_start), stably."""
+        return self.take(np.lexsort(
+            (self.active_start, self.address_id, self.kind, self.individual_id)
+        ))
 
 
 @dataclass
 class Dataset:
     """Immutable-after-load container for one observation run."""
 
-    individuals: list
+    population: PopulationColumns
     regions: list
-    addresses: list
+    addresses: AddressColumns
     events: EventLog
     calendar: Calendar
-    _columns: PopulationColumns = field(default=None, repr=False, compare=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dataset)
-            and self.individuals == other.individuals
-            and self.regions == other.regions
-            and self.addresses == other.addresses
-            and self.events == other.events
-            and self.calendar == other.calendar
-        )
-
-    def columns(self):
-        if self._columns is None:
-            n = len(self.individuals)
-            g = {name: i for i, name in enumerate(GENDERS)}
-            e = {name: i for i, name in enumerate(EDUCATIONS)}
-            o = {name: i for i, name in enumerate(OCCUPATIONS)}
-            self._columns = PopulationColumns(
-                ids=np.array([p.id for p in self.individuals], dtype=np.uint64),
-                gender=np.array([g[p.gender] for p in self.individuals], np.int8),
-                age=np.array([p.age for p in self.individuals], np.int16),
-                education=np.array(
-                    [e[p.education] for p in self.individuals], np.int8
-                ),
-                occupation=np.array(
-                    [o[p.occupation] for p in self.individuals], np.int8
-                ),
-                purchasing_power=np.array(
-                    [p.purchasing_power for p in self.individuals], np.int8
-                ),
-                has_child=np.array([p.has_child for p in self.individuals], bool),
-                married=np.array([p.married for p in self.individuals], bool),
-                home_city=np.array(
-                    [p.home_city for p in self.individuals], np.int64
-                ),
-                qualified=np.array([p.qualified for p in self.individuals], bool),
-                index_of={p.id: i for i, p in enumerate(self.individuals)},
-            )
-        return self._columns
 
     def distance_km(self):
         """Per-individual distance to the epicenter via the home city."""
         by_city = {r.city_id: r.distance_to_epicenter for r in self.regions}
-        cols = self.columns()
-        return np.array([by_city[int(c)] for c in cols.home_city], dtype=np.float64)
+        return np.array(
+            [by_city[c] for c in self.population.home_city.tolist()], dtype=np.float64
+        )
 
     def province_of_individuals(self):
         by_city = {r.city_id: r.province_id for r in self.regions}
-        cols = self.columns()
-        return np.array([by_city[int(c)] for c in cols.home_city], dtype=np.int64)
+        return np.array(
+            [by_city[c] for c in self.population.home_city.tolist()], dtype=np.int64
+        )
 
 
 @dataclass
@@ -419,6 +429,8 @@ def _json_object(path, line_no, line):
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(path, line_no, "invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError(path, line_no, "expected a JSON object")
     return obj
@@ -473,16 +485,26 @@ def _need_str(obj, key, path, line_no):
 
 
 def _need_enum(obj, key, allowed, path, line_no):
+    """The index of the value in ``allowed``."""
     v = _need_str(obj, key, path, line_no)
     if v not in allowed:
         raise ParseError(
             path, line_no, f"{key} must be one of {sorted(allowed)}, got {v!r}"
         )
+    return allowed.index(v)
+
+
+def _need_fit(v, key, dtype, path, line_no):
+    """``v``, if the integer dtype of its column holds it."""
+    info = np.iinfo(dtype)
+    if not info.min <= v <= info.max:
+        raise ParseError(path, line_no, f"{key} must fit in {info.dtype}, got {v}")
     return v
 
 
 def read_population(path):
-    out = []
+    dtypes = PopulationColumns.DTYPES
+    rows = []
     for line_no, obj in _iter_jsonl(path):
         pp = _need_int(obj, "purchasing_power", path, line_no)
         if not 1 <= pp <= MAX_PURCHASING_POWER:
@@ -494,22 +516,23 @@ def read_population(path):
         age = _need_int(obj, "age", path, line_no)
         if age < 0:
             raise ParseError(path, line_no, f"age must be >= 0, got {age}")
-        out.append(
-            Individual(
-                id=_need_id(obj, "id", path, line_no),
-                gender=_need_enum(obj, "gender", GENDERS, path, line_no),
-                age=age,
-                education=_need_enum(obj, "education", EDUCATIONS, path, line_no),
-                occupation=_need_enum(obj, "occupation", OCCUPATIONS, path, line_no),
-                purchasing_power=pp,
-                has_child=_need_bool(obj, "has_child", path, line_no),
-                married=_need_bool(obj, "married", path, line_no),
-                home_city=_need_id(obj, "home_city", path, line_no),
-                qualified=_need_bool(obj, "qualified", path, line_no),
-            )
-        )
-    out.sort(key=lambda p: p.id)
-    return out
+        rows.append((
+            _need_id(obj, "id", path, line_no),
+            _need_enum(obj, "gender", GENDERS, path, line_no),
+            _need_fit(age, "age", dtypes["age"], path, line_no),
+            _need_enum(obj, "education", EDUCATIONS, path, line_no),
+            _need_enum(obj, "occupation", OCCUPATIONS, path, line_no),
+            pp,
+            _need_bool(obj, "has_child", path, line_no),
+            _need_bool(obj, "married", path, line_no),
+            _need_fit(
+                _need_id(obj, "home_city", path, line_no),
+                "home_city", dtypes["home_city"], path, line_no,
+            ),
+            _need_bool(obj, "qualified", path, line_no),
+        ))
+    population = PopulationColumns.from_rows(rows)
+    return population.take(np.argsort(population.ids, kind="stable"))
 
 
 def read_regions(path):
@@ -527,7 +550,11 @@ def read_regions(path):
             raise ParseError(path, line_no, "population_count must be > 0")
         region = Region(
             city_id=_need_id(obj, "city_id", path, line_no),
-            province_id=_need_id(obj, "province_id", path, line_no),
+            # province_of_individuals puts province ids in an int64 column
+            province_id=_need_fit(
+                _need_id(obj, "province_id", path, line_no),
+                "province_id", np.int64, path, line_no,
+            ),
             name=_need_str(obj, "name", path, line_no),
             distance_to_epicenter=_need_num(obj, "distance_to_epicenter", path, line_no),
             gdp=_need_num(obj, "gdp", path, line_no),
@@ -553,7 +580,7 @@ def read_regions(path):
 
 
 def read_addresses(path):
-    out = []
+    rows = []
     for line_no, obj in _iter_jsonl(path):
         interval = _need(obj, "active_interval", path, line_no)
         if (
@@ -567,25 +594,21 @@ def read_addresses(path):
             raise ParseError(
                 path, line_no, "active_interval must be [start, end] epoch seconds"
             )
-        out.append(
-            AddressRecord(
-                individual_id=_need_id(obj, "individual_id", path, line_no),
-                address_id=_need_id(obj, "address_id", path, line_no),
-                kind=_need_enum(obj, "kind", ADDRESS_KINDS, path, line_no),
-                active_start=interval[0],
-                active_end=interval[1],
-            )
-        )
-    out.sort(key=lambda a: (a.individual_id, a.kind, a.address_id, a.active_start))
-    return out
+        rows.append((
+            _need_id(obj, "individual_id", path, line_no),
+            _need_id(obj, "address_id", path, line_no),
+            _need_enum(obj, "kind", ADDRESS_KINDS, path, line_no),
+            *interval,
+        ))
+    return AddressColumns.from_rows(rows).canonical()
 
 
 def _event_row(obj, path, line_no):
     """(kind, individual_id, timestamp, text, is_ppe) of one event object."""
-    etype = _need_enum(obj, "type", ("query", "purchase"), path, line_no)
+    kind = _need_enum(obj, "type", EVENT_TYPES, path, line_no)
     iid = _need_id(obj, "individual_id", path, line_no)
     ts = _need_int(obj, "timestamp", path, line_no)
-    if etype == "query":
+    if kind == EVENT_KIND_QUERY:
         return EVENT_KIND_QUERY, iid, ts, _need_str(obj, "query_text", path, line_no), False
     return (
         EVENT_KIND_PURCHASE, iid, ts,
@@ -616,7 +639,7 @@ def _parse_event_block(lines):
         return None
     try:
         objs = json.loads(f"[{body}]")
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return None
     if len(objs) != n or set(map(type, objs)) != {dict}:
         return None
@@ -668,27 +691,19 @@ def read_events(path):
 # writers (inverse of the readers; round-trip safe)
 # ---------------------------------------------------------------------------
 
-def write_population(path, individuals):
+_JSON_BOOLS = ("false", "true")
+
+
+def write_population(path, population):
+    columns = (getattr(population, name).tolist() for name in PopulationColumns.DTYPES)
     with open(path, "w", encoding="utf-8") as fh:
-        for p in individuals:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": p.id,
-                        "gender": p.gender,
-                        "age": p.age,
-                        "education": p.education,
-                        "occupation": p.occupation,
-                        "purchasing_power": p.purchasing_power,
-                        "has_child": p.has_child,
-                        "married": p.married,
-                        "home_city": p.home_city,
-                        "qualified": p.qualified,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        fh.write("".join([
+            f'{{"id":{i},"gender":"{GENDERS[g]}","age":{a},'
+            f'"education":"{EDUCATIONS[e]}","occupation":"{OCCUPATIONS[o]}",'
+            f'"purchasing_power":{pp},"has_child":{_JSON_BOOLS[c]},'
+            f'"married":{_JSON_BOOLS[m]},"home_city":{h},"qualified":{_JSON_BOOLS[q]}}}\n'
+            for i, g, a, e, o, pp, c, m, h, q in zip(*columns)
+        ]))
 
 
 def write_regions(path, regions):
@@ -717,20 +732,13 @@ def write_regions(path, regions):
 
 
 def write_addresses(path, addresses):
+    columns = (getattr(addresses, name).tolist() for name in AddressColumns.DTYPES)
     with open(path, "w", encoding="utf-8") as fh:
-        for a in addresses:
-            fh.write(
-                json.dumps(
-                    {
-                        "individual_id": a.individual_id,
-                        "address_id": a.address_id,
-                        "kind": a.kind,
-                        "active_interval": [a.active_start, a.active_end],
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        fh.write("".join([
+            f'{{"individual_id":{i},"address_id":{a},"kind":"{ADDRESS_KINDS[k]}",'
+            f'"active_interval":[{lo},{hi}]}}\n'
+            for i, a, k, lo, hi in zip(*columns)
+        ]))
 
 
 def write_events(path, events):
@@ -772,7 +780,7 @@ def save_dataset(dataset, directory):
     """Write the four dataset files into ``directory``; returns their paths."""
     os.makedirs(directory, exist_ok=True)
     paths = {name.split(".")[0]: os.path.join(directory, name) for name in DATASET_FILES}
-    write_population(paths["population"], dataset.individuals)
+    write_population(paths["population"], dataset.population)
     write_regions(paths["regions"], dataset.regions)
     write_addresses(paths["addresses"], dataset.addresses)
     write_events(paths["events"], dataset.events)
@@ -808,13 +816,13 @@ def load_dataset(
     when cross-record invariants (foreign keys, duplicates, interval
     ordering) are violated.
     """
-    individuals = read_population(population_path)
+    population = read_population(population_path)
     regions = read_regions(regions_path)
     addresses = read_addresses(addresses_path)
     events = read_events(events_path)
     if calendar is None:
         calendar = infer_calendar(events)
-    dataset = Dataset(individuals, regions, addresses, events, calendar)
+    dataset = Dataset(population, regions, addresses, events, calendar)
     report = validate_dataset(dataset)
     if report.violations:
         shown = "; ".join(report.violations[:10])
@@ -827,6 +835,12 @@ def load_dataset(
     return dataset
 
 
+def _histogram(codes, names):
+    """Count of each name whose code occurs."""
+    values, counts = np.unique(codes, return_counts=True)
+    return {names[v]: c for v, c in zip(values.tolist(), counts.tolist())}
+
+
 def validate_dataset(dataset):
     """Collect entity counts, enum histograms, and invariant violations.
 
@@ -836,12 +850,11 @@ def validate_dataset(dataset):
     violations = []
     notes = []
 
-    ids_seen = {}
-    for p in dataset.individuals:
-        ids_seen[p.id] = ids_seen.get(p.id, 0) + 1
-    for pid, c in ids_seen.items():
-        if c > 1:
-            violations.append(f"duplicate individual id {pid} ({c} records)")
+    pop = dataset.population
+    ids, id_counts = np.unique(pop.ids, return_counts=True)
+    dup = id_counts > 1
+    for pid, c in zip(ids[dup].tolist(), id_counts[dup].tolist()):
+        violations.append(f"duplicate individual id {pid} ({c} records)")
 
     city_ids = {}
     for r in dataset.regions:
@@ -850,24 +863,21 @@ def validate_dataset(dataset):
         if c > 1:
             violations.append(f"duplicate city_id {cid} ({c} records)")
 
-    for p in dataset.individuals:
-        if p.gender not in GENDERS:
-            violations.append(f"individual {p.id}: unknown gender {p.gender!r}")
-        if p.education not in EDUCATIONS:
-            violations.append(f"individual {p.id}: unknown education {p.education!r}")
-        if p.occupation not in OCCUPATIONS:
+    pp_bad = (pop.purchasing_power < 1) | (pop.purchasing_power > MAX_PURCHASING_POWER)
+    age_bad = pop.age < 0
+    unknown_cities = [c for c in np.unique(pop.home_city).tolist() if c not in city_ids]
+    city_bad = np.isin(pop.home_city, unknown_cities)
+    for row in np.flatnonzero(pp_bad | age_bad | city_bad).tolist():
+        pid = int(pop.ids[row])
+        if pp_bad[row]:
             violations.append(
-                f"individual {p.id}: unknown occupation {p.occupation!r}"
-            )
-        if not 1 <= p.purchasing_power <= MAX_PURCHASING_POWER:
-            violations.append(
-                f"individual {p.id}: purchasing_power {p.purchasing_power} "
+                f"individual {pid}: purchasing_power {pop.purchasing_power[row]} "
                 f"outside [1, {MAX_PURCHASING_POWER}]"
             )
-        if p.age < 0:
-            violations.append(f"individual {p.id}: negative age {p.age}")
-        if p.home_city not in city_ids:
-            violations.append(f"individual {p.id}: unknown home_city {p.home_city}")
+        if age_bad[row]:
+            violations.append(f"individual {pid}: negative age {pop.age[row]}")
+        if city_bad[row]:
+            violations.append(f"individual {pid}: unknown home_city {pop.home_city[row]}")
 
     if dataset.regions:
         min_dist = min(r.distance_to_epicenter for r in dataset.regions)
@@ -902,23 +912,22 @@ def validate_dataset(dataset):
                     f"{dataset.calendar.n_days} days"
                 )
 
-    home_memberships = {}
-    for a in dataset.addresses:
-        if a.individual_id not in ids_seen:
+    addr = dataset.addresses
+    resident_bad = ~np.isin(addr.individual_id, ids)
+    interval_bad = addr.active_start > addr.active_end
+    for row in np.flatnonzero(resident_bad | interval_bad).tolist():
+        aid, iid = int(addr.address_id[row]), int(addr.individual_id[row])
+        if resident_bad[row]:
+            violations.append(f"address {aid}: unknown individual {iid}")
+        if interval_bad[row]:
             violations.append(
-                f"address {a.address_id}: unknown individual {a.individual_id}"
+                f"address {aid} / individual {iid}: active_interval start "
+                f"{addr.active_start[row]} > end {addr.active_end[row]}"
             )
-        if a.kind not in ADDRESS_KINDS:
-            violations.append(f"address {a.address_id}: unknown kind {a.kind!r}")
-        if a.active_start > a.active_end:
-            violations.append(
-                f"address {a.address_id} / individual {a.individual_id}: "
-                f"active_interval start {a.active_start} > end {a.active_end}"
-            )
-        if a.kind == "home":
-            key = a.individual_id
-            home_memberships.setdefault(key, set()).add(a.address_id)
-    multi_home = sum(1 for v in home_memberships.values() if len(v) > 1)
+    home = addr.kind == ADDRESS_KINDS.index("home")
+    homes = np.unique(np.column_stack([addr.individual_id[home], addr.address_id[home]]), axis=0)
+    _, homes_per_individual = np.unique(homes[:, 0], return_counts=True)
+    multi_home = int((homes_per_individual > 1).sum())
     if multi_home:
         notes.append(
             f"{multi_home} individuals appear at more than one home address; "
@@ -927,10 +936,8 @@ def validate_dataset(dataset):
 
     ev = dataset.events
     if len(ev):
-        known = np.array(
-            [int(i) in ids_seen for i in np.unique(ev.individual_id)], dtype=bool
-        )
-        unknown_ids = np.unique(ev.individual_id)[~known]
+        seen = np.unique(ev.individual_id)
+        unknown_ids = seen[~np.isin(seen, ids)]
         for uid in unknown_ids[:50]:
             violations.append(f"event references unknown individual {int(uid)}")
         if len(unknown_ids) > 50:
@@ -944,28 +951,20 @@ def validate_dataset(dataset):
                 f"(day {int(last_day)} > {dataset.calendar.end_day})"
             )
 
-    genders, educations, occupations = {}, {}, {}
-    for p in dataset.individuals:
-        genders[p.gender] = genders.get(p.gender, 0) + 1
-        educations[p.education] = educations.get(p.education, 0) + 1
-        occupations[p.occupation] = occupations.get(p.occupation, 0) + 1
-    kinds = {}
-    for a in dataset.addresses:
-        kinds[a.kind] = kinds.get(a.kind, 0) + 1
     n_q = int(dataset.events.queries_mask().sum()) if len(dataset.events) else 0
 
     return ValidationReport(
         counts={
-            "individuals": len(dataset.individuals),
+            "individuals": pop.n,
             "regions": len(dataset.regions),
-            "addresses": len(dataset.addresses),
+            "addresses": len(addr),
             "events": len(dataset.events),
         },
         enum_histograms={
-            "gender": genders,
-            "education": educations,
-            "occupation": occupations,
-            "address_kind": kinds,
+            "gender": _histogram(pop.gender, GENDERS),
+            "education": _histogram(pop.education, EDUCATIONS),
+            "occupation": _histogram(pop.occupation, OCCUPATIONS),
+            "address_kind": _histogram(addr.kind, ADDRESS_KINDS),
             "event_type": {
                 "query": n_q,
                 "purchase": len(dataset.events) - n_q,

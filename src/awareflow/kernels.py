@@ -56,17 +56,6 @@ def count_marked_neighbors(indptr, indices, marked):
     return csum[indptr[1:]] - csum[indptr[:-1]]
 
 
-def count_marked_neighbors_two(indptr, indices, base, hit):
-    """Counts of neighbors in ``base`` and of neighbors in ``base & hit``."""
-    b = base[indices]
-    h = b & hit[indices]
-    cb = np.zeros(len(b) + 1, dtype=np.int64)
-    ch = np.zeros(len(h) + 1, dtype=np.int64)
-    np.cumsum(b, out=cb[1:])
-    np.cumsum(h, out=ch[1:])
-    return cb[indptr[1:]] - cb[indptr[:-1]], ch[indptr[1:]] - ch[indptr[:-1]]
-
-
 def increment_neighbor_counts(indptr, indices, nodes, counts):
     """counts[v] += 1 for every neighbor v of every node in ``nodes``."""
     _, neighbors = csr_rows(indptr, indices, nodes)

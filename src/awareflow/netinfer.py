@@ -1,4 +1,4 @@
-"""Multiplex social network inference from shared-address records.
+"""Multiplex social network inference from shared-address columns.
 
 Individuals sharing a home address form family cliques; shared school/dorm
 addresses give schoolmate cliques and shared company addresses workmate
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import IntegrityError, ParseError
+from .domain import ADDRESS_KINDS, rows_of_ids
+from .errors import ParseError
 
 LAYERS = ("family", "schoolmate", "workmate")
 KIND_TO_LAYER = {"home": "family", "school_dorm": "schoolmate", "company": "workmate"}
@@ -80,7 +81,6 @@ class MultiplexGraph:
 
     def __init__(self, ids, layers):
         self.ids = np.asarray(ids, dtype=np.uint64)
-        self.index_of = {int(i): k for k, i in enumerate(self.ids)}
         self.layers = layers
 
     @property
@@ -92,12 +92,6 @@ class MultiplexGraph:
 
     def edge_counts(self):
         return {name: self.layers[name].edge_count for name in LAYERS}
-
-    def row_of(self, individual_id):
-        try:
-            return self.index_of[int(individual_id)]
-        except KeyError:
-            raise LookupError(f"individual {individual_id} not in graph") from None
 
     def __eq__(self, other):
         if not isinstance(other, MultiplexGraph):
@@ -135,58 +129,41 @@ def build_from_groups(ids, groups_by_layer):
     return MultiplexGraph(ids, layers)
 
 
-def infer_networks(addresses, caps=None, ids=None):
-    """Infer the family/schoolmate/workmate layers from address records.
+def infer_networks(addresses, ids, caps=None):
+    """Infer the family/schoolmate/workmate layers from address columns.
 
-    ids fixes the node universe (defaults to every individual appearing in
-    the records).  Permutation of the input records does not change the
-    result.  Groups larger than caps[kind] contribute no edges, as do
-    groups whose intervals fail the pairwise-overlap test.
+    ``ids`` (ascending) fixes the node universe; an address of an
+    individual outside it raises IntegrityError.  Permutation of the
+    address rows does not change the result.  Groups larger than
+    caps[kind] contribute no edges, as do groups whose intervals fail the
+    pairwise-overlap test.
     """
     caps = dict(DEFAULT_CAPS, **(caps or {}))
-    if ids is None:
-        ids = np.unique(
-            np.array([a.individual_id for a in addresses], dtype=np.uint64)
-        )
     ids = np.asarray(ids, dtype=np.uint64)
-    index_of = {int(v): k for k, v in enumerate(ids)}
-
-    by_kind = {kind: [] for kind in KIND_TO_LAYER}
-    for a in addresses:
-        row = index_of.get(a.individual_id)
-        if row is None:
-            raise IntegrityError(
-                f"address record references individual {a.individual_id} "
-                "outside the node universe"
-            )
-        by_kind[a.kind].append((a.address_id, row, a.active_start, a.active_end))
+    node_rows = rows_of_ids(ids, addresses.individual_id)
 
     n = len(ids)
     layers = {}
     for kind, layer_name in KIND_TO_LAYER.items():
-        recs = by_kind[kind]
+        mine = np.flatnonzero(addresses.kind == ADDRESS_KINDS.index(kind))
+        mine = mine[np.argsort(addresses.address_id[mine], kind="stable")]
+        addr = addresses.address_id[mine]
+        rows = node_rows[mine]
+        starts = addresses.active_start[mine]
+        ends = addresses.active_end[mine]
+        boundaries = np.flatnonzero(np.diff(addr)) + 1
+        group_starts = np.concatenate([[0], boundaries, [len(addr)]])
+        cap = caps[kind]
         pair_chunks = []
-        if recs:
-            addr = np.array([r[0] for r in recs], dtype=np.uint64)
-            rows = np.array([r[1] for r in recs], dtype=np.int64)
-            starts = np.array([r[2] for r in recs], dtype=np.int64)
-            ends = np.array([r[3] for r in recs], dtype=np.int64)
-            order = np.argsort(addr, kind="stable")
-            addr, rows, starts, ends = addr[order], rows[order], starts[order], ends[order]
-            boundaries = np.flatnonzero(np.diff(addr)) + 1
-            group_starts = np.concatenate([[0], boundaries, [len(addr)]])
-            cap = caps[kind]
-            for gi in range(len(group_starts) - 1):
-                s, e = group_starts[gi], group_starts[gi + 1]
-                members = np.unique(rows[s:e])
-                if len(members) < 2 or len(members) > cap:
-                    continue
-                if starts[s:e].max() > ends[s:e].min():
-                    continue  # no common active period
-                a_idx, b_idx = _pair_template(len(members))
-                pair_chunks.append(
-                    np.column_stack([members[a_idx], members[b_idx]])
-                )
+        for gi in range(len(group_starts) - 1):
+            s, e = group_starts[gi], group_starts[gi + 1]
+            members = np.unique(rows[s:e])
+            if len(members) < 2 or len(members) > cap:
+                continue
+            if starts[s:e].max() > ends[s:e].min():
+                continue  # no common active period
+            a_idx, b_idx = _pair_template(len(members))
+            pair_chunks.append(np.column_stack([members[a_idx], members[b_idx]]))
         pairs = (
             np.concatenate(pair_chunks)
             if pair_chunks
@@ -194,24 +171,6 @@ def infer_networks(addresses, caps=None, ids=None):
         )
         layers[layer_name] = _build_layer(pairs, n)
     return MultiplexGraph(ids, layers)
-
-
-def neighbor_awareness_fraction(graph, layer, individual_id, aware):
-    """Fraction of an individual's layer neighbors that are aware.
-
-    ``aware`` is either a set of ids or a boolean mask aligned to
-    graph.ids.  Returns None (undefined) for degree-0 individuals.
-    """
-    row = graph.row_of(individual_id)
-    lyr = graph.layer(layer)
-    nbr = lyr.neighbors(row)
-    if len(nbr) == 0:
-        return None
-    if isinstance(aware, np.ndarray):
-        hits = int(aware[nbr].sum())
-    else:
-        hits = sum(1 for r in nbr if int(graph.ids[r]) in aware)
-    return hits / len(nbr)
 
 
 def layer_fractions(graph, layer, aware_mask):

@@ -81,7 +81,7 @@ class DesignBuilder:
 
     def __init__(self, dataset, graph, timeline, sample_ids, spec=None):
         self.spec = (spec or FeatureSpec()).validate()
-        cols = dataset.columns()
+        cols = dataset.population
         self.names = self.spec.column_names()
         sample_ids = np.asarray(sample_ids, dtype=np.uint64)
         if len(np.unique(sample_ids)) != len(sample_ids):
@@ -144,7 +144,7 @@ class DesignBuilder:
         for layer in LAYERS:
             lyr = graph.layer(layer)
             sub = kernels.csr_rows(lyr.indptr, lyr.indices, self.sample_rows)
-            base, _ = kernels.count_marked_neighbors_two(*sub, retained, retained)
+            base = kernels.count_marked_neighbors(*sub, retained)
             self._sample_csr[layer] = sub
             self._retained_deg[layer] = base
             X[:, col[f"{layer}_has_neighbors"]] = base > 0
@@ -157,9 +157,7 @@ class DesignBuilder:
         aware = self.aligned_all <= t
         retained_aware = self.retained & aware
         for layer in LAYERS:
-            _, hit = kernels.count_marked_neighbors_two(
-                *self._sample_csr[layer], self.retained, retained_aware
-            )
+            hit = kernels.count_marked_neighbors(*self._sample_csr[layer], retained_aware)
             deg = self._retained_deg[layer]
             frac = np.zeros(len(deg), dtype=np.float64)
             nz = deg > 0

@@ -18,19 +18,19 @@ import numpy as np
 from . import kernels
 from .awareness import NEVER, AwarenessTimeline
 from .domain import (
+    ADDRESS_KINDS,
     CHINA_UTC_OFFSET,
     SECONDS_PER_DAY,
     EDUCATIONS,
     EVENT_KIND_PURCHASE,
     EVENT_KIND_QUERY,
-    GENDERS,
     MAX_PURCHASING_POWER,
     OCCUPATIONS,
-    AddressRecord,
+    AddressColumns,
     Calendar,
     Dataset,
     EventLog,
-    Individual,
+    PopulationColumns,
     Region,
     month_number,
 )
@@ -558,21 +558,18 @@ def generate_population(config):
     qualified = rng.random(n) < d.qualified_p
 
     ids = np.arange(1, n + 1, dtype=np.uint64)
-    individuals = [
-        Individual(
-            id=int(ids[i]),
-            gender=GENDERS[gender[i]],
-            age=int(age[i]),
-            education=EDUCATIONS[education[i]],
-            occupation=OCCUPATIONS[occupation[i]],
-            purchasing_power=int(purchasing_power[i]),
-            has_child=bool(has_child[i]),
-            married=bool(married[i]),
-            home_city=int(home_city[i]),
-            qualified=bool(qualified[i]),
-        )
-        for i in range(n)
-    ]
+    population = PopulationColumns(
+        ids=ids,
+        gender=gender,
+        age=age,
+        education=education,
+        occupation=occupation,
+        purchasing_power=purchasing_power,
+        has_child=has_child,
+        married=married,
+        home_city=home_city,
+        qualified=qualified,
+    )
 
     # shared-address groups; everyone is glued to one home, schools and
     # companies are opt-in samples within the home city
@@ -582,24 +579,17 @@ def generate_population(config):
     interval = (hist_start, window_end)
 
     net = config.network
-    addresses = []
     groups = {"family": [], "schoolmate": [], "workmate": []}
+    group_members, group_kinds, group_addresses = [], [], []
     next_addr = {"home": 1_000_000, "school_dorm": 2_000_000, "company": 3_000_000}
 
     def add_group(kind, layer, member_rows):
-        addr_id = next_addr[kind]
+        member_rows = np.asarray(member_rows, dtype=np.int64)
+        group_members.append(member_rows)
+        group_kinds.append(ADDRESS_KINDS.index(kind))
+        group_addresses.append(next_addr[kind])
         next_addr[kind] += 1
-        for row in member_rows:
-            addresses.append(
-                AddressRecord(
-                    individual_id=int(ids[row]),
-                    address_id=addr_id,
-                    kind=kind,
-                    active_start=interval[0],
-                    active_end=interval[1],
-                )
-            )
-        groups[layer].append(np.asarray(member_rows, dtype=np.int64))
+        groups[layer].append(member_rows)
 
     for c in range(len(regions)):
         rows_c = np.flatnonzero(home_city == c)
@@ -666,8 +656,16 @@ def generate_population(config):
 
     # same canonical order the JSONL reader produces, so a generated
     # dataset compares equal after a save/load round trip
-    addresses.sort(key=lambda a: (a.individual_id, a.kind, a.address_id, a.active_start))
-    dataset = Dataset(individuals, regions, addresses, events, calendar)
+    sizes = [len(m) for m in group_members]
+    member_rows = np.concatenate(group_members)
+    addresses = AddressColumns(
+        individual_id=ids[member_rows],
+        address_id=np.repeat(group_addresses, sizes),
+        kind=np.repeat(group_kinds, sizes),
+        active_start=np.full(len(member_rows), interval[0]),
+        active_end=np.full(len(member_rows), interval[1]),
+    ).canonical()
+    dataset = Dataset(population, regions, addresses, events, calendar)
     return dataset, truth_graph
 
 
@@ -707,7 +705,7 @@ def simulate_diffusion(dataset, graph, config):
     purchases for everyone.
     """
     config.validate()
-    cols = dataset.columns()
+    cols = dataset.population
     calendar = dataset.calendar
     n = cols.n
     ids = cols.ids

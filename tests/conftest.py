@@ -78,4 +78,4 @@ def qualified_small(small_world):
 @pytest.fixture(scope="session")
 def graph_small(small_world):
     _, dataset, _ = small_world
-    return infer_networks(dataset.addresses, ids=dataset.columns().ids)
+    return infer_networks(dataset.addresses, dataset.population.ids)

@@ -61,7 +61,7 @@ def city_world(matcher):
     t0 = time.perf_counter()
     dataset, truth = generate(sim)
     timeline = label_awareness(dataset.events, matcher)
-    graph = infer_networks(dataset.addresses, ids=dataset.columns().ids)
+    graph = infer_networks(dataset.addresses, dataset.population.ids)
     elapsed = time.perf_counter() - t0
     window = history_window(dataset.calendar, load_preset("fig1a")["history_months"])
     qualified = filter_qualified(dataset.events, window)
@@ -203,7 +203,7 @@ def test_criterion_4_sign_recovery_across_seeds(matcher):
         timeline = label_awareness(dataset.events, matcher)
         window = history_window(dataset.calendar, preset["history_months"])
         qualified = filter_qualified(dataset.events, window)
-        graph = infer_networks(dataset.addresses, ids=dataset.columns().ids)
+        graph = infer_networks(dataset.addresses, dataset.population.ids)
         tlq = timeline.restrict(qualified)
         schedule = checkpoint_schedule(
             tlq, qualified, [], pct_min=reg["pct_min"], pct_max=reg["pct_max"]
@@ -259,7 +259,7 @@ def test_criterion_5_checkpoint_density(city_world):
 
 def test_criterion_6_invariants(small_world, timeline_small):
     _, dataset, _ = small_world
-    ids = dataset.columns().ids
+    ids = dataset.population.ids
     cal = dataset.calendar
     rng = np.random.default_rng(66)
 

@@ -39,7 +39,7 @@ from oracles import (
     spearman_rank_then_pearson,
     two_province_fixture,
 )
-from test_domain import make_individual, make_region
+from test_domain import make_addresses, make_population, make_region
 
 
 def tl(entries):
@@ -232,11 +232,10 @@ def test_neighborhood_ratio_matches_brute_force_on_random_graphs():
 # --- aware group means -------------------------------------------------------------------
 
 def analytics_dataset():
-    individuals = [make_individual(i) for i in range(1, 9)]
     return Dataset(
-        individuals=individuals,
+        population=make_population(range(1, 9)),
         regions=[make_region(0), make_region(1, province_id=1, distance=300.0)],
-        addresses=[],
+        addresses=make_addresses([]),
         events=EventLog.empty(),
         calendar=Calendar(0, 1),
     )
@@ -387,13 +386,9 @@ def geo_dataset(gdp_by_city=(1.0, 2.0, 3.0), tightness=0.5):
         regions.append(
             type(r)(**{**r.__dict__, "gdp": gdp, "cultural_tightness": tightness})
         )
-    individuals = []
-    next_id = 1
-    for c in range(len(gdp_by_city)):
-        for _ in range(4):
-            individuals.append(make_individual(next_id, home_city=c))
-            next_id += 1
-    return Dataset(individuals, regions, [], EventLog.empty(), Calendar(0, 5))
+    home_cities = [c for c in range(len(gdp_by_city)) for _ in range(4)]
+    population = make_population(range(1, len(home_cities) + 1), home_cities=home_cities)
+    return Dataset(population, regions, make_addresses([]), EventLog.empty(), Calendar(0, 5))
 
 
 def test_geo_correlation_perfect_when_factor_ranks_match():

@@ -284,7 +284,7 @@ def test_restrict_ids_intersects():
 
 def test_simulated_qualified_flags_recovered(small_world, qualified_small):
     _, dataset, _ = small_world
-    cols = dataset.columns()
+    cols = dataset.population
     expected = cols.ids[cols.qualified]
     assert np.array_equal(qualified_small, expected)
 

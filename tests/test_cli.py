@@ -5,6 +5,7 @@ import builtins
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -187,6 +188,46 @@ def test_small_preset_dataset_bytes_are_pinned(tmp_path):
     assert tree_hashes(str(tmp_path / "dataset")) == SMALL_DATASET_SHA256
 
 
+# Every file `all --config small` writes.  A change that alters an artifact
+# on purpose updates its hash here and says why.
+SMALL_RUN_SHA256 = {
+    **{f"dataset/{name}": digest for name, digest in SMALL_DATASET_SHA256.items()},
+    "aware_purchasing_power.tsv": "935e92eb95c629e4feab1a5d9221b46cefe29d2b261c56b3a9c74d753ccab809",
+    "cross_ratios.tsv": "9f5c210ab0bf8f8a9567d71e974a477a4422a61d6fd81344b2ae2fc34af36c46",
+    "geo_correlations.tsv": "0cf48c74783108399fe652baef025a9feea582def14aec573a472ef475cc1987",
+    "hysteresis.tsv": "21b6da6121709e3cf30ab31f9d227614c2037de8f8951bf7d5fff54f6c40f8b9",
+    "labels.tsv": "65332539e38dd6b1c4572c14b3d6f5bc8a942d2156bd9280a10351d8c02b6b5b",
+    "lead_days.tsv": "3b673607f9eb22f552deb7c1a6c2b640375b463bc9cb97cb4a8c3877138d2e94",
+    "manifest_all.json": "2e5c82bdc42919a6d4c3de138d4952242a9d81f17b592ae731f0f2374af9943e",
+    "manifest_cohort.json": "4b3379b98f1a71ddeeb90442f0dfb6bd8c7d489d658992f20a6e89fa5aa59f0f",
+    "manifest_gen.json": "2f8e108f2629660bb29d12adc42fec8a9c3a95655f43d4fc787caa7cb90bacaa",
+    "manifest_geo_corr.json": "f78fe1782e9b195aff2739c8843f3ecb95f97b5dbb276520451be62baba697cf",
+    "manifest_infer_net.json": "40be0c9eb9777d02258375bd96c5fb06ec48ad45f50094276d59aead253821e6",
+    "manifest_label.json": "fed1253979a134ad87470fdc53d279843ab3fd28e8ed858cb1f7f4a80e1ca806",
+    "manifest_regress.json": "29ebebd1ff2a7b18f414c40e25fce2123600250e237e31a3ae3458dddc056b20",
+    "manifest_report.json": "356215271cb24cecb708ebae8f1a935c81eec3b9c6251ecd84836f7ba3fad129",
+    "manifest_segment.json": "d9e5617b2940117cdbfb2d80590a87ec526e5161a5428eefb2c435337de1ed06",
+    "national_trend.tsv": "b2724a4658eada235eb8993d8c5a8bfe5684ff5072bdd82ff16e6c0518068005",
+    "neighborhood_phase_means.tsv": "dd782110f2e37f59511522cbdc85f488fb68c1853566ba09185666ec9fb1ade6",
+    "neighborhood_ratios.tsv": "d0ffc7261ac860edf33990dbfd9133df1b2859074c749c7477e393c0da8a9755",
+    "networks.edges": "4fe6d332c4b40e8a3886859923e8602e953ecd09e39af97aeff759e61e2d5868",
+    "phases.tsv": "619315e18b7ce2acfc7acd83e452d651b4cd1f6e90ac678413dc5ca4d75bcb30",
+    "profiles.tsv": "6fed53510b701c54a950daee70da9db331d69a122a5bd476e91d1f075cc2de9c",
+    "province_trend.tsv": "82cdf41d8213e301f7642fa6c0641e51a8b648a0de77cf1b55322d7b6bc7762b",
+    "qualified.txt": "2e79ce90974ad7eb391209a00ee459302f79f464af75e26db65b3fc9fc3e87d5",
+    "regression.tsv": "0bac88e86388e77945881a420207d980957dc54b1b1ca4a461af0faa1c937251",
+    "report.json": "98d9d390bd70722be16b57aa56db251eabc39d3b30cd87e08e8d3332533730e9",
+    "report.txt": "346fa7087bd5db47dd88d27da2fc221e1a2167bef21fb502191c3533873a7841",
+    "schedule.tsv": "a0274ac9d4380a3c7fbb1076a362ab0b36c5725d241635570ddc7cd7946e4f00",
+    "trends.tsv": "08266b1ded3aa47a777d46c9143bbb7580dcd8a8c7b344b1a64b74eb855dd66a",
+}
+
+
+def test_small_preset_run_bytes_are_pinned(tmp_path):
+    assert cli.main(["all", "--config", "small", "--out", str(tmp_path)]) == 0
+    assert tree_hashes(str(tmp_path)) == SMALL_RUN_SHA256
+
+
 def test_cli_import_does_not_load_scipy_stats():
     code = "import sys, awareflow.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -296,6 +337,27 @@ def patterns_file(out, data):
     return ["--patterns", str(path)]
 
 
+def substitute(name, pattern, repl):
+    def fault(out, config):
+        path = out / name
+        path.write_text(re.sub(pattern, repl, path.read_text(), count=1))
+    return fault
+
+
+def phase_thresholds_file(out, text):
+    path = out / "thresholds.json"
+    path.write_text(text)
+    return ["--phase-thresholds", str(path)]
+
+
+DEEP = 100_000  # nesting far beyond the interpreter's recursion limit
+POPULATION_LINE = (
+    '{"id":999999,"gender":"male","age":40000,"education":"bachelor",'
+    '"occupation":"white_collar","purchasing_power":4,"has_child":false,'
+    '"married":false,"home_city":0,"qualified":true}\n'
+)
+
+
 # (stage, fault, exit code); a fault edits the finished run or the config
 # and returns extra command-line arguments, if any
 FAULTS = [
@@ -356,6 +418,32 @@ FAULTS = [
             f'{{"individual_id":1,"address_id":1,"kind":"home","active_interval":[0,{10**20}]}}\n',
         ),
         4, id="address-interval-overflow",
+    ),
+    pytest.param(
+        "infer-net", append("dataset/population.jsonl", POPULATION_LINE), 4,
+        id="population-age-overflow",
+    ),
+    pytest.param("segment", append("qualified.txt", "999999999\n"), 4, id="qualified-unknown-id"),
+    pytest.param(
+        "segment",
+        substitute("dataset/regions.jsonl", r'"province_id":\d+', f'"province_id":{2**63}'), 4,
+        id="region-province-overflow",
+    ),
+    pytest.param(
+        "infer-net", append("dataset/regions.jsonl", "[" * DEEP + "\n"), 4,
+        id="regions-deep-nesting",
+    ),
+    # one "}" ending the line, so the line goes through the block parser
+    pytest.param(
+        "label", append("dataset/events.jsonl", '{"a":' + "[" * DEEP + "]" * DEEP + "}\n"), 4,
+        id="events-deep-nesting",
+    ),
+    pytest.param(
+        "report", replace("manifest_gen.json", "[" * DEEP + "\n"), 4, id="manifest-deep-nesting"
+    ),
+    pytest.param(
+        "segment", lambda out, config: phase_thresholds_file(out, "[" * DEEP), 2,
+        id="phase-thresholds-deep-nesting",
     ),
 ]
 

@@ -10,14 +10,17 @@ import pytest
 
 from awareflow import domain
 from awareflow.domain import (
+    ADDRESS_KINDS,
+    EDUCATIONS,
+    OCCUPATIONS,
+    AddressColumns,
     Calendar,
     Dataset,
     EventLog,
-    Individual,
+    PopulationColumns,
     PurchaseEvent,
     QueryEvent,
     Region,
-    AddressRecord,
     day_number,
     infer_calendar,
     load_dataset,
@@ -303,6 +306,11 @@ def test_reader_error_variants(tmp_path):
     path.write_text(json.dumps(row) + "\n")
     with pytest.raises(ParseError, match="missing field 'age'"):
         read_population(path)
+    # integers the column dtype cannot hold
+    for key, value, dtype in (("age", 2**15, "int16"), ("home_city", 2**63, "int64")):
+        path.write_text(json.dumps({**row, "age": 30, key: value}) + "\n")
+        with pytest.raises(ParseError, match=f"{key} must fit in {dtype}, got {value}"):
+            read_population(path)
 
 
 def test_event_reader_rejects_bad_type(tmp_path):
@@ -331,33 +339,43 @@ def make_region(city_id=0, province_id=0, distance=0.0, n_days=1):
     )
 
 
-def make_individual(ind_id, home_city=0):
-    return Individual(
-        id=ind_id,
-        gender="female" if ind_id % 2 else "male",
-        age=20 + ind_id,
-        education="bachelor",
-        occupation="white_collar",
-        purchasing_power=4,
-        has_child=False,
-        married=False,
-        home_city=home_city,
-        qualified=True,
+def make_population(ids, home_cities=None):
+    """Population columns: individual i is female when i is odd and aged 20 + i,
+    a qualified bachelor white-collar worker at purchasing power 4."""
+    n = len(ids)
+    return PopulationColumns(
+        ids=ids,
+        gender=[i % 2 for i in ids],
+        age=[20 + i for i in ids],
+        education=[EDUCATIONS.index("bachelor")] * n,
+        occupation=[OCCUPATIONS.index("white_collar")] * n,
+        purchasing_power=[4] * n,
+        has_child=[False] * n,
+        married=[False] * n,
+        home_city=[0] * n if home_cities is None else home_cities,
+        qualified=[True] * n,
     )
 
 
-def tiny_dataset(individuals, addresses=(), events=None):
+def make_addresses(rows):
+    """Address columns of (individual_id, address_id, kind name, start, end) rows."""
+    return AddressColumns.from_rows(
+        [(iid, aid, ADDRESS_KINDS.index(kind), lo, hi) for iid, aid, kind, lo, hi in rows]
+    )
+
+
+def tiny_dataset(population, addresses=(), events=None):
     return Dataset(
-        individuals=list(individuals),
+        population=population,
         regions=[make_region(0), make_region(1, distance=300.0)],
-        addresses=list(addresses),
+        addresses=make_addresses(addresses),
         events=events if events is not None else EventLog.empty(),
         calendar=Calendar(0, 1),
     )
 
 
 def test_valid_ten_individuals_no_violations():
-    ds = tiny_dataset([make_individual(i) for i in range(1, 11)])
+    ds = tiny_dataset(make_population(range(1, 11)))
     report = validate_dataset(ds)
     assert report.ok()
     assert report.violations == []
@@ -366,21 +384,19 @@ def test_valid_ten_individuals_no_violations():
 
 
 def test_unknown_home_city_violation_names_individual():
-    ds = tiny_dataset([make_individual(1), make_individual(2), make_individual(3, home_city=99)])
+    ds = tiny_dataset(make_population([1, 2, 3], home_cities=[0, 0, 99]))
     report = validate_dataset(ds)
     assert report.violations == ["individual 3: unknown home_city 99"]
 
 
 def test_duplicate_individual_id_violation():
-    ds = tiny_dataset([make_individual(7), make_individual(7)])
+    ds = tiny_dataset(make_population([7, 7]))
     report = validate_dataset(ds)
     assert "duplicate individual id 7 (2 records)" in report.violations
 
 
 def test_interval_start_after_end_violation():
-    bad = AddressRecord(individual_id=1, address_id=10, kind="home",
-                        active_start=100, active_end=50)
-    ds = tiny_dataset([make_individual(1)], addresses=[bad])
+    ds = tiny_dataset(make_population([1]), addresses=[(1, 10, "home", 100, 50)])
     report = validate_dataset(ds)
     assert report.violations == [
         "address 10 / individual 1: active_interval start 100 > end 50"
@@ -389,9 +405,9 @@ def test_interval_start_after_end_violation():
 
 def test_missing_epicenter_violation():
     ds = Dataset(
-        individuals=[make_individual(1)],
+        population=make_population([1]),
         regions=[make_region(0, distance=5.0)],
-        addresses=[],
+        addresses=make_addresses([]),
         events=EventLog.empty(),
         calendar=Calendar(0, 1),
     )
@@ -401,7 +417,7 @@ def test_missing_epicenter_violation():
 
 def test_event_for_unknown_individual_violation():
     events = EventLog.from_records([QueryEvent(42, 1000, "x")])
-    ds = tiny_dataset([make_individual(1)], events=events)
+    ds = tiny_dataset(make_population([1]), events=events)
     report = validate_dataset(ds)
     assert any(
         v == "event references unknown individual 42" for v in report.violations
@@ -409,18 +425,15 @@ def test_event_for_unknown_individual_violation():
 
 
 def test_multi_home_is_a_note_not_a_violation():
-    addrs = [
-        AddressRecord(1, 10, "home", 0, 100),
-        AddressRecord(1, 11, "home", 0, 100),
-    ]
-    ds = tiny_dataset([make_individual(1)], addresses=addrs)
+    addrs = [(1, 10, "home", 0, 100), (1, 11, "home", 0, 100)]
+    ds = tiny_dataset(make_population([1]), addresses=addrs)
     report = validate_dataset(ds)
     assert report.ok()
     assert any("more than one home address" in n for n in report.notes)
 
 
 def test_load_dataset_raises_integrity_error(tmp_path):
-    ds = tiny_dataset([make_individual(1), make_individual(2, home_city=77)])
+    ds = tiny_dataset(make_population([1, 2], home_cities=[0, 77]))
     paths = save_dataset(ds, tmp_path)
     with pytest.raises(IntegrityError) as exc:
         load_dataset(paths["population"], paths["regions"], paths["addresses"],
@@ -456,14 +469,18 @@ def test_simulated_dataset_round_trips_through_disk(tmp_path, small_world):
 
 def test_columns_view_is_consistent(small_world):
     _, dataset, _ = small_world
-    cols = dataset.columns()
-    assert cols.n == len(dataset.individuals)
+    cols = dataset.population
     assert np.all(np.diff(cols.ids.astype(np.int64)) > 0)  # sorted unique ids
-    some = dataset.individuals[17]
-    row = cols.index_of[some.id]
-    assert cols.age[row] == some.age
-    assert bool(cols.qualified[row]) == some.qualified
+    assert {name: getattr(cols, name).dtype for name in cols.DTYPES} == {
+        name: np.dtype(dtype) for name, dtype in PopulationColumns.DTYPES.items()
+    }
+    some = cols.ids[[17, 3, 17]]
+    assert cols.rows_of(some).tolist() == [17, 3, 17]
+    assert cols.rows_of([]).tolist() == []
+    for unknown in (0, int(cols.ids[-1]) + 1):
+        with pytest.raises(IntegrityError, match=f"unknown individual id {unknown}$"):
+            cols.rows_of([some[0], unknown])
     # distances come from the home city of each individual
     by_city = {r.city_id: r.distance_to_epicenter for r in dataset.regions}
     dist = dataset.distance_km()
-    assert dist[row] == by_city[some.home_city]
+    assert dist[17] == by_city[int(cols.home_city[17])]

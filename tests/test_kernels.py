@@ -4,7 +4,6 @@ import numpy as np
 
 from awareflow.kernels import (
     count_marked_neighbors,
-    count_marked_neighbors_two,
     counter_uniforms,
     csr_rows,
     increment_neighbor_counts,
@@ -102,22 +101,6 @@ def test_neighbor_count_twins_and_brute_force():
         assert got.tolist() == brute
 
 
-def test_neighbor_count_two_twins_and_brute_force():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        n = int(rng.integers(2, 40))
-        indptr, indices = random_csr(rng, n, int(rng.integers(0, 3 * n)))
-        base = rng.random(n) < 0.6
-        hit = rng.random(n) < 0.5
-        nb, nh = count_marked_neighbors_two(indptr, indices, base, hit)
-        for i in range(n):
-            neigh = indices[indptr[i] : indptr[i + 1]]
-            assert nb[i] == sum(bool(base[v]) for v in neigh)
-            assert nh[i] == sum(bool(base[v] and hit[v]) for v in neigh)
-        # hits are a subset of the base count by construction
-        assert (nh <= nb).all()
-
-
 def test_increment_neighbor_counts_twins():
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -151,8 +134,6 @@ def test_empty_graph_and_empty_nodes():
     indices = np.zeros(0, dtype=np.int32)
     marked = np.ones(5, dtype=bool)
     assert count_marked_neighbors(indptr, indices, marked).tolist() == [0] * 5
-    nb, nh = count_marked_neighbors_two(indptr, indices, marked, marked)
-    assert nb.tolist() == [0] * 5 and nh.tolist() == [0] * 5
     counts = np.zeros(5, dtype=np.int64)
     increment_neighbor_counts(indptr, indices, np.zeros(0, dtype=np.int64), counts)
     assert counts.sum() == 0

@@ -6,7 +6,6 @@ import random
 import numpy as np
 import pytest
 
-from awareflow.domain import AddressRecord
 from awareflow.errors import IntegrityError
 from awareflow.netinfer import (
     DEFAULT_CAPS,
@@ -15,29 +14,33 @@ from awareflow.netinfer import (
     build_from_groups,
     infer_networks,
     layer_fractions,
-    neighbor_awareness_fraction,
     read_edges,
     write_edges,
 )
 
 from oracles import clique_edges_scan, graph_edge_sets
+from test_domain import make_addresses
 
 IDS4 = np.array([1, 2, 3, 4], dtype=np.uint64)
 
 
 def rec(iid, aid, kind, start=0, end=100):
-    return AddressRecord(iid, aid, kind, start, end)
+    return (iid, aid, kind, start, end)
+
+
+def infer(records, **kwargs):
+    return infer_networks(make_addresses(records), **kwargs)
 
 
 def test_two_sharing_home_get_one_family_edge():
-    g = infer_networks([rec(1, 50, "home"), rec(2, 50, "home")], ids=IDS4)
+    g = infer([rec(1, 50, "home"), rec(2, 50, "home")], ids=IDS4)
     assert g.edge_counts() == {"family": 1, "schoolmate": 0, "workmate": 0}
     a, b = g.layer("family").edges[0]
     assert {int(g.ids[a]), int(g.ids[b])} == {1, 2}
 
 
 def test_company_triangle():
-    g = infer_networks(
+    g = infer(
         [rec(1, 9, "company"), rec(2, 9, "company"), rec(3, 9, "company")],
         ids=IDS4,
     )
@@ -48,10 +51,10 @@ def test_group_over_cap_contributes_nothing():
     cap = DEFAULT_CAPS["school_dorm"]
     ids = np.arange(1, cap + 2, dtype=np.uint64)
     records = [rec(int(i), 7, "school_dorm") for i in ids]
-    g = infer_networks(records, ids=ids)
+    g = infer(records, ids=ids)
     assert g.layer("schoolmate").edge_count == 0
     # exactly at the cap the whole clique appears
-    g2 = infer_networks(records[:-1], ids=ids)
+    g2 = infer(records[:-1], ids=ids)
     assert g2.layer("schoolmate").edge_count == cap * (cap - 1) // 2
 
 
@@ -61,26 +64,26 @@ def test_chained_intervals_without_common_overlap_yield_no_edges():
         rec(2, 5, "home", 5, 20),
         rec(3, 5, "home", 15, 30),
     ]
-    g = infer_networks(records, ids=IDS4)
+    g = infer(records, ids=IDS4)
     assert g.layer("family").edge_count == 0
     # drop the late joiner and the remaining pair overlaps
-    g2 = infer_networks(records[:2], ids=IDS4)
+    g2 = infer(records[:2], ids=IDS4)
     assert g2.layer("family").edge_count == 1
 
 
 def test_touching_endpoints_count_as_overlap():
-    g = infer_networks([rec(1, 5, "home", 0, 10), rec(2, 5, "home", 10, 30)], ids=IDS4)
+    g = infer([rec(1, 5, "home", 0, 10), rec(2, 5, "home", 10, 30)], ids=IDS4)
     assert g.layer("family").edge_count == 1
 
 
 def test_same_individual_twice_is_not_a_pair():
-    g = infer_networks([rec(1, 5, "home", 0, 10), rec(1, 5, "home", 20, 30)], ids=IDS4)
+    g = infer([rec(1, 5, "home", 0, 10), rec(1, 5, "home", 20, 30)], ids=IDS4)
     assert g.layer("family").edge_count == 0
 
 
 def test_unknown_individual_raises_integrity_error():
     with pytest.raises(IntegrityError, match="99"):
-        infer_networks([rec(99, 5, "home")], ids=IDS4)
+        infer([rec(99, 5, "home")], ids=IDS4)
 
 
 def test_record_permutation_invariance():
@@ -90,11 +93,11 @@ def test_record_permutation_invariance():
         rec(1, 9, "company"), rec(2, 9, "company"), rec(4, 9, "company"),
         rec(2, 30, "school_dorm", 0, 50), rec(3, 30, "school_dorm", 25, 80),
     ]
-    base = infer_networks(records, ids=IDS4)
+    base = infer(records, ids=IDS4)
     for _ in range(5):
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert infer_networks(shuffled, ids=IDS4) == base
+        assert infer(shuffled, ids=IDS4) == base
 
 
 def test_removing_records_never_adds_edges():
@@ -106,10 +109,10 @@ def test_removing_records_never_adds_edges():
         for k in ("home", "company", "school_dorm")
         for _ in range(8)
     ]
-    full = graph_edge_sets(infer_networks(records, ids=IDS4))
+    full = graph_edge_sets(infer(records, ids=IDS4))
     for drop in range(len(records)):
         subset = records[:drop] + records[drop + 1 :]
-        smaller = graph_edge_sets(infer_networks(subset, ids=IDS4))
+        smaller = graph_edge_sets(infer(subset, ids=IDS4))
         for layer in LAYERS:
             assert smaller[layer] <= full[layer]
 
@@ -124,9 +127,9 @@ def test_every_single_record_deletion_matches_reference():
     ]
     for drop in range(len(records) + 1):
         subset = records[:drop] + records[drop + 1 :]
-        got = graph_edge_sets(infer_networks(subset, ids=IDS4))
+        got = graph_edge_sets(infer(subset, ids=IDS4))
         want = clique_edges_scan(
-            [(r.individual_id, r.address_id, r.kind, r.active_start, r.active_end) for r in subset],
+            subset,
             caps,
         )
         assert got == want
@@ -150,9 +153,9 @@ def test_random_worlds_match_reference_scan():
                     start + rng.randrange(0, 40),
                 )
             )
-        got = graph_edge_sets(infer_networks(records, caps=caps, ids=ids))
+        got = graph_edge_sets(infer(records, caps=caps, ids=ids))
         want = clique_edges_scan(
-            [(r.individual_id, r.address_id, r.kind, r.active_start, r.active_end) for r in records],
+            records,
             caps,
         )
         assert got == want, f"trial {trial}"
@@ -175,44 +178,35 @@ def path_graph():
 
 def test_fraction_on_path():
     g = path_graph()
-    aware = {1, 2}  # A and B by id
-    assert neighbor_awareness_fraction(g, "family", 3, aware) == 0.5  # C: {B, D}
-    assert neighbor_awareness_fraction(g, "family", 2, aware) == 0.5  # B: {A, C}
-    assert neighbor_awareness_fraction(g, "family", 1, aware) == 1.0  # A: {B}
-    assert neighbor_awareness_fraction(g, "family", 4, aware) == 0.0  # D: {C}
-
-
-def test_fraction_accepts_mask_and_id_set():
-    g = path_graph()
-    mask = np.array([True, True, False, False])
-    for ind in (1, 2, 3, 4):
-        assert neighbor_awareness_fraction(g, "family", ind, mask) == \
-            neighbor_awareness_fraction(g, "family", ind, {1, 2})
+    aware = np.array([True, True, False, False])  # A and B
+    frac, deg = layer_fractions(g, "family", aware)
+    # A: {B}, B: {A, C}, C: {B, D}, D: {C}
+    assert frac.tolist() == [1.0, 0.5, 0.5, 0.0]
+    assert deg.tolist() == [1, 2, 2, 1]
 
 
 def test_fraction_undefined_for_degree_zero():
     g = build_from_groups(IDS4, {"family": [np.array([0, 1])]})
-    assert neighbor_awareness_fraction(g, "workmate", 1, {2}) is None
-    assert neighbor_awareness_fraction(g, "family", 3, {1}) is None
-
-
-def test_row_lookup_error():
-    g = path_graph()
-    with pytest.raises(LookupError, match="individual 9 not in graph"):
-        g.row_of(9)
+    aware = np.array([False, True, False, False])
+    frac_w, deg_w = layer_fractions(g, "workmate", aware)
+    assert deg_w.tolist() == [0, 0, 0, 0]
+    assert frac_w.tolist() == [0, 0, 0, 0]  # zero where undefined
+    frac, deg = layer_fractions(g, "family", aware)
+    assert deg.tolist() == [1, 1, 0, 0]
+    assert frac.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_layer_fractions_matches_per_node():
-    g = path_graph()
-    mask = np.array([True, True, False, False])
+    rng = np.random.default_rng(5)
+    groups = {"family": [rng.choice(8, size=3, replace=False) for _ in range(5)]}
+    g = build_from_groups(np.arange(1, 9, dtype=np.uint64), groups)
+    mask = rng.random(8) < 0.5
     frac, deg = layer_fractions(g, "family", mask)
-    assert deg.tolist() == [1, 2, 2, 1]
-    for row in range(4):
-        single = neighbor_awareness_fraction(g, "family", int(g.ids[row]), mask)
-        assert frac[row] == pytest.approx(single)
-    frac_w, deg_w = layer_fractions(g, "workmate", mask)
-    assert deg_w.tolist() == [0, 0, 0, 0]
-    assert frac_w.tolist() == [0, 0, 0, 0]  # zero where undefined
+    for row in range(8):
+        nbr = g.layer("family").neighbors(row)
+        assert deg[row] == len(nbr)
+        want = mask[nbr].sum() / len(nbr) if len(nbr) else 0.0
+        assert frac[row] == pytest.approx(want)
 
 
 # --- persistence --------------------------------------------------------------

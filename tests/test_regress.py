@@ -169,7 +169,7 @@ def test_feature_spec_validation():
 @pytest.fixture(scope="module")
 def design_inputs(small_world, graph_small, timeline_small):
     _, dataset, _ = small_world
-    cols = dataset.columns()
+    cols = dataset.population
     rng = np.random.default_rng(100)
     sample = np.sort(rng.choice(cols.ids, size=150, replace=False))
     return dataset, graph_small, timeline_small, sample
@@ -187,7 +187,7 @@ def test_design_shapes_and_static_columns(design_inputs):
     assert age.std() == pytest.approx(1.0, rel=1e-12)
     assert set(np.unique(X[:, col["gender_female"]])) <= {0.0, 1.0}
     # outcome is the aware flag of the sample at t
-    cols = dataset.columns()
+    cols = dataset.population
     rows = cols.rows_of(sample)
     want_y = (timeline.aligned(cols.ids)[rows] <= t).astype(np.float64)
     assert np.array_equal(y, want_y)
@@ -199,7 +199,7 @@ def test_exposure_fractions_computed_against_retained_only(design_inputs):
     t = dataset.calendar.day_start_ts(20)
     X, _, names = build_design(dataset, graph, timeline, t, sample)
     col = {n: j for j, n in enumerate(names)}
-    cols = dataset.columns()
+    cols = dataset.population
     sample_rows = cols.rows_of(sample)
     in_sample = np.zeros(cols.n, dtype=bool)
     in_sample[sample_rows] = True
@@ -222,7 +222,7 @@ def test_exposure_fractions_computed_against_retained_only(design_inputs):
 
 def test_design_builder_rejects_bad_samples(design_inputs):
     dataset, graph, timeline, sample = design_inputs
-    cols = dataset.columns()
+    cols = dataset.population
     with pytest.raises(ConfigError, match="duplicate"):
         DesignBuilder(dataset, graph, timeline, np.array([sample[0], sample[0]], dtype=np.uint64))
     with pytest.raises(ConfigError, match="empty regression sample"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from awareflow.awareness import label_awareness, match_mask
-from awareflow.domain import EDUCATIONS, OCCUPATIONS
+from awareflow.domain import ADDRESS_KINDS, EDUCATIONS, OCCUPATIONS
 from awareflow.errors import ConfigError
 from awareflow.netinfer import LAYERS, infer_networks
 from awareflow.simulate import (
@@ -51,7 +51,7 @@ def fracs(n, family=0.0, schoolmate=0.0, workmate=0.0):
 def test_all_zero_coefficients_give_half(small_world):
     _, dataset, _ = small_world
     cfg = SimConfig(hazard=zero_hazard())
-    cols = dataset.columns()
+    cols = dataset.population
     p = hazard_probability(cfg, cols, dataset.distance_km(), fracs(cols.n), np.zeros(cols.n))
     assert np.all(p == 0.5)
 
@@ -59,7 +59,7 @@ def test_all_zero_coefficients_give_half(small_world):
 def test_hazard_strictly_increases_with_family_fraction(small_world):
     _, dataset, _ = small_world
     cfg = SimConfig()  # default family weight is positive
-    cols = dataset.columns()
+    cols = dataset.population
     dist = dataset.distance_km()
     shock = np.zeros(cols.n)
     last = hazard_probability(cfg, cols, dist, fracs(cols.n, family=0.0), shock)
@@ -73,7 +73,7 @@ def test_hazard_matches_formula_at_random_points(small_world):
     _, dataset, _ = small_world
     cfg = SimConfig()
     hz = cfg.hazard
-    cols = dataset.columns()
+    cols = dataset.population
     dist = dataset.distance_km()
     rng = np.random.default_rng(123)
     rows = rng.integers(0, cols.n, size=10)
@@ -112,10 +112,9 @@ def test_single_individual_world():
         regions=RegionConfig(n_cities=1, n_provinces=1),
     )
     dataset, truth = generate(cfg)
-    homes = [a for a in dataset.addresses if a.kind == "home"]
-    assert len(homes) == 1
+    assert (dataset.addresses.kind == ADDRESS_KINDS.index("home")).sum() == 1
     assert truth.graph.edge_counts() == {name: 0 for name in LAYERS}
-    assert len(dataset.individuals) == 1
+    assert dataset.population.n == 1
 
 
 def test_two_families_of_two():
@@ -133,15 +132,14 @@ def test_two_families_of_two():
     # two disjoint pairs, not one path
     degrees = truth.graph.layer("family").degrees()
     assert degrees.tolist() == [1, 1, 1, 1]
-    home_addr = {a.address_id for a in dataset.addresses if a.kind == "home"}
-    assert len(home_addr) == 2
+    home = dataset.addresses.kind == ADDRESS_KINDS.index("home")
+    assert len(np.unique(dataset.addresses.address_id[home])) == 2
 
 
 def test_everyone_shares_exactly_one_home(small_world):
     _, dataset, _ = small_world
-    homes = [a for a in dataset.addresses if a.kind == "home"]
-    assert len(homes) == len(dataset.individuals)
-    assert {a.individual_id for a in homes} == {p.id for p in dataset.individuals}
+    home = dataset.addresses.kind == ADDRESS_KINDS.index("home")
+    assert np.array_equal(dataset.addresses.individual_id[home], dataset.population.ids)
 
 
 # --- diffusion extremes -----------------------------------------------------------
@@ -162,7 +160,7 @@ def test_certain_hazard_means_everyone_aware_first_day(matcher):
     cfg = small_world_config()
     cfg.hazard.intercept = 1000.0
     dataset, truth = generate(cfg)
-    cols = dataset.columns()
+    cols = dataset.population
     assert np.array_equal(truth.timeline.ids, cols.ids)
     days = dataset.calendar.day_of(truth.timeline.first_aware)
     assert np.all(days == 0)
@@ -234,7 +232,7 @@ def test_different_seed_changes_output():
 def test_inferred_equals_truth_when_groups_under_caps(small_world, graph_small):
     _, dataset, truth = small_world
     assert graph_small == truth.graph
-    assert infer_networks(dataset.addresses, ids=dataset.columns().ids) == truth.graph
+    assert infer_networks(dataset.addresses, dataset.population.ids) == truth.graph
 
 
 # --- persistence and config ---------------------------------------------------------
@@ -242,7 +240,7 @@ def test_inferred_equals_truth_when_groups_under_caps(small_world, graph_small):
 def test_ground_truth_round_trip(tmp_path, small_world):
     _, dataset, truth = small_world
     truth.save(tmp_path)
-    loaded = GroundTruth.load(tmp_path, dataset.columns().ids)
+    loaded = GroundTruth.load(tmp_path, dataset.population.ids)
     assert loaded.timeline == truth.timeline
     assert loaded.graph == truth.graph
 
