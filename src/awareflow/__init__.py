@@ -22,8 +22,6 @@ from .domain import (
     Dataset,
     EventLog,
     PopulationColumns,
-    PurchaseEvent,
-    QueryEvent,
     Region,
     infer_calendar,
     load_dataset,

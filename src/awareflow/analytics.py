@@ -369,11 +369,13 @@ def aware_group_means(timeline, dataset, grouping, t, values, cohort_ids=None):
 
 
 def hysteresis(timeline, event, thresholds=(0.10, 0.50, 1.00), cohort_ids=None):
-    """Seconds until the aware count grows f·N_e past its level at an event.
+    """(N_e, durations): seconds until the aware count grows f·N_e past its
+    level at an event.
 
-    N_e is the aware count at the event timestamp; the f entry is the time
-    until the cumulative count first reaches N_e * (1 + f), None when the
-    series ends before that.  A zero baseline is an error.
+    N_e is the aware count at the event timestamp; the f entry of
+    ``durations`` is the time until the cumulative count first reaches
+    N_e * (1 + f), None when the series ends before that.  A zero baseline
+    is an error.
     """
     ts = timeline.first_aware
     if cohort_ids is not None:
@@ -393,7 +395,7 @@ def hysteresis(timeline, event, thresholds=(0.10, 0.50, 1.00), cohort_ids=None):
             out[f] = int(ts[target - 1] - event.timestamp)
         else:
             out[f] = None
-    return out
+    return n_e, out
 
 
 @dataclass

@@ -72,27 +72,17 @@ def parse_pattern(expr):
 
 
 class QueryMatcher:
-    """Compiled set of pattern expressions with per-text memoization."""
-
-    _CACHE_LIMIT = 1 << 20
+    """Compiled set of pattern expressions."""
 
     def __init__(self, patterns):
         self.patterns = tuple(patterns)
-        self._cache = {}
 
     def matches(self, text):
-        hit = self._cache.get(text)
-        if hit is not None:
-            return hit
         padded = f" {normalize_text(text)} "
-        out = any(
+        return any(
             all(any(f" {t} " in padded for t in group) for group in pattern)
             for pattern in self.patterns
         )
-        if len(self._cache) >= self._CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[text] = out
-        return out
 
 
 def compile_query_set(expressions):
@@ -205,25 +195,12 @@ class AwarenessTimeline:
 def match_mask(events, matcher):
     """Boolean mask over all events: query events whose text matches.
 
-    Uses the event log's interned text pool when available so each
-    distinct text is evaluated once.
+    Each distinct text of the log's pool is matched once.
     """
-    out = np.zeros(len(events), dtype=bool)
-    qmask = events.queries_mask()
-    if events.text_pool is not None:
-        pool_hit = np.fromiter(
-            (matcher.matches(t) for t in events.text_pool),
-            dtype=bool,
-            count=len(events.text_pool),
-        )
-        out[qmask] = pool_hit[events.text_code[qmask]]
-    else:
-        idx = np.flatnonzero(qmask)
-        texts = events.text[idx]
-        out[idx] = np.fromiter(
-            (matcher.matches(t) for t in texts), dtype=bool, count=len(texts)
-        )
-    return out
+    pool_hit = np.fromiter(
+        (matcher.matches(t) for t in events.text_pool), dtype=bool, count=len(events.text_pool)
+    )
+    return events.queries_mask() & pool_hit[events.text_code]
 
 
 def label_awareness(events, matcher, threshold=3):

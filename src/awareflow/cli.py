@@ -470,15 +470,19 @@ class PipelineState:
             return read_edges(path, self.load("dataset").population.ids)
         if name.startswith("manifest_"):
             return read_manifest(path)
-        rows = read_tsv(path, TABLES[name], header=name != "qualified.txt")
+        header = name != "qualified.txt"
+        rows = read_tsv(path, TABLES[name], header=header)
+        if name not in ("qualified.txt", "labels.tsv"):
+            return rows
+        ids = np.array([r[0] for r in rows], dtype=np.uint64)
+        repeated = np.ones(len(ids), dtype=bool)
+        repeated[np.unique(ids, return_index=True)[1]] = False
+        if repeated.any():
+            k = int(np.argmax(repeated))
+            raise ParseError(path, k + 1 + header, f"repeated individual id {ids[k]}")
         if name == "qualified.txt":
-            return np.array(sorted(r[0] for r in rows), dtype=np.uint64)
-        if name == "labels.tsv":
-            return AwarenessTimeline(
-                np.array([r[0] for r in rows], dtype=np.uint64),
-                np.array([r[1] for r in rows], dtype=np.int64),
-            )
-        return rows
+            return np.sort(ids)
+        return AwarenessTimeline(ids, np.array([r[1] for r in rows], dtype=np.int64))
 
     def cohort_timeline(self):
         return self.load("labels.tsv").restrict(self.load("qualified.txt"))
@@ -524,6 +528,11 @@ def write_manifest(state, command, inputs, outputs, stats=None):
 
 def day_end_ts(calendar, d):
     return calendar.day_start_ts(d) + DAY - 1
+
+
+def window_date(iso, d):
+    """The ISO date of day index ``d`` of the window ``iso``, or "NA" outside it."""
+    return iso[d] if 0 <= d < len(iso) else "NA"
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +603,7 @@ def cmd_label(state):
     rows = []
     for k in range(len(timeline)):
         d = int(days[k])
-        date = iso[d] if 0 <= d < calendar.n_days else "NA"
-        rows.append((int(timeline.ids[k]), int(timeline.first_aware[k]), d, date))
+        rows.append((int(timeline.ids[k]), int(timeline.first_aware[k]), d, window_date(iso, d)))
     write_tsv(state.out_path("labels.tsv"), header_of("labels.tsv"), rows)
     state.loaded["labels.tsv"] = timeline
     state.loaded["qualified.txt"] = qualified
@@ -678,7 +686,6 @@ def cmd_cohort(state):
     dataset = state.load("dataset")
     calendar = dataset.calendar
     qualified = state.load("qualified.txt")
-    timeline = state.load("labels.tsv")
     tlq = state.cohort_timeline()
     graph = state.load("networks.edges")
     seg = phase_segmentation(state.load("phases.tsv"))
@@ -772,15 +779,12 @@ def cmd_cohort(state):
     # hysteresis per event mark
     hys_rows = []
     for mark in cfg.event_marks(calendar):
-        d = int(calendar.day_of(mark.timestamp))
-        date = iso[d] if 0 <= d < D else "NA"
+        date = window_date(iso, int(calendar.day_of(mark.timestamp)))
         try:
-            durations = hysteresis(timeline, mark, cohort_ids=qualified)
+            n_e, durations = hysteresis(tlq, mark)
         except AnalyticsError:
             hys_rows.append((mark.label, mark.timestamp, date, 0, None, None, "zero_baseline"))
             continue
-        ts = np.sort(tlq.first_aware)
-        n_e = int(np.searchsorted(ts, mark.timestamp, side="right"))
         for f in sorted(durations):
             dur = durations[f]
             status = "ok" if dur is not None else "absent"
@@ -859,8 +863,7 @@ def cmd_regress(state):
     )
 
     def date_of(ts):
-        d = int(calendar.day_of(ts))
-        return iso[d] if 0 <= d < calendar.n_days else "NA"
+        return window_date(iso, int(calendar.day_of(ts)))
 
     write_tsv(
         state.out_path("schedule.tsv"),

@@ -4,8 +4,10 @@ region records, calendar, dataset I/O.
 All on-disk formats are line-delimited JSON (one object per line, UTF-8).
 In memory the population, address and event tables are numpy columns named
 after the file fields (``ids`` holds the population's ``id``, an address's
-``active_interval`` is split into ``active_start`` and ``active_end``, and
-enum fields hold indexes into the tuples below); regions stay records.
+``active_interval`` is split into ``active_start`` and ``active_end``, an
+event's ``query_text`` or ``category`` is its ``text_code`` into the log's
+``text_pool``, and enum fields hold indexes into the tuples below); regions
+stay records.
 Timestamps are integer epoch seconds; calendar days are local
 midnight-to-midnight in China standard time (UTC+8, no DST).  Ids are
 unsigned 64-bit decimals.
@@ -126,78 +128,62 @@ class Region:
     population_count: int
 
 
-@dataclass(frozen=True)
-class QueryEvent:
-    individual_id: int
-    timestamp: int
-    query_text: str
-
-
-@dataclass(frozen=True)
-class PurchaseEvent:
-    individual_id: int
-    timestamp: int
-    category: str
-    is_ppe: bool
-
-
-def intern_texts(text):
-    """The sorted distinct texts of an object array, and each row's index into them."""
-    values = text.tolist()
-    pool = sorted(set(values))
-    rank = {t: i for i, t in enumerate(pool)}
-    codes = np.fromiter((rank[t] for t in values), dtype=np.int64, count=len(values))
-    return pool, codes
+def intern_texts(texts, codes_of):
+    """Each text's code in the dict ``codes_of`` (text -> code); a text not
+    yet there is added with the next code."""
+    return np.fromiter(
+        (codes_of.setdefault(t, len(codes_of)) for t in texts), dtype=np.int64, count=len(texts)
+    )
 
 
 class EventLog:
     """Columnar store for the mixed query/purchase stream.
 
-    Globally sorted by (timestamp, individual_id, kind, text).
+    Texts are interned: ``text_pool`` holds the sorted distinct texts that
+    occur in the log and ``text_code`` maps each row into it.  Rows are in
+    canonical global order: (timestamp, individual_id, kind, text, is_ppe).
     """
 
-    def __init__(self, kind, individual_id, timestamp, text, is_ppe,
-                 text_pool=None, text_code=None):
+    def __init__(self, kind, individual_id, timestamp, text_code, is_ppe, text_pool):
         self.kind = np.asarray(kind, dtype=np.uint8)
         self.individual_id = np.asarray(individual_id, dtype=np.uint64)
         self.timestamp = np.asarray(timestamp, dtype=np.int64)
-        self.text = np.asarray(text, dtype=object)
+        self.text_code = np.asarray(text_code, dtype=np.int64)
         self.is_ppe = np.asarray(is_ppe, dtype=bool)
-        # Interned texts: text_pool is the sorted distinct texts and
-        # text_code maps each row into it.  Optional; set by canonical().
-        self.text_pool = text_pool
-        self.text_code = text_code
+        self.text_pool = tuple(text_pool)
 
     @classmethod
     def empty(cls):
         z = np.empty(0)
-        return cls(
-            z, z, z, np.empty(0, dtype=object), z,
-            text_pool=[], text_code=np.empty(0, dtype=np.int64),
-        )
+        return cls(z, z, z, z, z, ())
 
     @classmethod
-    def canonical(cls, kind, individual_id, timestamp, text, is_ppe):
+    def canonical(cls, kind, individual_id, timestamp, text_code, is_ppe, text_pool):
         """Build an EventLog in canonical global order.
 
-        The order is insensitive to input permutation: ties on
-        (timestamp, individual, kind) are broken by the text rank.
+        ``text_code`` indexes ``text_pool``, which may be unsorted and hold
+        repeated or unused texts; the log's pool keeps the distinct texts
+        that occur, sorted.  The order is insensitive to input permutation:
+        ties on (timestamp, individual, kind) are broken by the text rank.
         """
-        log = cls(kind, individual_id, timestamp, text, is_ppe)
-        if len(log) == 0:
-            return cls.empty()
-        distinct, codes = intern_texts(log.text)
+        code = np.asarray(text_code, dtype=np.int64)
+        used = np.flatnonzero(np.bincount(code, minlength=len(text_pool)))
+        texts = [text_pool[i] for i in used.tolist()]
+        pool = sorted(set(texts))
+        rank = {t: r for r, t in enumerate(pool)}
+        recode = np.zeros(len(text_pool), dtype=np.int64)
+        recode[used] = [rank[t] for t in texts]
+        log = cls(kind, individual_id, timestamp, recode[code], is_ppe, pool)
         order = np.lexsort(
-            (log.is_ppe, codes, log.kind, log.individual_id, log.timestamp)
+            (log.is_ppe, log.text_code, log.kind, log.individual_id, log.timestamp)
         )
         return cls(
             log.kind[order],
             log.individual_id[order],
             log.timestamp[order],
-            log.text[order],
+            log.text_code[order],
             log.is_ppe[order],
-            text_pool=distinct,
-            text_code=codes[order],
+            pool,
         )
 
     @classmethod
@@ -206,48 +192,18 @@ class EventLog:
         logs = [lg for lg in logs if len(lg)]
         if not logs:
             return cls.empty()
+        offsets = np.cumsum([0] + [len(lg.text_pool) for lg in logs[:-1]])
         return cls.canonical(
             np.concatenate([lg.kind for lg in logs]),
             np.concatenate([lg.individual_id for lg in logs]),
             np.concatenate([lg.timestamp for lg in logs]),
-            np.concatenate([lg.text for lg in logs]),
+            np.concatenate([lg.text_code + off for lg, off in zip(logs, offsets.tolist())]),
             np.concatenate([lg.is_ppe for lg in logs]),
+            [t for lg in logs for t in lg.text_pool],
         )
-
-    @classmethod
-    def from_records(cls, records):
-        kind, iid, ts, text, ppe = [], [], [], [], []
-        for r in records:
-            if isinstance(r, QueryEvent):
-                kind.append(EVENT_KIND_QUERY)
-                text.append(r.query_text)
-                ppe.append(False)
-            else:
-                kind.append(EVENT_KIND_PURCHASE)
-                text.append(r.category)
-                ppe.append(r.is_ppe)
-            iid.append(r.individual_id)
-            ts.append(r.timestamp)
-        return cls.canonical(kind, iid, ts, np.array(text, dtype=object), ppe)
 
     def __len__(self):
         return len(self.timestamp)
-
-    def record(self, i):
-        if self.kind[i] == EVENT_KIND_QUERY:
-            return QueryEvent(
-                int(self.individual_id[i]), int(self.timestamp[i]), self.text[i]
-            )
-        return PurchaseEvent(
-            int(self.individual_id[i]),
-            int(self.timestamp[i]),
-            self.text[i],
-            bool(self.is_ppe[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.record(i)
 
     def queries_mask(self):
         return self.kind == EVENT_KIND_QUERY
@@ -262,8 +218,9 @@ class EventLog:
             np.array_equal(self.kind, other.kind)
             and np.array_equal(self.individual_id, other.individual_id)
             and np.array_equal(self.timestamp, other.timestamp)
-            and np.array_equal(self.text, other.text)
+            and np.array_equal(self.text_code, other.text_code)
             and np.array_equal(self.is_ppe, other.is_ppe)
+            and self.text_pool == other.text_pool
         )
 
 
@@ -617,19 +574,10 @@ def _event_row(obj, path, line_no):
     )
 
 
-def _event_columns(kind, iid, ts, text, ppe):
-    return (
-        np.array(kind, dtype=np.uint8),
-        np.array(iid, dtype=np.uint64),
-        np.array(ts, dtype=np.int64),
-        np.array(text, dtype=object),
-        np.array(ppe, dtype=bool),
-    )
-
-
 def _parse_event_block(lines):
-    """Event columns of stripped lines, parsed with one json.loads and checked
-    in bulk; None when any line is not an event the per-line path accepts."""
+    """(kind, individual_id, timestamp, text, is_ppe) lists of stripped lines,
+    parsed with one json.loads and checked in bulk; None when any line is not
+    an event the per-line path accepts."""
     n = len(lines)
     body = ",\n".join(lines)
     # Every "}" must end its line.  Then the n objects parsed can only be
@@ -661,7 +609,7 @@ def _parse_event_block(lines):
     ):
         return None
     kind = [EVENT_KIND_QUERY if q else EVENT_KIND_PURCHASE for q in query]
-    return _event_columns(kind, iid, ts, text, ppe)
+    return kind, iid, ts, text, ppe
 
 
 def read_events(path):
@@ -669,22 +617,29 @@ def read_events(path):
 
     Lines are parsed a block at a time; a block that fails the bulk checks
     is parsed again line by line, which raises its first bad line's
-    ParseError.
+    ParseError.  Each block's texts are interned as it is parsed.
     """
+    codes_of = {}
     blocks = []
     numbered = _numbered_lines(path)
     while block := list(itertools.islice(numbered, READ_BLOCK_LINES)):
         columns = _parse_event_block([line for _, line in block])
         if columns is None:
-            rows = [
+            columns = zip(*[
                 _event_row(_json_object(path, line_no, line), path, line_no)
                 for line_no, line in block
-            ]
-            columns = _event_columns(*zip(*rows))
-        blocks.append(columns)
+            ])
+        kind, iid, ts, text, ppe = columns
+        blocks.append((
+            np.array(kind, dtype=np.uint8),
+            np.array(iid, dtype=np.uint64),
+            np.array(ts, dtype=np.int64),
+            intern_texts(text, codes_of),
+            np.array(ppe, dtype=bool),
+        ))
     if not blocks:
         return EventLog.empty()
-    return EventLog.canonical(*(np.concatenate(col) for col in zip(*blocks)))
+    return EventLog.canonical(*(np.concatenate(col) for col in zip(*blocks)), list(codes_of))
 
 
 # ---------------------------------------------------------------------------
@@ -748,11 +703,8 @@ def write_events(path, events):
     and a purchase's with ``is_ppe`` false or true.  A row picks its tail by
     ``3 * text_code + variant``.
     """
-    pool, code = events.text_pool, events.text_code
-    if pool is None:
-        pool, code = intern_texts(events.text)
     tails = []
-    for t in pool:
+    for t in events.text_pool:
         enc = json.dumps(t)
         tails += (
             f',"query_text":{enc}}}\n',
@@ -761,7 +713,7 @@ def write_events(path, events):
         )
     heads = ('{"type":"query","individual_id":', '{"type":"purchase","individual_id":')
     purchase = events.kind != EVENT_KIND_QUERY
-    variant = 3 * np.asarray(code, dtype=np.int64) + purchase + (purchase & events.is_ppe)
+    variant = 3 * events.text_code + purchase + (purchase & events.is_ppe)
     with open(path, "w", encoding="utf-8") as fh:
         for lo in range(0, len(events), WRITE_CHUNK_ROWS):
             rows = slice(lo, lo + WRITE_CHUNK_ROWS)

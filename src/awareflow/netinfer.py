@@ -7,6 +7,7 @@ per-kind cap and all members' active intervals pairwise overlap (for
 intervals, pairwise overlap is equivalent to max(start) <= min(end)).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .domain import ADDRESS_KINDS, rows_of_ids
 from .errors import ParseError
 
 LAYERS = ("family", "schoolmate", "workmate")
+LAYER_CODES = {name: code for code, name in enumerate(LAYERS)}
 KIND_TO_LAYER = {"home": "family", "school_dorm": "schoolmate", "company": "workmate"}
 DEFAULT_CAPS = {"home": 10, "school_dorm": 500, "company": 500}
 
@@ -203,29 +205,53 @@ def write_edges(graph, path):
             ]))
 
 
+def _id_or_none(token):
+    try:
+        value = int(token)
+    except ValueError:
+        return None
+    return value if 0 <= value < 2**64 else None
+
+
+def _parse_ids(tokens):
+    """(values, ok) of a list of id tokens: the uint64 values, 0 where a
+    token is not an unsigned 64-bit integer, and which tokens are."""
+    try:
+        values = np.fromiter(map(int, tokens), dtype=np.uint64, count=len(tokens))
+        return values, np.ones(len(tokens), dtype=bool)
+    except (ValueError, OverflowError):
+        values = [_id_or_none(t) for t in tokens]
+    ok = np.array([v is not None for v in values], dtype=bool)
+    return np.array([v or 0 for v in values], dtype=np.uint64), ok
+
+
 def read_edges(path, ids):
     """Rebuild a MultiplexGraph from a write_edges dump over given ids.
 
-    A line that is not ``layer id id`` over a known layer and two of the
-    given ids raises ParseError.
+    Every non-blank line must be ``layer a b`` over a known layer and two
+    distinct ids of ``ids``; the first line that is not raises ParseError.
     """
     ids = np.asarray(ids, dtype=np.uint64)
-    index_of = {int(v): k for k, v in enumerate(ids)}
-    pairs = {name: [] for name in LAYERS}
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                name, a, b = parts
-                pairs[name].append((index_of[int(a)], index_of[int(b)]))
-            except (ValueError, KeyError):
-                raise ParseError(path, line_no, f"bad edge line {line.strip()!r}") from None
-    layers = {
-        name: _build_layer(
-            np.array(pairs[name], dtype=np.int64).reshape(-1, 2), len(ids)
-        )
-        for name in LAYERS
-    }
+        lines = fh.read().split("\n")
+    width = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    good = width == 3
+    # str.split() splits a line where line.split() does, so the tokens of the
+    # three-token lines, joined, come in rows of three
+    tokens = " ".join(itertools.compress(lines, good)).split()
+    layer = np.fromiter(
+        map(LAYER_CODES.get, tokens[0::3], itertools.repeat(-1)),
+        dtype=np.int64, count=len(tokens) // 3,
+    )
+    a, a_ok = _parse_ids(tokens[1::3])
+    b, b_ok = _parse_ids(tokens[2::3])
+    good[good] = (
+        (layer >= 0) & a_ok & b_ok & np.isin(a, ids) & np.isin(b, ids) & (a != b)
+    )
+    bad = np.flatnonzero((width > 0) & ~good)
+    if len(bad):
+        k = int(bad[0])
+        raise ParseError(path, k + 1, f"bad edge line {lines[k].strip()!r}")
+    rows = rows_of_ids(ids, np.column_stack([a, b]))
+    layers = {name: _build_layer(rows[layer == code], len(ids)) for name, code in LAYER_CODES.items()}
     return MultiplexGraph(ids, layers)

@@ -635,7 +635,7 @@ def generate_population(config):
     extra = (rng.random((n, n_m)) < config.extra_purchase_p) & present
 
     chunks = []
-    cats = list(config.purchase_categories)
+    cats = config.purchase_categories
     for grid in (present, extra):
         rows, cols = np.nonzero(grid)
         ts = m_start[cols] + (rng.random(len(rows)) * (m_len[cols] - 1)).astype(np.int64)
@@ -643,15 +643,13 @@ def generate_population(config):
         chunks.append((ids[rows], ts, cat_idx))
 
     iid = np.concatenate([c[0] for c in chunks])
-    ts = np.concatenate([c[1] for c in chunks])
-    cat = np.concatenate([c[2] for c in chunks])
-    text = np.array(cats, dtype=object)[cat]
     events = EventLog.canonical(
         np.full(len(iid), EVENT_KIND_PURCHASE, dtype=np.uint8),
         iid,
-        ts,
-        text,
+        np.concatenate([c[1] for c in chunks]),
+        np.concatenate([c[2] for c in chunks]),
         np.zeros(len(iid), dtype=bool),
+        cats,
     )
 
     # same canonical order the JSONL reader produces, so a generated
@@ -669,7 +667,8 @@ def generate_population(config):
     return dataset, truth_graph
 
 
-def _hazard_base(config, cols, distance_km):
+def hazard_base(config, cols, distance_km):
+    """Per-individual hazard logit before network exposure and shocks."""
     hz = config.hazard
     z = np.full(cols.n, hz.intercept, dtype=np.float64)
     z += hz.female * (cols.gender == 1)
@@ -685,13 +684,14 @@ def _hazard_base(config, cols, distance_km):
     return z
 
 
-def hazard_probability(config, cols, distance_km, layer_fracs, shock_level):
-    """Vectorized per-day awareness hazard; exposed for direct testing."""
-    z = _hazard_base(config, cols, distance_km)
+def hazard_probability(config, base, layer_fracs, shock_level):
+    """Per-day awareness hazard of individuals with hazard_base logits ``base``,
+    aware-neighbor fractions ``layer_fracs[layer]`` and shock levels."""
     hz = config.hazard
+    z = np.array(base, dtype=np.float64)
     for name in LAYERS:
-        z = z + hz.layer_weights.get(name, 0.0) * np.asarray(layer_fracs[name])
-    z = z + hz.shock * np.asarray(shock_level)
+        z += hz.layer_weights.get(name, 0.0) * np.asarray(layer_fracs[name])
+    z += hz.shock * np.asarray(shock_level)
     with np.errstate(over="ignore"):  # exp(|z|) huge -> p saturates
         return 1.0 / (1.0 + np.exp(-z))
 
@@ -710,9 +710,8 @@ def simulate_diffusion(dataset, graph, config):
     n = cols.n
     ids = cols.ids
     seed = config.seed
-    hz = config.hazard
 
-    z0 = _hazard_base(config, cols, dataset.distance_km())
+    z0 = hazard_base(config, cols, dataset.distance_km())
     layer_csr = {}
     inv_deg = {}
     counts = {}
@@ -742,22 +741,26 @@ def simulate_diffusion(dataset, graph, config):
     first_day = np.full(n, -1, dtype=np.int64)
     noise = config.query_noise
 
-    aware_texts = np.array(list(config.aware_query_texts), dtype=object)
-    noise_texts = np.array(list(config.noise_query_texts), dtype=object)
-    categories = np.array(list(config.purchase_categories), dtype=object)
+    # every text is a code into one pool: aware query texts, noise query
+    # texts, purchase categories, the PPE category
+    pool = (
+        config.aware_query_texts + config.noise_query_texts
+        + config.purchase_categories + (config.ppe_category,)
+    )
+    n_aware = len(config.aware_query_texts)
+    n_noise = len(config.noise_query_texts)
+    n_categories = len(config.purchase_categories)
 
-    ev_kind, ev_iid, ev_ts, ev_text, ev_ppe = [], [], [], [], []
+    ev_kind, ev_iid, ev_ts, ev_code, ev_ppe = [], [], [], [], []
 
-    def emit(kind, iid, ts, text, ppe=None):
+    def emit(kind, iid, ts, code, ppe=False):
         if len(iid) == 0:
             return
         ev_kind.append(np.full(len(iid), kind, dtype=np.uint8))
         ev_iid.append(iid)
         ev_ts.append(ts)
-        ev_text.append(text)
-        if ppe is None:
-            ppe = np.zeros(len(iid), dtype=bool)
-        ev_ppe.append(ppe)
+        ev_code.append(code)
+        ev_ppe.append(np.full(len(iid), ppe, dtype=bool))
 
     for d in range(calendar.n_days):
         day_start = calendar.day_start_ts(d)
@@ -776,14 +779,8 @@ def simulate_diffusion(dataset, graph, config):
 
         un = np.flatnonzero(~aware)
         if len(un):
-            z = z0[un].copy()
-            for name in LAYERS:
-                z += hz.layer_weights.get(name, 0.0) * (
-                    counts[name][un] * inv_deg[name][un]
-                )
-            z += hz.shock * shock[un]
-            with np.errstate(over="ignore"):  # exp(|z|) huge -> p saturates
-                p = 1.0 / (1.0 + np.exp(-z))
+            fracs = {name: counts[name][un] * inv_deg[name][un] for name in LAYERS}
+            p = hazard_probability(config, z0[un], fracs, shock[un])
             u = kernels.counter_uniforms(seed, S_AWARE, ids[un], d)
             new = un[u < p]
         else:
@@ -810,18 +807,15 @@ def simulate_diffusion(dataset, graph, config):
                 ts_k = moment + (uj * room).astype(np.int64)
                 keep = kernels.counter_uniforms(seed, S_SUPPRESS, new_ids, tag) >= noise
                 ut = kernels.counter_uniforms(seed, S_TEXT, new_ids, tag)
-                texts = aware_texts[(ut * len(aware_texts)).astype(np.int64)]
-                emit(EVENT_KIND_QUERY, new_ids[keep], ts_k[keep], texts[keep])
+                codes = (ut * n_aware).astype(np.int64)
+                emit(EVENT_KIND_QUERY, new_ids[keep], ts_k[keep], codes[keep])
 
             if d <= config.stockout_day:
                 up = kernels.counter_uniforms(seed, S_PPE_TS, new_ids, d)
                 ts_p = moment + (up * room).astype(np.int64)
                 emit(
-                    EVENT_KIND_PURCHASE,
-                    new_ids,
-                    ts_p,
-                    np.full(len(new_ids), config.ppe_category, dtype=object),
-                    ppe=np.ones(len(new_ids), dtype=bool),
+                    EVENT_KIND_PURCHASE, new_ids, ts_p,
+                    np.full(len(new_ids), len(pool) - 1), ppe=True,
                 )
 
         # individuals aware before today occasionally keep searching
@@ -839,8 +833,7 @@ def simulate_diffusion(dataset, graph, config):
                     kernels.counter_uniforms(seed, S_POST_TS, pids, d) * (SECONDS_PER_DAY - 1)
                 ).astype(np.int64)
                 ut = kernels.counter_uniforms(seed, S_TEXT, pids, d << 2)
-                texts = aware_texts[(ut * len(aware_texts)).astype(np.int64)]
-                emit(EVENT_KIND_QUERY, pids, ts_q, texts)
+                emit(EVENT_KIND_QUERY, pids, ts_q, (ut * n_aware).astype(np.int64))
 
         if config.background_query_p > 0:
             sel = kernels.counter_uniforms(seed, S_NOISE_Q, ids, d) < config.background_query_p
@@ -850,7 +843,8 @@ def simulate_diffusion(dataset, graph, config):
                     kernels.counter_uniforms(seed, S_NOISE_TS, nids, d) * (SECONDS_PER_DAY - 1)
                 ).astype(np.int64)
                 ut = kernels.counter_uniforms(seed, S_NOISE_TEXT, nids, d)
-                emit(EVENT_KIND_QUERY, nids, ts_q, noise_texts[(ut * len(noise_texts)).astype(np.int64)])
+                codes = n_aware + (ut * n_noise).astype(np.int64)
+                emit(EVENT_KIND_QUERY, nids, ts_q, codes)
 
         if config.background_purchase_p > 0:
             sel = kernels.counter_uniforms(seed, S_BG_BUY, ids, d) < config.background_purchase_p
@@ -860,15 +854,17 @@ def simulate_diffusion(dataset, graph, config):
                     kernels.counter_uniforms(seed, S_BG_TS, bids, d) * (SECONDS_PER_DAY - 1)
                 ).astype(np.int64)
                 uc = kernels.counter_uniforms(seed, S_BG_CAT, bids, d)
-                emit(EVENT_KIND_PURCHASE, bids, ts_b, categories[(uc * len(categories)).astype(np.int64)])
+                codes = n_aware + n_noise + (uc * n_categories).astype(np.int64)
+                emit(EVENT_KIND_PURCHASE, bids, ts_b, codes)
 
     if ev_iid:
         events = EventLog.canonical(
             np.concatenate(ev_kind),
             np.concatenate(ev_iid),
             np.concatenate(ev_ts),
-            np.concatenate(ev_text),
+            np.concatenate(ev_code),
             np.concatenate(ev_ppe),
+            pool,
         )
     else:
         events = EventLog.empty()

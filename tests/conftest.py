@@ -17,6 +17,7 @@ from awareflow.awareness import (
     label_awareness,
     load_patterns,
 )
+from awareflow.domain import EVENT_TYPES, EventLog, intern_texts
 from awareflow.netinfer import infer_networks
 from awareflow.presets import default_patterns_path
 from awareflow.simulate import (
@@ -31,6 +32,17 @@ from awareflow.simulate import (
 # interpreters that tests start import the package from the same tree
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(awareflow.__file__)))
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+def make_events(rows):
+    """The canonical EventLog of (kind name, individual id, timestamp, text,
+    is_ppe) rows."""
+    kind, iid, ts, text, ppe = zip(*rows) if rows else ((),) * 5
+    codes_of = {}
+    code = intern_texts(text, codes_of)
+    return EventLog.canonical(
+        [EVENT_TYPES.index(k) for k in kind], iid, ts, code, ppe, list(codes_of)
+    )
 
 
 def small_world_config():

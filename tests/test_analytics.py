@@ -269,7 +269,8 @@ def test_hysteresis_reaches_ten_percent_in_two_hours():
     entries[111] = 50_000
     timeline = tl(entries)
     event = EventMark("briefing", 0)
-    out = hysteresis(timeline, event, thresholds=(0.10, 0.50))
+    n_e, out = hysteresis(timeline, event, thresholds=(0.10, 0.50))
+    assert n_e == 100
     assert out[0.10] == 7200
     assert out[0.50] is None  # would need 150 aware, only 111 exist
 
@@ -285,7 +286,7 @@ def test_hysteresis_monotone_in_threshold():
     entries = {int(i): int(t) for i, t in enumerate(np.sort(rng.integers(0, 10_000, 200)), start=1)}
     timeline = tl(entries)
     event = EventMark("e", 2000)
-    out = hysteresis(timeline, event, thresholds=(0.05, 0.10, 0.20, 0.50, 1.00))
+    _, out = hysteresis(timeline, event, thresholds=(0.05, 0.10, 0.20, 0.50, 1.00))
     times = [v for v in out.values() if v is not None]
     assert times == sorted(times)
     assert all(v >= 0 for v in times)
@@ -297,8 +298,8 @@ def test_hysteresis_cohort_restriction():
     full = hysteresis(timeline, event, thresholds=(1.00,))
     cohort = np.array([1, 3], dtype=np.uint64)
     half = hysteresis(timeline, event, thresholds=(1.00,), cohort_ids=cohort)
-    assert full[1.00] == 200  # 2 -> 4 aware
-    assert half[1.00] == 100  # 1 -> 2 aware within the cohort
+    assert full == (2, {1.00: 200})  # 2 -> 4 aware
+    assert half == (1, {1.00: 100})  # 1 -> 2 aware within the cohort
 
 
 # --- lead days -------------------------------------------------------------------------

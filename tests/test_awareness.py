@@ -16,9 +16,10 @@ from awareflow.awareness import (
     normalize_text,
     parse_pattern,
 )
-from awareflow.domain import Calendar, EventLog, PurchaseEvent, QueryEvent
+from awareflow.domain import Calendar
 from awareflow.errors import CohortError, PatternSyntaxError
 
+from conftest import make_events
 from oracles import first_aware_scan, months_before, qualified_scan
 
 MASK = "(n95|kn95|kf94)&(face mask)"
@@ -87,7 +88,7 @@ def day_ts(d, sec=0):
 
 
 def ql(*pairs, iid=1):
-    return EventLog.from_records([QueryEvent(iid, ts, text) for ts, text in pairs])
+    return make_events([("query", iid, ts, text, False) for ts, text in pairs])
 
 
 def test_third_match_sets_first_aware():
@@ -118,12 +119,12 @@ def test_three_identical_queries_within_an_hour():
 
 def test_purchases_do_not_count_as_matches():
     records = [
-        PurchaseEvent(1, day_ts(1), "n95 face mask", True),
-        QueryEvent(1, day_ts(2), "n95 face mask"),
-        QueryEvent(1, day_ts(3), "n95 face mask"),
-        QueryEvent(1, day_ts(4), "n95 face mask"),
+        ("purchase", 1, day_ts(1), "n95 face mask", True),
+        ("query", 1, day_ts(2), "n95 face mask", False),
+        ("query", 1, day_ts(3), "n95 face mask", False),
+        ("query", 1, day_ts(4), "n95 face mask", False),
     ]
-    tl = label_awareness(EventLog.from_records(records), compile_query_set([MASK]))
+    tl = label_awareness(make_events(records), compile_query_set([MASK]))
     assert tl.first_aware_of(1) == day_ts(4)
 
 
@@ -173,9 +174,9 @@ def test_labeling_matches_reference_scan_on_random_logs():
         for _ in range(k):
             ts = int(rng.integers(day_ts(0), day_ts(30)))
             text = texts[int(rng.integers(len(texts)))]
-            records.append(QueryEvent(iid, ts, text))
+            records.append(("query", iid, ts, text, False))
             by_ind.setdefault(iid, []).append((ts, text))
-    tl = label_awareness(EventLog.from_records(records), m)
+    tl = label_awareness(make_events(records), m)
     want = first_aware_scan(by_ind, m.matches)
     got = {int(i): int(t) for i, t in zip(tl.ids, tl.first_aware)}
     assert got == want
@@ -187,7 +188,7 @@ def test_match_mask_agrees_with_scalar_matcher(small_world, matcher):
     mask = match_mask(events, matcher)
     rows = np.random.default_rng(0).integers(0, len(events), size=300)
     for i in rows:
-        expected = bool(events.queries_mask()[i]) and matcher.matches(events.text[i])
+        expected = bool(events.queries_mask()[i]) and matcher.matches(events.text_pool[events.text_code[i]])
         assert bool(mask[i]) == expected
 
 
@@ -230,22 +231,22 @@ def month_start(cal, k):
 def test_sixty_months_qualifies_and_one_gap_disqualifies():
     cal = Calendar.from_dates("2019-12-01", "2020-02-26")
     window = history_window(cal, months=60)
-    full = [PurchaseEvent(1, month_start(cal, k), "books", False) for k in range(1, 61)]
+    full = [("purchase", 1, month_start(cal, k), "books", False) for k in range(1, 61)]
     gapped = [
-        PurchaseEvent(2, month_start(cal, k), "books", False)
+        ("purchase", 2, month_start(cal, k), "books", False)
         for k in range(1, 61)
         if k != 30
     ]
-    events = EventLog.from_records(full + gapped)
+    events = make_events(full + gapped)
     assert filter_qualified(events, window).tolist() == [1]
 
 
 def test_purchases_outside_window_do_not_count():
     cal = Calendar.from_dates("2019-12-01", "2020-02-26")
     window = history_window(cal, months=60)
-    records = [PurchaseEvent(1, month_start(cal, k), "books", False) for k in range(2, 62)]
+    records = [("purchase", 1, month_start(cal, k), "books", False) for k in range(2, 62)]
     # has 60 consecutive months but they start one month too early
-    assert filter_qualified(EventLog.from_records(records), window).tolist() == []
+    assert filter_qualified(make_events(records), window).tolist() == []
 
 
 def test_filter_qualified_matches_reference_on_random_histories():
@@ -262,9 +263,9 @@ def test_filter_qualified_matches_reference_on_random_histories():
             # spread over ~8 months around the window, some outside it
             ts = cal.day_start_ts(0) - int(rng.integers(0, 8 * 31 * 86400))
             ts_list.append(ts)
-            records.append(PurchaseEvent(iid, ts, "books", False))
+            records.append(("purchase", iid, ts, "books", False))
         by_id[iid] = ts_list
-    got = filter_qualified(EventLog.from_records(records), window).tolist()
+    got = filter_qualified(make_events(records), window).tolist()
     assert got == qualified_scan(by_id, required)
 
 
@@ -272,11 +273,11 @@ def test_restrict_ids_intersects():
     cal = Calendar.from_dates("2019-12-01", "2019-12-02")
     window = history_window(cal, months=2)
     records = [
-        PurchaseEvent(i, month_start(cal, k), "books", False)
+        ("purchase", i, month_start(cal, k), "books", False)
         for i in (1, 2, 3)
         for k in (1, 2)
     ]
-    events = EventLog.from_records(records)
+    events = make_events(records)
     assert filter_qualified(events, window).tolist() == [1, 2, 3]
     kept = filter_qualified(events, window, restrict_ids=np.array([2, 9], dtype=np.uint64))
     assert kept.tolist() == [2]

@@ -331,6 +331,15 @@ def replace(name, text):
     return fault
 
 
+def repeat_lines(name, n):
+    """Append a copy of the last ``n`` lines."""
+    def fault(out, config):
+        path = out / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[-n:]))
+    return fault
+
+
 def patterns_file(out, data):
     path = out / "patterns.txt"
     path.write_bytes(data)
@@ -373,6 +382,9 @@ FAULTS = [
         "cohort", append("networks.edges", "family 999999999 999999998\n"), 4,
         id="edges-unknown-id",
     ),
+    pytest.param("cohort", append("networks.edges", "family 1 1\n"), 4, id="edges-self-loop"),
+    pytest.param("segment", repeat_lines("qualified.txt", 5), 4, id="qualified-duplicate-id"),
+    pytest.param("segment", repeat_lines("labels.tsv", 3), 4, id="labels-duplicate-id"),
     pytest.param("infer-net", replace("dataset/calendar.json", "{}\n"), 4, id="calendar-empty"),
     pytest.param("report", replace("manifest_gen.json", "not json\n"), 4, id="manifest-not-json"),
     pytest.param(

@@ -18,8 +18,6 @@ from awareflow.domain import (
     Dataset,
     EventLog,
     PopulationColumns,
-    PurchaseEvent,
-    QueryEvent,
     Region,
     day_number,
     infer_calendar,
@@ -32,6 +30,7 @@ from awareflow.domain import (
 )
 from awareflow.errors import IntegrityError, ParseError
 
+from conftest import make_events
 from oracles import write_events_rows
 
 CN = timezone(timedelta(hours=8))
@@ -85,40 +84,75 @@ def test_calendar_equality_and_iso_dates():
 
 def sample_records():
     return [
-        QueryEvent(2, 1000, "n95 face mask"),
-        QueryEvent(1, 1000, "rice cooker"),
-        PurchaseEvent(1, 999, "books", False),
-        PurchaseEvent(3, 1000, "n95 respirator mask", True),
-        QueryEvent(1, 1500, "wuhan pneumonia"),
-        QueryEvent(1, 1000, "face mask"),  # same (ts, id, kind), text breaks tie
+        ("query", 2, 1000, "n95 face mask", False),
+        ("query", 1, 1000, "rice cooker", False),
+        ("purchase", 1, 999, "books", False),
+        ("purchase", 3, 1000, "n95 respirator mask", True),
+        ("query", 1, 1500, "wuhan pneumonia", False),
+        ("query", 1, 1000, "face mask", False),  # same (ts, id, kind), text breaks tie
     ]
 
 
 def test_canonical_order_is_input_permutation_invariant():
     records = sample_records()
-    base = EventLog.from_records(records)
+    base = make_events(records)
     rng = random.Random(11)
     for _ in range(10):
         shuffled = records[:]
         rng.shuffle(shuffled)
-        assert EventLog.from_records(shuffled) == base
+        assert make_events(shuffled) == base
     # globally sorted by time first
     assert np.all(np.diff(base.timestamp) >= 0)
 
 
+def test_canonical_reduces_any_pool_to_the_sorted_texts_that_occur():
+    records = sample_records() + [("purchase", 2, 999, "books", False)]
+    texts = [r[3] for r in records]
+    # unsorted, "books" twice, "unused" never referenced
+    pool = ["unused", "rice cooker", "books", "n95 face mask", "books",
+            "wuhan pneumonia", "face mask", "n95 respirator mask"]
+    codes = [pool.index(t) for t in texts]
+    codes[2] = 4  # the two "books" rows use both copies
+    log = EventLog.canonical(
+        [domain.EVENT_TYPES.index(r[0]) for r in records],
+        [r[1] for r in records], [r[2] for r in records], codes,
+        [r[4] for r in records], pool,
+    )
+    assert log == make_events(records)
+    assert log.text_pool == tuple(sorted(set(texts)))
+
+
 def test_concat_equals_union():
     records = sample_records()
-    a = EventLog.from_records(records[:2])
-    b = EventLog.from_records(records[2:])
-    assert EventLog.concat(a, b) == EventLog.from_records(records)
+    a = make_events(records[:2])
+    b = make_events(records[2:])
+    assert EventLog.concat(a, b) == make_events(records)
     assert EventLog.concat(a, EventLog.empty()) == a
     assert len(EventLog.concat()) == 0
 
 
+def test_concat_of_overlapping_pools_equals_log_of_all_rows():
+    records = sample_records()
+    more = [
+        ("purchase", 2, 998, "books", False),
+        ("query", 3, 1000, "face mask", False),
+        ("query", 2, 1000, "n95 face mask", False),
+    ]
+    logs = [make_events(records[:3]), make_events(more), make_events(records[3:])]
+    assert set(logs[0].text_pool) & set(logs[1].text_pool)
+    assert set(logs[1].text_pool) & set(logs[2].text_pool)
+    assert EventLog.concat(*logs) == make_events(records + more)
+
+
 def test_records_round_trip_through_columns():
     records = sample_records()
-    log = EventLog.from_records(records)
-    assert sorted(log, key=repr) == sorted(records, key=repr)
+    log = make_events(records)
+    rows = zip(
+        [domain.EVENT_TYPES[k] for k in log.kind.tolist()], log.individual_id.tolist(),
+        log.timestamp.tolist(), [log.text_pool[c] for c in log.text_code.tolist()],
+        log.is_ppe.tolist(),
+    )
+    assert sorted(rows) == sorted(records)
     assert log.queries_mask().sum() == 4
     assert log.purchases_mask().sum() == 2
     assert log.is_ppe.sum() == 1
@@ -134,7 +168,7 @@ def test_empty_events_file(tmp_path):
 
 
 def test_events_file_roundtrip_and_line_shuffle(tmp_path):
-    log = EventLog.from_records(sample_records())
+    log = make_events(sample_records())
     path = tmp_path / "events.jsonl"
     write_events(path, log)
     assert read_events(path) == log
@@ -151,24 +185,19 @@ def test_write_events_matches_per_row_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", 3)
     texts = ["口罩 N95", 'say "mask"', "back\\slash", "tab\there", "é ", "mask"]
     n = 14
-    columns = (
-        [i % 2 for i in range(n)],
-        [2**64 - 1 - i for i in range(n)],
-        [-5 + 1000 * i for i in range(n)],
-        np.array([texts[i % len(texts)] for i in range(n)], dtype=object),
-        [i % 3 == 0 for i in range(n)],
+    log = make_events([
+        (domain.EVENT_TYPES[i % 2], 2**64 - 1 - i, -5 + 1000 * i, texts[i % len(texts)], i % 3 == 0)
+        for i in range(n)
+    ])
+    write_events(tmp_path / "events.jsonl", log)
+    write_events_rows(
+        tmp_path / "reference.jsonl",
+        log.kind, log.individual_id, log.timestamp,
+        [log.text_pool[c] for c in log.text_code], log.is_ppe,
     )
-    raw = EventLog(*columns)
-    assert raw.text_pool is None
-    for log in (raw, EventLog.canonical(*columns)):
-        write_events(tmp_path / "events.jsonl", log)
-        write_events_rows(
-            tmp_path / "reference.jsonl",
-            log.kind, log.individual_id, log.timestamp, log.text, log.is_ppe,
-        )
-        written = (tmp_path / "events.jsonl").read_bytes()
-        assert written == (tmp_path / "reference.jsonl").read_bytes()
-        assert len(written.splitlines()) == n
+    written = (tmp_path / "events.jsonl").read_bytes()
+    assert written == (tmp_path / "reference.jsonl").read_bytes()
+    assert len(written.splitlines()) == n
 
 
 def _query(iid, ts, text="mask"):
@@ -416,7 +445,7 @@ def test_missing_epicenter_violation():
 
 
 def test_event_for_unknown_individual_violation():
-    events = EventLog.from_records([QueryEvent(42, 1000, "x")])
+    events = make_events([("query", 42, 1000, "x", False)])
     ds = tiny_dataset(make_population([1]), events=events)
     report = validate_dataset(ds)
     assert any(
@@ -445,11 +474,11 @@ def test_load_dataset_raises_integrity_error(tmp_path):
 def test_infer_calendar_uses_query_span():
     cal = Calendar.from_dates("2020-01-05", "2020-01-09")
     records = [
-        PurchaseEvent(1, cal.day_start_ts(-200), "books", False),  # old history
-        QueryEvent(1, cal.day_start_ts(0) + 10, "a"),
-        QueryEvent(1, cal.day_start_ts(4) + 10, "b"),
+        ("purchase", 1, cal.day_start_ts(-200), "books", False),  # old history
+        ("query", 1, cal.day_start_ts(0) + 10, "a", False),
+        ("query", 1, cal.day_start_ts(4) + 10, "b", False),
     ]
-    inferred = infer_calendar(EventLog.from_records(records))
+    inferred = infer_calendar(make_events(records))
     assert inferred == cal
     assert infer_calendar(EventLog.empty()) == Calendar(0, 1)
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from awareflow.errors import IntegrityError
+from awareflow.errors import IntegrityError, ParseError
 from awareflow.netinfer import (
     DEFAULT_CAPS,
     LAYERS,
@@ -234,3 +234,26 @@ def test_empty_graph_round_trip(tmp_path):
     write_edges(g, path)
     assert read_edges(path, IDS4) == g
     assert g.edge_counts() == {name: 0 for name in LAYERS}
+
+
+@pytest.mark.parametrize(
+    "lines, line_no",
+    [
+        # as one token stream these six tokens would read as two good edges
+        (["family 1 2", "family 1", "2 family 3 4"], 2),
+        (["family 1 2", "", "schoolmate 3 3"], 3),  # self-loop, after a blank line
+        (["family 1 2", "cousin 1 3"], 2),
+        (["family 1 2", "family 1 x"], 2),
+        (["family 1 2", "family 1 -3"], 2),
+        (["family 1 2", f"family 1 {2**64}"], 2),
+        (["family 1 2", "family 1 9", "family 1 x"], 2),  # the first bad line is named
+        (["family 1 2", "family 1 x", "family 1 9"], 2),
+    ],
+)
+def test_read_edges_names_the_first_bad_line(tmp_path, lines, line_no):
+    path = tmp_path / "networks.edges"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        read_edges(path, IDS4)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"{path}:{line_no}: bad edge line {lines[line_no - 1]!r}"

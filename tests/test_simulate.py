@@ -16,6 +16,7 @@ from awareflow.simulate import (
     RegionConfig,
     SimConfig,
     generate,
+    hazard_base,
     hazard_probability,
 )
 
@@ -52,7 +53,8 @@ def test_all_zero_coefficients_give_half(small_world):
     _, dataset, _ = small_world
     cfg = SimConfig(hazard=zero_hazard())
     cols = dataset.population
-    p = hazard_probability(cfg, cols, dataset.distance_km(), fracs(cols.n), np.zeros(cols.n))
+    base = hazard_base(cfg, cols, dataset.distance_km())
+    p = hazard_probability(cfg, base, fracs(cols.n), np.zeros(cols.n))
     assert np.all(p == 0.5)
 
 
@@ -60,11 +62,11 @@ def test_hazard_strictly_increases_with_family_fraction(small_world):
     _, dataset, _ = small_world
     cfg = SimConfig()  # default family weight is positive
     cols = dataset.population
-    dist = dataset.distance_km()
+    base = hazard_base(cfg, cols, dataset.distance_km())
     shock = np.zeros(cols.n)
-    last = hazard_probability(cfg, cols, dist, fracs(cols.n, family=0.0), shock)
+    last = hazard_probability(cfg, base, fracs(cols.n, family=0.0), shock)
     for f in (0.25, 0.5, 0.75, 1.0):
-        cur = hazard_probability(cfg, cols, dist, fracs(cols.n, family=f), shock)
+        cur = hazard_probability(cfg, base, fracs(cols.n, family=f), shock)
         assert np.all(cur > last)
         last = cur
 
@@ -80,7 +82,7 @@ def test_hazard_matches_formula_at_random_points(small_world):
     ff, fs, fw = rng.random((3, cols.n))
     shock = rng.random(cols.n) * 2.0
     p = hazard_probability(
-        cfg, cols, dist,
+        cfg, hazard_base(cfg, cols, dist),
         {"family": ff, "schoolmate": fs, "workmate": fw},
         shock,
     )
@@ -199,7 +201,7 @@ def test_ppe_purchases_respect_stockout(small_world):
     assert len(ppe_rows) > 0
     aware_days = cal.day_of(truth.timeline.aligned(ev.individual_id[ppe_rows]))
     assert np.all(aware_days <= cfg.stockout_day)
-    assert all(ev.text[i] == cfg.ppe_category for i in ppe_rows)
+    assert {ev.text_pool[c] for c in ev.text_code[ppe_rows]} == {cfg.ppe_category}
     # exactly one PPE purchase per aware-in-time individual
     in_time = truth.timeline.ids[
         cal.day_of(truth.timeline.first_aware) <= cfg.stockout_day
