@@ -64,7 +64,6 @@ from .analytics import (
 from .regress import (
     FeatureSpec,
     FitConfig,
-    build_design,
     checkpoint_schedule,
     fit_logistic,
     run_time_evolving,

@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .awareness import NEVER, awareness_percentage
+from . import kernels
+from .awareness import awareness_percentage
 from .domain import EDUCATIONS, GENDERS, OCCUPATIONS
 from .errors import AnalyticsError, CohortError, ParseError
-from .netinfer import LAYERS, layer_fractions
+from .netinfer import LAYERS
 
 PHASE_ORDER = ("Normal", "Beginning", "Growth", "Peak", "PostPeak")
 
@@ -138,13 +139,8 @@ def daily_counts(timeline, calendar):
     Individuals aware before the window count into day 0; awareness after
     the window end is out of scope and ignored.
     """
-    new = np.zeros(calendar.n_days, dtype=np.int64)
-    if len(timeline):
-        day = calendar.day_of(timeline.first_aware)
-        day = np.maximum(day, 0)
-        day = day[day < calendar.n_days]
-        if len(day):
-            new += np.bincount(day, minlength=calendar.n_days)
+    day = timeline.buckets(timeline.ids, calendar.day_ends())
+    new = np.bincount(day, minlength=calendar.n_days + 1)[: calendar.n_days]
     return new, np.cumsum(new)
 
 
@@ -163,25 +159,28 @@ def growth_rates(values):
     return out
 
 
-def _cohort_rows(dataset, cohort_ids):
-    if cohort_ids is None:
-        return np.arange(dataset.population.n, dtype=np.int64)
-    return dataset.population.rows_of(cohort_ids)
+def _cohort_rows(dataset, cohort_ids, what):
+    """Dataset rows of the cohort (everyone when None); empty is a CohortError."""
+    cols = dataset.population
+    rows = np.arange(cols.n, dtype=np.int64) if cohort_ids is None else cols.rows_of(cohort_ids)
+    if len(rows) == 0:
+        raise CohortError(f"empty cohort for {what}")
+    return rows
+
+
+def _aware_by_day(timeline, dataset, group_codes, n_groups, rows, weights=None):
+    """Per group and day, the count of cohort ``rows`` aware by the end of
+    that day, or with ``weights`` the sum of their weights; shape (G, D)."""
+    D = dataset.calendar.n_days
+    day = timeline.buckets(dataset.population.ids[rows], dataset.calendar.day_ends())
+    key = group_codes.astype(np.int64) * (D + 1) + day
+    by_day = np.bincount(key, weights, minlength=n_groups * (D + 1)).reshape(n_groups, D + 1)
+    return np.cumsum(by_day[:, :D], axis=1)
 
 
 def _group_percentages(timeline, dataset, group_codes, n_groups, rows):
     """Cumulative per-group awareness percentage matrix, shape (G, D)."""
-    calendar = dataset.calendar
-    cols = dataset.population
-    D = calendar.n_days
-    aligned = timeline.aligned(cols.ids[rows])
-    # the never-aware sentinel would overflow day arithmetic; bucket it at D
-    day = np.full(len(aligned), D, dtype=np.int64)
-    known = aligned != NEVER
-    day[known] = np.clip(calendar.day_of(aligned[known]), 0, D)
-    key = group_codes.astype(np.int64) * (D + 1) + day
-    counts = np.bincount(key, minlength=n_groups * (D + 1)).reshape(n_groups, D + 1)
-    cum = np.cumsum(counts[:, :D], axis=1)
+    cum = _aware_by_day(timeline, dataset, group_codes, n_groups, rows)
     sizes = np.bincount(group_codes.astype(np.int64), minlength=n_groups)
     with np.errstate(divide="ignore", invalid="ignore"):
         pct = cum / sizes[:, None]
@@ -211,9 +210,7 @@ def group_trend(timeline, dataset, grouping, cohort_ids=None):
             f"unknown grouping {grouping!r}; expected one of {sorted(_GROUPINGS)}"
         )
     cols = dataset.population
-    rows = _cohort_rows(dataset, cohort_ids)
-    if len(rows) == 0:
-        raise CohortError(f"empty cohort for grouping {grouping!r}")
+    rows = _cohort_rows(dataset, cohort_ids, f"grouping {grouping!r}")
     codes_all, names = _GROUPINGS[grouping](cols)
     codes = codes_all[rows]
     pct, sizes = _group_percentages(timeline, dataset, codes, len(names), rows)
@@ -226,9 +223,7 @@ def group_trend(timeline, dataset, grouping, cohort_ids=None):
 
 def province_percentages(timeline, dataset, cohort_ids=None):
     """(province_ids, matrix) of per-province awareness percentage by day."""
-    rows = _cohort_rows(dataset, cohort_ids)
-    if len(rows) == 0:
-        raise CohortError("empty cohort for province percentages")
+    rows = _cohort_rows(dataset, cohort_ids, "province percentages")
     province = dataset.province_of_individuals()[rows]
     uniq, codes = np.unique(province, return_inverse=True)
     pct, _ = _group_percentages(timeline, dataset, codes, len(uniq), rows)
@@ -236,9 +231,7 @@ def province_percentages(timeline, dataset, cohort_ids=None):
 
 
 def national_percentage(timeline, dataset, cohort_ids=None):
-    rows = _cohort_rows(dataset, cohort_ids)
-    if len(rows) == 0:
-        raise CohortError("empty cohort for national percentages")
+    rows = _cohort_rows(dataset, cohort_ids, "national percentages")
     pct, _ = _group_percentages(
         timeline, dataset, np.zeros(len(rows), dtype=np.int64), 1, rows
     )
@@ -320,17 +313,8 @@ def cross_group_ratio(timeline, group_a, group_b, t):
     return None if np.isnan(r) else r
 
 
-def neighborhood_awareness_ratio(graph, layer, timeline, t):
-    """Mean aware-neighbor share of the aware vs of the unaware at t.
-
-    Only individuals with at least one neighbor in the layer enter either
-    average; an empty side makes the ratio undefined with a reason code.
-    """
-    if layer not in LAYERS:
-        raise AnalyticsError(f"unknown layer {layer!r}")
-    aware = timeline.aligned(graph.ids) <= t
-    frac, deg = layer_fractions(graph, layer, aware)
-    has = deg > 0
+def _neighborhood_ratio(frac, aware, has):
+    """The NeighborhoodRatio of aware-neighbor shares ``frac`` at one time."""
     a_rows = aware & has
     u_rows = ~aware & has
     n_a, n_u = int(a_rows.sum()), int(u_rows.sum())
@@ -346,29 +330,51 @@ def neighborhood_awareness_ratio(graph, layer, timeline, t):
     return NeighborhoodRatio(None, num, den, n_a, n_u, "no_aware_neighbors_either_side")
 
 
-def aware_group_means(timeline, dataset, grouping, t, values, cohort_ids=None):
-    """Mean of a per-individual value among the aware, split by group.
+def neighborhood_awareness_ratio(graph, layer, timeline, times):
+    """Mean aware-neighbor share of the aware vs of the unaware, one
+    NeighborhoodRatio per time of the ascending ``times``.
 
-    ``values`` is aligned to dataset order (e.g. purchasing power levels).
-    Groups with no aware members at t get None.
+    Only individuals with at least one neighbor in the layer enter either
+    average; an empty side makes the ratio undefined with a reason code.
     """
-    if grouping not in _GROUPINGS:
-        raise AnalyticsError(f"unknown grouping {grouping!r}")
-    cols = dataset.population
-    rows = _cohort_rows(dataset, cohort_ids)
-    codes_all, names = _GROUPINGS[grouping](cols)
-    codes = codes_all[rows]
-    aware = timeline.aligned(cols.ids[rows]) <= t
-    vals = np.asarray(values, dtype=np.float64)[rows]
+    if layer not in LAYERS:
+        raise AnalyticsError(f"unknown layer {layer!r}")
+    lyr = graph.layer(layer)
+    bucket = timeline.buckets(graph.ids, times)
+    deg = lyr.degrees()
+    has = deg > 0
+    frac = np.zeros(graph.n_nodes, dtype=np.float64)
     out = []
-    for g, name in enumerate(names):
-        sel = (codes == g) & aware
-        n = int(sel.sum())
-        out.append((name, float(vals[sel].mean()) if n else None, n))
+    sweep = kernels.neighbor_count_sweep(lyr.indptr, lyr.indices, bucket, len(times))
+    for k, counts in enumerate(sweep):
+        frac[has] = counts[has] / deg[has]
+        out.append(_neighborhood_ratio(frac, bucket <= k, has))
     return out
 
 
-def hysteresis(timeline, event, thresholds=(0.10, 0.50, 1.00), cohort_ids=None):
+def aware_group_means(timeline, dataset, grouping, values, cohort_ids=None):
+    """Mean of a per-individual value among the aware, split by group, for
+    each day of the window: (names, means, counts), the last two (G, D).
+
+    ``values`` is aligned to dataset order (e.g. purchasing power levels).
+    A group with no aware members on a day has a NaN mean.
+    """
+    if grouping not in _GROUPINGS:
+        raise AnalyticsError(f"unknown grouping {grouping!r}")
+    rows = _cohort_rows(dataset, cohort_ids, "aware group means")
+    codes_all, names = _GROUPINGS[grouping](dataset.population)
+    codes = codes_all[rows]
+    vals = np.asarray(values, dtype=np.float64)[rows]
+    counts = _aware_by_day(timeline, dataset, codes, len(names), rows)
+    # sums of integer values (purchasing-power levels) are exact, so each
+    # mean is the one vals[sel].mean() gives
+    sums = _aware_by_day(timeline, dataset, codes, len(names), rows, weights=vals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = sums / counts
+    return names, means, counts
+
+
+def hysteresis(timeline, event, thresholds=(0.10, 0.50, 1.00)):
     """(N_e, durations): seconds until the aware count grows f·N_e past its
     level at an event.
 
@@ -377,10 +383,7 @@ def hysteresis(timeline, event, thresholds=(0.10, 0.50, 1.00), cohort_ids=None):
     N_e * (1 + f), None when the series ends before that.  A zero baseline
     is an error.
     """
-    ts = timeline.first_aware
-    if cohort_ids is not None:
-        ts = timeline.restrict(cohort_ids).first_aware
-    ts = np.sort(ts)
+    ts = np.sort(timeline.first_aware)
     n_e = int(np.searchsorted(ts, event.timestamp, side="right"))
     if n_e == 0:
         raise AnalyticsError(
@@ -489,9 +492,7 @@ def geo_correlation_series(dataset, timeline, factor, level="province", cohort_i
         )
     if level not in ("city", "province"):
         raise AnalyticsError("level must be 'city' or 'province'")
-    rows = _cohort_rows(dataset, cohort_ids)
-    if len(rows) == 0:
-        raise CohortError("empty cohort for geographic correlation")
+    rows = _cohort_rows(dataset, cohort_ids, "geographic correlation")
     cols = dataset.population
     unit_of = (
         cols.home_city if level == "city" else dataset.province_of_individuals()

@@ -109,11 +109,11 @@ def history_window(calendar, months=60):
     return start_month - months, months
 
 
-def filter_qualified(events, window, min_per_month=1, restrict_ids=None):
+def filter_qualified(events, window, min_per_month=1):
     """Ids with >= min_per_month purchases in every month of the window.
 
     ``window`` is (first_month_number, n_months) as from history_window.
-    Result is a sorted uint64 array; restrict_ids, when given, intersects.
+    Result is a sorted uint64 array.
     """
     first_month, n_months = window
     if n_months <= 0:
@@ -125,18 +125,13 @@ def filter_qualified(events, window, min_per_month=1, restrict_ids=None):
     ids = ids[in_window]
     months = months[in_window]
     if len(ids) == 0:
-        qualified = np.empty(0, dtype=np.uint64)
-    else:
-        uids, inv = np.unique(ids, return_inverse=True)
-        key = inv.astype(np.int64) * n_months + months
-        ukey, counts = np.unique(key, return_counts=True)
-        ok = ukey[counts >= min_per_month]
-        months_ok = np.bincount(ok // n_months, minlength=len(uids))
-        qualified = uids[months_ok == n_months]
-    if restrict_ids is not None:
-        restrict_ids = np.asarray(restrict_ids, dtype=np.uint64)
-        qualified = qualified[np.isin(qualified, restrict_ids)]
-    return qualified
+        return np.empty(0, dtype=np.uint64)
+    uids, inv = np.unique(ids, return_inverse=True)
+    key = inv.astype(np.int64) * n_months + months
+    ukey, counts = np.unique(key, return_counts=True)
+    ok = ukey[counts >= min_per_month]
+    months_ok = np.bincount(ok // n_months, minlength=len(uids))
+    return uids[months_ok == n_months]
 
 
 class AwarenessTimeline:
@@ -169,16 +164,21 @@ class AwarenessTimeline:
     def aligned(self, ids):
         """First-aware timestamps aligned to `ids` (NEVER where absent)."""
         ids = np.asarray(ids, dtype=np.uint64)
-        out = np.full(len(ids), NEVER, dtype=np.int64)
-        pos = np.searchsorted(self.ids, ids)
-        pos_clipped = np.minimum(pos, max(len(self.ids) - 1, 0))
-        if len(self.ids):
-            found = self.ids[pos_clipped] == ids
-            out[found] = self.first_aware[pos_clipped[found]]
-        return out
+        if len(self.ids) == 0:
+            return np.full(len(ids), NEVER, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
+        return np.where(self.ids[pos] == ids, self.first_aware[pos], NEVER)
 
     def aware_mask_at(self, t, ids):
         return self.aligned(ids) <= t
+
+    def buckets(self, ids, times):
+        """Per id, the index of the first of the ascending ``times`` at which
+        it is aware, or len(times) if it never is: aware at times[k] exactly
+        when its bucket is <= k."""
+        if np.any(np.diff(times) < 0):
+            raise ValueError("bucket times must be ascending")
+        return np.searchsorted(times, self.aligned(ids))
 
     def restrict(self, ids):
         keep = np.isin(self.ids, np.asarray(ids, dtype=np.uint64))

@@ -94,9 +94,8 @@ from .regress import (
     run_time_evolving,
     typical_profile,
 )
-from .simulate import TRUTH_FILES, SimConfig, fits, generate, is_int
+from .simulate import TRUTH_FILES, SimConfig, fits, generate, is_int, is_timestamp
 
-DAY = 86400
 # RNG stream for drawing the regression sample; simulator streams are < 100
 SAMPLE_STREAM = 101
 CALENDAR_FILE = "calendar.json"
@@ -222,11 +221,11 @@ class RunConfig:
             if not isinstance(self.marks, list):
                 problems.append("marks must be a list or null")
             elif not all(
-                isinstance(m, dict) and "label" in m and is_int(m.get("timestamp"))
+                isinstance(m, dict) and "label" in m and is_timestamp(m.get("timestamp"))
                 and is_int(m.get("scope_id", 0))
                 for m in self.marks
             ):
-                problems.append("each mark needs a label and integer timestamp and scope_id")
+                problems.append("each mark needs a label, int64 timestamp and integer scope_id")
         if problems:
             raise ConfigError("; ".join(problems))
         self.thresholds()
@@ -526,10 +525,6 @@ def write_manifest(state, command, inputs, outputs, stats=None):
     return path
 
 
-def day_end_ts(calendar, d):
-    return calendar.day_start_ts(d) + DAY - 1
-
-
 def window_date(iso, d):
     """The ISO date of day index ``d`` of the window ``iso``, or "NA" outside it."""
     return iso[d] if 0 <= d < len(iso) else "NA"
@@ -599,11 +594,11 @@ def cmd_label(state):
         fh.write("".join(f"{int(i)}\n" for i in qualified))
 
     iso = calendar.iso_dates()
-    days = calendar.day_of(timeline.first_aware) if len(timeline) else np.empty(0, int)
-    rows = []
-    for k in range(len(timeline)):
-        d = int(days[k])
-        rows.append((int(timeline.ids[k]), int(timeline.first_aware[k]), d, window_date(iso, d)))
+    days = calendar.day_of(timeline.first_aware).tolist()
+    rows = [
+        (i, t, d, window_date(iso, d))
+        for i, t, d in zip(timeline.ids.tolist(), timeline.first_aware.tolist(), days)
+    ]
     write_tsv(state.out_path("labels.tsv"), header_of("labels.tsv"), rows)
     state.loaded["labels.tsv"] = timeline
     state.loaded["qualified.txt"] = qualified
@@ -728,9 +723,9 @@ def cmd_cohort(state):
     nb_rows = []
     nb_values = {}
     for layer in LAYERS:
+        ratios = neighborhood_awareness_ratio(graph, layer, tlq, calendar.day_ends())
         vals = np.full(D, np.nan)
-        for d in range(D):
-            r = neighborhood_awareness_ratio(graph, layer, tlq, day_end_ts(calendar, d))
+        for d, r in enumerate(ratios):
             nb_rows.append(
                 (
                     layer, d, iso[d], r.value, r.numerator, r.denominator,
@@ -763,17 +758,15 @@ def cmd_cohort(state):
     )
 
     # mean purchasing power of the aware, by occupation
-    pp_rows = []
     pp_values = dataset.population.purchasing_power.astype(np.float64)
-    for d in range(D):
-        for name, mean, n in aware_group_means(
-            tlq, dataset, "occupation", day_end_ts(calendar, d), pp_values, qualified
-        ):
-            pp_rows.append((name, d, iso[d], mean, n))
+    names, means, counts = aware_group_means(tlq, dataset, "occupation", pp_values, qualified)
     write_tsv(
         state.out_path("aware_purchasing_power.tsv"),
         ("group", "day", "date", "mean_purchasing_power", "n_aware"),
-        pp_rows,
+        [
+            (name, d, iso[d], means[g, d], counts[g, d])
+            for d in range(D) for g, name in enumerate(names)
+        ],
     )
 
     # hysteresis per event mark

@@ -92,6 +92,10 @@ class Calendar:
         """Epoch seconds of China-local midnight opening day ``index``."""
         return (self.start_day + index) * SECONDS_PER_DAY - CHINA_UTC_OFFSET
 
+    def day_ends(self):
+        """Epoch seconds of the last second of each day, ascending (int64)."""
+        return self.day_start_ts(np.arange(1, self.n_days + 1, dtype=np.int64)) - 1
+
     def date_of(self, index):
         return _EPOCH_DATE + timedelta(days=self.start_day + int(index))
 

@@ -2,8 +2,10 @@
 
 Graphs are passed around in CSR form: ``indptr`` (int64, length n+1) and
 ``indices`` (int32) with every undirected edge stored in both directions.
-The neighbor counts take any CSR slice, so a caller that needs counts for
-some rows only passes :func:`csr_rows` of those rows.
+Aware-neighbor exposure has one kernel: :func:`neighbor_count_sweep` walks
+ascending time buckets and keeps each node's count of marked neighbors
+current with :func:`increment_neighbor_counts`, the same update the
+simulator's daily loop applies.
 
 Random draws are counter-based: a splitmix64-style hash of
 (seed, stream, id, tag) mapped to a float64 in [0, 1).  Draws are therefore
@@ -48,15 +50,24 @@ def csr_rows(indptr, indices, rows):
     return sub_indptr, indices[pos]
 
 
-def count_marked_neighbors(indptr, indices, marked):
-    """Per node, count neighbors whose ``marked`` flag is set."""
-    vals = marked[indices].astype(np.int64)
-    csum = np.zeros(len(vals) + 1, dtype=np.int64)
-    np.cumsum(vals, out=csum[1:])
-    return csum[indptr[1:]] - csum[indptr[:-1]]
-
-
 def increment_neighbor_counts(indptr, indices, nodes, counts):
     """counts[v] += 1 for every neighbor v of every node in ``nodes``."""
     _, neighbors = csr_rows(indptr, indices, nodes)
     np.add.at(counts, neighbors, 1)
+
+
+def neighbor_count_sweep(indptr, indices, bucket, n_buckets):
+    """For k = 0 .. n_buckets-1, yield each node's count of neighbors whose
+    ``bucket`` is <= k.
+
+    A node whose bucket is n_buckets or more is never counted.  The one
+    yielded array is updated in place, so a caller copies what it keeps.
+    """
+    bucket = np.asarray(bucket, dtype=np.int64)
+    order = np.argsort(bucket, kind="stable")
+    # nodes of bucket k are order[bounds[k]:bounds[k + 1]]
+    bounds = np.searchsorted(bucket[order], np.arange(n_buckets + 1))
+    counts = np.zeros(len(indptr) - 1, dtype=np.int64)
+    for k in range(n_buckets):
+        increment_neighbor_counts(indptr, indices, order[bounds[k] : bounds[k + 1]], counts)
+        yield counts

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .domain import ADDRESS_KINDS, rows_of_ids
 from .errors import ParseError
 
@@ -173,21 +172,6 @@ def infer_networks(addresses, ids, caps=None):
         )
         layers[layer_name] = _build_layer(pairs, n)
     return MultiplexGraph(ids, layers)
-
-
-def layer_fractions(graph, layer, aware_mask):
-    """Vectorized aware-neighbor fractions for every node.
-
-    Returns (fractions, degrees); fraction is 0 where degree is 0 and the
-    degree array lets callers tell that case apart.
-    """
-    lyr = graph.layer(layer)
-    counts = kernels.count_marked_neighbors(lyr.indptr, lyr.indices, aware_mask)
-    deg = lyr.degrees()
-    frac = np.zeros(graph.n_nodes, dtype=np.float64)
-    nz = deg > 0
-    frac[nz] = counts[nz] / deg[nz]
-    return frac, deg
 
 
 def write_edges(graph, path):

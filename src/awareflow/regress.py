@@ -77,9 +77,14 @@ def _standardize(x):
 
 
 class DesignBuilder:
-    """Precomputes everything about a sample that does not depend on t."""
+    """Design matrices of a sample at each of ``times``.
 
-    def __init__(self, dataset, graph, timeline, sample_ids, spec=None):
+    Everything that does not depend on time is computed once; the exposure
+    columns come from one neighbor-count sweep per layer over the sorted
+    ``times``.
+    """
+
+    def __init__(self, dataset, graph, timeline, sample_ids, times, spec=None):
         self.spec = (spec or FeatureSpec()).validate()
         cols = dataset.population
         self.names = self.spec.column_names()
@@ -97,10 +102,18 @@ class DesignBuilder:
         # graph rows and dataset rows must mean the same individual
         if not np.array_equal(graph.ids, cols.ids):
             raise ConfigError("graph node universe does not match the dataset")
-        retained = np.ones(cols.n, dtype=bool)
-        retained[self.sample_rows] = False
-        self.retained = retained
-        self.aligned_all = timeline.aligned(cols.ids)
+        times = np.asarray(times, dtype=np.int64)
+        n_times = len(times)
+        order = np.argsort(times, kind="stable")
+        # at(k) reads step self._step[k] of the sweep over the sorted times
+        self._step = np.empty(n_times, dtype=np.int64)
+        self._step[order] = np.arange(n_times)
+        bucket = timeline.buckets(cols.ids, times[order])
+        self._sample_bucket = bucket[self.sample_rows]
+        # sample rows are neither aware neighbors nor retained neighbors: the
+        # sweep never reaches their bucket, and its last step, which covers
+        # every other bucket, counts the retained degree
+        bucket[self.sample_rows] = n_times + 1
 
         n_s = len(self.sample_rows)
         k = len(self.names)
@@ -108,10 +121,15 @@ class DesignBuilder:
         col = {name: j for j, name in enumerate(self.names)}
         X[:, col["intercept"]] = 1.0
         sp = self.spec
-        g_row = cols.gender[self.sample_rows]
-        for gi, g in enumerate(GENDERS):
-            if g != sp.gender_ref:
-                X[:, col[f"gender_{g}"]] = g_row == gi
+        for field, levels, ref in (
+            ("gender", GENDERS, sp.gender_ref),
+            ("education", EDUCATIONS, sp.education_ref),
+            ("occupation", OCCUPATIONS, sp.occupation_ref),
+        ):
+            codes = getattr(cols, field)[self.sample_rows]
+            for i, level in enumerate(levels):
+                if level != ref:
+                    X[:, col[f"{field}_{level}"]] = codes == i
         age = cols.age[self.sample_rows].astype(np.float64)
         if sp.age_mode == "linear":
             X[:, col["age_std"]] = _standardize(age)
@@ -119,59 +137,33 @@ class DesignBuilder:
             for name, lo, hi in AGE_BRACKETS:
                 if name != sp.age_bracket_ref:
                     X[:, col[f"age_{name}"]] = (age >= lo) & (age <= hi)
-        e_row = cols.education[self.sample_rows]
-        for ei, e in enumerate(EDUCATIONS):
-            if e != sp.education_ref:
-                X[:, col[f"education_{e}"]] = e_row == ei
-        o_row = cols.occupation[self.sample_rows]
-        for oi, o in enumerate(OCCUPATIONS):
-            if o != sp.occupation_ref:
-                X[:, col[f"occupation_{o}"]] = o_row == oi
-        X[:, col["distance_std"]] = _standardize(
-            dataset.distance_km()[self.sample_rows]
-        )
-        X[:, col["purchasing_power_std"]] = _standardize(
-            cols.purchasing_power[self.sample_rows].astype(np.float64)
-        )
+        X[:, col["distance_std"]] = _standardize(dataset.distance_km()[self.sample_rows])
+        X[:, col["purchasing_power_std"]] = _standardize(cols.purchasing_power[self.sample_rows])
         X[:, col["has_child"]] = cols.has_child[self.sample_rows]
         X[:, col["married"]] = cols.married[self.sample_rows]
 
-        # exposure is only ever read for the sample rows, so each layer keeps
-        # the CSR slice of their neighbor lists and counts over that alone
-        self._sample_csr = {}
-        self._frac_cols = {}
-        self._retained_deg = {}
+        # per layer, each sample row's share of aware retained neighbors at
+        # each step, 0 without retained neighbors
+        self._frac = {}
         for layer in LAYERS:
             lyr = graph.layer(layer)
-            sub = kernels.csr_rows(lyr.indptr, lyr.indices, self.sample_rows)
-            base = kernels.count_marked_neighbors(*sub, retained)
-            self._sample_csr[layer] = sub
-            self._retained_deg[layer] = base
-            X[:, col[f"{layer}_has_neighbors"]] = base > 0
-            self._frac_cols[layer] = col[f"{layer}_aware_frac"]
+            sweep = kernels.neighbor_count_sweep(lyr.indptr, lyr.indices, bucket, n_times + 1)
+            hits = np.array([counts[self.sample_rows] for counts in sweep])
+            deg = hits[-1]
+            X[:, col[f"{layer}_has_neighbors"]] = deg > 0
+            self._frac[layer] = np.zeros((n_times, n_s))
+            np.divide(hits[:-1], deg, out=self._frac[layer], where=deg > 0)
         self._static = X
+        self._col = col
 
-    def at(self, t):
-        """(X, y) at time t: exposure columns filled, labels thresholded."""
+    def at(self, k):
+        """(X, y) at times[k]: exposure columns filled, labels thresholded."""
+        step = self._step[k]
         X = self._static.copy()
-        aware = self.aligned_all <= t
-        retained_aware = self.retained & aware
         for layer in LAYERS:
-            hit = kernels.count_marked_neighbors(*self._sample_csr[layer], retained_aware)
-            deg = self._retained_deg[layer]
-            frac = np.zeros(len(deg), dtype=np.float64)
-            nz = deg > 0
-            frac[nz] = hit[nz] / deg[nz]
-            X[:, self._frac_cols[layer]] = frac
-        y = aware[self.sample_rows].astype(np.float64)
+            X[:, self._col[f"{layer}_aware_frac"]] = self._frac[layer][step]
+        y = (self._sample_bucket <= step).astype(np.float64)
         return X, y
-
-
-def build_design(dataset, graph, timeline, t, sample_ids, spec=None):
-    """One-shot design matrix; returns (X, y, column_names)."""
-    builder = DesignBuilder(dataset, graph, timeline, sample_ids, spec)
-    X, y = builder.at(t)
-    return X, y, builder.names
 
 
 @dataclass
@@ -365,11 +357,13 @@ def run_time_evolving(
 ):
     """Fit one model per checkpoint; per-checkpoint failures are recorded
     (error string instead of a result) and the series continues."""
-    builder = DesignBuilder(dataset, graph, timeline, sample_ids, spec)
+    entries = schedule.entries
+    builder = DesignBuilder(dataset, graph, timeline, sample_ids, [c.time for c in entries], spec)
     fit_config = fit_config or FitConfig()
 
-    def one(checkpoint):
-        X, y = builder.at(checkpoint.time)
+    def one(k):
+        checkpoint = entries[k]
+        X, y = builder.at(k)
         n_aware = int(y.sum())
         try:
             result = fit_logistic(X, y, fit_config, names=builder.names)
@@ -378,10 +372,10 @@ def run_time_evolving(
             return CheckpointModel(checkpoint, None, str(exc), len(y), n_aware)
 
     n_jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-    if n_jobs <= 1 or len(schedule.entries) <= 1:
-        return [one(cp) for cp in schedule.entries]
+    if n_jobs <= 1 or len(entries) <= 1:
+        return [one(k) for k in range(len(entries))]
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(one, schedule.entries))
+        return list(pool.map(one, range(len(entries))))
 
 
 @dataclass(frozen=True)

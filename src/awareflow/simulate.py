@@ -98,6 +98,12 @@ def is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_timestamp(value):
+    """Whether ``value`` is an integer that fits in int64, as event timestamps must."""
+    info = np.iinfo(np.int64)
+    return is_int(value) and info.min <= value <= info.max
+
+
 def fits(value, like):
     """Whether ``value`` has the type of the example ``like``.
 
@@ -316,6 +322,11 @@ class SimConfig:
             problems.append("n_individuals must be >= 1")
         if self.n_days < 1:
             problems.append("n_days must be >= 1")
+        else:
+            try:
+                self.calendar().date_of(self.n_days - 1)
+            except (ValueError, OverflowError):
+                problems.append(f"calendar_start {self.calendar_start!r} is not a date in range")
         if self.history_months < 1:
             problems.append("history_months must be >= 1")
         for name in (
@@ -372,6 +383,8 @@ class SimConfig:
         for ev in self.events:
             if ev.scope not in ("national", "province", "city"):
                 problems.append(f"event {ev.label!r}: unknown scope {ev.scope!r}")
+            if not is_timestamp(ev.timestamp):
+                problems.append(f"event {ev.label!r}: timestamp must fit in int64")
         if not self.aware_query_texts:
             problems.append("aware_query_texts must not be empty")
         if not self.noise_query_texts:

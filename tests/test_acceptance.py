@@ -149,7 +149,7 @@ def test_criterion_3_estimator_equivalences():
         timeline = AwarenessTimeline(
             ids[aware_rows], np.full(int(aware_rows.sum()), 10, dtype=np.int64)
         )
-        got = neighborhood_awareness_ratio(g, "family", timeline, 50)
+        (got,) = neighborhood_awareness_ratio(g, "family", timeline, [50])
         want, want_num, want_den = neighborhood_ratio_brute(n, edges, aware_rows)
         if want is None:
             assert got.value is None

@@ -178,7 +178,7 @@ IDS4 = np.array([1, 2, 3, 4], dtype=np.uint64)
 def test_neighborhood_ratio_on_path():
     g = build_from_groups(IDS4, {"family": [np.array([0, 1]), np.array([1, 2]), np.array([2, 3])]})
     timeline = tl({1: 10, 2: 10})
-    r = neighborhood_awareness_ratio(g, "family", timeline, 50)
+    (r,) = neighborhood_awareness_ratio(g, "family", timeline, [50])
     # aware: A(frac 1.0), B(frac 0.5); unaware: C(0.5), D(0.0)
     assert r.numerator == pytest.approx(0.75)
     assert r.denominator == pytest.approx(0.25)
@@ -189,7 +189,7 @@ def test_neighborhood_ratio_on_path():
 def test_neighborhood_ratio_disjoint_pairs_is_infinite():
     g = build_from_groups(IDS4, {"family": [np.array([0, 1]), np.array([2, 3])]})
     timeline = tl({1: 10, 2: 10})
-    r = neighborhood_awareness_ratio(g, "family", timeline, 50)
+    (r,) = neighborhood_awareness_ratio(g, "family", timeline, [50])
     assert r.value == math.inf
     assert r.denominator == 0.0
 
@@ -197,13 +197,13 @@ def test_neighborhood_ratio_disjoint_pairs_is_infinite():
 def test_neighborhood_ratio_undefined_sides():
     g = build_from_groups(IDS4, {"family": [np.array([0, 1]), np.array([2, 3])]})
     all_aware = tl({1: 10, 2: 10, 3: 10, 4: 10})
-    r = neighborhood_awareness_ratio(g, "family", all_aware, 50)
+    (r,) = neighborhood_awareness_ratio(g, "family", all_aware, [50])
     assert r.value is None and r.reason == "no_unaware_with_neighbors"
     nobody = tl({})
-    r2 = neighborhood_awareness_ratio(g, "family", nobody, 50)
+    (r2,) = neighborhood_awareness_ratio(g, "family", nobody, [50])
     assert r2.value is None and r2.reason == "no_aware_with_neighbors"
     with pytest.raises(AnalyticsError, match="unknown layer"):
-        neighborhood_awareness_ratio(g, "friends", all_aware, 50)
+        neighborhood_awareness_ratio(g, "friends", all_aware, [50])
 
 
 def test_neighborhood_ratio_matches_brute_force_on_random_graphs():
@@ -217,7 +217,7 @@ def test_neighborhood_ratio_matches_brute_force_on_random_graphs():
         g = build_from_groups(ids, {"workmate": [np.array(e) for e in edges]})
         aware_rows = rng.random(n) < 0.4
         timeline = tl({int(ids[i]): 10 for i in np.flatnonzero(aware_rows)})
-        got = neighborhood_awareness_ratio(g, "workmate", timeline, 50)
+        (got,) = neighborhood_awareness_ratio(g, "workmate", timeline, [50])
         want_value, want_num, want_den = neighborhood_ratio_brute(n, edges, aware_rows)
         if want_value is None:
             assert got.value is None or got.value == want_value
@@ -227,6 +227,37 @@ def test_neighborhood_ratio_matches_brute_force_on_random_graphs():
             assert got.value == pytest.approx(want_value)
             assert got.numerator == pytest.approx(want_num)
             assert got.denominator == pytest.approx(want_den)
+
+
+def test_neighborhood_ratio_over_times_matches_each_time():
+    rng = np.random.default_rng(45)
+    times = [100, 200, 200, 300, 450]
+    for trial in range(40):
+        n = int(rng.integers(2, 25))
+        ids = np.arange(1, n + 1, dtype=np.uint64)
+        possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        take = rng.random(len(possible)) < 0.3
+        edges = [p for p, t in zip(possible, take) if t]
+        g = build_from_groups(ids, {"family": [np.array(e) for e in edges]})
+        # ties on the grid, awareness before the first time, after the last,
+        # and never (absent from the timeline)
+        first = rng.choice([0, 100, 150, 200, 250, 300, 450, 999], size=n)
+        known = rng.random(n) < 0.8
+        timeline = AwarenessTimeline(ids[known], first[known])
+        got = neighborhood_awareness_ratio(g, "family", timeline, times)
+        assert len(got) == len(times)
+        for k, t in enumerate(times):
+            aware_rows = known & (first <= t)
+            want_value, want_num, want_den = neighborhood_ratio_brute(n, edges, aware_rows)
+            if want_value is None or want_value == math.inf:
+                assert got[k].value == want_value
+            else:
+                assert got[k].value == pytest.approx(want_value)
+                assert got[k].numerator == pytest.approx(want_num)
+                assert got[k].denominator == pytest.approx(want_den)
+            # a call at that time alone gives the same bits (repr shows NaN too)
+            (alone,) = neighborhood_awareness_ratio(g, "family", timeline, [t])
+            assert repr(alone) == repr(got[k])
 
 
 # --- aware group means -------------------------------------------------------------------
@@ -245,17 +276,43 @@ def test_aware_group_means_purchasing_power():
     ds = analytics_dataset()
     values = np.arange(1, 9, dtype=np.float64)  # value i for individual i
     timeline = tl({3: 10, 5: 10})
-    out = aware_group_means(timeline, ds, "gender", 50, values)
-    by_name = {name: (mean, n) for name, mean, n in out}
+    names, means, counts = aware_group_means(timeline, ds, "gender", values)
+    by_name = {name: (means[g, 0], counts[g, 0]) for g, name in enumerate(names)}
     # ids 3 and 5 are both odd -> female per the fixture builder
-    assert by_name["female"] == (pytest.approx(4.0), 2)
-    assert by_name["male"] == (None, 0)
+    assert by_name["female"] == (4.0, 2)
+    assert np.isnan(by_name["male"][0]) and by_name["male"][1] == 0
+    with pytest.raises(CohortError, match="empty cohort"):
+        aware_group_means(timeline, ds, "gender", values, np.empty(0, dtype=np.uint64))
+
+
+def test_aware_group_means_equal_daily_masked_means(small_world, timeline_small, qualified_small):
+    _, dataset, _ = small_world
+    cols = dataset.population
+    values = cols.purchasing_power.astype(np.float64)
+    names, means, counts = aware_group_means(
+        timeline_small, dataset, "occupation", values, qualified_small
+    )
+    D = dataset.calendar.n_days
+    assert means.shape == counts.shape == (len(names), D)
+    rows = cols.rows_of(qualified_small)
+    codes = cols.occupation[rows]
+    aligned = timeline_small.aligned(cols.ids[rows])
+    for d in range(D):
+        aware = aligned <= dataset.calendar.day_start_ts(d) + 86399
+        for g in range(len(names)):
+            sel = (codes == g) & aware
+            assert counts[g, d] == sel.sum()
+            if sel.any():
+                assert means[g, d] == values[rows][sel].mean()  # bit for bit
+            else:
+                assert np.isnan(means[g, d])
+    assert counts[:, -1].sum() > 0
 
 
 def test_aware_group_means_unknown_grouping():
     ds = analytics_dataset()
     with pytest.raises(AnalyticsError, match="unknown grouping"):
-        aware_group_means(tl({}), ds, "height", 0, np.zeros(8))
+        aware_group_means(tl({}), ds, "height", np.zeros(8))
 
 
 # --- hysteresis ------------------------------------------------------------------------
@@ -297,7 +354,7 @@ def test_hysteresis_cohort_restriction():
     event = EventMark("e", 0)
     full = hysteresis(timeline, event, thresholds=(1.00,))
     cohort = np.array([1, 3], dtype=np.uint64)
-    half = hysteresis(timeline, event, thresholds=(1.00,), cohort_ids=cohort)
+    half = hysteresis(timeline.restrict(cohort), event, thresholds=(1.00,))
     assert full == (2, {1.00: 200})  # 2 -> 4 aware
     assert half == (1, {1.00: 100})  # 1 -> 2 aware within the cohort
 

@@ -269,7 +269,7 @@ def test_filter_qualified_matches_reference_on_random_histories():
     assert got == qualified_scan(by_id, required)
 
 
-def test_restrict_ids_intersects():
+def test_purchases_at_month_starts_qualify():
     cal = Calendar.from_dates("2019-12-01", "2019-12-02")
     window = history_window(cal, months=2)
     records = [
@@ -277,10 +277,7 @@ def test_restrict_ids_intersects():
         for i in (1, 2, 3)
         for k in (1, 2)
     ]
-    events = make_events(records)
-    assert filter_qualified(events, window).tolist() == [1, 2, 3]
-    kept = filter_qualified(events, window, restrict_ids=np.array([2, 9], dtype=np.uint64))
-    assert kept.tolist() == [2]
+    assert filter_qualified(make_events(records), window).tolist() == [1, 2, 3]
 
 
 def test_simulated_qualified_flags_recovered(small_world, qualified_small):

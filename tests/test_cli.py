@@ -457,6 +457,18 @@ FAULTS = [
         "segment", lambda out, config: phase_thresholds_file(out, "[" * DEEP), 2,
         id="phase-thresholds-deep-nesting",
     ),
+    pytest.param(
+        "gen", lambda out, config: config["simulator"].update(calendar_start="2019-13-01"), 2,
+        id="calendar-start-not-a-date",
+    ),
+    pytest.param(
+        "gen", lambda out, config: config["simulator"]["events"][0].update(timestamp=10**19), 2,
+        id="shock-timestamp-overflow",
+    ),
+    pytest.param(
+        "cohort", lambda out, config: config.update(marks=[{"label": "x", "timestamp": 10**19}]),
+        2, id="mark-timestamp-overflow",
+    ),
 ]
 
 

@@ -3,10 +3,10 @@
 import numpy as np
 
 from awareflow.kernels import (
-    count_marked_neighbors,
     counter_uniforms,
     csr_rows,
     increment_neighbor_counts,
+    neighbor_count_sweep,
 )
 
 
@@ -87,18 +87,34 @@ def test_uniforms_match_pinned_draws():
         assert counter_uniforms(seed, stream, ids, tag).tolist() == want
 
 
-def test_neighbor_count_twins_and_brute_force():
+def sweep_brute(indptr, indices, bucket, n_buckets):
+    n = len(indptr) - 1
+    return [
+        [
+            sum(int(bucket[v] <= k) for v in indices[indptr[i] : indptr[i + 1]])
+            for i in range(n)
+        ]
+        for k in range(n_buckets)
+    ]
+
+
+def test_neighbor_count_sweep_matches_brute_force():
     rng = np.random.default_rng(1)
     for _ in range(25):
         n = int(rng.integers(2, 40))
         indptr, indices = random_csr(rng, n, int(rng.integers(0, 3 * n)))
-        marked = rng.random(n) < 0.4
-        got = count_marked_neighbors(indptr, indices, marked)
-        brute = [
-            sum(bool(marked[v]) for v in indices[indptr[i] : indptr[i + 1]])
-            for i in range(n)
-        ]
-        assert got.tolist() == brute
+        n_buckets = int(rng.integers(1, 8))
+        # buckets with no node, and n_buckets and beyond for never
+        bucket = rng.integers(0, n_buckets + 2, size=n)
+        got = [c.copy() for c in neighbor_count_sweep(indptr, indices, bucket, n_buckets)]
+        assert [c.tolist() for c in got] == sweep_brute(indptr, indices, bucket, n_buckets)
+
+
+def test_neighbor_count_sweep_reuses_one_array():
+    indptr, indices = csr_from_edges(3, [(0, 1), (1, 2)])
+    seen = list(neighbor_count_sweep(indptr, indices, np.array([0, 2, 1]), 3))
+    assert all(c is seen[0] for c in seen)
+    assert seen[0].tolist() == [1, 2, 1]  # the last step: every bucket <= 2
 
 
 def test_increment_neighbor_counts_twins():
@@ -132,8 +148,11 @@ def test_csr_rows_slices_neighbor_lists():
 def test_empty_graph_and_empty_nodes():
     indptr = np.zeros(6, dtype=np.int64)  # 5 isolated nodes
     indices = np.zeros(0, dtype=np.int32)
-    marked = np.ones(5, dtype=bool)
-    assert count_marked_neighbors(indptr, indices, marked).tolist() == [0] * 5
+    sweep = neighbor_count_sweep(indptr, indices, np.zeros(5, dtype=np.int64), 3)
+    assert [c.tolist() for c in sweep] == [[0] * 5] * 3
+    # no nodes at all
+    sweep = neighbor_count_sweep(np.zeros(1, dtype=np.int64), indices, [], 2)
+    assert [c.tolist() for c in sweep] == [[], []]
     counts = np.zeros(5, dtype=np.int64)
     increment_neighbor_counts(indptr, indices, np.zeros(0, dtype=np.int64), counts)
     assert counts.sum() == 0

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from awareflow.errors import IntegrityError, ParseError
+from awareflow.kernels import neighbor_count_sweep
 from awareflow.netinfer import (
     DEFAULT_CAPS,
     LAYERS,
     MultiplexGraph,
     build_from_groups,
     infer_networks,
-    layer_fractions,
     read_edges,
     write_edges,
 )
@@ -176,37 +176,50 @@ def path_graph():
     return build_from_groups(IDS4, groups)
 
 
+def aware_neighbors(g, layer, aware):
+    """(aware-neighbor counts, degrees) of a layer: one sweep step with the
+    aware rows in bucket 0."""
+    lyr = g.layer(layer)
+    (counts,) = neighbor_count_sweep(lyr.indptr, lyr.indices, np.where(aware, 0, 1), 1)
+    return counts, lyr.degrees()
+
+
+def fractions(counts, deg):
+    """Aware-neighbor shares, zero where the degree is."""
+    return np.where(deg > 0, counts / np.maximum(deg, 1), 0.0)
+
+
 def test_fraction_on_path():
     g = path_graph()
     aware = np.array([True, True, False, False])  # A and B
-    frac, deg = layer_fractions(g, "family", aware)
+    counts, deg = aware_neighbors(g, "family", aware)
     # A: {B}, B: {A, C}, C: {B, D}, D: {C}
-    assert frac.tolist() == [1.0, 0.5, 0.5, 0.0]
+    assert counts.tolist() == [1, 1, 1, 0]
     assert deg.tolist() == [1, 2, 2, 1]
+    assert fractions(counts, deg).tolist() == [1.0, 0.5, 0.5, 0.0]
 
 
 def test_fraction_undefined_for_degree_zero():
     g = build_from_groups(IDS4, {"family": [np.array([0, 1])]})
     aware = np.array([False, True, False, False])
-    frac_w, deg_w = layer_fractions(g, "workmate", aware)
+    counts_w, deg_w = aware_neighbors(g, "workmate", aware)
     assert deg_w.tolist() == [0, 0, 0, 0]
-    assert frac_w.tolist() == [0, 0, 0, 0]  # zero where undefined
-    frac, deg = layer_fractions(g, "family", aware)
+    assert fractions(counts_w, deg_w).tolist() == [0, 0, 0, 0]  # zero where undefined
+    counts, deg = aware_neighbors(g, "family", aware)
     assert deg.tolist() == [1, 1, 0, 0]
-    assert frac.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert fractions(counts, deg).tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
-def test_layer_fractions_matches_per_node():
+def test_aware_neighbor_counts_match_per_node():
     rng = np.random.default_rng(5)
     groups = {"family": [rng.choice(8, size=3, replace=False) for _ in range(5)]}
     g = build_from_groups(np.arange(1, 9, dtype=np.uint64), groups)
     mask = rng.random(8) < 0.5
-    frac, deg = layer_fractions(g, "family", mask)
+    counts, deg = aware_neighbors(g, "family", mask)
     for row in range(8):
         nbr = g.layer("family").neighbors(row)
         assert deg[row] == len(nbr)
-        want = mask[nbr].sum() / len(nbr) if len(nbr) else 0.0
-        assert frac[row] == pytest.approx(want)
+        assert counts[row] == mask[nbr].sum()
 
 
 # --- persistence --------------------------------------------------------------

@@ -19,7 +19,6 @@ from awareflow.regress import (
     FitConfig,
     FitResult,
     Schedule,
-    build_design,
     checkpoint_schedule,
     fit_logistic,
     log_likelihood,
@@ -178,7 +177,9 @@ def design_inputs(small_world, graph_small, timeline_small):
 def test_design_shapes_and_static_columns(design_inputs):
     dataset, graph, timeline, sample = design_inputs
     t = dataset.calendar.day_start_ts(20)
-    X, y, names = build_design(dataset, graph, timeline, t, sample)
+    builder = DesignBuilder(dataset, graph, timeline, sample, [t])
+    X, y = builder.at(0)
+    names = builder.names
     assert X.shape == (150, len(names)) == (150, 21)
     assert np.all(X[:, 0] == 1.0)
     col = {n: j for j, n in enumerate(names)}
@@ -197,7 +198,9 @@ def test_design_shapes_and_static_columns(design_inputs):
 def test_exposure_fractions_computed_against_retained_only(design_inputs):
     dataset, graph, timeline, sample = design_inputs
     t = dataset.calendar.day_start_ts(20)
-    X, _, names = build_design(dataset, graph, timeline, t, sample)
+    builder = DesignBuilder(dataset, graph, timeline, sample, [t])
+    X, _ = builder.at(0)
+    names = builder.names
     col = {n: j for j, n in enumerate(names)}
     cols = dataset.population
     sample_rows = cols.rows_of(sample)
@@ -224,11 +227,13 @@ def test_design_builder_rejects_bad_samples(design_inputs):
     dataset, graph, timeline, sample = design_inputs
     cols = dataset.population
     with pytest.raises(ConfigError, match="duplicate"):
-        DesignBuilder(dataset, graph, timeline, np.array([sample[0], sample[0]], dtype=np.uint64))
+        DesignBuilder(
+            dataset, graph, timeline, np.array([sample[0], sample[0]], dtype=np.uint64), [0]
+        )
     with pytest.raises(ConfigError, match="empty regression sample"):
-        DesignBuilder(dataset, graph, timeline, np.empty(0, dtype=np.uint64))
+        DesignBuilder(dataset, graph, timeline, np.empty(0, dtype=np.uint64), [0])
     with pytest.raises(ConfigError, match="sample covers the whole population"):
-        DesignBuilder(dataset, graph, timeline, cols.ids)
+        DesignBuilder(dataset, graph, timeline, cols.ids, [0])
 
 
 def test_design_builder_rejects_mismatched_graph(design_inputs, small_world):
@@ -237,7 +242,22 @@ def test_design_builder_rejects_mismatched_graph(design_inputs, small_world):
 
     other = build_from_groups(np.arange(1, 10, dtype=np.uint64), {})
     with pytest.raises(ConfigError, match="node universe"):
-        DesignBuilder(dataset, other, timeline, sample)
+        DesignBuilder(dataset, other, timeline, sample, [0])
+
+
+def test_design_at_each_time_equals_design_at_that_time_alone(design_inputs):
+    dataset, graph, timeline, sample = design_inputs
+    cal = dataset.calendar
+    # unsorted, with a tie, one time before the window and one after it
+    times = [
+        cal.day_start_ts(20), cal.day_start_ts(5), cal.day_start_ts(0) - 86400,
+        cal.day_start_ts(20), cal.day_start_ts(12) + 43200, cal.day_start_ts(cal.n_days + 3),
+    ] + [int(t) for t in cal.day_ends()]
+    builder = DesignBuilder(dataset, graph, timeline, sample, times)
+    for k, t in enumerate(times):
+        X, y = builder.at(k)
+        X1, y1 = DesignBuilder(dataset, graph, timeline, sample, [t]).at(0)
+        assert np.array_equal(X, X1) and np.array_equal(y, y1), k
 
 
 # --- checkpoint schedule -----------------------------------------------------------
@@ -314,7 +334,7 @@ def test_run_time_evolving_checkpoints(design_inputs):
     assert early.result is None and "all 0s" in early.error
     assert mid.result is not None and mid.error is None
     assert mid.n_obs == 150
-    _, y = DesignBuilder(dataset, graph, timeline, sample).at(entries[1].time)
+    _, y = DesignBuilder(dataset, graph, timeline, sample, [entries[1].time]).at(0)
     assert mid.n_aware == int(y.sum())
     assert drill.result is not None
     assert mid.result.names[0] == "intercept"
