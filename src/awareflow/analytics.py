@@ -432,6 +432,25 @@ def lead_days(trends_a, trends_b):
     return LeadDays(a_leads=a, b_leads=b, ties=ties)
 
 
+def average_ranks(values):
+    """1-based average ranks down axis 0: ``#less + (#equal + 1) / 2``.
+
+    Ties share the mean of the positions they span, as in
+    ``scipy.stats.rankdata``.  A 2-D block is ranked column by column, and
+    a column holding NaN ranks as all NaN.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    cols = a.reshape(len(a), -1)
+    ordered = np.sort(cols, axis=0)
+    ranks = np.empty(cols.shape)
+    for j in range(cols.shape[1]):
+        less = np.searchsorted(ordered[:, j], cols[:, j], side="left")
+        upto = np.searchsorted(ordered[:, j], cols[:, j], side="right")
+        ranks[:, j] = (less + upto + 1) / 2
+    ranks[:, np.isnan(cols).any(axis=0)] = np.nan
+    return ranks.reshape(a.shape)
+
+
 def spearman(xs, ys):
     """Spearman rank correlation (average ranks for ties)."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -442,12 +461,7 @@ def spearman(xs, ys):
         raise AnalyticsError("spearman needs at least two observations")
     if np.ptp(xs) == 0 or np.ptp(ys) == 0:
         raise AnalyticsError("spearman is undefined for constant input")
-    # scipy.stats costs about half a second to import; only this needs it
-    from scipy.stats import rankdata
-
-    rx = rankdata(xs)
-    ry = rankdata(ys)
-    return float(np.corrcoef(rx, ry)[0, 1])
+    return float(np.corrcoef(average_ranks(xs), average_ranks(ys))[0, 1])
 
 
 def _unit_factor(dataset, factor, unit_ids, level, D):
@@ -505,11 +519,10 @@ def geo_correlation_series(dataset, timeline, factor, level="province", cohort_i
     out = np.full(D, np.nan)
     if len(unit_ids) < 2:
         return out
-    for d in range(D):
-        try:
-            out[d] = spearman(fac[:, d], pct[:, d])
-        except AnalyticsError:
-            pass
+    defined = (np.ptp(fac, axis=0) != 0) & (np.ptp(pct, axis=0) != 0)
+    rank_fac, rank_pct = average_ranks(fac), average_ranks(pct)
+    for d in np.flatnonzero(defined):
+        out[d] = np.corrcoef(rank_fac[:, d], rank_pct[:, d])[0, 1]
     return out
 
 

@@ -114,6 +114,19 @@ REGRESSION_DEFAULTS = {
     "p_threshold": 0.05,
 }
 
+INT64_MAX = 2**63 - 1
+
+# Integer run settings as (name, low, high).  The seed keys the uint64
+# random streams and the counts meet int64 arrays; 10,000 years of history
+# keep the qualification key (individual row * n_months + month) in int64.
+INT_SETTINGS = (
+    ("seed", 0, 2**64 - 1),
+    ("jobs", 0, INT64_MAX),
+    ("threshold", 1, INT64_MAX),
+    ("history_months", 1, 12 * 10_000),
+    ("min_purchases_per_month", 1, INT64_MAX),
+)
+
 # Columns of the TSV artifacts that later stages read back, as (name, parse)
 # pairs for analytics.read_tsv; their writers take the header from here.
 # Ids and timestamps parse to the numpy types they are stored in.
@@ -198,13 +211,10 @@ class RunConfig:
             problems.append("dataset_dir must be a string or null")
         if self.simulator is not None and not isinstance(self.simulator, dict):
             problems.append("simulator must be an object or null")
-        for name, low in (
-            ("seed", 0), ("jobs", 0), ("threshold", 1),
-            ("history_months", 1), ("min_purchases_per_month", 1),
-        ):
+        for name, low, high in INT_SETTINGS:
             value = getattr(self, name)
-            if not is_int(value) or value < low:
-                problems.append(f"{name} must be an integer >= {low}")
+            if not is_int(value) or not low <= value <= high:
+                problems.append(f"{name} must be an integer in [{low}, {high}]")
         if self.patterns is not None and not (
             isinstance(self.patterns, str) and os.path.exists(self.patterns)
         ):

@@ -8,12 +8,12 @@ squares with a small ridge fallback when the likelihood has no finite
 maximizer (perfect separation) or Newton fails to converge.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from . import kernels
 from .domain import EDUCATIONS, GENDERS, OCCUPATIONS
@@ -188,6 +188,28 @@ class FitResult:
     names: list = None
 
 
+SQRT1_2 = math.sqrt(0.5)
+
+
+def expit(x):
+    """Logistic sigmoid ``1 / (1 + exp(-x))``; it is exactly 0 where exp overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def normal_cdf(a):
+    """Standard normal CDF of one float, shaped like the cephes ``ndtr``.
+
+    Near zero ``erf`` is accurate; further out ``erfc`` of the absolute
+    value keeps the lower tail's relative precision.
+    """
+    x = a * SQRT1_2
+    if abs(x) < SQRT1_2:
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
 def log_likelihood(X, y, beta):
     """Bernoulli log likelihood at beta (no penalty)."""
     eta = X @ beta
@@ -271,8 +293,8 @@ def fit_logistic(X, y, config=None, names=None):
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(se > 0, beta / se, np.nan)
-    # two-sided normal tail; ndtr(-x) is the normal survival function at x
-    p = np.where(np.isnan(z), np.nan, 2.0 * ndtr(-np.abs(z)))
+    # two-sided normal tail; normal_cdf(-|z|) is the survival function at |z|
+    p = np.array([2.0 * normal_cdf(-abs(v)) for v in z.tolist()])
     return FitResult(
         coef=beta,
         se=se,

@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from awareflow import analytics
 from awareflow.analytics import (
+    GEO_FACTORS,
     EventMark,
     LeadDays,
     PhaseThresholds,
     TrendSeries,
+    average_ranks,
     aware_group_means,
     cross_group_ratio,
     daily_counts,
@@ -398,6 +401,21 @@ def test_spearman_monotone_transform_invariance():
     assert spearman(2 * xs + 7, ys) == pytest.approx(base, abs=1e-12)
 
 
+def test_average_ranks_equal_scipy_rankdata_with_ties():
+    rankdata = pytest.importorskip("scipy.stats").rankdata
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 45))
+        block = rng.choice([0.0, 1.0, 2.5, -3.0], size=(n, 9)) * rng.choice([0, 1], size=(1, 9))
+        block[:, 0] = rng.normal(size=n)
+        assert np.array_equal(average_ranks(block), rankdata(block, axis=0))
+        assert np.array_equal(average_ranks(block[:, 1]), rankdata(block[:, 1]))
+    with_nan = np.array([[1.0, 2.0], [np.nan, 2.0], [0.5, 1.0]])
+    ranks = average_ranks(with_nan)
+    assert np.isnan(ranks[:, 0]).all()
+    assert np.array_equal(ranks[:, 1], [2.5, 2.5, 1.0])
+
+
 def test_spearman_error_cases():
     with pytest.raises(AnalyticsError, match="constant"):
         spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -475,6 +493,30 @@ def test_geo_correlation_needs_two_units():
     assert np.isnan(rho).all()
     with pytest.raises(AnalyticsError, match="unknown factor"):
         geo_correlation_series(ds, tl({1: 0}), "altitude")
+
+
+def test_geo_correlation_equals_per_day_rankdata_reference(
+    small_world, timeline_small, qualified_small
+):
+    rankdata = pytest.importorskip("scipy.stats").rankdata
+    _, ds, _ = small_world
+    D = ds.calendar.n_days
+    rows = ds.population.rows_of(qualified_small)
+    unit_of = {"city": ds.population.home_city, "province": ds.province_of_individuals()}
+    for level, units in unit_of.items():
+        unit_ids, codes = np.unique(units[rows], return_inverse=True)
+        pct, _ = analytics._group_percentages(timeline_small, ds, codes, len(unit_ids), rows)
+        for factor in GEO_FACTORS:
+            fac = analytics._unit_factor(ds, factor, unit_ids, level, D)
+            want = np.full(D, np.nan)
+            for d in range(D):
+                if np.ptp(fac[:, d]) > 0 and np.ptp(pct[:, d]) > 0:
+                    want[d] = np.corrcoef(rankdata(fac[:, d]), rankdata(pct[:, d]))[0, 1]
+            got = geo_correlation_series(
+                ds, timeline_small, factor, level=level, cohort_ids=qualified_small
+            )
+            assert np.array_equal(got, want, equal_nan=True), (level, factor)
+            assert not np.isnan(got).all(), (level, factor)
 
 
 # --- event marks and formatting -----------------------------------------------------------------

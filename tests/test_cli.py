@@ -14,6 +14,7 @@ import pytest
 
 from awareflow import cli
 from awareflow.errors import CohortError, NumericalError
+from awareflow.presets import load_preset
 
 from conftest import small_world_config
 
@@ -228,11 +229,25 @@ def test_small_preset_run_bytes_are_pinned(tmp_path):
     assert tree_hashes(str(tmp_path)) == SMALL_RUN_SHA256
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    code = "import sys, awareflow.cli; print('scipy.stats' in sys.modules)"
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, awareflow.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_small_run_without_scipy_keeps_pinned_bytes(tmp_path):
+    # a None entry makes every `import scipy...` raise ImportError
+    code = (
+        "import sys; sys.modules['scipy'] = None; from awareflow import cli; "
+        f"sys.exit(cli.main(['all', '--config', 'small', '--out', {str(tmp_path)!r}]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert tree_hashes(str(tmp_path)) == SMALL_RUN_SHA256
 
 
 def test_compare_runs_script_flags_changed_files(all_run, tmp_path):
@@ -284,6 +299,20 @@ def test_malformed_json_config_exits_2_with_position(tmp_path, capsys):
     assert cli.main(["gen", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{path}:1:10: invalid JSON" in err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    # each value once escaped as a traceback: the uint64 seed hash, the
+    # int64 threshold arithmetic, the int64 qualification key
+    [("seed", 2**64), ("threshold", 10**19), ("history_months", 10**17)],
+)
+def test_oversized_integer_setting_exits_2(tmp_path, capsys, name, value):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**load_preset("small"), name: value}))
+    assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert f"{name} must be an integer in [" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_unknown_preset_exits_2(capsys):

@@ -20,8 +20,10 @@ from awareflow.regress import (
     FitResult,
     Schedule,
     checkpoint_schedule,
+    expit,
     fit_logistic,
     log_likelihood,
+    normal_cdf,
     run_time_evolving,
     score_vector,
     typical_profile,
@@ -37,6 +39,32 @@ def tl(entries):
 
 
 # --- fitting ------------------------------------------------------------------
+
+def ulps_apart(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    return np.abs(got[ok] - want[ok]) / np.spacing(np.abs(want[ok]))
+
+
+def test_expit_matches_scipy_within_two_ulp():
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([np.linspace(-800.0, 800.0, 400_001), [np.nan, -np.inf, np.inf, -0.0]])
+    got = expit(x)
+    assert ulps_apart(got, special.expit(x)).max() <= 2
+    assert got[0] == 0.0 and got[400_000] == 1.0
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    special = pytest.importorskip("scipy.special")
+    a = np.concatenate([np.linspace(-37.5, 37.5, 150_001), [np.nan, -np.inf, np.inf]])
+    got = np.array([normal_cdf(v) for v in a.tolist()])
+    # both round a/sqrt(2) before erfc, an error that grows like a**2 ulp in
+    # the tail, and scipy's erfc loses a few ulp to 1 - erf just above 1
+    ok = ~np.isnan(a)
+    assert (ulps_apart(got, special.ndtr(a)) <= 10 + a[ok] ** 2).all()
+    assert [normal_cdf(-800.0), normal_cdf(800.0)] == [0.0, 1.0]
+
 
 def test_intercept_only_recovers_log_odds():
     X = np.ones((10, 1))
