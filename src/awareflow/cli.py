@@ -278,10 +278,11 @@ class RunConfig:
         ]
 
     def digest(self):
-        """Hash of the semantic config: everything except where it is written."""
+        """Hash of the semantic config: everything except where it is written
+        and how many threads write it."""
         data = asdict(self)
-        data.pop("out_dir")
-        data.pop("dataset_dir")
+        for key in ("out_dir", "dataset_dir", "jobs"):
+            data.pop(key)
         blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -190,22 +190,6 @@ class EventLog:
             pool,
         )
 
-    @classmethod
-    def concat(cls, *logs):
-        """Merge logs into one canonical log."""
-        logs = [lg for lg in logs if len(lg)]
-        if not logs:
-            return cls.empty()
-        offsets = np.cumsum([0] + [len(lg.text_pool) for lg in logs[:-1]])
-        return cls.canonical(
-            np.concatenate([lg.kind for lg in logs]),
-            np.concatenate([lg.individual_id for lg in logs]),
-            np.concatenate([lg.timestamp for lg in logs]),
-            np.concatenate([lg.text_code + off for lg, off in zip(logs, offsets.tolist())]),
-            np.concatenate([lg.is_ppe for lg in logs]),
-            [t for lg in logs for t in lg.text_pool],
-        )
-
     def __len__(self):
         return len(self.timestamp)
 

@@ -20,15 +20,6 @@ LAYER_CODES = {name: code for code, name in enumerate(LAYERS)}
 KIND_TO_LAYER = {"home": "family", "school_dorm": "schoolmate", "company": "workmate"}
 DEFAULT_CAPS = {"home": 10, "school_dorm": 500, "company": 500}
 
-_triu_cache = {}
-
-
-def _pair_template(size):
-    if size not in _triu_cache:
-        _triu_cache[size] = np.triu_indices(size, k=1)
-    return _triu_cache[size]
-
-
 @dataclass
 class Layer:
     """One undirected edge layer in canonical form.
@@ -105,28 +96,40 @@ class MultiplexGraph:
         )
 
 
+def _clique_pairs(group, rows, cap=None):
+    """(P, 2) array of every pair of distinct rows that share a group.
+
+    Repeated (group, row) memberships count once; a group with more than
+    ``cap`` distinct rows contributes no pairs.
+    """
+    order = np.lexsort((rows, group))
+    group, rows = np.asarray(group)[order], np.asarray(rows, dtype=np.int64)[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (group[1:] != group[:-1]) | (rows[1:] != rows[:-1])
+    group, rows = group[new], rows[new]
+    # member i pairs with the members after it in its group, up to ``last``
+    idx = np.arange(len(rows))
+    last = np.searchsorted(group, group, side="right")
+    later = last - idx - 1
+    if cap is not None:
+        later[last - np.searchsorted(group, group) > cap] = 0
+    a = np.repeat(idx, later)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(later) - later, later)
+    return np.column_stack([rows[a], rows[b]])
+
+
 def build_from_groups(ids, groups_by_layer):
     """Assemble a graph from explicit member groups (used as ground truth).
 
     ``groups_by_layer`` maps layer name to a list of row-index arrays; each
     group becomes a clique with no cap or interval checks applied.
     """
-    n = len(ids)
     layers = {}
     for name in LAYERS:
-        pair_chunks = []
-        for members in groups_by_layer.get(name, ()):
-            members = np.unique(np.asarray(members, dtype=np.int64))
-            if len(members) < 2:
-                continue
-            a, b = _pair_template(len(members))
-            pair_chunks.append(np.column_stack([members[a], members[b]]))
-        pairs = (
-            np.concatenate(pair_chunks)
-            if pair_chunks
-            else np.empty((0, 2), dtype=np.int64)
-        )
-        layers[name] = _build_layer(pairs, n)
+        groups = groups_by_layer.get(name, ())
+        group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        rows = np.concatenate([np.empty(0, dtype=np.int64), *groups])
+        layers[name] = _build_layer(_clique_pairs(group, rows), len(ids))
     return MultiplexGraph(ids, layers)
 
 
@@ -143,34 +146,20 @@ def infer_networks(addresses, ids, caps=None):
     ids = np.asarray(ids, dtype=np.uint64)
     node_rows = rows_of_ids(ids, addresses.individual_id)
 
-    n = len(ids)
     layers = {}
     for kind, layer_name in KIND_TO_LAYER.items():
         mine = np.flatnonzero(addresses.kind == ADDRESS_KINDS.index(kind))
         mine = mine[np.argsort(addresses.address_id[mine], kind="stable")]
         addr = addresses.address_id[mine]
-        rows = node_rows[mine]
-        starts = addresses.active_start[mine]
-        ends = addresses.active_end[mine]
-        boundaries = np.flatnonzero(np.diff(addr)) + 1
-        group_starts = np.concatenate([[0], boundaries, [len(addr)]])
-        cap = caps[kind]
-        pair_chunks = []
-        for gi in range(len(group_starts) - 1):
-            s, e = group_starts[gi], group_starts[gi + 1]
-            members = np.unique(rows[s:e])
-            if len(members) < 2 or len(members) > cap:
-                continue
-            if starts[s:e].max() > ends[s:e].min():
-                continue  # no common active period
-            a_idx, b_idx = _pair_template(len(members))
-            pair_chunks.append(np.column_stack([members[a_idx], members[b_idx]]))
-        pairs = (
-            np.concatenate(pair_chunks)
-            if pair_chunks
-            else np.empty((0, 2), dtype=np.int64)
+        first = np.unique(addr, return_index=True)[1]
+        # a common active period over every row of the group, repeats included
+        overlap = (
+            np.maximum.reduceat(addresses.active_start[mine], first)
+            <= np.minimum.reduceat(addresses.active_end[mine], first)
         )
-        layers[layer_name] = _build_layer(pairs, n)
+        keep = np.repeat(overlap, np.diff(np.append(first, len(addr))))
+        pairs = _clique_pairs(addr[keep], node_rows[mine][keep], caps[kind])
+        layers[layer_name] = _build_layer(pairs, len(ids))
     return MultiplexGraph(ids, layers)
 
 

@@ -9,6 +9,7 @@ not depend on evaluation order or chunking.
 """
 
 import json
+import math
 import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -16,7 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import kernels
-from .awareness import NEVER, AwarenessTimeline
+from .awareness import NEVER, AwarenessTimeline, history_window
 from .domain import (
     ADDRESS_KINDS,
     CHINA_UTC_OFFSET,
@@ -32,10 +33,10 @@ from .domain import (
     EventLog,
     PopulationColumns,
     Region,
-    month_number,
 )
 from .errors import ConfigError
 from .netinfer import LAYERS, MultiplexGraph, build_from_groups, read_edges, write_edges
+from .regress import expit
 
 # counter-rng stream ids, one per decision kind
 S_AWARE = 1
@@ -122,6 +123,12 @@ def fits(value, like):
     if isinstance(like, list) or is_dataclass(like):
         return isinstance(value, type(like))
     return is_int(value)
+
+
+def _weights_ok(weights):
+    """Whether ``weights`` normalize into probabilities: each finite and
+    >= 0, with a finite sum above 0."""
+    return all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf
 
 
 def _type_problems(obj, label):
@@ -310,6 +317,14 @@ class SimConfig:
         start = Calendar.from_dates(self.calendar_start, self.calendar_start)
         return Calendar(start.start_day, self.n_days)
 
+    def text_pool(self):
+        """The texts event columns code into: aware query texts, noise query
+        texts, purchase categories, the PPE category."""
+        return (
+            self.aware_query_texts + self.noise_query_texts
+            + self.purchase_categories + (self.ppe_category,)
+        )
+
     def validate(self):
         """Type-check every field, then range-check; raises ConfigError."""
         problems = _type_problems(self, "")
@@ -329,23 +344,37 @@ class SimConfig:
                 problems.append(f"calendar_start {self.calendar_start!r} is not a date in range")
         if self.history_months < 1:
             problems.append("history_months must be >= 1")
-        for name in (
-            "query_noise",
-            "unqualified_month_p",
-            "extra_purchase_p",
-            "post_aware_query_p",
-            "background_query_p",
-            "background_purchase_p",
+        d = self.demographics
+        net = self.network
+        for label, section, names in (
+            ("", self, (
+                "query_noise",
+                "unqualified_month_p",
+                "extra_purchase_p",
+                "post_aware_query_p",
+                "background_query_p",
+                "background_purchase_p",
+            )),
+            ("demographics.", d, ("female_p", "has_child_p", "married_p", "qualified_p")),
+            ("network.", net, ("school_p", "company_p")),
         ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                problems.append(f"{name} must be in [0, 1], got {v}")
+            for name in names:
+                v = getattr(section, name)
+                if not 0.0 <= v <= 1.0:
+                    problems.append(f"{label}{name} must be in [0, 1], got {v}")
         r = self.regions
         if r.n_cities < 1:
             problems.append("regions.n_cities must be >= 1")
         if not 1 <= r.n_provinces <= r.n_cities:
             problems.append("regions.n_provinces must be in [1, n_cities]")
-        d = self.demographics
+        if not r.attr_noise >= 0:
+            problems.append(f"regions.attr_noise must be >= 0, got {r.attr_noise}")
+        age_cap = np.iinfo(np.int16).max  # ages are held as int16
+        if not 0 <= d.age_min <= d.age_max <= age_cap:
+            problems.append(
+                f"demographics ages need 0 <= age_min <= age_max <= {age_cap}, "
+                f"got [{d.age_min}, {d.age_max}]"
+            )
         for name, probs, allowed in (
             ("education_probs", d.education_probs, EDUCATIONS),
             ("occupation_probs", d.occupation_probs, OCCUPATIONS),
@@ -353,16 +382,20 @@ class SimConfig:
             unknown = set(probs) - set(allowed)
             if unknown:
                 problems.append(f"demographics.{name}: unknown keys {sorted(unknown)}")
-            if any(p < 0 for p in probs.values()) or sum(probs.values()) <= 0:
-                problems.append(f"demographics.{name}: probabilities must be >= 0 and sum > 0")
-        if len(d.purchasing_power_probs) != MAX_PURCHASING_POWER:
+            if not _weights_ok(probs.values()):
+                problems.append(
+                    f"demographics.{name}: probabilities must be finite, >= 0 and sum > 0"
+                )
+        pp = d.purchasing_power_probs
+        if len(pp) != MAX_PURCHASING_POWER:
             problems.append(
                 f"demographics.purchasing_power_probs needs {MAX_PURCHASING_POWER} entries"
             )
-        net = self.network
+        elif not _weights_ok(pp):
+            problems.append("demographics.purchasing_power_probs must be finite, >= 0 and sum > 0")
         fam = tuple(net.family_size_probs)
-        if not fam or any(p < 0 for p in fam) or sum(fam) <= 0:
-            problems.append("network.family_size_probs must be nonempty, >= 0, sum > 0")
+        if not _weights_ok(fam):
+            problems.append("network.family_size_probs must be nonempty, finite, >= 0, sum > 0")
         else:
             feasible = [k + 1 for k, p in enumerate(fam) if p > 0]
             if min(feasible) > self.n_individuals:
@@ -539,11 +572,22 @@ def _prob_vector(probs, keys):
     return v / v.sum()
 
 
+def _event_columns(chunks):
+    """The event columns (kind, individual_id, timestamp, text_code, is_ppe)
+    of a list of chunks, each a tuple of those five arrays."""
+    dtypes = (np.uint8, np.uint64, np.int64, np.int64, bool)
+    return tuple(
+        np.concatenate([np.empty(0, dtype)] + [c[i] for c in chunks])
+        for i, dtype in enumerate(dtypes)
+    )
+
+
 def generate_population(config):
     """Build the static world: individuals, regions, addresses, history.
 
-    Returns (dataset, truth_graph); dataset.events holds only the
-    pre-window purchase history at this point.
+    Returns (dataset, truth_graph, history): dataset.events is empty and
+    ``history`` holds the pre-window purchases as event columns coded into
+    ``config.text_pool()``.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -586,8 +630,8 @@ def generate_population(config):
 
     # shared-address groups; everyone is glued to one home, schools and
     # companies are opt-in samples within the home city
-    start_month = int(month_number(np.array([calendar.day_start_ts(0)]))[0])
-    hist_start = int(month_start_ts(start_month - config.history_months))
+    first_month, n_m = history_window(calendar, config.history_months)
+    hist_start = int(month_start_ts(first_month))
     window_end = calendar.day_start_ts(calendar.n_days) - 1
     interval = (hist_start, window_end)
 
@@ -632,12 +676,8 @@ def generate_population(config):
 
     # purchase history: qualified individuals buy every month, the rest
     # have gaps (at least one month is always forced out)
-    months = np.arange(
-        start_month - config.history_months, start_month, dtype=np.int64
-    )
-    m_start = month_start_ts(months)
-    m_len = np.diff(np.append(m_start, month_start_ts(start_month))).astype(np.int64)
-    n_m = config.history_months
+    bounds = month_start_ts(np.arange(first_month, first_month + n_m + 1))
+    m_start, m_len = bounds[:-1], np.diff(bounds)
     present = np.ones((n, n_m), dtype=bool)
     nq_rows = np.flatnonzero(~qualified)
     if len(nq_rows):
@@ -648,22 +688,13 @@ def generate_population(config):
     extra = (rng.random((n, n_m)) < config.extra_purchase_p) & present
 
     chunks = []
-    cats = config.purchase_categories
+    first_category = len(config.aware_query_texts) + len(config.noise_query_texts)
     for grid in (present, extra):
         rows, cols = np.nonzero(grid)
         ts = m_start[cols] + (rng.random(len(rows)) * (m_len[cols] - 1)).astype(np.int64)
-        cat_idx = rng.integers(0, len(cats), size=len(rows))
-        chunks.append((ids[rows], ts, cat_idx))
-
-    iid = np.concatenate([c[0] for c in chunks])
-    events = EventLog.canonical(
-        np.full(len(iid), EVENT_KIND_PURCHASE, dtype=np.uint8),
-        iid,
-        np.concatenate([c[1] for c in chunks]),
-        np.concatenate([c[2] for c in chunks]),
-        np.zeros(len(iid), dtype=bool),
-        cats,
-    )
+        codes = first_category + rng.integers(0, len(config.purchase_categories), size=len(rows))
+        kind = np.full(len(rows), EVENT_KIND_PURCHASE, dtype=np.uint8)
+        chunks.append((kind, ids[rows], ts, codes, np.zeros(len(rows), dtype=bool)))
 
     # same canonical order the JSONL reader produces, so a generated
     # dataset compares equal after a save/load round trip
@@ -676,8 +707,8 @@ def generate_population(config):
         active_start=np.full(len(member_rows), interval[0]),
         active_end=np.full(len(member_rows), interval[1]),
     ).canonical()
-    dataset = Dataset(population, regions, addresses, events, calendar)
-    return dataset, truth_graph
+    dataset = Dataset(population, regions, addresses, EventLog.empty(), calendar)
+    return dataset, truth_graph, _event_columns(chunks)
 
 
 def hazard_base(config, cols, distance_km):
@@ -705,12 +736,12 @@ def hazard_probability(config, base, layer_fracs, shock_level):
     for name in LAYERS:
         z += hz.layer_weights.get(name, 0.0) * np.asarray(layer_fracs[name])
     z += hz.shock * np.asarray(shock_level)
-    with np.errstate(over="ignore"):  # exp(|z|) huge -> p saturates
-        return 1.0 / (1.0 + np.exp(-z))
+    return expit(z)
 
 
 def simulate_diffusion(dataset, graph, config):
-    """Run the daily awareness process; returns (window_events, truth).
+    """Run the daily awareness process; returns (window_events, truth), the
+    events as columns coded into ``config.text_pool()``.
 
     Emits, per newly aware individual, three awareness queries the same
     day (each independently suppressed with probability query_noise) and
@@ -754,26 +785,16 @@ def simulate_diffusion(dataset, graph, config):
     first_day = np.full(n, -1, dtype=np.int64)
     noise = config.query_noise
 
-    # every text is a code into one pool: aware query texts, noise query
-    # texts, purchase categories, the PPE category
-    pool = (
-        config.aware_query_texts + config.noise_query_texts
-        + config.purchase_categories + (config.ppe_category,)
-    )
+    ppe_code = len(config.text_pool()) - 1
     n_aware = len(config.aware_query_texts)
     n_noise = len(config.noise_query_texts)
     n_categories = len(config.purchase_categories)
 
-    ev_kind, ev_iid, ev_ts, ev_code, ev_ppe = [], [], [], [], []
+    chunks = []
 
     def emit(kind, iid, ts, code, ppe=False):
-        if len(iid) == 0:
-            return
-        ev_kind.append(np.full(len(iid), kind, dtype=np.uint8))
-        ev_iid.append(iid)
-        ev_ts.append(ts)
-        ev_code.append(code)
-        ev_ppe.append(np.full(len(iid), ppe, dtype=bool))
+        n_rows = len(iid)
+        chunks.append((np.full(n_rows, kind, dtype=np.uint8), iid, ts, code, np.full(n_rows, ppe)))
 
     for d in range(calendar.n_days):
         day_start = calendar.day_start_ts(d)
@@ -828,7 +849,7 @@ def simulate_diffusion(dataset, graph, config):
                 ts_p = moment + (up * room).astype(np.int64)
                 emit(
                     EVENT_KIND_PURCHASE, new_ids, ts_p,
-                    np.full(len(new_ids), len(pool) - 1), ppe=True,
+                    np.full(len(new_ids), ppe_code), ppe=True,
                 )
 
         # individuals aware before today occasionally keep searching
@@ -870,26 +891,14 @@ def simulate_diffusion(dataset, graph, config):
                 codes = n_aware + n_noise + (uc * n_categories).astype(np.int64)
                 emit(EVENT_KIND_PURCHASE, bids, ts_b, codes)
 
-    if ev_iid:
-        events = EventLog.canonical(
-            np.concatenate(ev_kind),
-            np.concatenate(ev_iid),
-            np.concatenate(ev_ts),
-            np.concatenate(ev_code),
-            np.concatenate(ev_ppe),
-            pool,
-        )
-    else:
-        events = EventLog.empty()
-
     aware_rows = np.flatnonzero(first_moment != NEVER)
     timeline = AwarenessTimeline(ids[aware_rows], first_moment[aware_rows])
-    return events, GroundTruth(timeline=timeline, graph=graph)
+    return _event_columns(chunks), GroundTruth(timeline=timeline, graph=graph)
 
 
 def generate(config):
     """Full synthetic run: population, history, diffusion, merged log."""
-    dataset, truth_graph = generate_population(config)
-    window_events, truth = simulate_diffusion(dataset, truth_graph, config)
-    dataset.events = EventLog.concat(dataset.events, window_events)
+    dataset, truth_graph, history = generate_population(config)
+    window, truth = simulate_diffusion(dataset, truth_graph, config)
+    dataset.events = EventLog.canonical(*_event_columns([history, window]), config.text_pool())
     return dataset, truth

@@ -127,6 +127,19 @@ def clique_edges_scan(records, caps):
     return edges
 
 
+def group_edges_scan(ids, groups):
+    """{(lo_id, hi_id)} of every two distinct members sharing one of the
+    row groups ``groups``."""
+    edges = set()
+    for members in groups:
+        for a in members:
+            for b in members:
+                x, y = int(ids[a]), int(ids[b])
+                if x < y:
+                    edges.add((x, y))
+    return edges
+
+
 def graph_edge_sets(graph):
     """awareflow MultiplexGraph -> {layer: set of (lo_id, hi_id)}."""
     out = {}

@@ -4,6 +4,7 @@ manifest determinism, exit codes, flag handling."""
 import builtins
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -148,6 +149,15 @@ def test_same_seed_runs_are_byte_identical(all_run, micro_config, tmp_path, monk
     assert len(dataset) == len(set(dataset)) == len(os.listdir(out / "dataset"))
 
 
+def test_jobs_do_not_change_any_artifact(micro_config, tmp_path):
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["all", "--config", micro_config, "--out", str(out), "--jobs", jobs]) == 0
+        trees.append(tree_hashes(str(out)))
+    assert trees[0] == trees[1]
+
+
 def test_different_seed_differs(all_run, micro_config, tmp_path):
     out = tmp_path / "seeded"
     assert cli.main(["gen", "--config", micro_config, "--out", str(out), "--seed", "8"]) == 0
@@ -199,15 +209,15 @@ SMALL_RUN_SHA256 = {
     "hysteresis.tsv": "21b6da6121709e3cf30ab31f9d227614c2037de8f8951bf7d5fff54f6c40f8b9",
     "labels.tsv": "65332539e38dd6b1c4572c14b3d6f5bc8a942d2156bd9280a10351d8c02b6b5b",
     "lead_days.tsv": "3b673607f9eb22f552deb7c1a6c2b640375b463bc9cb97cb4a8c3877138d2e94",
-    "manifest_all.json": "2e5c82bdc42919a6d4c3de138d4952242a9d81f17b592ae731f0f2374af9943e",
-    "manifest_cohort.json": "4b3379b98f1a71ddeeb90442f0dfb6bd8c7d489d658992f20a6e89fa5aa59f0f",
-    "manifest_gen.json": "2f8e108f2629660bb29d12adc42fec8a9c3a95655f43d4fc787caa7cb90bacaa",
-    "manifest_geo_corr.json": "f78fe1782e9b195aff2739c8843f3ecb95f97b5dbb276520451be62baba697cf",
-    "manifest_infer_net.json": "40be0c9eb9777d02258375bd96c5fb06ec48ad45f50094276d59aead253821e6",
-    "manifest_label.json": "fed1253979a134ad87470fdc53d279843ab3fd28e8ed858cb1f7f4a80e1ca806",
-    "manifest_regress.json": "29ebebd1ff2a7b18f414c40e25fce2123600250e237e31a3ae3458dddc056b20",
-    "manifest_report.json": "356215271cb24cecb708ebae8f1a935c81eec3b9c6251ecd84836f7ba3fad129",
-    "manifest_segment.json": "d9e5617b2940117cdbfb2d80590a87ec526e5161a5428eefb2c435337de1ed06",
+    "manifest_all.json": "c98fe21e93aae98ee41cccce95840f191550a923765fcb8b282909ad50c89f74",
+    "manifest_cohort.json": "76dabbb6e1d9b105d0cb3cbb4e33fa11ae2fb8aa480e5c49cec5728eed4ea748",
+    "manifest_gen.json": "d0ad68dda5f1aec1bc0a0664e197629b75b17833b980e6a5990bf3807d217dab",
+    "manifest_geo_corr.json": "775a0651cad0ccdd51af8bf561253c603e6d4a418c91b5a61cb1428d4f7fd97d",
+    "manifest_infer_net.json": "3a55e80427c446bee6ddfda83c7e5641b9e25cad6e8ece9f3e94d0dde8ca3073",
+    "manifest_label.json": "df19c7a6c418a0f36e7ce944689463d7009d3b3a0c53afe89520d3e49386d8d2",
+    "manifest_regress.json": "5fd43f54ef9495be8400db50358bd309c085f0ccb1e055453bc861f1e19ce21f",
+    "manifest_report.json": "21e3b489d619d3615573c80c05d7db28bc60cb282e9219b795ea634f760df9ab",
+    "manifest_segment.json": "3c379a0a0849dbed981ad0a4d43b2739075038dd30e8229b6d0e2d06ec248ce3",
     "national_trend.tsv": "b2724a4658eada235eb8993d8c5a8bfe5684ff5072bdd82ff16e6c0518068005",
     "neighborhood_phase_means.tsv": "dd782110f2e37f59511522cbdc85f488fb68c1853566ba09185666ec9fb1ade6",
     "neighborhood_ratios.tsv": "d0ffc7261ac860edf33990dbfd9133df1b2859074c749c7477e393c0da8a9755",
@@ -217,7 +227,7 @@ SMALL_RUN_SHA256 = {
     "province_trend.tsv": "82cdf41d8213e301f7642fa6c0641e51a8b648a0de77cf1b55322d7b6bc7762b",
     "qualified.txt": "2e79ce90974ad7eb391209a00ee459302f79f464af75e26db65b3fc9fc3e87d5",
     "regression.tsv": "0bac88e86388e77945881a420207d980957dc54b1b1ca4a461af0faa1c937251",
-    "report.json": "98d9d390bd70722be16b57aa56db251eabc39d3b30cd87e08e8d3332533730e9",
+    "report.json": "e502db3485ff0db1b68f3b0992caa6b5f5c79fbf8e1073461a47a917bc750b7a",
     "report.txt": "346fa7087bd5db47dd88d27da2fc221e1a2167bef21fb502191c3533873a7841",
     "schedule.tsv": "a0274ac9d4380a3c7fbb1076a362ab0b36c5725d241635570ddc7cd7946e4f00",
     "trends.tsv": "08266b1ded3aa47a777d46c9143bbb7580dcd8a8c7b344b1a64b74eb855dd66a",
@@ -388,6 +398,12 @@ def phase_thresholds_file(out, text):
     return ["--phase-thresholds", str(path)]
 
 
+def simulator_setting(section, **values):
+    def fault(out, config):
+        config["simulator"][section].update(values)
+    return fault
+
+
 DEEP = 100_000  # nesting far beyond the interpreter's recursion limit
 POPULATION_LINE = (
     '{"id":999999,"gender":"male","age":40000,"education":"bachelor",'
@@ -497,6 +513,32 @@ FAULTS = [
     pytest.param(
         "cohort", lambda out, config: config.update(marks=[{"label": "x", "timestamp": 10**19}]),
         2, id="mark-timestamp-overflow",
+    ),
+    *(
+        pytest.param("gen", simulator_setting(section, **values), 2, id=name)
+        for name, section, values in (
+            ("attr-noise-negative", "regions", {"attr_noise": -0.1}),
+            ("age-range-reversed", "demographics", {"age_min": 70, "age_max": 16}),
+            ("age-max-overflow", "demographics", {"age_max": 40000}),
+            ("age-min-negative", "demographics", {"age_min": -5}),
+            (
+                "purchasing-power-negative", "demographics",
+                {"purchasing_power_probs": [0.5, -0.1] + [0.1] * 5},
+            ),
+            ("purchasing-power-all-zero", "demographics", {"purchasing_power_probs": [0] * 7}),
+            (
+                "purchasing-power-nan", "demographics",
+                {"purchasing_power_probs": [math.nan] + [0.1] * 6},
+            ),
+            ("family-size-inf", "network", {"family_size_probs": [0.5, math.inf]}),
+            ("education-nan", "demographics", {"education_probs": {"bachelor": math.nan}}),
+            ("female-p-above-one", "demographics", {"female_p": 1.5}),
+            ("has-child-p-negative", "demographics", {"has_child_p": -0.5}),
+            ("married-p-above-one", "demographics", {"married_p": 2}),
+            ("qualified-p-negative", "demographics", {"qualified_p": -1}),
+            ("school-p-above-one", "network", {"school_p": 1.01}),
+            ("company-p-negative", "network", {"company_p": -0.1}),
+        )
     ),
 ]
 

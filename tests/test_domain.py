@@ -122,28 +122,6 @@ def test_canonical_reduces_any_pool_to_the_sorted_texts_that_occur():
     assert log.text_pool == tuple(sorted(set(texts)))
 
 
-def test_concat_equals_union():
-    records = sample_records()
-    a = make_events(records[:2])
-    b = make_events(records[2:])
-    assert EventLog.concat(a, b) == make_events(records)
-    assert EventLog.concat(a, EventLog.empty()) == a
-    assert len(EventLog.concat()) == 0
-
-
-def test_concat_of_overlapping_pools_equals_log_of_all_rows():
-    records = sample_records()
-    more = [
-        ("purchase", 2, 998, "books", False),
-        ("query", 3, 1000, "face mask", False),
-        ("query", 2, 1000, "n95 face mask", False),
-    ]
-    logs = [make_events(records[:3]), make_events(more), make_events(records[3:])]
-    assert set(logs[0].text_pool) & set(logs[1].text_pool)
-    assert set(logs[1].text_pool) & set(logs[2].text_pool)
-    assert EventLog.concat(*logs) == make_events(records + more)
-
-
 def test_records_round_trip_through_columns():
     records = sample_records()
     log = make_events(records)

@@ -18,7 +18,7 @@ from awareflow.netinfer import (
     write_edges,
 )
 
-from oracles import clique_edges_scan, graph_edge_sets
+from oracles import clique_edges_scan, graph_edge_sets, group_edges_scan
 from test_domain import make_addresses
 
 IDS4 = np.array([1, 2, 3, 4], dtype=np.uint64)
@@ -166,6 +166,30 @@ def test_inferred_graph_equals_simulated_truth(small_world, graph_small):
     assert graph_small == truth.graph
     counts = graph_small.edge_counts()
     assert all(counts[layer] > 0 for layer in LAYERS)
+
+
+def test_build_from_groups_matches_brute_force_cliques():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(2, 15))
+        ids = np.arange(1, n + 1, dtype=np.uint64) * 7
+        # draws with replacement repeat members; sizes 0 and 1 give empty
+        # groups and singletons; the workmate layer stays empty
+        groups = {
+            layer: [
+                rng.integers(0, n, size=int(rng.integers(0, 6)))
+                for _ in range(int(rng.integers(0, 8)))
+            ]
+            for layer in ("family", "schoolmate")
+        }
+        groups["family"] += [[0, 1, 1], [1, 0]]  # one pair in two groups
+        g = build_from_groups(ids, groups)
+        want = {layer: group_edges_scan(ids, groups.get(layer, ())) for layer in LAYERS}
+        assert graph_edge_sets(g) == want
+        for layer in LAYERS:
+            edges = g.layer(layer).edges
+            assert np.all(edges[:, 0] < edges[:, 1])
+            assert len(np.unique(edges, axis=0)) == len(edges)
 
 
 # --- neighborhood fractions ---------------------------------------------------

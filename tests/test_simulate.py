@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from awareflow.awareness import label_awareness, match_mask
-from awareflow.domain import ADDRESS_KINDS, EDUCATIONS, OCCUPATIONS
+from awareflow.domain import ADDRESS_KINDS, EDUCATIONS, OCCUPATIONS, EventLog
 from awareflow.errors import ConfigError
 from awareflow.netinfer import LAYERS, infer_networks
 from awareflow.simulate import (
@@ -219,6 +219,19 @@ def test_generation_is_deterministic():
     assert ds_a == ds_b
     assert truth_a.timeline == truth_b.timeline
     assert truth_a.graph == truth_b.graph
+
+
+def test_generate_sorts_the_event_log_once(monkeypatch):
+    canonical = EventLog.canonical
+    rows = []
+
+    def counted(cls, *columns):
+        rows.append(len(columns[1]))
+        return canonical(*columns)
+
+    monkeypatch.setattr(EventLog, "canonical", classmethod(counted))
+    dataset, _ = generate(small_world_config())
+    assert rows == [len(dataset.events)]
 
 
 def test_different_seed_changes_output():
