@@ -15,7 +15,9 @@ error all come from these declarations.
 Every subcommand writes its artifacts plus a deterministic manifest (no
 timestamps, no absolute paths) so that identical config + seed runs are
 byte-identical.  A manifest's ``inputs`` hash every file the stage read,
-the dataset files included; its ``outputs`` every file it wrote.  Artifacts
+the dataset tables it declares included; its ``outputs`` every file it
+wrote.  Only ``gen`` and ``label`` touch the event log, so only their
+manifests list ``events.jsonl`` while ``calendar.json`` exists.  Artifacts
 of earlier stages are read back through validating readers.  Exit codes:
 0 ok, 2 config error, 3 missing artifact, 4 a dataset file or an earlier
 stage's artifact failed parsing or integrity checks, 5 numerical/analytic
@@ -28,7 +30,7 @@ import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -69,6 +71,7 @@ from .domain import (
     DATASET_FILES,
     Calendar,
     load_dataset,
+    load_events,
     save_dataset,
     validate_dataset,
 )
@@ -99,6 +102,7 @@ from .simulate import TRUTH_FILES, SimConfig, fits, generate, is_int, is_timesta
 # RNG stream for drawing the regression sample; simulator streams are < 100
 SAMPLE_STREAM = 101
 CALENDAR_FILE = "calendar.json"
+*TABLE_FILES, EVENTS_FILE = DATASET_FILES
 
 GROUPINGS = ("gender", "education", "occupation", "purchasing_power", "has_child", "married")
 
@@ -367,9 +371,11 @@ def phase_segmentation(rows):
 # ---------------------------------------------------------------------------
 
 # A stage reads and writes artifacts: files in the run directory, named by
-# file name, or the groups "dataset" (the four dataset JSONL files plus
-# calendar.json when it exists), "truth" (the simulator's ground truth next
-# to them) and "patterns" (the query pattern file).
+# file name, or the groups "dataset" (the population, region and address
+# files plus calendar.json; without calendar.json the window is inferred
+# from the events, so events.jsonl takes its place), "events" (events.jsonl),
+# "truth" (the simulator's ground truth next to them) and "patterns" (the
+# query pattern file).
 Stage = namedtuple("Stage", "name reads writes")
 STAGES = {}  # stage name -> Stage, in pipeline order
 STEP_FUNCS = {}  # stage name -> cmd_<stage>; `all` and each subcommand dispatch here
@@ -448,9 +454,14 @@ class PipelineState:
         out = []
         for name in artifacts:
             if name == "dataset":
-                out += [self.dataset_path(n) for n in DATASET_FILES]
-                if os.path.exists(self.dataset_path(CALENDAR_FILE)):
-                    out.append(self.dataset_path(CALENDAR_FILE))
+                out += [self.dataset_path(n) for n in TABLE_FILES]
+                # the file that fixes the observation window
+                window = self.dataset_path(CALENDAR_FILE)
+                if not os.path.exists(window):
+                    window = self.dataset_path(EVENTS_FILE)
+                out.append(window)
+            elif name == "events":
+                out.append(self.dataset_path(EVENTS_FILE))
             elif name == "truth":
                 out += [self.dataset_path(n) for n in TRUTH_FILES]
             elif name == "patterns":
@@ -472,10 +483,16 @@ class PipelineState:
 
     def _read(self, name, paths):
         if name == "dataset":
-            n = len(DATASET_FILES)
-            calendar = read_calendar(paths[n]) if len(paths) > n else None
-            return load_dataset(*paths[:n], calendar=calendar)
+            *tables, last = paths
+            if os.path.basename(last) == CALENDAR_FILE:
+                return load_dataset(*tables, None, calendar=read_calendar(last))
+            return load_dataset(*tables, last)
         (path,) = paths
+        if name == "events":
+            dataset = self.load("dataset")
+            if dataset.events is not None:
+                return dataset.events
+            return load_events(path, dataset.population.ids, dataset.calendar)
         if name == "networks.edges":
             return read_edges(path, self.load("dataset").population.ids)
         if name.startswith("manifest_"):
@@ -545,7 +562,7 @@ def window_date(iso, d):
 # stages, in pipeline order
 # ---------------------------------------------------------------------------
 
-@stage("gen", writes=("dataset", "truth"))
+@stage("gen", writes=("dataset", "events", "truth"))
 def cmd_gen(state):
     cfg = state.cfg
     if cfg.simulator is None:
@@ -568,7 +585,9 @@ def cmd_gen(state):
     with open(state.dataset_path(CALENDAR_FILE), "w", encoding="utf-8") as fh:
         json.dump({"start_date": iso[0], "end_date": iso[-1]}, fh, sort_keys=True)
         fh.write("\n")
-    state.loaded["dataset"] = dataset
+    # later stages see the dataset as they would load it from disk
+    state.loaded["dataset"] = replace(dataset, events=None)
+    state.loaded["events"] = dataset.events
     return {
         "individuals": dataset.population.n,
         "regions": len(dataset.regions),
@@ -589,17 +608,17 @@ def cmd_infer_net(state):
     return {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}
 
 
-@stage("label", reads=("dataset", "patterns"), writes=("qualified.txt", "labels.tsv"))
+@stage(
+    "label", reads=("dataset", "events", "patterns"), writes=("qualified.txt", "labels.tsv")
+)
 def cmd_label(state):
     cfg = state.cfg
-    dataset = state.load("dataset")
-    calendar = dataset.calendar
+    calendar = state.load("dataset").calendar
+    events = state.load("events")
     matcher = compile_query_set(load_patterns(cfg.patterns_path()))
     window = history_window(calendar, cfg.history_months)
-    qualified = filter_qualified(
-        dataset.events, window, min_per_month=cfg.min_purchases_per_month
-    )
-    timeline = label_awareness(dataset.events, matcher, threshold=cfg.threshold)
+    qualified = filter_qualified(events, window, min_per_month=cfg.min_purchases_per_month)
+    timeline = label_awareness(events, matcher, threshold=cfg.threshold)
 
     with open(state.out_path("qualified.txt"), "w", encoding="utf-8") as fh:
         fh.write("".join(f"{int(i)}\n" for i in qualified))

@@ -311,7 +311,7 @@ class Dataset:
     population: PopulationColumns
     regions: list
     addresses: AddressColumns
-    events: EventLog
+    events: EventLog  # None when loaded without its events file
     calendar: Calendar
 
     def distance_km(self):
@@ -752,6 +752,8 @@ def load_dataset(
 ):
     """Parse, assemble, and validate one dataset from disk.
 
+    With ``events_path`` None the dataset carries ``events=None`` and needs
+    a ``calendar``; otherwise a missing calendar is inferred from the events.
     Raises ParseError on per-record schema violations and IntegrityError
     when cross-record invariants (foreign keys, duplicates, interval
     ordering) are violated.
@@ -759,11 +761,25 @@ def load_dataset(
     population = read_population(population_path)
     regions = read_regions(regions_path)
     addresses = read_addresses(addresses_path)
-    events = read_events(events_path)
+    events = None if events_path is None else read_events(events_path)
     if calendar is None:
+        if events is None:
+            raise ValueError("a dataset loaded without events needs a calendar")
         calendar = infer_calendar(events)
     dataset = Dataset(population, regions, addresses, events, calendar)
-    report = validate_dataset(dataset)
+    _raise_violations(validate_dataset(dataset))
+    return dataset
+
+
+def load_events(path, ids, calendar):
+    """Parse one events file and check it against the population ``ids``
+    and the ``calendar``, as load_dataset checks the events it loads."""
+    events = read_events(path)
+    _raise_violations(validate_events(events, ids, calendar))
+    return events
+
+
+def _raise_violations(report):
     if report.violations:
         shown = "; ".join(report.violations[:10])
         more = len(report.violations) - 10
@@ -772,7 +788,6 @@ def load_dataset(
         raise IntegrityError(
             f"dataset failed validation: {shown}", report.violations
         )
-    return dataset
 
 
 def _histogram(codes, names):
@@ -785,7 +800,8 @@ def validate_dataset(dataset):
     """Collect entity counts, enum histograms, and invariant violations.
 
     Violations are data, not failures: the report always comes back, and a
-    dataset accepted by load_dataset produces an empty violation list.
+    dataset accepted by load_dataset produces an empty violation list.  A
+    dataset without events has no event counts and no event checks.
     """
     violations = []
     notes = []
@@ -874,9 +890,35 @@ def validate_dataset(dataset):
             "all their family cliques are kept"
         )
 
-    ev = dataset.events
-    if len(ev):
-        seen = np.unique(ev.individual_id)
+    report = ValidationReport(
+        counts={
+            "individuals": pop.n,
+            "regions": len(dataset.regions),
+            "addresses": len(addr),
+        },
+        enum_histograms={
+            "gender": _histogram(pop.gender, GENDERS),
+            "education": _histogram(pop.education, EDUCATIONS),
+            "occupation": _histogram(pop.occupation, OCCUPATIONS),
+            "address_kind": _histogram(addr.kind, ADDRESS_KINDS),
+        },
+        violations=violations,
+        notes=notes,
+    )
+    if dataset.events is not None:
+        events = validate_events(dataset.events, ids, dataset.calendar)
+        report.counts.update(events.counts)
+        report.enum_histograms.update(events.enum_histograms)
+        report.violations += events.violations
+    return report
+
+
+def validate_events(events, ids, calendar):
+    """The event count, event types and violations of an event log: events
+    of individuals outside ``ids``, events past the calendar end."""
+    violations = []
+    if len(events):
+        seen = np.unique(events.individual_id)
         unknown_ids = seen[~np.isin(seen, ids)]
         for uid in unknown_ids[:50]:
             violations.append(f"event references unknown individual {int(uid)}")
@@ -884,32 +926,16 @@ def validate_dataset(dataset):
             violations.append(
                 f"... {len(unknown_ids) - 50} more unknown event individuals"
             )
-        last_day = day_number(ev.timestamp.max())
-        if last_day > dataset.calendar.end_day:
+        last_day = day_number(events.timestamp.max())
+        if last_day > calendar.end_day:
             violations.append(
                 f"events extend past the calendar end "
-                f"(day {int(last_day)} > {dataset.calendar.end_day})"
+                f"(day {int(last_day)} > {calendar.end_day})"
             )
-
-    n_q = int(dataset.events.queries_mask().sum()) if len(dataset.events) else 0
-
+    n_q = int(events.queries_mask().sum())
     return ValidationReport(
-        counts={
-            "individuals": pop.n,
-            "regions": len(dataset.regions),
-            "addresses": len(addr),
-            "events": len(dataset.events),
-        },
-        enum_histograms={
-            "gender": _histogram(pop.gender, GENDERS),
-            "education": _histogram(pop.education, EDUCATIONS),
-            "occupation": _histogram(pop.occupation, OCCUPATIONS),
-            "address_kind": _histogram(addr.kind, ADDRESS_KINDS),
-            "event_type": {
-                "query": n_q,
-                "purchase": len(dataset.events) - n_q,
-            },
-        },
+        counts={"events": len(events)},
+        enum_histograms={"event_type": {"query": n_q, "purchase": len(events) - n_q}},
         violations=violations,
-        notes=notes,
+        notes=[],
     )

@@ -55,13 +55,18 @@ def _build_layer(pairs, n_nodes):
     pairs = np.asarray(pairs, dtype=np.int64)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = np.unique(lo * np.int64(n_nodes) + hi)
+    keys = lo * np.int64(n_nodes) + hi
+    # edges read back from a write_edges dump come sorted and distinct
+    if not (keys[1:] > keys[:-1]).all():
+        keys = np.unique(keys)
     lo = keys // n_nodes
     hi = keys % n_nodes
     edges = np.column_stack([lo, hi])
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
+    # with the keys ascending, a stable sort by source alone orders each
+    # node's neighbors: first the lower ends (ascending), then the higher
+    src = np.concatenate([hi, lo])
+    dst = np.concatenate([lo, hi])
+    order = np.argsort(src, kind="stable")
     indices = dst[order].astype(np.int32)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])

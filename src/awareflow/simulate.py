@@ -369,6 +369,13 @@ class SimConfig:
             problems.append("regions.n_provinces must be in [1, n_cities]")
         if not r.attr_noise >= 0:
             problems.append(f"regions.attr_noise must be >= 0, got {r.attr_noise}")
+        if not 0 <= r.max_distance_km < math.inf:
+            problems.append(
+                f"regions.max_distance_km must be finite and >= 0, got {r.max_distance_km}"
+            )
+        scale = self.hazard.distance_scale_km
+        if not 0 < scale < math.inf:
+            problems.append(f"hazard.distance_scale_km must be finite and > 0, got {scale}")
         age_cap = np.iinfo(np.int16).max  # ages are held as int16
         if not 0 <= d.age_min <= d.age_max <= age_cap:
             problems.append(
@@ -477,15 +484,10 @@ class GroundTruth:
         labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
         aligned = self.timeline.aligned(self.graph.ids)
         with open(labels_path, "w", encoding="utf-8") as fh:
-            for i, ind_id in enumerate(self.graph.ids):
-                ts = None if aligned[i] == NEVER else int(aligned[i])
-                fh.write(
-                    json.dumps(
-                        {"individual_id": int(ind_id), "first_aware": ts},
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+            fh.write("".join([
+                f'{{"individual_id":{i},"first_aware":{"null" if t == NEVER else t}}}\n'
+                for i, t in zip(self.graph.ids.tolist(), aligned.tolist())
+            ]))
         write_edges(self.graph, edges_path)
         return {"truth_labels": labels_path, "truth_network": edges_path}
 

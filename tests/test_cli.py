@@ -209,15 +209,15 @@ SMALL_RUN_SHA256 = {
     "hysteresis.tsv": "21b6da6121709e3cf30ab31f9d227614c2037de8f8951bf7d5fff54f6c40f8b9",
     "labels.tsv": "65332539e38dd6b1c4572c14b3d6f5bc8a942d2156bd9280a10351d8c02b6b5b",
     "lead_days.tsv": "3b673607f9eb22f552deb7c1a6c2b640375b463bc9cb97cb4a8c3877138d2e94",
-    "manifest_all.json": "c98fe21e93aae98ee41cccce95840f191550a923765fcb8b282909ad50c89f74",
-    "manifest_cohort.json": "76dabbb6e1d9b105d0cb3cbb4e33fa11ae2fb8aa480e5c49cec5728eed4ea748",
+    "manifest_all.json": "448a159013bfd068f6e33e699d9ade7c19468102c20234f0a5ef66a7fa1786e7",
+    "manifest_cohort.json": "66854607dfb8f23367250c599e3c71b6f3611c85b3ed7cdb05cb743b6075c13a",
     "manifest_gen.json": "d0ad68dda5f1aec1bc0a0664e197629b75b17833b980e6a5990bf3807d217dab",
-    "manifest_geo_corr.json": "775a0651cad0ccdd51af8bf561253c603e6d4a418c91b5a61cb1428d4f7fd97d",
-    "manifest_infer_net.json": "3a55e80427c446bee6ddfda83c7e5641b9e25cad6e8ece9f3e94d0dde8ca3073",
+    "manifest_geo_corr.json": "75a29c6a6ba2be24a49fee7075f1a8fca4f613dc3cd7281f448b83797c06f266",
+    "manifest_infer_net.json": "abf03e41a9e679bb4c295ce309070e61b885bd8d5efc182917fb62fff671b759",
     "manifest_label.json": "df19c7a6c418a0f36e7ce944689463d7009d3b3a0c53afe89520d3e49386d8d2",
-    "manifest_regress.json": "5fd43f54ef9495be8400db50358bd309c085f0ccb1e055453bc861f1e19ce21f",
-    "manifest_report.json": "21e3b489d619d3615573c80c05d7db28bc60cb282e9219b795ea634f760df9ab",
-    "manifest_segment.json": "3c379a0a0849dbed981ad0a4d43b2739075038dd30e8229b6d0e2d06ec248ce3",
+    "manifest_regress.json": "d9578169feaacd6f55e45bcfe036b262ace67584a9e45c6044756cbd25cbd5ea",
+    "manifest_report.json": "6f4fd4d96788805667cb1198787879baa2c64f2b7ef7a5b8a483f441547589b0",
+    "manifest_segment.json": "446c238a5e7d3be5801826fdc63911454f45d81f72d3100d78450fde6d73323d",
     "national_trend.tsv": "b2724a4658eada235eb8993d8c5a8bfe5684ff5072bdd82ff16e6c0518068005",
     "neighborhood_phase_means.tsv": "dd782110f2e37f59511522cbdc85f488fb68c1853566ba09185666ec9fb1ade6",
     "neighborhood_ratios.tsv": "d0ffc7261ac860edf33990dbfd9133df1b2859074c749c7477e393c0da8a9755",
@@ -379,6 +379,16 @@ def repeat_lines(name, n):
     return fault
 
 
+def event_of_first_individual(timestamp):
+    """Append a query event at ``timestamp`` by the first individual."""
+    def fault(out, config):
+        with open(out / "dataset" / "population.jsonl") as fh:
+            iid = json.loads(fh.readline())["id"]
+        line = f'{{"type":"query","individual_id":{iid},"timestamp":{timestamp}'
+        append("dataset/events.jsonl", line + ',"query_text":"x"}\n')(out, config)
+    return fault
+
+
 def patterns_file(out, data):
     path = out / "patterns.txt"
     path.write_bytes(data)
@@ -469,6 +479,15 @@ FAULTS = [
         4, id="event-timestamp-overflow",
     ),
     pytest.param(
+        "label",
+        append(
+            "dataset/events.jsonl",
+            '{"type":"query","individual_id":999999999,"timestamp":0,"query_text":"x"}\n',
+        ),
+        4, id="event-unknown-individual",
+    ),
+    pytest.param("label", event_of_first_individual(4_102_444_800), 4, id="event-past-calendar"),
+    pytest.param(
         "infer-net",
         append(
             "dataset/addresses.jsonl",
@@ -538,6 +557,13 @@ FAULTS = [
             ("qualified-p-negative", "demographics", {"qualified_p": -1}),
             ("school-p-above-one", "network", {"school_p": 1.01}),
             ("company-p-negative", "network", {"company_p": -0.1}),
+            ("distance-scale-zero", "hazard", {"distance_scale_km": 0}),
+            ("distance-scale-negative", "hazard", {"distance_scale_km": -1000.0}),
+            ("distance-scale-nan", "hazard", {"distance_scale_km": math.nan}),
+            ("distance-scale-inf", "hazard", {"distance_scale_km": math.inf}),
+            ("max-distance-negative", "regions", {"max_distance_km": -1.0}),
+            ("max-distance-inf", "regions", {"max_distance_km": math.inf}),
+            ("max-distance-nan", "regions", {"max_distance_km": math.nan}),
         )
     ),
 ]
@@ -587,6 +613,35 @@ def test_manifest_lists_every_file_the_stage_opens(
         rel = os.path.relpath(path, root)
         key = os.path.basename(path) if rel.startswith("..") else rel
         assert key in listed, f"{stage} opened {key} but its manifest omits it"
+
+
+# the stages that read the dataset tables but not its event log
+EVENTLESS_STAGES = ("infer-net", "segment", "cohort", "geo-corr", "regress")
+
+
+def test_stages_without_events_run_without_events_jsonl(all_run, micro_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(all_run, out)
+    (out / "dataset" / "events.jsonl").unlink()
+    want = tree_hashes(str(out))
+    for name in EVENTLESS_STAGES:
+        for artifact in cli.STAGES[name].writes + (cli.manifest_name(name),):
+            (out / artifact).unlink()
+    for name in EVENTLESS_STAGES:
+        assert cli.main([name, "--config", micro_config, "--out", str(out)]) == 0
+    assert tree_hashes(str(out)) == want
+    assert cli.main(["label", "--config", micro_config, "--out", str(out)]) == 3
+    assert "run `gen` first" in capsys.readouterr().err
+
+
+def test_without_calendar_every_stage_lists_events(all_run, micro_config, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(all_run, out)
+    (out / "dataset" / "calendar.json").unlink()
+    for name in EVENTLESS_STAGES + ("label",):
+        assert cli.main([name, "--config", micro_config, "--out", str(out)]) == 0
+        with open(out / cli.manifest_name(name)) as fh:
+            assert "dataset/events.jsonl" in json.load(fh)["inputs"], name
 
 
 def test_analytic_failures_exit_5(monkeypatch, micro_config, capsys):

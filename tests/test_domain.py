@@ -22,6 +22,7 @@ from awareflow.domain import (
     day_number,
     infer_calendar,
     load_dataset,
+    load_events,
     month_number,
     read_events,
     save_dataset,
@@ -447,6 +448,26 @@ def test_load_dataset_raises_integrity_error(tmp_path):
                      paths["events"], calendar=ds.calendar)
     assert "dataset failed validation" in str(exc.value)
     assert "individual 2: unknown home_city 77" in str(exc.value)
+
+
+def test_dataset_loaded_without_events(tmp_path):
+    events = make_events([("query", 1, 1000, "x", False), ("purchase", 2, 2000, "y", True)])
+    ds = tiny_dataset(make_population([1, 2]), events=events)
+    paths = save_dataset(ds, tmp_path)
+    tables = (paths["population"], paths["regions"], paths["addresses"])
+    loaded = load_dataset(*tables, None, calendar=ds.calendar)
+    assert loaded.events is None
+    report = validate_dataset(loaded)
+    assert report.ok() and "events" not in report.counts
+    assert "event_type" not in report.enum_histograms
+    with pytest.raises(ValueError, match="needs a calendar"):
+        load_dataset(*tables, None)
+    # the events file alone gets the checks load_dataset gives it
+    assert load_events(paths["events"], loaded.population.ids, ds.calendar) == events
+    with pytest.raises(IntegrityError, match="event references unknown individual 2"):
+        load_events(paths["events"], np.array([1], dtype=np.uint64), ds.calendar)
+    with pytest.raises(IntegrityError, match="events extend past the calendar end"):
+        load_events(paths["events"], loaded.population.ids, Calendar(-5, 1))
 
 
 def test_infer_calendar_uses_query_span():

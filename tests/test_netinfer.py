@@ -265,6 +265,26 @@ def test_edge_file_round_trip(tmp_path, graph_small):
         assert pairs == sorted(pairs)
 
 
+def test_shuffled_duplicated_edge_file_builds_equal_layers(tmp_path, graph_small):
+    path = tmp_path / "networks.edges"
+    write_edges(graph_small, path)
+    lines = path.read_text().splitlines()
+    rng = random.Random(5)
+    shuffled = lines + rng.sample(lines, len(lines) // 3)
+    rng.shuffle(shuffled)
+    # some edges also name their ends the other way round
+    for k in range(0, len(shuffled), 4):
+        layer, lo, hi = shuffled[k].split()
+        shuffled[k] = f"{layer} {hi} {lo}"
+    other = tmp_path / "shuffled.edges"
+    other.write_text("\n".join(shuffled) + "\n")
+    for graph in (read_edges(path, graph_small.ids), read_edges(other, graph_small.ids)):
+        for name in LAYERS:
+            got, want = graph.layer(name), graph_small.layer(name)
+            for column in ("edges", "indptr", "indices"):
+                assert np.array_equal(getattr(got, column), getattr(want, column)), (name, column)
+
+
 def test_empty_graph_round_trip(tmp_path):
     g = build_from_groups(IDS4, {})
     path = tmp_path / "empty.edges"
