@@ -1,23 +1,30 @@
 """Shared data model: population and address columns, columnar event log,
 region records, calendar, dataset I/O.
 
-All on-disk formats are line-delimited JSON (one object per line, UTF-8).
-In memory the population, address and event tables are numpy columns named
-after the file fields (``ids`` holds the population's ``id``, an address's
-``active_interval`` is split into ``active_start`` and ``active_end``, an
-event's ``query_text`` or ``category`` is its ``text_code`` into the log's
-``text_pool``, and enum fields hold indexes into the tuples below); regions
-stay records.
+All dataset files are line-delimited JSON (one object per line, UTF-8).
+One field table per file (POPULATION_FIELDS, REGION_FIELDS, ADDRESS_FIELDS,
+EVENT_FIELDS) declares each key's kind, range or names and column; the one
+reader ``read_jsonl`` and ``validate_dataset`` both enforce it, and the
+hand-written writers follow it.  In memory the population, address and
+event tables are numpy columns named after the fields (``ids`` holds the
+population's ``id``, an address's ``active_interval`` is split into
+``active_start`` and ``active_end``, an event's ``query_text`` or
+``category`` is its ``text_code`` into the log's ``text_pool``, and enum
+fields hold indexes into the tuples below); regions stay records.
 Timestamps are integer epoch seconds; calendar days are local
 midnight-to-midnight in China standard time (UTC+8, no DST).  Ids are
 unsigned 64-bit decimals.
 """
 
+import copy
+import dataclasses
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import date, timedelta
+from operator import itemgetter
 
 import numpy as np
 
@@ -116,22 +123,6 @@ class Calendar:
         )
 
 
-@dataclass(frozen=True)
-class Region:
-    city_id: int
-    province_id: int
-    name: str
-    distance_to_epicenter: float
-    gdp: float
-    daily_confirmed_cases: tuple
-    cultural_tightness: float
-    paddy_rice_pct: float
-    innovation_index: float
-    illiteracy_pct: float
-    multi_ethnic_household_pct: float
-    population_count: int
-
-
 def intern_texts(texts, codes_of):
     """Each text's code in the dict ``codes_of`` (text -> code); a text not
     yet there is added with the next code."""
@@ -140,90 +131,105 @@ def intern_texts(texts, codes_of):
     )
 
 
-class EventLog:
-    """Columnar store for the mixed query/purchase stream.
+# Field kinds: kind -> (its column's dtype, unless the field names another; the JSON
+# types it takes; the problem of a value of another type)
+_KINDS = {
+    "id": (np.uint64, {int}, "must be an unsigned 64-bit integer"),
+    "int": (np.int64, {int}, "must be an integer"),
+    "number": (np.float64, {int, float}, "must be a number"),
+    "bool": (bool, {bool}, "must be a boolean"),
+    "text": (np.int64, {str}, "must be a string"),
+    "enum": (np.int8, {str}, "must be a string"),
+    "interval": (np.int64, {list}, "must be [start, end] epoch seconds"),
+    "counts": (object, {list}, "must be a list of ints >= 0"),
+}
+_INT64 = range(-(2**63), 2**63)
 
-    Texts are interned: ``text_pool`` holds the sorted distinct texts that
-    occur in the log and ``text_code`` maps each row into it.  Rows are in
-    canonical global order: (timestamp, individual_id, kind, text, is_ppe).
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a JSONL table, the column it fills and the values it takes.
+
+    An ``int`` may be null when ``null`` gives its fill value; an ``enum``
+    holds its index in ``names``; ``text`` holds a code into the table's
+    text pool; an ``interval`` fills ``<column>_start`` and ``<column>_end``.
+    ``lo`` and ``hi`` bound an int or number inclusively.  Only the rows
+    whose first field (an enum) has the code ``when`` carry a field with
+    ``when``; the others hold zero in its column.
     """
 
-    def __init__(self, kind, individual_id, timestamp, text_code, is_ppe, text_pool):
-        self.kind = np.asarray(kind, dtype=np.uint8)
-        self.individual_id = np.asarray(individual_id, dtype=np.uint64)
-        self.timestamp = np.asarray(timestamp, dtype=np.int64)
-        self.text_code = np.asarray(text_code, dtype=np.int64)
-        self.is_ppe = np.asarray(is_ppe, dtype=bool)
-        self.text_pool = tuple(text_pool)
+    key: str
+    kind: str
+    column: str = None
+    lo: object = None
+    hi: object = None
+    names: tuple = ()
+    dtype: object = None
+    when: int = None
+    null: int = None
 
-    @classmethod
-    def empty(cls):
-        z = np.empty(0)
-        return cls(z, z, z, z, z, ())
+    def __post_init__(self):
+        dtype = _KINDS[self.kind][0] if self.dtype is None else self.dtype
+        object.__setattr__(self, "column", self.column or self.key)
+        object.__setattr__(self, "dtype", np.dtype(dtype))
 
-    @classmethod
-    def canonical(cls, kind, individual_id, timestamp, text_code, is_ppe, text_pool):
-        """Build an EventLog in canonical global order.
-
-        ``text_code`` indexes ``text_pool``, which may be unsorted and hold
-        repeated or unused texts; the log's pool keeps the distinct texts
-        that occur, sorted.  The order is insensitive to input permutation:
-        ties on (timestamp, individual, kind) are broken by the text rank.
-        """
-        code = np.asarray(text_code, dtype=np.int64)
-        used = np.flatnonzero(np.bincount(code, minlength=len(text_pool)))
-        texts = [text_pool[i] for i in used.tolist()]
-        pool = sorted(set(texts))
-        rank = {t: r for r, t in enumerate(pool)}
-        recode = np.zeros(len(text_pool), dtype=np.int64)
-        recode[used] = [rank[t] for t in texts]
-        log = cls(kind, individual_id, timestamp, recode[code], is_ppe, pool)
-        order = np.lexsort(
-            (log.is_ppe, log.text_code, log.kind, log.individual_id, log.timestamp)
-        )
-        return cls(
-            log.kind[order],
-            log.individual_id[order],
-            log.timestamp[order],
-            log.text_code[order],
-            log.is_ppe[order],
-            pool,
-        )
-
-    def __len__(self):
-        return len(self.timestamp)
-
-    def queries_mask(self):
-        return self.kind == EVENT_KIND_QUERY
-
-    def purchases_mask(self):
-        return self.kind == EVENT_KIND_PURCHASE
-
-    def __eq__(self, other):
-        if not isinstance(other, EventLog) or len(self) != len(other):
-            return False
-        return (
-            np.array_equal(self.kind, other.kind)
-            and np.array_equal(self.individual_id, other.individual_id)
-            and np.array_equal(self.timestamp, other.timestamp)
-            and np.array_equal(self.text_code, other.text_code)
-            and np.array_equal(self.is_ppe, other.is_ppe)
-            and self.text_pool == other.text_pool
-        )
+    @property
+    def columns(self):
+        if self.kind == "interval":
+            return (f"{self.column}_start", f"{self.column}_end")
+        return (self.column,)
 
 
-def rows_of_ids(ids, individual_ids):
-    """Rows of ``individual_ids`` in the ascending array ``ids``.
+def _column_dtypes(fields):
+    """Column name -> dtype of a field table, in field order."""
+    return {name: f.dtype for f in fields for name in f.columns}
 
-    An id that ``ids`` does not hold raises IntegrityError naming it.
-    """
-    wanted = np.asarray(individual_ids, dtype=np.uint64)
-    rows = np.searchsorted(ids, wanted)
-    found = rows < len(ids)
-    found[found] = ids[rows[found]] == wanted[found]
-    if not found.all():
-        raise IntegrityError(f"unknown individual id {int(wanted[~found][0])}")
-    return rows
+
+POPULATION_FIELDS = (
+    Field("id", "id", column="ids"),
+    Field("gender", "enum", names=GENDERS),
+    Field("age", "int", lo=0, dtype=np.int16),
+    Field("education", "enum", names=EDUCATIONS),
+    Field("occupation", "enum", names=OCCUPATIONS),
+    Field("purchasing_power", "int", lo=1, hi=MAX_PURCHASING_POWER, dtype=np.int8),
+    Field("has_child", "bool"),
+    Field("married", "bool"),
+    Field("home_city", "id", dtype=np.int64),
+    Field("qualified", "bool"),
+)
+REGION_FIELDS = (
+    Field("city_id", "id"),
+    # province_of_individuals puts province ids in an int64 column
+    Field("province_id", "id", dtype=np.int64),
+    Field("name", "text"),
+    Field("distance_to_epicenter", "number", lo=0),
+    Field("gdp", "number", lo=0),
+    Field("daily_confirmed_cases", "counts"),
+    Field("cultural_tightness", "number"),
+    Field("paddy_rice_pct", "number", lo=0, hi=1),
+    Field("innovation_index", "number"),
+    Field("illiteracy_pct", "number", lo=0, hi=1),
+    Field("multi_ethnic_household_pct", "number", lo=0, hi=1),
+    Field("population_count", "int", lo=1),
+)
+# a region record, one attribute per field in file order
+Region = dataclasses.make_dataclass(
+    "Region", [f.column for f in REGION_FIELDS], frozen=True, namespace={"__module__": __name__}
+)
+ADDRESS_FIELDS = (
+    Field("individual_id", "id"),
+    Field("address_id", "id"),
+    Field("kind", "enum", names=ADDRESS_KINDS),
+    Field("active_interval", "interval", column="active"),
+)
+EVENT_FIELDS = (
+    Field("type", "enum", column="kind", names=EVENT_TYPES, dtype=np.uint8),
+    Field("individual_id", "id"),
+    Field("timestamp", "int"),
+    Field("query_text", "text", column="text_code", when=EVENT_KIND_QUERY),
+    Field("category", "text", column="text_code", when=EVENT_KIND_PURCHASE),
+    Field("is_ppe", "bool", when=EVENT_KIND_PURCHASE),
+)
 
 
 class Columns:
@@ -250,12 +256,81 @@ class Columns:
         return len(getattr(self, next(iter(self.DTYPES))))
 
     def take(self, rows):
-        return type(self)(**{name: getattr(self, name)[rows] for name in self.DTYPES})
+        """The table of ``rows``; attributes other than columns are kept."""
+        out = copy.copy(self)
+        out.__dict__.update({name: getattr(self, name)[rows] for name in self.DTYPES})
+        return out
 
     def __eq__(self, other):
         return type(other) is type(self) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.DTYPES
         )
+
+
+class EventLog(Columns):
+    """Columnar store for the mixed query/purchase stream.
+
+    Texts are interned: ``text_pool`` holds the sorted distinct texts that
+    occur in the log and ``text_code`` maps each row into it.  Rows are in
+    canonical global order: (timestamp, individual_id, kind, text, is_ppe).
+    """
+
+    DTYPES = _column_dtypes(EVENT_FIELDS)
+
+    def __init__(self, text_pool=(), **columns):
+        super().__init__(**columns)
+        self.text_pool = tuple(text_pool)
+
+    @classmethod
+    def empty(cls):
+        return cls.from_rows([])
+
+    @classmethod
+    def canonical(cls, kind, individual_id, timestamp, text_code, is_ppe, text_pool):
+        """Build an EventLog in canonical global order.
+
+        ``text_code`` indexes ``text_pool``, which may be unsorted and hold
+        repeated or unused texts; the log's pool keeps the distinct texts
+        that occur, sorted.  The order is insensitive to input permutation:
+        ties on (timestamp, individual, kind) are broken by the text rank.
+        """
+        code = np.asarray(text_code, dtype=np.int64)
+        used = np.flatnonzero(np.bincount(code, minlength=len(text_pool)))
+        texts = [text_pool[i] for i in used.tolist()]
+        pool = sorted(set(texts))
+        rank = {t: r for r, t in enumerate(pool)}
+        recode = np.zeros(len(text_pool), dtype=np.int64)
+        recode[used] = [rank[t] for t in texts]
+        log = cls(
+            pool, kind=kind, individual_id=individual_id, timestamp=timestamp,
+            text_code=recode[code], is_ppe=is_ppe,
+        )
+        return log.take(np.lexsort(
+            (log.is_ppe, log.text_code, log.kind, log.individual_id, log.timestamp)
+        ))
+
+    def queries_mask(self):
+        return self.kind == EVENT_KIND_QUERY
+
+    def purchases_mask(self):
+        return self.kind == EVENT_KIND_PURCHASE
+
+    def __eq__(self, other):
+        return super().__eq__(other) and self.text_pool == other.text_pool
+
+
+def rows_of_ids(ids, individual_ids):
+    """Rows of ``individual_ids`` in the ascending array ``ids``.
+
+    An id that ``ids`` does not hold raises IntegrityError naming it.
+    """
+    wanted = np.asarray(individual_ids, dtype=np.uint64)
+    rows = np.searchsorted(ids, wanted)
+    found = rows < len(ids)
+    found[found] = ids[rows[found]] == wanted[found]
+    if not found.all():
+        raise IntegrityError(f"unknown individual id {int(wanted[~found][0])}")
+    return rows
 
 
 class PopulationColumns(Columns):
@@ -265,18 +340,7 @@ class PopulationColumns(Columns):
     and OCCUPATIONS.
     """
 
-    DTYPES = {
-        "ids": np.uint64,
-        "gender": np.int8,
-        "age": np.int16,
-        "education": np.int8,
-        "occupation": np.int8,
-        "purchasing_power": np.int8,
-        "has_child": bool,
-        "married": bool,
-        "home_city": np.int64,
-        "qualified": bool,
-    }
+    DTYPES = _column_dtypes(POPULATION_FIELDS)
 
     @property
     def n(self):
@@ -289,13 +353,7 @@ class PopulationColumns(Columns):
 class AddressColumns(Columns):
     """The address table; ``kind`` indexes ADDRESS_KINDS."""
 
-    DTYPES = {
-        "individual_id": np.uint64,
-        "address_id": np.uint64,
-        "kind": np.int8,
-        "active_start": np.int64,
-        "active_end": np.int64,
-    }
+    DTYPES = _column_dtypes(ADDRESS_FIELDS)
 
     def canonical(self):
         """The rows sorted by (individual_id, kind, address_id, active_start), stably."""
@@ -340,14 +398,18 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# parsing helpers
+# reading: one block reader for every field table
 # ---------------------------------------------------------------------------
 
-def iter_text_lines(path):
-    """(line_no, line) of a UTF-8 text file; undecodable bytes raise ParseError."""
+def iter_text_blocks(path, size):
+    """(number of the first line, lines) of each run of ``size`` lines of a
+    UTF-8 text file; undecodable bytes raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
+        first = 1
         try:
-            yield from enumerate(fh, start=1)
+            while block := list(itertools.islice(fh, size)):
+                yield first, block
+                first += len(block)
             return
         except UnicodeDecodeError:
             pass
@@ -361,211 +423,100 @@ def iter_text_lines(path):
     raise ParseError(path, line_no, "not valid UTF-8")
 
 
-def _numbered_lines(path):
-    """(line_no, stripped line) of the non-blank lines of a text file."""
-    for line_no, line in iter_text_lines(path):
-        line = line.strip()
-        if line:
-            yield line_no, line
+def iter_text_lines(path):
+    """(line_no, line) of a UTF-8 text file; undecodable bytes raise ParseError."""
+    for first, lines in iter_text_blocks(path, READ_BLOCK_LINES):
+        yield from enumerate(lines, start=first)
 
 
-def _json_object(path, line_no, line):
+def _problem(f, v):
+    """Why field ``f`` rejects the JSON value ``v``; None when it accepts it."""
+    _, types, problem = _KINDS[f.kind]
+    if v is None and f.null is not None:
+        return None
+    if type(v) not in types or (
+        f.kind == "id" and v not in range(2**64)
+        or f.kind == "interval"
+        and not (len(v) == 2 and all(type(x) is int and x in _INT64 for x in v))
+        or f.kind == "counts" and not all(type(x) is int and x >= 0 for x in v)
+    ):
+        return problem
+    if f.kind == "int" and v not in _INT64:
+        return "must fit in a signed 64-bit integer"
+    if f.kind == "enum" and v not in f.names:
+        return f"must be one of {sorted(f.names)}, got {v!r}"
+    if f.kind == "number":
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            return f"must be finite, got {v}"
+    if f.lo is not None and v < f.lo or f.hi is not None and v > f.hi:
+        bound = f">= {f.lo}" if f.hi is None else f"in [{f.lo}, {f.hi}]"
+        return f"must be {bound}, got {v}"
+    if f.kind in ("id", "int") and not np.iinfo(f.dtype).min <= v <= np.iinfo(f.dtype).max:
+        return f"must fit in {f.dtype}, got {v}"
+    return None
+
+
+def _column(f, objs, codes_of):
+    """The column of ``f`` in one block's objects; None when any object
+    lacks its key or any value fails the checks of ``_problem``."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
-    except RecursionError:
-        raise ParseError(path, line_no, "invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise ParseError(path, line_no, "expected a JSON object")
-    return obj
+        values = list(map(itemgetter(f.key), objs))
+    except KeyError:
+        return None
+    if f.null is not None:
+        values = [f.null if v is None else v for v in values]
+    if not set(map(type, values)) <= _KINDS[f.kind][1]:
+        return None
+    if f.kind == "text":
+        return intern_texts(values, codes_of)
+    try:
+        if f.kind == "enum":
+            codes = {name: code for code, name in enumerate(f.names)}
+            return np.array([codes[v] for v in values], dtype=f.dtype)
+        if f.kind == "counts":  # few rows: the per-value check
+            if any(_problem(f, v) for v in values):
+                return None
+            return np.fromiter(map(tuple, values), dtype=object, count=len(values))
+        if f.kind == "interval":
+            flat = list(itertools.chain.from_iterable(values))
+            if not set(map(type, flat)) <= {int} or not set(map(len, values)) <= {2}:
+                return None
+            values = np.array(flat, dtype=f.dtype).reshape(-1, 2)
+        # an int the dtype cannot hold raises OverflowError
+        col = np.asarray(values, dtype=f.dtype)
+    except (KeyError, OverflowError):
+        return None
+    lo = 0 if f.kind == "id" and f.lo is None else f.lo
+    bad = f.kind == "number" and not np.isfinite(col).all()
+    if bad or lo is not None and (col < lo).any() or f.hi is not None and (col > f.hi).any():
+        return None
+    return col
 
 
-def _iter_jsonl(path):
-    for line_no, line in _numbered_lines(path):
-        yield line_no, _json_object(path, line_no, line)
+def _block_columns(fields, objs, codes_of):
+    """Column name -> array of one block's parsed objects; None when any
+    value is missing or fails its field's check."""
+    columns = {}
+    for f in fields:
+        rows = None if f.when is None else columns[fields[0].column] == f.when
+        carriers = objs if rows is None else itertools.compress(objs, rows.tolist())
+        col = _column(f, carriers, codes_of)
+        if col is None:
+            return None
+        if rows is not None:
+            columns.setdefault(f.column, np.zeros(len(objs), dtype=f.dtype))[rows] = col
+        else:
+            columns.update(zip(f.columns, col.T if f.kind == "interval" else [col]))
+    return columns
 
 
-def _need(obj, key, path, line_no):
-    if key not in obj:
-        raise ParseError(path, line_no, f"missing field {key!r}")
-    return obj[key]
-
-
-def _need_id(obj, key, path, line_no):
-    v = _need(obj, key, path, line_no)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 0 or v >= 2**64:
-        raise ParseError(path, line_no, f"{key} must be an unsigned 64-bit integer")
-    return v
-
-
-def _need_int(obj, key, path, line_no):
-    v = _need(obj, key, path, line_no)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ParseError(path, line_no, f"{key} must be an integer")
-    if not -(2**63) <= v < 2**63:
-        raise ParseError(path, line_no, f"{key} must fit in a signed 64-bit integer")
-    return v
-
-
-def _need_num(obj, key, path, line_no):
-    v = _need(obj, key, path, line_no)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(path, line_no, f"{key} must be a number")
-    return float(v)
-
-
-def _need_bool(obj, key, path, line_no):
-    v = _need(obj, key, path, line_no)
-    if not isinstance(v, bool):
-        raise ParseError(path, line_no, f"{key} must be a boolean")
-    return v
-
-
-def _need_str(obj, key, path, line_no):
-    v = _need(obj, key, path, line_no)
-    if not isinstance(v, str):
-        raise ParseError(path, line_no, f"{key} must be a string")
-    return v
-
-
-def _need_enum(obj, key, allowed, path, line_no):
-    """The index of the value in ``allowed``."""
-    v = _need_str(obj, key, path, line_no)
-    if v not in allowed:
-        raise ParseError(
-            path, line_no, f"{key} must be one of {sorted(allowed)}, got {v!r}"
-        )
-    return allowed.index(v)
-
-
-def _need_fit(v, key, dtype, path, line_no):
-    """``v``, if the integer dtype of its column holds it."""
-    info = np.iinfo(dtype)
-    if not info.min <= v <= info.max:
-        raise ParseError(path, line_no, f"{key} must fit in {info.dtype}, got {v}")
-    return v
-
-
-def read_population(path):
-    dtypes = PopulationColumns.DTYPES
-    rows = []
-    for line_no, obj in _iter_jsonl(path):
-        pp = _need_int(obj, "purchasing_power", path, line_no)
-        if not 1 <= pp <= MAX_PURCHASING_POWER:
-            raise ParseError(
-                path,
-                line_no,
-                f"purchasing_power must be in [1, {MAX_PURCHASING_POWER}], got {pp}",
-            )
-        age = _need_int(obj, "age", path, line_no)
-        if age < 0:
-            raise ParseError(path, line_no, f"age must be >= 0, got {age}")
-        rows.append((
-            _need_id(obj, "id", path, line_no),
-            _need_enum(obj, "gender", GENDERS, path, line_no),
-            _need_fit(age, "age", dtypes["age"], path, line_no),
-            _need_enum(obj, "education", EDUCATIONS, path, line_no),
-            _need_enum(obj, "occupation", OCCUPATIONS, path, line_no),
-            pp,
-            _need_bool(obj, "has_child", path, line_no),
-            _need_bool(obj, "married", path, line_no),
-            _need_fit(
-                _need_id(obj, "home_city", path, line_no),
-                "home_city", dtypes["home_city"], path, line_no,
-            ),
-            _need_bool(obj, "qualified", path, line_no),
-        ))
-    population = PopulationColumns.from_rows(rows)
-    return population.take(np.argsort(population.ids, kind="stable"))
-
-
-def read_regions(path):
-    out = []
-    for line_no, obj in _iter_jsonl(path):
-        cases = _need(obj, "daily_confirmed_cases", path, line_no)
-        if not isinstance(cases, list) or any(
-            not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in cases
-        ):
-            raise ParseError(
-                path, line_no, "daily_confirmed_cases must be a list of ints >= 0"
-            )
-        pop = _need_int(obj, "population_count", path, line_no)
-        if pop <= 0:
-            raise ParseError(path, line_no, "population_count must be > 0")
-        region = Region(
-            city_id=_need_id(obj, "city_id", path, line_no),
-            # province_of_individuals puts province ids in an int64 column
-            province_id=_need_fit(
-                _need_id(obj, "province_id", path, line_no),
-                "province_id", np.int64, path, line_no,
-            ),
-            name=_need_str(obj, "name", path, line_no),
-            distance_to_epicenter=_need_num(obj, "distance_to_epicenter", path, line_no),
-            gdp=_need_num(obj, "gdp", path, line_no),
-            daily_confirmed_cases=tuple(cases),
-            cultural_tightness=_need_num(obj, "cultural_tightness", path, line_no),
-            paddy_rice_pct=_need_num(obj, "paddy_rice_pct", path, line_no),
-            innovation_index=_need_num(obj, "innovation_index", path, line_no),
-            illiteracy_pct=_need_num(obj, "illiteracy_pct", path, line_no),
-            multi_ethnic_household_pct=_need_num(
-                obj, "multi_ethnic_household_pct", path, line_no
-            ),
-            population_count=pop,
-        )
-        if region.distance_to_epicenter < 0:
-            raise ParseError(path, line_no, "distance_to_epicenter must be >= 0")
-        for key in ("paddy_rice_pct", "illiteracy_pct", "multi_ethnic_household_pct"):
-            v = getattr(region, key)
-            if not 0.0 <= v <= 1.0:
-                raise ParseError(path, line_no, f"{key} must be in [0, 1], got {v}")
-        out.append(region)
-    out.sort(key=lambda r: r.city_id)
-    return out
-
-
-def read_addresses(path):
-    rows = []
-    for line_no, obj in _iter_jsonl(path):
-        interval = _need(obj, "active_interval", path, line_no)
-        if (
-            not isinstance(interval, list)
-            or len(interval) != 2
-            or any(
-                not isinstance(v, int) or isinstance(v, bool) or not -(2**63) <= v < 2**63
-                for v in interval
-            )
-        ):
-            raise ParseError(
-                path, line_no, "active_interval must be [start, end] epoch seconds"
-            )
-        rows.append((
-            _need_id(obj, "individual_id", path, line_no),
-            _need_id(obj, "address_id", path, line_no),
-            _need_enum(obj, "kind", ADDRESS_KINDS, path, line_no),
-            *interval,
-        ))
-    return AddressColumns.from_rows(rows).canonical()
-
-
-def _event_row(obj, path, line_no):
-    """(kind, individual_id, timestamp, text, is_ppe) of one event object."""
-    kind = _need_enum(obj, "type", EVENT_TYPES, path, line_no)
-    iid = _need_id(obj, "individual_id", path, line_no)
-    ts = _need_int(obj, "timestamp", path, line_no)
-    if kind == EVENT_KIND_QUERY:
-        return EVENT_KIND_QUERY, iid, ts, _need_str(obj, "query_text", path, line_no), False
-    return (
-        EVENT_KIND_PURCHASE, iid, ts,
-        _need_str(obj, "category", path, line_no),
-        _need_bool(obj, "is_ppe", path, line_no),
-    )
-
-
-def _parse_event_block(lines):
-    """(kind, individual_id, timestamp, text, is_ppe) lists of stripped lines,
-    parsed with one json.loads and checked in bulk; None when any line is not
-    an event the per-line path accepts."""
+def _parse_block(lines):
+    """The objects of non-blank stripped lines, parsed with one json.loads;
+    None when any line is not exactly one JSON object."""
     n = len(lines)
     body = ",\n".join(lines)
     # Every "}" must end its line.  Then the n objects parsed can only be
@@ -575,59 +526,86 @@ def _parse_event_block(lines):
         return None
     try:
         objs = json.loads(f"[{body}]")
-    except (json.JSONDecodeError, RecursionError):
+    except (ValueError, RecursionError):
         return None
     if len(objs) != n or set(map(type, objs)) != {dict}:
         return None
+    return objs
+
+
+def _checked_object(fields, path, line_no, line):
+    """The object of one line, or the ParseError of its first bad field."""
     try:
-        etype = [o["type"] for o in objs]
-        iid = [o["individual_id"] for o in objs]
-        ts = [o["timestamp"] for o in objs]
-        query = [t == "query" for t in etype]
-        text = [o["query_text"] if q else o["category"] for o, q in zip(objs, query)]
-        ppe = [False if q else o["is_ppe"] for o, q in zip(objs, query)]
-    except KeyError:
-        return None
-    if (
-        etype.count("query") + etype.count("purchase") != n
-        or set(map(type, iid)) != {int} or min(iid) < 0 or max(iid) >= 2**64
-        or set(map(type, ts)) != {int} or min(ts) < -(2**63) or max(ts) >= 2**63
-        or set(map(type, text)) != {str}
-        or set(map(type, ppe)) != {bool}
-    ):
-        return None
-    kind = [EVENT_KIND_QUERY if q else EVENT_KIND_PURCHASE for q in query]
-    return kind, iid, ts, text, ppe
+        obj = json.loads(line)
+    except ValueError as exc:  # a JSONDecodeError, or an int with too many digits
+        raise ParseError(path, line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+    except RecursionError:
+        raise ParseError(path, line_no, "invalid JSON: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ParseError(path, line_no, "expected a JSON object")
+    for f in fields:
+        # the first field, checked before any field with ``when``, is an enum
+        if f.when is not None and fields[0].names.index(obj[fields[0].key]) != f.when:
+            continue
+        if f.key not in obj:
+            raise ParseError(path, line_no, f"missing field {f.key!r}")
+        problem = _problem(f, obj[f.key])
+        if problem:
+            raise ParseError(path, line_no, f"{f.key} {problem}")
+    return obj
 
 
-def read_events(path):
-    """The canonical EventLog of an events.jsonl file.
+def read_jsonl(path, fields):
+    """(column name -> array, text pool) of a JSONL table of ``fields``.
 
-    Lines are parsed a block at a time; a block that fails the bulk checks
-    is parsed again line by line, which raises its first bad line's
-    ParseError.  Each block's texts are interned as it is parsed.
+    Lines are parsed a block of READ_BLOCK_LINES at a time, with one
+    json.loads and bulk column checks; a block that fails them is parsed
+    again line by line, which raises its first bad line's ParseError.
+    Text columns hold codes into the pool; blank lines are skipped.
     """
     codes_of = {}
     blocks = []
-    numbered = _numbered_lines(path)
-    while block := list(itertools.islice(numbered, READ_BLOCK_LINES)):
-        columns = _parse_event_block([line for _, line in block])
+    for first, raw in iter_text_blocks(path, READ_BLOCK_LINES):
+        lines = list(filter(None, map(str.strip, raw)))
+        if not lines:
+            continue
+        objs = _parse_block(lines)
+        columns = objs and _block_columns(fields, objs, codes_of)
         if columns is None:
-            columns = zip(*[
-                _event_row(_json_object(path, line_no, line), path, line_no)
-                for line_no, line in block
-            ])
-        kind, iid, ts, text, ppe = columns
-        blocks.append((
-            np.array(kind, dtype=np.uint8),
-            np.array(iid, dtype=np.uint64),
-            np.array(ts, dtype=np.int64),
-            intern_texts(text, codes_of),
-            np.array(ppe, dtype=bool),
-        ))
-    if not blocks:
-        return EventLog.empty()
-    return EventLog.canonical(*(np.concatenate(col) for col in zip(*blocks)), list(codes_of))
+            objs = [
+                _checked_object(fields, path, line_no, line.strip())
+                for line_no, line in enumerate(raw, start=first) if line.strip()
+            ]
+            # every line passed, so only _parse_block's layout test failed
+            columns = _block_columns(fields, objs, codes_of)
+        blocks.append(columns)
+    columns = {
+        name: np.concatenate([b[name] for b in blocks] or [np.empty(0, dtype=dtype)])
+        for name, dtype in _column_dtypes(fields).items()
+    }
+    return columns, list(codes_of)
+
+
+def read_population(path):
+    population = PopulationColumns(**read_jsonl(path, POPULATION_FIELDS)[0])
+    return population.take(np.argsort(population.ids, kind="stable"))
+
+
+def read_regions(path):
+    columns, pool = read_jsonl(path, REGION_FIELDS)
+    columns["name"] = np.array(pool, dtype=object)[columns["name"]]
+    rows = zip(*(col.tolist() for col in columns.values()))
+    return sorted((Region(*row) for row in rows), key=lambda r: r.city_id)
+
+
+def read_addresses(path):
+    return AddressColumns(**read_jsonl(path, ADDRESS_FIELDS)[0]).canonical()
+
+
+def read_events(path):
+    """The canonical EventLog of an events.jsonl file."""
+    columns, pool = read_jsonl(path, EVENT_FIELDS)
+    return EventLog.canonical(**columns, text_pool=pool)
 
 
 # ---------------------------------------------------------------------------
@@ -651,27 +629,9 @@ def write_population(path, population):
 
 def write_regions(path, regions):
     with open(path, "w", encoding="utf-8") as fh:
-        for r in regions:
-            fh.write(
-                json.dumps(
-                    {
-                        "city_id": r.city_id,
-                        "province_id": r.province_id,
-                        "name": r.name,
-                        "distance_to_epicenter": r.distance_to_epicenter,
-                        "gdp": r.gdp,
-                        "daily_confirmed_cases": list(r.daily_confirmed_cases),
-                        "cultural_tightness": r.cultural_tightness,
-                        "paddy_rice_pct": r.paddy_rice_pct,
-                        "innovation_index": r.innovation_index,
-                        "illiteracy_pct": r.illiteracy_pct,
-                        "multi_ethnic_household_pct": r.multi_ethnic_household_pct,
-                        "population_count": r.population_count,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+        fh.write("".join(
+            json.dumps(dataclasses.asdict(r), separators=(",", ":")) + "\n" for r in regions
+        ))
 
 
 def write_addresses(path, addresses):
@@ -796,6 +756,21 @@ def _histogram(codes, names):
     return {names[v]: c for v, c in zip(values.tolist(), counts.tolist())}
 
 
+def _range_violations(fields, column_of, name_of):
+    """``<row name>: <key> <problem>`` for each int or number that is not
+    finite or outside its field's range; ``column_of(name)`` is a column."""
+    violations = []
+    big = np.finfo(np.float64).max
+    for f in fields:
+        if f.kind not in ("int", "number"):
+            continue
+        col = column_of(f.column)
+        lo, hi = (-big if f.lo is None else f.lo), (big if f.hi is None else f.hi)
+        for row in np.flatnonzero(~((col >= lo) & (col <= hi))).tolist():
+            violations.append(f"{name_of(row)}: {f.key} {_problem(f, col[row].item())}")
+    return violations
+
+
 def validate_dataset(dataset):
     """Collect entity counts, enum histograms, and invariant violations.
 
@@ -812,52 +787,32 @@ def validate_dataset(dataset):
     for pid, c in zip(ids[dup].tolist(), id_counts[dup].tolist()):
         violations.append(f"duplicate individual id {pid} ({c} records)")
 
+    regions = dataset.regions
     city_ids = {}
-    for r in dataset.regions:
+    for r in regions:
         city_ids[r.city_id] = city_ids.get(r.city_id, 0) + 1
     for cid, c in city_ids.items():
         if c > 1:
             violations.append(f"duplicate city_id {cid} ({c} records)")
 
-    pp_bad = (pop.purchasing_power < 1) | (pop.purchasing_power > MAX_PURCHASING_POWER)
-    age_bad = pop.age < 0
     unknown_cities = [c for c in np.unique(pop.home_city).tolist() if c not in city_ids]
-    city_bad = np.isin(pop.home_city, unknown_cities)
-    for row in np.flatnonzero(pp_bad | age_bad | city_bad).tolist():
-        pid = int(pop.ids[row])
-        if pp_bad[row]:
-            violations.append(
-                f"individual {pid}: purchasing_power {pop.purchasing_power[row]} "
-                f"outside [1, {MAX_PURCHASING_POWER}]"
-            )
-        if age_bad[row]:
-            violations.append(f"individual {pid}: negative age {pop.age[row]}")
-        if city_bad[row]:
-            violations.append(f"individual {pid}: unknown home_city {pop.home_city[row]}")
-
-    if dataset.regions:
-        min_dist = min(r.distance_to_epicenter for r in dataset.regions)
+    for row in np.flatnonzero(np.isin(pop.home_city, unknown_cities)).tolist():
+        violations.append(f"individual {pop.ids[row]}: unknown home_city {pop.home_city[row]}")
+    violations += _range_violations(
+        POPULATION_FIELDS, lambda name: getattr(pop, name),
+        lambda row: f"individual {pop.ids[row]}",
+    )
+    violations += _range_violations(
+        REGION_FIELDS, lambda name: np.array([getattr(r, name) for r in regions]),
+        lambda row: f"region {regions[row].city_id}",
+    )
+    if regions:
+        min_dist = min(r.distance_to_epicenter for r in regions)
         if min_dist != 0:
             violations.append(
                 f"no epicenter: minimum distance_to_epicenter is {min_dist}, not 0"
             )
-        for r in dataset.regions:
-            for key in (
-                "paddy_rice_pct",
-                "illiteracy_pct",
-                "multi_ethnic_household_pct",
-            ):
-                v = getattr(r, key)
-                if not 0.0 <= v <= 1.0:
-                    violations.append(f"region {r.city_id}: {key}={v} outside [0, 1]")
-            if r.distance_to_epicenter < 0:
-                violations.append(
-                    f"region {r.city_id}: negative distance_to_epicenter"
-                )
-            if r.gdp < 0:
-                violations.append(f"region {r.city_id}: negative gdp")
-            if r.population_count <= 0:
-                violations.append(f"region {r.city_id}: population_count <= 0")
+        for r in regions:
             if (
                 r.daily_confirmed_cases
                 and len(r.daily_confirmed_cases) != dataset.calendar.n_days
@@ -890,6 +845,7 @@ def validate_dataset(dataset):
             "all their family cliques are kept"
         )
 
+    enums = [f for f in POPULATION_FIELDS if f.kind == "enum"]
     report = ValidationReport(
         counts={
             "individuals": pop.n,
@@ -897,9 +853,7 @@ def validate_dataset(dataset):
             "addresses": len(addr),
         },
         enum_histograms={
-            "gender": _histogram(pop.gender, GENDERS),
-            "education": _histogram(pop.education, EDUCATIONS),
-            "occupation": _histogram(pop.occupation, OCCUPATIONS),
+            **{f.key: _histogram(getattr(pop, f.column), f.names) for f in enums},
             "address_kind": _histogram(addr.kind, ADDRESS_KINDS),
         },
         violations=violations,

@@ -8,7 +8,6 @@ stream, individual id, day), so results are bitwise reproducible and do
 not depend on evaluation order or chunking.
 """
 
-import json
 import math
 import numbers
 import os
@@ -31,8 +30,10 @@ from .domain import (
     Calendar,
     Dataset,
     EventLog,
+    Field,
     PopulationColumns,
     Region,
+    read_jsonl,
 )
 from .errors import ConfigError
 from .netinfer import LAYERS, MultiplexGraph, build_from_groups, read_edges, write_edges
@@ -470,6 +471,8 @@ class SimConfig:
 
 
 TRUTH_FILES = ("truth_labels.jsonl", "truth_network.edges")
+# truth_labels.jsonl; first_aware is null for an individual never aware
+TRUTH_LABEL_FIELDS = (Field("individual_id", "id"), Field("first_aware", "int", null=NEVER))
 
 
 @dataclass
@@ -494,18 +497,10 @@ class GroundTruth:
     @classmethod
     def load(cls, directory, ids):
         labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
-        got_ids, got_ts = [], []
-        with open(labels_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                if obj["first_aware"] is not None:
-                    got_ids.append(obj["individual_id"])
-                    got_ts.append(obj["first_aware"])
-        timeline = AwarenessTimeline(
-            np.array(got_ids, dtype=np.uint64), np.array(got_ts, dtype=np.int64)
-        )
-        graph = read_edges(edges_path, ids)
-        return cls(timeline, graph)
+        labels = read_jsonl(labels_path, TRUTH_LABEL_FIELDS)[0]
+        aware = labels["first_aware"] != NEVER
+        timeline = AwarenessTimeline(labels["individual_id"][aware], labels["first_aware"][aware])
+        return cls(timeline, read_edges(edges_path, ids))
 
 
 def _chunk_sizes(rng, total, size_probs):

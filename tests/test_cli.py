@@ -509,6 +509,25 @@ FAULTS = [
         "infer-net", append("dataset/regions.jsonl", "[" * DEEP + "\n"), 4,
         id="regions-deep-nesting",
     ),
+    # a city other than the epicenter, whose distance is 0.0
+    pytest.param(
+        "geo-corr",
+        substitute(
+            "dataset/regions.jsonl", r'"distance_to_epicenter":(?!0\.0,)[^,]+',
+            '"distance_to_epicenter":NaN',
+        ),
+        4, id="region-distance-nan",
+    ),
+    pytest.param(
+        "regress", substitute("dataset/regions.jsonl", r'"gdp":[^,]+', '"gdp":Infinity'), 4,
+        id="region-gdp-infinity",
+    ),
+    # an int longer than the interpreter converts from a string
+    pytest.param(
+        "infer-net",
+        append("dataset/population.jsonl", POPULATION_LINE.replace("40000", "1" * 5000)), 4,
+        id="population-int-too-many-digits",
+    ),
     # one "}" ending the line, so the line goes through the block parser
     pytest.param(
         "label", append("dataset/events.jsonl", '{"a":' + "[" * DEEP + "]" * DEEP + "}\n"), 4,

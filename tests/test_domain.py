@@ -1,7 +1,9 @@
 """Data model: calendar math, canonical event log, JSONL round trips,
 validation invariants."""
 
+import dataclasses
 import json
+import math
 import random
 from datetime import date, datetime, timedelta, timezone
 
@@ -201,54 +203,196 @@ EVENT_LINES = [
 ]
 EXTRA = _query(6, 109, "fever")
 
+
+def _jsonl(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _person(i):
+    return {
+        "id": i, "gender": "female", "age": 30, "education": "bachelor",
+        "occupation": "white_collar", "purchasing_power": 4, "has_child": False,
+        "married": False, "home_city": 0, "qualified": True,
+    }
+
+
+def _region(i):
+    return {
+        "city_id": i, "province_id": 0, "name": f"city-{i}", "distance_to_epicenter": 10.0 * i,
+        "gdp": 100.0, "daily_confirmed_cases": [0, 3], "cultural_tightness": 0.5,
+        "paddy_rice_pct": 0.2, "innovation_index": 1.0, "illiteracy_pct": 0.05,
+        "multi_ethnic_household_pct": 0.1, "population_count": 1000,
+    }
+
+
+def _address(i):
+    return {"individual_id": i, "address_id": 100 + i, "kind": "home", "active_interval": [0, 9]}
+
+
+# ten good lines per file, and the file's reader
+TABLES = {
+    "population.jsonl": ([_jsonl(_person(i)) for i in range(1, 11)], domain.read_population),
+    "regions.jsonl": ([_jsonl(_region(i)) for i in range(10)], domain.read_regions),
+    "addresses.jsonl": ([_jsonl(_address(i)) for i in range(1, 11)], domain.read_addresses),
+    "events.jsonl": (EVENT_LINES, read_events),
+}
+DROP = object()
+
+
+def _edited(record, /, **edits):
+    """One line of ``record`` with ``edits`` applied; a DROP value drops its key."""
+    obj = {**record, **edits}
+    return _jsonl({k: v for k, v in obj.items() if v is not DROP})
+
+
+def _fault(case, record, message, /, **edits):
+    file = {_person: "population", _region: "regions", _address: "addresses"}[record]
+    return pytest.param(f"{file}.jsonl", _edited(record(99), **edits), message, id=case)
+
+
+PURCHASE = json.loads(_purchase(6, 109))
+
 # A bad line at line 7, in the middle of the second of three 4-line blocks,
 # and the error the per-line reader raises for it.
 BLOCK_FAULTS = [
-    pytest.param(EXTRA + "," + EXTRA, "invalid JSON: Extra data", id="two-objects-one-line"),
-    pytest.param("[" + EXTRA + "]", "expected a JSON object", id="array-wrapped-line"),
-    pytest.param("[", "invalid JSON: Expecting value", id="open-bracket-line"),
     pytest.param(
-        EXTRA.replace('"individual_id":6', '"individual_id":true'),
+        "events.jsonl", EXTRA + "," + EXTRA, "invalid JSON: Extra data",
+        id="two-objects-one-line",
+    ),
+    pytest.param(
+        "events.jsonl", "[" + EXTRA + "]", "expected a JSON object", id="array-wrapped-line"
+    ),
+    pytest.param("events.jsonl", "[", "invalid JSON: Expecting value", id="open-bracket-line"),
+    pytest.param(
+        "events.jsonl", EXTRA.replace('"individual_id":6', '"individual_id":true'),
         "individual_id must be an unsigned 64-bit integer", id="bool-id",
     ),
     pytest.param(
-        EXTRA.replace('"individual_id":6', f'"individual_id":{2**64}'),
+        "events.jsonl", EXTRA.replace('"individual_id":6', f'"individual_id":{2**64}'),
         "individual_id must be an unsigned 64-bit integer", id="id-2-to-64",
     ),
     pytest.param(
-        EXTRA.replace('"timestamp":109', '"timestamp":109.0'),
+        "events.jsonl", EXTRA.replace('"timestamp":109', '"timestamp":109.0'),
         "timestamp must be an integer", id="float-timestamp",
     ),
     pytest.param(
-        EXTRA.replace('"type":"query",', ""), "missing field 'type'", id="missing-type"
+        "events.jsonl", EXTRA.replace('"type":"query",', ""), "missing field 'type'",
+        id="missing-type",
     ),
     pytest.param(
-        EXTRA.encode().replace(b"fever", b"fe\xffver"), "not valid UTF-8", id="not-utf8"
+        "events.jsonl", EXTRA.encode().replace(b"fever", b"fe\xffver"), "not valid UTF-8",
+        id="not-utf8",
     ),
     # two lines whose pieces re-join into two valid objects inside a block
     pytest.param(
-        EXTRA + "," + EXTRA[:-1] + ',"x":[{}\n{}]}', "invalid JSON: Extra data",
+        "events.jsonl", EXTRA + "," + EXTRA[:-1] + ',"x":[{}\n{}]}', "invalid JSON: Extra data",
         id="object-split-over-lines",
     ),
     pytest.param(
-        EXTRA.replace('"timestamp":109', f'"timestamp":{10**20}'),
+        "events.jsonl", EXTRA.replace('"timestamp":109', f'"timestamp":{10**20}'),
         "timestamp must fit in a signed 64-bit integer", id="timestamp-overflow",
+    ),
+    pytest.param(
+        "events.jsonl", EXTRA.replace('"fever"', "5"), "query_text must be a string",
+        id="query-text-number",
+    ),
+    pytest.param(
+        "events.jsonl", _edited(PURCHASE, category=DROP), "missing field 'category'",
+        id="purchase-missing-category",
+    ),
+    pytest.param(
+        "events.jsonl", _edited(PURCHASE, is_ppe="yes"), "is_ppe must be a boolean",
+        id="purchase-is-ppe-string",
+    ),
+    _fault("population-missing-field", _person, "missing field 'married'", married=DROP),
+    _fault(
+        "population-id-string", _person, "id must be an unsigned 64-bit integer", id="99"
+    ),
+    _fault("population-enum-number", _person, "gender must be a string", gender=1),
+    _fault(
+        "population-enum-unknown", _person,
+        "education must be one of ['bachelor', 'college_or_lower', 'postgraduate'], "
+        "got 'phd'", education="phd",
+    ),
+    _fault("population-int-float", _person, "age must be an integer", age=30.5),
+    _fault("population-int-negative", _person, "age must be >= 0, got -1", age=-1),
+    _fault(
+        "population-int-out-of-range", _person, "purchasing_power must be in [1, 7], got 0",
+        purchasing_power=0,
+    ),
+    _fault(
+        "population-int-dtype", _person, "age must fit in int16, got 32768", age=2**15
+    ),
+    _fault("population-bool-int", _person, "married must be a boolean", married=0),
+    _fault(
+        "population-id-dtype", _person, f"home_city must fit in int64, got {2**63}",
+        home_city=2**63,
+    ),
+    _fault("region-missing-field", _region, "missing field 'province_id'", province_id=DROP),
+    _fault("region-text-number", _region, "name must be a string", name=5),
+    _fault("region-number-string", _region, "gdp must be a number", gdp="big"),
+    _fault(
+        "region-number-nan", _region, "distance_to_epicenter must be finite, got nan",
+        distance_to_epicenter=math.nan,
+    ),
+    _fault("region-number-inf", _region, "gdp must be finite, got inf", gdp=math.inf),
+    _fault(
+        "region-number-minus-inf", _region, "innovation_index must be finite, got -inf",
+        innovation_index=-math.inf,
+    ),
+    _fault(
+        "region-number-beyond-float", _region, f"gdp must be finite, got {10**400}",
+        gdp=10**400,
+    ),
+    _fault("region-number-negative", _region, "gdp must be >= 0, got -1.5", gdp=-1.5),
+    _fault(
+        "region-number-out-of-range", _region, "paddy_rice_pct must be in [0, 1], got 1.5",
+        paddy_rice_pct=1.5,
+    ),
+    _fault(
+        "region-counts-negative", _region, "daily_confirmed_cases must be a list of ints >= 0",
+        daily_confirmed_cases=[0, -1],
+    ),
+    _fault(
+        "region-counts-not-list", _region, "daily_confirmed_cases must be a list of ints >= 0",
+        daily_confirmed_cases=3,
+    ),
+    _fault(
+        "region-int-out-of-range", _region, "population_count must be >= 1, got 0",
+        population_count=0,
+    ),
+    _fault(
+        "address-enum-unknown", _address,
+        "kind must be one of ['company', 'home', 'school_dorm'], got 'office'", kind="office",
+    ),
+    _fault(
+        "address-interval-short", _address, "active_interval must be [start, end] epoch seconds",
+        active_interval=[0],
+    ),
+    _fault(
+        "address-interval-overflow", _address,
+        "active_interval must be [start, end] epoch seconds", active_interval=[0, 2**63],
+    ),
+    _fault(
+        "address-id-negative", _address, "address_id must be an unsigned 64-bit integer",
+        address_id=-1,
     ),
 ]
 
 
-def _events_file(path, lines, newline=b"\n"):
+def _lines_file(path, lines, newline=b"\n"):
     data = [line.encode() if isinstance(line, str) else line for line in lines]
     path.write_bytes(newline.join(data) + newline)
     return path
 
 
-@pytest.mark.parametrize("bad, message", BLOCK_FAULTS)
-def test_block_reader_raises_the_per_line_error(tmp_path, monkeypatch, bad, message):
+@pytest.mark.parametrize("name, bad, message", BLOCK_FAULTS)
+def test_block_reader_raises_the_per_line_error(tmp_path, monkeypatch, name, bad, message):
     monkeypatch.setattr(domain, "READ_BLOCK_LINES", 4)
-    path = _events_file(tmp_path / "events.jsonl", EVENT_LINES[:6] + [bad] + EVENT_LINES[6:])
+    lines, reader = TABLES[name]
+    path = _lines_file(tmp_path / name, lines[:6] + [bad] + lines[6:])
     with pytest.raises(ParseError) as exc:
-        read_events(path)
+        reader(path)
     assert exc.value.line_no == 7
     assert str(exc.value) == f"{path}:7: {message}"
 
@@ -256,18 +400,18 @@ def test_block_reader_raises_the_per_line_error(tmp_path, monkeypatch, bad, mess
 def test_block_reader_line_endings_blank_lines_and_fallback(tmp_path, monkeypatch):
     monkeypatch.setattr(domain, "READ_BLOCK_LINES", 4)
     lines = EVENT_LINES + [EXTRA]
-    expected = read_events(_events_file(tmp_path / "plain.jsonl", lines))
+    expected = read_events(_lines_file(tmp_path / "plain.jsonl", lines))
     assert len(expected) == 11
-    assert read_events(_events_file(tmp_path / "crlf.jsonl", lines, b"\r\n")) == expected
+    assert read_events(_lines_file(tmp_path / "crlf.jsonl", lines, b"\r\n")) == expected
     padded = lines[:5] + ["   ", "\t", " \t "] + lines[5:]
-    assert read_events(_events_file(tmp_path / "blank.jsonl", padded)) == expected
+    assert read_events(_lines_file(tmp_path / "blank.jsonl", padded)) == expected
     # a "}" inside a text sends its block down the per-line path
     braced = lines[:-1] + [_query(6, 109, "fe}ver")]
-    log = read_events(_events_file(tmp_path / "brace.jsonl", braced))
+    log = read_events(_lines_file(tmp_path / "brace.jsonl", braced))
     assert "fe}ver" in log.text_pool
     # blank lines count toward the line number of the error after them
     bad = EXTRA.replace('"individual_id":6', '"individual_id":-1')
-    path = _events_file(tmp_path / "bad.jsonl", padded[:8] + [bad])
+    path = _lines_file(tmp_path / "bad.jsonl", padded[:8] + [bad])
     with pytest.raises(ParseError) as exc:
         read_events(path)
     assert exc.value.line_no == 9
@@ -432,6 +576,21 @@ def test_event_for_unknown_individual_violation():
     )
 
 
+def test_declared_ranges_are_violations():
+    # gen checks its in-memory dataset against the ranges the readers enforce
+    pop = make_population([1, 2])
+    pop.purchasing_power[0] = 9
+    pop.age[1] = -3
+    bad = dataclasses.replace(make_region(1, distance=300.0), gdp=math.inf, paddy_rice_pct=1.5)
+    ds = Dataset(pop, [make_region(0), bad], make_addresses([]), EventLog.empty(), Calendar(0, 1))
+    assert validate_dataset(ds).violations == [
+        "individual 2: age must be >= 0, got -3",
+        "individual 1: purchasing_power must be in [1, 7], got 9",
+        "region 1: gdp must be finite, got inf",
+        "region 1: paddy_rice_pct must be in [0, 1], got 1.5",
+    ]
+
+
 def test_multi_home_is_a_note_not_a_violation():
     addrs = [(1, 10, "home", 0, 100), (1, 11, "home", 0, 100)]
     ds = tiny_dataset(make_population([1]), addresses=addrs)
@@ -493,6 +652,40 @@ def test_simulated_dataset_round_trips_through_disk(tmp_path, small_world):
     )
     assert loaded == dataset
     assert validate_dataset(loaded).ok()
+
+
+READERS = dict(zip(domain.DATASET_FILES, (
+    domain.read_population, domain.read_regions, domain.read_addresses, read_events,
+)))
+FIELD_TABLES = dict(zip(domain.DATASET_FILES, (
+    domain.POPULATION_FIELDS, domain.REGION_FIELDS, domain.ADDRESS_FIELDS, domain.EVENT_FIELDS,
+)))
+
+
+@pytest.mark.parametrize("name", domain.DATASET_FILES)
+def test_each_file_round_trips_in_blocks_smaller_than_it(tmp_path, monkeypatch, small_world, name):
+    _, dataset, _ = small_world
+    table = name.split(".")[0]
+    path = save_dataset(dataset, tmp_path)[table]
+    monkeypatch.setattr(domain, "READ_BLOCK_LINES", 5)
+    with open(path) as fh:
+        assert len(fh.readlines()) > 5
+    assert READERS[name](path) == getattr(dataset, table)
+
+
+@pytest.mark.parametrize("name", domain.DATASET_FILES)
+def test_writers_write_the_declared_keys_in_order(tmp_path, small_world, name):
+    _, dataset, _ = small_world
+    path = save_dataset(dataset, tmp_path)[name.split(".")[0]]
+    keys_of = {}  # the first line's keys, per event type (None outside events)
+    with open(path) as fh:
+        for line in fh:
+            obj = json.loads(line)
+            keys_of.setdefault(obj.get("type"), list(obj))
+    assert len(keys_of) == (2 if name == "events.jsonl" else 1)
+    for etype, keys in keys_of.items():
+        code = None if etype is None else domain.EVENT_TYPES.index(etype)
+        assert keys == [f.key for f in FIELD_TABLES[name] if f.when in (None, code)]
 
 
 def test_columns_view_is_consistent(small_world):

@@ -7,7 +7,7 @@ import pytest
 
 from awareflow.awareness import label_awareness, match_mask
 from awareflow.domain import ADDRESS_KINDS, EDUCATIONS, OCCUPATIONS, EventLog
-from awareflow.errors import ConfigError
+from awareflow.errors import ConfigError, ParseError
 from awareflow.netinfer import LAYERS, infer_networks
 from awareflow.simulate import (
     GroundTruth,
@@ -258,6 +258,18 @@ def test_ground_truth_round_trip(tmp_path, small_world):
     loaded = GroundTruth.load(tmp_path, dataset.population.ids)
     assert loaded.timeline == truth.timeline
     assert loaded.graph == truth.graph
+
+
+def test_ground_truth_bad_line_is_parse_error(tmp_path, small_world):
+    _, dataset, truth = small_world
+    truth.save(tmp_path)
+    path = tmp_path / "truth_labels.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = '{"individual_id":5,"first_aware":"x"}'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        GroundTruth.load(tmp_path, dataset.population.ids)
+    assert str(exc.value) == f"{path}:3: first_aware must be an integer"
 
 
 def test_sim_config_dict_round_trip():
