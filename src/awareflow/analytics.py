@@ -530,20 +530,24 @@ def geo_correlation_series(dataset, timeline, factor, level="province", cohort_i
 # tabular output helpers (TSV with NA / INF sentinels)
 # ---------------------------------------------------------------------------
 
+_FLOAT_WORDS = {"nan": "NA", "inf": "INF", "-inf": "-INF"}
+_BOOL_TEXT = ("0", "1")
+
+
+def _format_float(v):
+    text = format(v, ".10g")
+    return _FLOAT_WORDS.get(text, text)
+
+
 def format_value(v):
     if v is None:
         return "NA"
     if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
+        return _BOOL_TEXT[bool(v)]
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if np.isnan(f):
-            return "NA"
-        if np.isinf(f):
-            return "INF" if f > 0 else "-INF"
-        return format(f, ".10g")
+        return _format_float(float(v))
     return str(v)
 
 
@@ -552,11 +556,26 @@ def parse_number(text):
     return None if text == "NA" else float(text)
 
 
+# format_value of the cell types the stages write most, looked up by exact
+# type; every other type goes through format_value itself
+_FORMATTERS = {
+    float: _format_float,
+    np.float64: _format_float,
+    int: str,
+    np.int64: str,
+    bool: _BOOL_TEXT.__getitem__,
+    str: str,
+}
+
+
 def write_tsv(path, header, rows):
+    formatter = _FORMATTERS.get
+    lines = ["\t".join(header)]
+    lines += [
+        "\t".join([formatter(type(v), format_value)(v) for v in row]) for row in rows
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(format_value(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_tsv(path, columns, header=True):

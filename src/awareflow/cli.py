@@ -16,12 +16,13 @@ Every subcommand writes its artifacts plus a deterministic manifest (no
 timestamps, no absolute paths) so that identical config + seed runs are
 byte-identical.  A manifest's ``inputs`` hash every file the stage read,
 the dataset tables it declares included; its ``outputs`` every file it
-wrote.  Only ``gen`` and ``label`` touch the event log, so only their
-manifests list ``events.jsonl`` while ``calendar.json`` exists.  Artifacts
-of earlier stages are read back through validating readers.  Exit codes:
-0 ok, 2 config error, 3 missing artifact, 4 a dataset file or an earlier
-stage's artifact failed parsing or integrity checks, 5 numerical/analytic
-failure.
+wrote.  Only ``gen`` and ``infer-net`` touch the address table, so only
+their manifests list ``addresses.jsonl``; only ``gen`` and ``label`` touch
+the event log, so only theirs list ``events.jsonl`` while ``calendar.json``
+exists.  Artifacts of earlier stages are read back through validating
+readers.  Exit codes: 0 ok, 2 config error, 3 missing artifact, 4 a dataset
+file or an earlier stage's artifact failed parsing or integrity checks, 5
+numerical/analytic failure.
 """
 
 import argparse
@@ -70,6 +71,7 @@ from .awareness import (
 from .domain import (
     DATASET_FILES,
     Calendar,
+    load_addresses,
     load_dataset,
     load_events,
     save_dataset,
@@ -102,7 +104,7 @@ from .simulate import TRUTH_FILES, SimConfig, fits, generate, is_int, is_timesta
 # RNG stream for drawing the regression sample; simulator streams are < 100
 SAMPLE_STREAM = 101
 CALENDAR_FILE = "calendar.json"
-*TABLE_FILES, EVENTS_FILE = DATASET_FILES
+*TABLE_FILES, ADDRESSES_FILE, EVENTS_FILE = DATASET_FILES
 
 GROUPINGS = ("gender", "education", "occupation", "purchasing_power", "has_child", "married")
 
@@ -371,11 +373,11 @@ def phase_segmentation(rows):
 # ---------------------------------------------------------------------------
 
 # A stage reads and writes artifacts: files in the run directory, named by
-# file name, or the groups "dataset" (the population, region and address
-# files plus calendar.json; without calendar.json the window is inferred
-# from the events, so events.jsonl takes its place), "events" (events.jsonl),
-# "truth" (the simulator's ground truth next to them) and "patterns" (the
-# query pattern file).
+# file name, or the groups "dataset" (the population and region files plus
+# calendar.json; without calendar.json the window is inferred from the
+# events, so events.jsonl takes its place), "addresses" (addresses.jsonl),
+# "events" (events.jsonl), "truth" (the simulator's ground truth next to
+# them) and "patterns" (the query pattern file).
 Stage = namedtuple("Stage", "name reads writes")
 STAGES = {}  # stage name -> Stage, in pipeline order
 STEP_FUNCS = {}  # stage name -> cmd_<stage>; `all` and each subcommand dispatch here
@@ -460,6 +462,8 @@ class PipelineState:
                 if not os.path.exists(window):
                     window = self.dataset_path(EVENTS_FILE)
                 out.append(window)
+            elif name == "addresses":
+                out.append(self.dataset_path(ADDRESSES_FILE))
             elif name == "events":
                 out.append(self.dataset_path(EVENTS_FILE))
             elif name == "truth":
@@ -485,9 +489,11 @@ class PipelineState:
         if name == "dataset":
             *tables, last = paths
             if os.path.basename(last) == CALENDAR_FILE:
-                return load_dataset(*tables, None, calendar=read_calendar(last))
-            return load_dataset(*tables, last)
+                return load_dataset(*tables, None, None, calendar=read_calendar(last))
+            return load_dataset(*tables, None, last)
         (path,) = paths
+        if name == "addresses":
+            return load_addresses(path, self.load("dataset").population.ids)
         if name == "events":
             dataset = self.load("dataset")
             if dataset.events is not None:
@@ -562,7 +568,7 @@ def window_date(iso, d):
 # stages, in pipeline order
 # ---------------------------------------------------------------------------
 
-@stage("gen", writes=("dataset", "events", "truth"))
+@stage("gen", writes=("dataset", "addresses", "events", "truth"))
 def cmd_gen(state):
     cfg = state.cfg
     if cfg.simulator is None:
@@ -586,7 +592,8 @@ def cmd_gen(state):
         json.dump({"start_date": iso[0], "end_date": iso[-1]}, fh, sort_keys=True)
         fh.write("\n")
     # later stages see the dataset as they would load it from disk
-    state.loaded["dataset"] = replace(dataset, events=None)
+    state.loaded["dataset"] = replace(dataset, events=None, addresses=None)
+    state.loaded["addresses"] = dataset.addresses
     state.loaded["events"] = dataset.events
     return {
         "individuals": dataset.population.n,
@@ -598,11 +605,11 @@ def cmd_gen(state):
     }
 
 
-@stage("infer-net", reads=("dataset",), writes=("networks.edges",))
+@stage("infer-net", reads=("dataset", "addresses"), writes=("networks.edges",))
 def cmd_infer_net(state):
-    dataset = state.load("dataset")
+    ids = state.load("dataset").population.ids
     caps = {**DEFAULT_CAPS, **state.cfg.caps}
-    graph = infer_networks(dataset.addresses, dataset.population.ids, caps=caps)
+    graph = infer_networks(state.load("addresses"), ids, caps=caps)
     write_edges(graph, state.out_path("networks.edges"))
     state.loaded["networks.edges"] = graph
     return {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}

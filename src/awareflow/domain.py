@@ -319,15 +319,23 @@ class EventLog(Columns):
         return super().__eq__(other) and self.text_pool == other.text_pool
 
 
+def find_rows(ids, individual_ids):
+    """(rows, found) of ``individual_ids`` in the ascending array ``ids``:
+    where each id sits or would sit, and whether ``ids`` holds it."""
+    wanted = np.asarray(individual_ids, dtype=np.uint64)
+    rows = np.searchsorted(ids, wanted)
+    found = rows < len(ids)
+    found[found] = ids[rows[found]] == wanted[found]
+    return rows, found
+
+
 def rows_of_ids(ids, individual_ids):
     """Rows of ``individual_ids`` in the ascending array ``ids``.
 
     An id that ``ids`` does not hold raises IntegrityError naming it.
     """
     wanted = np.asarray(individual_ids, dtype=np.uint64)
-    rows = np.searchsorted(ids, wanted)
-    found = rows < len(ids)
-    found[found] = ids[rows[found]] == wanted[found]
+    rows, found = find_rows(ids, wanted)
     if not found.all():
         raise IntegrityError(f"unknown individual id {int(wanted[~found][0])}")
     return rows
@@ -368,7 +376,7 @@ class Dataset:
 
     population: PopulationColumns
     regions: list
-    addresses: AddressColumns
+    addresses: AddressColumns  # None when loaded without its addresses file
     events: EventLog  # None when loaded without its events file
     calendar: Calendar
 
@@ -712,15 +720,16 @@ def load_dataset(
 ):
     """Parse, assemble, and validate one dataset from disk.
 
-    With ``events_path`` None the dataset carries ``events=None`` and needs
-    a ``calendar``; otherwise a missing calendar is inferred from the events.
+    With ``addresses_path`` None the dataset carries ``addresses=None``;
+    with ``events_path`` None it carries ``events=None`` and needs a
+    ``calendar``; otherwise a missing calendar is inferred from the events.
     Raises ParseError on per-record schema violations and IntegrityError
     when cross-record invariants (foreign keys, duplicates, interval
     ordering) are violated.
     """
     population = read_population(population_path)
     regions = read_regions(regions_path)
-    addresses = read_addresses(addresses_path)
+    addresses = None if addresses_path is None else read_addresses(addresses_path)
     events = None if events_path is None else read_events(events_path)
     if calendar is None:
         if events is None:
@@ -729,6 +738,14 @@ def load_dataset(
     dataset = Dataset(population, regions, addresses, events, calendar)
     _raise_violations(validate_dataset(dataset))
     return dataset
+
+
+def load_addresses(path, ids):
+    """Parse one addresses file and check it against the population ``ids``,
+    as load_dataset checks the addresses it loads."""
+    addresses = read_addresses(path)
+    _raise_violations(validate_addresses(addresses, ids))
+    return addresses
 
 
 def load_events(path, ids, calendar):
@@ -776,10 +793,9 @@ def validate_dataset(dataset):
 
     Violations are data, not failures: the report always comes back, and a
     dataset accepted by load_dataset produces an empty violation list.  A
-    dataset without events has no event counts and no event checks.
+    dataset without addresses or events has no counts and no checks of them.
     """
     violations = []
-    notes = []
 
     pop = dataset.population
     ids, id_counts = np.unique(pop.ids, return_counts=True)
@@ -823,20 +839,47 @@ def validate_dataset(dataset):
                     f"{dataset.calendar.n_days} days"
                 )
 
-    addr = dataset.addresses
-    resident_bad = ~np.isin(addr.individual_id, ids)
-    interval_bad = addr.active_start > addr.active_end
+    enums = [f for f in POPULATION_FIELDS if f.kind == "enum"]
+    report = ValidationReport(
+        counts={"individuals": pop.n, "regions": len(dataset.regions)},
+        enum_histograms={f.key: _histogram(getattr(pop, f.column), f.names) for f in enums},
+        violations=violations,
+        notes=[],
+    )
+    parts = []
+    if dataset.addresses is not None:
+        parts.append(validate_addresses(dataset.addresses, ids))
+    if dataset.events is not None:
+        parts.append(validate_events(dataset.events, ids, dataset.calendar))
+    for part in parts:
+        report.counts.update(part.counts)
+        report.enum_histograms.update(part.enum_histograms)
+        report.violations += part.violations
+        report.notes += part.notes
+    return report
+
+
+def validate_addresses(addresses, ids):
+    """The address count, address kinds, notes and violations of an address
+    table: addresses of individuals outside ``ids``, intervals that end
+    before they start."""
+    violations = []
+    notes = []
+    resident_bad = ~np.isin(addresses.individual_id, ids)
+    interval_bad = addresses.active_start > addresses.active_end
     for row in np.flatnonzero(resident_bad | interval_bad).tolist():
-        aid, iid = int(addr.address_id[row]), int(addr.individual_id[row])
+        aid, iid = int(addresses.address_id[row]), int(addresses.individual_id[row])
         if resident_bad[row]:
             violations.append(f"address {aid}: unknown individual {iid}")
         if interval_bad[row]:
             violations.append(
                 f"address {aid} / individual {iid}: active_interval start "
-                f"{addr.active_start[row]} > end {addr.active_end[row]}"
+                f"{addresses.active_start[row]} > end {addresses.active_end[row]}"
             )
-    home = addr.kind == ADDRESS_KINDS.index("home")
-    homes = np.unique(np.column_stack([addr.individual_id[home], addr.address_id[home]]), axis=0)
+    home = addresses.kind == ADDRESS_KINDS.index("home")
+    homes = np.unique(
+        np.column_stack([addresses.individual_id[home], addresses.address_id[home]]), axis=0
+    )
     _, homes_per_individual = np.unique(homes[:, 0], return_counts=True)
     multi_home = int((homes_per_individual > 1).sum())
     if multi_home:
@@ -844,27 +887,12 @@ def validate_dataset(dataset):
             f"{multi_home} individuals appear at more than one home address; "
             "all their family cliques are kept"
         )
-
-    enums = [f for f in POPULATION_FIELDS if f.kind == "enum"]
-    report = ValidationReport(
-        counts={
-            "individuals": pop.n,
-            "regions": len(dataset.regions),
-            "addresses": len(addr),
-        },
-        enum_histograms={
-            **{f.key: _histogram(getattr(pop, f.column), f.names) for f in enums},
-            "address_kind": _histogram(addr.kind, ADDRESS_KINDS),
-        },
+    return ValidationReport(
+        counts={"addresses": len(addresses)},
+        enum_histograms={"address_kind": _histogram(addresses.kind, ADDRESS_KINDS)},
         violations=violations,
         notes=notes,
     )
-    if dataset.events is not None:
-        events = validate_events(dataset.events, ids, dataset.calendar)
-        report.counts.update(events.counts)
-        report.enum_histograms.update(events.enum_histograms)
-        report.violations += events.violations
-    return report
 
 
 def validate_events(events, ids, calendar):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ADDRESS_KINDS, rows_of_ids
+from .domain import ADDRESS_KINDS, find_rows, rows_of_ids
 from .errors import ParseError
 
 LAYERS = ("family", "schoolmate", "workmate")
@@ -203,33 +203,85 @@ def _parse_ids(tokens):
     return np.array([v or 0 for v in values], dtype=np.uint64), ok
 
 
-def read_edges(path, ids):
-    """Rebuild a MultiplexGraph from a write_edges dump over given ids.
+# every byte that can be part of a token of a canonical edge file
+_TOKEN_BYTES = bytes(range(ord(" ") + 1, 256))
 
-    Every non-blank line must be ``layer a b`` over a known layer and two
-    distinct ids of ``ids``; the first line that is not raises ParseError.
-    """
-    ids = np.asarray(ids, dtype=np.uint64)
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().split("\n")
-    width = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-    good = width == 3
-    # str.split() splits a line where line.split() does, so the tokens of the
-    # three-token lines, joined, come in rows of three
-    tokens = " ".join(itertools.compress(lines, good)).split()
+
+def _canonical_tokens(data):
+    """The tokens of ``data`` when each of its lines is blank or three
+    tokens joined by single spaces, in ASCII with no other whitespace or
+    control bytes; None otherwise."""
+    if (
+        not data.isascii()
+        or data.startswith(b" ") or data.endswith(b" ")
+        or b"  " in data or b" \n" in data or b"\n " in data
+    ):
+        return None
+    # every space now sits inside a line, between two tokens; a line's
+    # separators, all but its newline, must be none or two spaces
+    seps = data.translate(None, _TOKEN_BYTES) + b"\n"
+    blanks = seps.replace(b"  \n", b"")
+    if blanks.strip(b"\n"):
+        return None
+    tokens = data.decode("ascii").split()
+    # a line without spaces must be blank, not one token
+    if len(tokens) != len(seps) - len(blanks):
+        return None
+    return tokens
+
+
+def _edge_triples(tokens, ids):
+    """(layer codes, (E, 2) node rows, good) of ``tokens`` read three at a
+    time; a triple is good when its layer is known and its two ids are
+    distinct ids of ``ids``."""
     layer = np.fromiter(
         map(LAYER_CODES.get, tokens[0::3], itertools.repeat(-1)),
         dtype=np.int64, count=len(tokens) // 3,
     )
     a, a_ok = _parse_ids(tokens[1::3])
     b, b_ok = _parse_ids(tokens[2::3])
-    good[good] = (
-        (layer >= 0) & a_ok & b_ok & np.isin(a, ids) & np.isin(b, ids) & (a != b)
-    )
+    a_rows, a_in = find_rows(ids, a)
+    b_rows, b_in = find_rows(ids, b)
+    good = (layer >= 0) & a_ok & b_ok & a_in & b_in & (a != b)
+    return layer, np.column_stack([a_rows, b_rows]), good
+
+
+def _edges_by_line(path, data, ids):
+    """(layer codes, node rows) of the lines of ``data`` split as text mode
+    splits them; the first non-blank line that is not an edge raises
+    ParseError."""
+    lines = data.decode("utf-8", errors="replace").split("\n")
+    width = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    good = width == 3
+    # str.split() splits a line where line.split() does, so the tokens of the
+    # three-token lines, joined, come in rows of three
+    tokens = " ".join(itertools.compress(lines, good)).split()
+    layer, rows, edge = _edge_triples(tokens, ids)
+    good[good] = edge
     bad = np.flatnonzero((width > 0) & ~good)
     if len(bad):
         k = int(bad[0])
         raise ParseError(path, k + 1, f"bad edge line {lines[k].strip()!r}")
-    rows = rows_of_ids(ids, np.column_stack([a, b]))
+    return layer, rows
+
+
+def read_edges(path, ids):
+    """Rebuild a MultiplexGraph from a write_edges dump over given ids.
+
+    Every non-blank line must be ``layer a b`` over a known layer and two
+    distinct ids of ``ids``; the first line that is not raises ParseError.
+    A file whose lines are all blank or single-spaced edges is checked in
+    one pass over its tokens; any other file is read line by line.
+    """
+    ids = np.asarray(ids, dtype=np.uint64)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # the line ends text mode reads as "\n"
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    tokens = _canonical_tokens(data)
+    if tokens is not None:
+        layer, rows, good = _edge_triples(tokens, ids)
+    if tokens is None or not good.all():
+        layer, rows = _edges_by_line(path, data, ids)
     layers = {name: _build_layer(rows[layer == code], len(ids)) for name, code in LAYER_CODES.items()}
     return MultiplexGraph(ids, layers)

@@ -127,6 +127,32 @@ def clique_edges_scan(records, caps):
     return edges
 
 
+def edge_file_scan(data, ids):
+    """Edge sets per layer of the bytes of an edge file, or the (line number,
+    stripped line) of its first bad line.
+
+    Lines end where text mode ends them ("\\n", "\\r\\n" or "\\r"), undecodable
+    bytes read as U+FFFD, and fields are split at any whitespace.  A line
+    is good when it is blank or names a known layer and two distinct ids
+    of ``ids``.
+    """
+    known = {int(i) for i in ids}
+    edges = {layer: set() for layer in KIND_LAYER.values()}
+    text = data.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            layer, a, b = fields[0], int(fields[1]), int(fields[2])
+        except (IndexError, ValueError):
+            return line_no, line.strip()
+        if len(fields) != 3 or layer not in edges or a == b or not {a, b} <= known:
+            return line_no, line.strip()
+        edges[layer].add((min(a, b), max(a, b)))
+    return edges
+
+
 def group_edges_scan(ids, groups):
     """{(lo_id, hi_id)} of every two distinct members sharing one of the
     row groups ``groups``."""

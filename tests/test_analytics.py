@@ -545,6 +545,28 @@ def test_format_value_sentinels():
     assert format_value("Peak") == "Peak"
 
 
+def test_write_tsv_formats_every_cell_as_format_value_does(tmp_path):
+    floats = [
+        0.0, -0.0, 0.25, 1 / 3, -2 / 3, 1e-300, 5e-324, 1.7976931348623157e308,
+        1234567891.5, 12345678912.0, 0.1 + 0.2, math.pi * 1e12, -math.e * 1e-12,
+        math.nan, math.inf, -math.inf,
+    ]
+    rng = np.random.default_rng(3)
+    floats += (rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)).tolist()
+    cells = [None, True, False, np.bool_(True), np.bool_(False), "Peak", "", "a b"]
+    cells += [0, -7, 2**63, 2**70, np.int32(-5), np.int64(2**63 - 1), np.int64(-(2**63))]
+    cells += floats + [np.float64(f) for f in floats]
+    cells += [np.float32(f) for f in floats if not 1e38 < abs(f) < math.inf]
+    rows = [cells[k : k + 7] for k in range(0, len(cells), 7)]
+    path = tmp_path / "cells.tsv"
+    write_tsv(path, ["c"], rows)
+    want = "c\n" + "".join("\t".join(map(format_value, row)) + "\n" for row in rows)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == want
+    write_tsv(path, ["a", "b"], [])
+    assert path.read_text() == "a\tb\n"
+
+
 def test_write_tsv_round_trip(tmp_path):
     path = tmp_path / "out.tsv"
     write_tsv(path, ["a", "b"], [[1, None], [float("inf"), "x"]])

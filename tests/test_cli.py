@@ -209,15 +209,15 @@ SMALL_RUN_SHA256 = {
     "hysteresis.tsv": "21b6da6121709e3cf30ab31f9d227614c2037de8f8951bf7d5fff54f6c40f8b9",
     "labels.tsv": "65332539e38dd6b1c4572c14b3d6f5bc8a942d2156bd9280a10351d8c02b6b5b",
     "lead_days.tsv": "3b673607f9eb22f552deb7c1a6c2b640375b463bc9cb97cb4a8c3877138d2e94",
-    "manifest_all.json": "448a159013bfd068f6e33e699d9ade7c19468102c20234f0a5ef66a7fa1786e7",
-    "manifest_cohort.json": "66854607dfb8f23367250c599e3c71b6f3611c85b3ed7cdb05cb743b6075c13a",
+    "manifest_all.json": "2e6ca602869994c022bf9cd443fbb810a0691ec0d8d401ff337d296ced1e503a",
+    "manifest_cohort.json": "21ceaa9ff10232dd2993818a6d2cfb8d46e7ead348857e56313e0f7aea254a59",
     "manifest_gen.json": "d0ad68dda5f1aec1bc0a0664e197629b75b17833b980e6a5990bf3807d217dab",
-    "manifest_geo_corr.json": "75a29c6a6ba2be24a49fee7075f1a8fca4f613dc3cd7281f448b83797c06f266",
+    "manifest_geo_corr.json": "ac2e2910ca21ca17b868bb77fb24658e80c96384aa371bb7df38dc12d927f542",
     "manifest_infer_net.json": "abf03e41a9e679bb4c295ce309070e61b885bd8d5efc182917fb62fff671b759",
-    "manifest_label.json": "df19c7a6c418a0f36e7ce944689463d7009d3b3a0c53afe89520d3e49386d8d2",
-    "manifest_regress.json": "d9578169feaacd6f55e45bcfe036b262ace67584a9e45c6044756cbd25cbd5ea",
-    "manifest_report.json": "6f4fd4d96788805667cb1198787879baa2c64f2b7ef7a5b8a483f441547589b0",
-    "manifest_segment.json": "446c238a5e7d3be5801826fdc63911454f45d81f72d3100d78450fde6d73323d",
+    "manifest_label.json": "2d8bfa06fc0b6f2cb8d4411940ae8d6083a6a27d2f83fb9777d6e7f58bd0e4a3",
+    "manifest_regress.json": "7e74b6a2e2bb890100d583ba96cb0e08aee727044c8ab38e78fcf8c0ff594764",
+    "manifest_report.json": "fdc2241f6a050014852a9c7f967043663b478961ac13f30ec9c88758e71c229f",
+    "manifest_segment.json": "509408844b21e853053415a761b224e5b46a1a1ffa2d9dc2263fb3fe934d8557",
     "national_trend.tsv": "b2724a4658eada235eb8993d8c5a8bfe5684ff5072bdd82ff16e6c0518068005",
     "neighborhood_phase_means.tsv": "dd782110f2e37f59511522cbdc85f488fb68c1853566ba09185666ec9fb1ade6",
     "neighborhood_ratios.tsv": "d0ffc7261ac860edf33990dbfd9133df1b2859074c749c7477e393c0da8a9755",
@@ -438,6 +438,13 @@ FAULTS = [
         id="edges-unknown-id",
     ),
     pytest.param("cohort", append("networks.edges", "family 1 1\n"), 4, id="edges-self-loop"),
+    # no address names an unknown individual here: the edges are what fail
+    *(
+        pytest.param(
+            stage, replace("dataset/population.jsonl", ""), 4, id=f"population-empty-{stage}"
+        )
+        for stage in ("cohort", "regress")
+    ),
     pytest.param("segment", repeat_lines("qualified.txt", 5), 4, id="qualified-duplicate-id"),
     pytest.param("segment", repeat_lines("labels.tsv", 3), 4, id="labels-duplicate-id"),
     pytest.param("infer-net", replace("dataset/calendar.json", "{}\n"), 4, id="calendar-empty"),
@@ -650,6 +657,27 @@ def test_stages_without_events_run_without_events_jsonl(all_run, micro_config, t
         assert cli.main([name, "--config", micro_config, "--out", str(out)]) == 0
     assert tree_hashes(str(out)) == want
     assert cli.main(["label", "--config", micro_config, "--out", str(out)]) == 3
+    assert "run `gen` first" in capsys.readouterr().err
+
+
+# the stages that read neither the address table nor infer-net's input
+ADDRESSLESS_STAGES = ("label", "segment", "cohort", "geo-corr", "regress")
+
+
+def test_stages_without_addresses_run_without_addresses_jsonl(
+    all_run, micro_config, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    shutil.copytree(all_run, out)
+    (out / "dataset" / "addresses.jsonl").unlink()
+    want = tree_hashes(str(out))
+    for name in ADDRESSLESS_STAGES:
+        for artifact in cli.STAGES[name].writes + (cli.manifest_name(name),):
+            (out / artifact).unlink()
+    for name in ADDRESSLESS_STAGES:
+        assert cli.main([name, "--config", micro_config, "--out", str(out)]) == 0
+    assert tree_hashes(str(out)) == want
+    assert cli.main(["infer-net", "--config", micro_config, "--out", str(out)]) == 3
     assert "run `gen` first" in capsys.readouterr().err
 
 

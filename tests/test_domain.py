@@ -23,6 +23,7 @@ from awareflow.domain import (
     Region,
     day_number,
     infer_calendar,
+    load_addresses,
     load_dataset,
     load_events,
     month_number,
@@ -627,6 +628,30 @@ def test_dataset_loaded_without_events(tmp_path):
         load_events(paths["events"], np.array([1], dtype=np.uint64), ds.calendar)
     with pytest.raises(IntegrityError, match="events extend past the calendar end"):
         load_events(paths["events"], loaded.population.ids, Calendar(-5, 1))
+
+
+def test_dataset_loaded_without_addresses(tmp_path):
+    addrs = [(1, 10, "home", 0, 100), (2, 10, "home", 0, 100), (1, 11, "home", 0, 100)]
+    ds = tiny_dataset(make_population([1, 2]), addresses=addrs)
+    paths = save_dataset(ds, tmp_path)
+    loaded = load_dataset(paths["population"], paths["regions"], None, paths["events"])
+    assert loaded.addresses is None
+    report = validate_dataset(loaded)
+    assert report.ok() and report.notes == []
+    assert "addresses" not in report.counts
+    assert "address_kind" not in report.enum_histograms
+    # the addresses file alone gets the checks load_dataset gives it
+    addresses = load_addresses(paths["addresses"], loaded.population.ids)
+    assert addresses == ds.addresses.canonical()
+    full = validate_dataset(dataclasses.replace(loaded, addresses=addresses))
+    assert full.counts["addresses"] == 3
+    assert full.enum_histograms["address_kind"] == {"home": 3}
+    assert any("more than one home address" in n for n in full.notes)
+    with pytest.raises(IntegrityError, match="address 10: unknown individual 2"):
+        load_addresses(paths["addresses"], np.array([1], dtype=np.uint64))
+    save_dataset(tiny_dataset(make_population([1]), addresses=[(1, 10, "home", 100, 50)]), tmp_path)
+    with pytest.raises(IntegrityError, match="active_interval start 100 > end 50"):
+        load_addresses(paths["addresses"], loaded.population.ids)
 
 
 def test_infer_calendar_uses_query_span():

@@ -18,7 +18,7 @@ from awareflow.netinfer import (
     write_edges,
 )
 
-from oracles import clique_edges_scan, graph_edge_sets, group_edges_scan
+from oracles import clique_edges_scan, edge_file_scan, graph_edge_sets, group_edges_scan
 from test_domain import make_addresses
 
 IDS4 = np.array([1, 2, 3, 4], dtype=np.uint64)
@@ -314,3 +314,67 @@ def test_read_edges_names_the_first_bad_line(tmp_path, lines, line_no):
         read_edges(path, IDS4)
     assert exc.value.line_no == line_no
     assert str(exc.value) == f"{path}:{line_no}: bad edge line {lines[line_no - 1]!r}"
+
+
+# (file bytes, the line an edge reader names, or None when it loads the file)
+EDGE_FILE_SHAPES = [
+    pytest.param(b"family 1 2\nworkmate 2 3\n", None, id="canonical"),
+    pytest.param(b"family 1 2\nworkmate 2 3", None, id="no-final-newline"),
+    pytest.param(b"\nfamily 1 2\n\n   \nworkmate 2 3\n\n", None, id="blank-lines"),
+    pytest.param(b"family 1 2\r\nworkmate 2 3\r\n", None, id="crlf"),
+    pytest.param(b"family 1 2\rworkmate 2 3\r", None, id="cr"),
+    pytest.param(b"", None, id="empty"),
+    # any whitespace separates fields, as str.split() splits them
+    pytest.param(b"family 1 2\nfamily\t3\t4\n", None, id="tab-separator"),
+    pytest.param(b"family 1 2\nfamily  3 4\n", None, id="doubled-space"),
+    pytest.param(b" family 1 2 \nfamily 3 4\n", None, id="outer-spaces"),
+    pytest.param(b"family\x0b1\x1c2\n", None, id="vertical-tab-file-separator"),
+    pytest.param("family\u00a01 2\n".encode(), None, id="no-break-space"),
+    pytest.param(b"family +1 2\n", None, id="int-syntax"),
+    pytest.param(b"family 1 2\nfamily 1\n", 2, id="two-tokens"),
+    pytest.param(b"family 1 2\nfamily 1 2 3\n", 2, id="four-tokens"),
+    pytest.param(b"family\nfamily 1 2\n", 1, id="one-token"),
+    pytest.param(b"family 1 2 family\n3 4\n", 1, id="triple-across-two-lines"),
+    # as one token stream these six tokens would read as two good edges
+    pytest.param(b"family\n1 2 family\n3\n4\n", 1, id="one-token-lines"),
+    pytest.param(b"family  1\n2\n", 1, id="two-tokens-doubled-space"),
+    pytest.param(b" family 1\n2\n", 1, id="two-tokens-leading-space"),
+    pytest.param(b"family 1 \n2\n", 1, id="two-tokens-trailing-space"),
+    pytest.param(b"family 1 2\ncousin 1 3\n", 2, id="unknown-layer"),
+    pytest.param(b"family 1 2\nfamily 1 x\n", 2, id="non-integer"),
+    pytest.param(b"family 1 2\nfamily 1 -3\n", 2, id="negative"),
+    pytest.param(f"family 1 2\nfamily 1 {2**64}\n".encode(), 2, id="2**64"),
+    pytest.param(b"family 1 2\nfamily 1 9\n", 2, id="unknown-id"),
+    pytest.param(b"family 1 2\n\nschoolmate 3 3\n", 3, id="self-loop"),
+    pytest.param(b"family 1 2\r\n\r\nfamily 1 x\r\n", 3, id="crlf-bad-line"),
+    pytest.param(b"family 1 2\rfamily 1 x\r", 2, id="cr-bad-line"),
+    pytest.param(b"family 1 2\nfamily 1 2\xff\n", 2, id="not-utf8"),
+    pytest.param(b"family 1 2\nfamily\x001 2\n", 2, id="nul-byte"),
+]
+
+
+@pytest.mark.parametrize("data, line_no", EDGE_FILE_SHAPES)
+def test_read_edges_matches_a_line_by_line_scan(tmp_path, data, line_no):
+    path = tmp_path / "networks.edges"
+    path.write_bytes(data)
+    want = edge_file_scan(data, IDS4)
+    if line_no is None:
+        graph = read_edges(path, IDS4)
+        assert graph_edge_sets(graph) == want
+        return
+    assert want[0] == line_no
+    with pytest.raises(ParseError) as exc:
+        read_edges(path, IDS4)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"{path}:{line_no}: bad edge line {want[1]!r}"
+
+
+def test_read_edges_over_no_ids_names_the_first_edge(tmp_path):
+    path = tmp_path / "networks.edges"
+    path.write_text("\nfamily 1 2\n")
+    with pytest.raises(ParseError, match=r":2: bad edge line 'family 1 2'$"):
+        read_edges(path, np.empty(0, dtype=np.uint64))
+    path.write_text("\n")
+    assert read_edges(path, np.empty(0, dtype=np.uint64)).edge_counts() == {
+        name: 0 for name in LAYERS
+    }
