@@ -203,47 +203,62 @@ def _parse_ids(tokens):
     return np.array([v or 0 for v in values], dtype=np.uint64), ok
 
 
-# every byte that can be part of a token of a canonical edge file
-_TOKEN_BYTES = bytes(range(ord(" ") + 1, 256))
-
-
-def _canonical_tokens(data):
-    """The tokens of ``data`` when each of its lines is blank or three
-    tokens joined by single spaces, in ASCII with no other whitespace or
-    control bytes; None otherwise."""
-    if (
-        not data.isascii()
-        or data.startswith(b" ") or data.endswith(b" ")
-        or b"  " in data or b" \n" in data or b"\n " in data
-    ):
+def _digit_runs(buf, first, stop):
+    """The uint64 values of the decimal runs ``buf[first:stop]``; None when
+    a run is empty or holds a byte other than a digit or more than 19 digits."""
+    width = stop - first
+    values = np.zeros(len(first), dtype=np.uint64)
+    if len(width) == 0:
+        return values
+    if width.min() < 1 or width.max() > 19:  # 19 digits stay below 2**64
         return None
-    # every space now sits inside a line, between two tokens; a line's
-    # separators, all but its newline, must be none or two spaces
-    seps = data.translate(None, _TOKEN_BYTES) + b"\n"
-    blanks = seps.replace(b"  \n", b"")
-    if blanks.strip(b"\n"):
-        return None
-    tokens = data.decode("ascii").split()
-    # a line without spaces must be blank, not one token
-    if len(tokens) != len(seps) - len(blanks):
-        return None
-    return tokens
+    for k in range(int(width.max())):
+        digit = buf[np.minimum(first + k, len(buf) - 1)]
+        inside = k < width
+        if ((digit[inside] < ord("0")) | (digit[inside] > ord("9"))).any():
+            return None
+        step = values * np.uint64(10) + (digit - ord("0")).astype(np.uint64)
+        values = np.where(inside, step, values)
+    return values
 
 
-def _edge_triples(tokens, ids):
-    """(layer codes, (E, 2) node rows, good) of ``tokens`` read three at a
-    time; a triple is good when its layer is known and its two ids are
-    distinct ids of ``ids``."""
-    layer = np.fromiter(
-        map(LAYER_CODES.get, tokens[0::3], itertools.repeat(-1)),
-        dtype=np.int64, count=len(tokens) // 3,
-    )
-    a, a_ok = _parse_ids(tokens[1::3])
-    b, b_ok = _parse_ids(tokens[2::3])
+def _canonical_edges(data):
+    """(layer codes, a, b) of ``data`` when every line is ``layer a b`` as
+    write_edges writes it: a layer name and two ids of at most 19 digits,
+    joined by single spaces, each line ended by a newline (the last line
+    may lack it); None otherwise.  The ids are not checked against any
+    population."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    space = np.flatnonzero(buf == ord(" "))
+    end = np.flatnonzero(buf == ord("\n"))
+    if len(buf) and buf[-1] != ord("\n"):
+        end = np.append(end, len(buf))
+    if len(space) != 2 * len(end):
+        return None
+    start = np.concatenate([[0], end + 1])[:-1]
+    first, second = space[0::2], space[1::2]
+    # with two spaces per line in all, each line holds its two when the
+    # three runs they bound are a layer name and two ids
+    layer = np.full(len(end), -1, dtype=np.int64)
+    for code, name in enumerate(LAYERS):
+        rows = np.flatnonzero(first - start == len(name))
+        match = np.ones(len(rows), dtype=bool)
+        for k, char in enumerate(name.encode()):
+            match &= buf[start[rows] + k] == char
+        layer[rows[match]] = code
+    a = _digit_runs(buf, first + 1, second)
+    b = _digit_runs(buf, second + 1, end)
+    if (layer < 0).any() or a is None or b is None:
+        return None
+    return layer, a, b
+
+
+def _edge_rows(ids, a, b):
+    """((E, 2) rows of the ids ``a`` and ``b`` in ``ids``, whether each pair
+    is two distinct ids of ``ids``)."""
     a_rows, a_in = find_rows(ids, a)
     b_rows, b_in = find_rows(ids, b)
-    good = (layer >= 0) & a_ok & b_ok & a_in & b_in & (a != b)
-    return layer, np.column_stack([a_rows, b_rows]), good
+    return np.column_stack([a_rows, b_rows]), a_in & b_in & (a != b)
 
 
 def _edges_by_line(path, data, ids):
@@ -256,8 +271,14 @@ def _edges_by_line(path, data, ids):
     # str.split() splits a line where line.split() does, so the tokens of the
     # three-token lines, joined, come in rows of three
     tokens = " ".join(itertools.compress(lines, good)).split()
-    layer, rows, edge = _edge_triples(tokens, ids)
-    good[good] = edge
+    layer = np.fromiter(
+        map(LAYER_CODES.get, tokens[0::3], itertools.repeat(-1)),
+        dtype=np.int64, count=len(tokens) // 3,
+    )
+    a, a_ok = _parse_ids(tokens[1::3])
+    b, b_ok = _parse_ids(tokens[2::3])
+    rows, edge = _edge_rows(ids, a, b)
+    good[good] = edge & (layer >= 0) & a_ok & b_ok
     bad = np.flatnonzero((width > 0) & ~good)
     if len(bad):
         k = int(bad[0])
@@ -270,18 +291,19 @@ def read_edges(path, ids):
 
     Every non-blank line must be ``layer a b`` over a known layer and two
     distinct ids of ``ids``; the first line that is not raises ParseError.
-    A file whose lines are all blank or single-spaced edges is checked in
-    one pass over its tokens; any other file is read line by line.
+    A file in write_edges' own form is parsed with array operations over
+    its bytes; any other file, or one with a bad edge, is read line by line.
     """
     ids = np.asarray(ids, dtype=np.uint64)
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # the line ends text mode reads as "\n"
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    tokens = _canonical_tokens(data)
-    if tokens is not None:
-        layer, rows, good = _edge_triples(tokens, ids)
-    if tokens is None or not good.all():
+    edges = _canonical_edges(data)
+    if edges is not None:
+        layer, a, b = edges
+        rows, good = _edge_rows(ids, a, b)
+    if edges is None or not good.all():
         layer, rows = _edges_by_line(path, data, ids)
     layers = {name: _build_layer(rows[layer == code], len(ids)) for name, code in LAYER_CODES.items()}
     return MultiplexGraph(ids, layers)

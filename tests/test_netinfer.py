@@ -331,6 +331,7 @@ EDGE_FILE_SHAPES = [
     pytest.param(b"family\x0b1\x1c2\n", None, id="vertical-tab-file-separator"),
     pytest.param("family\u00a01 2\n".encode(), None, id="no-break-space"),
     pytest.param(b"family +1 2\n", None, id="int-syntax"),
+    pytest.param(b"family 01 002\n", None, id="leading-zeros"),
     pytest.param(b"family 1 2\nfamily 1\n", 2, id="two-tokens"),
     pytest.param(b"family 1 2\nfamily 1 2 3\n", 2, id="four-tokens"),
     pytest.param(b"family\nfamily 1 2\n", 1, id="one-token"),
@@ -350,21 +351,27 @@ EDGE_FILE_SHAPES = [
     pytest.param(b"family 1 2\rfamily 1 x\r", 2, id="cr-bad-line"),
     pytest.param(b"family 1 2\nfamily 1 2\xff\n", 2, id="not-utf8"),
     pytest.param(b"family 1 2\nfamily\x001 2\n", 2, id="nul-byte"),
+    # two spaces a line, but an empty field where an id should be
+    pytest.param(b"family  1\nfamily 2 3\n", 1, id="empty-first-id"),
+    pytest.param(b"family 1 \nfamily 2 3\n", 1, id="empty-second-id"),
+    pytest.param(b"family 1 2 3\nfamily 4\n", 1, id="three-spaces-then-one"),
 ]
+# 0 is an id here, so an empty field misread as 0 would pass as an edge
+EDGE_IDS = np.arange(5, dtype=np.uint64)
 
 
 @pytest.mark.parametrize("data, line_no", EDGE_FILE_SHAPES)
 def test_read_edges_matches_a_line_by_line_scan(tmp_path, data, line_no):
     path = tmp_path / "networks.edges"
     path.write_bytes(data)
-    want = edge_file_scan(data, IDS4)
+    want = edge_file_scan(data, EDGE_IDS)
     if line_no is None:
-        graph = read_edges(path, IDS4)
+        graph = read_edges(path, EDGE_IDS)
         assert graph_edge_sets(graph) == want
         return
     assert want[0] == line_no
     with pytest.raises(ParseError) as exc:
-        read_edges(path, IDS4)
+        read_edges(path, EDGE_IDS)
     assert exc.value.line_no == line_no
     assert str(exc.value) == f"{path}:{line_no}: bad edge line {want[1]!r}"
 
@@ -378,3 +385,12 @@ def test_read_edges_over_no_ids_names_the_first_edge(tmp_path):
     assert read_edges(path, np.empty(0, dtype=np.uint64)).edge_counts() == {
         name: 0 for name in LAYERS
     }
+
+
+def test_read_edges_reads_ids_up_to_the_uint64_limit(tmp_path):
+    ids = np.array([1, 10**19 - 1, 10**19, 2**64 - 1], dtype=np.uint64)
+    data = f"family 1 {10**19 - 1}\nworkmate {10**19} {2**64 - 1}\n".encode()
+    path = tmp_path / "networks.edges"
+    path.write_bytes(data)
+    assert graph_edge_sets(read_edges(path, ids)) == edge_file_scan(data, ids)
+    assert read_edges(path, ids).edge_counts() == {"family": 1, "schoolmate": 0, "workmate": 1}
