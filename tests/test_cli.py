@@ -660,7 +660,7 @@ def test_stages_without_events_run_without_events_jsonl(all_run, micro_config, t
     assert "run `gen` first" in capsys.readouterr().err
 
 
-# the stages that read neither the address table nor infer-net's input
+# the stages that read the dataset tables but not its address table
 ADDRESSLESS_STAGES = ("label", "segment", "cohort", "geo-corr", "regress")
 
 
