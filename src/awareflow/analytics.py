@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .awareness import awareness_percentage
-from .domain import EDUCATIONS, GENDERS, OCCUPATIONS
+from .domain import EDUCATIONS, GENDERS, OCCUPATIONS, digit_runs, line_bounds
 from .errors import AnalyticsError, CohortError, ParseError
 from .netinfer import LAYERS
 
@@ -606,3 +606,77 @@ def read_tsv(path, columns, header=True):
                     raise ParseError(path, line_no, f"bad {name} {text!r}") from None
             rows.append(tuple(row))
     return rows
+
+
+# the parses whose columns read_tsv_columns returns as arrays of that type
+ARRAY_PARSES = (np.uint64, np.int64)
+INT64_MAX = np.iinfo(np.int64).max
+
+
+def read_tsv_columns(path, columns, header=True):
+    """What read_tsv reads, as one array per column parsed by np.uint64 or
+    np.int64; a column parsed by int or str is checked as read_tsv checks
+    it and comes back as None.
+
+    A file in write_tsv's own form (a newline after every line but perhaps
+    the last, integer cells as plain decimal digits, signed ones perhaps
+    led by '-') is parsed with array operations over its bytes.  Any other
+    file goes through read_tsv, so a bad one raises read_tsv's ParseError.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _tsv_columns(data, columns, header)
+    if parsed is not None:
+        return parsed
+    rows = read_tsv(path, columns, header=header)
+    return [
+        np.array([r[j] for r in rows], dtype=parse) if parse in ARRAY_PARSES else None
+        for j, (_, parse) in enumerate(columns)
+    ]
+
+
+def _tsv_columns(data, columns, header):
+    """read_tsv_columns of ``data`` in write_tsv's own form; None for any
+    other file."""
+    if b"\r" in data:  # text mode reads "\r" as a line end
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if header:
+        head = ("\t".join(name for name, _ in columns) + "\n").encode()
+        if not data.startswith(head):
+            return None
+        buf = buf[len(head):]
+    start, end = line_bounds(buf)
+    n_tabs = len(columns) - 1
+    tab = np.flatnonzero(buf == ord("\t"))
+    # every line holds exactly n_tabs tabs
+    if not np.array_equal(
+        np.searchsorted(end, tab), np.repeat(np.arange(len(end)), n_tabs)
+    ):
+        return None
+    tab = tab.reshape(len(end), n_tabs)
+    firsts = np.column_stack([start, tab + 1])
+    stops = np.column_stack([tab, end])
+    out = []
+    for (_, parse), first, stop in zip(columns, firsts.T, stops.T):
+        if parse is str:
+            out.append(None)
+            continue
+        if parse is not int and parse not in ARRAY_PARSES:
+            return None  # read_tsv parses it
+        minus = np.zeros(len(first), dtype=bool)
+        if parse is not np.uint64:
+            minus[stop > first] = buf[first[stop > first]] == ord("-")
+        magnitude = digit_runs(buf, first + minus, stop)
+        if magnitude is None:
+            return None
+        if parse is np.uint64:
+            out.append(magnitude)
+        elif parse is np.int64:
+            if (magnitude > INT64_MAX).any():
+                return None
+            values = magnitude.astype(np.int64)
+            out.append(np.where(minus, -values, values))
+        else:  # int: checked, not kept
+            out.append(None)
+    return out

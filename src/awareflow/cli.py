@@ -56,6 +56,7 @@ from .analytics import (
     parse_number,
     province_percentages,
     read_tsv,
+    read_tsv_columns,
     segment_phases,
     write_tsv,
     GEO_FACTORS,
@@ -187,7 +188,7 @@ class RunConfig:
     out_dir: str = "runs/out"
     dataset_dir: str = None  # defaults to <out_dir>/dataset
     seed: int = 1
-    jobs: int = 0  # 0 = all cores
+    jobs: int = 0  # accepted and range-checked; no effect (fits run serially)
     patterns: str = None  # None = bundled default pattern file
     threshold: int = 3
     history_months: int = 60
@@ -362,6 +363,32 @@ def read_manifest(path):
     return manifest
 
 
+def check_phases(path, rows):
+    """Refuse phases.tsv rows that no segmentation writes, naming the line:
+    a repeated phase, one that ends before it starts, one that does not
+    start after the previous one ends, or a ``complete`` that differs
+    from the first row's."""
+    seen = set()
+    prev_end = None
+    for line_no, (name, start, end, _, _, complete) in enumerate(rows, start=2):
+        if name in seen:
+            problem = f"repeated phase {name!r}"
+        elif start > end:
+            problem = f"phase {name!r} ends on day {end}, before it starts on day {start}"
+        elif prev_end is not None and start <= prev_end:
+            problem = (
+                f"phase {name!r} starts on day {start}, "
+                f"not after the previous phase ends on day {prev_end}"
+            )
+        elif complete != rows[0][5]:
+            problem = f"complete is {complete} here but {rows[0][5]} on line 2"
+        else:
+            seen.add(name)
+            prev_end = end
+            continue
+        raise ParseError(path, line_no, problem)
+
+
 def phase_segmentation(rows):
     """The PhaseSegmentation of phases.tsv rows."""
     phases = [Phase(r[0], r[1], r[2]) for r in rows]
@@ -503,11 +530,13 @@ class PipelineState:
             return read_edges(path, self.load("dataset").population.ids)
         if name.startswith("manifest_"):
             return read_manifest(path)
-        header = name != "qualified.txt"
-        rows = read_tsv(path, TABLES[name], header=header)
         if name not in ("qualified.txt", "labels.tsv"):
+            rows = read_tsv(path, TABLES[name])
+            if name == "phases.tsv":
+                check_phases(path, rows)
             return rows
-        ids = np.array([r[0] for r in rows], dtype=np.uint64)
+        header = name == "labels.tsv"
+        ids, *rest = read_tsv_columns(path, TABLES[name], header=header)
         repeated = np.ones(len(ids), dtype=bool)
         repeated[np.unique(ids, return_index=True)[1]] = False
         if repeated.any():
@@ -515,7 +544,7 @@ class PipelineState:
             raise ParseError(path, k + 1 + header, f"repeated individual id {ids[k]}")
         if name == "qualified.txt":
             return np.sort(ids)
-        return AwarenessTimeline(ids, np.array([r[1] for r in rows], dtype=np.int64))
+        return AwarenessTimeline(ids, rest[0])
 
     def cohort_timeline(self):
         return self.load("labels.tsv").restrict(self.load("qualified.txt"))
@@ -912,10 +941,7 @@ def cmd_regress(state):
         ridge=reg["ridge"],
         coef_cap=reg["coef_cap"],
     )
-    jobs = cfg.jobs if cfg.jobs > 0 else None
-    models = run_time_evolving(
-        dataset, graph, tlq, schedule, sample, spec, fit_config, jobs=jobs
-    )
+    models = run_time_evolving(dataset, graph, tlq, schedule, sample, spec, fit_config)
 
     reg_rows = []
     for k, m in enumerate(models):
@@ -1085,7 +1111,10 @@ def build_parser():
         )
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--jobs", type=int, default=None, help="parallel fits (0 = all cores)")
+        p.add_argument(
+            "--jobs", type=int, default=None,
+            help="accepted for compatibility; has no effect (fits run serially)",
+        )
         p.add_argument(
             "--phase-thresholds", default=None, help="JSON file of phase thresholds"
         )

@@ -341,6 +341,36 @@ def rows_of_ids(ids, individual_ids):
     return rows
 
 
+def line_bounds(buf):
+    """(start, end) byte offsets of the lines of the uint8 array ``buf``:
+    each line ends at a newline, which ``end`` points at; the last line
+    may lack it and then ends at ``len(buf)``."""
+    end = np.flatnonzero(buf == ord("\n"))
+    if len(buf) and buf[-1] != ord("\n"):
+        end = np.append(end, len(buf))
+    start = np.concatenate([[0], end + 1])[:-1]
+    return start, end
+
+
+def digit_runs(buf, first, stop):
+    """The uint64 values of the decimal runs ``buf[first:stop]``; None when
+    a run is empty or holds a byte other than a digit or more than 19 digits."""
+    width = stop - first
+    values = np.zeros(len(first), dtype=np.uint64)
+    if len(width) == 0:
+        return values
+    if width.min() < 1 or width.max() > 19:  # 19 digits stay below 2**64
+        return None
+    for k in range(int(width.max())):
+        digit = buf[np.minimum(first + k, len(buf) - 1)]
+        inside = k < width
+        if ((digit[inside] < ord("0")) | (digit[inside] > ord("9"))).any():
+            return None
+        step = values * np.uint64(10) + (digit - ord("0")).astype(np.uint64)
+        values = np.where(inside, step, values)
+    return values
+
+
 class PopulationColumns(Columns):
     """The individual table, ids ascending.
 

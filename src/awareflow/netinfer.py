@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ADDRESS_KINDS, find_rows, rows_of_ids
+from .domain import ADDRESS_KINDS, digit_runs, find_rows, line_bounds, rows_of_ids
 from .errors import ParseError
 
 LAYERS = ("family", "schoolmate", "workmate")
@@ -203,25 +203,6 @@ def _parse_ids(tokens):
     return np.array([v or 0 for v in values], dtype=np.uint64), ok
 
 
-def _digit_runs(buf, first, stop):
-    """The uint64 values of the decimal runs ``buf[first:stop]``; None when
-    a run is empty or holds a byte other than a digit or more than 19 digits."""
-    width = stop - first
-    values = np.zeros(len(first), dtype=np.uint64)
-    if len(width) == 0:
-        return values
-    if width.min() < 1 or width.max() > 19:  # 19 digits stay below 2**64
-        return None
-    for k in range(int(width.max())):
-        digit = buf[np.minimum(first + k, len(buf) - 1)]
-        inside = k < width
-        if ((digit[inside] < ord("0")) | (digit[inside] > ord("9"))).any():
-            return None
-        step = values * np.uint64(10) + (digit - ord("0")).astype(np.uint64)
-        values = np.where(inside, step, values)
-    return values
-
-
 def _canonical_edges(data):
     """(layer codes, a, b) of ``data`` when every line is ``layer a b`` as
     write_edges writes it: a layer name and two ids of at most 19 digits,
@@ -230,12 +211,9 @@ def _canonical_edges(data):
     population."""
     buf = np.frombuffer(data, dtype=np.uint8)
     space = np.flatnonzero(buf == ord(" "))
-    end = np.flatnonzero(buf == ord("\n"))
-    if len(buf) and buf[-1] != ord("\n"):
-        end = np.append(end, len(buf))
+    start, end = line_bounds(buf)
     if len(space) != 2 * len(end):
         return None
-    start = np.concatenate([[0], end + 1])[:-1]
     first, second = space[0::2], space[1::2]
     # with two spaces per line in all, each line holds its two when the
     # three runs they bound are a layer name and two ids
@@ -246,8 +224,8 @@ def _canonical_edges(data):
         for k, char in enumerate(name.encode()):
             match &= buf[start[rows] + k] == char
         layer[rows[match]] = code
-    a = _digit_runs(buf, first + 1, second)
-    b = _digit_runs(buf, second + 1, end)
+    a = digit_runs(buf, first + 1, second)
+    b = digit_runs(buf, second + 1, end)
     if (layer < 0).any() or a is None or b is None:
         return None
     return layer, a, b

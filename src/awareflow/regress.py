@@ -9,8 +9,6 @@ maximizer (perfect separation) or Newton fails to converge.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -375,29 +373,23 @@ def run_time_evolving(
     sample_ids,
     spec=None,
     fit_config=None,
-    jobs=None,
 ):
-    """Fit one model per checkpoint; per-checkpoint failures are recorded
-    (error string instead of a result) and the series continues."""
+    """Fit one model per checkpoint, in schedule order; per-checkpoint
+    failures are recorded (error string instead of a result) and the
+    series continues."""
     entries = schedule.entries
     builder = DesignBuilder(dataset, graph, timeline, sample_ids, [c.time for c in entries], spec)
     fit_config = fit_config or FitConfig()
-
-    def one(k):
-        checkpoint = entries[k]
+    models = []
+    for k, checkpoint in enumerate(entries):
         X, y = builder.at(k)
         n_aware = int(y.sum())
         try:
             result = fit_logistic(X, y, fit_config, names=builder.names)
-            return CheckpointModel(checkpoint, result, None, len(y), n_aware)
+            models.append(CheckpointModel(checkpoint, result, None, len(y), n_aware))
         except (DegenerateOutcomeError, NumericalError) as exc:
-            return CheckpointModel(checkpoint, None, str(exc), len(y), n_aware)
-
-    n_jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-    if n_jobs <= 1 or len(entries) <= 1:
-        return [one(k) for k in range(len(entries))]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(one, range(len(entries))))
+            models.append(CheckpointModel(checkpoint, None, str(exc), len(y), n_aware))
+    return models
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,37 @@ def edge_file_scan(data, ids):
     return edges
 
 
+def tsv_file_scan(data, columns, header=True):
+    """Parsed columns of the bytes of a TSV file (one list of cells per
+    column), or the (line number, message) of its first bad line.
+
+    Lines end where text mode ends them ("\\n", "\\r\\n" or "\\r"),
+    undecodable bytes read as U+FFFD, and fields are split at tabs.  Each
+    cell goes through its column's parse; one that raises ValueError or
+    OverflowError is bad.
+    """
+    names = [name for name, _ in columns]
+    text = data.decode("utf-8", errors="replace").replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":  # the newline that ends the last line starts no line
+        lines.pop()
+    if header:
+        found = lines.pop(0).split("\t") if lines else [""]
+        if found != names:
+            return 1, f"expected header {names}, found {found}"
+    cells = [[] for _ in columns]
+    for line_no, line in enumerate(lines, start=1 + header):
+        fields = line.split("\t")
+        if len(fields) != len(columns):
+            return line_no, f"expected {len(columns)} fields, found {len(fields)}"
+        for (name, parse), field, column in zip(columns, fields, cells):
+            try:
+                column.append(parse(field))
+            except (ValueError, OverflowError):
+                return line_no, f"bad {name} {field!r}"
+    return cells
+
+
 def group_edges_scan(ids, groups):
     """{(lo_id, hi_id)} of every two distinct members sharing one of the
     row groups ``groups``."""

@@ -28,18 +28,21 @@ from awareflow.analytics import (
     neighborhood_awareness_ratio,
     province_percentages,
     segment_phases,
+    read_tsv_columns,
     spearman,
     write_tsv,
 )
 from awareflow.awareness import NEVER, AwarenessTimeline
+from awareflow.cli import TABLES
 from awareflow.domain import Calendar, Dataset, EventLog
-from awareflow.errors import AnalyticsError, CohortError
+from awareflow.errors import AnalyticsError, CohortError, ParseError
 from awareflow.netinfer import build_from_groups
 
 from oracles import (
     neighborhood_ratio_brute,
     phase_scan,
     spearman_rank_then_pearson,
+    tsv_file_scan,
     two_province_fixture,
 )
 from test_domain import make_addresses, make_population, make_region
@@ -571,3 +574,91 @@ def test_write_tsv_round_trip(tmp_path):
     path = tmp_path / "out.tsv"
     write_tsv(path, ["a", "b"], [[1, None], [float("inf"), "x"]])
     assert path.read_text() == "a\tb\n1\tNA\nINF\tx\n"
+
+
+LABELS_HEAD = b"individual_id\tfirst_aware_ts\tfirst_aware_day\tfirst_aware_date\n"
+# (table, file bytes, whether the array parse reads it without read_tsv)
+TSV_FILE_SHAPES = [
+    pytest.param("labels.tsv", LABELS_HEAD, True, id="labels-header-only"),
+    pytest.param("labels.tsv", LABELS_HEAD[:-1], False, id="labels-header-no-newline"),
+    pytest.param(
+        "labels.tsv", LABELS_HEAD + b"1\t100\t0\t2020-01-01\n2\t-5\t-1\t2019-12-31\n", True,
+        id="labels-as-written",
+    ),
+    pytest.param(
+        "labels.tsv", LABELS_HEAD + b"1\t100\t0\td\n2\t5\t0\td", True, id="no-final-newline"
+    ),
+    pytest.param("labels.tsv", LABELS_HEAD + b"007\t-007\t-0\td\n", True, id="leading-zeros"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t5\t0\t\xff\x00 x\n", True, id="any-date-bytes"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t5\t0\t\n", True, id="empty-date"),
+    pytest.param(
+        "labels.tsv",
+        LABELS_HEAD + f"{10**19 - 1}\t{2**63 - 1}\t0\td\n1\t{1 - 2**63}\t0\td\n".encode(), True,
+        id="widest-array-cells",
+    ),
+    pytest.param(
+        "labels.tsv", LABELS_HEAD + f"1\t5\t{10**30}\td\n".encode(), False, id="long-day"
+    ),
+    pytest.param(
+        "labels.tsv", LABELS_HEAD + f"{2**64 - 1}\t{-(2**63)}\t0\td\n".encode(), False,
+        id="limits-of-the-types",
+    ),
+    pytest.param("labels.tsv", LABELS_HEAD + f"{2**64}\t0\t0\td\n".encode(), False, id="id-2**64"),
+    pytest.param("labels.tsv", LABELS_HEAD + f"1\t{2**63}\t0\td\n".encode(), False, id="ts-2**63"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t+5\t 0\td\n", False, id="signs-and-spaces"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t5_0\t0\td\n", False, id="underscore"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"-1\t5\t0\td\n", False, id="negative-id"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t-\t0\td\n", False, id="bare-minus"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t5\t-\td\n", False, id="bare-minus-day"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"\t5\t0\td\n", False, id="empty-id"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\xff\t5\t0\td\n", False, id="not-utf8-id"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\x00\t5\t0\td\n", False, id="nul-in-id"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t5\t0\td\n\n", False, id="blank-last-line"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"\n1\t5\t0\td\n", False, id="blank-line"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t5\t0\n", False, id="three-fields"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t5\t0\td\te\n", False, id="five-fields"),
+    # six tabs in two lines, as two lines of four fields would hold
+    pytest.param(
+        "labels.tsv", LABELS_HEAD + b"1\t5\t0\td\te\n2\t5\t0\n", False,
+        id="tabs-balanced-across-lines",
+    ),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t5\t0\td\r\n2\t6\t0\td\r\n", False, id="crlf"),
+    pytest.param("labels.tsv", LABELS_HEAD + b"1\t5\t0\td\r2\tx\t0\td\r", False, id="cr-bad-ts"),
+    pytest.param("labels.tsv", b"", False, id="labels-empty"),
+    pytest.param("labels.tsv", b"\xef\xbb\xbf" + LABELS_HEAD, False, id="bom"),
+    pytest.param("labels.tsv", LABELS_HEAD.replace(b"ts", b"t"), False, id="wrong-header"),
+    pytest.param("qualified.txt", b"", True, id="qualified-empty"),
+    pytest.param("qualified.txt", b"3\n1\n2", True, id="qualified-as-written"),
+    pytest.param("qualified.txt", b"\n", False, id="qualified-blank-line"),
+    pytest.param("qualified.txt", b"1\t2\n", False, id="qualified-two-fields"),
+    pytest.param("qualified.txt", b"1\n-5\n", False, id="qualified-negative"),
+    pytest.param("qualified.txt", "1\n\u0663\n".encode(), False, id="qualified-arabic-digit"),
+]
+
+
+@pytest.mark.parametrize("table, data, fast", TSV_FILE_SHAPES)
+def test_read_tsv_columns_matches_a_line_by_line_scan(tmp_path, monkeypatch, table, data, fast):
+    columns = TABLES[table]
+    header = table != "qualified.txt"
+    path = tmp_path / table
+    path.write_bytes(data)
+    calls = []
+    read_tsv = analytics.read_tsv
+    monkeypatch.setattr(
+        analytics, "read_tsv", lambda *a, **k: calls.append(a) or read_tsv(*a, **k)
+    )
+    want = tsv_file_scan(data, columns, header)
+    if isinstance(want, tuple):
+        with pytest.raises(ParseError) as exc:
+            read_tsv_columns(path, columns, header=header)
+        assert str(exc.value) == f"{path}:{want[0]}: {want[1]}"
+    else:
+        got = read_tsv_columns(path, columns, header=header)
+        assert len(got) == len(columns)
+        for (_, parse), column, cells in zip(columns, got, want):
+            if parse in (np.uint64, np.int64):
+                assert column.dtype == parse
+                assert column.tolist() == [int(c) for c in cells]
+            else:
+                assert column is None
+    assert len(calls) == (0 if fast else 1)

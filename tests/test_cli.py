@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from awareflow import cli
-from awareflow.errors import CohortError, NumericalError
+from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
 
 from conftest import small_world_config
@@ -429,6 +429,22 @@ FAULTS = [
     pytest.param("segment", append("qualified.txt", "garbage\n"), 4, id="qualified-garbage"),
     pytest.param("segment", append("qualified.txt", "-5\n"), 4, id="qualified-negative-id"),
     pytest.param("report", append("phases.tsv", "garbage\n"), 4, id="phases-garbage"),
+    *(
+        pytest.param(stage, repeat_lines("phases.tsv", 1), 4, id=f"phases-repeated-row-{stage}")
+        for stage in ("cohort", "regress")
+    ),
+    pytest.param(
+        "cohort", substitute("phases.tsv", r"\t0\t11\t", "\t12\t11\t"), 4,
+        id="phases-end-before-start",
+    ),
+    pytest.param(
+        "regress", substitute("phases.tsv", r"Beginning\t12\t", "Beginning\t11\t"), 4,
+        id="phases-overlap",
+    ),
+    pytest.param(
+        "cohort", substitute("phases.tsv", r"(Beginning[^\n]*)\t0\n", r"\1\t1\n"), 4,
+        id="phases-complete-differs",
+    ),
     pytest.param(
         "report", append("geo_correlations.tsv", "city\tdistance_to_epicenter\t0\n"), 4,
         id="geo-short-row",
@@ -608,6 +624,32 @@ def test_faults_exit_with_documented_code(
     cfg_path.write_text(json.dumps(config))
     assert cli.main([stage, "--config", str(cfg_path), "--out", str(out), *extra]) == code
     assert "error:" in capsys.readouterr().err
+
+
+PHASE_ROWS = [
+    ("Normal", 0, 11, "2019-12-01", "2019-12-12", 0),
+    ("Beginning", 12, 39, "2019-12-13", "2020-01-09", 0),
+    ("Growth", 40, 40, "2020-01-10", "2020-01-10", 0),
+]
+
+
+@pytest.mark.parametrize("k, row, line_no, message", [
+    (2, ("Normal", 41, 50, "", "", 0), 4, "repeated phase 'Normal'"),
+    (1, ("Beginning", 12, 11, "", "", 0), 3,
+     "phase 'Beginning' ends on day 11, before it starts on day 12"),
+    (1, ("Beginning", 11, 39, "", "", 0), 3,
+     "phase 'Beginning' starts on day 11, not after the previous phase ends on day 11"),
+    (2, ("Growth", 5, 6, "", "", 0), 4,
+     "phase 'Growth' starts on day 5, not after the previous phase ends on day 39"),
+    (2, ("Growth", 40, 40, "", "", 1), 4, "complete is 1 here but 0 on line 2"),
+])
+def test_check_phases_names_the_bad_line(k, row, line_no, message):
+    cli.check_phases("phases.tsv", PHASE_ROWS)
+    cli.check_phases("phases.tsv", [])
+    rows = PHASE_ROWS[:k] + [row] + PHASE_ROWS[k + 1:]
+    with pytest.raises(ParseError) as exc:
+        cli.check_phases("phases.tsv", rows)
+    assert (exc.value.line_no, str(exc.value)) == (line_no, f"phases.tsv:{line_no}: {message}")
 
 
 @pytest.mark.parametrize("stage", list(cli.STEP_FUNCS))

@@ -2,6 +2,7 @@
 phase profiles."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -355,7 +356,7 @@ def test_run_time_evolving_checkpoints(design_inputs):
         Checkpoint("percentage", "pct_mid", cal.day_start_ts(20)),
         Checkpoint("event", "event_drill", cal.day_start_ts(12) + 43200),
     ]
-    out = run_time_evolving(dataset, graph, timeline, Schedule(entries, []), sample, jobs=2)
+    out = run_time_evolving(dataset, graph, timeline, Schedule(entries, []), sample)
     assert [m.checkpoint.trigger for m in out] == ["pct_early", "pct_mid", "event_drill"]
     early, mid, drill = out
     # nobody aware before the window: degenerate and recorded, not raised
@@ -366,6 +367,39 @@ def test_run_time_evolving_checkpoints(design_inputs):
     assert mid.n_aware == int(y.sum())
     assert drill.result is not None
     assert mid.result.names[0] == "intercept"
+
+
+def test_run_time_evolving_fits_serially_as_each_fit_alone(design_inputs, monkeypatch):
+    dataset, graph, timeline, sample = design_inputs
+    cal = dataset.calendar
+    # one degenerate checkpoint before the window, then every third day
+    times = [cal.day_start_ts(0) - 86400] + [cal.day_start_ts(d) for d in range(2, 40, 3)]
+    entries = [Checkpoint("percentage", f"t{k}", t) for k, t in enumerate(times)]
+
+    def no_threads(self):
+        raise AssertionError("run_time_evolving started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_threads)
+    out = run_time_evolving(dataset, graph, timeline, Schedule(entries, []), sample)
+    monkeypatch.undo()
+
+    assert [m.checkpoint for m in out] == entries
+    builder = DesignBuilder(dataset, graph, timeline, sample, times)
+    fitted = 0
+    for k, model in enumerate(out):
+        X, y = builder.at(k)
+        assert (model.n_obs, model.n_aware) == (len(y), int(y.sum()))
+        try:
+            want = fit_logistic(X, y)
+        except DegenerateOutcomeError as exc:
+            assert model.result is None and model.error == str(exc)
+            continue
+        fitted += 1
+        got = model.result
+        assert got.coef.tobytes() == want.coef.tobytes()
+        assert got.se.tobytes() == want.se.tobytes()
+        assert got.n_iter == want.n_iter
+    assert out[0].result is None and fitted >= 10
 
 
 # --- typical profile ------------------------------------------------------------------
