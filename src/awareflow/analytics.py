@@ -609,8 +609,8 @@ def read_tsv(path, columns, header=True):
 
 
 # the parses whose columns read_tsv_columns returns as arrays of that type
-ARRAY_PARSES = (np.uint64, np.int64)
-INT64_MAX = np.iinfo(np.int64).max
+_ARRAY_PARSES = (np.uint64, np.int64)
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def read_tsv_columns(path, columns, header=True):
@@ -630,7 +630,7 @@ def read_tsv_columns(path, columns, header=True):
         return parsed
     rows = read_tsv(path, columns, header=header)
     return [
-        np.array([r[j] for r in rows], dtype=parse) if parse in ARRAY_PARSES else None
+        np.array([r[j] for r in rows], dtype=parse) if parse in _ARRAY_PARSES else None
         for j, (_, parse) in enumerate(columns)
     ]
 
@@ -662,7 +662,7 @@ def _tsv_columns(data, columns, header):
         if parse is str:
             out.append(None)
             continue
-        if parse is not int and parse not in ARRAY_PARSES:
+        if parse is not int and parse not in _ARRAY_PARSES:
             return None  # read_tsv parses it
         minus = np.zeros(len(first), dtype=bool)
         if parse is not np.uint64:
@@ -673,7 +673,7 @@ def _tsv_columns(data, columns, header):
         if parse is np.uint64:
             out.append(magnitude)
         elif parse is np.int64:
-            if (magnitude > INT64_MAX).any():
+            if (magnitude > _INT64_MAX).any():
                 return None
             values = magnitude.astype(np.int64)
             out.append(np.where(minus, -values, values))

@@ -366,8 +366,8 @@ def read_manifest(path):
 def check_phases(path, rows):
     """Refuse phases.tsv rows that no segmentation writes, naming the line:
     a repeated phase, one that ends before it starts, one that does not
-    start after the previous one ends, or a ``complete`` that differs
-    from the first row's."""
+    start after the previous one ends, or a ``complete`` that is not 0 or
+    1 or differs from the first row's."""
     seen = set()
     prev_end = None
     for line_no, (name, start, end, _, _, complete) in enumerate(rows, start=2):
@@ -380,6 +380,8 @@ def check_phases(path, rows):
                 f"phase {name!r} starts on day {start}, "
                 f"not after the previous phase ends on day {prev_end}"
             )
+        elif complete not in (0, 1):
+            problem = f"complete is {complete}, not 0 or 1"
         elif complete != rows[0][5]:
             problem = f"complete is {complete} here but {rows[0][5]} on line 2"
         else:

@@ -642,6 +642,7 @@ PHASE_ROWS = [
     (2, ("Growth", 5, 6, "", "", 0), 4,
      "phase 'Growth' starts on day 5, not after the previous phase ends on day 39"),
     (2, ("Growth", 40, 40, "", "", 1), 4, "complete is 1 here but 0 on line 2"),
+    (0, ("Normal", 0, 11, "", "", 2), 2, "complete is 2, not 0 or 1"),
 ])
 def test_check_phases_names_the_bad_line(k, row, line_no, message):
     cli.check_phases("phases.tsv", PHASE_ROWS)
