@@ -614,14 +614,15 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def read_tsv_columns(path, columns, header=True):
-    """What read_tsv reads, as one array per column parsed by np.uint64 or
-    np.int64; a column parsed by int or str is checked as read_tsv checks
-    it and comes back as None.
+    """What read_tsv reads, as one array per column: a column parsed by
+    np.uint64 or np.int64 has that dtype, one parsed by str holds the str
+    cells as objects.
 
     A file in write_tsv's own form (a newline after every line but perhaps
     the last, integer cells as plain decimal digits, signed ones perhaps
     led by '-') is parsed with array operations over its bytes.  Any other
-    file goes through read_tsv, so a bad one raises read_tsv's ParseError.
+    file, or a column of another parse, goes through read_tsv, so a bad
+    file raises read_tsv's ParseError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -630,7 +631,7 @@ def read_tsv_columns(path, columns, header=True):
         return parsed
     rows = read_tsv(path, columns, header=header)
     return [
-        np.array([r[j] for r in rows], dtype=parse) if parse in _ARRAY_PARSES else None
+        np.array([r[j] for r in rows], dtype=parse if parse in _ARRAY_PARSES else object)
         for j, (_, parse) in enumerate(columns)
     ]
 
@@ -640,6 +641,8 @@ def _tsv_columns(data, columns, header):
     other file."""
     if b"\r" in data:  # text mode reads "\r" as a line end
         return None
+    if any(parse not in _ARRAY_PARSES and parse is not str for _, parse in columns):
+        return None  # read_tsv parses it
     buf = np.frombuffer(data, dtype=np.uint8)
     if header:
         head = ("\t".join(name for name, _ in columns) + "\n").encode()
@@ -658,25 +661,27 @@ def _tsv_columns(data, columns, header):
     firsts = np.column_stack([start, tab + 1])
     stops = np.column_stack([tab, end])
     out = []
+    skip = len(data) - len(buf)  # the header's bytes
     for (_, parse), first, stop in zip(columns, firsts.T, stops.T):
         if parse is str:
-            out.append(None)
+            # text mode reads undecodable bytes as U+FFFD, and so does this
+            cells = [
+                data[a:b].decode("utf-8", errors="replace")
+                for a, b in zip((first + skip).tolist(), (stop + skip).tolist())
+            ]
+            out.append(np.array(cells, dtype=object))
             continue
-        if parse is not int and parse not in _ARRAY_PARSES:
-            return None  # read_tsv parses it
         minus = np.zeros(len(first), dtype=bool)
-        if parse is not np.uint64:
+        if parse is np.int64:
             minus[stop > first] = buf[first[stop > first]] == ord("-")
         magnitude = digit_runs(buf, first + minus, stop)
         if magnitude is None:
             return None
         if parse is np.uint64:
             out.append(magnitude)
-        elif parse is np.int64:
+        else:
             if (magnitude > _INT64_MAX).any():
                 return None
             values = magnitude.astype(np.int64)
             out.append(np.where(minus, -values, values))
-        else:  # int: checked, not kept
-            out.append(None)
     return out

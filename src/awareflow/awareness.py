@@ -14,7 +14,7 @@ of their third matching query, cumulatively, and stays aware forever.
 
 import numpy as np
 
-from .domain import iter_text_lines, month_number
+from .domain import EVENT_KIND_PURCHASE, find_rows, iter_text_lines, month_number, row_chunks
 from .errors import CohortError, ConfigError, ParseError, PatternSyntaxError
 
 # Sentinel for "never aware"; any real timestamp compares smaller, so
@@ -113,25 +113,35 @@ def filter_qualified(events, window, min_per_month=1):
     """Ids with >= min_per_month purchases in every month of the window.
 
     ``window`` is (first_month_number, n_months) as from history_window.
-    Result is a sorted uint64 array.
+    Result is a sorted uint64 array.  The events are walked WRITE_CHUNK_ROWS
+    rows at a time, twice: once for the ids that buy inside the window, once
+    to count their purchases per (id, month), so that the memory used grows
+    with the buyers, not with the events.
     """
     first_month, n_months = window
     if n_months <= 0:
         raise CohortError("history window must cover at least one month")
-    mask = events.purchases_mask()
-    ids = events.individual_id[mask]
-    months = month_number(events.timestamp[mask]) - first_month
-    in_window = (months >= 0) & (months < n_months)
-    ids = ids[in_window]
-    months = months[in_window]
-    if len(ids) == 0:
-        return np.empty(0, dtype=np.uint64)
-    uids, inv = np.unique(ids, return_inverse=True)
-    key = inv.astype(np.int64) * n_months + months
-    ukey, counts = np.unique(key, return_counts=True)
-    ok = ukey[counts >= min_per_month]
-    months_ok = np.bincount(ok // n_months, minlength=len(uids))
-    return uids[months_ok == n_months]
+
+    def purchases():
+        """(ids, months into the window) of each chunk's purchases inside it."""
+        for rows in row_chunks(len(events)):
+            buy = events.kind[rows] == EVENT_KIND_PURCHASE
+            months = month_number(events.timestamp[rows][buy]) - first_month
+            inside = (months >= 0) & (months < n_months)
+            yield events.individual_id[rows][buy][inside], months[inside]
+
+    buyers = np.empty(0, dtype=np.uint64)
+    for ids, _ in purchases():
+        ids = np.sort(ids)  # ascending lookups are the fast ones
+        new = np.unique(ids[~find_rows(buyers, ids)[1]])
+        buyers = np.insert(buyers, np.searchsorted(buyers, new), new)
+    # no count exceeds the number of events
+    counts = np.zeros(len(buyers) * n_months, dtype=np.min_scalar_type(len(events)))
+    for ids, months in purchases():
+        ids, inverse = np.unique(ids, return_inverse=True)
+        key, n = np.unique(np.searchsorted(buyers, ids)[inverse] * n_months + months, return_counts=True)
+        counts[key] += n.astype(counts.dtype)
+    return buyers[(counts.reshape(-1, n_months) >= min_per_month).all(axis=1)]
 
 
 class AwarenessTimeline:

@@ -136,11 +136,11 @@ INT_SETTINGS = (
 
 # Columns of the TSV artifacts that later stages read back, as (name, parse)
 # pairs for analytics.read_tsv; their writers take the header from here.
-# Ids and timestamps parse to the numpy types they are stored in.
+# Ids, timestamps and days parse to the numpy types they are stored in.
 TABLES = {
     "labels.tsv": (
         ("individual_id", np.uint64), ("first_aware_ts", np.int64),
-        ("first_aware_day", int), ("first_aware_date", str),
+        ("first_aware_day", np.int64), ("first_aware_date", str),
     ),
     "qualified.txt": (("individual_id", np.uint64),),  # the one file without a header
     "phases.tsv": (
@@ -391,6 +391,25 @@ def check_phases(path, rows):
         raise ParseError(path, line_no, problem)
 
 
+def check_label_days(path, calendar, ts, day, date):
+    """Refuse labels.tsv rows whose first_aware_day or first_aware_date is
+    not what cmd_label writes for their first_aware_ts, naming the line."""
+    want_day = calendar.day_of(ts)
+    inside = (want_day >= 0) & (want_day < calendar.n_days)
+    want_date = np.array([*calendar.iso_dates(), "NA"], dtype=object)[
+        np.where(inside, want_day, calendar.n_days)
+    ]
+    bad_day = day != want_day
+    bad = bad_day | (date != want_date)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_day[k]:
+            problem = f"first_aware_day {day[k]} is not day {want_day[k]} of first_aware_ts {ts[k]}"
+        else:
+            problem = f"first_aware_date {date[k]!r} is not {want_date[k]!r}, day {day[k]}"
+        raise ParseError(path, k + 2, problem)
+
+
 def phase_segmentation(rows):
     """The PhaseSegmentation of phases.tsv rows."""
     phases = [Phase(r[0], r[1], r[2]) for r in rows]
@@ -455,11 +474,13 @@ class PipelineState:
     same process left it there, otherwise parses it from disk through its
     validating reader, otherwise raises MissingArtifactError naming the
     stage that writes it.  ``digests`` maps each file path hashed into a
-    manifest to its SHA-256, so that `all` hashes each file once.
+    manifest to its SHA-256, so that `all` hashes each file once, and
+    ``config_sha256`` is the config's digest, hashed once per run.
     """
 
     def __init__(self, cfg):
         self.cfg = cfg
+        self.config_sha256 = cfg.digest()
         self.loaded = {}
         self.digests = {}
 
@@ -546,6 +567,7 @@ class PipelineState:
             raise ParseError(path, k + 1 + header, f"repeated individual id {ids[k]}")
         if name == "qualified.txt":
             return np.sort(ids)
+        check_label_days(path, self.load("dataset").calendar, *rest)
         return AwarenessTimeline(ids, rest[0])
 
     def cohort_timeline(self):
@@ -578,7 +600,7 @@ def write_manifest(state, command, inputs, outputs, stats=None):
         "command": command,
         "version": __version__,
         "seed": cfg.seed,
-        "config_sha256": cfg.digest(),
+        "config_sha256": state.config_sha256,
         "inputs": {state.rel(p): digests[p] for p in inputs},
         "outputs": {state.rel(p): digests[p] for p in outputs},
         "stats": stats or {},
@@ -1021,7 +1043,7 @@ def cmd_report(state):
     report = {
         "version": __version__,
         "seed": cfg.seed,
-        "config_sha256": cfg.digest(),
+        "config_sha256": state.config_sha256,
         "population": gen_stats,
         "network_edges": stats["infer-net"].get("edges", {}),
         "labeling": label_stats,

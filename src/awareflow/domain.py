@@ -54,8 +54,10 @@ EVENT_KIND_QUERY = 0
 EVENT_KIND_PURCHASE = 1
 
 MAX_PURCHASING_POWER = 7
-# events.jsonl is written this many rows and read this many lines at a time
-WRITE_CHUNK_ROWS = 100_000
+# The row writers format this many rows per join and filter_qualified counts
+# this many events at a time, so that neither holds a copy of a whole table;
+# JSONL files are read this many lines at a time.
+WRITE_CHUNK_ROWS = 10_000
 READ_BLOCK_LINES = 5_000
 
 
@@ -293,21 +295,28 @@ class EventLog(Columns):
         repeated or unused texts; the log's pool keeps the distinct texts
         that occur, sorted.  The order is insensitive to input permutation:
         ties on (timestamp, individual, kind) are broken by the text rank.
+
+        The log takes the columns over: one that already has its log dtype
+        is recoded and sorted in place, a column at a time, so the sort
+        needs two spare columns rather than a second log.
         """
-        code = np.asarray(text_code, dtype=np.int64)
+        log = cls(
+            kind=kind, individual_id=individual_id, timestamp=timestamp,
+            text_code=text_code, is_ppe=is_ppe,
+        )
+        code = log.text_code
         used = np.flatnonzero(np.bincount(code, minlength=len(text_pool)))
         texts = [text_pool[i] for i in used.tolist()]
-        pool = sorted(set(texts))
-        rank = {t: r for r, t in enumerate(pool)}
+        log.text_pool = tuple(sorted(set(texts)))
+        rank = {t: r for r, t in enumerate(log.text_pool)}
         recode = np.zeros(len(text_pool), dtype=np.int64)
         recode[used] = [rank[t] for t in texts]
-        log = cls(
-            pool, kind=kind, individual_id=individual_id, timestamp=timestamp,
-            text_code=recode[code], is_ppe=is_ppe,
-        )
-        return log.take(np.lexsort(
-            (log.is_ppe, log.text_code, log.kind, log.individual_id, log.timestamp)
-        ))
+        code[...] = recode[code]
+        order = np.lexsort((log.is_ppe, code, log.kind, log.individual_id, log.timestamp))
+        for name in cls.DTYPES:
+            column = getattr(log, name)
+            column[...] = column[order]
+        return log
 
     def queries_mask(self):
         return self.kind == EVENT_KIND_QUERY
@@ -653,16 +662,31 @@ def read_events(path):
 _JSON_BOOLS = ("false", "true")
 
 
+def row_chunks(n):
+    """Slices of ``n`` rows, WRITE_CHUNK_ROWS at a time."""
+    return (slice(lo, lo + WRITE_CHUNK_ROWS) for lo in range(0, n, WRITE_CHUNK_ROWS))
+
+
+def write_lines(fh, n, lines):
+    """Write the lines of ``n`` rows to the text file ``fh``, one chunk at a
+    time: ``lines(rows)`` gives the lines of the slice ``rows``."""
+    for rows in row_chunks(n):
+        fh.write("".join(lines(rows)))
+
+
 def write_population(path, population):
-    columns = (getattr(population, name).tolist() for name in PopulationColumns.DTYPES)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join([
+    def lines(rows):
+        columns = (getattr(population, name)[rows].tolist() for name in PopulationColumns.DTYPES)
+        return [
             f'{{"id":{i},"gender":"{GENDERS[g]}","age":{a},'
             f'"education":"{EDUCATIONS[e]}","occupation":"{OCCUPATIONS[o]}",'
             f'"purchasing_power":{pp},"has_child":{_JSON_BOOLS[c]},'
             f'"married":{_JSON_BOOLS[m]},"home_city":{h},"qualified":{_JSON_BOOLS[q]}}}\n'
             for i, g, a, e, o, pp, c, m, h, q in zip(*columns)
-        ]))
+        ]
+
+    with open(path, "w", encoding="utf-8") as fh:
+        write_lines(fh, population.n, lines)
 
 
 def write_regions(path, regions):
@@ -673,13 +697,16 @@ def write_regions(path, regions):
 
 
 def write_addresses(path, addresses):
-    columns = (getattr(addresses, name).tolist() for name in AddressColumns.DTYPES)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join([
+    def lines(rows):
+        columns = (getattr(addresses, name)[rows].tolist() for name in AddressColumns.DTYPES)
+        return [
             f'{{"individual_id":{i},"address_id":{a},"kind":"{ADDRESS_KINDS[k]}",'
             f'"active_interval":[{lo},{hi}]}}\n'
             for i, a, k, lo, hi in zip(*columns)
-        ]))
+        ]
+
+    with open(path, "w", encoding="utf-8") as fh:
+        write_lines(fh, len(addresses), lines)
 
 
 def write_events(path, events):
@@ -698,20 +725,22 @@ def write_events(path, events):
             f',"category":{enc},"is_ppe":true}}\n',
         )
     heads = ('{"type":"query","individual_id":', '{"type":"purchase","individual_id":')
-    purchase = events.kind != EVENT_KIND_QUERY
-    variant = 3 * events.text_code + purchase + (purchase & events.is_ppe)
+
+    def lines(rows):
+        purchase = events.kind[rows] != EVENT_KIND_QUERY
+        variant = 3 * events.text_code[rows] + purchase + (purchase & events.is_ppe[rows])
+        return [
+            f'{heads[p]}{i},"timestamp":{t}{tails[v]}'
+            for p, i, t, v in zip(
+                purchase.tolist(),
+                events.individual_id[rows].tolist(),
+                events.timestamp[rows].tolist(),
+                variant.tolist(),
+            )
+        ]
+
     with open(path, "w", encoding="utf-8") as fh:
-        for lo in range(0, len(events), WRITE_CHUNK_ROWS):
-            rows = slice(lo, lo + WRITE_CHUNK_ROWS)
-            fh.write("".join([
-                f'{heads[p]}{i},"timestamp":{t}{tails[v]}'
-                for p, i, t, v in zip(
-                    purchase[rows].tolist(),
-                    events.individual_id[rows].tolist(),
-                    events.timestamp[rows].tolist(),
-                    variant[rows].tolist(),
-                )
-            ]))
+        write_lines(fh, len(events), lines)
 
 
 def save_dataset(dataset, directory):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ADDRESS_KINDS, digit_runs, find_rows, line_bounds, rows_of_ids
+from .domain import ADDRESS_KINDS, digit_runs, find_rows, line_bounds, rows_of_ids, write_lines
 from .errors import ParseError
 
 LAYERS = ("family", "schoolmate", "workmate")
@@ -178,9 +178,10 @@ def write_edges(graph, path):
             lo = np.minimum(src, dst)
             hi = np.maximum(src, dst)
             order = np.lexsort((hi, lo))
-            fh.write("".join([
-                f"{name} {a} {b}\n" for a, b in zip(lo[order].tolist(), hi[order].tolist())
-            ]))
+            lo, hi = lo[order], hi[order]
+            write_lines(fh, len(lo), lambda rows: [
+                f"{name} {a} {b}\n" for a, b in zip(lo[rows].tolist(), hi[rows].tolist())
+            ])
 
 
 def _id_or_none(token):

@@ -34,6 +34,7 @@ from .domain import (
     PopulationColumns,
     Region,
     read_jsonl,
+    write_lines,
 )
 from .errors import ConfigError
 from .netinfer import LAYERS, MultiplexGraph, build_from_groups, read_edges, write_edges
@@ -485,12 +486,13 @@ class GroundTruth:
     def save(self, directory):
         os.makedirs(directory, exist_ok=True)
         labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
-        aligned = self.timeline.aligned(self.graph.ids)
+        ids = self.graph.ids
+        aligned = self.timeline.aligned(ids)
         with open(labels_path, "w", encoding="utf-8") as fh:
-            fh.write("".join([
+            write_lines(fh, len(ids), lambda rows: [
                 f'{{"individual_id":{i},"first_aware":{"null" if t == NEVER else t}}}\n'
-                for i, t in zip(self.graph.ids.tolist(), aligned.tolist())
-            ]))
+                for i, t in zip(ids[rows].tolist(), aligned[rows].tolist())
+            ])
         write_edges(self.graph, edges_path)
         return {"truth_labels": labels_path, "truth_network": edges_path}
 
@@ -897,5 +899,7 @@ def generate(config):
     """Full synthetic run: population, history, diffusion, merged log."""
     dataset, truth_graph, history = generate_population(config)
     window, truth = simulate_diffusion(dataset, truth_graph, config)
-    dataset.events = EventLog.canonical(*_event_columns([history, window]), config.text_pool())
+    columns = _event_columns([history, window])
+    del history, window  # the sort below reuses their memory
+    dataset.events = EventLog.canonical(*columns, config.text_pool())
     return dataset, truth

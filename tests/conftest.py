@@ -6,7 +6,9 @@ staying fast to generate, so it is built once per session.
 """
 
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import awareflow
@@ -43,6 +45,29 @@ def make_events(rows):
     return EventLog.canonical(
         [EVENT_TYPES.index(k) for k in kind], iid, ts, code, ppe, list(codes_of)
     )
+
+
+def random_event_columns(n, calendar, n_ids=200, seed=0):
+    """Event columns (kind, individual_id, timestamp, text_code, is_ppe) of
+    ``n`` random rows over the 400 days before the ``calendar`` opens: texts
+    are codes into five texts, ids run from 1 to ``n_ids``."""
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 2, size=n).astype(np.uint8)
+    ts = rng.integers(calendar.day_start_ts(-400), calendar.day_start_ts(0), size=n)
+    iid = rng.integers(1, n_ids + 1, size=n).astype(np.uint64)
+    return kind, iid, ts, rng.integers(0, 5, size=n), (kind == 1) & (rng.random(n) < 0.3)
+
+
+def traced_peak(fn, *args):
+    """The most bytes that ``fn(*args)`` held at once above what was held
+    when it was called, as tracemalloc counts them (numpy buffers included)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
 
 
 def small_world_config():

@@ -16,10 +16,11 @@ from awareflow.awareness import (
     normalize_text,
     parse_pattern,
 )
-from awareflow.domain import Calendar
+from awareflow import domain
+from awareflow.domain import Calendar, EventLog
 from awareflow.errors import CohortError, PatternSyntaxError
 
-from conftest import make_events
+from conftest import make_events, random_event_columns, traced_peak
 from oracles import first_aware_scan, months_before, qualified_scan
 
 MASK = "(n95|kn95|kf94)&(face mask)"
@@ -249,7 +250,7 @@ def test_purchases_outside_window_do_not_count():
     assert filter_qualified(make_events(records), window).tolist() == []
 
 
-def test_filter_qualified_matches_reference_on_random_histories():
+def test_filter_qualified_matches_reference_on_random_histories(monkeypatch):
     rng = np.random.default_rng(8)
     cal = Calendar.from_dates("2020-01-05", "2020-01-09")
     months = 6
@@ -265,8 +266,26 @@ def test_filter_qualified_matches_reference_on_random_histories():
             ts_list.append(ts)
             records.append(("purchase", iid, ts, "books", False))
         by_id[iid] = ts_list
-    got = filter_qualified(make_events(records), window).tolist()
-    assert got == qualified_scan(by_id, required)
+    events = make_events(records)
+    want = qualified_scan(by_id, required)
+    assert filter_qualified(events, window).tolist() == want
+    # chunks that split an individual's months
+    monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", 7)
+    assert filter_qualified(events, window).tolist() == want
+
+
+def test_filter_qualified_memory_does_not_grow_with_the_events(monkeypatch):
+    monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", 1000)
+    cal = Calendar.from_dates("2020-01-05", "2020-01-09")
+    window = history_window(cal, months=12)
+
+    def peak(n):
+        events = EventLog.canonical(*random_event_columns(n, cal), ["a", "b", "c", "d", "e"])
+        return traced_peak(filter_qualified, events, window)
+
+    peak(1000)  # numpy sets up what it needs on first use
+    # less than a bool column of the 60,000 events added
+    assert peak(80_000) - peak(20_000) < 60_000
 
 
 def test_purchases_at_month_starts_qualify():

@@ -11,9 +11,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from awareflow import cli
+from awareflow.domain import Calendar
 from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
 
@@ -463,6 +465,15 @@ FAULTS = [
     ),
     pytest.param("segment", repeat_lines("qualified.txt", 5), 4, id="qualified-duplicate-id"),
     pytest.param("segment", repeat_lines("labels.tsv", 3), 4, id="labels-duplicate-id"),
+    # line 2 keeps its first_aware_ts
+    pytest.param(
+        "segment", substitute("labels.tsv", r"(\n\d+\t-?\d+\t)-?\d+\t", r"\g<1>-999\t"), 4,
+        id="labels-day-mismatch",
+    ),
+    pytest.param(
+        "cohort", substitute("labels.tsv", r"(\n\d+\t-?\d+\t-?\d+\t)[^\n]*", r"\g<1>1999-01-01"),
+        4, id="labels-date-mismatch",
+    ),
     pytest.param("infer-net", replace("dataset/calendar.json", "{}\n"), 4, id="calendar-empty"),
     pytest.param("report", replace("manifest_gen.json", "not json\n"), 4, id="manifest-not-json"),
     pytest.param(
@@ -651,6 +662,40 @@ def test_check_phases_names_the_bad_line(k, row, line_no, message):
     with pytest.raises(ParseError) as exc:
         cli.check_phases("phases.tsv", rows)
     assert (exc.value.line_no, str(exc.value)) == (line_no, f"phases.tsv:{line_no}: {message}")
+
+
+LABEL_CALENDAR = Calendar.from_dates("2020-01-01", "2020-01-10")
+# first_aware_ts, first_aware_day and first_aware_date as cmd_label writes them:
+# day 3 of the window, and days before and after it
+LABEL_ROWS = [
+    (LABEL_CALENDAR.day_start_ts(3) + 100, 3, "2020-01-04"),
+    (LABEL_CALENDAR.day_start_ts(-2), -2, "NA"),
+    (LABEL_CALENDAR.day_start_ts(10) - 1, 9, "2020-01-10"),
+    (LABEL_CALENDAR.day_start_ts(10), 10, "NA"),
+]
+
+
+@pytest.mark.parametrize("k, row, message", [
+    (0, (LABEL_ROWS[0][0], 4, "2020-01-04"),
+     f"first_aware_day 4 is not day 3 of first_aware_ts {LABEL_ROWS[0][0]}"),
+    (2, (LABEL_ROWS[2][0], 9, "2020-01-09"), "first_aware_date '2020-01-09' is not '2020-01-10', day 9"),
+    (1, (LABEL_ROWS[1][0], -2, "2019-12-30"), "first_aware_date '2019-12-30' is not 'NA', day -2"),
+    (3, (LABEL_ROWS[3][0], 10, "2020-01-11"), "first_aware_date '2020-01-11' is not 'NA', day 10"),
+])
+def test_check_label_days_names_the_bad_line(k, row, message):
+    def check(rows):
+        ts, day, date = zip(*rows) if rows else ((), (), ())
+        cli.check_label_days(
+            "labels.tsv", LABEL_CALENDAR, np.array(ts, dtype=np.int64),
+            np.array(day, dtype=np.int64), np.array(date, dtype=object),
+        )
+
+    check(LABEL_ROWS)
+    check([])
+    with pytest.raises(ParseError) as exc:
+        check(LABEL_ROWS[:k] + [row] + LABEL_ROWS[k + 1:])
+    line_no = k + 2
+    assert (exc.value.line_no, str(exc.value)) == (line_no, f"labels.tsv:{line_no}: {message}")
 
 
 @pytest.mark.parametrize("stage", list(cli.STEP_FUNCS))

@@ -34,7 +34,7 @@ from awareflow.domain import (
 )
 from awareflow.errors import IntegrityError, ParseError
 
-from conftest import make_events
+from conftest import make_events, random_event_columns, traced_peak
 from oracles import write_events_rows
 
 CN = timezone(timedelta(hours=8))
@@ -180,6 +180,35 @@ def test_write_events_matches_per_row_writer(tmp_path, monkeypatch):
     written = (tmp_path / "events.jsonl").read_bytes()
     assert written == (tmp_path / "reference.jsonl").read_bytes()
     assert len(written.splitlines()) == n
+
+
+TEXTS = ["books", "mask", "n95", "rice", "tea"]  # sorted: canonical keeps their codes
+
+
+def test_write_events_holds_one_chunk_whatever_the_row_count(tmp_path, monkeypatch):
+    monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", 1000)
+    calendar = Calendar.from_dates("2020-01-01", "2020-01-31")
+
+    def peak(n):
+        log = EventLog.canonical(*random_event_columns(n, calendar), TEXTS)
+        return traced_peak(write_events, tmp_path / "events.jsonl", log)
+
+    chunk = min(peak(1000), peak(1000))  # the first call also sets up numpy
+    assert peak(80_000) - peak(20_000) < chunk
+
+
+def test_canonical_sorts_within_its_inputs_and_two_columns():
+    n = 50_000
+    columns = random_event_columns(n, Calendar.from_dates("2020-01-01", "2020-01-31"))
+    want = EventLog(TEXTS, **dict(zip(EventLog.DTYPES, columns)))
+    want = want.take(np.lexsort(
+        (want.is_ppe, want.text_code, want.kind, want.individual_id, want.timestamp)
+    ))
+    EventLog.canonical(*random_event_columns(100, Calendar(0, 1)), TEXTS)  # numpy's set-up
+    log = []
+    peak = traced_peak(lambda: log.append(EventLog.canonical(*columns, TEXTS)))
+    assert peak < 2.25 * 8 * n  # two int64 columns and a little
+    assert log[0] == want
 
 
 def _query(iid, ts, text="mask"):

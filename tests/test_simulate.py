@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from awareflow.awareness import label_awareness, match_mask
-from awareflow.domain import ADDRESS_KINDS, EDUCATIONS, OCCUPATIONS, EventLog
+from awareflow import domain
+from awareflow.domain import (
+    ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, OCCUPATIONS, EventLog, save_dataset,
+)
 from awareflow.errors import ConfigError, ParseError
 from awareflow.netinfer import LAYERS, infer_networks
 from awareflow.simulate import (
@@ -15,6 +18,7 @@ from awareflow.simulate import (
     NetworkConfig,
     RegionConfig,
     SimConfig,
+    TRUTH_FILES,
     generate,
     hazard_base,
     hazard_probability,
@@ -219,6 +223,17 @@ def test_generation_is_deterministic():
     assert ds_a == ds_b
     assert truth_a.timeline == truth_b.timeline
     assert truth_a.graph == truth_b.graph
+
+
+def test_written_bytes_do_not_depend_on_the_chunk_size(small_world, tmp_path, monkeypatch):
+    _, dataset, truth = small_world
+    files = DATASET_FILES + TRUTH_FILES
+    for name, rows in (("whole", len(dataset.events)), ("chunked", 3)):
+        monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", rows)
+        save_dataset(dataset, tmp_path / name)
+        truth.save(tmp_path / name)
+    for name in files:
+        assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "chunked" / name).read_bytes()
 
 
 def test_generate_sorts_the_event_log_once(monkeypatch):
