@@ -16,6 +16,7 @@ import numpy as np
 
 from .domain import EVENT_KIND_PURCHASE, find_rows, iter_text_lines, month_number, row_chunks
 from .errors import CohortError, ConfigError, ParseError, PatternSyntaxError
+from .kernels import distinct_rows, sort_rows
 
 # Sentinel for "never aware"; any real timestamp compares smaller, so
 # aware_mask_at reduces to first_aware <= t with no special cases.
@@ -132,8 +133,8 @@ def filter_qualified(events, window, min_per_month=1):
 
     buyers = np.empty(0, dtype=np.uint64)
     for ids, _ in purchases():
-        ids = np.sort(ids)  # ascending lookups are the fast ones
-        new = np.unique(ids[~find_rows(buyers, ids)[1]])
+        (ids,) = distinct_rows(ids)  # ascending lookups are the fast ones
+        new = ids[~find_rows(buyers, ids)[1]]
         buyers = np.insert(buyers, np.searchsorted(buyers, new), new)
     # no count exceeds the number of events
     counts = np.zeros(len(buyers) * n_months, dtype=np.min_scalar_type(len(events)))
@@ -220,9 +221,7 @@ def label_awareness(events, matcher, threshold=3):
     ts = events.timestamp[hit]
     if len(ids) == 0:
         return AwarenessTimeline(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
-    order = np.lexsort((ts, ids))
-    ids = ids[order]
-    ts = ts[order]
+    sort_rows(ids, ts)
     uids, starts, counts = np.unique(ids, return_index=True, return_counts=True)
     enough = counts >= threshold
     return AwarenessTimeline(uids[enough], ts[starts[enough] + threshold - 1])

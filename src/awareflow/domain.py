@@ -29,6 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import IntegrityError, ParseError
+from .kernels import distinct_rows, sort_rows
 
 CHINA_UTC_OFFSET = 8 * 3600
 SECONDS_PER_DAY = 86400
@@ -297,8 +298,8 @@ class EventLog(Columns):
         ties on (timestamp, individual, kind) are broken by the text rank.
 
         The log takes the columns over: one that already has its log dtype
-        is recoded and sorted in place, a column at a time, so the sort
-        needs two spare columns rather than a second log.
+        is recoded and sorted in place by ``sort_rows``, so the sort needs
+        one spare uint64 column rather than a second log.
         """
         log = cls(
             kind=kind, individual_id=individual_id, timestamp=timestamp,
@@ -312,10 +313,7 @@ class EventLog(Columns):
         recode = np.zeros(len(text_pool), dtype=np.int64)
         recode[used] = [rank[t] for t in texts]
         code[...] = recode[code]
-        order = np.lexsort((log.is_ppe, code, log.kind, log.individual_id, log.timestamp))
-        for name in cls.DTYPES:
-            column = getattr(log, name)
-            column[...] = column[order]
+        sort_rows(log.timestamp, log.individual_id, log.kind, code, log.is_ppe)
         return log
 
     def queries_mask(self):
@@ -870,7 +868,8 @@ def validate_dataset(dataset):
         if c > 1:
             violations.append(f"duplicate city_id {cid} ({c} records)")
 
-    unknown_cities = [c for c in np.unique(pop.home_city).tolist() if c not in city_ids]
+    (cities,) = distinct_rows(pop.home_city.copy())
+    unknown_cities = [c for c in cities.tolist() if c not in city_ids]
     for row in np.flatnonzero(np.isin(pop.home_city, unknown_cities)).tolist():
         violations.append(f"individual {pop.ids[row]}: unknown home_city {pop.home_city[row]}")
     violations += _range_violations(
@@ -936,10 +935,8 @@ def validate_addresses(addresses, ids):
                 f"{addresses.active_start[row]} > end {addresses.active_end[row]}"
             )
     home = addresses.kind == ADDRESS_KINDS.index("home")
-    homes = np.unique(
-        np.column_stack([addresses.individual_id[home], addresses.address_id[home]]), axis=0
-    )
-    _, homes_per_individual = np.unique(homes[:, 0], return_counts=True)
+    residents, _ = distinct_rows(addresses.individual_id[home], addresses.address_id[home])
+    _, homes_per_individual = np.unique(residents, return_counts=True)
     multi_home = int((homes_per_individual > 1).sum())
     if multi_home:
         notes.append(
@@ -959,7 +956,7 @@ def validate_events(events, ids, calendar):
     of individuals outside ``ids``, events past the calendar end."""
     violations = []
     if len(events):
-        seen = np.unique(events.individual_id)
+        (seen,) = distinct_rows(events.individual_id.copy())
         unknown_ids = seen[~np.isin(seen, ids)]
         for uid in unknown_ids[:50]:
             violations.append(f"event references unknown individual {int(uid)}")
@@ -967,11 +964,12 @@ def validate_events(events, ids, calendar):
             violations.append(
                 f"... {len(unknown_ids) - 50} more unknown event individuals"
             )
-        last_day = day_number(events.timestamp.max())
-        if last_day > calendar.end_day:
+        # in Python ints: a timestamp near 2**63 wraps day_number's int64 sum
+        last = int(events.timestamp.max())
+        if last > calendar.day_start_ts(calendar.n_days) - 1:
             violations.append(
                 f"events extend past the calendar end "
-                f"(day {int(last_day)} > {calendar.end_day})"
+                f"(day {(last + CHINA_UTC_OFFSET) // SECONDS_PER_DAY} > {calendar.end_day})"
             )
     n_q = int(events.queries_mask().sum())
     return ValidationReport(

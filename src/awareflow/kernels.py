@@ -38,6 +38,56 @@ def counter_uniforms(seed, stream, ids, tag):
     return (z >> U64(11)).astype(np.float64) * _INV53
 
 
+def sort_rows(*columns):
+    """Sort equal-length integer or bool columns in place as rows, the first
+    column most significant.
+
+    When the value ranges (max - min) of the columns fit in 64 bits
+    together, each row is packed into one uint64 key, every column less its
+    minimum shifted into place, and the keys are sorted and unpacked; the
+    sort then needs one spare uint64 column.  Wider ranges fall back to a
+    lexsort and a permute, a column at a time.  Rows that tie are equal in
+    every column, so the result does not depend on the sort's stability.
+    """
+    if len(columns[0]) < 2:
+        return
+    lows = [int(c.min()) for c in columns]
+    widths = [(int(c.max()) - lo).bit_length() for c, lo in zip(columns, lows)]
+    if sum(widths) > 64:
+        order = np.lexsort(columns[::-1])
+        for column in columns:
+            column[...] = column[order]
+        return
+    key = np.zeros(len(columns[0]), dtype=np.uint64)
+    used = 0
+    for column, lo, width in zip(columns, lows, widths):
+        if used:
+            np.left_shift(key, U64(width), out=key)
+        # key + column - lo wraps mod 2**64 on the way and lands in range
+        np.add(key, column, out=key, dtype=np.uint64, casting="unsafe")
+        np.subtract(key, U64(lo % 2**64), out=key)
+        used += width
+    key.sort()
+    for column, lo, width in reversed(list(zip(columns, lows, widths))):
+        np.bitwise_and(key, U64(2**width - 1), out=column, casting="unsafe")
+        if lo:
+            np.add(column, column.dtype.type(lo), out=column)
+        used -= width
+        if used:
+            np.right_shift(key, U64(width), out=key)
+
+
+def distinct_rows(*columns):
+    """The distinct rows of equal-length integer or bool columns, ascending
+    as :func:`sort_rows` orders them, which sorts the columns in place."""
+    sort_rows(*columns)
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        new[1:] |= column[1:] != column[:-1]
+    return tuple(column[new] for column in columns)
+
+
 def csr_rows(indptr, indices, rows):
     """CSR slice of ``rows``: its indptr runs over ``rows``, its indices stay global."""
     starts = indptr[rows]

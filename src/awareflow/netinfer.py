@@ -14,6 +14,7 @@ import numpy as np
 
 from .domain import ADDRESS_KINDS, digit_runs, find_rows, line_bounds, rows_of_ids, write_lines
 from .errors import ParseError
+from .kernels import distinct_rows, sort_rows
 
 LAYERS = ("family", "schoolmate", "workmate")
 LAYER_CODES = {name: code for code, name in enumerate(LAYERS)}
@@ -58,7 +59,7 @@ def _build_layer(pairs, n_nodes):
     keys = lo * np.int64(n_nodes) + hi
     # edges read back from a write_edges dump come sorted and distinct
     if not (keys[1:] > keys[:-1]).all():
-        keys = np.unique(keys)
+        (keys,) = distinct_rows(keys)
     lo = keys // n_nodes
     hi = keys % n_nodes
     edges = np.column_stack([lo, hi])
@@ -107,11 +108,7 @@ def _clique_pairs(group, rows, cap=None):
     Repeated (group, row) memberships count once; a group with more than
     ``cap`` distinct rows contributes no pairs.
     """
-    order = np.lexsort((rows, group))
-    group, rows = np.asarray(group)[order], np.asarray(rows, dtype=np.int64)[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (group[1:] != group[:-1]) | (rows[1:] != rows[:-1])
-    group, rows = group[new], rows[new]
+    group, rows = distinct_rows(np.array(group), np.array(rows, dtype=np.int64))
     # member i pairs with the members after it in its group, up to ``last``
     idx = np.arange(len(rows))
     last = np.searchsorted(group, group, side="right")
@@ -177,8 +174,7 @@ def write_edges(graph, path):
             dst = graph.ids[edges[:, 1]]
             lo = np.minimum(src, dst)
             hi = np.maximum(src, dst)
-            order = np.lexsort((hi, lo))
-            lo, hi = lo[order], hi[order]
+            sort_rows(lo, hi)
             write_lines(fh, len(lo), lambda rows: [
                 f"{name} {a} {b}\n" for a, b in zip(lo[rows].tolist(), hi[rows].tolist())
             ])

@@ -87,7 +87,7 @@ class DesignBuilder:
         cols = dataset.population
         self.names = self.spec.column_names()
         sample_ids = np.asarray(sample_ids, dtype=np.uint64)
-        if len(np.unique(sample_ids)) != len(sample_ids):
+        if len(kernels.distinct_rows(sample_ids.copy())[0]) != len(sample_ids):
             raise ConfigError("sample contains duplicate ids")
         self.sample_rows = cols.rows_of(sample_ids)
         if len(self.sample_rows) == 0:
@@ -260,12 +260,13 @@ def fit_logistic(X, y, config=None, names=None):
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y):
         raise NumericalError("design matrix and outcome length mismatch")
-    uniq = np.unique(y)
-    if not np.all(np.isin(uniq, (0.0, 1.0))):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise DegenerateOutcomeError("outcome must be binary 0/1")
-    if len(uniq) < 2:
+    if len(y) == 0:
+        raise DegenerateOutcomeError("outcome is empty; the model is undefined")
+    if y.min() == y.max():
         raise DegenerateOutcomeError(
-            f"outcome is all {int(uniq[0])}s; the model is undefined"
+            f"outcome is all {int(y[0])}s; the model is undefined"
         )
 
     ridge_used = False

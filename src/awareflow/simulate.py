@@ -506,15 +506,25 @@ class GroundTruth:
 
 
 def _chunk_sizes(rng, total, size_probs):
-    """Partition `total` into chunk sizes drawn from size_probs (1-based)."""
+    """Partition `total` into chunk sizes drawn from size_probs (1-based).
+
+    The draws are those of one ``rng.choice(len(probs), p=probs)`` per
+    chunk, which maps one ``rng.random()`` through the cumulative
+    probabilities; they are made in batches that the chunks use up: no
+    chunk exceeds len(probs), so ceil(remaining / len(probs)) more chunks
+    are always needed.
+    """
     sizes = []
     remaining = total
     probs = np.asarray(size_probs, dtype=np.float64)
-    probs = probs / probs.sum()
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
     while remaining > 0:
-        draw = int(rng.choice(len(probs), p=probs)) + 1
-        sizes.append(min(draw, remaining))
-        remaining -= sizes[-1]
+        draws = cdf.searchsorted(rng.random(-(-remaining // len(cdf))), side="right") + 1
+        sizes += draws.tolist()
+        remaining -= int(draws.sum())
+    if sizes:
+        sizes[-1] += remaining  # the last chunk takes only what is left
     return sizes
 
 

@@ -183,6 +183,19 @@ def test_fresh_interpreter_reproduces_run(all_run, micro_config, tmp_path):
     assert tree_hashes(str(out)) == tree_hashes(all_run)
 
 
+def test_regress_leaves_numpy_ma_unimported(all_run, micro_config, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(all_run, out)
+    code = (
+        "import sys; from awareflow import cli; "
+        f"code = cli.main(['regress', '--config', {micro_config!r}, '--out', {str(out)!r}]); "
+        "print('numpy.ma' in sys.modules); sys.exit(code)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 # The dataset bytes of `gen --config small`, which the batched event and
 # edge writers must reproduce exactly.
 SMALL_DATASET_SHA256 = {
@@ -381,13 +394,14 @@ def repeat_lines(name, n):
     return fault
 
 
-def event_of_first_individual(timestamp):
-    """Append a query event at ``timestamp`` by the first individual."""
+def events_of_first_individual(*timestamps):
+    """Append a query event at each of ``timestamps`` by the first individual."""
     def fault(out, config):
         with open(out / "dataset" / "population.jsonl") as fh:
             iid = json.loads(fh.readline())["id"]
-        line = f'{{"type":"query","individual_id":{iid},"timestamp":{timestamp}'
-        append("dataset/events.jsonl", line + ',"query_text":"x"}\n')(out, config)
+        for ts in timestamps:
+            line = f'{{"type":"query","individual_id":{iid},"timestamp":{ts}'
+            append("dataset/events.jsonl", line + ',"query_text":"x"}\n')(out, config)
     return fault
 
 
@@ -520,7 +534,13 @@ FAULTS = [
         ),
         4, id="event-unknown-individual",
     ),
-    pytest.param("label", event_of_first_individual(4_102_444_800), 4, id="event-past-calendar"),
+    pytest.param("label", events_of_first_individual(4_102_444_800), 4, id="event-past-calendar"),
+    # a day number near 2**63 wraps in int64; the timestamps' range is too
+    # wide to pack into one sort key
+    pytest.param(
+        "label", events_of_first_individual(2**63 - 1, 9_223_372_036_854_700_000), 4,
+        id="events-past-end-near-int64-max",
+    ),
     pytest.param(
         "infer-net",
         append(

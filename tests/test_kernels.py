@@ -5,8 +5,10 @@ import numpy as np
 from awareflow.kernels import (
     counter_uniforms,
     csr_rows,
+    distinct_rows,
     increment_neighbor_counts,
     neighbor_count_sweep,
+    sort_rows,
 )
 
 
@@ -156,3 +158,67 @@ def test_empty_graph_and_empty_nodes():
     counts = np.zeros(5, dtype=np.int64)
     increment_neighbor_counts(indptr, indices, np.zeros(0, dtype=np.int64), counts)
     assert counts.sum() == 0
+
+
+def random_columns(rng, n):
+    """Columns of the dtypes sort_rows meets: four whose ranges pack into
+    one uint64 key together, and two 64-bit ones too wide to pack with any
+    other column."""
+    packed = [
+        rng.integers(0, 256, n).astype(np.uint8),
+        rng.integers(2**64 - 1000, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+        rng.integers(-500, 500, n),
+        rng.random(n) < 0.5,
+    ]
+    wide = [
+        rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+        rng.integers(-(2**63), 2**63 - 1, n, endpoint=True),
+    ]
+    return packed, wide
+
+
+def check_sort_rows(columns):
+    order = np.lexsort(columns[::-1])
+    want = [c.take(order) for c in columns]
+    got = [c.copy() for c in columns]
+    sort_rows(*got)
+    for c, w, g in zip(columns, want, got):
+        assert g.dtype == c.dtype
+        assert np.array_equal(g, w)
+
+
+def test_sort_rows_matches_lexsort_packed_and_fallback():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 2, 7, 500):
+        packed, wide = random_columns(rng, n)
+        check_sort_rows(packed)  # 8 + 10 + 10 + 1 bits
+        check_sort_rows(packed[::-1])
+        for c in packed + wide:
+            check_sort_rows([c])
+        # the lexsort fallback: more than 64 bits in all
+        check_sort_rows([wide[0], packed[0], packed[3]])
+        check_sort_rows([packed[2], wide[1]])
+        check_sort_rows(wide)
+
+
+def test_sort_rows_packs_full_width_columns():
+    rng = np.random.default_rng(12)
+    extremes = np.array([-(2**63), 2**63 - 1, 0, -1, 1], dtype=np.int64)
+    check_sort_rows([rng.permutation(np.repeat(extremes, 3))])  # one 64-bit column
+    ids = np.array([2**64 - 1, 0, 2**63, 5, 2**64 - 1], dtype=np.uint64)
+    check_sort_rows([ids])
+    check_sort_rows([ids, np.zeros(len(ids), dtype=np.int8)])  # 64 + 0 bits
+    check_sort_rows([np.full(len(ids), 7, dtype=np.int8), ids])  # 0 + 64 bits
+    check_sort_rows([np.ones(4, dtype=bool), np.array([3, -2, 3, 0])])  # a constant True
+
+
+def test_distinct_rows_matches_unique_rows():
+    rng = np.random.default_rng(13)
+    for n in (0, 1, 50, 400):
+        a = rng.integers(-3, 3, n)
+        b = rng.integers(0, 4, n).astype(np.uint8)
+        want = np.unique(np.column_stack([a, b]), axis=0) if n else np.empty((0, 2))
+        got = distinct_rows(a.copy(), b.copy())
+        assert [g.dtype for g in got] == [a.dtype, b.dtype]
+        assert np.array_equal(np.column_stack(got), want.reshape(-1, 2))
+        assert np.array_equal(distinct_rows(a.copy())[0], np.unique(a))

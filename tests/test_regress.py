@@ -84,6 +84,10 @@ def test_degenerate_outcomes_refused():
         fit_logistic(X, np.ones(5))
     with pytest.raises(DegenerateOutcomeError, match="binary 0/1"):
         fit_logistic(X, np.array([0.0, 1.0, 0.5, 0.0, 1.0]))
+    with pytest.raises(DegenerateOutcomeError, match="binary 0/1"):
+        fit_logistic(X, np.array([0.0, 1.0, np.nan, 0.0, 1.0]))
+    with pytest.raises(DegenerateOutcomeError, match="outcome is empty"):
+        fit_logistic(np.ones((0, 1)), np.zeros(0))
 
 
 def test_perfect_separation_falls_back_to_ridge():

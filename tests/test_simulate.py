@@ -19,6 +19,7 @@ from awareflow.simulate import (
     RegionConfig,
     SimConfig,
     TRUTH_FILES,
+    _chunk_sizes,
     generate,
     hazard_base,
     hazard_probability,
@@ -108,6 +109,26 @@ def test_hazard_matches_formula_at_random_points(small_world):
 
 
 # --- world shapes ---------------------------------------------------------------
+
+def test_chunk_sizes_make_the_draws_of_one_choice_per_chunk():
+    def one_choice_per_chunk(rng, total, size_probs):
+        sizes, remaining = [], total
+        probs = np.asarray(size_probs, dtype=np.float64)
+        probs = probs / probs.sum()
+        while remaining > 0:
+            sizes.append(min(int(rng.choice(len(probs), p=probs)) + 1, remaining))
+            remaining -= sizes[-1]
+        return sizes
+
+    for probs in [(0.20, 0.35, 0.25, 0.15, 0.05), (1.0,), (0.0, 0.0, 2.0), (3.0, 0.0, 1e-9, 1.0)]:
+        for seed in range(3):
+            for total in [*range(12), 97, 1000]:
+                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = one_choice_per_chunk(want_rng, total, probs)
+                assert _chunk_sizes(got_rng, total, probs) == want
+                assert sum(want) == total
+                assert got_rng.random() == want_rng.random()  # the same draws were used up
+
 
 def test_single_individual_world():
     cfg = SimConfig(
