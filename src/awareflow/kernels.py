@@ -42,14 +42,18 @@ def sort_rows(*columns):
     """Sort equal-length integer or bool columns in place as rows, the first
     column most significant.
 
-    When the value ranges (max - min) of the columns fit in 64 bits
-    together, each row is packed into one uint64 key, every column less its
-    minimum shifted into place, and the keys are sorted and unpacked; the
-    sort then needs one spare uint64 column.  Wider ranges fall back to a
-    lexsort and a permute, a column at a time.  Rows that tie are equal in
-    every column, so the result does not depend on the sort's stability.
+    One column is sorted as it is.  When the value ranges (max - min) of
+    several columns fit in 64 bits together, each row is packed into one
+    uint64 key, every column less its minimum shifted into place, and the
+    keys are sorted and unpacked; the sort then needs one spare uint64
+    column.  Wider ranges fall back to a lexsort and a permute, a column at
+    a time.  Rows that tie are equal in every column, so the result does
+    not depend on the sort's stability.
     """
     if len(columns[0]) < 2:
+        return
+    if len(columns) == 1:
+        columns[0].sort()
         return
     lows = [int(c.min()) for c in columns]
     widths = [(int(c.max()) - lo).bit_length() for c, lo in zip(columns, lows)]
