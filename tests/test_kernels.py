@@ -204,10 +204,10 @@ def test_sort_rows_matches_lexsort_packed_and_fallback():
 def test_sort_rows_packs_full_width_columns():
     rng = np.random.default_rng(12)
     extremes = np.array([-(2**63), 2**63 - 1, 0, -1, 1], dtype=np.int64)
-    check_sort_rows([rng.permutation(np.repeat(extremes, 3))])  # one 64-bit column
+    extremes = rng.permutation(np.repeat(extremes, 3))
+    check_sort_rows([extremes, np.ones(len(extremes), dtype=bool)])  # 64 + 0 bits
     ids = np.array([2**64 - 1, 0, 2**63, 5, 2**64 - 1], dtype=np.uint64)
-    check_sort_rows([ids])
-    check_sort_rows([ids, np.zeros(len(ids), dtype=np.int8)])  # 64 + 0 bits
+    check_sort_rows([ids, np.zeros(len(ids), dtype=np.int8)])
     check_sort_rows([np.full(len(ids), 7, dtype=np.int8), ids])  # 0 + 64 bits
     check_sort_rows([np.ones(4, dtype=bool), np.array([3, -2, 3, 0])])  # a constant True
 
