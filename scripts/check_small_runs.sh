@@ -2,7 +2,8 @@
 # Run `all --config small` three ways and compare every artifact byte for
 # byte: with one job, with each stage after gen in a fresh process (so every
 # reader parses from disk), and with the stages that read neither
-# addresses.jsonl nor events.jsonl run while both files are moved aside.
+# addresses.jsonl nor events.jsonl run while both files are moved aside;
+# then check that no run left a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
 #
 #     sh scripts/check_small_runs.sh [scratch-dir]
@@ -27,3 +28,10 @@ for stage in segment cohort geo-corr regress report; do
 done
 mv "$dir/aside/addresses.jsonl" "$dir/aside/events.jsonl" "$dir/s3/dataset/"
 compare "$dir/s" "$dir/s3"
+# every write renames its <name>.tmp into place or removes it
+leftover=$(find "$dir" -name '*.tmp')
+if [ -n "$leftover" ]; then
+  echo "temporary files left behind:" >&2
+  echo "$leftover" >&2
+  exit 1
+fi

@@ -14,7 +14,6 @@ from .awareness import (
     compile_query_set,
     filter_qualified,
     label_awareness,
-    load_patterns,
 )
 from .domain import (
     AddressColumns,
@@ -24,8 +23,6 @@ from .domain import (
     PopulationColumns,
     Region,
     infer_calendar,
-    load_dataset,
-    save_dataset,
     validate_dataset,
 )
 from .errors import (
@@ -45,8 +42,6 @@ from .netinfer import (
     LAYERS,
     MultiplexGraph,
     infer_networks,
-    read_edges,
-    write_edges,
 )
 from .analytics import (
     EventMark,
@@ -70,5 +65,12 @@ from .regress import (
     typical_profile,
 )
 from .simulate import GroundTruth, SimConfig, generate, generate_population, simulate_diffusion
+from .files import (
+    load_dataset,
+    load_patterns,
+    read_edges,
+    save_dataset,
+    write_edges,
+)
 
 __version__ = "0.1.0"

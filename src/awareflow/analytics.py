@@ -7,14 +7,14 @@ Day-level growth rates use the convention that a rise from zero is +inf,
 zero-to-zero is 0, and day 0 (no previous day) is undefined (NaN).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .awareness import awareness_percentage
-from .domain import EDUCATIONS, GENDERS, OCCUPATIONS, digit_runs, line_bounds
-from .errors import AnalyticsError, CohortError, ParseError
+from .domain import EDUCATIONS, GENDERS, OCCUPATIONS
+from .errors import AnalyticsError, CohortError
 from .netinfer import LAYERS
 
 PHASE_ORDER = ("Normal", "Beginning", "Growth", "Peak", "PostPeak")
@@ -523,165 +523,4 @@ def geo_correlation_series(dataset, timeline, factor, level="province", cohort_i
     rank_fac, rank_pct = average_ranks(fac), average_ranks(pct)
     for d in np.flatnonzero(defined):
         out[d] = np.corrcoef(rank_fac[:, d], rank_pct[:, d])[0, 1]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# tabular output helpers (TSV with NA / INF sentinels)
-# ---------------------------------------------------------------------------
-
-_FLOAT_WORDS = {"nan": "NA", "inf": "INF", "-inf": "-INF"}
-_BOOL_TEXT = ("0", "1")
-
-
-def _format_float(v):
-    text = format(v, ".10g")
-    return _FLOAT_WORDS.get(text, text)
-
-
-def format_value(v):
-    if v is None:
-        return "NA"
-    if isinstance(v, (bool, np.bool_)):
-        return _BOOL_TEXT[bool(v)]
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _format_float(float(v))
-    return str(v)
-
-
-def parse_number(text):
-    """Inverse of format_value for a numeric field: NA is None, INF is inf."""
-    return None if text == "NA" else float(text)
-
-
-# format_value of the cell types the stages write most, looked up by exact
-# type; every other type goes through format_value itself
-_FORMATTERS = {
-    float: _format_float,
-    np.float64: _format_float,
-    int: str,
-    np.int64: str,
-    bool: _BOOL_TEXT.__getitem__,
-    str: str,
-}
-
-
-def write_tsv(path, header, rows):
-    formatter = _FORMATTERS.get
-    lines = ["\t".join(header)]
-    lines += [
-        "\t".join([formatter(type(v), format_value)(v) for v in row]) for row in rows
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_tsv(path, columns, header=True):
-    """Rows of a write_tsv file (``header=False``: one without a header).
-
-    ``columns`` holds (name, parse) pairs such as ("day", int); a wrong header,
-    field count or field (parse raises ValueError/OverflowError) is a ParseError.
-    """
-    names = [name for name, _ in columns]
-    rows = []
-    # undecodable bytes become U+FFFD, which every non-str column rejects
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        if header:
-            found = fh.readline().rstrip("\n").split("\t")
-            if found != names:
-                raise ParseError(path, 1, f"expected header {names}, found {found}")
-        for line_no, line in enumerate(fh, start=1 + header):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != len(columns):
-                raise ParseError(
-                    path, line_no, f"expected {len(columns)} fields, found {len(fields)}"
-                )
-            row = []
-            for (name, parse), text in zip(columns, fields):
-                try:
-                    row.append(parse(text))
-                except (ValueError, OverflowError):
-                    raise ParseError(path, line_no, f"bad {name} {text!r}") from None
-            rows.append(tuple(row))
-    return rows
-
-
-# the parses whose columns read_tsv_columns returns as arrays of that type
-_ARRAY_PARSES = (np.uint64, np.int64)
-_INT64_MAX = np.iinfo(np.int64).max
-
-
-def read_tsv_columns(path, columns, header=True):
-    """What read_tsv reads, as one array per column: a column parsed by
-    np.uint64 or np.int64 has that dtype, one parsed by str holds the str
-    cells as objects.
-
-    A file in write_tsv's own form (a newline after every line but perhaps
-    the last, integer cells as plain decimal digits, signed ones perhaps
-    led by '-') is parsed with array operations over its bytes.  Any other
-    file, or a column of another parse, goes through read_tsv, so a bad
-    file raises read_tsv's ParseError.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    parsed = _tsv_columns(data, columns, header)
-    if parsed is not None:
-        return parsed
-    rows = read_tsv(path, columns, header=header)
-    return [
-        np.array([r[j] for r in rows], dtype=parse if parse in _ARRAY_PARSES else object)
-        for j, (_, parse) in enumerate(columns)
-    ]
-
-
-def _tsv_columns(data, columns, header):
-    """read_tsv_columns of ``data`` in write_tsv's own form; None for any
-    other file."""
-    if b"\r" in data:  # text mode reads "\r" as a line end
-        return None
-    if any(parse not in _ARRAY_PARSES and parse is not str for _, parse in columns):
-        return None  # read_tsv parses it
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if header:
-        head = ("\t".join(name for name, _ in columns) + "\n").encode()
-        if not data.startswith(head):
-            return None
-        buf = buf[len(head):]
-    start, end = line_bounds(buf)
-    n_tabs = len(columns) - 1
-    tab = np.flatnonzero(buf == ord("\t"))
-    # every line holds exactly n_tabs tabs
-    if not np.array_equal(
-        np.searchsorted(end, tab), np.repeat(np.arange(len(end)), n_tabs)
-    ):
-        return None
-    tab = tab.reshape(len(end), n_tabs)
-    firsts = np.column_stack([start, tab + 1])
-    stops = np.column_stack([tab, end])
-    out = []
-    skip = len(data) - len(buf)  # the header's bytes
-    for (_, parse), first, stop in zip(columns, firsts.T, stops.T):
-        if parse is str:
-            # text mode reads undecodable bytes as U+FFFD, and so does this
-            cells = [
-                data[a:b].decode("utf-8", errors="replace")
-                for a, b in zip((first + skip).tolist(), (stop + skip).tolist())
-            ]
-            out.append(np.array(cells, dtype=object))
-            continue
-        minus = np.zeros(len(first), dtype=bool)
-        if parse is np.int64:
-            minus[stop > first] = buf[first[stop > first]] == ord("-")
-        magnitude = digit_runs(buf, first + minus, stop)
-        if magnitude is None:
-            return None
-        if parse is np.uint64:
-            out.append(magnitude)
-        else:
-            if (magnitude > _INT64_MAX).any():
-                return None
-            values = magnitude.astype(np.int64)
-            out.append(np.where(minus, -values, values))
     return out

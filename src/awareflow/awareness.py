@@ -14,8 +14,8 @@ of their third matching query, cumulatively, and stays aware forever.
 
 import numpy as np
 
-from .domain import EVENT_KIND_PURCHASE, find_rows, iter_text_lines, month_number, row_chunks
-from .errors import CohortError, ConfigError, ParseError, PatternSyntaxError
+from .domain import EVENT_KIND_PURCHASE, find_rows, month_number, row_chunks
+from .errors import CohortError, PatternSyntaxError
 from .kernels import distinct_rows, sort_rows
 
 # Sentinel for "never aware"; any real timestamp compares smaller, so
@@ -89,19 +89,6 @@ class QueryMatcher:
 def compile_query_set(expressions):
     """Compile pattern expressions (strings) into a QueryMatcher."""
     return QueryMatcher([parse_pattern(e) for e in expressions])
-
-
-def load_patterns(path):
-    """Read pattern expressions from a file: one per line, '#' comments."""
-    out = []
-    try:
-        for _, raw in iter_text_lines(path):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append(line)
-    except ParseError as exc:
-        raise ConfigError(f"pattern file {exc}") from None
-    return out
 
 
 def history_window(calendar, months=60):

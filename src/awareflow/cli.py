@@ -19,14 +19,16 @@ the dataset tables it declares included; its ``outputs`` every file it
 wrote.  Only ``gen`` and ``infer-net`` touch the address table, so only
 their manifests list ``addresses.jsonl``; only ``gen`` and ``label`` touch
 the event log, so only theirs list ``events.jsonl`` while ``calendar.json``
-exists.  Artifacts of earlier stages are read back through validating
-readers.  Exit codes: 0 ok, 2 config error, 3 missing artifact, 4 a dataset
-file or an earlier stage's artifact failed parsing or integrity checks, 5
-numerical/analytic failure.
+exists.  Every file goes through ``files``: artifacts of earlier stages
+through validating readers, outputs atomically, and a stage removes its old
+manifest first.  Exit codes: 0 ok, 2 config error or unwritable output, 3
+missing artifact, 4 a dataset file or an earlier stage's artifact unreadable
+or failing its checks, 5 numerical/analytic failure.
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -35,7 +37,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, files
 from .analytics import (
     EventMark,
     Phase,
@@ -44,7 +46,6 @@ from .analytics import (
     cross_ratio,
     daily_counts,
     default_event_marks,
-    format_value,
     geo_correlation_series,
     group_trend,
     growth_rates,
@@ -53,12 +54,8 @@ from .analytics import (
     aware_group_means,
     national_percentage,
     neighborhood_awareness_ratio,
-    parse_number,
     province_percentages,
-    read_tsv,
-    read_tsv_columns,
     segment_phases,
-    write_tsv,
     GEO_FACTORS,
 )
 from .awareness import (
@@ -67,17 +64,8 @@ from .awareness import (
     filter_qualified,
     history_window,
     label_awareness,
-    load_patterns,
 )
-from .domain import (
-    DATASET_FILES,
-    Calendar,
-    load_addresses,
-    load_dataset,
-    load_events,
-    save_dataset,
-    validate_dataset,
-)
+from .domain import DATASET_FILES, validate_dataset
 from .errors import (
     AnalyticsError,
     AwareflowError,
@@ -91,7 +79,7 @@ from .errors import (
     PatternSyntaxError,
 )
 from .kernels import counter_uniforms
-from .netinfer import DEFAULT_CAPS, LAYERS, infer_networks, read_edges, write_edges
+from .netinfer import DEFAULT_CAPS, LAYERS, infer_networks
 from .presets import PRESET_NAMES, default_patterns_path, load_preset
 from .regress import (
     FeatureSpec,
@@ -106,6 +94,7 @@ from .simulate import TRUTH_FILES, SimConfig, fits, generate, is_int, is_timesta
 SAMPLE_STREAM = 101
 CALENDAR_FILE = "calendar.json"
 *TABLE_FILES, ADDRESSES_FILE, EVENTS_FILE = DATASET_FILES
+DATASET_GROUPS = {"addresses": (ADDRESSES_FILE,), "events": (EVENTS_FILE,), "truth": TRUTH_FILES}
 
 GROUPINGS = ("gender", "education", "occupation", "purchasing_power", "has_child", "married")
 
@@ -135,7 +124,7 @@ INT_SETTINGS = (
 )
 
 # Columns of the TSV artifacts that later stages read back, as (name, parse)
-# pairs for analytics.read_tsv; their writers take the header from here.
+# pairs for files.read_tsv; their writers take the header from here.
 # Ids, timestamps and days parse to the numpy types they are stored in.
 TABLES = {
     "labels.tsv": (
@@ -152,11 +141,12 @@ TABLES = {
         ("n_significant", int), ("n_models", int),
     ),
     "geo_correlations.tsv": (
-        ("level", str), ("factor", str), ("day", int), ("date", str), ("rho", parse_number),
+        ("level", str), ("factor", str), ("day", int), ("date", str), ("rho", files.parse_number),
     ),
     "hysteresis.tsv": (
         ("event", str), ("event_time", int), ("event_date", str), ("baseline_count", int),
-        ("threshold", parse_number), ("duration_seconds", parse_number), ("status", str),
+        ("threshold", files.parse_number), ("duration_seconds", files.parse_number),
+        ("status", str),
     ),
 }
 
@@ -294,18 +284,6 @@ class RunConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def read_config_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            ) from None
-        except RecursionError:
-            raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
-
-
 def load_run_config(spec_arg):
     """--config accepts a bundled preset name or a path to a JSON file."""
     if spec_arg in PRESET_NAMES:
@@ -315,7 +293,7 @@ def load_run_config(spec_arg):
             f"config {spec_arg!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
             f"nor an existing file"
         )
-    return RunConfig.from_dict(read_config_json(spec_arg))
+    return RunConfig.from_dict(files.read_json(spec_arg, config=True))
 
 
 def apply_flags(cfg, args):
@@ -330,38 +308,13 @@ def apply_flags(cfg, args):
     if args.phase_thresholds is not None:
         if not os.path.exists(args.phase_thresholds):
             raise ConfigError(f"phase threshold file {args.phase_thresholds!r} does not exist")
-        cfg.phase_thresholds = read_config_json(args.phase_thresholds)
+        cfg.phase_thresholds = files.read_json(args.phase_thresholds, config=True)
     return cfg.validate()
 
 
 # ---------------------------------------------------------------------------
-# artifact readers
+# artifact checks
 # ---------------------------------------------------------------------------
-
-def read_json(path):
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
-        except RecursionError:
-            raise ParseError(path, 1, "invalid JSON: nested too deeply") from None
-
-
-def read_calendar(path):
-    data = read_json(path)
-    try:
-        return Calendar.from_dates(data["start_date"], data["end_date"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(path, 1, f"needs ISO start_date <= end_date ({exc!r})") from None
-
-
-def read_manifest(path):
-    manifest = read_json(path)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("stats"), dict):
-        raise ParseError(path, 1, "expected a manifest object with a stats object")
-    return manifest
-
 
 def check_phases(path, rows):
     """Refuse phases.tsv rows that no segmentation writes, naming the line:
@@ -395,10 +348,7 @@ def check_label_days(path, calendar, ts, day, date):
     """Refuse labels.tsv rows whose first_aware_day or first_aware_date is
     not what cmd_label writes for their first_aware_ts, naming the line."""
     want_day = calendar.day_of(ts)
-    inside = (want_day >= 0) & (want_day < calendar.n_days)
-    want_date = np.array([*calendar.iso_dates(), "NA"], dtype=object)[
-        np.where(inside, want_day, calendar.n_days)
-    ]
+    want_date = window_dates(calendar.iso_dates(), want_day)
     bad_day = day != want_day
     bad = bad_day | (date != want_date)
     if bad.any():
@@ -447,13 +397,15 @@ def stage(name, reads=(), writes=()):
     """Declare the decorated body as stage ``name``; declare in pipeline order.
 
     The body returns the manifest stats.  The ``cmd_<stage>`` that takes
-    its place runs the body, then writes the manifest: its inputs are the
-    files of ``reads``, its outputs the files of ``writes``.
+    its place removes the stage's old manifest, runs the body, then writes
+    the manifest (inputs: the files of ``reads``; outputs: the files of
+    ``writes``), so that a manifest marks a completed run of its stage.
     """
     spec = STAGES[name] = Stage(name, tuple(reads), tuple(writes))
 
     def declare(body):
         def cmd(state):
+            files.discard(state.out_path(manifest_name(name)))
             stats = body(state)
             return write_manifest(
                 state, name, state.files(spec.reads), state.files(spec.writes), stats
@@ -512,12 +464,8 @@ class PipelineState:
                 if not os.path.exists(window):
                     window = self.dataset_path(EVENTS_FILE)
                 out.append(window)
-            elif name == "addresses":
-                out.append(self.dataset_path(ADDRESSES_FILE))
-            elif name == "events":
-                out.append(self.dataset_path(EVENTS_FILE))
-            elif name == "truth":
-                out += [self.dataset_path(n) for n in TRUTH_FILES]
+            elif name in DATASET_GROUPS:
+                out += [self.dataset_path(n) for n in DATASET_GROUPS[name]]
             elif name == "patterns":
                 out.append(self.cfg.patterns_path())
             else:
@@ -539,27 +487,28 @@ class PipelineState:
         if name == "dataset":
             *tables, last = paths
             if os.path.basename(last) == CALENDAR_FILE:
-                return load_dataset(*tables, None, None, calendar=read_calendar(last))
-            return load_dataset(*tables, None, last)
+                return files.load_dataset(*tables, None, None, calendar=files.read_calendar(last))
+            return files.load_dataset(*tables, None, last)
         (path,) = paths
         if name == "addresses":
-            return load_addresses(path, self.load("dataset").population.ids)
+            return files.load_addresses(path, self.load("dataset").population.ids)
         if name == "events":
             dataset = self.load("dataset")
             if dataset.events is not None:
                 return dataset.events
-            return load_events(path, dataset.population.ids, dataset.calendar)
+            return files.load_events(path, dataset.population.ids, dataset.calendar)
         if name == "networks.edges":
-            return read_edges(path, self.load("dataset").population.ids)
+            return files.read_edges(path, self.load("dataset").population.ids)
         if name.startswith("manifest_"):
-            return read_manifest(path)
+            return files.read_manifest(path)
+        header = name != "qualified.txt"
+        columns = files.read_tsv(path, TABLES[name], header=header)
         if name not in ("qualified.txt", "labels.tsv"):
-            rows = read_tsv(path, TABLES[name])
+            rows = list(zip(*columns))
             if name == "phases.tsv":
                 check_phases(path, rows)
             return rows
-        header = name == "labels.tsv"
-        ids, *rest = read_tsv_columns(path, TABLES[name], header=header)
+        ids, *rest = columns
         repeated = np.ones(len(ids), dtype=bool)
         repeated[np.unique(ids, return_index=True)[1]] = False
         if repeated.any():
@@ -578,14 +527,6 @@ class PipelineState:
 # manifests
 # ---------------------------------------------------------------------------
 
-def sha256_file(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 22), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_manifest(state, command, inputs, outputs, stats=None):
     cfg = state.cfg
     digests = state.digests
@@ -593,9 +534,9 @@ def write_manifest(state, command, inputs, outputs, stats=None):
     # read it; the stage's own outputs are new and always hashed
     for path in inputs:
         if path not in digests:
-            digests[path] = sha256_file(path)
+            digests[path] = files.sha256_file(path)
     for path in outputs:
-        digests[path] = sha256_file(path)
+        digests[path] = files.sha256_file(path)
     manifest = {
         "command": command,
         "version": __version__,
@@ -606,15 +547,23 @@ def write_manifest(state, command, inputs, outputs, stats=None):
         "stats": stats or {},
     }
     path = state.out_path(manifest_name(command))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(path, manifest)
     return path
 
 
-def window_date(iso, d):
-    """The ISO date of day index ``d`` of the window ``iso``, or "NA" outside it."""
-    return iso[d] if 0 <= d < len(iso) else "NA"
+def window_dates(iso, days):
+    """The ISO date of each day index of ``days`` in the window ``iso``, "NA"
+    outside it."""
+    inside = (days >= 0) & (days < len(iso))
+    return np.array([*iso, "NA"], dtype=object)[np.where(inside, days, len(iso))]
+
+
+def by_day(iso, keys):
+    """The leading columns of a table of one row per series and day: the
+    columns of ``keys``, one tuple per series (``()`` for a series without
+    key columns), repeated once per day of the window ``iso``, the day, its date."""
+    n, D = len(keys), len(iso)
+    return [*(np.repeat(c, D) for c in zip(*keys)), np.tile(np.arange(D), n), iso * n]
 
 
 # ---------------------------------------------------------------------------
@@ -630,20 +579,12 @@ def cmd_gen(state):
     sim.seed = cfg.seed
     sim.validate()
     ddir = cfg.resolved_dataset_dir()
-    make_dir(ddir, "dataset directory")
+    files.make_dir(ddir, "dataset directory")
     dataset, truth = generate(sim)
-    report = validate_dataset(dataset)
-    if report.violations:
-        raise IntegrityError(
-            "generated dataset failed validation: " + "; ".join(report.violations[:10]),
-            report.violations,
-        )
-    save_dataset(dataset, ddir)
-    truth.save(ddir)
-    iso = dataset.calendar.iso_dates()
-    with open(state.dataset_path(CALENDAR_FILE), "w", encoding="utf-8") as fh:
-        json.dump({"start_date": iso[0], "end_date": iso[-1]}, fh, sort_keys=True)
-        fh.write("\n")
+    validate_dataset(dataset).raise_violations("generated dataset")
+    files.save_dataset(dataset, ddir)
+    files.write_truth(truth, ddir)
+    files.write_calendar(state.dataset_path(CALENDAR_FILE), dataset.calendar)
     # later stages see the dataset as they would load it from disk
     state.loaded["dataset"] = replace(dataset, events=None, addresses=None)
     state.loaded["addresses"] = dataset.addresses
@@ -663,7 +604,7 @@ def cmd_infer_net(state):
     ids = state.load("dataset").population.ids
     caps = {**DEFAULT_CAPS, **state.cfg.caps}
     graph = infer_networks(state.load("addresses"), ids, caps=caps)
-    write_edges(graph, state.out_path("networks.edges"))
+    files.write_edges(graph, state.out_path("networks.edges"))
     state.loaded["networks.edges"] = graph
     return {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}
 
@@ -675,21 +616,18 @@ def cmd_label(state):
     cfg = state.cfg
     calendar = state.load("dataset").calendar
     events = state.load("events")
-    matcher = compile_query_set(load_patterns(cfg.patterns_path()))
+    matcher = compile_query_set(files.load_patterns(cfg.patterns_path()))
     window = history_window(calendar, cfg.history_months)
     qualified = filter_qualified(events, window, min_per_month=cfg.min_purchases_per_month)
     timeline = label_awareness(events, matcher, threshold=cfg.threshold)
 
-    with open(state.out_path("qualified.txt"), "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{int(i)}\n" for i in qualified))
-
+    files.write_tsv(state.out_path("qualified.txt"), None, [qualified])
     iso = calendar.iso_dates()
-    days = calendar.day_of(timeline.first_aware).tolist()
-    rows = [
-        (i, t, d, window_date(iso, d))
-        for i, t, d in zip(timeline.ids.tolist(), timeline.first_aware.tolist(), days)
-    ]
-    write_tsv(state.out_path("labels.tsv"), header_of("labels.tsv"), rows)
+    days = calendar.day_of(timeline.first_aware)
+    files.write_tsv(
+        state.out_path("labels.tsv"), header_of("labels.tsv"),
+        [timeline.ids, timeline.first_aware, days, window_dates(iso, days)],
+    )
     state.loaded["labels.tsv"] = timeline
     state.loaded["qualified.txt"] = qualified
     return {
@@ -715,36 +653,28 @@ def cmd_segment(state):
 
     new, cum = daily_counts(tlq, calendar)
     nat = national_percentage(tlq, dataset, qualified)
-    nat_growth = growth_rates(nat)
-    write_tsv(
+    files.write_tsv(
         state.out_path("national_trend.tsv"),
         ("day", "date", "new_aware", "cumulative_aware", "percentage", "growth_rate"),
-        [
-            (d, iso[d], int(new[d]), int(cum[d]), nat[d], nat_growth[d])
-            for d in range(calendar.n_days)
-        ],
+        [*by_day(iso, [()]), new, cum, nat, growth_rates(nat)],
     )
 
     prov_ids, prov = province_percentages(tlq, dataset, qualified)
-    prov_rows = []
-    for k, pid in enumerate(prov_ids):
-        g = growth_rates(prov[k])
-        for d in range(calendar.n_days):
-            prov_rows.append((d, iso[d], int(pid), prov[k, d], g[d]))
-    write_tsv(
+    growth = np.array([growth_rates(p) for p in prov])
+    files.write_tsv(
         state.out_path("province_trend.tsv"),
         ("day", "date", "province_id", "percentage", "growth_rate"),
-        prov_rows,
+        [*by_day(iso, [()] * len(prov)), np.repeat(prov_ids, len(iso)), prov, growth],
     )
 
     seg = segment_phases(prov, nat, cfg.thresholds())
-    write_tsv(
+    files.write_tsv(
         state.out_path("phases.tsv"),
         header_of("phases.tsv"),
-        [
+        zip(*[
             (p.name, p.start_day, p.end_day, iso[p.start_day], iso[p.end_day], seg.complete)
             for p in seg.phases
-        ],
+        ]),
     )
     return {
         "complete": seg.complete,
@@ -777,92 +707,73 @@ def cmd_cohort(state):
     iso = calendar.iso_dates()
     D = calendar.n_days
 
-    # per-group awareness trends
+    # per-group awareness trends, and pairwise cross-group ratios of them
     trends = {g: group_trend(tlq, dataset, g, qualified) for g in GROUPINGS}
-    trend_rows = []
-    for grouping in GROUPINGS:
-        for series in trends[grouping]:
-            for d in range(D):
-                trend_rows.append(
-                    (grouping, series.key, series.size, d, iso[d], series.values[d])
-                )
-    write_tsv(
+    series = [(g, s) for g in GROUPINGS for s in trends[g]]
+    files.write_tsv(
         state.out_path("trends.tsv"),
         ("grouping", "group", "group_size", "day", "date", "percentage"),
-        trend_rows,
+        [
+            *by_day(iso, [(g, s.key, s.size) for g, s in series]),
+            np.array([s.values for _, s in series]),
+        ],
     )
-
-    # pairwise cross-group ratios from the same series
-    ratio_rows = []
-    for grouping in GROUPINGS:
-        series = trends[grouping]
-        for a in range(len(series)):
-            for b in range(a + 1, len(series)):
-                r = cross_ratio(series[a].values, series[b].values)
-                for d in range(D):
-                    ratio_rows.append(
-                        (grouping, series[a].key, series[b].key, d, iso[d], r[d])
-                    )
-    write_tsv(
+    pairs = [(g, a, b) for g in GROUPINGS for a, b in itertools.combinations(trends[g], 2)]
+    files.write_tsv(
         state.out_path("cross_ratios.tsv"),
         ("grouping", "group_a", "group_b", "day", "date", "ratio"),
-        ratio_rows,
+        [
+            *by_day(iso, [(g, a.key, b.key) for g, a, b in pairs]),
+            np.array([cross_ratio(a.values, b.values) for _, a, b in pairs]),
+        ],
     )
 
     # neighborhood awareness ratios per layer per day, plus phase means
-    nb_rows = []
-    nb_values = {}
-    for layer in LAYERS:
-        ratios = neighborhood_awareness_ratio(graph, layer, tlq, calendar.day_ends())
-        vals = np.full(D, np.nan)
-        for d, r in enumerate(ratios):
-            nb_rows.append(
-                (
-                    layer, d, iso[d], r.value, r.numerator, r.denominator,
-                    r.n_aware, r.n_unaware, r.reason or "ok",
-                )
-            )
-            if r.value is not None and np.isfinite(r.value):
-                vals[d] = r.value
-        nb_values[layer] = vals
-    write_tsv(
+    ratios = [
+        neighborhood_awareness_ratio(graph, layer, tlq, calendar.day_ends()) for layer in LAYERS
+    ]
+    files.write_tsv(
         state.out_path("neighborhood_ratios.tsv"),
         (
             "layer", "day", "date", "ratio", "numerator", "denominator",
             "n_aware", "n_unaware", "status",
         ),
-        nb_rows,
+        [*by_day(iso, [(layer,) for layer in LAYERS]), *zip(*(
+            (r.value, r.numerator, r.denominator, r.n_aware, r.n_unaware, r.reason or "ok")
+            for per_day in ratios for r in per_day
+        ))],
     )
 
     mean_rows = []
-    for layer in LAYERS:
+    for layer, per_day in zip(LAYERS, ratios):
+        values = np.array([np.nan if r.value is None else r.value for r in per_day])
         for p in seg.phases:
-            window = nb_values[layer][p.start_day : p.end_day + 1]
-            defined = window[~np.isnan(window)]
+            window = values[p.start_day : p.end_day + 1]
+            defined = window[np.isfinite(window)]
             mean = float(defined.mean()) if len(defined) else None
             mean_rows.append((layer, p.name, mean, len(defined), p.n_days))
-    write_tsv(
+    files.write_tsv(
         state.out_path("neighborhood_phase_means.tsv"),
         ("layer", "phase", "mean_ratio", "n_defined", "n_days"),
-        mean_rows,
+        zip(*mean_rows),
     )
 
-    # mean purchasing power of the aware, by occupation
+    # mean purchasing power of the aware, by occupation, day by day
     pp_values = dataset.population.purchasing_power.astype(np.float64)
     names, means, counts = aware_group_means(tlq, dataset, "occupation", pp_values, qualified)
-    write_tsv(
+    files.write_tsv(
         state.out_path("aware_purchasing_power.tsv"),
         ("group", "day", "date", "mean_purchasing_power", "n_aware"),
         [
-            (name, d, iso[d], means[g, d], counts[g, d])
-            for d in range(D) for g, name in enumerate(names)
+            names * D, np.repeat(np.arange(D), len(names)), np.repeat(iso, len(names)),
+            means.T, counts.T,
         ],
     )
 
     # hysteresis per event mark
     hys_rows = []
     for mark in cfg.event_marks(calendar):
-        date = window_date(iso, int(calendar.day_of(mark.timestamp)))
+        date = window_dates(iso, calendar.day_of(mark.timestamp))
         try:
             n_e, durations = hysteresis(tlq, mark)
         except AnalyticsError:
@@ -872,14 +783,14 @@ def cmd_cohort(state):
             dur = durations[f]
             status = "ok" if dur is not None else "absent"
             hys_rows.append((mark.label, mark.timestamp, date, n_e, f, dur, status))
-    write_tsv(state.out_path("hysteresis.tsv"), header_of("hysteresis.tsv"), hys_rows)
+    files.write_tsv(state.out_path("hysteresis.tsv"), header_of("hysteresis.tsv"), zip(*hys_rows))
 
     # which factorization's fastest group leads, day by day
     ld = lead_days(trends["occupation"], trends["purchasing_power"])
-    write_tsv(
+    files.write_tsv(
         state.out_path("lead_days.tsv"),
         ("factorization_a", "factorization_b", "a_leads", "b_leads", "ties", "defined_days"),
-        [("occupation", "purchasing_power", ld.a_leads, ld.b_leads, ld.ties, ld.defined_days)],
+        zip(("occupation", "purchasing_power", ld.a_leads, ld.b_leads, ld.ties, ld.defined_days)),
     )
     return {
         "lead_days": {"a_leads": ld.a_leads, "b_leads": ld.b_leads, "ties": ld.ties},
@@ -897,15 +808,16 @@ def cmd_geo_corr(state):
     calendar = dataset.calendar
     qualified = state.load("qualified.txt")
     tlq = state.cohort_timeline()
-    iso = calendar.iso_dates()
-    rows = []
     plans = [("city", "distance_to_epicenter")]
     plans += [("province", f) for f in GEO_FACTORS]
-    for level, factor in plans:
-        rho = geo_correlation_series(dataset, tlq, factor, level=level, cohort_ids=qualified)
-        for d in range(calendar.n_days):
-            rows.append((level, factor, d, iso[d], rho[d]))
-    write_tsv(state.out_path("geo_correlations.tsv"), header_of("geo_correlations.tsv"), rows)
+    rho = np.array([
+        geo_correlation_series(dataset, tlq, factor, level=level, cohort_ids=qualified)
+        for level, factor in plans
+    ])
+    files.write_tsv(
+        state.out_path("geo_correlations.tsv"), header_of("geo_correlations.tsv"),
+        [*by_day(calendar.iso_dates(), plans), rho],
+    )
     return {"series": len(plans)}
 
 
@@ -946,15 +858,15 @@ def cmd_regress(state):
     )
 
     def date_of(ts):
-        return window_date(iso, int(calendar.day_of(ts)))
+        return window_dates(iso, calendar.day_of(ts))
 
-    write_tsv(
+    files.write_tsv(
         state.out_path("schedule.tsv"),
         ("position", "kind", "trigger", "time", "date", "value"),
-        [
+        zip(*[
             (k, c.kind, c.trigger, c.time, date_of(c.time), c.value)
             for k, c in enumerate(schedule.entries)
-        ],
+        ]),
     )
 
     sample = regression_sample(cfg, qualified)
@@ -985,21 +897,21 @@ def cmd_regress(state):
                     r.se[j], r.z[j], r.p[j], r.odds_ratio[j], None,
                 )
             )
-    write_tsv(
+    files.write_tsv(
         state.out_path("regression.tsv"),
         (
             "position", "kind", "trigger", "time", "date", "n_obs", "n_aware",
             "converged", "ridge", "n_iter", "feature", "coefficient",
             "std_error", "z", "p_value", "odds_ratio", "error",
         ),
-        reg_rows,
+        zip(*reg_rows),
     )
 
     profile = typical_profile(models, seg, calendar, p_threshold=reg["p_threshold"])
-    write_tsv(
+    files.write_tsv(
         state.out_path("profiles.tsv"),
         header_of("profiles.tsv"),
-        [(e.phase, e.feature, e.direction, e.n_significant, e.n_models) for e in profile],
+        [[getattr(e, name) for e in profile] for name in header_of("profiles.tsv")],
     )
     return {
         "checkpoints": len(schedule.entries),
@@ -1060,16 +972,14 @@ def cmd_report(state):
         "profiles": profiles,
         "geo_peak_rho": geo_peak,
     }
-    with open(state.out_path("report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files.write_json(state.out_path("report.json"), report)
 
     lines = [
         f"awareness pipeline report (seed {cfg.seed})",
         "",
         f"individuals: {gen_stats.get('individuals')}  events: {gen_stats.get('events')}",
         f"qualified: {label_stats.get('qualified')}  aware: {label_stats.get('aware')}"
-        f"  final pct: {format_value(report['final_percentage'])}",
+        f"  final pct: {files.format_value(report['final_percentage'])}",
         "edges: "
         + "  ".join(f"{k}={v}" for k, v in sorted(report["network_edges"].items())),
         "",
@@ -1095,12 +1005,12 @@ def cmd_report(state):
     lines.append("typical profile:")
     for pr in profiles:
         lines.append(f"  {pr['phase']:<10} {pr['direction']:<8} {pr['feature']}")
-    with open(state.out_path("report.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    files.write_text(state.out_path("report.txt"), ["\n".join(lines), "\n"])
     return {}
 
 
 def cmd_all(state):
+    files.discard(state.out_path(manifest_name("all")))
     for name, cmd in STEP_FUNCS.items():
         cmd(state)
         print(f"[{name}] ok", flush=True)
@@ -1146,15 +1056,8 @@ def build_parser():
     return parser
 
 
-def make_dir(path, what):
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create {what} {path!r}: {exc.strerror}") from None
-
-
 def run_subcommand(name, cfg):
-    make_dir(cfg.out_dir, "output directory")
+    files.make_dir(cfg.out_dir, "output directory")
     state = PipelineState(cfg)
     if name == "all":
         return cmd_all(state)

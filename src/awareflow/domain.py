@@ -1,11 +1,11 @@
 """Shared data model: population and address columns, columnar event log,
-region records, calendar, dataset I/O.
+region records, calendar, dataset validation.
 
-All dataset files are line-delimited JSON (one object per line, UTF-8).
-One field table per file (POPULATION_FIELDS, REGION_FIELDS, ADDRESS_FIELDS,
-EVENT_FIELDS) declares each key's kind, range or names and column; the one
-reader ``read_jsonl`` and ``validate_dataset`` both enforce it, and the
-hand-written writers follow it.  In memory the population, address and
+All dataset files are line-delimited JSON (one object per line, UTF-8),
+read and written by ``files``.  One field table per file (POPULATION_FIELDS,
+REGION_FIELDS, ADDRESS_FIELDS, EVENT_FIELDS) declares each key's kind,
+range or names and column; ``files.read_jsonl`` and ``validate_dataset``
+enforce it, and the writers follow it.  In memory the population, address and
 event tables are numpy columns named after the fields (``ids`` holds the
 population's ``id``, an address's ``active_interval`` is split into
 ``active_start`` and ``active_end``, an event's ``query_text`` or
@@ -18,17 +18,13 @@ unsigned 64-bit decimals.
 
 import copy
 import dataclasses
-import itertools
-import json
 import math
-import os
 from dataclasses import dataclass
 from datetime import date, timedelta
-from operator import itemgetter
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError
 from .kernels import distinct_rows, sort_rows
 
 CHINA_UTC_OFFSET = 8 * 3600
@@ -56,10 +52,8 @@ EVENT_KIND_PURCHASE = 1
 
 MAX_PURCHASING_POWER = 7
 # The row writers format this many rows per join and filter_qualified counts
-# this many events at a time, so that neither holds a copy of a whole table;
-# JSONL files are read this many lines at a time.
+# this many events at a time, so that neither holds a copy of a whole table.
 WRITE_CHUNK_ROWS = 10_000
-READ_BLOCK_LINES = 5_000
 
 
 def day_number(ts):
@@ -182,8 +176,43 @@ class Field:
             return (f"{self.column}_start", f"{self.column}_end")
         return (self.column,)
 
+    @property
+    def json_types(self):
+        return _KINDS[self.kind][1]
 
-def _column_dtypes(fields):
+    def problem(self, v):
+        """Why this field rejects the JSON value ``v``; None when it accepts it."""
+        _, types, problem = _KINDS[self.kind]
+        if v is None and self.null is not None:
+            return None
+        if type(v) not in types or (
+            self.kind == "id" and v not in range(2**64)
+            or self.kind == "interval"
+            and not (len(v) == 2 and all(type(x) is int and x in _INT64 for x in v))
+            or self.kind == "counts" and not all(type(x) is int and x >= 0 for x in v)
+        ):
+            return problem
+        if self.kind == "int" and v not in _INT64:
+            return "must fit in a signed 64-bit integer"
+        if self.kind == "enum" and v not in self.names:
+            return f"must be one of {sorted(self.names)}, got {v!r}"
+        if self.kind == "number":
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                return f"must be finite, got {v}"
+        if self.lo is not None and v < self.lo or self.hi is not None and v > self.hi:
+            bound = f">= {self.lo}" if self.hi is None else f"in [{self.lo}, {self.hi}]"
+            return f"must be {bound}, got {v}"
+        limits = np.iinfo(self.dtype) if self.kind in ("id", "int") else None
+        if limits is not None and not limits.min <= v <= limits.max:
+            return f"must fit in {self.dtype}, got {v}"
+        return None
+
+
+def column_dtypes(fields):
     """Column name -> dtype of a field table, in field order."""
     return {name: f.dtype for f in fields for name in f.columns}
 
@@ -278,7 +307,7 @@ class EventLog(Columns):
     canonical global order: (timestamp, individual_id, kind, text, is_ppe).
     """
 
-    DTYPES = _column_dtypes(EVENT_FIELDS)
+    DTYPES = column_dtypes(EVENT_FIELDS)
 
     def __init__(self, text_pool=(), **columns):
         super().__init__(**columns)
@@ -348,34 +377,9 @@ def rows_of_ids(ids, individual_ids):
     return rows
 
 
-def line_bounds(buf):
-    """(start, end) byte offsets of the lines of the uint8 array ``buf``:
-    each line ends at a newline, which ``end`` points at; the last line
-    may lack it and then ends at ``len(buf)``."""
-    end = np.flatnonzero(buf == ord("\n"))
-    if len(buf) and buf[-1] != ord("\n"):
-        end = np.append(end, len(buf))
-    start = np.concatenate([[0], end + 1])[:-1]
-    return start, end
-
-
-def digit_runs(buf, first, stop):
-    """The uint64 values of the decimal runs ``buf[first:stop]``; None when
-    a run is empty or holds a byte other than a digit or more than 19 digits."""
-    width = stop - first
-    values = np.zeros(len(first), dtype=np.uint64)
-    if len(width) == 0:
-        return values
-    if width.min() < 1 or width.max() > 19:  # 19 digits stay below 2**64
-        return None
-    for k in range(int(width.max())):
-        digit = buf[np.minimum(first + k, len(buf) - 1)]
-        inside = k < width
-        if ((digit[inside] < ord("0")) | (digit[inside] > ord("9"))).any():
-            return None
-        step = values * np.uint64(10) + (digit - ord("0")).astype(np.uint64)
-        values = np.where(inside, step, values)
-    return values
+def row_chunks(n):
+    """Slices of ``n`` rows, WRITE_CHUNK_ROWS at a time."""
+    return (slice(lo, lo + WRITE_CHUNK_ROWS) for lo in range(0, n, WRITE_CHUNK_ROWS))
 
 
 class PopulationColumns(Columns):
@@ -385,7 +389,7 @@ class PopulationColumns(Columns):
     and OCCUPATIONS.
     """
 
-    DTYPES = _column_dtypes(POPULATION_FIELDS)
+    DTYPES = column_dtypes(POPULATION_FIELDS)
 
     @property
     def n(self):
@@ -398,7 +402,7 @@ class PopulationColumns(Columns):
 class AddressColumns(Columns):
     """The address table; ``kind`` indexes ADDRESS_KINDS."""
 
-    DTYPES = _column_dtypes(ADDRESS_FIELDS)
+    DTYPES = column_dtypes(ADDRESS_FIELDS)
 
     def canonical(self):
         """The rows sorted by (individual_id, kind, address_id, active_start), stably."""
@@ -441,319 +445,18 @@ class ValidationReport:
     def ok(self):
         return not self.violations
 
-
-# ---------------------------------------------------------------------------
-# reading: one block reader for every field table
-# ---------------------------------------------------------------------------
-
-def iter_text_blocks(path, size):
-    """(number of the first line, lines) of each run of ``size`` lines of a
-    UTF-8 text file; undecodable bytes raise ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = 1
-        try:
-            while block := list(itertools.islice(fh, size)):
-                yield first, block
-                first += len(block)
-            return
-        except UnicodeDecodeError:
-            pass
-    # text mode decodes ahead of the line it yields: find the line at fault
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    raise ParseError(path, line_no, "not valid UTF-8")
-
-
-def iter_text_lines(path):
-    """(line_no, line) of a UTF-8 text file; undecodable bytes raise ParseError."""
-    for first, lines in iter_text_blocks(path, READ_BLOCK_LINES):
-        yield from enumerate(lines, start=first)
-
-
-def _problem(f, v):
-    """Why field ``f`` rejects the JSON value ``v``; None when it accepts it."""
-    _, types, problem = _KINDS[f.kind]
-    if v is None and f.null is not None:
-        return None
-    if type(v) not in types or (
-        f.kind == "id" and v not in range(2**64)
-        or f.kind == "interval"
-        and not (len(v) == 2 and all(type(x) is int and x in _INT64 for x in v))
-        or f.kind == "counts" and not all(type(x) is int and x >= 0 for x in v)
-    ):
-        return problem
-    if f.kind == "int" and v not in _INT64:
-        return "must fit in a signed 64-bit integer"
-    if f.kind == "enum" and v not in f.names:
-        return f"must be one of {sorted(f.names)}, got {v!r}"
-    if f.kind == "number":
-        try:
-            finite = math.isfinite(v)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not finite:
-            return f"must be finite, got {v}"
-    if f.lo is not None and v < f.lo or f.hi is not None and v > f.hi:
-        bound = f">= {f.lo}" if f.hi is None else f"in [{f.lo}, {f.hi}]"
-        return f"must be {bound}, got {v}"
-    if f.kind in ("id", "int") and not np.iinfo(f.dtype).min <= v <= np.iinfo(f.dtype).max:
-        return f"must fit in {f.dtype}, got {v}"
-    return None
-
-
-def _column(f, objs, codes_of):
-    """The column of ``f`` in one block's objects; None when any object
-    lacks its key or any value fails the checks of ``_problem``."""
-    try:
-        values = list(map(itemgetter(f.key), objs))
-    except KeyError:
-        return None
-    if f.null is not None:
-        values = [f.null if v is None else v for v in values]
-    if not set(map(type, values)) <= _KINDS[f.kind][1]:
-        return None
-    if f.kind == "text":
-        return intern_texts(values, codes_of)
-    try:
-        if f.kind == "enum":
-            codes = {name: code for code, name in enumerate(f.names)}
-            return np.array([codes[v] for v in values], dtype=f.dtype)
-        if f.kind == "counts":  # few rows: the per-value check
-            if any(_problem(f, v) for v in values):
-                return None
-            return np.fromiter(map(tuple, values), dtype=object, count=len(values))
-        if f.kind == "interval":
-            flat = list(itertools.chain.from_iterable(values))
-            if not set(map(type, flat)) <= {int} or not set(map(len, values)) <= {2}:
-                return None
-            values = np.array(flat, dtype=f.dtype).reshape(-1, 2)
-        # an int the dtype cannot hold raises OverflowError
-        col = np.asarray(values, dtype=f.dtype)
-    except (KeyError, OverflowError):
-        return None
-    lo = 0 if f.kind == "id" and f.lo is None else f.lo
-    bad = f.kind == "number" and not np.isfinite(col).all()
-    if bad or lo is not None and (col < lo).any() or f.hi is not None and (col > f.hi).any():
-        return None
-    return col
-
-
-def _block_columns(fields, objs, codes_of):
-    """Column name -> array of one block's parsed objects; None when any
-    value is missing or fails its field's check."""
-    columns = {}
-    for f in fields:
-        rows = None if f.when is None else columns[fields[0].column] == f.when
-        carriers = objs if rows is None else itertools.compress(objs, rows.tolist())
-        col = _column(f, carriers, codes_of)
-        if col is None:
-            return None
-        if rows is not None:
-            columns.setdefault(f.column, np.zeros(len(objs), dtype=f.dtype))[rows] = col
-        else:
-            columns.update(zip(f.columns, col.T if f.kind == "interval" else [col]))
-    return columns
-
-
-def _parse_block(lines):
-    """The objects of non-blank stripped lines, parsed with one json.loads;
-    None when any line is not exactly one JSON object."""
-    n = len(lines)
-    body = ",\n".join(lines)
-    # Every "}" must end its line.  Then the n objects parsed can only be
-    # the n lines: an object spanning lines, or a line holding two values,
-    # needs a "}" inside a line.
-    if not (body[-1] == "}" and body.count("}") == n and body.count("},\n") == n - 1):
-        return None
-    try:
-        objs = json.loads(f"[{body}]")
-    except (ValueError, RecursionError):
-        return None
-    if len(objs) != n or set(map(type, objs)) != {dict}:
-        return None
-    return objs
-
-
-def _checked_object(fields, path, line_no, line):
-    """The object of one line, or the ParseError of its first bad field."""
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an int with too many digits
-        raise ParseError(path, line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-    except RecursionError:
-        raise ParseError(path, line_no, "invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise ParseError(path, line_no, "expected a JSON object")
-    for f in fields:
-        # the first field, checked before any field with ``when``, is an enum
-        if f.when is not None and fields[0].names.index(obj[fields[0].key]) != f.when:
-            continue
-        if f.key not in obj:
-            raise ParseError(path, line_no, f"missing field {f.key!r}")
-        problem = _problem(f, obj[f.key])
-        if problem:
-            raise ParseError(path, line_no, f"{f.key} {problem}")
-    return obj
-
-
-def read_jsonl(path, fields):
-    """(column name -> array, text pool) of a JSONL table of ``fields``.
-
-    Lines are parsed a block of READ_BLOCK_LINES at a time, with one
-    json.loads and bulk column checks; a block that fails them is parsed
-    again line by line, which raises its first bad line's ParseError.
-    Text columns hold codes into the pool; blank lines are skipped.
-    """
-    codes_of = {}
-    blocks = []
-    for first, raw in iter_text_blocks(path, READ_BLOCK_LINES):
-        lines = list(filter(None, map(str.strip, raw)))
-        if not lines:
-            continue
-        objs = _parse_block(lines)
-        columns = objs and _block_columns(fields, objs, codes_of)
-        if columns is None:
-            objs = [
-                _checked_object(fields, path, line_no, line.strip())
-                for line_no, line in enumerate(raw, start=first) if line.strip()
-            ]
-            # every line passed, so only _parse_block's layout test failed
-            columns = _block_columns(fields, objs, codes_of)
-        blocks.append(columns)
-    columns = {
-        name: np.concatenate([b[name] for b in blocks] or [np.empty(0, dtype=dtype)])
-        for name, dtype in _column_dtypes(fields).items()
-    }
-    return columns, list(codes_of)
-
-
-def read_population(path):
-    population = PopulationColumns(**read_jsonl(path, POPULATION_FIELDS)[0])
-    return population.take(np.argsort(population.ids, kind="stable"))
-
-
-def read_regions(path):
-    columns, pool = read_jsonl(path, REGION_FIELDS)
-    columns["name"] = np.array(pool, dtype=object)[columns["name"]]
-    rows = zip(*(col.tolist() for col in columns.values()))
-    return sorted((Region(*row) for row in rows), key=lambda r: r.city_id)
-
-
-def read_addresses(path):
-    return AddressColumns(**read_jsonl(path, ADDRESS_FIELDS)[0]).canonical()
-
-
-def read_events(path):
-    """The canonical EventLog of an events.jsonl file."""
-    columns, pool = read_jsonl(path, EVENT_FIELDS)
-    return EventLog.canonical(**columns, text_pool=pool)
+    def raise_violations(self, what="dataset"):
+        """Raise IntegrityError naming the first ten violations, if there are any."""
+        if self.violations:
+            shown = "; ".join(self.violations[:10])
+            more = len(self.violations) - 10
+            if more > 0:
+                shown += f"; ... {more} more"
+            raise IntegrityError(f"{what} failed validation: {shown}", self.violations)
 
 
 # ---------------------------------------------------------------------------
-# writers (inverse of the readers; round-trip safe)
-# ---------------------------------------------------------------------------
-
-_JSON_BOOLS = ("false", "true")
-
-
-def row_chunks(n):
-    """Slices of ``n`` rows, WRITE_CHUNK_ROWS at a time."""
-    return (slice(lo, lo + WRITE_CHUNK_ROWS) for lo in range(0, n, WRITE_CHUNK_ROWS))
-
-
-def write_lines(fh, n, lines):
-    """Write the lines of ``n`` rows to the text file ``fh``, one chunk at a
-    time: ``lines(rows)`` gives the lines of the slice ``rows``."""
-    for rows in row_chunks(n):
-        fh.write("".join(lines(rows)))
-
-
-def write_population(path, population):
-    def lines(rows):
-        columns = (getattr(population, name)[rows].tolist() for name in PopulationColumns.DTYPES)
-        return [
-            f'{{"id":{i},"gender":"{GENDERS[g]}","age":{a},'
-            f'"education":"{EDUCATIONS[e]}","occupation":"{OCCUPATIONS[o]}",'
-            f'"purchasing_power":{pp},"has_child":{_JSON_BOOLS[c]},'
-            f'"married":{_JSON_BOOLS[m]},"home_city":{h},"qualified":{_JSON_BOOLS[q]}}}\n'
-            for i, g, a, e, o, pp, c, m, h, q in zip(*columns)
-        ]
-
-    with open(path, "w", encoding="utf-8") as fh:
-        write_lines(fh, population.n, lines)
-
-
-def write_regions(path, regions):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(
-            json.dumps(dataclasses.asdict(r), separators=(",", ":")) + "\n" for r in regions
-        ))
-
-
-def write_addresses(path, addresses):
-    def lines(rows):
-        columns = (getattr(addresses, name)[rows].tolist() for name in AddressColumns.DTYPES)
-        return [
-            f'{{"individual_id":{i},"address_id":{a},"kind":"{ADDRESS_KINDS[k]}",'
-            f'"active_interval":[{lo},{hi}]}}\n'
-            for i, a, k, lo, hi in zip(*columns)
-        ]
-
-    with open(path, "w", encoding="utf-8") as fh:
-        write_lines(fh, len(addresses), lines)
-
-
-def write_events(path, events):
-    """One line per event, as ``json.dumps(obj, separators=(",", ":"))`` writes it.
-
-    Each distinct text is JSON-encoded once, into three line tails: a query's
-    and a purchase's with ``is_ppe`` false or true.  A row picks its tail by
-    ``3 * text_code + variant``.
-    """
-    tails = []
-    for t in events.text_pool:
-        enc = json.dumps(t)
-        tails += (
-            f',"query_text":{enc}}}\n',
-            f',"category":{enc},"is_ppe":false}}\n',
-            f',"category":{enc},"is_ppe":true}}\n',
-        )
-    heads = ('{"type":"query","individual_id":', '{"type":"purchase","individual_id":')
-
-    def lines(rows):
-        purchase = events.kind[rows] != EVENT_KIND_QUERY
-        variant = 3 * events.text_code[rows] + purchase + (purchase & events.is_ppe[rows])
-        return [
-            f'{heads[p]}{i},"timestamp":{t}{tails[v]}'
-            for p, i, t, v in zip(
-                purchase.tolist(),
-                events.individual_id[rows].tolist(),
-                events.timestamp[rows].tolist(),
-                variant.tolist(),
-            )
-        ]
-
-    with open(path, "w", encoding="utf-8") as fh:
-        write_lines(fh, len(events), lines)
-
-
-def save_dataset(dataset, directory):
-    """Write the four dataset files into ``directory``; returns their paths."""
-    os.makedirs(directory, exist_ok=True)
-    paths = {name.split(".")[0]: os.path.join(directory, name) for name in DATASET_FILES}
-    write_population(paths["population"], dataset.population)
-    write_regions(paths["regions"], dataset.regions)
-    write_addresses(paths["addresses"], dataset.addresses)
-    write_events(paths["events"], dataset.events)
-    return paths
-
-
-# ---------------------------------------------------------------------------
-# loading and validation
+# validation
 # ---------------------------------------------------------------------------
 
 def infer_calendar(events):
@@ -770,58 +473,6 @@ def infer_calendar(events):
     days = day_number(ts)
     lo, hi = int(days.min()), int(days.max())
     return Calendar(lo, hi - lo + 1)
-
-
-def load_dataset(
-    population_path, regions_path, addresses_path, events_path, calendar=None
-):
-    """Parse, assemble, and validate one dataset from disk.
-
-    With ``addresses_path`` None the dataset carries ``addresses=None``;
-    with ``events_path`` None it carries ``events=None`` and needs a
-    ``calendar``; otherwise a missing calendar is inferred from the events.
-    Raises ParseError on per-record schema violations and IntegrityError
-    when cross-record invariants (foreign keys, duplicates, interval
-    ordering) are violated.
-    """
-    population = read_population(population_path)
-    regions = read_regions(regions_path)
-    addresses = None if addresses_path is None else read_addresses(addresses_path)
-    events = None if events_path is None else read_events(events_path)
-    if calendar is None:
-        if events is None:
-            raise ValueError("a dataset loaded without events needs a calendar")
-        calendar = infer_calendar(events)
-    dataset = Dataset(population, regions, addresses, events, calendar)
-    _raise_violations(validate_dataset(dataset))
-    return dataset
-
-
-def load_addresses(path, ids):
-    """Parse one addresses file and check it against the population ``ids``,
-    as load_dataset checks the addresses it loads."""
-    addresses = read_addresses(path)
-    _raise_violations(validate_addresses(addresses, ids))
-    return addresses
-
-
-def load_events(path, ids, calendar):
-    """Parse one events file and check it against the population ``ids``
-    and the ``calendar``, as load_dataset checks the events it loads."""
-    events = read_events(path)
-    _raise_violations(validate_events(events, ids, calendar))
-    return events
-
-
-def _raise_violations(report):
-    if report.violations:
-        shown = "; ".join(report.violations[:10])
-        more = len(report.violations) - 10
-        if more > 0:
-            shown += f"; ... {more} more"
-        raise IntegrityError(
-            f"dataset failed validation: {shown}", report.violations
-        )
 
 
 def _histogram(codes, names):
@@ -841,7 +492,7 @@ def _range_violations(fields, column_of, name_of):
         col = column_of(f.column)
         lo, hi = (-big if f.lo is None else f.lo), (big if f.hi is None else f.hi)
         for row in np.flatnonzero(~((col >= lo) & (col <= hi))).tolist():
-            violations.append(f"{name_of(row)}: {f.key} {_problem(f, col[row].item())}")
+            violations.append(f"{name_of(row)}: {f.key} {f.problem(col[row].item())}")
     return violations
 
 

@@ -7,14 +7,12 @@ per-kind cap and all members' active intervals pairwise overlap (for
 intervals, pairwise overlap is equivalent to max(start) <= min(end)).
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ADDRESS_KINDS, digit_runs, find_rows, line_bounds, rows_of_ids, write_lines
-from .errors import ParseError
-from .kernels import distinct_rows, sort_rows
+from .domain import ADDRESS_KINDS, rows_of_ids
+from .kernels import distinct_rows
 
 LAYERS = ("family", "schoolmate", "workmate")
 LAYER_CODES = {name: code for code, name in enumerate(LAYERS)}
@@ -45,7 +43,7 @@ class Layer:
         return self.indices[self.indptr[row] : self.indptr[row + 1]]
 
 
-def _build_layer(pairs, n_nodes):
+def build_layer(pairs, n_nodes):
     """Canonicalize a raw (E, 2) pair array into a Layer."""
     if len(pairs) == 0:
         return Layer(
@@ -131,7 +129,7 @@ def build_from_groups(ids, groups_by_layer):
         groups = groups_by_layer.get(name, ())
         group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
         rows = np.concatenate([np.empty(0, dtype=np.int64), *groups])
-        layers[name] = _build_layer(_clique_pairs(group, rows), len(ids))
+        layers[name] = build_layer(_clique_pairs(group, rows), len(ids))
     return MultiplexGraph(ids, layers)
 
 
@@ -161,124 +159,5 @@ def infer_networks(addresses, ids, caps=None):
         )
         keep = np.repeat(overlap, np.diff(np.append(first, len(addr))))
         pairs = _clique_pairs(addr[keep], node_rows[mine][keep], caps[kind])
-        layers[layer_name] = _build_layer(pairs, len(ids))
-    return MultiplexGraph(ids, layers)
-
-
-def write_edges(graph, path):
-    """Dump all layers as "layer src dst" lines in canonical order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in LAYERS:
-            edges = graph.layer(name).edges
-            src = graph.ids[edges[:, 0]]
-            dst = graph.ids[edges[:, 1]]
-            lo = np.minimum(src, dst)
-            hi = np.maximum(src, dst)
-            sort_rows(lo, hi)
-            write_lines(fh, len(lo), lambda rows: [
-                f"{name} {a} {b}\n" for a, b in zip(lo[rows].tolist(), hi[rows].tolist())
-            ])
-
-
-def _id_or_none(token):
-    try:
-        value = int(token)
-    except ValueError:
-        return None
-    return value if 0 <= value < 2**64 else None
-
-
-def _parse_ids(tokens):
-    """(values, ok) of a list of id tokens: the uint64 values, 0 where a
-    token is not an unsigned 64-bit integer, and which tokens are."""
-    try:
-        values = np.fromiter(map(int, tokens), dtype=np.uint64, count=len(tokens))
-        return values, np.ones(len(tokens), dtype=bool)
-    except (ValueError, OverflowError):
-        values = [_id_or_none(t) for t in tokens]
-    ok = np.array([v is not None for v in values], dtype=bool)
-    return np.array([v or 0 for v in values], dtype=np.uint64), ok
-
-
-def _canonical_edges(data):
-    """(layer codes, a, b) of ``data`` when every line is ``layer a b`` as
-    write_edges writes it: a layer name and two ids of at most 19 digits,
-    joined by single spaces, each line ended by a newline (the last line
-    may lack it); None otherwise.  The ids are not checked against any
-    population."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    space = np.flatnonzero(buf == ord(" "))
-    start, end = line_bounds(buf)
-    if len(space) != 2 * len(end):
-        return None
-    first, second = space[0::2], space[1::2]
-    # with two spaces per line in all, each line holds its two when the
-    # three runs they bound are a layer name and two ids
-    layer = np.full(len(end), -1, dtype=np.int64)
-    for code, name in enumerate(LAYERS):
-        rows = np.flatnonzero(first - start == len(name))
-        match = np.ones(len(rows), dtype=bool)
-        for k, char in enumerate(name.encode()):
-            match &= buf[start[rows] + k] == char
-        layer[rows[match]] = code
-    a = digit_runs(buf, first + 1, second)
-    b = digit_runs(buf, second + 1, end)
-    if (layer < 0).any() or a is None or b is None:
-        return None
-    return layer, a, b
-
-
-def _edge_rows(ids, a, b):
-    """((E, 2) rows of the ids ``a`` and ``b`` in ``ids``, whether each pair
-    is two distinct ids of ``ids``)."""
-    a_rows, a_in = find_rows(ids, a)
-    b_rows, b_in = find_rows(ids, b)
-    return np.column_stack([a_rows, b_rows]), a_in & b_in & (a != b)
-
-
-def _edges_by_line(path, data, ids):
-    """(layer codes, node rows) of the lines of ``data`` split as text mode
-    splits them; the first non-blank line that is not an edge raises
-    ParseError."""
-    lines = data.decode("utf-8", errors="replace").split("\n")
-    width = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
-    good = width == 3
-    # str.split() splits a line where line.split() does, so the tokens of the
-    # three-token lines, joined, come in rows of three
-    tokens = " ".join(itertools.compress(lines, good)).split()
-    layer = np.fromiter(
-        map(LAYER_CODES.get, tokens[0::3], itertools.repeat(-1)),
-        dtype=np.int64, count=len(tokens) // 3,
-    )
-    a, a_ok = _parse_ids(tokens[1::3])
-    b, b_ok = _parse_ids(tokens[2::3])
-    rows, edge = _edge_rows(ids, a, b)
-    good[good] = edge & (layer >= 0) & a_ok & b_ok
-    bad = np.flatnonzero((width > 0) & ~good)
-    if len(bad):
-        k = int(bad[0])
-        raise ParseError(path, k + 1, f"bad edge line {lines[k].strip()!r}")
-    return layer, rows
-
-
-def read_edges(path, ids):
-    """Rebuild a MultiplexGraph from a write_edges dump over given ids.
-
-    Every non-blank line must be ``layer a b`` over a known layer and two
-    distinct ids of ``ids``; the first line that is not raises ParseError.
-    A file in write_edges' own form is parsed with array operations over
-    its bytes; any other file, or one with a bad edge, is read line by line.
-    """
-    ids = np.asarray(ids, dtype=np.uint64)
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:  # the line ends text mode reads as "\n"
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    edges = _canonical_edges(data)
-    if edges is not None:
-        layer, a, b = edges
-        rows, good = _edge_rows(ids, a, b)
-    if edges is None or not good.all():
-        layer, rows = _edges_by_line(path, data, ids)
-    layers = {name: _build_layer(rows[layer == code], len(ids)) for name, code in LAYER_CODES.items()}
+        layers[layer_name] = build_layer(pairs, len(ids))
     return MultiplexGraph(ids, layers)

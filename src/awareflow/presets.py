@@ -11,10 +11,10 @@ parameters) shipped as JSON next to this module:
 - ``perf``: 100k individuals / roughly five million events.
 """
 
-import json
 from importlib import resources
 
 from .errors import ConfigError
+from .files import read_json
 
 PRESET_NAMES = ("small", "fig1a", "recovery", "perf")
 
@@ -33,8 +33,7 @@ def preset_path(name):
 
 def load_preset(name):
     """Parsed run-config dict for a bundled preset."""
-    with preset_path(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(preset_path(name), config=True)
 
 
 def default_patterns_path():

@@ -10,7 +10,6 @@ not depend on evaluation order or chunking.
 
 import math
 import numbers
-import os
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -33,11 +32,9 @@ from .domain import (
     Field,
     PopulationColumns,
     Region,
-    read_jsonl,
-    write_lines,
 )
 from .errors import ConfigError
-from .netinfer import LAYERS, MultiplexGraph, build_from_groups, read_edges, write_edges
+from .netinfer import LAYERS, MultiplexGraph, build_from_groups
 from .regress import expit
 
 # counter-rng stream ids, one per decision kind
@@ -482,27 +479,6 @@ class GroundTruth:
 
     timeline: AwarenessTimeline
     graph: MultiplexGraph
-
-    def save(self, directory):
-        os.makedirs(directory, exist_ok=True)
-        labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
-        ids = self.graph.ids
-        aligned = self.timeline.aligned(ids)
-        with open(labels_path, "w", encoding="utf-8") as fh:
-            write_lines(fh, len(ids), lambda rows: [
-                f'{{"individual_id":{i},"first_aware":{"null" if t == NEVER else t}}}\n'
-                for i, t in zip(ids[rows].tolist(), aligned[rows].tolist())
-            ])
-        write_edges(self.graph, edges_path)
-        return {"truth_labels": labels_path, "truth_network": edges_path}
-
-    @classmethod
-    def load(cls, directory, ids):
-        labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
-        labels = read_jsonl(labels_path, TRUTH_LABEL_FIELDS)[0]
-        aware = labels["first_aware"] != NEVER
-        timeline = AwarenessTimeline(labels["individual_id"][aware], labels["first_aware"][aware])
-        return cls(timeline, read_edges(edges_path, ids))
 
 
 def _chunk_sizes(rng, total, size_probs):

@@ -17,9 +17,9 @@ from awareflow.awareness import (
     filter_qualified,
     history_window,
     label_awareness,
-    load_patterns,
 )
 from awareflow.domain import EVENT_TYPES, EventLog, intern_texts
+from awareflow.files import load_patterns
 from awareflow.netinfer import infer_networks
 from awareflow.presets import default_patterns_path
 from awareflow.simulate import (

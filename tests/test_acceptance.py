@@ -324,7 +324,8 @@ def test_criterion_7_performance(tmp_path, city_world):
     assert elapsed < 120.0
 
     events = city_world["dataset"].events
-    from awareflow.awareness import compile_query_set, load_patterns
+    from awareflow.awareness import compile_query_set
+    from awareflow.files import load_patterns
     from awareflow.presets import default_patterns_path
 
     query_set = compile_query_set(load_patterns(default_patterns_path()))

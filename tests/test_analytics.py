@@ -18,7 +18,6 @@ from awareflow.analytics import (
     cross_group_ratio,
     daily_counts,
     default_event_marks,
-    format_value,
     geo_correlation_series,
     group_trend,
     growth_rates,
@@ -28,14 +27,14 @@ from awareflow.analytics import (
     neighborhood_awareness_ratio,
     province_percentages,
     segment_phases,
-    read_tsv_columns,
     spearman,
-    write_tsv,
 )
 from awareflow.awareness import NEVER, AwarenessTimeline
 from awareflow.cli import TABLES
 from awareflow.domain import Calendar, Dataset, EventLog
 from awareflow.errors import AnalyticsError, CohortError, ParseError
+from awareflow import files
+from awareflow.files import format_value, read_tsv, write_tsv
 from awareflow.netinfer import build_from_groups
 
 from oracles import (
@@ -560,10 +559,13 @@ def test_write_tsv_formats_every_cell_as_format_value_does(tmp_path):
     cells += [0, -7, 2**63, 2**70, np.int32(-5), np.int64(2**63 - 1), np.int64(-(2**63))]
     cells += floats + [np.float64(f) for f in floats]
     cells += [np.float32(f) for f in floats if not 1e38 < abs(f) < math.inf]
-    rows = [cells[k : k + 7] for k in range(0, len(cells), 7)]
     path = tmp_path / "cells.tsv"
-    write_tsv(path, ["c"], rows)
-    want = "c\n" + "".join("\t".join(map(format_value, row)) + "\n" for row in rows)
+    # the cells as a list column, beside the floats as an array column
+    column = np.resize(np.array(floats), len(cells))
+    write_tsv(path, ["c", "f"], [cells, column])
+    want = "c\tf\n" + "".join(
+        f"{format_value(c)}\t{format_value(f)}\n" for c, f in zip(cells, column.tolist())
+    )
     with open(path, encoding="utf-8", newline="") as fh:
         assert fh.read() == want
     write_tsv(path, ["a", "b"], [])
@@ -572,12 +574,12 @@ def test_write_tsv_formats_every_cell_as_format_value_does(tmp_path):
 
 def test_write_tsv_round_trip(tmp_path):
     path = tmp_path / "out.tsv"
-    write_tsv(path, ["a", "b"], [[1, None], [float("inf"), "x"]])
+    write_tsv(path, ["a", "b"], [[1, float("inf")], (None, "x")])
     assert path.read_text() == "a\tb\n1\tNA\nINF\tx\n"
 
 
 LABELS_HEAD = b"individual_id\tfirst_aware_ts\tfirst_aware_day\tfirst_aware_date\n"
-# (table, file bytes, whether the array parse reads it without read_tsv)
+# (table, file bytes, whether the array parse reads it without the per-line parse)
 TSV_FILE_SHAPES = [
     pytest.param("labels.tsv", LABELS_HEAD, True, id="labels-header-only"),
     pytest.param("labels.tsv", LABELS_HEAD[:-1], False, id="labels-header-no-newline"),
@@ -643,17 +645,15 @@ def test_read_tsv_columns_matches_a_line_by_line_scan(tmp_path, monkeypatch, tab
     path = tmp_path / table
     path.write_bytes(data)
     calls = []
-    read_tsv = analytics.read_tsv
-    monkeypatch.setattr(
-        analytics, "read_tsv", lambda *a, **k: calls.append(a) or read_tsv(*a, **k)
-    )
+    text_lines = files.text_lines
+    monkeypatch.setattr(files, "text_lines", lambda *a: calls.append(a) or text_lines(*a))
     want = tsv_file_scan(data, columns, header)
     if isinstance(want, tuple):
         with pytest.raises(ParseError) as exc:
-            read_tsv_columns(path, columns, header=header)
+            read_tsv(path, columns, header=header)
         assert str(exc.value) == f"{path}:{want[0]}: {want[1]}"
     else:
-        got = read_tsv_columns(path, columns, header=header)
+        got = read_tsv(path, columns, header=header)
         assert len(got) == len(columns)
         for (_, parse), column, cells in zip(columns, got, want):
             if parse in (np.uint64, np.int64):

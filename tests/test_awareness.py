@@ -11,7 +11,6 @@ from awareflow.awareness import (
     filter_qualified,
     history_window,
     label_awareness,
-    load_patterns,
     match_mask,
     normalize_text,
     parse_pattern,
@@ -19,6 +18,7 @@ from awareflow.awareness import (
 from awareflow import domain
 from awareflow.domain import Calendar, EventLog
 from awareflow.errors import CohortError, PatternSyntaxError
+from awareflow.files import load_patterns
 
 from conftest import make_events, random_event_columns, traced_peak
 from oracles import first_aware_scan, months_before, qualified_scan

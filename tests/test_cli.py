@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from awareflow import cli
+from awareflow import cli, files
 from awareflow.domain import Calendar
 from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
@@ -98,6 +98,8 @@ def test_all_writes_every_artifact(all_run):
         "events.jsonl", "calendar.json",
     ):
         assert os.path.exists(os.path.join(all_run, "dataset", name)), name
+    # every write renamed its temporary file into place
+    assert not [name for _, _, names in os.walk(all_run) for name in names if name.endswith(".tmp")]
 
 
 def test_manifest_shape(all_run, micro_config):
@@ -141,8 +143,8 @@ def test_stepwise_run_matches_all(all_run, micro_config, tmp_path):
 
 def test_same_seed_runs_are_byte_identical(all_run, micro_config, tmp_path, monkeypatch):
     hashed = []
-    sha256_file = cli.sha256_file
-    monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(path) or sha256_file(path))
+    sha256_file = files.sha256_file
+    monkeypatch.setattr(files, "sha256_file", lambda path: hashed.append(path) or sha256_file(path))
     out = tmp_path / "again"
     assert cli.main(["all", "--config", micro_config, "--out", str(out)]) == 0
     assert tree_hashes(str(out)) == tree_hashes(all_run)
@@ -424,6 +426,22 @@ def phase_thresholds_file(out, text):
     return ["--phase-thresholds", str(path)]
 
 
+def directory_in_place_of(name):
+    """Replace the file ``name`` with an empty directory."""
+    def fault(out, config):
+        (out / name).unlink()
+        (out / name).mkdir()
+    return fault
+
+
+def directory_argument(flag):
+    """Pass ``flag`` an empty directory."""
+    def fault(out, config):
+        (out / "a-directory").mkdir()
+        return [flag, str(out / "a-directory")]
+    return fault
+
+
 def simulator_setting(section, **values):
     def fault(out, config):
         config["simulator"][section].update(values)
@@ -518,6 +536,14 @@ FAULTS = [
         "label", lambda out, config: patterns_file(out, b"(mask)\n\xff\xfe\n"), 2,
         id="patterns-not-utf8",
     ),
+    # an OSError names the file: writing an output exits 2, reading an artifact 4,
+    # reading a config or pattern file 2
+    pytest.param("label", directory_in_place_of("labels.tsv"), 2, id="labels-is-a-directory"),
+    pytest.param(
+        "cohort", directory_in_place_of("networks.edges"), 4, id="edges-is-a-directory"
+    ),
+    pytest.param("label", directory_argument("--config"), 2, id="config-is-a-directory"),
+    pytest.param("label", directory_argument("--patterns"), 2, id="patterns-is-a-directory"),
     pytest.param(
         "label",
         append(
@@ -729,7 +755,8 @@ def test_manifest_lists_every_file_the_stage_opens(
 
     def recording_open(file, *args, **kwargs):
         if isinstance(file, (str, os.PathLike)):
-            opened.add(os.path.realpath(file))
+            # an output is written as <name>.tmp, then renamed to <name>
+            opened.add(os.path.realpath(file).removesuffix(".tmp"))
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", recording_open)
@@ -797,6 +824,22 @@ def test_without_calendar_every_stage_lists_events(all_run, micro_config, tmp_pa
         assert cli.main([name, "--config", micro_config, "--out", str(out)]) == 0
         with open(out / cli.manifest_name(name)) as fh:
             assert "dataset/events.jsonl" in json.load(fh)["inputs"], name
+
+
+def test_a_failed_stage_leaves_no_manifest_behind(all_run, micro_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(all_run, out)
+    with open(micro_config) as fh:
+        config = json.load(fh)
+    config["regression"]["sample_size"] = 10**9
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    # the sample is drawn after schedule.tsv is written
+    assert cli.main(["regress", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not (out / "manifest_regress.json").exists()
+    capsys.readouterr()
+    assert cli.main(["report", "--config", micro_config, "--out", str(out)]) == 3
+    assert "run `regress` first" in capsys.readouterr().err
 
 
 def test_analytic_failures_exit_5(monkeypatch, micro_config, capsys):

@@ -23,16 +23,19 @@ from awareflow.domain import (
     Region,
     day_number,
     infer_calendar,
+    month_number,
+    validate_dataset,
+)
+from awareflow.errors import IntegrityError, ParseError
+from awareflow import files
+from awareflow.files import (
     load_addresses,
     load_dataset,
     load_events,
-    month_number,
     read_events,
     save_dataset,
-    validate_dataset,
     write_events,
 )
-from awareflow.errors import IntegrityError, ParseError
 
 from conftest import make_events, random_event_columns, traced_peak
 from oracles import write_events_rows
@@ -261,9 +264,9 @@ def _address(i):
 
 # ten good lines per file, and the file's reader
 TABLES = {
-    "population.jsonl": ([_jsonl(_person(i)) for i in range(1, 11)], domain.read_population),
-    "regions.jsonl": ([_jsonl(_region(i)) for i in range(10)], domain.read_regions),
-    "addresses.jsonl": ([_jsonl(_address(i)) for i in range(1, 11)], domain.read_addresses),
+    "population.jsonl": ([_jsonl(_person(i)) for i in range(1, 11)], files.read_population),
+    "regions.jsonl": ([_jsonl(_region(i)) for i in range(10)], files.read_regions),
+    "addresses.jsonl": ([_jsonl(_address(i)) for i in range(1, 11)], files.read_addresses),
     "events.jsonl": (EVENT_LINES, read_events),
 }
 DROP = object()
@@ -418,7 +421,7 @@ def _lines_file(path, lines, newline=b"\n"):
 
 @pytest.mark.parametrize("name, bad, message", BLOCK_FAULTS)
 def test_block_reader_raises_the_per_line_error(tmp_path, monkeypatch, name, bad, message):
-    monkeypatch.setattr(domain, "READ_BLOCK_LINES", 4)
+    monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
     lines, reader = TABLES[name]
     path = _lines_file(tmp_path / name, lines[:6] + [bad] + lines[6:])
     with pytest.raises(ParseError) as exc:
@@ -428,7 +431,7 @@ def test_block_reader_raises_the_per_line_error(tmp_path, monkeypatch, name, bad
 
 
 def test_block_reader_line_endings_blank_lines_and_fallback(tmp_path, monkeypatch):
-    monkeypatch.setattr(domain, "READ_BLOCK_LINES", 4)
+    monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
     lines = EVENT_LINES + [EXTRA]
     expected = read_events(_lines_file(tmp_path / "plain.jsonl", lines))
     assert len(expected) == 11
@@ -456,7 +459,7 @@ def test_purchasing_power_out_of_range_is_parse_error(tmp_path):
     bad = dict(ok, id=2, purchasing_power=9)
     path = tmp_path / "population.jsonl"
     path.write_text(json.dumps(ok) + "\n" + json.dumps(bad) + "\n")
-    from awareflow.domain import read_population
+    from awareflow.files import read_population
 
     with pytest.raises(ParseError) as exc:
         read_population(path)
@@ -466,7 +469,7 @@ def test_purchasing_power_out_of_range_is_parse_error(tmp_path):
 
 
 def test_reader_error_variants(tmp_path):
-    from awareflow.domain import read_population
+    from awareflow.files import read_population
 
     path = tmp_path / "population.jsonl"
     # invalid JSON reports position
@@ -709,7 +712,7 @@ def test_simulated_dataset_round_trips_through_disk(tmp_path, small_world):
 
 
 READERS = dict(zip(domain.DATASET_FILES, (
-    domain.read_population, domain.read_regions, domain.read_addresses, read_events,
+    files.read_population, files.read_regions, files.read_addresses, read_events,
 )))
 FIELD_TABLES = dict(zip(domain.DATASET_FILES, (
     domain.POPULATION_FIELDS, domain.REGION_FIELDS, domain.ADDRESS_FIELDS, domain.EVENT_FIELDS,
@@ -721,7 +724,7 @@ def test_each_file_round_trips_in_blocks_smaller_than_it(tmp_path, monkeypatch, 
     _, dataset, _ = small_world
     table = name.split(".")[0]
     path = save_dataset(dataset, tmp_path)[table]
-    monkeypatch.setattr(domain, "READ_BLOCK_LINES", 5)
+    monkeypatch.setattr(files, "READ_BLOCK_LINES", 5)
     with open(path) as fh:
         assert len(fh.readlines()) > 5
     assert READERS[name](path) == getattr(dataset, table)

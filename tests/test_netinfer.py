@@ -14,9 +14,8 @@ from awareflow.netinfer import (
     MultiplexGraph,
     build_from_groups,
     infer_networks,
-    read_edges,
-    write_edges,
 )
+from awareflow.files import read_edges, write_edges
 
 from oracles import clique_edges_scan, edge_file_scan, graph_edge_sets, group_edges_scan
 from test_domain import make_addresses

@@ -7,13 +7,11 @@ import pytest
 
 from awareflow.awareness import label_awareness, match_mask
 from awareflow import domain
-from awareflow.domain import (
-    ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, OCCUPATIONS, EventLog, save_dataset,
-)
+from awareflow.domain import ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, OCCUPATIONS, EventLog
 from awareflow.errors import ConfigError, ParseError
+from awareflow.files import read_truth, save_dataset, write_truth
 from awareflow.netinfer import LAYERS, infer_networks
 from awareflow.simulate import (
-    GroundTruth,
     HazardCoefficients,
     NetworkConfig,
     RegionConfig,
@@ -252,7 +250,7 @@ def test_written_bytes_do_not_depend_on_the_chunk_size(small_world, tmp_path, mo
     for name, rows in (("whole", len(dataset.events)), ("chunked", 3)):
         monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", rows)
         save_dataset(dataset, tmp_path / name)
-        truth.save(tmp_path / name)
+        write_truth(truth, tmp_path / name)
     for name in files:
         assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "chunked" / name).read_bytes()
 
@@ -290,21 +288,21 @@ def test_inferred_equals_truth_when_groups_under_caps(small_world, graph_small):
 
 def test_ground_truth_round_trip(tmp_path, small_world):
     _, dataset, truth = small_world
-    truth.save(tmp_path)
-    loaded = GroundTruth.load(tmp_path, dataset.population.ids)
+    write_truth(truth, tmp_path)
+    loaded = read_truth(tmp_path, dataset.population.ids)
     assert loaded.timeline == truth.timeline
     assert loaded.graph == truth.graph
 
 
 def test_ground_truth_bad_line_is_parse_error(tmp_path, small_world):
     _, dataset, truth = small_world
-    truth.save(tmp_path)
+    write_truth(truth, tmp_path)
     path = tmp_path / "truth_labels.jsonl"
     lines = path.read_text().splitlines()
     lines[2] = '{"individual_id":5,"first_aware":"x"}'
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as exc:
-        GroundTruth.load(tmp_path, dataset.population.ids)
+        read_truth(tmp_path, dataset.population.ids)
     assert str(exc.value) == f"{path}:3: first_aware must be an integer"
 
 
