@@ -1,9 +1,9 @@
 #!/bin/sh
-# Run `all --config small` three ways and compare every artifact byte for
-# byte: with one job, with each stage after gen in a fresh process (so every
-# reader parses from disk), and with the stages that read neither
-# addresses.jsonl nor events.jsonl run while both files are moved aside;
-# then check that no run left a temporary *.tmp file behind.
+# For each of the presets small and fig1a, run `all` three ways and compare
+# every artifact byte for byte: with one job, with each stage after gen in a
+# fresh process (so every reader parses from disk), and with the stages that
+# read neither addresses.jsonl nor events.jsonl run while both files are
+# moved aside; then check that no run left a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
 #
 #     sh scripts/check_small_runs.sh [scratch-dir]
@@ -12,22 +12,30 @@ dir=${1:-$(mktemp -d)}
 run() { python -m awareflow.cli "$@"; }
 compare() { python "$(dirname "$0")/compare_runs.py" "$@"; }
 
-run all --config small --out "$dir/s"
-run all --config small --out "$dir/s1" --jobs 1
-compare "$dir/s" "$dir/s1"
-cp -r "$dir/s" "$dir/s2"
-for stage in infer-net label segment cohort geo-corr regress report; do
-  run "$stage" --config small --out "$dir/s2"
+check() {
+  config=$1
+  d="$dir/$config"
+  run all --config "$config" --out "$d/s"
+  run all --config "$config" --out "$d/s1" --jobs 1
+  compare "$d/s" "$d/s1"
+  cp -r "$d/s" "$d/s2"
+  for stage in infer-net label segment cohort geo-corr regress report; do
+    run "$stage" --config "$config" --out "$d/s2"
+  done
+  compare "$d/s" "$d/s2"
+  cp -r "$d/s" "$d/s3"
+  mkdir "$d/aside"
+  mv "$d/s3/dataset/addresses.jsonl" "$d/s3/dataset/events.jsonl" "$d/aside/"
+  for stage in segment cohort geo-corr regress report; do
+    run "$stage" --config "$config" --out "$d/s3"
+  done
+  mv "$d/aside/addresses.jsonl" "$d/aside/events.jsonl" "$d/s3/dataset/"
+  compare "$d/s" "$d/s3"
+}
+
+for config in small fig1a; do
+  check "$config"
 done
-compare "$dir/s" "$dir/s2"
-cp -r "$dir/s" "$dir/s3"
-mkdir "$dir/aside"
-mv "$dir/s3/dataset/addresses.jsonl" "$dir/s3/dataset/events.jsonl" "$dir/aside/"
-for stage in segment cohort geo-corr regress report; do
-  run "$stage" --config small --out "$dir/s3"
-done
-mv "$dir/aside/addresses.jsonl" "$dir/aside/events.jsonl" "$dir/s3/dataset/"
-compare "$dir/s" "$dir/s3"
 # every write renames its <name>.tmp into place or removes it
 leftover=$(find "$dir" -name '*.tmp')
 if [ -n "$leftover" ]; then

@@ -145,17 +145,15 @@ def daily_counts(timeline, calendar):
 
 
 def growth_rates(values):
-    """Day-over-day relative growth; index 0 is NaN (no previous day)."""
+    """Day-over-day relative growth along the last axis (days); day 0 is NaN
+    (no previous day)."""
     v = np.asarray(values, dtype=np.float64)
-    out = np.full(len(v), np.nan)
-    if len(v) < 2:
-        return out
-    prev = v[:-1]
-    cur = v[1:]
+    out = np.full(v.shape, np.nan)
+    prev = v[..., :-1]
+    cur = v[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         r = (cur - prev) / prev
-    r = np.where(prev > 0, r, np.where(cur > 0, np.inf, 0.0))
-    out[1:] = r
+    out[..., 1:] = np.where(prev > 0, r, np.where(cur > 0, np.inf, 0.0))
     return out
 
 
@@ -200,19 +198,23 @@ _GROUPINGS = {
 }
 
 
+def _group_codes(dataset, grouping, cohort_ids, what):
+    """(cohort rows, their group codes, the group names) of a grouping."""
+    if grouping not in _GROUPINGS:
+        raise AnalyticsError(
+            f"unknown grouping {grouping!r}; expected one of {sorted(_GROUPINGS)}"
+        )
+    rows = _cohort_rows(dataset, cohort_ids, what)
+    codes, names = _GROUPINGS[grouping](dataset.population)
+    return rows, codes[rows], names
+
+
 def group_trend(timeline, dataset, grouping, cohort_ids=None):
     """Per-day cumulative awareness percentage for each value of a field.
 
     Groups with no cohort members are omitted rather than reported as 0/0.
     """
-    if grouping not in _GROUPINGS:
-        raise AnalyticsError(
-            f"unknown grouping {grouping!r}; expected one of {sorted(_GROUPINGS)}"
-        )
-    cols = dataset.population
-    rows = _cohort_rows(dataset, cohort_ids, f"grouping {grouping!r}")
-    codes_all, names = _GROUPINGS[grouping](cols)
-    codes = codes_all[rows]
+    rows, codes, names = _group_codes(dataset, grouping, cohort_ids, f"grouping {grouping!r}")
     pct, sizes = _group_percentages(timeline, dataset, codes, len(names), rows)
     return [
         TrendSeries(key=names[g], values=pct[g], size=int(sizes[g]))
@@ -251,7 +253,7 @@ def segment_phases(province_pct, national_pct, thresholds=None):
     if province_pct.ndim != 2 or province_pct.shape[1] != len(national_pct):
         raise AnalyticsError("province matrix and national series disagree on days")
     D = len(national_pct)
-    rates = np.vstack([growth_rates(province_pct[p]) for p in range(len(province_pct))])
+    rates = growth_rates(province_pct)
 
     with np.errstate(invalid="ignore"):
         hot = rates > th.growth_high
@@ -352,6 +354,20 @@ def neighborhood_awareness_ratio(graph, layer, timeline, times):
     return out
 
 
+def phase_means(keys, values, phases):
+    """Per series (a row of ``values``, one per key; NaN where undefined) and
+    phase, the mean of its finite values over the phase's days, as the
+    columns key, phase, mean (None without a finite value), the number of
+    finite values and the phase's length, series by series."""
+    windows = (row[p.start_day : p.end_day + 1] for row in values for p in phases)
+    defined = [w[np.isfinite(w)] for w in windows]
+    return [
+        np.repeat(keys, len(phases)), [p.name for p in phases] * len(keys),
+        [float(d.mean()) if len(d) else None for d in defined], [len(d) for d in defined],
+        [p.n_days for p in phases] * len(keys),
+    ]
+
+
 def aware_group_means(timeline, dataset, grouping, values, cohort_ids=None):
     """Mean of a per-individual value among the aware, split by group, for
     each day of the window: (names, means, counts), the last two (G, D).
@@ -359,11 +375,7 @@ def aware_group_means(timeline, dataset, grouping, values, cohort_ids=None):
     ``values`` is aligned to dataset order (e.g. purchasing power levels).
     A group with no aware members on a day has a NaN mean.
     """
-    if grouping not in _GROUPINGS:
-        raise AnalyticsError(f"unknown grouping {grouping!r}")
-    rows = _cohort_rows(dataset, cohort_ids, "aware group means")
-    codes_all, names = _GROUPINGS[grouping](dataset.population)
-    codes = codes_all[rows]
+    rows, codes, names = _group_codes(dataset, grouping, cohort_ids, "aware group means")
     vals = np.asarray(values, dtype=np.float64)[rows]
     counts = _aware_by_day(timeline, dataset, codes, len(names), rows)
     # sums of integer values (purchasing-power levels) are exact, so each
@@ -401,6 +413,27 @@ def hysteresis(timeline, event, thresholds=(0.10, 0.50, 1.00)):
     return n_e, out
 
 
+def hysteresis_table(timeline, marks, calendar):
+    """The hysteresis of each event mark as the columns label, timestamp,
+    date, N_e, threshold, duration and status: one row per threshold ("ok",
+    or "absent" when the count never grows that far), or one "zero_baseline"
+    row with NA cells when nobody is aware at the mark."""
+    rows, n_es, fs, durations, status = [], [], [], [], []
+    for mark in marks:
+        try:
+            n_e, by_f = hysteresis(timeline, mark)
+        except AnalyticsError:
+            n_e, by_f = 0, {None: None}
+        for f in sorted(by_f):
+            rows.append(mark)
+            n_es.append(n_e)
+            fs.append(f)
+            durations.append(by_f[f])
+            status.append("zero_baseline" if n_e == 0 else "absent" if by_f[f] is None else "ok")
+    times = np.array([m.timestamp for m in rows], dtype=np.int64)
+    return [[m.label for m in rows], times, calendar.dates_of(times), n_es, fs, durations, status]
+
+
 @dataclass
 class LeadDays:
     a_leads: int
@@ -421,10 +454,8 @@ def lead_days(trends_a, trends_b):
     """
     if not trends_a or not trends_b:
         raise AnalyticsError("lead_days needs at least one series per side")
-    ra = np.vstack([growth_rates(t.values) for t in trends_a])
-    rb = np.vstack([growth_rates(t.values) for t in trends_b])
-    best_a = ra.max(axis=0)
-    best_b = rb.max(axis=0)
+    best_a = growth_rates([t.values for t in trends_a]).max(axis=0)
+    best_b = growth_rates([t.values for t in trends_b]).max(axis=0)
     ok = ~(np.isnan(best_a) | np.isnan(best_b))
     a = int(np.sum(best_a[ok] > best_b[ok]))
     b = int(np.sum(best_b[ok] > best_a[ok]))
@@ -466,26 +497,18 @@ def spearman(xs, ys):
 
 def _unit_factor(dataset, factor, unit_ids, level, D):
     """Per-unit factor values, shape (U, D); static factors repeat."""
-    regions = dataset.regions
-    if level == "city":
-        by_unit = {r.city_id: [r] for r in regions}
-    else:
-        by_unit = {}
-        for r in regions:
-            by_unit.setdefault(r.province_id, []).append(r)
+    by_unit = {}
+    for r in dataset.regions:
+        by_unit.setdefault(r.city_id if level == "city" else r.province_id, []).append(r)
     out = np.zeros((len(unit_ids), D), dtype=np.float64)
     for k, uid in enumerate(unit_ids):
         members = by_unit[int(uid)]
         if factor == "confirmed_cases":
-            total = np.zeros(D)
             for r in members:
                 cases = np.asarray(r.daily_confirmed_cases, dtype=np.float64)
-                if len(cases) == 0:
-                    continue
                 if len(cases) < D:
                     cases = np.pad(cases, (0, D - len(cases)))
-                total += np.cumsum(cases[:D])
-            out[k] = total
+                out[k] += np.cumsum(cases[:D])
         else:
             weights = np.array([r.population_count for r in members], dtype=np.float64)
             vals = np.array([getattr(r, factor) for r in members], dtype=np.float64)

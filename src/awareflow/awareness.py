@@ -174,7 +174,9 @@ class AwarenessTimeline:
         """Per id, the index of the first of the ascending ``times`` at which
         it is aware, or len(times) if it never is: aware at times[k] exactly
         when its bucket is <= k."""
-        if np.any(np.diff(times) < 0):
+        times = np.asarray(times)
+        # compared, not subtracted: an int64 difference can wrap around
+        if (times[1:] < times[:-1]).any():
             raise ValueError("bucket times must be ascending")
         return np.searchsorted(times, self.aligned(ids))
 

@@ -49,11 +49,12 @@ from .analytics import (
     geo_correlation_series,
     group_trend,
     growth_rates,
-    hysteresis,
+    hysteresis_table,
     lead_days,
     aware_group_means,
     national_percentage,
     neighborhood_awareness_ratio,
+    phase_means,
     province_percentages,
     segment_phases,
     GEO_FACTORS,
@@ -84,7 +85,9 @@ from .presets import PRESET_NAMES, default_patterns_path, load_preset
 from .regress import (
     FeatureSpec,
     FitConfig,
+    checkpoint_columns,
     checkpoint_schedule,
+    regression_table,
     run_time_evolving,
     typical_profile,
 )
@@ -123,36 +126,68 @@ INT_SETTINGS = (
     ("min_purchases_per_month", 1, INT64_MAX),
 )
 
-# Columns of the TSV artifacts that later stages read back, as (name, parse)
-# pairs for files.read_tsv; their writers take the header from here.
-# Ids, timestamps and days parse to the numpy types they are stored in.
+# Columns of every TSV artifact, as (name, parse) pairs for files.read_tsv;
+# the writers take the header from here.  Ids, timestamps and days that
+# later stages read back parse to the numpy types they are stored in; a
+# column that holds NA cells parses NA to None.
+NUMBER, NA_INT = files.parse_number, files.parse_int
+DAY = (("day", int), ("date", str))  # the columns by_day ends with
+CHECKPOINT = (("position", int), ("kind", str), ("trigger", str), ("time", int), ("date", str))
 TABLES = {
     "labels.tsv": (
         ("individual_id", np.uint64), ("first_aware_ts", np.int64),
         ("first_aware_day", np.int64), ("first_aware_date", str),
     ),
     "qualified.txt": (("individual_id", np.uint64),),  # the one file without a header
+    "national_trend.tsv": (
+        *DAY, ("new_aware", int), ("cumulative_aware", int), ("percentage", NUMBER),
+        ("growth_rate", NUMBER),
+    ),
+    "province_trend.tsv": (
+        *DAY, ("province_id", int), ("percentage", NUMBER), ("growth_rate", NUMBER),
+    ),
     "phases.tsv": (
         ("phase", str), ("start_day", int), ("end_day", int),
         ("start_date", str), ("end_date", str), ("complete", int),
+    ),
+    "trends.tsv": (
+        ("grouping", str), ("group", str), ("group_size", int), *DAY, ("percentage", NUMBER),
+    ),
+    "cross_ratios.tsv": (
+        ("grouping", str), ("group_a", str), ("group_b", str), *DAY, ("ratio", NUMBER),
+    ),
+    "neighborhood_ratios.tsv": (
+        ("layer", str), *DAY, ("ratio", NUMBER), ("numerator", NUMBER), ("denominator", NUMBER),
+        ("n_aware", int), ("n_unaware", int), ("status", str),
+    ),
+    "neighborhood_phase_means.tsv": (
+        ("layer", str), ("phase", str), ("mean_ratio", NUMBER), ("n_defined", int),
+        ("n_days", int),
+    ),
+    "aware_purchasing_power.tsv": (
+        ("group", str), *DAY, ("mean_purchasing_power", NUMBER), ("n_aware", int),
+    ),
+    "hysteresis.tsv": (
+        ("event", str), ("event_time", int), ("event_date", str), ("baseline_count", int),
+        ("threshold", NUMBER), ("duration_seconds", NA_INT), ("status", str),
+    ),
+    "lead_days.tsv": (
+        ("factorization_a", str), ("factorization_b", str), ("a_leads", int),
+        ("b_leads", int), ("ties", int), ("defined_days", int),
+    ),
+    "geo_correlations.tsv": (("level", str), ("factor", str), *DAY, ("rho", NUMBER)),
+    "schedule.tsv": (*CHECKPOINT, ("value", NUMBER)),
+    "regression.tsv": (
+        *CHECKPOINT, ("n_obs", int), ("n_aware", int), ("converged", NA_INT),
+        ("ridge", NA_INT), ("n_iter", NA_INT), ("feature", str), ("coefficient", NUMBER),
+        ("std_error", NUMBER), ("z", NUMBER), ("p_value", NUMBER), ("odds_ratio", NUMBER),
+        ("error", str),
     ),
     "profiles.tsv": (
         ("phase", str), ("feature", str), ("direction", str),
         ("n_significant", int), ("n_models", int),
     ),
-    "geo_correlations.tsv": (
-        ("level", str), ("factor", str), ("day", int), ("date", str), ("rho", files.parse_number),
-    ),
-    "hysteresis.tsv": (
-        ("event", str), ("event_time", int), ("event_date", str), ("baseline_count", int),
-        ("threshold", files.parse_number), ("duration_seconds", files.parse_number),
-        ("status", str),
-    ),
 }
-
-
-def header_of(table):
-    return tuple(name for name, _ in TABLES[table])
 
 
 # ---------------------------------------------------------------------------
@@ -316,39 +351,36 @@ def apply_flags(cfg, args):
 # artifact checks
 # ---------------------------------------------------------------------------
 
-def check_phases(path, rows):
-    """Refuse phases.tsv rows that no segmentation writes, naming the line:
-    a repeated phase, one that ends before it starts, one that does not
-    start after the previous one ends, or a ``complete`` that is not 0 or
-    1 or differs from the first row's."""
-    seen = set()
-    prev_end = None
-    for line_no, (name, start, end, _, _, complete) in enumerate(rows, start=2):
-        if name in seen:
+def check_phases(path, columns):
+    """Refuse phases.tsv columns that no segmentation writes, naming the
+    line: a repeated phase, one that ends before it starts, one that does
+    not start after the previous one ends, or a ``complete`` that is not 0
+    or 1 or differs from the first row's."""
+    names, starts, ends, _, _, completes = columns
+    for k, (name, start, end, complete) in enumerate(zip(names, starts, ends, completes)):
+        if name in names[:k]:
             problem = f"repeated phase {name!r}"
         elif start > end:
             problem = f"phase {name!r} ends on day {end}, before it starts on day {start}"
-        elif prev_end is not None and start <= prev_end:
+        elif k and start <= ends[k - 1]:
             problem = (
                 f"phase {name!r} starts on day {start}, "
-                f"not after the previous phase ends on day {prev_end}"
+                f"not after the previous phase ends on day {ends[k - 1]}"
             )
         elif complete not in (0, 1):
             problem = f"complete is {complete}, not 0 or 1"
-        elif complete != rows[0][5]:
-            problem = f"complete is {complete} here but {rows[0][5]} on line 2"
+        elif complete != completes[0]:
+            problem = f"complete is {complete} here but {completes[0]} on line 2"
         else:
-            seen.add(name)
-            prev_end = end
             continue
-        raise ParseError(path, line_no, problem)
+        raise ParseError(path, k + 2, problem)
 
 
 def check_label_days(path, calendar, ts, day, date):
     """Refuse labels.tsv rows whose first_aware_day or first_aware_date is
     not what cmd_label writes for their first_aware_ts, naming the line."""
     want_day = calendar.day_of(ts)
-    want_date = window_dates(calendar.iso_dates(), want_day)
+    want_date = calendar.dates_of(ts)
     bad_day = day != want_day
     bad = bad_day | (date != want_date)
     if bad.any():
@@ -360,10 +392,11 @@ def check_label_days(path, calendar, ts, day, date):
         raise ParseError(path, k + 2, problem)
 
 
-def phase_segmentation(rows):
-    """The PhaseSegmentation of phases.tsv rows."""
-    phases = [Phase(r[0], r[1], r[2]) for r in rows]
-    return PhaseSegmentation(phases, bool(rows[-1][5]) if rows else True)
+def phase_segmentation(columns):
+    """The PhaseSegmentation of phases.tsv columns."""
+    names, starts, ends, _, _, complete = columns
+    phases = [Phase(*phase) for phase in zip(names, starts, ends)]
+    return PhaseSegmentation(phases, bool(complete[-1]) if len(complete) else True)
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +536,10 @@ class PipelineState:
             return files.read_manifest(path)
         header = name != "qualified.txt"
         columns = files.read_tsv(path, TABLES[name], header=header)
+        if name == "phases.tsv":
+            check_phases(path, columns)
         if name not in ("qualified.txt", "labels.tsv"):
-            rows = list(zip(*columns))
-            if name == "phases.tsv":
-                check_phases(path, rows)
-            return rows
+            return columns
         ids, *rest = columns
         repeated = np.ones(len(ids), dtype=bool)
         repeated[np.unique(ids, return_index=True)[1]] = False
@@ -519,8 +551,14 @@ class PipelineState:
         check_label_days(path, self.load("dataset").calendar, *rest)
         return AwarenessTimeline(ids, rest[0])
 
-    def cohort_timeline(self):
-        return self.load("labels.tsv").restrict(self.load("qualified.txt"))
+    def cohort(self):
+        """The dataset, the qualified ids and the timeline of the qualified."""
+        dataset, qualified = self.load("dataset"), self.load("qualified.txt")
+        return dataset, qualified, self.load("labels.tsv").restrict(qualified)
+
+    def write_table(self, name, columns):
+        """Write the TSV artifact ``name``: one column per name of TABLES[name]."""
+        files.write_tsv(self.out_path(name), TABLES[name], columns, header=name != "qualified.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +589,11 @@ def write_manifest(state, command, inputs, outputs, stats=None):
     return path
 
 
-def window_dates(iso, days):
-    """The ISO date of each day index of ``days`` in the window ``iso``, "NA"
-    outside it."""
-    inside = (days >= 0) & (days < len(iso))
-    return np.array([*iso, "NA"], dtype=object)[np.where(inside, days, len(iso))]
+def records(table, columns):
+    """The rows of the leading ``columns`` of ``table``, as dicts keyed by
+    the names TABLES declares for them."""
+    names = [name for name, _ in TABLES[table]]
+    return [{n: c[k] for n, c in zip(names, columns)} for k in range(len(columns[0]))]
 
 
 def by_day(iso, keys):
@@ -621,12 +659,10 @@ def cmd_label(state):
     qualified = filter_qualified(events, window, min_per_month=cfg.min_purchases_per_month)
     timeline = label_awareness(events, matcher, threshold=cfg.threshold)
 
-    files.write_tsv(state.out_path("qualified.txt"), None, [qualified])
-    iso = calendar.iso_dates()
-    days = calendar.day_of(timeline.first_aware)
-    files.write_tsv(
-        state.out_path("labels.tsv"), header_of("labels.tsv"),
-        [timeline.ids, timeline.first_aware, days, window_dates(iso, days)],
+    state.write_table("qualified.txt", [qualified])
+    ts = timeline.first_aware
+    state.write_table(
+        "labels.tsv", [timeline.ids, ts, calendar.day_of(ts), calendar.dates_of(ts)]
     )
     state.loaded["labels.tsv"] = timeline
     state.loaded["qualified.txt"] = qualified
@@ -644,41 +680,30 @@ def cmd_label(state):
     writes=("national_trend.tsv", "province_trend.tsv", "phases.tsv"),
 )
 def cmd_segment(state):
-    cfg = state.cfg
-    dataset = state.load("dataset")
-    calendar = dataset.calendar
-    qualified = state.load("qualified.txt")
-    tlq = state.cohort_timeline()
-    iso = calendar.iso_dates()
+    dataset, qualified, tlq = state.cohort()
+    iso = dataset.calendar.iso_dates()
 
-    new, cum = daily_counts(tlq, calendar)
+    new, cum = daily_counts(tlq, dataset.calendar)
     nat = national_percentage(tlq, dataset, qualified)
-    files.write_tsv(
-        state.out_path("national_trend.tsv"),
-        ("day", "date", "new_aware", "cumulative_aware", "percentage", "growth_rate"),
-        [*by_day(iso, [()]), new, cum, nat, growth_rates(nat)],
+    state.write_table(
+        "national_trend.tsv", [*by_day(iso, [()]), new, cum, nat, growth_rates(nat)]
     )
-
     prov_ids, prov = province_percentages(tlq, dataset, qualified)
-    growth = np.array([growth_rates(p) for p in prov])
-    files.write_tsv(
-        state.out_path("province_trend.tsv"),
-        ("day", "date", "province_id", "percentage", "growth_rate"),
-        [*by_day(iso, [()] * len(prov)), np.repeat(prov_ids, len(iso)), prov, growth],
+    state.write_table(
+        "province_trend.tsv",
+        [*by_day(iso, [()] * len(prov)), np.repeat(prov_ids, len(iso)), prov, growth_rates(prov)],
     )
 
-    seg = segment_phases(prov, nat, cfg.thresholds())
-    files.write_tsv(
-        state.out_path("phases.tsv"),
-        header_of("phases.tsv"),
-        zip(*[
-            (p.name, p.start_day, p.end_day, iso[p.start_day], iso[p.end_day], seg.complete)
-            for p in seg.phases
-        ]),
-    )
+    seg = segment_phases(prov, nat, state.cfg.thresholds())
+    phases = seg.phases
+    state.write_table("phases.tsv", [
+        [p.name for p in phases], [p.start_day for p in phases], [p.end_day for p in phases],
+        [iso[p.start_day] for p in phases], [iso[p.end_day] for p in phases],
+        [seg.complete] * len(phases),
+    ])
     return {
         "complete": seg.complete,
-        "phases": {p.name: [p.start_day, p.end_day] for p in seg.phases},
+        "phases": {p.name: [p.start_day, p.end_day] for p in phases},
         "final_percentage": float(nat[-1]),
     }
 
@@ -697,11 +722,8 @@ def cmd_segment(state):
     ),
 )
 def cmd_cohort(state):
-    cfg = state.cfg
-    dataset = state.load("dataset")
+    dataset, qualified, tlq = state.cohort()
     calendar = dataset.calendar
-    qualified = state.load("qualified.txt")
-    tlq = state.cohort_timeline()
     graph = state.load("networks.edges")
     seg = phase_segmentation(state.load("phases.tsv"))
     iso = calendar.iso_dates()
@@ -710,88 +732,50 @@ def cmd_cohort(state):
     # per-group awareness trends, and pairwise cross-group ratios of them
     trends = {g: group_trend(tlq, dataset, g, qualified) for g in GROUPINGS}
     series = [(g, s) for g in GROUPINGS for s in trends[g]]
-    files.write_tsv(
-        state.out_path("trends.tsv"),
-        ("grouping", "group", "group_size", "day", "date", "percentage"),
-        [
-            *by_day(iso, [(g, s.key, s.size) for g, s in series]),
-            np.array([s.values for _, s in series]),
-        ],
-    )
+    state.write_table("trends.tsv", [
+        *by_day(iso, [(g, s.key, s.size) for g, s in series]),
+        np.array([s.values for _, s in series]),
+    ])
     pairs = [(g, a, b) for g in GROUPINGS for a, b in itertools.combinations(trends[g], 2)]
-    files.write_tsv(
-        state.out_path("cross_ratios.tsv"),
-        ("grouping", "group_a", "group_b", "day", "date", "ratio"),
-        [
-            *by_day(iso, [(g, a.key, b.key) for g, a, b in pairs]),
-            np.array([cross_ratio(a.values, b.values) for _, a, b in pairs]),
-        ],
-    )
+    state.write_table("cross_ratios.tsv", [
+        *by_day(iso, [(g, a.key, b.key) for g, a, b in pairs]),
+        np.array([cross_ratio(a.values, b.values) for _, a, b in pairs]),
+    ])
 
     # neighborhood awareness ratios per layer per day, plus phase means
+    day_ends = calendar.day_ends()
     ratios = [
-        neighborhood_awareness_ratio(graph, layer, tlq, calendar.day_ends()) for layer in LAYERS
+        r for layer in LAYERS for r in neighborhood_awareness_ratio(graph, layer, tlq, day_ends)
     ]
-    files.write_tsv(
-        state.out_path("neighborhood_ratios.tsv"),
-        (
-            "layer", "day", "date", "ratio", "numerator", "denominator",
-            "n_aware", "n_unaware", "status",
-        ),
-        [*by_day(iso, [(layer,) for layer in LAYERS]), *zip(*(
-            (r.value, r.numerator, r.denominator, r.n_aware, r.n_unaware, r.reason or "ok")
-            for per_day in ratios for r in per_day
-        ))],
-    )
-
-    mean_rows = []
-    for layer, per_day in zip(LAYERS, ratios):
-        values = np.array([np.nan if r.value is None else r.value for r in per_day])
-        for p in seg.phases:
-            window = values[p.start_day : p.end_day + 1]
-            defined = window[np.isfinite(window)]
-            mean = float(defined.mean()) if len(defined) else None
-            mean_rows.append((layer, p.name, mean, len(defined), p.n_days))
-    files.write_tsv(
-        state.out_path("neighborhood_phase_means.tsv"),
-        ("layer", "phase", "mean_ratio", "n_defined", "n_days"),
-        zip(*mean_rows),
+    ratio = np.array([np.nan if r.value is None else r.value for r in ratios])
+    parts = ("numerator", "denominator", "n_aware", "n_unaware")
+    state.write_table("neighborhood_ratios.tsv", [
+        *by_day(iso, [(layer,) for layer in LAYERS]), ratio,
+        *([getattr(r, part) for r in ratios] for part in parts), [r.reason or "ok" for r in ratios],
+    ])
+    state.write_table(
+        "neighborhood_phase_means.tsv",
+        phase_means(LAYERS, ratio.reshape(len(LAYERS), D), seg.phases),
     )
 
     # mean purchasing power of the aware, by occupation, day by day
     pp_values = dataset.population.purchasing_power.astype(np.float64)
     names, means, counts = aware_group_means(tlq, dataset, "occupation", pp_values, qualified)
-    files.write_tsv(
-        state.out_path("aware_purchasing_power.tsv"),
-        ("group", "day", "date", "mean_purchasing_power", "n_aware"),
-        [
-            names * D, np.repeat(np.arange(D), len(names)), np.repeat(iso, len(names)),
-            means.T, counts.T,
-        ],
-    )
+    state.write_table("aware_purchasing_power.tsv", [
+        names * D, np.repeat(np.arange(D), len(names)), np.repeat(iso, len(names)),
+        means.T, counts.T,
+    ])
 
     # hysteresis per event mark
-    hys_rows = []
-    for mark in cfg.event_marks(calendar):
-        date = window_dates(iso, calendar.day_of(mark.timestamp))
-        try:
-            n_e, durations = hysteresis(tlq, mark)
-        except AnalyticsError:
-            hys_rows.append((mark.label, mark.timestamp, date, 0, None, None, "zero_baseline"))
-            continue
-        for f in sorted(durations):
-            dur = durations[f]
-            status = "ok" if dur is not None else "absent"
-            hys_rows.append((mark.label, mark.timestamp, date, n_e, f, dur, status))
-    files.write_tsv(state.out_path("hysteresis.tsv"), header_of("hysteresis.tsv"), zip(*hys_rows))
+    marks = state.cfg.event_marks(calendar)
+    state.write_table("hysteresis.tsv", hysteresis_table(tlq, marks, calendar))
 
     # which factorization's fastest group leads, day by day
     ld = lead_days(trends["occupation"], trends["purchasing_power"])
-    files.write_tsv(
-        state.out_path("lead_days.tsv"),
-        ("factorization_a", "factorization_b", "a_leads", "b_leads", "ties", "defined_days"),
-        zip(("occupation", "purchasing_power", ld.a_leads, ld.b_leads, ld.ties, ld.defined_days)),
-    )
+    state.write_table("lead_days.tsv", [
+        ["occupation"], ["purchasing_power"], [ld.a_leads], [ld.b_leads], [ld.ties],
+        [ld.defined_days],
+    ])
     return {
         "lead_days": {"a_leads": ld.a_leads, "b_leads": ld.b_leads, "ties": ld.ties},
         "groupings": list(GROUPINGS),
@@ -804,20 +788,14 @@ def cmd_cohort(state):
     writes=("geo_correlations.tsv",),
 )
 def cmd_geo_corr(state):
-    dataset = state.load("dataset")
-    calendar = dataset.calendar
-    qualified = state.load("qualified.txt")
-    tlq = state.cohort_timeline()
+    dataset, qualified, tlq = state.cohort()
     plans = [("city", "distance_to_epicenter")]
     plans += [("province", f) for f in GEO_FACTORS]
     rho = np.array([
         geo_correlation_series(dataset, tlq, factor, level=level, cohort_ids=qualified)
         for level, factor in plans
     ])
-    files.write_tsv(
-        state.out_path("geo_correlations.tsv"), header_of("geo_correlations.tsv"),
-        [*by_day(calendar.iso_dates(), plans), rho],
-    )
+    state.write_table("geo_correlations.tsv", [*by_day(dataset.calendar.iso_dates(), plans), rho])
     return {"series": len(plans)}
 
 
@@ -843,30 +821,19 @@ def regression_sample(cfg, qualified):
 )
 def cmd_regress(state):
     cfg = state.cfg
-    dataset = state.load("dataset")
+    dataset, qualified, tlq = state.cohort()
     calendar = dataset.calendar
-    qualified = state.load("qualified.txt")
-    tlq = state.cohort_timeline()
     graph = state.load("networks.edges")
     seg = phase_segmentation(state.load("phases.tsv"))
     reg = cfg.regression_config()
-    iso = calendar.iso_dates()
 
     marks = cfg.event_marks(calendar)
     schedule = checkpoint_schedule(
         tlq, qualified, marks, pct_min=reg["pct_min"], pct_max=reg["pct_max"]
     )
-
-    def date_of(ts):
-        return window_dates(iso, calendar.day_of(ts))
-
-    files.write_tsv(
-        state.out_path("schedule.tsv"),
-        ("position", "kind", "trigger", "time", "date", "value"),
-        zip(*[
-            (k, c.kind, c.trigger, c.time, date_of(c.time), c.value)
-            for k, c in enumerate(schedule.entries)
-        ]),
+    entries = schedule.entries
+    state.write_table(
+        "schedule.tsv", [*checkpoint_columns(entries, calendar), [c.value for c in entries]]
     )
 
     sample = regression_sample(cfg, qualified)
@@ -878,43 +845,14 @@ def cmd_regress(state):
         coef_cap=reg["coef_cap"],
     )
     models = run_time_evolving(dataset, graph, tlq, schedule, sample, spec, fit_config)
-
-    reg_rows = []
-    for k, m in enumerate(models):
-        c = m.checkpoint
-        base = (k, c.kind, c.trigger, c.time, date_of(c.time), m.n_obs, m.n_aware)
-        if m.result is None:
-            reg_rows.append(
-                base + (None, None, None, "NA", None, None, None, None, None, m.error)
-            )
-            continue
-        r = m.result
-        for j, feature in enumerate(r.names):
-            reg_rows.append(
-                base
-                + (
-                    r.converged, r.ridge_used, r.n_iter, feature, r.coef[j],
-                    r.se[j], r.z[j], r.p[j], r.odds_ratio[j], None,
-                )
-            )
-    files.write_tsv(
-        state.out_path("regression.tsv"),
-        (
-            "position", "kind", "trigger", "time", "date", "n_obs", "n_aware",
-            "converged", "ridge", "n_iter", "feature", "coefficient",
-            "std_error", "z", "p_value", "odds_ratio", "error",
-        ),
-        zip(*reg_rows),
-    )
+    state.write_table("regression.tsv", regression_table(models, calendar))
 
     profile = typical_profile(models, seg, calendar, p_threshold=reg["p_threshold"])
-    files.write_tsv(
-        state.out_path("profiles.tsv"),
-        header_of("profiles.tsv"),
-        [[getattr(e, name) for e in profile] for name in header_of("profiles.tsv")],
+    state.write_table(
+        "profiles.tsv", [[getattr(e, name) for e in profile] for name, _ in TABLES["profiles.tsv"]]
     )
     return {
-        "checkpoints": len(schedule.entries),
+        "checkpoints": len(entries),
         "missing_percentages": schedule.missing,
         "sample_size": int(len(sample)),
         "failed_fits": sum(1 for m in models if m.result is None),
@@ -941,16 +879,18 @@ def cmd_report(state):
     segment_stats = stats["segment"]
     regress_stats = stats["regress"]
 
-    phases = [dict(zip(header_of("phases.tsv")[:5], r)) for r in state.load("phases.tsv")]
-    profiles = [dict(zip(header_of("profiles.tsv")[:3], r)) for r in state.load("profiles.tsv")]
+    phases = records("phases.tsv", state.load("phases.tsv")[:5])
+    profiles = records("profiles.tsv", state.load("profiles.tsv")[:3])
     geo_peak = {}
-    for level, factor, day, date, rho in state.load("geo_correlations.tsv"):
+    levels, factors, days, dates, rhos = state.load("geo_correlations.tsv")
+    for level, factor, day, date, rho in zip(levels, factors, days, dates, rhos):
         if rho is None or not np.isfinite(rho):
             continue
         key = f"{level}/{factor}"
         if key not in geo_peak or abs(rho) > abs(geo_peak[key]["rho"]):
             geo_peak[key] = {"day": day, "date": date, "rho": rho}
-    n_hys_ok = sum(1 for r in state.load("hysteresis.tsv") if r[6] == "ok")
+    *_, hys_status = state.load("hysteresis.tsv")
+    n_hys_ok = int((hys_status == "ok").sum())
 
     report = {
         "version": __version__,
@@ -974,6 +914,7 @@ def cmd_report(state):
     }
     files.write_json(state.out_path("report.json"), report)
 
+    ld = report["lead_days"] or {}
     lines = [
         f"awareness pipeline report (seed {cfg.seed})",
         "",
@@ -984,27 +925,21 @@ def cmd_report(state):
         + "  ".join(f"{k}={v}" for k, v in sorted(report["network_edges"].items())),
         "",
         "phases" + ("" if report["phases_complete"] else " (incomplete)") + ":",
-    ]
-    for p in phases:
-        lines.append(
+        *(
             f"  {p['phase']:<10} {p['start_date']} .. {p['end_date']}"
             f" (days {p['start_day']}-{p['end_day']})"
-        )
-    lines.append("")
-    lines.append(
+            for p in phases
+        ),
+        "",
         f"checkpoints: {report['schedule']['checkpoints']}"
         f"  missing: {len(report['schedule']['missing_percentages'] or [])}"
-        f"  failed fits: {report['schedule']['failed_fits']}"
-    )
-    ld = report["lead_days"] or {}
-    lines.append(
+        f"  failed fits: {report['schedule']['failed_fits']}",
         f"lead days (occupation vs purchasing power): "
-        f"{ld.get('a_leads')} vs {ld.get('b_leads')} (ties {ld.get('ties')})"
-    )
-    lines.append("")
-    lines.append("typical profile:")
-    for pr in profiles:
-        lines.append(f"  {pr['phase']:<10} {pr['direction']:<8} {pr['feature']}")
+        f"{ld.get('a_leads')} vs {ld.get('b_leads')} (ties {ld.get('ties')})",
+        "",
+        "typical profile:",
+        *(f"  {pr['phase']:<10} {pr['direction']:<8} {pr['feature']}" for pr in profiles),
+    ]
     files.write_text(state.out_path("report.txt"), ["\n".join(lines), "\n"])
     return {}
 

@@ -106,6 +106,13 @@ class Calendar:
     def iso_dates(self):
         return [self.date_of(i).isoformat() for i in range(self.n_days)]
 
+    def dates_of(self, ts):
+        """The ISO date of each timestamp of ``ts``, "NA" outside the window."""
+        days = self.day_of(ts)
+        inside = (days >= 0) & (days < self.n_days)
+        dates = np.array([*self.iso_dates(), "NA"], dtype=object)
+        return dates[np.where(inside, days, self.n_days)]
+
     def __eq__(self, other):
         return (
             isinstance(other, Calendar)

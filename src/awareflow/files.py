@@ -101,11 +101,12 @@ def text_blocks(path, size, error=IntegrityError):
         except UnicodeDecodeError:
             pass
     # text mode decodes ahead of the line it yields: find the line at fault
-    with reading(path, error) as fh:
-        for line_no, raw in enumerate(fh, start=1):
+    with reading(path, error, encoding="utf-8") as fh:
+        fh.reconfigure(errors="surrogateescape")  # bad bytes read as lone surrogates
+        for line_no, line in enumerate(fh, start=1):
             try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
                 break
     raise ParseError(path, line_no, "not valid UTF-8")
 
@@ -688,6 +689,11 @@ def parse_number(text):
     return None if text == "NA" else float(text)
 
 
+def parse_int(text):
+    """Inverse of format_value for an integer field that may be NA (None)."""
+    return None if text == "NA" else int(text)
+
+
 # format_value of the cell types the stages write most, looked up by exact
 # type; every other type goes through format_value itself
 _FORMATTERS = {
@@ -700,12 +706,15 @@ _FORMATTERS = {
 }
 
 
-def write_tsv(path, header, columns):
-    """The equal-length ``columns``, one line of tab-separated cells per row,
-    under the line of column names ``header`` (none when it is None).  A
-    column is a sequence, or an array read flattened; every cell is written
-    as format_value writes it."""
+def write_tsv(path, table, columns, header=True):
+    """The equal-length ``columns``, one per (name, parse) pair of ``table``
+    as read_tsv takes them, one line of tab-separated cells per row, under
+    the line of the names (none without ``header``).  A column is a
+    sequence, or an array read flattened; every cell is written as
+    format_value writes it."""
     columns = [np.ravel(c) if isinstance(c, np.ndarray) else c for c in columns]
+    if len(columns) != len(table) or len(set(map(len, columns))) != 1:
+        raise ValueError(f"{path}: expected {len(table)} columns of one length")
     formatter = _FORMATTERS.get
 
     def lines(rows):
@@ -713,8 +722,8 @@ def write_tsv(path, header, columns):
         text = ([formatter(type(v), format_value)(v) for v in values] for values in cells)
         return ["\t".join(row) + "\n" for row in zip(*text)]
 
-    head = [] if header is None else ["\t".join(header) + "\n"]
-    write_text(path, itertools.chain(head, chunked(len(columns[0]) if columns else 0, lines)))
+    head = ["\t".join(name for name, _ in table) + "\n"] if header else []
+    write_text(path, itertools.chain(head, chunked(len(columns[0]), lines)))
 
 
 # the parses whose columns read_tsv returns as arrays of that type

@@ -357,6 +357,15 @@ def checkpoint_schedule(timeline, cohort_ids, events, pct_min=1, pct_max=95):
     return Schedule(entries=entries, missing=missing)
 
 
+def checkpoint_columns(checkpoints, calendar):
+    """The columns position, kind, trigger, time and date of ``checkpoints``."""
+    times = np.array([c.time for c in checkpoints], dtype=np.int64)
+    return [
+        np.arange(len(checkpoints)), [c.kind for c in checkpoints],
+        [c.trigger for c in checkpoints], times, calendar.dates_of(times),
+    ]
+
+
 @dataclass
 class CheckpointModel:
     checkpoint: Checkpoint
@@ -393,6 +402,31 @@ def run_time_evolving(
     return models
 
 
+def regression_table(models, calendar):
+    """The columns of regression.tsv: per model, one row for each feature
+    of its fit, or one row with NA cells and the error of a failed fit."""
+    fits = [m.result for m in models]
+    n_rows = [1 if r is None else len(r.names) for r in fits]
+
+    def per_model(values):  # each model's value on each of its rows
+        return np.repeat(np.array(values, dtype=object), n_rows)
+
+    def per_feature(attr, na):  # a fit's value for each feature, ``na`` for a failed fit
+        return [v for r in fits for v in (na if r is None else getattr(r, attr))]
+
+    return [
+        *map(per_model, checkpoint_columns([m.checkpoint for m in models], calendar)),
+        *(per_model([getattr(m, a) for m in models]) for a in ("n_obs", "n_aware")),
+        *(
+            per_model([None if r is None else getattr(r, a) for r in fits])
+            for a in ("converged", "ridge_used", "n_iter")
+        ),
+        per_feature("names", ["NA"]),
+        *(per_feature(a, [None]) for a in ("coef", "se", "z", "p", "odds_ratio")),
+        per_model([m.error for m in models]),
+    ]
+
+
 @dataclass(frozen=True)
 class ProfileEntry:
     phase: str
@@ -419,21 +453,16 @@ def typical_profile(models, segmentation, calendar, p_threshold=0.05):
         phase_models = by_phase[phase]
         names = phase_models[0].result.names
         n = len(phase_models)
+        # per feature, the fits where it is significant with each sign
+        significant = np.array([m.result.p < p_threshold for m in phase_models])
+        coef = np.array([m.result.coef for m in phase_models])
+        pos = (significant & (coef > 0)).sum(axis=0).tolist()
+        neg = (significant & (coef < 0)).sum(axis=0).tolist()
         for j, feature in enumerate(names):
             if feature == "intercept":
                 continue
-            pos = sum(
-                1
-                for m in phase_models
-                if m.result.p[j] < p_threshold and m.result.coef[j] > 0
-            )
-            neg = sum(
-                1
-                for m in phase_models
-                if m.result.p[j] < p_threshold and m.result.coef[j] < 0
-            )
-            if pos * 2 > n:
-                out.append(ProfileEntry(phase, feature, "positive", pos, n))
-            elif neg * 2 > n:
-                out.append(ProfileEntry(phase, feature, "negative", neg, n))
+            if pos[j] * 2 > n:
+                out.append(ProfileEntry(phase, feature, "positive", pos[j], n))
+            elif neg[j] * 2 > n:
+                out.append(ProfileEntry(phase, feature, "negative", neg[j], n))
     return out

@@ -437,15 +437,8 @@ class SimConfig:
         return self
 
     def to_dict(self):
-        out = asdict(self)
-        out["events"] = [asdict(e) for e in self.events]
-        for key in ("aware_query_texts", "noise_query_texts", "purchase_categories"):
-            out[key] = list(out[key])
-        out["demographics"]["purchasing_power_probs"] = list(
-            out["demographics"]["purchasing_power_probs"]
-        )
-        out["network"]["family_size_probs"] = list(out["network"]["family_size_probs"])
-        return out
+        """The config as nested dicts, lists and tuples, which JSON writes as arrays."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):

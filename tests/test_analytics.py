@@ -11,6 +11,7 @@ from awareflow.analytics import (
     GEO_FACTORS,
     EventMark,
     LeadDays,
+    Phase,
     PhaseThresholds,
     TrendSeries,
     average_ranks,
@@ -22,9 +23,11 @@ from awareflow.analytics import (
     group_trend,
     growth_rates,
     hysteresis,
+    hysteresis_table,
     lead_days,
     national_percentage,
     neighborhood_awareness_ratio,
+    phase_means,
     province_percentages,
     segment_phases,
     spearman,
@@ -34,7 +37,7 @@ from awareflow.cli import TABLES
 from awareflow.domain import Calendar, Dataset, EventLog
 from awareflow.errors import AnalyticsError, CohortError, ParseError
 from awareflow import files
-from awareflow.files import format_value, read_tsv, write_tsv
+from awareflow.files import format_value, parse_number, read_tsv, write_tsv
 from awareflow.netinfer import build_from_groups
 
 from oracles import (
@@ -84,6 +87,15 @@ def test_growth_rate_conventions():
 
 def test_growth_rates_single_point():
     assert np.isnan(growth_rates([5.0])).all()
+
+
+def test_growth_rates_of_a_matrix_are_those_of_its_rows():
+    m = np.array([[0.0, 0.0, 2.0, 3.0], [1.0, 0.5, 0.5, 0.0], [4.0, 4.0, 8.0, 2.0]])
+    got = growth_rates(m)
+    assert got.shape == m.shape
+    for row, rates in zip(m, got):
+        assert rates.tobytes() == growth_rates(row).tobytes()
+    assert growth_rates(np.empty((0, 4))).shape == (0, 4)
 
 
 # --- phase segmentation ------------------------------------------------------------
@@ -364,6 +376,34 @@ def test_hysteresis_cohort_restriction():
     assert half == (1, {1.00: 100})  # 1 -> 2 aware within the cohort
 
 
+def test_hysteresis_table_rows_per_mark_and_threshold():
+    timeline = tl({1: 0, 2: 0, 3: 100, 4: 200})
+    calendar = Calendar(0, 1)  # day 0 holds timestamps -28800 .. 57599
+    marks = [EventMark("e", 0), EventMark("early", -50), EventMark("late", 10**6)]
+    label, ts, date, n_e, threshold, duration, status = hysteresis_table(timeline, marks, calendar)
+    assert label == ["e"] * 3 + ["early"] + ["late"] * 3
+    assert ts.tolist() == [0] * 3 + [-50] + [10**6] * 3
+    assert date.tolist() == ["1970-01-01"] * 4 + ["NA"] * 3
+    assert n_e == [2, 2, 2, 0, 4, 4, 4]
+    assert threshold == [0.10, 0.50, 1.00, None, 0.10, 0.50, 1.00]
+    # 2 aware at the event: 10% and 50% need a third, 100% a fourth
+    assert duration == [100, 100, 200, None, None, None, None]
+    assert status == ["ok"] * 3 + ["zero_baseline"] + ["absent"] * 3
+    assert [len(c) for c in hysteresis_table(timeline, [], calendar)] == [0] * 7
+
+
+def test_phase_means_per_series_and_phase():
+    phases = [Phase("Normal", 0, 1), Phase("Growth", 2, 4)]
+    values = np.array([[1.0, 2.0, np.nan, np.inf, 4.0], [np.nan, np.nan, 3.0, 5.0, 7.0]])
+    key, phase, mean, n_defined, n_days = phase_means(("a", "b"), values, phases)
+    assert key.tolist() == ["a", "a", "b", "b"]
+    assert phase == ["Normal", "Growth"] * 2
+    # NaN and inf are not defined values; a phase without one has no mean
+    assert mean == [1.5, 4.0, None, 5.0]
+    assert n_defined == [2, 1, 0, 3]
+    assert n_days == [2, 3] * 2
+
+
 # --- lead days -------------------------------------------------------------------------
 
 def test_lead_days_counts_fastest_growth_wins():
@@ -562,19 +602,23 @@ def test_write_tsv_formats_every_cell_as_format_value_does(tmp_path):
     path = tmp_path / "cells.tsv"
     # the cells as a list column, beside the floats as an array column
     column = np.resize(np.array(floats), len(cells))
-    write_tsv(path, ["c", "f"], [cells, column])
+    write_tsv(path, (("c", str), ("f", parse_number)), [cells, column])
     want = "c\tf\n" + "".join(
         f"{format_value(c)}\t{format_value(f)}\n" for c, f in zip(cells, column.tolist())
     )
     with open(path, encoding="utf-8", newline="") as fh:
         assert fh.read() == want
-    write_tsv(path, ["a", "b"], [])
+    write_tsv(path, (("a", str), ("b", str)), [[], ()])
     assert path.read_text() == "a\tb\n"
+    # one column per declared name, all of one length
+    for columns in ([[]], [[1], [1, 2]]):
+        with pytest.raises(ValueError, match="expected 2 columns of one length"):
+            write_tsv(path, (("a", str), ("b", str)), columns)
 
 
 def test_write_tsv_round_trip(tmp_path):
     path = tmp_path / "out.tsv"
-    write_tsv(path, ["a", "b"], [[1, float("inf")], (None, "x")])
+    write_tsv(path, (("a", parse_number), ("b", str)), [[1, float("inf")], (None, "x")])
     assert path.read_text() == "a\tb\n1\tNA\nINF\tx\n"
 
 

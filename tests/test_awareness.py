@@ -214,6 +214,16 @@ def test_timeline_never_uses_max_int64():
     assert empty.first_aware_of(5) is None
 
 
+def test_buckets_take_times_across_the_whole_int64_range():
+    # the differences of these times wrap around in int64
+    times = np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64)
+    tl = AwarenessTimeline(np.array([1, 2, 3], dtype=np.uint64), np.array([-(2**63), -5, 7]))
+    ids = np.array([1, 2, 3, 4], dtype=np.uint64)
+    assert tl.buckets(ids, times).tolist() == [0, 1, 2, 2]
+    with pytest.raises(ValueError, match="ascending"):
+        tl.buckets(ids, times[::-1])
+
+
 # --- qualified cohort ------------------------------------------------------------
 
 def month_start(cal, k):

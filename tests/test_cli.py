@@ -198,6 +198,51 @@ def test_regress_leaves_numpy_ma_unimported(all_run, micro_config, tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def run_with(micro_config, out, **settings):
+    """`all` over the micro config with ``settings`` replaced; the exit code."""
+    with open(micro_config) as fh:
+        config = {**json.load(fh), **settings}
+    path = out.parent / f"{out.name}.json"
+    path.write_text(json.dumps(config))
+    return cli.main(["all", "--config", str(path), "--out", str(out)])
+
+
+def test_every_table_is_declared_and_reads_back_to_its_bytes(all_run, micro_config, tmp_path):
+    no_marks = tmp_path / "no_marks"
+    assert run_with(micro_config, no_marks, marks=[]) == 0
+    # without event marks hysteresis.tsv is its header alone
+    header = "\t".join(name for name, _ in cli.TABLES["hysteresis.tsv"]) + "\n"
+    assert (no_marks / "hysteresis.tsv").read_text() == header
+    for run in (all_run, str(no_marks)):
+        tabular = {
+            name for name in os.listdir(run)
+            if os.path.isfile(os.path.join(run, name))
+            and not name.endswith(".json") and name not in ("networks.edges", "report.txt")
+        }
+        assert tabular == set(cli.TABLES)
+        for name, table in cli.TABLES.items():
+            path = os.path.join(run, name)
+            header = name != "qualified.txt"
+            copy = tmp_path / "copy"
+            files.write_tsv(copy, table, files.read_tsv(path, table, header=header), header=header)
+            with open(path, "rb") as fh:
+                assert copy.read_bytes() == fh.read(), name
+
+
+def test_marks_at_the_int64_extremes_run(micro_config, tmp_path):
+    marks = [{"label": "first", "timestamp": -(2**63)}, {"label": "last", "timestamp": 2**63 - 1}]
+    out = tmp_path / "run"
+    assert run_with(micro_config, out, marks=marks) == 0
+    events, times, dates, *_, status = files.read_tsv(
+        out / "hysteresis.tsv", cli.TABLES["hysteresis.tsv"]
+    )
+    # nobody is aware at the first mark, and the cohort never grows past the last
+    assert events.tolist() == ["first"] + ["last"] * 3
+    assert times.tolist() == [-(2**63)] + [2**63 - 1] * 3
+    assert set(dates) == {"NA"}
+    assert status.tolist() == ["zero_baseline"] + ["absent"] * 3
+
+
 # The dataset bytes of `gen --config small`, which the batched event and
 # edge writers must reproduce exactly.
 SMALL_DATASET_SHA256 = {
@@ -702,11 +747,13 @@ PHASE_ROWS = [
     (0, ("Normal", 0, 11, "", "", 2), 2, "complete is 2, not 0 or 1"),
 ])
 def test_check_phases_names_the_bad_line(k, row, line_no, message):
-    cli.check_phases("phases.tsv", PHASE_ROWS)
-    cli.check_phases("phases.tsv", [])
-    rows = PHASE_ROWS[:k] + [row] + PHASE_ROWS[k + 1:]
+    def check(rows):
+        cli.check_phases("phases.tsv", [list(column) for column in zip(*rows)] or [[]] * 6)
+
+    check(PHASE_ROWS)
+    check([])
     with pytest.raises(ParseError) as exc:
-        cli.check_phases("phases.tsv", rows)
+        check(PHASE_ROWS[:k] + [row] + PHASE_ROWS[k + 1:])
     assert (exc.value.line_no, str(exc.value)) == (line_no, f"phases.tsv:{line_no}: {message}")
 
 

@@ -419,11 +419,21 @@ def _lines_file(path, lines, newline=b"\n"):
     return path
 
 
-@pytest.mark.parametrize("name, bad, message", BLOCK_FAULTS)
-def test_block_reader_raises_the_per_line_error(tmp_path, monkeypatch, name, bad, message):
+# every BLOCK_FAULTS case with each line end that text mode reads; "\n" keeps the case's id
+NEWLINE_FAULTS = [
+    pytest.param(*case.values, newline, id=case.id + suffix)
+    for case in BLOCK_FAULTS
+    for newline, suffix in ((b"\n", ""), (b"\r\n", "-crlf"), (b"\r", "-cr"))
+]
+
+
+@pytest.mark.parametrize("name, bad, message, newline", NEWLINE_FAULTS)
+def test_block_reader_raises_the_per_line_error(
+    tmp_path, monkeypatch, name, bad, message, newline
+):
     monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
     lines, reader = TABLES[name]
-    path = _lines_file(tmp_path / name, lines[:6] + [bad] + lines[6:])
+    path = _lines_file(tmp_path / name, lines[:6] + [bad] + lines[6:], newline)
     with pytest.raises(ParseError) as exc:
         reader(path)
     assert exc.value.line_no == 7

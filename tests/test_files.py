@@ -26,7 +26,9 @@ WRITERS = {
     "write_events": lambda path: files.write_events(path, make_events([
         ("query", i, 100 + i, "mask", False) for i in range(10)
     ])),
-    "write_tsv": lambda path: files.write_tsv(path, ("a", "b"), [(i, i / 3) for i in range(10)]),
+    "write_tsv": lambda path: files.write_tsv(
+        path, (("a", int), ("b", files.parse_number)), [range(10), [i / 3 for i in range(10)]]
+    ),
 }
 
 

@@ -20,11 +20,13 @@ from awareflow.regress import (
     FitConfig,
     FitResult,
     Schedule,
+    checkpoint_columns,
     checkpoint_schedule,
     expit,
     fit_logistic,
     log_likelihood,
     normal_cdf,
+    regression_table,
     run_time_evolving,
     score_vector,
     typical_profile,
@@ -461,3 +463,30 @@ def test_typical_profile_skips_failed_fits_and_unsegmented_days():
     outside = fake_model("pct_03", cal.day_start_ts(8), [0.0, -3.0, 0.0], [0.9, 0.001, 0.9])
     out = typical_profile([ok, failed, outside], seg, cal)
     assert [(e.phase, e.feature, e.direction) for e in out] == [("Normal", "f1", "positive")]
+
+
+# --- regression.tsv columns -----------------------------------------------------------
+
+def test_regression_table_has_a_row_per_feature_and_one_per_failed_fit():
+    cal = Calendar(0, 10)
+    ok = fake_model("pct_01", cal.day_start_ts(2), [0.5, 3.0, -1.0], [0.9, 0.001, 0.2])
+    failed = CheckpointModel(Checkpoint("event", "event_x", cal.day_start_ts(12)), None, "boom", 10, 0)
+    checkpoints = checkpoint_columns([ok.checkpoint, failed.checkpoint], cal)
+    assert [list(c) for c in checkpoints] == [
+        [0, 1], ["percentage", "event"], ["pct_01", "event_x"],
+        [cal.day_start_ts(2), cal.day_start_ts(12)], ["1970-01-03", "NA"],
+    ]
+    columns = [list(c) for c in regression_table([ok, failed], cal)]
+    assert len(columns) == 17 and {len(c) for c in columns} == {4}
+    rows = list(zip(*columns))
+    fit = ok.result
+    for j, row in enumerate(rows[:3]):
+        assert row == (
+            0, "percentage", "pct_01", cal.day_start_ts(2), "1970-01-03", 10, 5, True, False, 3,
+            fit.names[j], fit.coef[j], fit.se[j], fit.z[j], fit.p[j], fit.odds_ratio[j], None,
+        )
+    assert rows[3] == (
+        1, "event", "event_x", cal.day_start_ts(12), "NA", 10, 0, None, None, None,
+        "NA", None, None, None, None, None, "boom",
+    )
+    assert [len(c) for c in regression_table([], cal)] == [0] * 17
