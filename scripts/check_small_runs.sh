@@ -1,7 +1,8 @@
 #!/bin/sh
-# For each of the presets small and fig1a, run `all` three ways and compare
-# every artifact byte for byte: with one job, with each stage after gen in a
-# fresh process (so every reader parses from disk), and with the stages that
+# For each of the presets small, fig1a and recovery (whose config differs
+# most: no marks, checkpoint percentages 20-60), run `all` three ways and
+# compare every artifact byte for byte: with one job, with each stage after
+# gen in a fresh process (so every reader parses from disk), and with the stages that
 # read neither addresses.jsonl nor events.jsonl run while both files are
 # moved aside; then check that no run left a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
@@ -33,7 +34,7 @@ check() {
   compare "$d/s" "$d/s3"
 }
 
-for config in small fig1a; do
+for config in small fig1a recovery; do
   check "$config"
 done
 # every write renames its <name>.tmp into place or removes it

@@ -9,11 +9,14 @@ Run from the repository root after changing tuning here:
 import json
 import os
 import sys
+from dataclasses import asdict
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from awareflow.analytics import DEFAULT_EVENT_DATES
+from awareflow.config import RegressionConfig
 from awareflow.domain import Calendar
+from awareflow.netinfer import DEFAULT_CAPS
 from awareflow.simulate import SimConfig, ShockEvent
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "awareflow", "presets")
@@ -124,20 +127,10 @@ def base_run_config(name, sim, sample_size, history_months, seed):
         "threshold": 3,
         "history_months": history_months,
         "min_purchases_per_month": 1,
-        "caps": {"home": 10, "school_dorm": 500, "company": 500},
+        "caps": dict(DEFAULT_CAPS),
         "phase_thresholds": {},
         "marks": marks_json(),
-        "regression": {
-            "sample_size": sample_size,
-            "max_iter": 100,
-            "tol": 1e-8,
-            "ridge": 1e-4,
-            "coef_cap": 30.0,
-            "age_mode": "linear",
-            "pct_min": 1,
-            "pct_max": 95,
-            "p_threshold": 0.05,
-        },
+        "regression": asdict(RegressionConfig(sample_size=sample_size)),
         "simulator": sim.to_dict(),
     }
 

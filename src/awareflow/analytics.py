@@ -185,7 +185,7 @@ def _group_percentages(timeline, dataset, group_codes, n_groups, rows):
     return pct, sizes
 
 
-_GROUPINGS = {
+GROUPINGS = {
     "gender": lambda cols: (cols.gender, list(GENDERS)),
     "education": lambda cols: (cols.education, list(EDUCATIONS)),
     "occupation": lambda cols: (cols.occupation, list(OCCUPATIONS)),
@@ -200,12 +200,12 @@ _GROUPINGS = {
 
 def _group_codes(dataset, grouping, cohort_ids, what):
     """(cohort rows, their group codes, the group names) of a grouping."""
-    if grouping not in _GROUPINGS:
+    if grouping not in GROUPINGS:
         raise AnalyticsError(
-            f"unknown grouping {grouping!r}; expected one of {sorted(_GROUPINGS)}"
+            f"unknown grouping {grouping!r}; expected one of {sorted(GROUPINGS)}"
         )
     rows = _cohort_rows(dataset, cohort_ids, what)
-    codes, names = _GROUPINGS[grouping](dataset.population)
+    codes, names = GROUPINGS[grouping](dataset.population)
     return rows, codes[rows], names
 
 

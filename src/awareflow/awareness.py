@@ -18,8 +18,8 @@ from .domain import EVENT_KIND_PURCHASE, find_rows, month_number, row_chunks
 from .errors import CohortError, PatternSyntaxError
 from .kernels import distinct_rows, sort_rows
 
-# Sentinel for "never aware"; any real timestamp compares smaller, so
-# aware_mask_at reduces to first_aware <= t with no special cases.
+# Sentinel for "never aware" in aligned first-aware timestamps.  A config
+# may name int64 max as a time too, so the time tests check for it.
 NEVER = np.iinfo(np.int64).max
 
 
@@ -168,17 +168,19 @@ class AwarenessTimeline:
         return np.where(self.ids[pos] == ids, self.first_aware[pos], NEVER)
 
     def aware_mask_at(self, t, ids):
-        return self.aligned(ids) <= t
+        """Whether each id is aware at time ``t``."""
+        return self.buckets(ids, [t]) == 0
 
     def buckets(self, ids, times):
         """Per id, the index of the first of the ascending ``times`` at which
         it is aware, or len(times) if it never is: aware at times[k] exactly
-        when its bucket is <= k."""
+        when its bucket is <= k.  An id never aware is not aware at NEVER."""
         times = np.asarray(times)
         # compared, not subtracted: an int64 difference can wrap around
         if (times[1:] < times[:-1]).any():
             raise ValueError("bucket times must be ascending")
-        return np.searchsorted(times, self.aligned(ids))
+        first = self.aligned(ids)
+        return np.where(first == NEVER, len(times), np.searchsorted(times, first))
 
     def restrict(self, ids):
         keep = np.isin(self.ids, np.asarray(ids, dtype=np.uint64))
@@ -221,4 +223,4 @@ def awareness_percentage(timeline, cohort_ids, t):
     cohort_ids = np.asarray(cohort_ids, dtype=np.uint64)
     if len(cohort_ids) == 0:
         raise CohortError("awareness percentage over an empty cohort")
-    return float(np.mean(timeline.aligned(cohort_ids) <= t))
+    return float(np.mean(timeline.aware_mask_at(t, cohort_ids)))

@@ -27,25 +27,21 @@ or failing its checks, 5 numerical/analytic failure.
 """
 
 import argparse
-import hashlib
 import itertools
-import json
 import os
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, files
 from .analytics import (
-    EventMark,
+    GROUPINGS,
     Phase,
     PhaseSegmentation,
-    PhaseThresholds,
     cross_ratio,
     daily_counts,
-    default_event_marks,
     geo_correlation_series,
     group_trend,
     growth_rates,
@@ -66,6 +62,7 @@ from .awareness import (
     history_window,
     label_awareness,
 )
+from .config import RunConfig, load_run_config  # RunConfig is re-exported
 from .domain import DATASET_FILES, validate_dataset
 from .errors import (
     AnalyticsError,
@@ -80,51 +77,23 @@ from .errors import (
     PatternSyntaxError,
 )
 from .kernels import counter_uniforms
-from .netinfer import DEFAULT_CAPS, LAYERS, infer_networks
-from .presets import PRESET_NAMES, default_patterns_path, load_preset
+from .netinfer import LAYERS, infer_networks
+from .presets import PRESET_NAMES
 from .regress import (
     FeatureSpec,
-    FitConfig,
     checkpoint_columns,
     checkpoint_schedule,
     regression_table,
     run_time_evolving,
     typical_profile,
 )
-from .simulate import TRUTH_FILES, SimConfig, fits, generate, is_int, is_timestamp
+from .simulate import TRUTH_FILES, generate
 
 # RNG stream for drawing the regression sample; simulator streams are < 100
 SAMPLE_STREAM = 101
 CALENDAR_FILE = "calendar.json"
 *TABLE_FILES, ADDRESSES_FILE, EVENTS_FILE = DATASET_FILES
 DATASET_GROUPS = {"addresses": (ADDRESSES_FILE,), "events": (EVENTS_FILE,), "truth": TRUTH_FILES}
-
-GROUPINGS = ("gender", "education", "occupation", "purchasing_power", "has_child", "married")
-
-REGRESSION_DEFAULTS = {
-    "sample_size": 100_000,
-    "max_iter": 100,
-    "tol": 1e-8,
-    "ridge": 1e-4,
-    "coef_cap": 30.0,
-    "age_mode": "linear",
-    "pct_min": 1,
-    "pct_max": 95,
-    "p_threshold": 0.05,
-}
-
-INT64_MAX = 2**63 - 1
-
-# Integer run settings as (name, low, high).  The seed keys the uint64
-# random streams and the counts meet int64 arrays; 10,000 years of history
-# keep the qualification key (individual row * n_months + month) in int64.
-INT_SETTINGS = (
-    ("seed", 0, 2**64 - 1),
-    ("jobs", 0, INT64_MAX),
-    ("threshold", 1, INT64_MAX),
-    ("history_months", 1, 12 * 10_000),
-    ("min_purchases_per_month", 1, INT64_MAX),
-)
 
 # Columns of every TSV artifact, as (name, parse) pairs for files.read_tsv;
 # the writers take the header from here.  Ids, timestamps and days that
@@ -188,163 +157,6 @@ TABLES = {
         ("n_significant", int), ("n_models", int),
     ),
 }
-
-
-# ---------------------------------------------------------------------------
-# run configuration
-# ---------------------------------------------------------------------------
-
-def _section_problems(label, values, defaults):
-    """Problems of a config object whose keys and value types follow ``defaults``."""
-    if not isinstance(values, dict):
-        return [f"{label} must be an object"]
-    unknown = sorted(set(values) - set(defaults))
-    if unknown:
-        return [f"unknown {label} keys: {', '.join(unknown)}"]
-    return [
-        f"{label} {k} must be of type {type(defaults[k]).__name__}"
-        for k, v in values.items()
-        if not fits(v, defaults[k])
-    ]
-
-
-@dataclass
-class RunConfig:
-    out_dir: str = "runs/out"
-    dataset_dir: str = None  # defaults to <out_dir>/dataset
-    seed: int = 1
-    jobs: int = 0  # accepted and range-checked; no effect (fits run serially)
-    patterns: str = None  # None = bundled default pattern file
-    threshold: int = 3
-    history_months: int = 60
-    min_purchases_per_month: int = 1
-    caps: dict = field(default_factory=lambda: dict(DEFAULT_CAPS))
-    phase_thresholds: dict = field(default_factory=dict)
-    marks: list = None  # None = canonical event list; [] = no events
-    regression: dict = field(default_factory=dict)
-    simulator: dict = None
-
-    @classmethod
-    def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise ConfigError("run config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown run config keys: {', '.join(unknown)}")
-        return cls(**data).validate()
-
-    def validate(self):
-        """Type-check every field, then range-check; raises ConfigError."""
-        problems = []
-        if not isinstance(self.out_dir, str):
-            problems.append("out_dir must be a string")
-        if self.dataset_dir is not None and not isinstance(self.dataset_dir, str):
-            problems.append("dataset_dir must be a string or null")
-        if self.simulator is not None and not isinstance(self.simulator, dict):
-            problems.append("simulator must be an object or null")
-        for name, low, high in INT_SETTINGS:
-            value = getattr(self, name)
-            if not is_int(value) or not low <= value <= high:
-                problems.append(f"{name} must be an integer in [{low}, {high}]")
-        if self.patterns is not None and not (
-            isinstance(self.patterns, str) and os.path.exists(self.patterns)
-        ):
-            problems.append(f"pattern file {self.patterns!r} does not exist")
-        problems += _section_problems("caps", self.caps, DEFAULT_CAPS)
-        if isinstance(self.caps, dict):
-            small = [k for k, v in self.caps.items() if is_int(v) and v < 2]
-            problems += [f"cap for {k!r} must be >= 2" for k in small]
-        problems += _section_problems(
-            "phase threshold", self.phase_thresholds, asdict(PhaseThresholds())
-        )
-        problems += _section_problems("regression", self.regression, REGRESSION_DEFAULTS)
-        if self.marks is not None:
-            if not isinstance(self.marks, list):
-                problems.append("marks must be a list or null")
-            elif not all(
-                isinstance(m, dict) and "label" in m and is_timestamp(m.get("timestamp"))
-                and is_int(m.get("scope_id", 0))
-                for m in self.marks
-            ):
-                problems.append("each mark needs a label, int64 timestamp and integer scope_id")
-        if problems:
-            raise ConfigError("; ".join(problems))
-        self.thresholds()
-        self.regression_config()
-        return self
-
-    # resolved accessors ----------------------------------------------------
-
-    def resolved_dataset_dir(self):
-        return self.dataset_dir or os.path.join(self.out_dir, "dataset")
-
-    def patterns_path(self):
-        return self.patterns or default_patterns_path()
-
-    def thresholds(self):
-        try:
-            return PhaseThresholds(**self.phase_thresholds).validate()
-        except AnalyticsError as exc:
-            raise ConfigError(str(exc))
-
-    def regression_config(self):
-        merged = {**REGRESSION_DEFAULTS, **self.regression}
-        if merged["sample_size"] < 1:
-            raise ConfigError("regression.sample_size must be >= 1")
-        if not 1 <= merged["pct_min"] <= merged["pct_max"] <= 100:
-            raise ConfigError("regression percentages must satisfy 1 <= min <= max <= 100")
-        return merged
-
-    def event_marks(self, calendar):
-        if self.marks is None:
-            return default_event_marks(calendar)
-        return [
-            EventMark(
-                label=str(m["label"]),
-                timestamp=int(m["timestamp"]),
-                scope=str(m.get("scope", "national")),
-                scope_id=int(m.get("scope_id", 0)),
-            )
-            for m in self.marks
-        ]
-
-    def digest(self):
-        """Hash of the semantic config: everything except where it is written
-        and how many threads write it."""
-        data = asdict(self)
-        for key in ("out_dir", "dataset_dir", "jobs"):
-            data.pop(key)
-        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def load_run_config(spec_arg):
-    """--config accepts a bundled preset name or a path to a JSON file."""
-    if spec_arg in PRESET_NAMES:
-        return RunConfig.from_dict(load_preset(spec_arg))
-    if not os.path.exists(spec_arg):
-        raise ConfigError(
-            f"config {spec_arg!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
-            f"nor an existing file"
-        )
-    return RunConfig.from_dict(files.read_json(spec_arg, config=True))
-
-
-def apply_flags(cfg, args):
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.patterns is not None:
-        cfg.patterns = args.patterns
-    if args.phase_thresholds is not None:
-        if not os.path.exists(args.phase_thresholds):
-            raise ConfigError(f"phase threshold file {args.phase_thresholds!r} does not exist")
-        cfg.phase_thresholds = files.read_json(args.phase_thresholds, config=True)
-    return cfg.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +423,10 @@ def by_day(iso, keys):
 @stage("gen", writes=("dataset", "addresses", "events", "truth"))
 def cmd_gen(state):
     cfg = state.cfg
-    if cfg.simulator is None:
+    sim = cfg.settings().simulator
+    if sim is None:
         raise ConfigError("config has no simulator section; `gen` needs one")
-    sim = SimConfig.from_dict(cfg.simulator)
     sim.seed = cfg.seed
-    sim.validate()
     ddir = cfg.resolved_dataset_dir()
     files.make_dir(ddir, "dataset directory")
     dataset, truth = generate(sim)
@@ -640,8 +451,8 @@ def cmd_gen(state):
 @stage("infer-net", reads=("dataset", "addresses"), writes=("networks.edges",))
 def cmd_infer_net(state):
     ids = state.load("dataset").population.ids
-    caps = {**DEFAULT_CAPS, **state.cfg.caps}
-    graph = infer_networks(state.load("addresses"), ids, caps=caps)
+    # infer_networks fills in the kinds the caps section leaves out
+    graph = infer_networks(state.load("addresses"), ids, caps=state.cfg.caps)
     files.write_edges(graph, state.out_path("networks.edges"))
     state.loaded["networks.edges"] = graph
     return {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}
@@ -694,7 +505,7 @@ def cmd_segment(state):
         [*by_day(iso, [()] * len(prov)), np.repeat(prov_ids, len(iso)), prov, growth_rates(prov)],
     )
 
-    seg = segment_phases(prov, nat, state.cfg.thresholds())
+    seg = segment_phases(prov, nat, state.cfg.settings().phase_thresholds)
     phases = seg.phases
     state.write_table("phases.tsv", [
         [p.name for p in phases], [p.start_day for p in phases], [p.end_day for p in phases],
@@ -799,17 +610,15 @@ def cmd_geo_corr(state):
     return {"series": len(plans)}
 
 
-def regression_sample(cfg, qualified):
-    """Deterministic sample of the qualified cohort for model fitting."""
-    reg = cfg.regression_config()
-    size = reg["sample_size"]
+def regression_sample(seed, size, qualified):
+    """Deterministic sample of ``size`` of the qualified cohort for model fitting."""
     if size >= len(qualified):
         raise ConfigError(
             f"regression.sample_size ({size}) must be smaller than the "
             f"qualified cohort ({len(qualified)}); the rest estimates "
             f"network features"
         )
-    u = counter_uniforms(cfg.seed, SAMPLE_STREAM, qualified, 0)
+    u = counter_uniforms(seed, SAMPLE_STREAM, qualified, 0)
     order = np.lexsort((qualified, u))
     return np.sort(qualified[order[:size]])
 
@@ -825,29 +634,23 @@ def cmd_regress(state):
     calendar = dataset.calendar
     graph = state.load("networks.edges")
     seg = phase_segmentation(state.load("phases.tsv"))
-    reg = cfg.regression_config()
+    reg = cfg.settings().regression
 
     marks = cfg.event_marks(calendar)
-    schedule = checkpoint_schedule(
-        tlq, qualified, marks, pct_min=reg["pct_min"], pct_max=reg["pct_max"]
-    )
+    schedule = checkpoint_schedule(tlq, qualified, marks, pct_min=reg.pct_min, pct_max=reg.pct_max)
     entries = schedule.entries
     state.write_table(
         "schedule.tsv", [*checkpoint_columns(entries, calendar), [c.value for c in entries]]
     )
 
-    sample = regression_sample(cfg, qualified)
-    spec = FeatureSpec(age_mode=reg["age_mode"])
-    fit_config = FitConfig(
-        max_iter=reg["max_iter"],
-        tol=reg["tol"],
-        ridge=reg["ridge"],
-        coef_cap=reg["coef_cap"],
+    sample = regression_sample(cfg.seed, reg.sample_size, qualified)
+    # the regression section is the fit's FitConfig
+    models = run_time_evolving(
+        dataset, graph, tlq, schedule, sample, FeatureSpec(age_mode=reg.age_mode), reg
     )
-    models = run_time_evolving(dataset, graph, tlq, schedule, sample, spec, fit_config)
     state.write_table("regression.tsv", regression_table(models, calendar))
 
-    profile = typical_profile(models, seg, calendar, p_threshold=reg["p_threshold"])
+    profile = typical_profile(models, seg, calendar, p_threshold=reg.p_threshold)
     state.write_table(
         "profiles.tsv", [[getattr(e, name) for e in profile] for name, _ in TABLES["profiles.tsv"]]
     )
@@ -997,6 +800,19 @@ def run_subcommand(name, cfg):
     if name == "all":
         return cmd_all(state)
     return STEP_FUNCS[name](state)
+
+
+def apply_flags(cfg, args):
+    for key, value in (
+        ("seed", args.seed), ("out_dir", args.out), ("jobs", args.jobs), ("patterns", args.patterns)
+    ):
+        if value is not None:
+            setattr(cfg, key, value)
+    if args.phase_thresholds is not None:
+        if not os.path.exists(args.phase_thresholds):
+            raise ConfigError(f"phase threshold file {args.phase_thresholds!r} does not exist")
+        cfg.phase_thresholds = files.read_json(args.phase_thresholds, config=True)
+    return cfg.validate()
 
 
 def main(argv=None):

@@ -10,6 +10,7 @@ not depend on evaluation order or chunking.
 
 import math
 import numbers
+import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -124,50 +125,88 @@ def fits(value, like):
     return is_int(value)
 
 
+def mark_problems(marks, kind):
+    """Problems of dated marks of a kind: a scope other than national,
+    province or city, or a timestamp outside int64."""
+    problems = []
+    for m in marks:
+        if m.scope not in ("national", "province", "city"):
+            problems.append(f"{kind} {m.label!r}: unknown scope {m.scope!r}")
+        if not is_timestamp(m.timestamp):
+            problems.append(f"{kind} {m.label!r}: timestamp must fit in int64")
+    return problems
+
+
 def _weights_ok(weights):
     """Whether ``weights`` normalize into probabilities: each finite and
     >= 0, with a finite sum above 0."""
     return all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf
 
 
-def _type_problems(obj, label):
-    """Fields of the config dataclass ``obj`` whose value lacks the field's type."""
+def type_problems(obj, label):
+    """Fields of the config dataclass ``obj``, its sections and the items of
+    its ``list[X]`` fields included, whose value lacks the field's type.  A
+    field that defaults to None may be None."""
     problems = []
     for f in fields(obj):
-        if f.default is not MISSING:
-            like = f.default
-        elif f.default_factory is not MISSING:
-            like = f.default_factory()
-        else:
-            like = f.type()
         value = getattr(obj, f.name)
+        if value is None and f.default is None:
+            continue
+        # an example of the field's type: its default, or else an instance
+        no_default = f.default is MISSING and f.default_factory is MISSING
+        if no_default or f.default is None or is_dataclass(f.type):
+            like = f.type()
+        else:
+            like = f.default_factory() if f.default is MISSING else f.default
         if not fits(value, like):
             kind = {tuple: "list", dict: "object"}.get(type(like), type(like).__name__)
             problems.append(f"{label}{f.name} must be of type {kind}")
         elif is_dataclass(like):
-            problems += _type_problems(value, f"{label}{f.name}.")
+            problems += type_problems(value, f"{label}{f.name}.")
+        elif typing.get_origin(f.type) is list:
+            for i, item in enumerate(value):
+                problems += type_problems(item, f"{label}{f.name}[{i}].")
     return problems
 
 
-def _build(cls, values, label):
-    """``cls(**values)`` from a JSON object; unknown or missing keys raise ConfigError."""
+def build_section(cls, values, label, path):
+    """``cls(**values)`` from a JSON object, with every field typed as a
+    dataclass, or as ``list[X]`` of one, built from its JSON in turn, and
+    every field typed ``tuple`` taking a JSON list as a tuple.
+
+    Messages name the object ``label``; ``path`` is its dotted key, "" at the
+    top.  A section is named by its field's ``label`` metadata, else by its
+    key.  Raises ConfigError for a value that is not an object, a list field
+    that is not a list, unknown keys and missing keys.
+    """
     if not isinstance(values, dict):
         raise ConfigError(f"{label} must be an object")
-    unknown = set(values) - set(cls.__dataclass_fields__)
+    unknown = sorted(set(values) - set(cls.__dataclass_fields__))
     if unknown:
-        raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
     missing = [
         f.name for f in fields(cls)
         if f.name not in values and f.default is MISSING and f.default_factory is MISSING
     ]
     if missing:
-        raise ConfigError(f"{label} lacks keys: {missing}")
+        raise ConfigError(f"{label} lacks keys: {', '.join(missing)}")
+    values = dict(values)
+    for f in fields(cls):
+        value = values.get(f.name)
+        if f.name not in values or value is None and f.default is None:
+            continue
+        key = f"{path}.{f.name}" if path else f.name
+        name = f.metadata.get("label", key)
+        if is_dataclass(f.type):
+            values[f.name] = build_section(f.type, value, name, key)
+        elif typing.get_origin(f.type) is list:
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list")
+            (item_cls,) = typing.get_args(f.type)
+            values[f.name] = [build_section(item_cls, item, name, key) for item in value]
+        elif f.type is tuple and isinstance(value, list):
+            values[f.name] = tuple(value)
     return cls(**values)
-
-
-def _as_tuple(value):
-    # JSON gives lists; anything else is left for validate() to reject
-    return tuple(value) if isinstance(value, list) else value
 
 
 @dataclass
@@ -265,9 +304,6 @@ class DemographicsConfig:
     married_p: float = 0.60
     qualified_p: float = 0.90
 
-    def __post_init__(self):
-        self.purchasing_power_probs = _as_tuple(self.purchasing_power_probs)
-
 
 @dataclass
 class NetworkConfig:
@@ -278,9 +314,6 @@ class NetworkConfig:
     company_p: float = 0.50
     company_size_min: int = 3
     company_size_max: int = 15
-
-    def __post_init__(self):
-        self.family_size_probs = _as_tuple(self.family_size_probs)
 
 
 @dataclass
@@ -293,7 +326,7 @@ class SimConfig:
     demographics: DemographicsConfig = field(default_factory=DemographicsConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     hazard: HazardCoefficients = field(default_factory=HazardCoefficients)
-    events: list = field(default_factory=list)
+    events: list[ShockEvent] = field(default_factory=list, metadata={"label": "event"})
     stockout_day: int = 62
     query_noise: float = 0.0
     history_months: int = 60
@@ -306,11 +339,6 @@ class SimConfig:
     noise_query_texts: tuple = DEFAULT_NOISE_TEXTS
     purchase_categories: tuple = DEFAULT_CATEGORIES
     ppe_category: str = "n95 respirator mask"
-
-    def __post_init__(self):
-        self.aware_query_texts = _as_tuple(self.aware_query_texts)
-        self.noise_query_texts = _as_tuple(self.noise_query_texts)
-        self.purchase_categories = _as_tuple(self.purchase_categories)
 
     def calendar(self):
         start = Calendar.from_dates(self.calendar_start, self.calendar_start)
@@ -326,10 +354,7 @@ class SimConfig:
 
     def validate(self):
         """Type-check every field, then range-check; raises ConfigError."""
-        problems = _type_problems(self, "")
-        if not problems:
-            for i, ev in enumerate(self.events):
-                problems += _type_problems(ev, f"events[{i}].")
+        problems = type_problems(self, "")
         if problems:
             raise ConfigError("invalid simulator config: " + "; ".join(problems))
         if self.n_individuals < 1:
@@ -419,17 +444,10 @@ class SimConfig:
                 problems.append(f"network.{label} size range [{lo}, {hi}] is invalid")
             if hi > cap:
                 problems.append(f"network.{label} size max {hi} exceeds the cap {cap}")
-        for ev in self.events:
-            if ev.scope not in ("national", "province", "city"):
-                problems.append(f"event {ev.label!r}: unknown scope {ev.scope!r}")
-            if not is_timestamp(ev.timestamp):
-                problems.append(f"event {ev.label!r}: timestamp must fit in int64")
-        if not self.aware_query_texts:
-            problems.append("aware_query_texts must not be empty")
-        if not self.noise_query_texts:
-            problems.append("noise_query_texts must not be empty")
-        if not self.purchase_categories:
-            problems.append("purchase_categories must not be empty")
+        problems += mark_problems(self.events, "event")
+        for name in ("aware_query_texts", "noise_query_texts", "purchase_categories"):
+            if not getattr(self, name):
+                problems.append(f"{name} must not be empty")
         if self.ppe_category in self.purchase_categories:
             problems.append("ppe_category must not appear in purchase_categories")
         if problems:
@@ -442,23 +460,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise ConfigError("simulator must be an object")
-        data = dict(data)
-        sections = {
-            "regions": RegionConfig,
-            "demographics": DemographicsConfig,
-            "network": NetworkConfig,
-            "hazard": HazardCoefficients,
-        }
-        for key, section_cls in sections.items():
-            if key in data:
-                data[key] = _build(section_cls, data[key], f"simulator.{key}")
-        if "events" in data:
-            if not isinstance(data["events"], list):
-                raise ConfigError("simulator.events must be a list")
-            data["events"] = [_build(ShockEvent, ev, "event") for ev in data["events"]]
-        return _build(cls, data, "simulator").validate()
+        return build_section(cls, data, "simulator", "simulator").validate()
 
 
 TRUTH_FILES = ("truth_labels.jsonl", "truth_network.edges")

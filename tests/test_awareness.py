@@ -219,9 +219,21 @@ def test_buckets_take_times_across_the_whole_int64_range():
     times = np.array([-(2**63), 0, 2**63 - 1], dtype=np.int64)
     tl = AwarenessTimeline(np.array([1, 2, 3], dtype=np.uint64), np.array([-(2**63), -5, 7]))
     ids = np.array([1, 2, 3, 4], dtype=np.uint64)
-    assert tl.buckets(ids, times).tolist() == [0, 1, 2, 2]
+    # id 4 is never aware, not even at the last time, int64 max
+    assert tl.buckets(ids, times).tolist() == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="ascending"):
         tl.buckets(ids, times[::-1])
+
+
+def test_never_aware_ids_are_not_aware_at_never():
+    # a config may name NEVER, int64 max, as a checkpoint time
+    tl = AwarenessTimeline(np.array([1, 2], dtype=np.uint64), np.array([5, NEVER - 1]))
+    ids = np.array([1, 2, 3], dtype=np.uint64)
+    assert tl.buckets(ids, [0, NEVER]).tolist() == [1, 1, 2]
+    assert tl.buckets(ids, [NEVER]).tolist() == [0, 0, 1]
+    assert tl.aware_mask_at(NEVER, ids).tolist() == [True, True, False]
+    assert tl.aware_mask_at(NEVER - 2, ids).tolist() == [True, False, False]
+    assert awareness_percentage(tl, ids, NEVER) == 2 / 3
 
 
 # --- qualified cohort ------------------------------------------------------------

@@ -241,6 +241,14 @@ def test_marks_at_the_int64_extremes_run(micro_config, tmp_path):
     assert times.tolist() == [-(2**63)] + [2**63 - 1] * 3
     assert set(dates) == {"NA"}
     assert status.tolist() == ["zero_baseline"] + ["absent"] * 3
+    # at the last mark the never aware still count as unaware: its models see
+    # as many aware as the last percentage checkpoint, not the whole sample
+    names = [name for name, _ in cli.TABLES["regression.tsv"]]
+    rows = dict(zip(names, files.read_tsv(out / "regression.tsv", cli.TABLES["regression.tsv"])))
+    last = rows["trigger"] == "event_last"
+    pct = rows["kind"] == "percentage"
+    assert last.any() and set(rows["n_aware"][last]) == {max(rows["n_aware"][pct])}
+    assert set(rows["n_obs"][last]) == {150} and set(rows["error"][last]) == {"NA"}
 
 
 # The dataset bytes of `gen --config small`, which the batched event and
@@ -493,6 +501,62 @@ def simulator_setting(section, **values):
     return fault
 
 
+def config_setting(path, value):
+    """A fault that sets the config value at the key ``path``."""
+    def fault(out, config):
+        *parents, key = path
+        node = config
+        for part in parents:
+            node = node[part]
+        node[key] = value
+    return fault
+
+
+# A fault in each config section and the message it gives: an unknown key or
+# a wrongly typed value, in one message form for every section.
+CONFIG_FAULTS = (
+    ("top-unknown-key", ("bogus",), 1, "unknown run config keys: bogus"),
+    ("top-wrong-type", ("patterns",), 5, "patterns must be of type str"),
+    ("caps-unknown-key", ("caps",), {"bogus": 2}, "unknown caps keys: bogus"),
+    ("caps-wrong-type", ("caps",), {"home": "10"}, "caps.home must be of type int"),
+    (
+        "phase-thresholds-unknown-key", ("phase_thresholds",), {"bogus": 1},
+        "unknown phase threshold keys: bogus",
+    ),
+    (
+        "phase-thresholds-wrong-type", ("phase_thresholds",), {"sustain_days": 2.5},
+        "phase_thresholds.sustain_days must be of type int",
+    ),
+    ("regression-unknown-key", ("regression", "bogus"), 1, "unknown regression keys: bogus"),
+    ("regression-wrong-type", ("regression", "tol"), "small", "regression.tol must be of type float"),
+    (
+        "mark-unknown-key", ("marks",), [{"label": "x", "timestamp": 0, "bogus": 1}],
+        "unknown mark keys: bogus",
+    ),
+    (
+        "mark-label-not-a-string", ("marks",), [{"label": 5, "timestamp": 0}],
+        "marks[0].label must be of type str",
+    ),
+    (
+        "mark-unknown-scope", ("marks",), [{"label": "x", "timestamp": 0, "scope": "planet"}],
+        "mark 'x': unknown scope 'planet'",
+    ),
+    (
+        "simulator-section-unknown-key", ("simulator", "network", "bogus"), 1,
+        "unknown simulator.network keys: bogus",
+    ),
+    (
+        "simulator-section-wrong-type", ("simulator", "regions", "n_cities"), 2.5,
+        "simulator.regions.n_cities must be of type int",
+    ),
+    ("simulator-event-unknown-key", ("simulator", "events", 0, "bogus"), 1, "unknown event keys: bogus"),
+    (
+        "simulator-event-wrong-type", ("simulator", "events", 0, "magnitude"), "big",
+        "simulator.events[0].magnitude must be of type float",
+    ),
+)
+
+
 DEEP = 100_000  # nesting far beyond the interpreter's recursion limit
 POPULATION_LINE = (
     '{"id":999999,"gender":"male","age":40000,"education":"bachelor",'
@@ -566,6 +630,10 @@ FAULTS = [
     ),
     pytest.param(
         "infer-net", lambda out, config: config.update(dataset_dir=5), 2, id="dataset-dir-number"
+    ),
+    *(
+        pytest.param("label", config_setting(path, value), 2, id=name)
+        for name, path, value, _ in CONFIG_FAULTS
     ),
     pytest.param(
         "gen", lambda out, config: ["--out", str(out / "labels.tsv")], 2, id="out-is-a-file"
@@ -726,6 +794,18 @@ def test_faults_exit_with_documented_code(
     cfg_path.write_text(json.dumps(config))
     assert cli.main([stage, "--config", str(cfg_path), "--out", str(out), *extra]) == code
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, path, value, message", CONFIG_FAULTS)
+def test_config_faults_name_the_section(micro_config, tmp_path, capsys, name, path, value, message):
+    with open(micro_config) as fh:
+        config = json.load(fh)
+    config_setting(path, value)(None, config)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["label", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 PHASE_ROWS = [
