@@ -4,7 +4,8 @@
 # compare every artifact byte for byte: with one job, with each stage after
 # gen in a fresh process (so every reader parses from disk), and with the stages that
 # read neither addresses.jsonl nor events.jsonl run while both files are
-# moved aside; then check that no run left a temporary *.tmp file behind.
+# moved aside.  Then check that the command-line flags set the config keys
+# they name, and that no run left a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
 #
 #     sh scripts/check_small_runs.sh [scratch-dir]
@@ -37,6 +38,29 @@ check() {
 for config in small fig1a recovery; do
   check "$config"
 done
+# the flags set their keys over the config before it is checked: `all` on
+# small with --seed and --phase-thresholds writes what `all` writes over a
+# copy of small that carries the same seed and phase thresholds
+d="$dir/flags"
+mkdir -p "$d"
+echo '{"growth_high": 0.9, "sustain_days": 2}' > "$d/th.json"
+python - "$d" <<'PY'
+import json
+import sys
+
+from awareflow.presets import load_preset
+
+d = sys.argv[1]
+config = load_preset("small")
+config["seed"] = 8
+with open(f"{d}/th.json") as fh:
+    config["phase_thresholds"] = json.load(fh)
+with open(f"{d}/config.json", "w") as fh:
+    json.dump(config, fh)
+PY
+run all --config small --seed 8 --phase-thresholds "$d/th.json" --out "$d/by_flags"
+run all --config "$d/config.json" --out "$d/by_file"
+compare "$d/by_flags" "$d/by_file"
 # every write renames its <name>.tmp into place or removes it
 leftover=$(find "$dir" -name '*.tmp')
 if [ -n "$leftover" ]; then

@@ -7,13 +7,14 @@ Day-level growth rates use the convention that a rise from zero is +inf,
 zero-to-zero is 0, and day 0 (no previous day) is undefined (NaN).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Annotated
 
 import numpy as np
 
 from . import kernels
 from .awareness import awareness_percentage
-from .domain import EDUCATIONS, GENDERS, OCCUPATIONS
+from .domain import EDUCATIONS, GENDERS, OCCUPATIONS, Bounds, Timestamp
 from .errors import AnalyticsError, CohortError
 from .netinfer import LAYERS
 
@@ -36,7 +37,7 @@ class EventMark:
     """A dated external event used for hysteresis and model checkpoints."""
 
     label: str
-    timestamp: int
+    timestamp: Timestamp
     scope: str = "national"
     scope_id: int = 0
 
@@ -77,14 +78,19 @@ class PhaseThresholds:
     national_begin: float = 0.00001  # national percentage > 0.001%
     growth_peak: float = 0.10        # province growth rate vs 10%
     national_peak: float = 0.001     # national percentage > 0.1%
-    province_share: float = 0.95     # "more than 95% of provinces"
-    sustain_days: int = 3
+    province_share: Annotated[float, Bounds(0, 1, open_lo=True)] = 0.95  # > 95% of provinces
+    sustain_days: Annotated[int, Bounds(1)] = 3
 
     def validate(self):
-        if not 0 < self.province_share <= 1:
-            raise AnalyticsError("province_share must be in (0, 1]")
-        if self.sustain_days < 1:
-            raise AnalyticsError("sustain_days must be >= 1")
+        """Raises AnalyticsError for a field outside its declared Bounds."""
+        problems = [
+            f"{f.name} {p}"
+            for f in fields(self)
+            for b in getattr(f.type, "__metadata__", ())
+            if (p := b.problem(getattr(self, f.name)))
+        ]
+        if problems:
+            raise AnalyticsError("; ".join(problems))
         return self
 
 

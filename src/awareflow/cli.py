@@ -423,10 +423,9 @@ def by_day(iso, keys):
 @stage("gen", writes=("dataset", "addresses", "events", "truth"))
 def cmd_gen(state):
     cfg = state.cfg
-    sim = cfg.settings().simulator
-    if sim is None:
+    if cfg.simulator is None:
         raise ConfigError("config has no simulator section; `gen` needs one")
-    sim.seed = cfg.seed
+    sim = replace(cfg.simulator, seed=cfg.seed)
     ddir = cfg.resolved_dataset_dir()
     files.make_dir(ddir, "dataset directory")
     dataset, truth = generate(sim)
@@ -452,7 +451,7 @@ def cmd_gen(state):
 def cmd_infer_net(state):
     ids = state.load("dataset").population.ids
     # infer_networks fills in the kinds the caps section leaves out
-    graph = infer_networks(state.load("addresses"), ids, caps=state.cfg.caps)
+    graph = infer_networks(state.load("addresses"), ids, caps=vars(state.cfg.caps))
     files.write_edges(graph, state.out_path("networks.edges"))
     state.loaded["networks.edges"] = graph
     return {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}
@@ -505,7 +504,7 @@ def cmd_segment(state):
         [*by_day(iso, [()] * len(prov)), np.repeat(prov_ids, len(iso)), prov, growth_rates(prov)],
     )
 
-    seg = segment_phases(prov, nat, state.cfg.settings().phase_thresholds)
+    seg = segment_phases(prov, nat, state.cfg.phase_thresholds)
     phases = seg.phases
     state.write_table("phases.tsv", [
         [p.name for p in phases], [p.start_day for p in phases], [p.end_day for p in phases],
@@ -634,7 +633,7 @@ def cmd_regress(state):
     calendar = dataset.calendar
     graph = state.load("networks.edges")
     seg = phase_segmentation(state.load("phases.tsv"))
-    reg = cfg.settings().regression
+    reg = cfg.regression
 
     marks = cfg.event_marks(calendar)
     schedule = checkpoint_schedule(tlq, qualified, marks, pct_min=reg.pct_min, pct_max=reg.pct_max)
@@ -802,23 +801,11 @@ def run_subcommand(name, cfg):
     return STEP_FUNCS[name](state)
 
 
-def apply_flags(cfg, args):
-    for key, value in (
-        ("seed", args.seed), ("out_dir", args.out), ("jobs", args.jobs), ("patterns", args.patterns)
-    ):
-        if value is not None:
-            setattr(cfg, key, value)
-    if args.phase_thresholds is not None:
-        if not os.path.exists(args.phase_thresholds):
-            raise ConfigError(f"phase threshold file {args.phase_thresholds!r} does not exist")
-        cfg.phase_thresholds = files.read_json(args.phase_thresholds, config=True)
-    return cfg.validate()
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = apply_flags(load_run_config(args.config), args)
+        flags = dict(seed=args.seed, out_dir=args.out, jobs=args.jobs, patterns=args.patterns)
+        cfg = load_run_config(args.config, args.phase_thresholds, **flags)
         manifest = run_subcommand(args.command, cfg)
         print(f"[{args.command}] manifest: {manifest}")
         return 0

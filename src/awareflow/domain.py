@@ -21,6 +21,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
+from typing import Annotated
 
 import numpy as np
 
@@ -135,6 +136,30 @@ def intern_texts(texts, codes_of):
     )
 
 
+@dataclass(frozen=True)
+class Bounds:
+    """The range of a number, declared in a config field's annotation as in
+    ``Annotated[float, Bounds(0, 1)]``: from ``lo`` (excluded with ``open_lo``)
+    to ``hi``; None leaves a side open."""
+
+    lo: object = None
+    hi: object = None
+    open_lo: bool = False
+
+    def problem(self, v):
+        """Why ``v`` lies outside, as in 'must be in [0, 1], got 2'; None if inside."""
+        lo, hi = self.lo, self.hi
+        if (lo is None or v > lo or v == lo and not self.open_lo) and (hi is None or v <= hi):
+            return None
+        if hi is None:
+            return f"must be {'>' if self.open_lo else '>='} {lo}, got {v}"
+        return f"must be in {'(' if self.open_lo else '['}{lo}, {hi}], got {v}"
+
+
+# a config's epoch seconds, which the int64 timestamp columns must hold
+Timestamp = Annotated[int, Bounds(-(2**63), 2**63 - 1)]
+
+
 # Field kinds: kind -> (its column's dtype, unless the field names another; the JSON
 # types it takes; the problem of a value of another type)
 _KINDS = {
@@ -210,9 +235,9 @@ class Field:
                 finite = False
             if not finite:
                 return f"must be finite, got {v}"
-        if self.lo is not None and v < self.lo or self.hi is not None and v > self.hi:
-            bound = f">= {self.lo}" if self.hi is None else f"in [{self.lo}, {self.hi}]"
-            return f"must be {bound}, got {v}"
+        bounds = Bounds(self.lo, self.hi).problem(v)
+        if bounds:
+            return bounds
         limits = np.iinfo(self.dtype) if self.kind in ("id", "int") else None
         if limits is not None and not limits.min <= v <= limits.max:
             return f"must fit in {self.dtype}, got {v}"

@@ -10,11 +10,12 @@ maximizer (perfect separation) or Newton fails to converge.
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import kernels
-from .domain import EDUCATIONS, GENDERS, OCCUPATIONS
+from .domain import EDUCATIONS, GENDERS, OCCUPATIONS, Bounds
 from .errors import ConfigError, DegenerateOutcomeError, NumericalError
 from .netinfer import LAYERS
 
@@ -166,10 +167,10 @@ class DesignBuilder:
 
 @dataclass
 class FitConfig:
-    max_iter: int = 100
-    tol: float = 1e-8
-    ridge: float = 1e-4
-    coef_cap: float = 30.0  # |coef| beyond this means separation in practice
+    max_iter: Annotated[int, Bounds(1)] = 100
+    tol: Annotated[float, Bounds(0, open_lo=True)] = 1e-8
+    ridge: Annotated[float, Bounds(0)] = 1e-4
+    coef_cap: Annotated[float, Bounds(0, open_lo=True)] = 30.0  # a larger |coef| is separation
 
 
 @dataclass

@@ -10,8 +10,10 @@ not depend on evaluation order or chunking.
 
 import math
 import numbers
+import sys
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from typing import Annotated
 
 import numpy as np
 
@@ -27,12 +29,14 @@ from .domain import (
     MAX_PURCHASING_POWER,
     OCCUPATIONS,
     AddressColumns,
+    Bounds,
     Calendar,
     Dataset,
     EventLog,
     Field,
     PopulationColumns,
     Region,
+    Timestamp,
 )
 from .errors import ConfigError
 from .netinfer import LAYERS, MultiplexGraph, build_from_groups
@@ -95,46 +99,13 @@ def month_start_ts(months):
     return days * SECONDS_PER_DAY - CHINA_UTC_OFFSET
 
 
-def is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_timestamp(value):
-    """Whether ``value`` is an integer that fits in int64, as event timestamps must."""
-    info = np.iinfo(np.int64)
-    return is_int(value) and info.min <= value <= info.max
-
-
-def fits(value, like):
-    """Whether ``value`` has the type of the example ``like``.
-
-    An int counts as a float; the values of a dict and the items of a tuple
-    must fit the example's first one.
-    """
-    if isinstance(like, str):
-        return isinstance(value, str)
-    if isinstance(like, float):
-        return isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if isinstance(like, dict):
-        first = next(iter(like.values()))
-        return isinstance(value, dict) and all(fits(v, first) for v in value.values())
-    if isinstance(like, tuple):
-        return isinstance(value, tuple) and all(fits(v, like[0]) for v in value)
-    if isinstance(like, list) or is_dataclass(like):
-        return isinstance(value, type(like))
-    return is_int(value)
-
-
 def mark_problems(marks, kind):
     """Problems of dated marks of a kind: a scope other than national,
-    province or city, or a timestamp outside int64."""
-    problems = []
-    for m in marks:
-        if m.scope not in ("national", "province", "city"):
-            problems.append(f"{kind} {m.label!r}: unknown scope {m.scope!r}")
-        if not is_timestamp(m.timestamp):
-            problems.append(f"{kind} {m.label!r}: timestamp must fit in int64")
-    return problems
+    province or city."""
+    return [
+        f"{kind} {m.label!r}: unknown scope {m.scope!r}"
+        for m in marks if m.scope not in ("national", "province", "city")
+    ]
 
 
 def _weights_ok(weights):
@@ -143,70 +114,92 @@ def _weights_ok(weights):
     return all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf
 
 
-def type_problems(obj, label):
-    """Fields of the config dataclass ``obj``, its sections and the items of
-    its ``list[X]`` fields included, whose value lacks the field's type.  A
-    field that defaults to None may be None."""
-    problems = []
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if value is None and f.default is None:
-            continue
-        # an example of the field's type: its default, or else an instance
-        no_default = f.default is MISSING and f.default_factory is MISSING
-        if no_default or f.default is None or is_dataclass(f.type):
-            like = f.type()
-        else:
-            like = f.default_factory() if f.default is MISSING else f.default
-        if not fits(value, like):
-            kind = {tuple: "list", dict: "object"}.get(type(like), type(like).__name__)
-            problems.append(f"{label}{f.name} must be of type {kind}")
-        elif is_dataclass(like):
-            problems += type_problems(value, f"{label}{f.name}.")
-        elif typing.get_origin(f.type) is list:
-            for i, item in enumerate(value):
-                problems += type_problems(item, f"{label}{f.name}[{i}].")
-    return problems
+def build_section(cls, values, label, path, problems=None):
+    """``cls(**values)`` from a JSON object, built and checked in one walk.
 
-
-def build_section(cls, values, label, path):
-    """``cls(**values)`` from a JSON object, with every field typed as a
-    dataclass, or as ``list[X]`` of one, built from its JSON in turn, and
-    every field typed ``tuple`` taking a JSON list as a tuple.
-
-    Messages name the object ``label``; ``path`` is its dotted key, "" at the
-    top.  A section is named by its field's ``label`` metadata, else by its
-    key.  Raises ConfigError for a value that is not an object, a list field
-    that is not a list, unknown keys and missing keys.
-    """
+    A field typed as a dataclass, or as ``list[X]`` of one, is built from its
+    JSON in turn; ``_setting`` checks every other value.  Messages name the
+    object ``label`` (a field's ``label`` metadata, else its key); ``path`` is
+    its dotted key, "" at the top.  Raises ConfigError at once for a value
+    that is not an object, a list field that is not a list, unknown keys and
+    missing keys, and after the walk for each value of a wrong type or out of
+    bounds."""
     if not isinstance(values, dict):
         raise ConfigError(f"{label} must be an object")
-    unknown = sorted(set(values) - set(cls.__dataclass_fields__))
+    declared = [f for f in fields(cls) if f.init]
+    unknown = sorted(set(values) - {f.name for f in declared})
     if unknown:
         raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
     missing = [
-        f.name for f in fields(cls)
+        f.name for f in declared
         if f.name not in values and f.default is MISSING and f.default_factory is MISSING
     ]
     if missing:
         raise ConfigError(f"{label} lacks keys: {', '.join(missing)}")
-    values = dict(values)
-    for f in fields(cls):
+    top = problems is None
+    problems = [] if top else problems
+    built = {}
+    for f in declared:
         value = values.get(f.name)
         if f.name not in values or value is None and f.default is None:
             continue
         key = f"{path}.{f.name}" if path else f.name
         name = f.metadata.get("label", key)
         if is_dataclass(f.type):
-            values[f.name] = build_section(f.type, value, name, key)
+            built[f.name] = build_section(f.type, value, name, key, problems)
         elif typing.get_origin(f.type) is list:
             if not isinstance(value, list):
                 raise ConfigError(f"{key} must be a list")
             (item_cls,) = typing.get_args(f.type)
-            values[f.name] = [build_section(item_cls, item, name, key) for item in value]
-        elif f.type is tuple and isinstance(value, list):
-            values[f.name] = tuple(value)
-    return cls(**values)
+            built[f.name] = [
+                build_section(item_cls, item, name, f"{key}[{i}]", problems)
+                for i, item in enumerate(value)
+            ]
+        else:
+            built[f.name] = _setting(f.type, value, key, problems)
+    if top and problems:
+        raise ConfigError("; ".join(problems))
+    return cls(**built)
+
+
+def _setting(tp, value, key, problems):
+    """``value``, the JSON at ``key`` of a field typed ``tp``, a list taken as
+    a tuple.  Appends to ``problems`` why it lacks that type or, item by item,
+    why it is not finite or lies outside the Bounds of ``Annotated[X, Bounds]``.
+    """
+    bounds = getattr(tp, "__metadata__", ())
+    tp = typing.get_args(tp)[0] if bounds else tp
+    origin = typing.get_origin(tp)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        value = tuple(value)
+        items = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    elif origin is dict and isinstance(value, dict):
+        items = [(f"{key}.{k}", v) for k, v in value.items()]
+    else:
+        items = None if origin else [(key, value)]
+    # the type of each item: X of tuple[X, ...] or of dict[str, X]
+    kind = typing.get_args(tp)[origin is dict] if origin else tp
+    if items is None or not all(_is_a(kind, v) for _, v in items):
+        name = {tuple: "list", dict: "object"}.get(origin, kind.__name__)
+        problems.append(f"{key} must be of type {name}")
+        return value
+    for k, v in items:
+        if kind is float and not abs(v) <= sys.float_info.max:  # NaN or beyond a double
+            problems.append(f"{k} must be finite, got {v}")
+        else:
+            problems += [f"{k} {p}" for b in bounds if (p := b.problem(v))]
+    return value
+
+
+def _is_a(kind, v):
+    """Whether ``v`` is a JSON value of type ``kind``: a bool is no number,
+    and an int counts as a float."""
+    kind = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+Probability = Annotated[float, Bounds(0, 1)]
+GroupSize = Annotated[int, Bounds(1, 500)]  # the largest school or company group
 
 
 @dataclass
@@ -218,7 +211,7 @@ class ShockEvent:
     """
 
     label: str
-    timestamp: int
+    timestamp: Timestamp
     magnitude: float
     scope: str = "national"
     scope_id: int = 0
@@ -236,14 +229,14 @@ class HazardCoefficients:
     female: float = -0.3
     age_per_year: float = -0.01
     age_center: float = 40.0
-    education: dict = field(
+    education: dict[str, float] = field(
         default_factory=lambda: {
             "college_or_lower": -0.5,
             "bachelor": 0.0,
             "postgraduate": 0.4,
         }
     )
-    occupation: dict = field(
+    occupation: dict[str, float] = field(
         default_factory=lambda: {
             "hospital_staff": 1.0,
             "education_research": 0.5,
@@ -257,38 +250,38 @@ class HazardCoefficients:
     purchasing_power_per_level: float = 0.10
     has_child: float = 0.20
     married: float = 0.10
-    layer_weights: dict = field(
+    layer_weights: dict[str, float] = field(
         default_factory=lambda: {"family": 3.0, "schoolmate": 1.0, "workmate": 2.0}
     )
     shock: float = 1.0
     distance: float = 1.0
-    distance_scale_km: float = 1000.0
+    distance_scale_km: Annotated[float, Bounds(0, open_lo=True)] = 1000.0
 
 
 @dataclass
 class RegionConfig:
-    n_cities: int = 12
+    n_cities: Annotated[int, Bounds(1)] = 12
     n_provinces: int = 4
-    max_distance_km: float = 2500.0
+    max_distance_km: Annotated[float, Bounds(0)] = 2500.0
     epidemic_growth: float = 0.22
     epidemic_start_day: int = 0
     spread_km_per_day: float = 150.0
-    attr_noise: float = 0.10
+    attr_noise: Annotated[float, Bounds(0)] = 0.10
 
 
 @dataclass
 class DemographicsConfig:
-    female_p: float = 0.49
+    female_p: Probability = 0.49
     age_min: int = 16
     age_max: int = 70
-    education_probs: dict = field(
+    education_probs: dict[str, float] = field(
         default_factory=lambda: {
             "college_or_lower": 0.45,
             "bachelor": 0.45,
             "postgraduate": 0.10,
         }
     )
-    occupation_probs: dict = field(
+    occupation_probs: dict[str, float] = field(
         default_factory=lambda: {
             "hospital_staff": 0.04,
             "education_research": 0.08,
@@ -299,45 +292,45 @@ class DemographicsConfig:
             "individual_operation_service": 0.15,
         }
     )
-    purchasing_power_probs: tuple = (0.08, 0.15, 0.22, 0.25, 0.18, 0.08, 0.04)
-    has_child_p: float = 0.45
-    married_p: float = 0.60
-    qualified_p: float = 0.90
+    purchasing_power_probs: tuple[float, ...] = (0.08, 0.15, 0.22, 0.25, 0.18, 0.08, 0.04)
+    has_child_p: Probability = 0.45
+    married_p: Probability = 0.60
+    qualified_p: Probability = 0.90
 
 
 @dataclass
 class NetworkConfig:
-    family_size_probs: tuple = (0.20, 0.35, 0.25, 0.15, 0.05)
-    school_p: float = 0.25
-    school_size_min: int = 5
-    school_size_max: int = 30
-    company_p: float = 0.50
-    company_size_min: int = 3
-    company_size_max: int = 15
+    family_size_probs: tuple[float, ...] = (0.20, 0.35, 0.25, 0.15, 0.05)
+    school_p: Probability = 0.25
+    school_size_min: Annotated[int, Bounds(1)] = 5
+    school_size_max: GroupSize = 30
+    company_p: Probability = 0.50
+    company_size_min: Annotated[int, Bounds(1)] = 3
+    company_size_max: GroupSize = 15
 
 
 @dataclass
 class SimConfig:
-    n_individuals: int = 1000
+    n_individuals: Annotated[int, Bounds(1)] = 1000
     seed: int = 1
     calendar_start: str = "2019-12-01"
-    n_days: int = 88
+    n_days: Annotated[int, Bounds(1)] = 88
     regions: RegionConfig = field(default_factory=RegionConfig)
     demographics: DemographicsConfig = field(default_factory=DemographicsConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     hazard: HazardCoefficients = field(default_factory=HazardCoefficients)
     events: list[ShockEvent] = field(default_factory=list, metadata={"label": "event"})
     stockout_day: int = 62
-    query_noise: float = 0.0
-    history_months: int = 60
-    unqualified_month_p: float = 0.75
-    extra_purchase_p: float = 0.20
-    post_aware_query_p: float = 0.03
-    background_query_p: float = 0.02
-    background_purchase_p: float = 0.01
-    aware_query_texts: tuple = DEFAULT_AWARE_TEXTS
-    noise_query_texts: tuple = DEFAULT_NOISE_TEXTS
-    purchase_categories: tuple = DEFAULT_CATEGORIES
+    query_noise: Probability = 0.0
+    history_months: Annotated[int, Bounds(1)] = 60
+    unqualified_month_p: Probability = 0.75
+    extra_purchase_p: Probability = 0.20
+    post_aware_query_p: Probability = 0.03
+    background_query_p: Probability = 0.02
+    background_purchase_p: Probability = 0.01
+    aware_query_texts: tuple[str, ...] = DEFAULT_AWARE_TEXTS
+    noise_query_texts: tuple[str, ...] = DEFAULT_NOISE_TEXTS
+    purchase_categories: tuple[str, ...] = DEFAULT_CATEGORIES
     ppe_category: str = "n95 respirator mask"
 
     def calendar(self):
@@ -353,53 +346,18 @@ class SimConfig:
         )
 
     def validate(self):
-        """Type-check every field, then range-check; raises ConfigError."""
-        problems = type_problems(self, "")
-        if problems:
-            raise ConfigError("invalid simulator config: " + "; ".join(problems))
-        if self.n_individuals < 1:
-            problems.append("n_individuals must be >= 1")
-        if self.n_days < 1:
-            problems.append("n_days must be >= 1")
-        else:
-            try:
-                self.calendar().date_of(self.n_days - 1)
-            except (ValueError, OverflowError):
-                problems.append(f"calendar_start {self.calendar_start!r} is not a date in range")
-        if self.history_months < 1:
-            problems.append("history_months must be >= 1")
+        """The checks that span fields: build_section checks each field's type
+        and bounds as it builds the config.  Raises ConfigError."""
+        problems = []
+        try:
+            self.calendar().date_of(self.n_days - 1)
+        except (ValueError, OverflowError):
+            problems.append(f"calendar_start {self.calendar_start!r} is not a date in range")
         d = self.demographics
         net = self.network
-        for label, section, names in (
-            ("", self, (
-                "query_noise",
-                "unqualified_month_p",
-                "extra_purchase_p",
-                "post_aware_query_p",
-                "background_query_p",
-                "background_purchase_p",
-            )),
-            ("demographics.", d, ("female_p", "has_child_p", "married_p", "qualified_p")),
-            ("network.", net, ("school_p", "company_p")),
-        ):
-            for name in names:
-                v = getattr(section, name)
-                if not 0.0 <= v <= 1.0:
-                    problems.append(f"{label}{name} must be in [0, 1], got {v}")
         r = self.regions
-        if r.n_cities < 1:
-            problems.append("regions.n_cities must be >= 1")
         if not 1 <= r.n_provinces <= r.n_cities:
             problems.append("regions.n_provinces must be in [1, n_cities]")
-        if not r.attr_noise >= 0:
-            problems.append(f"regions.attr_noise must be >= 0, got {r.attr_noise}")
-        if not 0 <= r.max_distance_km < math.inf:
-            problems.append(
-                f"regions.max_distance_km must be finite and >= 0, got {r.max_distance_km}"
-            )
-        scale = self.hazard.distance_scale_km
-        if not 0 < scale < math.inf:
-            problems.append(f"hazard.distance_scale_km must be finite and > 0, got {scale}")
         age_cap = np.iinfo(np.int16).max  # ages are held as int16
         if not 0 <= d.age_min <= d.age_max <= age_cap:
             problems.append(
@@ -424,7 +382,7 @@ class SimConfig:
             )
         elif not _weights_ok(pp):
             problems.append("demographics.purchasing_power_probs must be finite, >= 0 and sum > 0")
-        fam = tuple(net.family_size_probs)
+        fam = net.family_size_probs
         if not _weights_ok(fam):
             problems.append("network.family_size_probs must be nonempty, finite, >= 0, sum > 0")
         else:
@@ -436,14 +394,12 @@ class SimConfig:
                 )
             if len(fam) > 10:
                 problems.append("family sizes above 10 would exceed the home-layer cap")
-        for lo, hi, cap, label in (
-            (net.school_size_min, net.school_size_max, 500, "school"),
-            (net.company_size_min, net.company_size_max, 500, "company"),
+        for label, lo, hi in (
+            ("school", net.school_size_min, net.school_size_max),
+            ("company", net.company_size_min, net.company_size_max),
         ):
-            if not 1 <= lo <= hi:
+            if lo > hi:
                 problems.append(f"network.{label} size range [{lo}, {hi}] is invalid")
-            if hi > cap:
-                problems.append(f"network.{label} size max {hi} exceeds the cap {cap}")
         problems += mark_problems(self.events, "event")
         for name in ("aware_query_texts", "noise_query_texts", "purchase_categories"):
             if not getattr(self, name):
@@ -569,7 +525,6 @@ def generate_population(config):
     ``history`` holds the pre-window purchases as event columns coded into
     ``config.text_pool()``.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     calendar = config.calendar()
     regions = _make_regions(rng, config)
@@ -728,7 +683,6 @@ def simulate_diffusion(dataset, graph, config):
     a PPE purchase while stock lasts; plus background noise queries and
     purchases for everyone.
     """
-    config.validate()
     cols = dataset.population
     calendar = dataset.calendar
     n = cols.n
@@ -877,7 +831,8 @@ def simulate_diffusion(dataset, graph, config):
 
 
 def generate(config):
-    """Full synthetic run: population, history, diffusion, merged log."""
+    """Full synthetic run: population, history, diffusion, merged log.  The
+    config is not checked here; SimConfig.from_dict checks one read from JSON."""
     dataset, truth_graph, history = generate_population(config)
     window, truth = simulate_diffusion(dataset, truth_graph, config)
     columns = _event_columns([history, window])

@@ -391,7 +391,7 @@ def test_oversized_integer_setting_exits_2(tmp_path, capsys, name, value):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({**load_preset("small"), name: value}))
     assert cli.main(["all", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
-    assert f"{name} must be an integer in [" in capsys.readouterr().err
+    assert f"{name} must be in [" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -512,8 +512,8 @@ def config_setting(path, value):
     return fault
 
 
-# A fault in each config section and the message it gives: an unknown key or
-# a wrongly typed value, in one message form for every section.
+# A fault in each config section and the message it gives: an unknown key, a
+# wrongly typed value or one out of bounds, in one message form for every section.
 CONFIG_FAULTS = (
     ("top-unknown-key", ("bogus",), 1, "unknown run config keys: bogus"),
     ("top-wrong-type", ("patterns",), 5, "patterns must be of type str"),
@@ -553,6 +553,54 @@ CONFIG_FAULTS = (
     (
         "simulator-event-wrong-type", ("simulator", "events", 0, "magnitude"), "big",
         "simulator.events[0].magnitude must be of type float",
+    ),
+    (
+        "top-out-of-bounds", ("threshold",), 0,
+        "threshold must be in [1, 9223372036854775807], got 0",
+    ),
+    ("caps-out-of-bounds", ("caps",), {"home": 1}, "caps.home must be >= 2, got 1"),
+    (
+        "simulator-section-out-of-bounds", ("simulator", "network", "school_p"), 1.5,
+        "simulator.network.school_p must be in [0, 1], got 1.5",
+    ),
+    (
+        "regression-max-iter-zero", ("regression", "max_iter"), 0,
+        "regression.max_iter must be >= 1, got 0",
+    ),
+    ("regression-tol-negative", ("regression", "tol"), -1, "regression.tol must be > 0, got -1"),
+    (
+        "regression-ridge-negative", ("regression", "ridge"), -1,
+        "regression.ridge must be >= 0, got -1",
+    ),
+    (
+        "regression-coef-cap-negative", ("regression", "coef_cap"), -1,
+        "regression.coef_cap must be > 0, got -1",
+    ),
+    (
+        "regression-p-threshold-above-one", ("regression", "p_threshold"), 2,
+        "regression.p_threshold must be in (0, 1], got 2",
+    ),
+    # JSON's NaN and Infinity, and 1e400, which it reads as infinity
+    (
+        "regression-tol-nan", ("regression", "tol"), math.nan,
+        "regression.tol must be finite, got nan",
+    ),
+    (
+        "regression-p-threshold-infinity", ("regression", "p_threshold"), math.inf,
+        "regression.p_threshold must be finite, got inf",
+    ),
+    (
+        "simulator-intercept-nan", ("simulator", "hazard", "intercept"), math.nan,
+        "simulator.hazard.intercept must be finite, got nan",
+    ),
+    (
+        "simulator-probability-nan", ("simulator", "demographics", "education_probs"),
+        {"bachelor": math.nan},
+        "simulator.demographics.education_probs.bachelor must be finite, got nan",
+    ),
+    (
+        "phase-thresholds-beyond-a-double", ("phase_thresholds",), {"growth_high": 10**400},
+        "phase_thresholds.growth_high must be finite, got 1" + "0" * 400,
     ),
 )
 

@@ -1,11 +1,14 @@
-"""Run configuration: the preset generator and the config digests."""
+"""Run configuration: the preset generator, the config digests and how often
+a run checks its config."""
 
+import collections
 import importlib.util
 import json
 import os
 
 import pytest
 
+from awareflow import cli, config, simulate
 from awareflow.config import RunConfig
 from awareflow.presets import PRESET_NAMES, load_preset, preset_path
 
@@ -54,3 +57,36 @@ DIGESTS = {
 def test_config_digests_are_pinned(name):
     data = micro_run_config() if name == "micro" else load_preset(name)
     assert RunConfig.from_dict(data).digest() == DIGESTS[name]
+
+
+def test_all_builds_and_checks_the_config_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+
+    def count(owner, name, label):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[label] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    # the values that one walk over the micro config checks, --out included
+    out = str(tmp_path / "run")
+    count(simulate, "_setting", "value checks")
+    RunConfig.from_dict({**micro_run_config(), "out_dir": out})
+    per_walk = calls.pop("value checks")
+    assert per_walk > 0
+
+    count(config, "build_section", "builds")
+    count(RunConfig, "validate", "run config cross-field checks")
+    count(simulate.SimConfig, "validate", "simulator cross-field checks")
+    path = tmp_path / "micro.json"
+    path.write_text(json.dumps(micro_run_config()))
+    assert cli.main(["all", "--config", str(path), "--out", out]) == 0
+    assert calls == {
+        "builds": 1,
+        "value checks": per_walk,
+        "run config cross-field checks": 1,
+        "simulator cross-field checks": 1,
+    }
