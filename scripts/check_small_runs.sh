@@ -1,11 +1,13 @@
 #!/bin/sh
 # For each of the presets small, fig1a and recovery (whose config differs
-# most: no marks, checkpoint percentages 20-60), run `all` three ways and
-# compare every artifact byte for byte: with one job, with each stage after
-# gen in a fresh process (so every reader parses from disk), and with the stages that
-# read neither addresses.jsonl nor events.jsonl run while both files are
-# moved aside.  Then check that the command-line flags set the config keys
-# they name, and that no run left a temporary *.tmp file behind.
+# most: no marks, checkpoint percentages 20-60), run `all` four ways and
+# compare every artifact byte for byte: with one job, with two (the dataset
+# written by a forked process beside the later stages, whatever the runner's
+# core count), with each stage after gen in a fresh process (so every reader
+# parses from disk), and with the stages that read neither addresses.jsonl
+# nor events.jsonl run while both files are moved aside.  Then check that
+# the command-line flags set the config keys they name, and that no run left
+# a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
 #
 #     sh scripts/check_small_runs.sh [scratch-dir]
@@ -20,6 +22,8 @@ check() {
   run all --config "$config" --out "$d/s"
   run all --config "$config" --out "$d/s1" --jobs 1
   compare "$d/s" "$d/s1"
+  run all --config "$config" --out "$d/j2" --jobs 2
+  compare "$d/s1" "$d/j2"
   cp -r "$d/s" "$d/s2"
   for stage in infer-net label segment cohort geo-corr regress report; do
     run "$stage" --config "$config" --out "$d/s2"

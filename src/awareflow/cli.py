@@ -21,9 +21,13 @@ their manifests list ``addresses.jsonl``; only ``gen`` and ``label`` touch
 the event log, so only theirs list ``events.jsonl`` while ``calendar.json``
 exists.  Every file goes through ``files``: artifacts of earlier stages
 through validating readers, outputs atomically, and a stage removes its old
-manifest first.  Exit codes: 0 ok, 2 config error or unwritable output, 3
-missing artifact, 4 a dataset file or an earlier stage's artifact unreadable
-or failing its checks, 5 numerical/analytic failure.
+manifest first.  When ``jobs`` allows two processes, `all` hands the
+dataset write to a forked writer (see ``jobs``) and runs the analytic
+stages from memory meanwhile; their manifests wait for the writer.
+
+Exit codes: 0 ok, 2 config error or unwritable output, 3 missing artifact,
+4 a dataset file or an earlier stage's artifact unreadable or failing its
+checks, 5 numerical/analytic failure.
 """
 
 import argparse
@@ -35,7 +39,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, files
+from . import __version__, files, jobs
 from .analytics import (
     GROUPINGS,
     Phase,
@@ -94,6 +98,7 @@ SAMPLE_STREAM = 101
 CALENDAR_FILE = "calendar.json"
 *TABLE_FILES, ADDRESSES_FILE, EVENTS_FILE = DATASET_FILES
 DATASET_GROUPS = {"addresses": (ADDRESSES_FILE,), "events": (EVENTS_FILE,), "truth": TRUTH_FILES}
+WRITER_FILES = (*DATASET_FILES, *TRUTH_FILES)  # what write_dataset writes
 
 # Columns of every TSV artifact, as (name, parse) pairs for files.read_tsv;
 # the writers take the header from here.  Ids, timestamps and days that
@@ -273,13 +278,32 @@ class PipelineState:
     stage that writes it.  ``digests`` maps each file path hashed into a
     manifest to its SHA-256, so that `all` hashes each file once, and
     ``config_sha256`` is the config's digest, hashed once per run.
+
+    ``writer`` is the forked dataset writer of `gen` while it runs, when
+    ``fork_writer`` lets `gen` start one; ``pending`` holds the manifests
+    that wait for it, and ``join`` reaps it and writes them.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, fork_writer=False):
         self.cfg = cfg
         self.config_sha256 = cfg.digest()
         self.loaded = {}
         self.digests = {}
+        self.fork_writer = fork_writer
+        self.writer = None
+        self.pending = []
+
+    def join(self):
+        """Wait for the dataset writer and take its digests; then write the
+        manifests that waited for it, in pipeline order.  A writer that
+        failed raises its error, and those manifests are not written."""
+        writer, self.writer = self.writer, None
+        if writer is None:
+            return
+        pending, self.pending = self.pending, []
+        self.digests.update(writer.result())
+        for manifest in pending:
+            write_manifest(self, *manifest)
 
     # paths -----------------------------------------------------------------
 
@@ -322,6 +346,12 @@ class PipelineState:
     def load(self, name):
         if name not in self.loaded:
             paths = self.files([name])
+            # a file the writer owns, or a manifest that waits for it
+            if self.writer is not None and (
+                name.startswith("manifest_")
+                or not {self.dataset_path(n) for n in WRITER_FILES}.isdisjoint(paths)
+            ):
+                self.join()
             for path in paths:
                 if not os.path.exists(path):
                     raise MissingArtifactError(path, producer(name))
@@ -378,15 +408,19 @@ class PipelineState:
 # ---------------------------------------------------------------------------
 
 def write_manifest(state, command, inputs, outputs, stats=None):
+    """Write the manifest of ``command``, or keep it in ``state.pending``
+    while the dataset writer runs; returns its path."""
+    path = state.out_path(manifest_name(command))
+    if state.writer is not None:
+        state.pending.append((command, inputs, outputs, stats))
+        return path
     cfg = state.cfg
     digests = state.digests
-    # an input was hashed when an earlier stage of this process wrote or
-    # read it; the stage's own outputs are new and always hashed
-    for path in inputs:
-        if path not in digests:
-            digests[path] = files.sha256_file(path)
-    for path in outputs:
-        digests[path] = files.sha256_file(path)
+    # a process writes each file once, before any stage reads it, so a
+    # file hashed when it was written or read keeps that digest
+    for p in (*inputs, *outputs):
+        if p not in digests:
+            digests[p] = files.sha256_file(p)
     manifest = {
         "command": command,
         "version": __version__,
@@ -396,7 +430,6 @@ def write_manifest(state, command, inputs, outputs, stats=None):
         "outputs": {state.rel(p): digests[p] for p in outputs},
         "stats": stats or {},
     }
-    path = state.out_path(manifest_name(command))
     files.write_json(path, manifest)
     return path
 
@@ -420,6 +453,13 @@ def by_day(iso, keys):
 # stages, in pipeline order
 # ---------------------------------------------------------------------------
 
+def write_dataset(dataset, truth, ddir):
+    """Write the dataset and truth files into ``ddir``, calendar.json
+    aside; returns the SHA-256 of each, by path."""
+    paths = [*files.save_dataset(dataset, ddir).values(), *files.write_truth(truth, ddir).values()]
+    return {path: files.sha256_file(path) for path in paths}
+
+
 @stage("gen", writes=("dataset", "addresses", "events", "truth"))
 def cmd_gen(state):
     cfg = state.cfg
@@ -430,9 +470,12 @@ def cmd_gen(state):
     files.make_dir(ddir, "dataset directory")
     dataset, truth = generate(sim)
     validate_dataset(dataset).raise_violations("generated dataset")
-    files.save_dataset(dataset, ddir)
-    files.write_truth(truth, ddir)
+    # first, so that state.files() finds the calendar from here on
     files.write_calendar(state.dataset_path(CALENDAR_FILE), dataset.calendar)
+    if state.fork_writer:
+        state.writer = jobs.Forked(write_dataset, dataset, truth, ddir)
+    else:
+        state.digests.update(write_dataset(dataset, truth, ddir))
     # later stages see the dataset as they would load it from disk
     state.loaded["dataset"] = replace(dataset, events=None, addresses=None)
     state.loaded["addresses"] = dataset.addresses
@@ -784,7 +827,9 @@ def build_parser():
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument(
             "--jobs", type=int, default=None,
-            help="accepted for compatibility; has no effect (fits run serially)",
+            help="processes `all` may use: 1 writes the dataset inline, 2 or more "
+            "write it in a forked process while the later stages run, 0 means "
+            "the usable cores (the presets' setting); single stages use one",
         )
         p.add_argument(
             "--phase-thresholds", default=None, help="JSON file of phase thresholds"
@@ -795,10 +840,15 @@ def build_parser():
 
 def run_subcommand(name, cfg):
     files.make_dir(cfg.out_dir, "output directory")
-    state = PipelineState(cfg)
-    if name == "all":
-        return cmd_all(state)
-    return STEP_FUNCS[name](state)
+    state = PipelineState(cfg, fork_writer=name == "all" and jobs.can_fork(cfg.jobs))
+    try:
+        if name == "all":
+            return cmd_all(state)
+        return STEP_FUNCS[name](state)
+    finally:
+        # on every exit path: no writer left running, and the manifests of
+        # the stages that completed written as a one-process run writes them
+        state.join()
 
 
 def main(argv=None):

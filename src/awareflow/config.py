@@ -53,7 +53,9 @@ class RunConfig:
     out_dir: str = "runs/out"
     dataset_dir: str = None  # defaults to <out_dir>/dataset
     seed: Annotated[int, Bounds(0, 2**64 - 1)] = 1  # keys the uint64 random streams
-    jobs: Annotated[int, Bounds(0, INT64_MAX)] = 0  # no effect (fits run serially)
+    # processes `all` may use: 1 writes the dataset inline, 2 or more in a
+    # forked writer beside the later stages, 0 = the usable cores
+    jobs: Annotated[int, Bounds(0, INT64_MAX)] = 0
     patterns: str = None  # None = bundled default pattern file
     threshold: Annotated[int, Bounds(1, INT64_MAX)] = 3
     # 10,000 years keep the qualification key (row * n_months + month) in int64
@@ -104,7 +106,7 @@ class RunConfig:
 
     def digest(self):
         """Hash of the config as given, less where it is written and how many
-        threads write it.  A top-level key that the JSON leaves out hashes as
+        processes write it.  A top-level key that the JSON leaves out hashes as
         its default, a phase_thresholds or regression section as {}."""
         data = {f.name: f.default for f in fields(self) if f.default is not MISSING}
         data.update(caps=dict(DEFAULT_CAPS), phase_thresholds={}, regression={})

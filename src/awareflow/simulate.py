@@ -482,7 +482,9 @@ def _make_regions(rng, config):
     regions = []
     for c in range(n_c):
         t = days - r.epidemic_start_day - lag[c]
-        cases = np.where(t >= 0, np.exp(r.epidemic_growth * t), 0.0)
+        # a curve past the cap may overflow to inf, which the cap absorbs
+        with np.errstate(over="ignore"):
+            cases = np.where(t >= 0, np.exp(r.epidemic_growth * t), 0.0)
         cases = np.minimum(cases, pop[c] / 50).astype(np.int64)
         regions.append(
             Region(

@@ -70,6 +70,12 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def assert_no_child_left():
+    """The test process has no child: every forked one was reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def small_world_config():
     cfg = SimConfig(
         n_individuals=400,

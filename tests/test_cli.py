@@ -3,6 +3,7 @@ manifest determinism, exit codes, flag handling."""
 
 import builtins
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,16 +11,19 @@ import re
 import shutil
 import subprocess
 import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from awareflow import cli, files
+from awareflow.config import load_run_config
 from awareflow.domain import Calendar
 from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
 
-from conftest import small_world_config
+from conftest import assert_no_child_left, small_world_config
 
 STEP_MANIFESTS = (
     "manifest_gen.json",
@@ -142,15 +146,24 @@ def test_stepwise_run_matches_all(all_run, micro_config, tmp_path):
 
 
 def test_same_seed_runs_are_byte_identical(all_run, micro_config, tmp_path, monkeypatch):
-    hashed = []
+    log = tmp_path / "hashed.txt"
     sha256_file = files.sha256_file
-    monkeypatch.setattr(files, "sha256_file", lambda path: hashed.append(path) or sha256_file(path))
-    out = tmp_path / "again"
-    assert cli.main(["all", "--config", micro_config, "--out", str(out)]) == 0
-    assert tree_hashes(str(out)) == tree_hashes(all_run)
-    # seven manifests list the dataset files; each is hashed once
-    dataset = [p for p in hashed if os.path.dirname(p) == str(out / "dataset")]
-    assert len(dataset) == len(set(dataset)) == len(os.listdir(out / "dataset"))
+
+    def logged(path):
+        # a file, so that the forked dataset writer's hashes are seen too
+        with open(log, "a") as fh:
+            fh.write(f"{path}\n")
+        return sha256_file(path)
+
+    monkeypatch.setattr(files, "sha256_file", logged)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"again{jobs}"
+        assert cli.main(["all", "--config", micro_config, "--out", str(out), "--jobs", jobs]) == 0
+        assert tree_hashes(str(out)) == tree_hashes(all_run)
+        # seven manifests list the dataset files; each is hashed once
+        hashed = log.read_text().splitlines()
+        dataset = [p for p in hashed if os.path.dirname(p) == str(out / "dataset")]
+        assert len(dataset) == len(set(dataset)) == len(os.listdir(out / "dataset"))
 
 
 def test_jobs_do_not_change_any_artifact(micro_config, tmp_path):
@@ -160,6 +173,109 @@ def test_jobs_do_not_change_any_artifact(micro_config, tmp_path):
         assert cli.main(["all", "--config", micro_config, "--out", str(out), "--jobs", jobs]) == 0
         trees.append(tree_hashes(str(out)))
     assert trees[0] == trees[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_overlapped_run_flushes_output_before_the_fork(micro_config, tmp_path, monkeypatch):
+    class Buffered(io.StringIO):
+        pending = False
+
+        def write(self, text):
+            self.pending = True
+            return super().write(text)
+
+        def flush(self):
+            self.pending = False
+
+    monkeypatch.setattr(sys, "stdout", Buffered())
+    monkeypatch.setattr(sys, "stderr", Buffered())
+    print("before the run")
+    print("before the run", file=sys.stderr)
+    forks, fork = [], os.fork
+
+    def watched_fork():
+        forks.append((sys.stdout.pending, sys.stderr.pending))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", watched_fork)
+    args = ["all", "--config", micro_config, "--out", str(tmp_path / "run"), "--jobs", "2"]
+    assert cli.main(args) == 0
+    assert forks == [(False, False)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_failed_dataset_write_exits_2_without_gen_manifest(micro_config, tmp_path, capfd, jobs):
+    out = tmp_path / "run"
+    blocker = out / "dataset" / "events.jsonl.tmp"
+    blocker.mkdir(parents=True)  # atomic_output cannot open it, even as root
+    assert cli.main(["all", "--config", micro_config, "--out", str(out), "--jobs", jobs]) == 2
+    err = capfd.readouterr().err
+    assert "cannot write" in err and "events.jsonl" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest_gen.json").exists()
+    assert [p for p in out.rglob("*.tmp") if p != blocker] == []
+    assert_no_child_left()
+
+
+def bad_patterns(tmp_path, config):
+    path = tmp_path / "patterns.txt"
+    path.write_bytes(b"(mask)\n\xff\xfe\n")
+    return ["--patterns", str(path)]
+
+
+def huge_sample(tmp_path, config):
+    config["regression"]["sample_size"] = 10**9  # regress draws it after schedule.tsv
+
+
+@pytest.mark.parametrize("fault", [bad_patterns, huge_sample], ids=["label", "regress"])
+def test_a_later_stage_failure_leaves_what_one_process_leaves(micro_config, tmp_path, capsys, fault):
+    with open(micro_config) as fh:
+        config = json.load(fh)
+    extra = fault(tmp_path, config) or []
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        args = ["all", "--config", str(cfg_path), "--out", str(out), "--jobs", jobs, *extra]
+        assert cli.main(args) == 2
+        assert "error:" in capsys.readouterr().err
+        assert_no_child_left()
+        trees.append(tree_hashes(str(out)))
+    assert "manifest_gen.json" in trees[0]
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_loading_a_file_the_writer_owns_waits_for_it(micro_config, tmp_path, monkeypatch):
+    go = tmp_path / "go"
+    write_addresses = files.write_addresses
+
+    def held(path, addresses):
+        # the forked writer inherits this: it writes addresses.jsonl only
+        # once the test says go, or after 10 s
+        deadline = time.monotonic() + 10
+        while not go.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        write_addresses(path, addresses)
+
+    monkeypatch.setattr(files, "write_addresses", held)
+    state = cli.PipelineState(load_run_config(micro_config, out_dir=str(tmp_path)), fork_writer=True)
+    try:
+        cli.STEP_FUNCS["gen"](state)
+        assert state.writer is not None
+        assert not os.path.exists(state.dataset_path("addresses.jsonl"))
+        assert not (tmp_path / "manifest_gen.json").exists()  # it waits for the writer
+        addresses = state.loaded.pop("addresses")
+        go.touch()
+        assert state.load("addresses") == addresses
+        assert state.writer is None
+        assert (tmp_path / "manifest_gen.json").exists()
+    finally:
+        go.touch()
+        state.join()
+    assert_no_child_left()
 
 
 def test_different_seed_differs(all_run, micro_config, tmp_path):
@@ -302,6 +418,16 @@ SMALL_RUN_SHA256 = {
     "schedule.tsv": "a0274ac9d4380a3c7fbb1076a362ab0b36c5725d241635570ddc7cd7946e4f00",
     "trends.tsv": "08266b1ded3aa47a777d46c9143bbb7580dcd8a8c7b344b1a64b74eb855dd66a",
 }
+
+
+def test_a_capped_epidemic_curve_does_not_overflow(tmp_path):
+    config = load_preset("small")
+    config["simulator"]["regions"]["epidemic_growth"] = 1e308
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["gen", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
 
 
 def test_small_preset_run_bytes_are_pinned(tmp_path):
