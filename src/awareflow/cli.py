@@ -281,7 +281,9 @@ class PipelineState:
 
     ``writer`` is the forked dataset writer of `gen` while it runs, when
     ``fork_writer`` lets `gen` start one; ``pending`` holds the manifests
-    that wait for it, and ``join`` reaps it and writes them.
+    that wait for it, and ``join`` reaps it and writes them.  `all` calls
+    ``join(wait=False)`` before each stage, so that a writer that failed
+    stops the run before the next stage starts.
     """
 
     def __init__(self, cfg, fork_writer=False):
@@ -293,15 +295,20 @@ class PipelineState:
         self.writer = None
         self.pending = []
 
-    def join(self):
-        """Wait for the dataset writer and take its digests; then write the
-        manifests that waited for it, in pipeline order.  A writer that
-        failed raises its error, and those manifests are not written."""
+    def join(self, wait=True):
+        """Wait for the dataset writer (without ``wait``, only if it has
+        exited) and take its digests; then write the manifests that waited
+        for it, in pipeline order.  A writer that failed raises its error,
+        and those manifests are not written."""
         writer, self.writer = self.writer, None
         if writer is None:
             return
+        digests = writer.result() if wait else writer.poll()
+        if digests is None:  # still writing
+            self.writer = writer
+            return
         pending, self.pending = self.pending, []
-        self.digests.update(writer.result())
+        self.digests.update(digests)
         for manifest in pending:
             write_manifest(self, *manifest)
 
@@ -792,6 +799,7 @@ def cmd_report(state):
 def cmd_all(state):
     files.discard(state.out_path(manifest_name("all")))
     for name, cmd in STEP_FUNCS.items():
+        state.join(wait=False)
         cmd(state)
         print(f"[{name}] ok", flush=True)
     manifests = [state.out_path(manifest_name(name)) for name in STAGES]

@@ -243,6 +243,18 @@ class Field:
             return f"must fit in {self.dtype}, got {v}"
         return None
 
+    def outside(self, col):
+        """The mask of the values of a column of this field, of its dtype,
+        that ``problem`` refuses: outside its bounds or, for a number, not
+        finite."""
+        lo = 0 if self.kind == "id" and self.lo is None else self.lo
+        bad = ~np.isfinite(col) if self.kind == "number" else np.zeros(len(col), dtype=bool)
+        if lo is not None:
+            bad |= col < lo
+        if self.hi is not None:
+            bad |= col > self.hi
+        return bad
+
 
 def column_dtypes(fields):
     """Column name -> dtype of a field table, in field order."""
@@ -517,14 +529,11 @@ def _range_violations(fields, column_of, name_of):
     """``<row name>: <key> <problem>`` for each int or number that is not
     finite or outside its field's range; ``column_of(name)`` is a column."""
     violations = []
-    big = np.finfo(np.float64).max
     for f in fields:
-        if f.kind not in ("int", "number"):
-            continue
-        col = column_of(f.column)
-        lo, hi = (-big if f.lo is None else f.lo), (big if f.hi is None else f.hi)
-        for row in np.flatnonzero(~((col >= lo) & (col <= hi))).tolist():
-            violations.append(f"{name_of(row)}: {f.key} {f.problem(col[row].item())}")
+        if f.kind in ("int", "number"):
+            col = column_of(f.column)
+            for row in np.flatnonzero(f.outside(col)).tolist():
+                violations.append(f"{name_of(row)}: {f.key} {f.problem(col[row].item())}")
     return violations
 
 

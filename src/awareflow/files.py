@@ -3,11 +3,14 @@ tables and truth labels, edge files, TSV artifacts, JSON configs,
 calendars and manifests, and pattern files.
 
 Every read opens its file through ``reading``, which turns an OSError into
-an AwareflowError naming the file.  ``parse_blocks`` runs a format's array
-parse over the file's bytes (over blocks of lines for JSONL) and parses a
-block that it refuses again line by line, naming the first bad line in a
-ParseError.  Every write goes through ``atomic_output``, so that a process
-that dies mid-write leaves the old file, or none, under the final name.
+an AwareflowError naming the file.  Each format has one parse, over
+columns: ``ByteLines`` cuts a TSV or edge file's bytes into cells, and a
+JSONL table is parsed a block of lines at a time into one object per line.
+Each column check returns the mask of the rows it refuses, so the reader
+raises the ParseError of the first bad line, and in it of the first bad
+field, without parsing the file again.  Every write goes through
+``atomic_output``, so that a process that dies mid-write leaves the old
+file, or none, under the final name.
 """
 
 import contextlib
@@ -16,6 +19,7 @@ import hashlib
 import itertools
 import json
 import os
+import warnings
 from operator import itemgetter
 
 import numpy as np
@@ -111,87 +115,113 @@ def text_blocks(path, size, error=IntegrityError):
     raise ParseError(path, line_no, "not valid UTF-8")
 
 
-def parse_blocks(path, scan, check, build, block_lines=None):
-    """The parse of each block of ``path``, its bytes or, with ``block_lines``,
-    each run of that many lines of UTF-8 text: ``scan(block)``, the format's
-    array parse, or where that is None, ``build`` of the items that
-    ``check(line_no, line)`` returns for the block's lines (text_lines of
-    bytes).  ``check`` returns None for a line to skip and raises a bad
-    line's ParseError."""
-    blocks = text_blocks(path, block_lines) if block_lines else [(1, read_bytes(path))]
-    for first, block in blocks:
-        parsed = scan(block)
-        if parsed is None:
-            lines = enumerate(block if block_lines else text_lines(block), start=first)
-            parsed = build([item for n, line in lines if (item := check(n, line)) is not None])
-        yield parsed
+# the bytes of a float as format_value writes it
+_DECIMALS = np.zeros(256, dtype=bool)
+_DECIMALS[list(b"0123456789.eE+-")] = True
 
 
-def digit_runs(buf, first, stop):
-    """The uint64 values of the decimal runs ``buf[first:stop]``; None when
-    a run is empty or holds a byte other than a digit or more than 19 digits."""
-    width = stop - first
-    values = np.zeros(len(first), dtype=np.uint64)
-    if len(width) == 0:
-        return values
-    if width.min() < 1 or width.max() > 19:  # 19 digits stay below 2**64
-        return None
-    for k in range(int(width.max())):
-        digit = buf[np.minimum(first + k, len(buf) - 1)]
-        inside = k < width
-        if ((digit[inside] < ord("0")) | (digit[inside] > ord("9"))).any():
-            return None
-        step = values * np.uint64(10) + (digit - ord("0")).astype(np.uint64)
-        values = np.where(inside, step, values)
-    return values
+class ByteLines:
+    """The lines of a file's bytes as text mode ends them ("\\r\\n" and
+    "\\r" read as "\\n"), each cut at the byte ``sep`` into ``n_fields``
+    cells, but for the first ``skip``, whose text ``head`` holds.  ``start``
+    and ``end`` hold each cut line's byte offsets; ``other`` marks the lines
+    with another count of ``sep``, whose cells are empty."""
 
-
-def split_columns(data, skip, sep, parses):
-    """The columns of ``data`` past its first ``skip`` bytes when each line
-    holds one field per parse, split by the byte ``sep``, in write form:
-    np.uint64 up to 19 digits, np.int64 the same perhaps led by '-', str any
-    text (bad UTF-8 as U+FFFD), a tuple of names one of them (its index).
-    None for any other data."""
-    buf = np.frombuffer(data, dtype=np.uint8, offset=skip)
-    end = np.flatnonzero(buf == ord("\n"))
-    if len(buf) and buf[-1] != ord("\n"):
-        end = np.append(end, len(buf))
-    start = np.concatenate([[0], end + 1])[:-1]
-    n_seps = len(parses) - 1
-    at = np.flatnonzero(buf == ord(sep))
-    # every line holds exactly n_seps separators: (k + 1) * n_seps before the end of line k
-    if not np.array_equal(np.searchsorted(at, end), np.arange(1, len(end) + 1) * n_seps):
-        return None
-    at = at.reshape(len(end), n_seps)
-    out = []
-    for j, parse in enumerate(parses):
-        first = start if j == 0 else at[:, j - 1] + 1
-        stop = at[:, j] if j < n_seps else end
-        if parse is str:
-            cells = zip((first + skip).tolist(), (stop + skip).tolist())
-            text = [data[a:b].decode("utf-8", errors="replace") for a, b in cells]
-            column = np.array(text, dtype=object)
-        elif isinstance(parse, tuple):
-            column = np.full(len(first), -1, dtype=np.int64)
-            for code, name in enumerate(parse):
-                rows = np.flatnonzero(stop - first == len(name))
-                match = np.ones(len(rows), dtype=bool)
-                for k, char in enumerate(name.encode()):
-                    match &= buf[first[rows] + k] == char
-                column[rows[match]] = code
-            if (column < 0).any():
-                return None
+    def __init__(self, data, sep, n_fields, skip=0):
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        self.data, self.buf = data, np.frombuffer(data, dtype=np.uint8)
+        end = np.flatnonzero(self.buf == ord("\n"))
+        if data[-1:] not in (b"", b"\n"):
+            end = np.append(end, len(data))
+        start = np.concatenate([[0], end + 1])[:-1]
+        at = np.flatnonzero(self.buf == ord(sep))
+        hi = np.searchsorted(at, end)  # the separators before each line's end
+        lo = np.concatenate([[0], hi])[:-1]
+        self.head = [data[a:b].decode("utf-8", errors="replace") for a, b in zip(start[:skip], end)]
+        self.start, self.end, lo, hi = start[skip:], end[skip:], lo[skip:], hi[skip:]
+        self.other = hi - lo != n_fields - 1
+        if not self.other.any():  # the separators of the lines, one line after another
+            cuts = at[lo[:1].sum():][:len(lo) * (n_fields - 1)].reshape(len(lo), n_fields - 1)
+            stop = self.end
         else:
-            minus = np.zeros(len(first), dtype=bool)
-            if parse is np.int64:
-                minus[stop > first] = buf[first[stop > first]] == ord("-")
-            column = digit_runs(buf, first + minus, stop)
-            if column is None or parse is np.int64 and (column > np.iinfo(np.int64).max).any():
-                return None
-            if parse is np.int64:
-                column = np.where(minus, -column.astype(np.int64), column.astype(np.int64))
-        out.append(column)
-    return out
+            at = np.append(at, len(data))  # so that the cuts of every line index into it
+            cuts = at[np.minimum(lo[:, None] + np.arange(n_fields - 1), len(at) - 1)]
+            cuts[self.other] = self.start[self.other, None]
+            stop = np.where(self.other, self.start, self.end)
+        # cell j of line k spans bounds[j][k] + 1 to bounds[j + 1][k]
+        self.bounds = [self.start - 1, *cuts.T, stop]
+
+    def cell(self, j):
+        """The first and stop offsets of cell ``j`` of each line."""
+        return self.bounds[j] + 1, self.bounds[j + 1]
+
+    def text(self, k, j=None):
+        """Line ``k``, or its cell ``j``, as text (bad UTF-8 as U+FFFD)."""
+        if j is None:
+            a, b = self.start[k], self.end[k]
+        else:
+            a, b = self.bounds[j][k] + 1, self.bounds[j + 1][k]
+        return self.data[a:b].decode("utf-8", errors="replace")
+
+
+def digit_runs(buf, first, stop, signed=False):
+    """The values of the decimal runs ``buf[first:stop]``, as uint64 or,
+    ``signed``, as int64 perhaps led by '-'; and the mask of the runs that
+    hold no such value (valued 0): empty, with a byte other than a digit,
+    more than 19 digits or beyond the dtype."""
+    minus = np.zeros(len(first), dtype=bool)
+    if signed:
+        minus[stop > first] = buf[first[stop > first]] == ord("-")
+        first = first + minus
+    width = stop - first
+    odd = (width < 1) | (width > 19)  # 19 digits stay below 2**64
+    values = np.zeros(len(first), dtype=np.uint64)
+    for k in range(int(width[~odd].max(initial=0))):
+        inside = k < width
+        digit = buf[np.minimum(first + k, len(buf) - 1)] - ord("0")  # a byte below "0" wraps
+        odd |= inside & (digit > 9)
+        values = np.where(inside, values * np.uint64(10) + digit, values)
+    values[odd] = 0
+    if not signed:
+        return values, odd
+    odd |= values > np.iinfo(np.int64).max
+    return np.where(minus, -values.astype(np.int64), values.astype(np.int64)), odd
+
+
+def decimal_runs(buf, first, stop):
+    """The float64 values of the runs ``buf[first:stop]``, as float() reads
+    them, and the mask of the runs left unread (valued 0): empty ones, ones
+    over 24 bytes or with a byte that no decimal number holds, and all of
+    them where one of the others is no number, such as "1-2"."""
+    width = stop - first
+    odd = (width < 1) | (width > 24)  # format_value writes at most 17 bytes
+    cells = np.zeros((len(first), int(width[~odd].max(initial=1))), dtype=np.uint8)
+    for k in range(cells.shape[1]):
+        inside = k < width
+        byte = buf[np.minimum(first + k, len(buf) - 1)]
+        odd |= inside & ~_DECIMALS[byte]
+        cells[inside, k] = byte[inside]
+    rows = np.flatnonzero(~odd)
+    values = np.zeros(len(first))
+    try:  # numpy reads each cell as float() does
+        values[rows] = cells[rows].view(f"S{cells.shape[1]}")[:, 0].astype(np.float64)
+    except ValueError:
+        odd[:] = True
+    return values, odd
+
+
+def name_codes(buf, first, stop, names):
+    """The index in ``names`` of each run ``buf[first:stop]`` that spells
+    one of them; -1 for any other run."""
+    codes = np.full(len(first), -1, dtype=np.int64)
+    for code, name in enumerate(names):
+        rows = np.flatnonzero(stop - first == len(name))
+        match = np.ones(len(rows), dtype=bool)
+        for k, char in enumerate(name.encode()):
+            match &= buf[first[rows] + k] == char
+        codes[rows[match]] = code
+    return codes
 
 
 @contextlib.contextmanager
@@ -313,124 +343,137 @@ def load_patterns(path):
 # JSONL tables: one block reader for every field table
 # ---------------------------------------------------------------------------
 
+_MISSING = object()  # the value of a key an object lacks
+# the value a refused cell holds, by field kind (an enum holds its first name)
+_FILLS = {
+    "id": 0, "int": 0, "number": 0, "bool": False, "text": "", "interval": (0, 0), "counts": (),
+}
+
+
+def _array(f, values, codes_of):
+    """The column of ``values`` of ``f``, each of one of its JSON types.  An
+    enum value outside its names raises KeyError, an interval other than two
+    ints ValueError, an int that the column's dtype cannot hold
+    OverflowError (or, under numpy 1.x, DeprecationWarning)."""
+    if f.kind == "text":
+        return intern_texts(values, codes_of)
+    if f.kind == "enum":
+        codes = {name: code for code, name in enumerate(f.names)}
+        return np.array([codes[v] for v in values], dtype=f.dtype)
+    if f.kind == "counts":
+        return np.fromiter(map(tuple, values), dtype=object, count=len(values))
+    if f.kind == "interval":
+        flat = list(itertools.chain.from_iterable(values))
+        if not set(map(type, flat)) <= {int} or not set(map(len, values)) <= {2}:
+            raise ValueError("not [start, end]")
+        values = np.array(flat, dtype=f.dtype).reshape(-1, 2)
+    with warnings.catch_warnings():
+        # numpy 1.x wraps an out-of-range int, warning, where 2.x raises
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.asarray(values, dtype=f.dtype)
+
+
 def _column(f, objs, codes_of):
-    """The column of ``f`` in one block's objects; None when any object
-    lacks its key or any value fails the checks of ``Field.problem``."""
+    """The column of ``f`` in one block's objects, and the mask of the
+    objects that lack its key or hold a value that ``Field.problem``
+    refuses; a refused cell holds a filler."""
     try:
         values = list(map(itemgetter(f.key), objs))
     except KeyError:
-        return None
+        values = [obj.get(f.key, _MISSING) for obj in objs]
     if f.null is not None:
         values = [f.null if v is None else v for v in values]
-    if not set(map(type, values)) <= f.json_types:
-        return None
-    if f.kind == "text":
-        return intern_texts(values, codes_of)
-    try:
-        if f.kind == "enum":
-            codes = {name: code for code, name in enumerate(f.names)}
-            return np.array([codes[v] for v in values], dtype=f.dtype)
-        if f.kind == "counts":  # few rows: the per-value check
-            if any(f.problem(v) for v in values):
-                return None
-            return np.fromiter(map(tuple, values), dtype=object, count=len(values))
-        if f.kind == "interval":
-            flat = list(itertools.chain.from_iterable(values))
-            if not set(map(type, flat)) <= {int} or not set(map(len, values)) <= {2}:
-                return None
-            values = np.array(flat, dtype=f.dtype).reshape(-1, 2)
-        # an int the dtype cannot hold raises OverflowError
-        col = np.asarray(values, dtype=f.dtype)
-    except (KeyError, OverflowError):
-        return None
-    lo = 0 if f.kind == "id" and f.lo is None else f.lo
-    bad = f.kind == "number" and not np.isfinite(col).all()
-    if bad or lo is not None and (col < lo).any() or f.hi is not None and (col > f.hi).any():
-        return None
-    return col
+    if f.kind != "counts" and set(map(type, values)) <= f.json_types:
+        try:
+            col = _array(f, values, codes_of)
+            return col, f.outside(col)
+        except (KeyError, ValueError, OverflowError, DeprecationWarning):
+            pass
+    # few rows (counts), or a value the array checks refuse: the check of each value
+    bad = np.fromiter((f.problem(v) is not None for v in values), dtype=bool, count=len(values))
+    fill = f.names[0] if f.kind == "enum" else _FILLS[f.kind]
+    return _array(f, [fill if b else v for v, b in zip(values, bad)], codes_of), bad
 
 
 def _block_columns(fields, objs, codes_of):
-    """Column name -> array of one block's parsed objects; None when there
-    are none (``objs`` is None) or any value is missing or fails its check."""
-    if objs is None:
-        return None
-    columns = {}
+    """Column name -> array of one block's objects, and the (row, message)
+    of the first refused field, in field order, of the first row that
+    holds one; None when every row passes."""
+    columns, refused = {}, []
     for f in fields:
-        rows = None if f.when is None else columns[fields[0].column] == f.when
-        carriers = objs if rows is None else itertools.compress(objs, rows.tolist())
-        col = _column(f, carriers, codes_of)
-        if col is None:
-            return None
-        if rows is not None:
-            columns.setdefault(f.column, np.zeros(len(objs), dtype=f.dtype))[rows] = col
-        else:
+        if f.when is None:
+            col, bad = _column(f, objs, codes_of)
             columns.update(zip(f.columns, col.T if f.kind == "interval" else [col]))
-    return columns
+        else:
+            # the rows whose first field, an enum, has the code ``when`` (a
+            # refused one its first name's, but its own fault comes first)
+            rows = columns[fields[0].column] == f.when
+            col, carried = _column(f, list(itertools.compress(objs, rows.tolist())), codes_of)
+            columns.setdefault(f.column, np.zeros(len(objs), dtype=f.dtype))[rows] = col
+            bad = np.zeros(len(objs), dtype=bool)
+            bad[rows] = carried
+        refused.append(bad)
+    refused = np.array(refused, dtype=bool).reshape(len(fields), len(objs))
+    if not refused.any():
+        return columns, None
+    row = int(np.argmax(refused.any(axis=0)))
+    f, obj = fields[int(np.argmax(refused[:, row]))], objs[row]
+    message = f"{f.key} {f.problem(obj[f.key])}" if f.key in obj else f"missing field {f.key!r}"
+    return columns, (row, message)
 
 
-def _parse_block(raw):
-    """The objects of a block's non-blank lines, parsed with one json.loads;
-    None when any line is not exactly one JSON object."""
-    lines = list(filter(None, map(str.strip, raw)))
+def _parse_block(lines):
+    """The objects of a block's stripped non-blank ``lines``, parsed with one
+    json.loads, and None.  Where that refuses, each line is parsed on its
+    own, up to the first that is not one JSON object: the objects before
+    it and its message."""
     n = len(lines)
-    if n == 0:
-        return []
     body = ",\n".join(lines)
     # Every "}" must end its line.  Then the n objects parsed can only be
     # the n lines: an object spanning lines, or a line holding two values,
     # needs a "}" inside a line.
-    if not (body[-1] == "}" and body.count("}") == n and body.count("},\n") == n - 1):
-        return None
-    try:
-        objs = json.loads(f"[{body}]")
-    except (ValueError, RecursionError):
-        return None
-    if len(objs) != n or set(map(type, objs)) != {dict}:
-        return None
-    return objs
+    if n and body[-1] == "}" and body.count("}") == n and body.count("},\n") == n - 1:
+        with contextlib.suppress(ValueError, RecursionError):
+            objs = json.loads(f"[{body}]")
+            if len(objs) == n and set(map(type, objs)) == {dict}:
+                return objs, None
+    objs = []
+    for line in lines:
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:  # a JSONDecodeError, or an int with too many digits
+            return objs, f"invalid JSON: {getattr(exc, 'msg', exc)}"
+        except RecursionError:
+            return objs, "invalid JSON: nested too deeply"
+        if not isinstance(obj, dict):
+            return objs, "expected a JSON object"
+        objs.append(obj)
+    return objs, None
 
 
-def _checked_object(fields, path, line_no, line):
-    """The object of one line, None for a blank one, or the ParseError of
-    its first bad field."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an int with too many digits
-        raise ParseError(path, line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
-    except RecursionError:
-        raise ParseError(path, line_no, "invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise ParseError(path, line_no, "expected a JSON object")
-    for f in fields:
-        # the first field, checked before any field with ``when``, is an enum
-        if f.when is not None and fields[0].names.index(obj[fields[0].key]) != f.when:
-            continue
-        if f.key not in obj:
-            raise ParseError(path, line_no, f"missing field {f.key!r}")
-        problem = f.problem(obj[f.key])
-        if problem:
-            raise ParseError(path, line_no, f"{f.key} {problem}")
-    return obj
+def _block(path, fields, first, raw, codes_of):
+    """Column name -> array of the block of text lines ``raw`` of a JSONL
+    table, whose first line is line ``first``."""
+    objs, fault = _parse_block(list(filter(None, map(str.strip, raw))))
+    columns, bad = _block_columns(fields, objs, codes_of)
+    if bad is None and fault is None:
+        return columns
+    row, message = bad or (len(objs), fault)
+    nonblank = (n for n, line in enumerate(raw, start=first) if line.strip())
+    raise ParseError(path, next(itertools.islice(nonblank, row, None)), message)
 
 
 def read_jsonl(path, fields):
     """(column name -> array, text pool) of a JSONL table of ``fields``,
     parsed a block of READ_BLOCK_LINES lines at a time with one json.loads
-    and bulk column checks.  Text columns hold codes into the pool; blank
-    lines are skipped."""
+    and column checks.  Text columns hold codes into the pool; blank lines
+    are skipped.  The first bad line of a block, and in it the first bad
+    field, raises its ParseError."""
     codes_of = {}
-    blocks = list(parse_blocks(
-        path,
-        lambda lines: _block_columns(fields, _parse_block(lines), codes_of),
-        lambda line_no, line: _checked_object(fields, path, line_no, line),
-        # every line passed its check, so only _parse_block's layout test failed
-        lambda objs: _block_columns(fields, objs, codes_of),
-        READ_BLOCK_LINES,
-    ))
+    blocks = [
+        _block(path, fields, first, raw, codes_of)
+        for first, raw in text_blocks(path, READ_BLOCK_LINES)
+    ]
     columns = {
         name: np.concatenate([b[name] for b in blocks] or [np.empty(0, dtype=dtype)])
         for name, dtype in column_dtypes(fields).items()
@@ -619,44 +662,43 @@ def write_edges(graph, path):
 def read_edges(path, ids):
     """Rebuild a MultiplexGraph from a write_edges dump over given ids.
     Every non-blank line must be ``layer a b`` (fields split as str.split()
-    splits them) over a known layer and two distinct ids of ``ids``."""
+    splits them) over a known layer and two distinct ids of ``ids``; the
+    first other line raises its ParseError."""
     ids = np.asarray(ids, dtype=np.uint64)
-    row_of = {}
-
-    def scan(data):
-        if b"\r" in data:  # the line ends text mode reads as "\n"
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        columns = split_columns(data, 0, " ", (LAYERS, np.uint64, np.uint64))
-        if columns is None:
-            return None
-        layer, a, b = columns
-        (a_rows, a_in), (b_rows, b_in) = find_rows(ids, a), find_rows(ids, b)
-        if not (a_in & b_in & (a != b)).all():
-            return None
-        return layer, np.column_stack([a_rows, b_rows])
-
-    def check(line_no, line):
-        fields = line.split()
-        if not fields:
-            return None
-        if not row_of:
-            row_of.update((i, row) for row, i in enumerate(ids.tolist()))
-        try:
-            code = LAYER_CODES[fields[0]]
-            a, b = (row_of[int(token)] for token in fields[1:])
-            if a != b:
-                return code, a, b
-        except (KeyError, ValueError):
-            pass
-        raise ParseError(path, line_no, f"bad edge line {line.strip()!r}")
-
-    def build(items):
-        table = np.array(items, dtype=np.int64).reshape(-1, 3)
-        return table[:, 0], table[:, 1:]
-
-    ((layer, rows),) = parse_blocks(path, scan, check, build)
-    layers = {name: build_layer(rows[layer == code], len(ids)) for name, code in LAYER_CODES.items()}
+    layer, rows = _edge_rows(path, ids)
+    layers = {
+        name: build_layer(rows[layer == code], len(ids)) for name, code in LAYER_CODES.items()
+    }
     return MultiplexGraph(ids, layers)
+
+
+def _edge_rows(path, ids):
+    """The layer code of each line of an edge file, -1 for a blank one, and
+    the rows in ``ids`` of its two ids; the offsets of the lines go with
+    the call, before the layers are built."""
+    lines = ByteLines(read_bytes(path), " ", 3)
+    layer = name_codes(lines.buf, *lines.cell(0), LAYERS)
+    (a, a_odd), (b, b_odd) = (digit_runs(lines.buf, *lines.cell(j)) for j in (1, 2))
+    blank, bad = np.zeros((2, len(layer)), dtype=bool)
+    # a line the bulk scan cannot read is split as str.split() splits it
+    for k in np.flatnonzero(lines.other | (layer < 0) | a_odd | b_odd).tolist():
+        fields = lines.text(k).split()
+        blank[k] = not fields
+        try:
+            name, x, y = fields
+            code, x, y = LAYER_CODES[name], int(x), int(y)
+        except (KeyError, ValueError):
+            bad[k] = bool(fields)
+            continue
+        bad[k] = min(x, y) < 0 or max(x, y) >= 2**64
+        if not bad[k]:
+            layer[k], a[k], b[k] = code, x, y
+    (a_rows, a_in), (b_rows, b_in) = find_rows(ids, a), find_rows(ids, b)
+    bad |= ~blank & ~(a_in & b_in & (a != b))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParseError(path, k + 1, f"bad edge line {lines.text(k).strip()!r}")
+    return layer, np.column_stack([a_rows, b_rows])
 
 
 # ---------------------------------------------------------------------------
@@ -726,47 +768,65 @@ def write_tsv(path, table, columns, header=True):
     write_text(path, itertools.chain(head, chunked(len(columns[0]), lines)))
 
 
-# the parses whose columns read_tsv returns as arrays of that type
-_ARRAY_PARSES = (np.uint64, np.int64)
+_WORDS = ("NA", "INF", "-INF")
+
+
+def _tsv_column(lines, j, parse):
+    """The cells of field ``j`` of ``lines`` under ``parse``, and the mask of
+    the cells it refuses: an array of the dtype for np.uint64 and np.int64,
+    an object array of what ``parse`` returns for str, int, parse_int and
+    parse_number.  The numbers that write_tsv writes are read in bulk, and
+    the words NA, INF and -INF as ``parse`` of the word; any other cell
+    goes through ``parse`` on its own, and is refused where that raises
+    ValueError or OverflowError."""
+    data, buf, (first, stop) = lines.data, lines.buf, lines.cell(j)
+    bad = np.zeros(len(first), dtype=bool)
+    if parse is str:
+        cells = zip(first.tolist(), stop.tolist())
+        text = [data[a:b].decode("utf-8", errors="replace") for a, b in cells]
+        return np.array(text, dtype=object), bad
+    if parse is parse_number:
+        col, odd = decimal_runs(buf, first, stop)
+    else:
+        col, odd = digit_runs(buf, first, stop, signed=parse is not np.uint64)
+    if parse not in (np.uint64, np.int64):
+        col = np.array(col.tolist(), dtype=object)
+    odd = np.flatnonzero(odd)
+    words = name_codes(buf, first[odd], stop[odd], _WORDS)
+    for code, word in enumerate(_WORDS):
+        rows = odd[words == code]
+        try:
+            col[rows] = parse(word)
+        except (ValueError, OverflowError):
+            bad[rows] = True
+    for k in odd[words < 0].tolist():
+        try:
+            col[k] = parse(lines.text(k, j))
+        except (ValueError, OverflowError):
+            bad[k] = True
+    return col, bad
 
 
 def read_tsv(path, columns, header=True):
     """The columns of a write_tsv file (``header=False``: one without a header)
     of ``columns``, (name, parse) pairs such as ("day", int): arrays of the
     dtype np.uint64 or np.int64 of that parse, object arrays for any other.
-    A wrong header, field count or field (parse raises ValueError or
-    OverflowError) is a ParseError."""
+    The first bad line raises its ParseError: a wrong header or field count,
+    or else its first field that parse refuses."""
     names = [name for name, _ in columns]
-    parses = [parse for _, parse in columns]
-    head = ("\t".join(names) + "\n").encode() if header else b""
-
-    def scan(data):
-        # text mode reads "\r" as a line end
-        if b"\r" in data or not data.startswith(head) or not set(parses) <= {*_ARRAY_PARSES, str}:
-            return None
-        return split_columns(data, len(head), "\t", parses)
-
-    def check(line_no, line):
-        fields = line.split("\t")
-        if header and line_no == 1:
-            if fields != names:
-                raise ParseError(path, 1, f"expected header {names}, found {fields}")
-            return None
-        if len(fields) != len(columns):
-            raise ParseError(path, line_no, f"expected {len(columns)} fields, found {len(fields)}")
-        row = []
-        for (name, parse), text in zip(columns, fields):
-            try:
-                row.append(parse(text))
-            except (ValueError, OverflowError):
-                raise ParseError(path, line_no, f"bad {name} {text!r}") from None
-        return tuple(row)
-
-    def build(rows):
-        return [
-            np.array([r[j] for r in rows], dtype=parse if parse in _ARRAY_PARSES else object)
-            for j, parse in enumerate(parses)
-        ]
-
-    (parsed,) = parse_blocks(path, scan, check, build)
-    return parsed
+    lines = ByteLines(read_bytes(path), "\t", len(columns), skip=int(header))
+    found = lines.head[0].split("\t") if lines.head else [""]
+    if header and found != names:
+        raise ParseError(path, 1, f"expected header {names}, found {found}")
+    parsed = [_tsv_column(lines, j, parse) for j, (_, parse) in enumerate(columns)]
+    # the faults of each line: its field count, then its fields in order
+    bad = np.column_stack([lines.other, *(b for _, b in parsed)])
+    if bad.any():
+        k, j = divmod(int(np.argmax(bad)), bad.shape[1])
+        if j:
+            message = f"bad {names[j - 1]} {lines.text(k, j - 1)!r}"
+        else:
+            found = lines.text(k).count("\t") + 1
+            message = f"expected {len(columns)} fields, found {found}"
+        raise ParseError(path, k + 1 + header, message)
+    return [col for col, _ in parsed]

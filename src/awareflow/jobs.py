@@ -32,8 +32,9 @@ class Forked:
     child sends what ``fn`` returns, or the AwareflowError it raised,
     back over a pipe and exits with ``os._exit``, so it runs no exit
     handler of the parent.  ``result`` waits for the child, reaps it and
-    returns that value or raises that error.  Any other exception is the
-    child's own traceback on stderr and a RuntimeError here.
+    returns that value or raises that error; ``poll`` does so only once the
+    child has exited, and returns None while it runs.  Any other exception
+    is the child's own traceback on stderr and a RuntimeError here.
     """
 
     def __init__(self, fn, *args):
@@ -63,17 +64,26 @@ class Forked:
                 os._exit(code)
         os.close(write_fd)
         self.fd = read_fd
+        self.status = None  # the wait status, once the child is reaped
+
+    def poll(self):
+        pid, status = os.waitpid(self.pid, os.WNOHANG)
+        if pid == 0:
+            return None
+        self.status = status
+        return self.result()
 
     def result(self):
         try:
             with os.fdopen(self.fd, "rb") as fh:
                 data = fh.read()
         finally:
-            _, status = os.waitpid(self.pid, 0)
+            if self.status is None:
+                _, self.status = os.waitpid(self.pid, 0)
         if not data:
             raise RuntimeError(
                 f"child process {self.pid} exited with code "
-                f"{os.waitstatus_to_exitcode(status)} before it reported"
+                f"{os.waitstatus_to_exitcode(self.status)} before it reported"
             )
         ok, value = pickle.loads(data)
         if ok:

@@ -76,6 +76,11 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def wait_until_exited(pid):
+    """Wait for the child ``pid`` to exit, leaving it unreaped."""
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+
+
 def small_world_config():
     cfg = SimConfig(
         n_individuals=400,

@@ -184,6 +184,48 @@ def tsv_file_scan(data, columns, header=True):
     return cells
 
 
+def jsonl_file_scan(data, fields):
+    """The values of the bytes of a JSONL file of ``fields`` (key -> the
+    values of the lines that carry the key, in line order), or the (line
+    number, message) of its first bad line.
+
+    The file must be UTF-8: else its first line with a byte that is not is
+    bad.  Lines end where text mode ends them ("\\n", "\\r\\n" or "\\r")
+    and blank ones are skipped.  Each other line is one ``json.loads`` of an
+    object, whose keys are checked in field order by ``Field.problem``; a
+    field with ``when`` only on the lines whose first field names that code.
+    """
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no, "not valid UTF-8"
+    values = {f.key: [] for f in fields}
+    for line_no, line in enumerate(lines, start=1):
+        line = line.decode("utf-8").strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:  # a JSONDecodeError, or an int with too many digits
+            return line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}"
+        except RecursionError:
+            return line_no, "invalid JSON: nested too deeply"
+        if not isinstance(obj, dict):
+            return line_no, "expected a JSON object"
+        for f in fields:
+            if f.when is not None and fields[0].names.index(obj[fields[0].key]) != f.when:
+                continue
+            if f.key not in obj:
+                return line_no, f"missing field {f.key!r}"
+            problem = f.problem(obj[f.key])
+            if problem:
+                return line_no, f"{f.key} {problem}"
+            values[f.key].append(obj[f.key])
+    return values
+
+
 def group_edges_scan(ids, groups):
     """{(lo_id, hi_id)} of every two distinct members sharing one of the
     row groups ``groups``."""

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -17,13 +18,15 @@ import warnings
 import numpy as np
 import pytest
 
-from awareflow import cli, files
+from awareflow import cli, domain, files
 from awareflow.config import load_run_config
 from awareflow.domain import Calendar
 from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
 
-from conftest import assert_no_child_left, small_world_config
+from conftest import assert_no_child_left, small_world_config, wait_until_exited
+from oracles import edge_file_scan, graph_edge_sets, jsonl_file_scan, tsv_file_scan
+from test_domain import jsonl_values
 
 STEP_MANIFESTS = (
     "manifest_gen.json",
@@ -204,18 +207,39 @@ def test_overlapped_run_flushes_output_before_the_fork(micro_config, tmp_path, m
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_failed_dataset_write_exits_2_without_gen_manifest(micro_config, tmp_path, capfd, jobs):
-    out = tmp_path / "run"
+class ExitedForked(cli.jobs.Forked):
+    """A forked child that has exited, unreaped, when the constructor returns."""
+
+    def __init__(self, fn, *args):
+        super().__init__(fn, *args)
+        wait_until_exited(self.pid)
+
+
+def failed_dataset_write(micro_config, out, jobs):
+    """Run `all` into ``out`` with ``events.jsonl`` unwritable; the tree it leaves."""
     blocker = out / "dataset" / "events.jsonl.tmp"
     blocker.mkdir(parents=True)  # atomic_output cannot open it, even as root
     assert cli.main(["all", "--config", micro_config, "--out", str(out), "--jobs", jobs]) == 2
-    err = capfd.readouterr().err
+    assert [p for p in out.rglob("*.tmp") if p != blocker] == []
+    return tree_hashes(str(out))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "2-failed-first"])
+def test_a_failed_dataset_write_exits_2_without_gen_manifest(
+    micro_config, tmp_path, capfd, monkeypatch, jobs
+):
+    if jobs == "2-failed-first":
+        # the writer has failed before `all` reaches its first stage boundary
+        monkeypatch.setattr(cli.jobs, "Forked", ExitedForked)
+    tree = failed_dataset_write(micro_config, tmp_path / "run", jobs[0])
+    out, err = capfd.readouterr()
     assert "cannot write" in err and "events.jsonl" in err
     assert "Traceback" not in err
-    assert not (out / "manifest_gen.json").exists()
-    assert [p for p in out.rglob("*.tmp") if p != blocker] == []
+    assert "manifest_gen.json" not in tree
     assert_no_child_left()
+    if jobs == "2-failed-first":
+        assert "[infer-net]" not in out
+        assert tree == failed_dataset_write(micro_config, tmp_path / "one", "1")
 
 
 def bad_patterns(tmp_path, config):
@@ -343,6 +367,78 @@ def test_every_table_is_declared_and_reads_back_to_its_bytes(all_run, micro_conf
             files.write_tsv(copy, table, files.read_tsv(path, table, header=header), header=header)
             with open(path, "rb") as fh:
                 assert copy.read_bytes() == fh.read(), name
+
+
+# the bytes of numbers, JSON and line ends, and one that is never UTF-8
+MUTATION_BYTES = b'0123456789-+._\t\r\n NI{}"\xff'
+
+
+def mutated(data, rng):
+    """``data`` with one byte replaced, inserted or deleted at a random place."""
+    at = rng.randrange(len(data))
+    op = rng.choice(("replace", "insert", "delete"))
+    byte = b"" if op == "delete" else bytes([rng.choice(MUTATION_BYTES)])
+    return data[:at] + byte + data[at + (op != "insert"):]
+
+
+def tsv_reader(table):
+    """(read, scan) of a TSV table: read_tsv and tsv_file_scan, cells as repr."""
+    columns = cli.TABLES[table]
+    arrays = [parse in (np.uint64, np.int64) for _, parse in columns]
+
+    def cells(parsed):
+        return [[repr(int(v) if a else v) for v in c] for a, c in zip(arrays, parsed)]
+
+    def scan(data):
+        want = tsv_file_scan(data, columns)
+        return want if isinstance(want, tuple) else cells(want)
+
+    return lambda path: cells(c.tolist() for c in files.read_tsv(path, columns)), scan
+
+
+def jsonl_reader(fields):
+    """(read, scan) of a JSONL table: read_jsonl and jsonl_file_scan."""
+    def read(path):
+        return jsonl_values(fields, *files.read_jsonl(path, fields))
+
+    return read, lambda data: jsonl_file_scan(data, fields)
+
+
+def test_readers_agree_with_their_oracles_on_mutated_files(all_run, tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "READ_BLOCK_LINES", 16)  # a few hundred blocks per JSONL file
+    dataset = os.path.join(all_run, "dataset")
+    ids = files.read_population(os.path.join(dataset, "population.jsonl")).ids
+
+    def edge_scan(data):
+        want = edge_file_scan(data, ids)
+        return want if isinstance(want, dict) else (want[0], f"bad edge line {want[1]!r}")
+
+    readers = {
+        os.path.join(all_run, "labels.tsv"): tsv_reader("labels.tsv"),
+        os.path.join(all_run, "regression.tsv"): tsv_reader("regression.tsv"),
+        os.path.join(all_run, "networks.edges"): (
+            lambda path: graph_edge_sets(files.read_edges(path, ids)), edge_scan,
+        ),
+        os.path.join(dataset, "population.jsonl"): jsonl_reader(domain.POPULATION_FIELDS),
+        os.path.join(dataset, "events.jsonl"): jsonl_reader(domain.EVENT_FIELDS),
+    }
+    rng = random.Random(20211)
+    refused = 0
+    for source, (read, scan) in readers.items():
+        with open(source, "rb") as fh:
+            data = fh.read()
+        path = tmp_path / os.path.basename(source)
+        for _ in range(60):
+            path.write_bytes(edited := mutated(data, rng))
+            want = scan(edited)
+            if isinstance(want, tuple):
+                refused += 1
+                with pytest.raises(ParseError) as exc:
+                    read(path)
+                assert str(exc.value) == f"{path}:{want[0]}: {want[1]}"
+            else:
+                assert read(path) == want
+    assert 50 < refused < 250  # both outcomes are checked
 
 
 def test_marks_at_the_int64_extremes_run(micro_config, tmp_path):

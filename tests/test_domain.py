@@ -38,7 +38,7 @@ from awareflow.files import (
 )
 
 from conftest import make_events, random_event_columns, traced_peak
-from oracles import write_events_rows
+from oracles import jsonl_file_scan, write_events_rows
 
 CN = timezone(timedelta(hours=8))
 
@@ -286,7 +286,7 @@ def _fault(case, record, message, /, **edits):
 PURCHASE = json.loads(_purchase(6, 109))
 
 # A bad line at line 7, in the middle of the second of three 4-line blocks,
-# and the error the per-line reader raises for it.
+# and the error the reader raises for it.
 BLOCK_FAULTS = [
     pytest.param(
         "events.jsonl", EXTRA + "," + EXTRA, "invalid JSON: Extra data",
@@ -438,6 +438,71 @@ def test_block_reader_raises_the_per_line_error(
         reader(path)
     assert exc.value.line_no == 7
     assert str(exc.value) == f"{path}:7: {message}"
+    assert jsonl_file_scan(path.read_bytes(), FIELD_TABLES[name]) == (7, message)
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    pytest.param(
+        "population.jsonl", [_edited(_person(99), married=0, age=-1)],
+        "age must be >= 0, got -1", id="two-bad-fields",
+    ),
+    pytest.param(
+        "population.jsonl", [_edited(_person(99), gender=1, id="99")],
+        "id must be an unsigned 64-bit integer", id="two-bad-fields-type",
+    ),
+    pytest.param(
+        "events.jsonl", [_edited(PURCHASE, category=DROP), EXTRA.replace('"query"', '"click"')],
+        "missing field 'category'", id="carried-field-before-bad-type",
+    ),
+    pytest.param(
+        "events.jsonl", [EXTRA.replace('"fever"', "5"), "[" + EXTRA + "]"],
+        "query_text must be a string", id="bad-field-before-bad-json",
+    ),
+])
+def test_block_reader_names_the_first_bad_field_of_the_first_bad_line(
+    tmp_path, monkeypatch, name, bad, message
+):
+    monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
+    lines, reader = TABLES[name]
+    path = _lines_file(tmp_path / name, lines[:6] + bad + lines[6:])
+    with pytest.raises(ParseError) as exc:
+        reader(path)
+    assert str(exc.value) == f"{path}:7: {message}"
+    assert jsonl_file_scan(path.read_bytes(), FIELD_TABLES[name]) == (7, message)
+
+
+def jsonl_values(fields, columns, pool):
+    """read_jsonl's columns and text pool as jsonl_file_scan gives its values."""
+    out = {}
+    for f in fields:
+        rows = slice(None) if f.when is None else columns[fields[0].column] == f.when
+        values = [list(v) for v in zip(*(columns[c][rows].tolist() for c in f.columns))]
+        if f.kind != "interval":
+            values = [v for v, in values]
+        if f.kind in ("enum", "text"):
+            values = [(f.names or pool)[v] for v in values]
+        elif f.kind == "counts":
+            values = [list(v) for v in values]
+        elif f.null is not None:
+            values = [None if v == f.null else v for v in values]
+        out[f.key] = values
+    return out
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("name", list(TABLES))
+def test_read_jsonl_matches_a_line_by_line_scan(tmp_path, monkeypatch, name, newline):
+    monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
+    lines, _ = TABLES[name]
+    # blank lines, and a "}" inside a text where the table has one
+    padded = [*lines[:3], "", "  \t", *lines[3:]]
+    if name == "events.jsonl":
+        padded.append(_query(6, 109, "fe}ver"))
+    path = _lines_file(tmp_path / name, padded, newline)
+    fields = FIELD_TABLES[name]
+    want = jsonl_file_scan(path.read_bytes(), fields)
+    assert len(next(iter(want.values()))) == len(padded) - 2
+    assert jsonl_values(fields, *files.read_jsonl(path, fields)) == want
 
 
 def test_block_reader_line_endings_blank_lines_and_fallback(tmp_path, monkeypatch):
@@ -448,7 +513,7 @@ def test_block_reader_line_endings_blank_lines_and_fallback(tmp_path, monkeypatc
     assert read_events(_lines_file(tmp_path / "crlf.jsonl", lines, b"\r\n")) == expected
     padded = lines[:5] + ["   ", "\t", " \t "] + lines[5:]
     assert read_events(_lines_file(tmp_path / "blank.jsonl", padded)) == expected
-    # a "}" inside a text sends its block down the per-line path
+    # a "}" inside a text makes its block's lines decode one json.loads each
     braced = lines[:-1] + [_query(6, 109, "fe}ver")]
     log = read_events(_lines_file(tmp_path / "brace.jsonl", braced))
     assert "fe}ver" in log.text_pool

@@ -1,13 +1,14 @@
 """Work handed to a forked child: its result, its errors, no child left."""
 
 import os
+import time
 
 import pytest
 
 from awareflow import jobs
 from awareflow.errors import ParseError
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, wait_until_exited
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -37,6 +38,27 @@ def test_any_other_failure_prints_its_traceback_and_raises_runtime_error(capfd):
     with pytest.raises(RuntimeError, match="exited with code 1 before it reported"):
         jobs.Forked(fail_otherwise).result()
     assert "KeyError: 'not an AwareflowError'" in capfd.readouterr().err
+    assert_no_child_left()
+
+
+def wait_for(path):
+    deadline = time.monotonic() + 10
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return "done"
+
+
+def test_poll_returns_none_while_the_child_runs_then_what_result_returns(tmp_path):
+    child = jobs.Forked(wait_for, tmp_path / "go")
+    assert child.poll() is None
+    (tmp_path / "go").touch()
+    wait_until_exited(child.pid)
+    assert child.poll() == "done"
+    assert_no_child_left()
+    child = jobs.Forked(fail_to_parse)
+    wait_until_exited(child.pid)
+    with pytest.raises(ParseError, match="events.jsonl:3: bad record"):
+        child.poll()
     assert_no_child_left()
 
 
