@@ -115,11 +115,6 @@ def text_blocks(path, size, error=IntegrityError):
     raise ParseError(path, line_no, "not valid UTF-8")
 
 
-# the bytes of a float as format_value writes it
-_DECIMALS = np.zeros(256, dtype=bool)
-_DECIMALS[list(b"0123456789.eE+-")] = True
-
-
 class ByteLines:
     """The lines of a file's bytes as text mode ends them ("\\r\\n" and
     "\\r" read as "\\n"), each cut at the byte ``sep`` into ``n_fields``
@@ -187,28 +182,6 @@ def digit_runs(buf, first, stop, signed=False):
         return values, odd
     odd |= values > np.iinfo(np.int64).max
     return np.where(minus, -values.astype(np.int64), values.astype(np.int64)), odd
-
-
-def decimal_runs(buf, first, stop):
-    """The float64 values of the runs ``buf[first:stop]``, as float() reads
-    them, and the mask of the runs left unread (valued 0): empty ones, ones
-    over 24 bytes or with a byte that no decimal number holds, and all of
-    them where one of the others is no number, such as "1-2"."""
-    width = stop - first
-    odd = (width < 1) | (width > 24)  # format_value writes at most 17 bytes
-    cells = np.zeros((len(first), int(width[~odd].max(initial=1))), dtype=np.uint8)
-    for k in range(cells.shape[1]):
-        inside = k < width
-        byte = buf[np.minimum(first + k, len(buf) - 1)]
-        odd |= inside & ~_DECIMALS[byte]
-        cells[inside, k] = byte[inside]
-    rows = np.flatnonzero(~odd)
-    values = np.zeros(len(first))
-    try:  # numpy reads each cell as float() does
-        values[rows] = cells[rows].view(f"S{cells.shape[1]}")[:, 0].astype(np.float64)
-    except ValueError:
-        odd[:] = True
-    return values, odd
 
 
 def name_codes(buf, first, stop, names):
@@ -768,40 +741,27 @@ def write_tsv(path, table, columns, header=True):
     write_text(path, itertools.chain(head, chunked(len(columns[0]), lines)))
 
 
-_WORDS = ("NA", "INF", "-INF")
-
-
 def _tsv_column(lines, j, parse):
     """The cells of field ``j`` of ``lines`` under ``parse``, and the mask of
     the cells it refuses: an array of the dtype for np.uint64 and np.int64,
-    an object array of what ``parse`` returns for str, int, parse_int and
-    parse_number.  The numbers that write_tsv writes are read in bulk, and
-    the words NA, INF and -INF as ``parse`` of the word; any other cell
-    goes through ``parse`` on its own, and is refused where that raises
-    ValueError or OverflowError."""
-    data, buf, (first, stop) = lines.data, lines.buf, lines.cell(j)
+    whose decimal runs are read in bulk, an object array of what ``parse``
+    returns for any other.  A cell the bulk scan cannot read goes through
+    ``parse`` on its own, and is refused where that raises ValueError or
+    OverflowError."""
+    data, (first, stop) = lines.data, lines.cell(j)
     bad = np.zeros(len(first), dtype=bool)
-    if parse is str:
-        cells = zip(first.tolist(), stop.tolist())
-        text = [data[a:b].decode("utf-8", errors="replace") for a, b in cells]
-        return np.array(text, dtype=object), bad
-    if parse is parse_number:
-        col, odd = decimal_runs(buf, first, stop)
+    if parse in (np.uint64, np.int64):
+        col, odd = digit_runs(lines.buf, first, stop, signed=parse is np.int64)
+        rows = np.flatnonzero(odd)
     else:
-        col, odd = digit_runs(buf, first, stop, signed=parse is not np.uint64)
-    if parse not in (np.uint64, np.int64):
-        col = np.array(col.tolist(), dtype=object)
-    odd = np.flatnonzero(odd)
-    words = name_codes(buf, first[odd], stop[odd], _WORDS)
-    for code, word in enumerate(_WORDS):
-        rows = odd[words == code]
+        col, rows = np.empty(len(first), dtype=object), np.arange(len(first))
+    cells = zip(rows.tolist(), first[rows].tolist(), stop[rows].tolist())
+    if parse is str:
+        col[:] = [data[a:b].decode("utf-8", errors="replace") for _, a, b in cells]
+        return col, bad
+    for k, a, b in cells:
         try:
-            col[rows] = parse(word)
-        except (ValueError, OverflowError):
-            bad[rows] = True
-    for k in odd[words < 0].tolist():
-        try:
-            col[k] = parse(lines.text(k, j))
+            col[k] = parse(data[a:b].decode("utf-8", errors="replace"))
         except (ValueError, OverflowError):
             bad[k] = True
     return col, bad

@@ -226,6 +226,24 @@ def jsonl_file_scan(data, fields):
     return values
 
 
+def jsonl_values(fields, columns, pool):
+    """read_jsonl's columns and text pool as jsonl_file_scan gives its values."""
+    out = {}
+    for f in fields:
+        rows = slice(None) if f.when is None else columns[fields[0].column] == f.when
+        values = [list(v) for v in zip(*(columns[c][rows].tolist() for c in f.columns))]
+        if f.kind != "interval":
+            values = [v for v, in values]
+        if f.kind in ("enum", "text"):
+            values = [(f.names or pool)[v] for v in values]
+        elif f.kind == "counts":
+            values = [list(v) for v in values]
+        elif f.null is not None:
+            values = [None if v == f.null else v for v in values]
+        out[f.key] = values
+    return out
+
+
 def group_edges_scan(ids, groups):
     """{(lo_id, hi_id)} of every two distinct members sharing one of the
     row groups ``groups``."""

@@ -25,8 +25,7 @@ from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
 
 from conftest import assert_no_child_left, small_world_config, wait_until_exited
-from oracles import edge_file_scan, graph_edge_sets, jsonl_file_scan, tsv_file_scan
-from test_domain import jsonl_values
+from oracles import edge_file_scan, graph_edge_sets, jsonl_file_scan, jsonl_values, tsv_file_scan
 
 STEP_MANIFESTS = (
     "manifest_gen.json",

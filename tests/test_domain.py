@@ -38,7 +38,7 @@ from awareflow.files import (
 )
 
 from conftest import make_events, random_event_columns, traced_peak
-from oracles import jsonl_file_scan, write_events_rows
+from oracles import jsonl_file_scan, jsonl_values, write_events_rows
 
 CN = timezone(timedelta(hours=8))
 
@@ -469,24 +469,6 @@ def test_block_reader_names_the_first_bad_field_of_the_first_bad_line(
         reader(path)
     assert str(exc.value) == f"{path}:7: {message}"
     assert jsonl_file_scan(path.read_bytes(), FIELD_TABLES[name]) == (7, message)
-
-
-def jsonl_values(fields, columns, pool):
-    """read_jsonl's columns and text pool as jsonl_file_scan gives its values."""
-    out = {}
-    for f in fields:
-        rows = slice(None) if f.when is None else columns[fields[0].column] == f.when
-        values = [list(v) for v in zip(*(columns[c][rows].tolist() for c in f.columns))]
-        if f.kind != "interval":
-            values = [v for v, in values]
-        if f.kind in ("enum", "text"):
-            values = [(f.names or pool)[v] for v in values]
-        elif f.kind == "counts":
-            values = [list(v) for v in values]
-        elif f.null is not None:
-            values = [None if v == f.null else v for v in values]
-        out[f.key] = values
-    return out
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
