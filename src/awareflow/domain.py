@@ -371,8 +371,9 @@ class EventLog(Columns):
         ties on (timestamp, individual, kind) are broken by the text rank.
 
         The log takes the columns over: one that already has its log dtype
-        is recoded and sorted in place by ``sort_rows``, so the sort needs
-        one spare uint64 column rather than a second log.
+        is recoded, a chunk of rows at a time, and sorted in place by
+        ``sort_rows``, so the sort needs one spare uint64 column rather than
+        a second log.
         """
         log = cls(
             kind=kind, individual_id=individual_id, timestamp=timestamp,
@@ -385,7 +386,9 @@ class EventLog(Columns):
         rank = {t: r for r, t in enumerate(log.text_pool)}
         recode = np.zeros(len(text_pool), dtype=np.int64)
         recode[used] = [rank[t] for t in texts]
-        code[...] = recode[code]
+        for rows in row_chunks(len(code)):
+            part = code[rows]
+            part[...] = recode[part]
         sort_rows(log.timestamp, log.individual_id, log.kind, code, log.is_ppe)
         return log
 
@@ -645,11 +648,20 @@ def validate_addresses(addresses, ids):
 
 def validate_events(events, ids, calendar):
     """The event count, event types and violations of an event log: events
-    of individuals outside ``ids``, events past the calendar end."""
+    of individuals outside ``ids`` (ascending), events past the calendar end.
+    The ids are looked up a chunk of rows at a time."""
     violations = []
     if len(events):
-        (seen,) = distinct_rows(events.individual_id.copy())
-        unknown_ids = seen[~np.isin(seen, ids)]
+        # a chunk eight times as long as the population repeats most of its
+        # ids, so looking up its distinct ids costs about what a sort of the
+        # whole id column would
+        size = max(WRITE_CHUNK_ROWS, 8 * len(ids))
+        unknown = [np.empty(0, dtype=np.uint64)]
+        for lo in range(0, len(events), size):
+            (seen,) = distinct_rows(events.individual_id[lo : lo + size].copy())
+            _, found = find_rows(ids, seen)
+            unknown.append(seen[~found])
+        (unknown_ids,) = distinct_rows(np.concatenate(unknown))
         for uid in unknown_ids[:50]:
             violations.append(f"event references unknown individual {int(uid)}")
         if len(unknown_ids) > 50:

@@ -94,25 +94,20 @@ def text_lines(data):
 
 def text_blocks(path, size, error=IntegrityError):
     """(number of the first line, lines) of each run of ``size`` lines of a
-    UTF-8 text file; undecodable bytes raise ParseError."""
-    with reading(path, error, encoding="utf-8") as fh:
-        first = 1
-        try:
-            while block := list(itertools.islice(fh, size)):
-                yield first, block
-                first += len(block)
-            return
-        except UnicodeDecodeError:
-            pass
-    # text mode decodes ahead of the line it yields: find the line at fault
+    UTF-8 text file; the first line with an undecodable byte raises
+    ParseError before its block is yielded."""
     with reading(path, error, encoding="utf-8") as fh:
         fh.reconfigure(errors="surrogateescape")  # bad bytes read as lone surrogates
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                break
-    raise ParseError(path, line_no, "not valid UTF-8")
+        first = 1
+        while block := list(itertools.islice(fh, size)):
+            if not all(map(str.isascii, block)):
+                for line_no, line in enumerate(block, start=first):
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ParseError(path, line_no, "not valid UTF-8") from None
+            yield first, block
+            first += len(block)
 
 
 class ByteLines:

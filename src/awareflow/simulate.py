@@ -58,6 +58,10 @@ S_BG_TS = 12
 S_BG_CAT = 13
 S_PPE_TS = 14
 
+# individuals per block of the purchase-history draws, which bounds their
+# temporaries whatever the population
+HISTORY_BLOCK_ROWS = 1024
+
 DEFAULT_AWARE_TEXTS = (
     "wuhan pneumonia cases",
     "hubei epidemic news",
@@ -510,22 +514,70 @@ def _prob_vector(probs, keys):
     return v / v.sum()
 
 
-def _event_columns(chunks):
-    """The event columns (kind, individual_id, timestamp, text_code, is_ppe)
-    of a list of chunks, each a tuple of those five arrays."""
-    dtypes = (np.uint8, np.uint64, np.int64, np.int64, bool)
-    return tuple(
-        np.concatenate([np.empty(0, dtype)] + [c[i] for c in chunks])
-        for i, dtype in enumerate(dtypes)
-    )
+def _draw_cells(rng, n_rows, n_months, p):
+    """The cells of an ``n_rows`` x ``n_months`` grid that a draw below ``p``
+    marks: the values of ``rng.random((n_rows, n_months)) < p``, drawn
+    HISTORY_BLOCK_ROWS rows at a time, since consecutive draws continue
+    one stream."""
+    grid = np.empty((n_rows, n_months), dtype=bool)
+    for lo in range(0, n_rows, HISTORY_BLOCK_ROWS):
+        block = grid[lo : lo + HISTORY_BLOCK_ROWS]
+        np.less(rng.random(block.shape), p, out=block)
+    return grid
+
+
+@dataclass
+class PurchaseHistory:
+    """The purchases before the window, drawn as far as who buys in which
+    month: ``grids`` (present, extra) mark the individual x month cells with
+    a purchase, once and again.  ``fill`` draws the rest from ``rng``."""
+
+    rng: "np.random.Generator"  # a string, so that importing this module skips numpy.random
+    ids: np.ndarray
+    grids: tuple
+    month_start: np.ndarray
+    month_len: np.ndarray
+    first_category: int
+    n_categories: int
+
+    def __len__(self):
+        return sum(int(np.count_nonzero(grid)) for grid in self.grids)
+
+    def fill(self, kind, individual_id, timestamp, text_code, is_ppe):
+        """Write the purchases into event columns, each ``len(self)`` long.
+
+        Per grid, the timestamps are drawn a block of HISTORY_BLOCK_ROWS
+        individuals at a time, in row-major cell order, and then the codes,
+        in one draw: a bounded draw may use buffered 32-bit halves, so a
+        split one could change the stream.
+        """
+        kind[...] = EVENT_KIND_PURCHASE
+        is_ppe[...] = False
+        at = 0
+        for grid in self.grids:
+            first = at
+            for lo in range(0, len(grid), HISTORY_BLOCK_ROWS):
+                rows, months = np.nonzero(grid[lo : lo + HISTORY_BLOCK_ROWS])
+                end = at + len(rows)
+                individual_id[at:end] = self.ids[lo + rows]
+                timestamp[at:end] = self.month_start[months] + (
+                    self.rng.random(len(rows)) * (self.month_len[months] - 1)
+                ).astype(np.int64)
+                at = end
+            codes = self.rng.integers(0, self.n_categories, size=at - first)
+            np.add(codes, self.first_category, out=text_code[first:at])
 
 
 def generate_population(config):
     """Build the static world: individuals, regions, addresses, history.
 
     Returns (dataset, truth_graph, history): dataset.events is empty and
-    ``history`` holds the pre-window purchases as event columns coded into
-    ``config.text_pool()``.
+    ``history`` is the PurchaseHistory whose ``fill`` writes the pre-window
+    purchases, coded into ``config.text_pool()``.  Only the month grids of
+    the history are drawn here, a block of individuals at a time; the
+    timestamps and codes are drawn from the same generator when ``fill``
+    runs, which ``simulate_diffusion`` may precede, since it draws from
+    counter streams alone.
     """
     rng = np.random.default_rng(config.seed)
     calendar = config.calendar()
@@ -618,20 +670,17 @@ def generate_population(config):
     present = np.ones((n, n_m), dtype=bool)
     nq_rows = np.flatnonzero(~qualified)
     if len(nq_rows):
-        present[nq_rows] = rng.random((len(nq_rows), n_m)) < config.unqualified_month_p
+        present[nq_rows] = _draw_cells(rng, len(nq_rows), n_m, config.unqualified_month_p)
         stuck = nq_rows[present[nq_rows].all(axis=1)]
         if len(stuck):
             present[stuck, rng.integers(0, n_m, size=len(stuck))] = False
-    extra = (rng.random((n, n_m)) < config.extra_purchase_p) & present
-
-    chunks = []
-    first_category = len(config.aware_query_texts) + len(config.noise_query_texts)
-    for grid in (present, extra):
-        rows, cols = np.nonzero(grid)
-        ts = m_start[cols] + (rng.random(len(rows)) * (m_len[cols] - 1)).astype(np.int64)
-        codes = first_category + rng.integers(0, len(config.purchase_categories), size=len(rows))
-        kind = np.full(len(rows), EVENT_KIND_PURCHASE, dtype=np.uint8)
-        chunks.append((kind, ids[rows], ts, codes, np.zeros(len(rows), dtype=bool)))
+    extra = _draw_cells(rng, n, n_m, config.extra_purchase_p)
+    extra &= present
+    history = PurchaseHistory(
+        rng, ids, (present, extra), m_start, m_len,
+        first_category=len(config.aware_query_texts) + len(config.noise_query_texts),
+        n_categories=len(config.purchase_categories),
+    )
 
     # same canonical order the JSONL reader produces, so a generated
     # dataset compares equal after a save/load round trip
@@ -645,7 +694,7 @@ def generate_population(config):
         active_end=np.full(len(member_rows), interval[1]),
     ).canonical()
     dataset = Dataset(population, regions, addresses, EventLog.empty(), calendar)
-    return dataset, truth_graph, _event_columns(chunks)
+    return dataset, truth_graph, history
 
 
 def hazard_base(config, cols, distance_km):
@@ -678,7 +727,9 @@ def hazard_probability(config, base, layer_fracs, shock_level):
 
 def simulate_diffusion(dataset, graph, config):
     """Run the daily awareness process; returns (window_events, truth), the
-    events as columns coded into ``config.text_pool()``.
+    events as a list of chunks, each the five event columns (kind,
+    individual_id, timestamp, text_code, is_ppe) coded into
+    ``config.text_pool()``.
 
     Emits, per newly aware individual, three awareness queries the same
     day (each independently suppressed with probability query_noise) and
@@ -829,15 +880,26 @@ def simulate_diffusion(dataset, graph, config):
 
     aware_rows = np.flatnonzero(first_moment != NEVER)
     timeline = AwarenessTimeline(ids[aware_rows], first_moment[aware_rows])
-    return _event_columns(chunks), GroundTruth(timeline=timeline, graph=graph)
+    return chunks, GroundTruth(timeline=timeline, graph=graph)
 
 
 def generate(config):
     """Full synthetic run: population, history, diffusion, merged log.  The
-    config is not checked here; SimConfig.from_dict checks one read from JSON."""
+    config is not checked here; SimConfig.from_dict checks one read from JSON.
+
+    The five event columns are allocated once, at their final length: the
+    window's chunks are copied into their tail, the history is drawn into
+    their head, and EventLog.canonical sorts them in place.
+    """
     dataset, truth_graph, history = generate_population(config)
     window, truth = simulate_diffusion(dataset, truth_graph, config)
-    columns = _event_columns([history, window])
-    del history, window  # the sort below reuses their memory
+    n_history = len(history)
+    n_rows = n_history + sum(len(chunk[0]) for chunk in window)
+    columns = [np.empty(n_rows, dtype) for dtype in EventLog.DTYPES.values()]
+    for column, parts in zip(columns, zip(*window)):
+        np.concatenate(parts, out=column[n_history:])
+    del window
+    history.fill(*(column[:n_history] for column in columns))
+    del history  # its month grids, before the sort's spare column
     dataset.events = EventLog.canonical(*columns, config.text_pool())
     return dataset, truth

@@ -25,6 +25,7 @@ from awareflow.domain import (
     infer_calendar,
     month_number,
     validate_dataset,
+    validate_events,
 )
 from awareflow.errors import IntegrityError, ParseError
 from awareflow import files
@@ -200,7 +201,7 @@ def test_write_events_holds_one_chunk_whatever_the_row_count(tmp_path, monkeypat
     assert peak(80_000) - peak(20_000) < chunk
 
 
-def test_canonical_sorts_within_its_inputs_and_two_columns():
+def test_canonical_sorts_within_its_inputs_and_one_spare_column():
     n = 50_000
     columns = random_event_columns(n, Calendar.from_dates("2020-01-01", "2020-01-31"))
     want = EventLog(TEXTS, **dict(zip(EventLog.DTYPES, columns)))
@@ -210,7 +211,7 @@ def test_canonical_sorts_within_its_inputs_and_two_columns():
     EventLog.canonical(*random_event_columns(100, Calendar(0, 1)), TEXTS)  # numpy's set-up
     log = []
     peak = traced_peak(lambda: log.append(EventLog.canonical(*columns, TEXTS)))
-    assert peak < 2.25 * 8 * n  # two int64 columns and a little
+    assert peak < 1.25 * 8 * n  # the sort's uint64 key and a little
     assert log[0] == want
 
 
@@ -432,12 +433,20 @@ def test_block_reader_raises_the_per_line_error(
     tmp_path, monkeypatch, name, bad, message, newline
 ):
     monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
+    reading, opened = files.reading, []
+
+    def counted(path, *args, **kwargs):
+        opened.append(path)
+        return reading(path, *args, **kwargs)
+
+    monkeypatch.setattr(files, "reading", counted)
     lines, reader = TABLES[name]
     path = _lines_file(tmp_path / name, lines[:6] + [bad] + lines[6:], newline)
     with pytest.raises(ParseError) as exc:
         reader(path)
     assert exc.value.line_no == 7
     assert str(exc.value) == f"{path}:7: {message}"
+    assert opened == [path]  # the bad line is named from the one read
     assert jsonl_file_scan(path.read_bytes(), FIELD_TABLES[name]) == (7, message)
 
 
@@ -664,6 +673,19 @@ def test_event_for_unknown_individual_violation():
     assert any(
         v == "event references unknown individual 42" for v in report.violations
     )
+
+
+def test_unknown_event_individuals_are_named_across_lookup_chunks(monkeypatch):
+    monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", 7)
+    calendar = Calendar(0, 1)
+    events = EventLog.canonical(*random_event_columns(300, calendar, n_ids=100), TEXTS)
+    ids = np.array([3, 50, 77], dtype=np.uint64)  # lookup chunks of 24 rows
+    unknown = sorted(set(events.individual_id.tolist()) - set(ids.tolist()))
+    assert len(unknown) > 50
+    report = validate_events(events, ids, calendar)
+    assert report.violations == [
+        f"event references unknown individual {i}" for i in unknown[:50]
+    ] + [f"... {len(unknown) - 50} more unknown event individuals"]
 
 
 def test_declared_ranges_are_violations():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from awareflow.awareness import label_awareness, match_mask
-from awareflow import domain
+from awareflow import domain, simulate
 from awareflow.domain import ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, OCCUPATIONS, EventLog
 from awareflow.errors import ConfigError, ParseError
 from awareflow.files import read_truth, save_dataset, write_truth
@@ -23,7 +23,7 @@ from awareflow.simulate import (
     hazard_probability,
 )
 
-from conftest import small_world_config
+from conftest import small_world_config, traced_peak
 
 
 def zero_hazard():
@@ -266,6 +266,31 @@ def test_generate_sorts_the_event_log_once(monkeypatch):
     monkeypatch.setattr(EventLog, "canonical", classmethod(counted))
     dataset, _ = generate(small_world_config())
     assert rows == [len(dataset.events)]
+
+
+def test_generate_draws_the_history_in_blocks_of_any_size(monkeypatch):
+    want = generate(small_world_config())
+    monkeypatch.setattr(simulate, "HISTORY_BLOCK_ROWS", 7)
+    dataset, truth = generate(small_world_config())
+    assert dataset == want[0]
+    assert truth.timeline == want[1].timeline
+    assert truth.graph == want[1].graph
+
+
+def test_generate_holds_one_spare_column_beside_the_event_log():
+    def peak_and_rows(n):
+        cfg = small_world_config()
+        cfg.n_individuals = n
+        cfg.history_months = 120  # events, not individuals, set the peak
+        out = []
+        peak = traced_peak(lambda: out.append(generate(cfg)))
+        return peak, len(out[0][0].events)
+
+    # both sizes span several history blocks, whose temporaries then cancel
+    (small, small_rows), (large, large_rows) = peak_and_rows(4000), peak_and_rows(8000)
+    column_bytes = sum(np.dtype(t).itemsize for t in EventLog.DTYPES.values())
+    # the log itself, the sort's uint64 key and the per-individual tables
+    assert large - small < 1.5 * column_bytes * (large_rows - small_rows)
 
 
 def test_different_seed_changes_output():
