@@ -6,8 +6,9 @@
 # core count), with each stage after gen in a fresh process (so every reader
 # parses from disk), and with the stages that read neither addresses.jsonl
 # nor events.jsonl run while both files are moved aside.  Then check that
-# the command-line flags set the config keys they name, and that no run left
-# a temporary *.tmp file behind.
+# the command-line flags set the config keys they name, that a failed dataset
+# write leaves the same files under both --jobs settings, and that no run
+# left a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
 #
 #     sh scripts/check_small_runs.sh [scratch-dir]
@@ -65,6 +66,20 @@ PY
 run all --config small --seed 8 --phase-thresholds "$d/th.json" --out "$d/by_flags"
 run all --config "$d/config.json" --out "$d/by_file"
 compare "$d/by_flags" "$d/by_file"
+# a failed dataset write (a directory where events.jsonl is written) exits 2
+# and leaves the same files with two jobs as with one: no stage after gen
+d="$dir/failed_write"
+for jobs in 1 2; do
+  mkdir -p "$d/j$jobs/dataset/events.jsonl.tmp"
+  code=0
+  run all --config small --out "$d/j$jobs" --jobs "$jobs" || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "all with a failed dataset write and --jobs $jobs exited $code, not 2" >&2
+    exit 1
+  fi
+done
+compare "$d/j1" "$d/j2"
+rmdir "$d/j1/dataset/events.jsonl.tmp" "$d/j2/dataset/events.jsonl.tmp"
 # every write renames its <name>.tmp into place or removes it
 leftover=$(find "$dir" -name '*.tmp')
 if [ -n "$leftover" ]; then

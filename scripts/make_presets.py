@@ -28,19 +28,20 @@ def noon_ts(iso_date):
     return Calendar.from_dates(iso_date, iso_date).day_start_ts(0) + 43200
 
 
-# shock magnitudes (hazard logit bumps) for the canonical news events
-NEWS_MAGNITUDES = {
-    "retrospective_first_case": 1.0,
-    "epicenter_outbreak_briefing": 3.0,
-    "epicenter_59_cases_report": 2.0,
-    "epicenter_exit_screening": 3.0,
-    "h2h_transmission_confirmed": 7.0,
-    "epicenter_lockdown": 9.0,
-    "province_level1_response": 3.0,
-    "national_level1_response": 9.0,
-    "who_pheic_declared": 7.0,
-    "epicenter_quarantine_strategies": 3.0,
-    "disease_named": 7.0,
+# the shock of each canonical news event: its magnitude (a hazard logit
+# bump), its scope and the province or city id the scope names
+NEWS_SHOCKS = {
+    "retrospective_first_case": (1.0, "city", 0),
+    "epicenter_outbreak_briefing": (3.0, "national", 0),
+    "epicenter_59_cases_report": (2.0, "national", 0),
+    "epicenter_exit_screening": (3.0, "national", 0),
+    "h2h_transmission_confirmed": (7.0, "national", 0),
+    "epicenter_lockdown": (9.0, "national", 0),
+    "province_level1_response": (3.0, "province", 0),
+    "national_level1_response": (9.0, "national", 0),
+    "who_pheic_declared": (7.0, "national", 0),
+    "epicenter_quarantine_strategies": (3.0, "national", 0),
+    "disease_named": (7.0, "national", 0),
 }
 
 # additional rolling-coverage shocks that keep late adopters moving; these
@@ -60,18 +61,10 @@ SUSTAINED_COVERAGE = (
 
 
 def news_shocks():
-    out = []
-    for label, date, scope, scope_id in DEFAULT_EVENT_DATES:
-        out.append(
-            ShockEvent(
-                label=label,
-                timestamp=noon_ts(date),
-                magnitude=NEWS_MAGNITUDES[label],
-                scope=scope,
-                scope_id=scope_id,
-            )
-        )
-    return out
+    return [
+        ShockEvent(label, noon_ts(date), *NEWS_SHOCKS[label])
+        for label, date in DEFAULT_EVENT_DATES
+    ]
 
 
 def sustained_shocks():
@@ -82,10 +75,7 @@ def sustained_shocks():
 
 
 def marks_json():
-    return [
-        {"label": label, "timestamp": noon_ts(date), "scope": scope, "scope_id": sid}
-        for label, date, scope, sid in DEFAULT_EVENT_DATES
-    ]
+    return [{"label": label, "timestamp": noon_ts(date)} for label, date in DEFAULT_EVENT_DATES]
 
 
 def fig1a_hazard():
@@ -135,10 +125,9 @@ def base_run_config(name, sim, sample_size, history_months, seed):
     }
 
 
-def make_fig1a(n=10_000, seed=20191201, history_months=60):
+def make_fig1a(n=10_000, history_months=60):
     sim = SimConfig(
         n_individuals=n,
-        seed=seed,
         calendar_start=WINDOW_START,
         n_days=88,
         history_months=history_months,
@@ -158,8 +147,8 @@ def make_fig1a(n=10_000, seed=20191201, history_months=60):
     return sim
 
 
-def make_recovery(seed):
-    sim = make_fig1a(n=4_000, seed=seed, history_months=6)
+def make_recovery():
+    sim = make_fig1a(n=4_000, history_months=6)
     sim.regions.n_cities = 10
     sim.regions.n_provinces = 5
     # strong, known-sign effects for sign-recovery experiments
@@ -181,7 +170,7 @@ def main():
         seed=20191201,
     )
 
-    small_sim = make_fig1a(n=1_000, seed=7, history_months=12)
+    small_sim = make_fig1a(n=1_000, history_months=12)
     small_sim.regions.n_cities = 8
     small_sim.regions.n_provinces = 3
     small = base_run_config(
@@ -189,14 +178,14 @@ def main():
     )
 
     recovery = base_run_config(
-        "recovery", make_recovery(seed=99).validate(), sample_size=2000,
+        "recovery", make_recovery().validate(), sample_size=2000,
         history_months=6, seed=99,
     )
     recovery["regression"]["pct_min"] = 20
     recovery["regression"]["pct_max"] = 60
     recovery["marks"] = []
 
-    perf_sim = make_fig1a(n=100_000, seed=424242, history_months=36)
+    perf_sim = make_fig1a(n=100_000, history_months=36)
     perf_sim.regions.n_cities = 40
     perf_sim.regions.n_provinces = 10
     perf_sim.background_purchase_p = 0.012

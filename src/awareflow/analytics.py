@@ -38,23 +38,21 @@ class EventMark:
 
     label: str
     timestamp: Timestamp
-    scope: str = "national"
-    scope_id: int = 0
 
 
 # the canonical eleven news events of the 2019-12-01..2020-02-26 window
 DEFAULT_EVENT_DATES = (
-    ("retrospective_first_case", "2019-12-08", "city", 0),
-    ("epicenter_outbreak_briefing", "2019-12-31", "national", 0),
-    ("epicenter_59_cases_report", "2020-01-05", "national", 0),
-    ("epicenter_exit_screening", "2020-01-16", "national", 0),
-    ("h2h_transmission_confirmed", "2020-01-20", "national", 0),
-    ("epicenter_lockdown", "2020-01-23", "national", 0),
-    ("province_level1_response", "2020-01-24", "province", 0),
-    ("national_level1_response", "2020-01-25", "national", 0),
-    ("who_pheic_declared", "2020-01-31", "national", 0),
-    ("epicenter_quarantine_strategies", "2020-02-02", "national", 0),
-    ("disease_named", "2020-02-11", "national", 0),
+    ("retrospective_first_case", "2019-12-08"),
+    ("epicenter_outbreak_briefing", "2019-12-31"),
+    ("epicenter_59_cases_report", "2020-01-05"),
+    ("epicenter_exit_screening", "2020-01-16"),
+    ("h2h_transmission_confirmed", "2020-01-20"),
+    ("epicenter_lockdown", "2020-01-23"),
+    ("province_level1_response", "2020-01-24"),
+    ("national_level1_response", "2020-01-25"),
+    ("who_pheic_declared", "2020-01-31"),
+    ("epicenter_quarantine_strategies", "2020-02-02"),
+    ("disease_named", "2020-02-11"),
 )
 
 
@@ -62,11 +60,10 @@ def default_event_marks(calendar):
     """The canonical event list as EventMarks at local noon, window-clipped."""
     index = {date: d for d, date in enumerate(calendar.iso_dates())}
     out = []
-    for label, date, scope, scope_id in DEFAULT_EVENT_DATES:
+    for label, date in DEFAULT_EVENT_DATES:
         d = index.get(date)
         if d is not None:
-            ts = calendar.day_start_ts(d) + 43200
-            out.append(EventMark(label, ts, scope, scope_id))
+            out.append(EventMark(label, calendar.day_start_ts(d) + 43200))
     return out
 
 

@@ -298,12 +298,20 @@ class PipelineState:
     def join(self, wait=True):
         """Wait for the dataset writer (without ``wait``, only if it has
         exited) and take its digests; then write the manifests that waited
-        for it, in pipeline order.  A writer that failed raises its error,
-        and those manifests are not written."""
+        for it, in pipeline order.  A writer that failed raises its error;
+        those manifests are not written, and the outputs of every stage
+        after gen are removed, as a one-process run never writes them."""
         writer, self.writer = self.writer, None
         if writer is None:
             return
-        digests = writer.result() if wait else writer.poll()
+        try:
+            digests = writer.result() if wait else writer.poll()
+        except Exception:
+            for command, _, outputs, _ in self.pending:
+                if command != "gen":
+                    for path in outputs:
+                        files.discard(path)
+            raise
         if digests is None:  # still writing
             self.writer = writer
             return
@@ -448,12 +456,14 @@ def records(table, columns):
     return [{n: c[k] for n, c in zip(names, columns)} for k in range(len(columns[0]))]
 
 
-def by_day(iso, keys):
+def by_day(iso, keys, width=0):
     """The leading columns of a table of one row per series and day: the
-    columns of ``keys``, one tuple per series (``()`` for a series without
-    key columns), repeated once per day of the window ``iso``, the day, its date."""
+    ``width`` columns of ``keys``, one tuple per series (``()`` for a series
+    without key columns), repeated once per day of the window ``iso``, the
+    day, its date."""
     n, D = len(keys), len(iso)
-    return [*(np.repeat(c, D) for c in zip(*keys)), np.tile(np.arange(D), n), iso * n]
+    columns = list(zip(*keys)) or [()] * width
+    return [*(np.repeat(c, D) for c in columns), np.tile(np.arange(D), n), iso * n]
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +482,9 @@ def cmd_gen(state):
     cfg = state.cfg
     if cfg.simulator is None:
         raise ConfigError("config has no simulator section; `gen` needs one")
-    sim = replace(cfg.simulator, seed=cfg.seed)
     ddir = cfg.resolved_dataset_dir()
     files.make_dir(ddir, "dataset directory")
-    dataset, truth = generate(sim)
+    dataset, truth = generate(cfg.simulator, cfg.seed)
     validate_dataset(dataset).raise_violations("generated dataset")
     # first, so that state.files() finds the calendar from here on
     files.write_calendar(state.dataset_path(CALENDAR_FILE), dataset.calendar)
@@ -598,7 +607,7 @@ def cmd_cohort(state):
     ])
     pairs = [(g, a, b) for g in GROUPINGS for a, b in itertools.combinations(trends[g], 2)]
     state.write_table("cross_ratios.tsv", [
-        *by_day(iso, [(g, a.key, b.key) for g, a, b in pairs]),
+        *by_day(iso, [(g, a.key, b.key) for g, a, b in pairs], width=3),
         np.array([cross_ratio(a.values, b.values) for _, a, b in pairs]),
     ])
 

@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .netinfer import DEFAULT_CAPS
 from .presets import PRESET_NAMES, default_patterns_path, load_preset
 from .regress import FeatureSpec, FitConfig
-from .simulate import SimConfig, build_section, mark_problems
+from .simulate import SimConfig, build_section
 
 INT64_MAX = 2**63 - 1
 
@@ -81,7 +81,7 @@ class RunConfig:
     def validate(self):
         """The checks that span fields: build_section checks each field's type
         and bounds as it builds the config.  Raises ConfigError."""
-        problems = mark_problems(self.marks or [], "mark")
+        problems = []
         if self.patterns is not None and not os.path.exists(self.patterns):
             problems.append(f"pattern file {self.patterns!r} does not exist")
         reg = self.regression

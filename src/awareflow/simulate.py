@@ -103,15 +103,6 @@ def month_start_ts(months):
     return days * SECONDS_PER_DAY - CHINA_UTC_OFFSET
 
 
-def mark_problems(marks, kind):
-    """Problems of dated marks of a kind: a scope other than national,
-    province or city."""
-    return [
-        f"{kind} {m.label!r}: unknown scope {m.scope!r}"
-        for m in marks if m.scope not in ("national", "province", "city")
-    ]
-
-
 def _weights_ok(weights):
     """Whether ``weights`` normalize into probabilities: each finite and
     >= 0, with a finite sum above 0."""
@@ -316,7 +307,6 @@ class NetworkConfig:
 @dataclass
 class SimConfig:
     n_individuals: Annotated[int, Bounds(1)] = 1000
-    seed: int = 1
     calendar_start: str = "2019-12-01"
     n_days: Annotated[int, Bounds(1)] = 88
     regions: RegionConfig = field(default_factory=RegionConfig)
@@ -404,7 +394,10 @@ class SimConfig:
         ):
             if lo > hi:
                 problems.append(f"network.{label} size range [{lo}, {hi}] is invalid")
-        problems += mark_problems(self.events, "event")
+        problems += [
+            f"event {ev.label!r}: unknown scope {ev.scope!r}"
+            for ev in self.events if ev.scope not in ("national", "province", "city")
+        ]
         for name in ("aware_query_texts", "noise_query_texts", "purchase_categories"):
             if not getattr(self, name):
                 problems.append(f"{name} must not be empty")
@@ -568,8 +561,9 @@ class PurchaseHistory:
             np.add(codes, self.first_category, out=text_code[first:at])
 
 
-def generate_population(config):
-    """Build the static world: individuals, regions, addresses, history.
+def generate_population(config, seed):
+    """Build the static world of run ``seed``: individuals, regions,
+    addresses, history.
 
     Returns (dataset, truth_graph, history): dataset.events is empty and
     ``history`` is the PurchaseHistory whose ``fill`` writes the pre-window
@@ -579,7 +573,7 @@ def generate_population(config):
     runs, which ``simulate_diffusion`` may precede, since it draws from
     counter streams alone.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     calendar = config.calendar()
     regions = _make_regions(rng, config)
     n = config.n_individuals
@@ -725,11 +719,11 @@ def hazard_probability(config, base, layer_fracs, shock_level):
     return expit(z)
 
 
-def simulate_diffusion(dataset, graph, config):
-    """Run the daily awareness process; returns (window_events, truth), the
-    events as a list of chunks, each the five event columns (kind,
-    individual_id, timestamp, text_code, is_ppe) coded into
-    ``config.text_pool()``.
+def simulate_diffusion(dataset, graph, config, seed):
+    """Run the daily awareness process of run ``seed``; returns
+    (window_events, truth), the events as a list of chunks, each the five
+    event columns (kind, individual_id, timestamp, text_code, is_ppe) coded
+    into ``config.text_pool()``.
 
     Emits, per newly aware individual, three awareness queries the same
     day (each independently suppressed with probability query_noise) and
@@ -740,7 +734,6 @@ def simulate_diffusion(dataset, graph, config):
     calendar = dataset.calendar
     n = cols.n
     ids = cols.ids
-    seed = config.seed
 
     z0 = hazard_base(config, cols, dataset.distance_km())
     layer_csr = {}
@@ -883,16 +876,17 @@ def simulate_diffusion(dataset, graph, config):
     return chunks, GroundTruth(timeline=timeline, graph=graph)
 
 
-def generate(config):
-    """Full synthetic run: population, history, diffusion, merged log.  The
-    config is not checked here; SimConfig.from_dict checks one read from JSON.
+def generate(config, seed):
+    """Full synthetic run of ``seed``, the run's seed: population, history,
+    diffusion, merged log.  The config is not checked here;
+    SimConfig.from_dict checks one read from JSON.
 
     The five event columns are allocated once, at their final length: the
     window's chunks are copied into their tail, the history is drawn into
     their head, and EventLog.canonical sorts them in place.
     """
-    dataset, truth_graph, history = generate_population(config)
-    window, truth = simulate_diffusion(dataset, truth_graph, config)
+    dataset, truth_graph, history = generate_population(config, seed)
+    window, truth = simulate_diffusion(dataset, truth_graph, config, seed)
     n_history = len(history)
     n_rows = n_history + sum(len(chunk[0]) for chunk in window)
     columns = [np.empty(n_rows, dtype) for dtype in EventLog.DTYPES.values()]

@@ -5,6 +5,7 @@ layers, a mid-window shock, qualified and unqualified shoppers) while
 staying fast to generate, so it is built once per session.
 """
 
+import hashlib
 import os
 import tracemalloc
 
@@ -70,6 +71,18 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def tree_hashes(root):
+    """The SHA-256 of every file under ``root``, by path relative to it."""
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root)
+            with open(path, "rb") as fh:
+                out[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
 def assert_no_child_left():
     """The test process has no child: every forked one was reaped."""
     with pytest.raises(ChildProcessError):
@@ -81,10 +94,13 @@ def wait_until_exited(pid):
     os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
 
+# the seed that generates the small world
+SMALL_WORLD_SEED = 321
+
+
 def small_world_config():
     cfg = SimConfig(
         n_individuals=400,
-        seed=321,
         n_days=40,
         regions=RegionConfig(n_cities=6, n_provinces=3, max_distance_km=1800.0),
         hazard=HazardCoefficients(intercept=-6.0),
@@ -101,7 +117,7 @@ def small_world_config():
 def small_world():
     cfg = small_world_config()
     cfg.validate()
-    dataset, truth = generate(cfg)
+    dataset, truth = generate(cfg, SMALL_WORLD_SEED)
     return cfg, dataset, truth
 
 

@@ -57,9 +57,10 @@ from oracles import (
 def city_world(matcher):
     """One 10k-individual noise-free world shared by several criteria,
     with the wall time of the simulate -> label -> infer cycle."""
-    sim = SimConfig.from_dict(load_preset("fig1a")["simulator"]).validate()
+    preset = load_preset("fig1a")
+    sim = SimConfig.from_dict(preset["simulator"]).validate()
     t0 = time.perf_counter()
-    dataset, truth = generate(sim)
+    dataset, truth = generate(sim, preset["seed"])
     timeline = label_awareness(dataset.events, matcher)
     graph = infer_networks(dataset.addresses, dataset.population.ids)
     elapsed = time.perf_counter() - t0
@@ -198,8 +199,7 @@ def test_criterion_4_sign_recovery_across_seeds(matcher):
 
     def recovered(seed):
         sim = SimConfig.from_dict(preset["simulator"])
-        sim.seed = seed
-        dataset, _ = generate(sim.validate())
+        dataset, _ = generate(sim.validate(), seed)
         timeline = label_awareness(dataset.events, matcher)
         window = history_window(dataset.calendar, preset["history_months"])
         qualified = filter_qualified(dataset.events, window)

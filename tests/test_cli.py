@@ -2,7 +2,6 @@
 manifest determinism, exit codes, flag handling."""
 
 import builtins
-import hashlib
 import io
 import json
 import math
@@ -24,7 +23,7 @@ from awareflow.domain import Calendar
 from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
 
-from conftest import assert_no_child_left, small_world_config, wait_until_exited
+from conftest import assert_no_child_left, small_world_config, tree_hashes, wait_until_exited
 from oracles import edge_file_scan, graph_edge_sets, jsonl_file_scan, jsonl_values, tsv_file_scan
 
 STEP_MANIFESTS = (
@@ -59,17 +58,6 @@ ARTIFACTS = (
     "report.json",
     "report.txt",
 )
-
-
-def tree_hashes(root):
-    out = {}
-    for dirpath, _, files in os.walk(root):
-        for name in files:
-            path = os.path.join(dirpath, name)
-            rel = os.path.relpath(path, root)
-            with open(path, "rb") as fh:
-                out[rel] = hashlib.sha256(fh.read()).hexdigest()
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +229,30 @@ def test_a_failed_dataset_write_exits_2_without_gen_manifest(
         assert tree == failed_dataset_write(micro_config, tmp_path / "one", "1")
 
 
+@pytest.mark.skipif(not cli.jobs.can_fork(2), reason="needs os.fork")
+def test_a_dataset_write_that_fails_after_later_stages_leaves_the_files_of_one_job(
+    micro_config, tmp_path, capfd, monkeypatch
+):
+    one = failed_dataset_write(micro_config, tmp_path / "one", "1")
+    labels = tmp_path / "two" / "labels.tsv"
+    write_events = files.write_events
+
+    def held(path, events):
+        # the forked writer inherits this: it fails on events.jsonl only
+        # once `label` has written its outputs, or after 10 s
+        deadline = time.monotonic() + 10
+        while not labels.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        write_events(path, events)
+
+    monkeypatch.setattr(files, "write_events", held)
+    capfd.readouterr()
+    two = failed_dataset_write(micro_config, tmp_path / "two", "2")
+    assert "[label] ok" in capfd.readouterr().out
+    assert_no_child_left()
+    assert two == one
+
+
 def bad_patterns(tmp_path, config):
     path = tmp_path / "patterns.txt"
     path.write_bytes(b"(mask)\n\xff\xfe\n")
@@ -368,6 +380,17 @@ def test_every_table_is_declared_and_reads_back_to_its_bytes(all_run, micro_conf
                 assert copy.read_bytes() == fh.read(), name
 
 
+def test_a_world_without_group_pairs_writes_an_empty_cross_ratio_table(micro_config, tmp_path):
+    with open(micro_config) as fh:
+        config = json.load(fh)
+    config["simulator"]["n_individuals"] = 1  # one group per grouping: no pair
+    out = tmp_path / "run"
+    # regress then refuses the sample of the cohort of one
+    assert run_with(micro_config, out, simulator=config["simulator"]) == 2
+    header = "\t".join(name for name, _ in cli.TABLES["cross_ratios.tsv"]) + "\n"
+    assert (out / "cross_ratios.tsv").read_text() == header
+
+
 # the bytes of numbers, JSON and line ends, and one that is never UTF-8
 MUTATION_BYTES = b'0123456789-+._\t\r\n NI{}"\xff'
 
@@ -490,15 +513,15 @@ SMALL_RUN_SHA256 = {
     "hysteresis.tsv": "21b6da6121709e3cf30ab31f9d227614c2037de8f8951bf7d5fff54f6c40f8b9",
     "labels.tsv": "65332539e38dd6b1c4572c14b3d6f5bc8a942d2156bd9280a10351d8c02b6b5b",
     "lead_days.tsv": "3b673607f9eb22f552deb7c1a6c2b640375b463bc9cb97cb4a8c3877138d2e94",
-    "manifest_all.json": "2e6ca602869994c022bf9cd443fbb810a0691ec0d8d401ff337d296ced1e503a",
-    "manifest_cohort.json": "21ceaa9ff10232dd2993818a6d2cfb8d46e7ead348857e56313e0f7aea254a59",
-    "manifest_gen.json": "d0ad68dda5f1aec1bc0a0664e197629b75b17833b980e6a5990bf3807d217dab",
-    "manifest_geo_corr.json": "ac2e2910ca21ca17b868bb77fb24658e80c96384aa371bb7df38dc12d927f542",
-    "manifest_infer_net.json": "abf03e41a9e679bb4c295ce309070e61b885bd8d5efc182917fb62fff671b759",
-    "manifest_label.json": "2d8bfa06fc0b6f2cb8d4411940ae8d6083a6a27d2f83fb9777d6e7f58bd0e4a3",
-    "manifest_regress.json": "7e74b6a2e2bb890100d583ba96cb0e08aee727044c8ab38e78fcf8c0ff594764",
-    "manifest_report.json": "fdc2241f6a050014852a9c7f967043663b478961ac13f30ec9c88758e71c229f",
-    "manifest_segment.json": "509408844b21e853053415a761b224e5b46a1a1ffa2d9dc2263fb3fe934d8557",
+    "manifest_all.json": "ceb3983ac1cc12df4b5a523aca73312338cb267c960c774e3e394f6e30044068",
+    "manifest_cohort.json": "7550bb467e1d4cfd55c79d6ca79eb34550c97f9b8859ca7efa9dfd822311c611",
+    "manifest_gen.json": "e341f47f6b14ca21b3e0c977629a73d1d676e8d3bad36b7a3f0352e9656e8621",
+    "manifest_geo_corr.json": "682ff163c43f15cd017826dc45a955178c11db1d97eeb086db6a356959fea61b",
+    "manifest_infer_net.json": "5fe08458f06ddc658c9dbc1aed3182a92d16394dbf2d31efb8feaab5c7595bdf",
+    "manifest_label.json": "6045389bc01aacb28a70e714d1d0cd676caf7d86d7ac3288fe21064b4d056a22",
+    "manifest_regress.json": "2293b1fd6b5ef759372d6201e30301520ae0ce953dc920520103263f7bf2b2f0",
+    "manifest_report.json": "adc7cc3e6891a46fbf57faad2d2a25a10d011d5f0fd00c36e1a5f8a26f1fa34e",
+    "manifest_segment.json": "5f99abbcf340ccad3132ce9534415d4b023964f72a4022fdc27b637fec1a4c7d",
     "national_trend.tsv": "b2724a4658eada235eb8993d8c5a8bfe5684ff5072bdd82ff16e6c0518068005",
     "neighborhood_phase_means.tsv": "dd782110f2e37f59511522cbdc85f488fb68c1853566ba09185666ec9fb1ade6",
     "neighborhood_ratios.tsv": "d0ffc7261ac860edf33990dbfd9133df1b2859074c749c7477e393c0da8a9755",
@@ -508,7 +531,7 @@ SMALL_RUN_SHA256 = {
     "province_trend.tsv": "82cdf41d8213e301f7642fa6c0641e51a8b648a0de77cf1b55322d7b6bc7762b",
     "qualified.txt": "2e79ce90974ad7eb391209a00ee459302f79f464af75e26db65b3fc9fc3e87d5",
     "regression.tsv": "0bac88e86388e77945881a420207d980957dc54b1b1ca4a461af0faa1c937251",
-    "report.json": "e502db3485ff0db1b68f3b0992caa6b5f5c79fbf8e1073461a47a917bc750b7a",
+    "report.json": "488f27a9346e8128032555517cd1eafac9a1da0ecef2a68517d0c911487e0809",
     "report.txt": "346fa7087bd5db47dd88d27da2fc221e1a2167bef21fb502191c3533873a7841",
     "schedule.tsv": "a0274ac9d4380a3c7fbb1076a362ab0b36c5725d241635570ddc7cd7946e4f00",
     "trends.tsv": "08266b1ded3aa47a777d46c9143bbb7580dcd8a8c7b344b1a64b74eb855dd66a",
@@ -758,9 +781,10 @@ CONFIG_FAULTS = (
         "mark-label-not-a-string", ("marks",), [{"label": 5, "timestamp": 0}],
         "marks[0].label must be of type str",
     ),
+    # marks carry no scope: only the simulator's shocks act on one region
     (
-        "mark-unknown-scope", ("marks",), [{"label": "x", "timestamp": 0, "scope": "planet"}],
-        "mark 'x': unknown scope 'planet'",
+        "mark-unknown-scope", ("marks",), [{"label": "x", "timestamp": 0, "scope": "national"}],
+        "unknown mark keys: scope",
     ),
     (
         "simulator-section-unknown-key", ("simulator", "network", "bogus"), 1,
@@ -823,6 +847,8 @@ CONFIG_FAULTS = (
         "phase-thresholds-beyond-a-double", ("phase_thresholds",), {"growth_high": 10**400},
         "phase_thresholds.growth_high must be finite, got 1" + "0" * 400,
     ),
+    # the run's seed is the one seed: the simulator takes it from there
+    ("simulator-seed", ("simulator", "seed"), 7, "unknown simulator keys: seed"),
 )
 
 

@@ -1,18 +1,25 @@
-"""Run configuration: the preset generator, the config digests and how often
-a run checks its config."""
+"""Run configuration: the preset generator, the config digests, how often
+a run checks its config, and that every setting reaches an artifact."""
 
 import collections
+import copy
+import hashlib
 import importlib.util
 import json
 import os
+import shutil
+import typing
+from dataclasses import asdict, fields, is_dataclass
 
+import numpy as np
 import pytest
 
-from awareflow import cli, config, simulate
+from awareflow import cli, config, files, simulate
 from awareflow.config import RunConfig
-from awareflow.presets import PRESET_NAMES, load_preset, preset_path
+from awareflow.domain import SECONDS_PER_DAY, Timestamp
+from awareflow.presets import PRESET_NAMES, default_patterns_path, load_preset, preset_path
 
-from conftest import small_world_config
+from conftest import small_world_config, tree_hashes
 
 SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "make_presets.py")
 
@@ -45,11 +52,11 @@ def micro_run_config():
 # config_sha256 of every manifest and report.json: the digest hashes the
 # config as given, with no section filled out to its defaults
 DIGESTS = {
-    "small": "7904cfba44c7aef2103e4f245ce9a2cfec141d3cf0f47e33ab837e84aeeac552",
-    "fig1a": "41c54f9061bc6975144466904a9b36c45ec31cee9f032e00da978e246e4e8a4f",
-    "recovery": "5f8ef527be41d6cfdfec163ca7c3c150686f7543ff3ace3abb982ea0467342a5",
-    "perf": "d2865e796f2ccbccdc5e8f43d0090d4cccabfae80381a0b1d8265aadcfaa131d",
-    "micro": "7aac0bf18cbdca0a2098da6b63a32b19a6f213a4bc832c854dd5be35e3a31cd5",
+    "small": "e69d18e4a1e9f629b892702da2f37571732de90e31dac4d49553c8d2d2fdfdc2",
+    "fig1a": "e4db7b16f8def5ab59b68f3c1d597399b510ec63853cc46fe7264a3c2b68449d",
+    "recovery": "5bd3f8fa7f19f3ffb6db053bca88ba3f0e3691e95cc85a431febb27febccc626",
+    "perf": "ccd547c0baf525a44e896612b1f39227be93fa2d2e20082a95042edb33e7000a",
+    "micro": "3bd9a3e70d9beba1accfff87bc7915c97b5bd3aeb16a7794d79e79e08f05826c",
 }
 
 
@@ -90,3 +97,143 @@ def test_all_builds_and_checks_the_config_once(tmp_path, monkeypatch):
         "run config cross-field checks": 1,
         "simulator cross-field checks": 1,
     }
+
+
+
+# The settings that by design reach no artifact, with the reason.
+INERT = {
+    "out_dir": "where the run is written; the gate names it with --out",
+    "dataset_dir": "where the dataset is written",
+    "jobs": "how many processes write the run; no byte may depend on it",
+    "simulator.events[0].label": "it only names the shock in config errors",
+}
+# moves of the string settings that take one of a few values
+STRING_MOVES = {
+    "calendar_start": lambda date: str(np.datetime64(date) + 1),
+    "age_mode": lambda mode: "brackets" if mode == "linear" else "linear",
+    "scope": lambda scope: "city" if scope == "province" else "province",
+}
+
+
+def dotted(key):
+    """The name of the setting at the key path ``key``, as in marks[0].label."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in key)[1:]
+
+
+def leaf_settings(cls, value, path=()):
+    """(key path, type, value) of every leaf setting of the declaration
+    ``cls``, valued as in the built section ``value``: a section is walked
+    field by field, a list section through its first item, a dict setting
+    through its first key."""
+    for f in fields(cls):
+        if not f.init:
+            continue
+        key, v = (*path, f.name), getattr(value, f.name)
+        if is_dataclass(f.type):
+            yield from leaf_settings(f.type, v, key)
+        elif typing.get_origin(f.type) is list:
+            yield from leaf_settings(typing.get_args(f.type)[0], v[0], (*key, 0))
+        elif typing.get_origin(f.type) is dict:
+            first = next(iter(v))
+            yield (*key, first), typing.get_args(f.type)[1], v[first]
+        else:
+            yield key, f.type, v
+
+
+def moves(key, tp, value):
+    """Values inside the Bounds of ``tp`` for the setting at ``key``, now
+    ``value``, in the order the gate tries them.  Moves of +1 or x1.1 leave
+    many settings without effect on a 400-person world, so a number moves
+    to a Bounds end, by 10 or by a factor of 10, a timestamp by a whole day,
+    and a list through its first item."""
+    bounds = getattr(tp, "__metadata__", ())
+    kind = typing.get_args(tp)[0] if bounds else tp
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return [(m, *value[1:]) for m in moves(key, item, value[0])]
+    if kind is str:
+        return [STRING_MOVES.get(key[-1], lambda text: f"{text} moved")(value)]
+    if tp == Timestamp:
+        return [value + SECONDS_PER_DAY]
+    ends = [end for b in bounds for end in (None if b.open_lo else b.lo, b.hi)]
+    if kind is int:
+        steps = [value + 1, value - 1, value * 10, value // 10]
+    else:
+        steps = [value + 10, value - 10, value * 10, value / 10]
+        if len(ends) == 2 and None not in ends:
+            steps.insert(0, sum(ends) / 2)
+    return [
+        v for v in dict.fromkeys([*ends, *steps])
+        if v is not None and v != value and not any(b.problem(v) for b in bounds)
+    ]
+
+
+def run_all(config, out):
+    """Run `all` on the JSON ``config`` into a fresh ``out``; its exit code."""
+    shutil.rmtree(out, ignore_errors=True)
+    path = out.parent / "config.json"
+    path.write_text(json.dumps(config))
+    return cli.main(["all", "--config", str(path), "--out", str(out)])
+
+
+def artifacts(out):
+    """The SHA-256 of each file of the run ``out`` but the manifests, by path;
+    report.json as its object less config_sha256, which hashes the config
+    and so moves with every setting."""
+    digests = {
+        name: digest for name, digest in tree_hashes(out).items()
+        if not os.path.basename(name).startswith("manifest_")
+    }
+    if "report.json" in digests:
+        digests["report.json"] = json.loads((out / "report.json").read_bytes())
+        del digests["report.json"]["config_sha256"]
+    return digests
+
+
+def test_every_setting_changes_an_artifact(tmp_path):
+    # the micro world with every setting written out: one process, the
+    # marks of its window, a province shock, so that its scope_id acts, and
+    # phase thresholds that it passes through all five phases with, so that
+    # each threshold acts
+    data = {**micro_run_config(), "jobs": 1}
+    data["simulator"]["events"][0]["scope"] = "province"
+    data["phase_thresholds"] = {"growth_high": 0.3, "province_share": 0.5}
+    cfg = RunConfig.from_dict(data)
+    cfg.marks = cfg.event_marks(cfg.simulator.calendar())
+    base = json.loads(json.dumps({k: v for k, v in asdict(cfg).items() if k != "source"}))
+    out = tmp_path / "run"
+    assert run_all(base, out) == 0
+    assert len(files.read_tsv(out / "phases.tsv", cli.TABLES["phases.tsv"])[0]) == 5
+    everything = tree_hashes(out)
+    want = artifacts(out)
+
+    patterns = tmp_path / "patterns.txt"
+    with open(default_patterns_path()) as fh:
+        patterns.write_text("".join(fh.readlines()[:-1]))  # one pattern fewer
+
+    settings = list(leaf_settings(RunConfig, cfg))
+    assert set(INERT) <= {dotted(key) for key, *_ in settings}
+    inert = []
+    for key, tp, value in settings:
+        if dotted(key) in INERT:
+            continue
+        for moved in [str(patterns)] if key == ("patterns",) else moves(key, tp, value):
+            config = copy.deepcopy(base)
+            *parents, last = key
+            node = config
+            for part in parents:
+                node = node[part]
+            node[last] = moved
+            run_all(config, out)
+            # a file that both runs wrote differs; a run that a move makes
+            # fail counts by the files it wrote before it failed
+            got = artifacts(out)
+            if any(got[name] != want[name] for name in got.keys() & want.keys()):
+                break
+        else:
+            inert.append(dotted(key))
+    assert inert == []
+
+    # two processes: not a byte differs, manifests included
+    assert run_all({**base, "jobs": 2}, out) == 0
+    assert tree_hashes(out) == everything

@@ -23,7 +23,7 @@ from awareflow.simulate import (
     hazard_probability,
 )
 
-from conftest import small_world_config, traced_peak
+from conftest import SMALL_WORLD_SEED, small_world_config, traced_peak
 
 
 def zero_hazard():
@@ -131,12 +131,11 @@ def test_chunk_sizes_make_the_draws_of_one_choice_per_chunk():
 def test_single_individual_world():
     cfg = SimConfig(
         n_individuals=1,
-        seed=5,
         n_days=5,
         history_months=2,
         regions=RegionConfig(n_cities=1, n_provinces=1),
     )
-    dataset, truth = generate(cfg)
+    dataset, truth = generate(cfg, 5)
     assert (dataset.addresses.kind == ADDRESS_KINDS.index("home")).sum() == 1
     assert truth.graph.edge_counts() == {name: 0 for name in LAYERS}
     assert dataset.population.n == 1
@@ -145,13 +144,12 @@ def test_single_individual_world():
 def test_two_families_of_two():
     cfg = SimConfig(
         n_individuals=4,
-        seed=9,
         n_days=5,
         history_months=2,
         regions=RegionConfig(n_cities=1, n_provinces=1),
         network=NetworkConfig(family_size_probs=(0.0, 1.0), school_p=0.0, company_p=0.0),
     )
-    dataset, truth = generate(cfg)
+    dataset, truth = generate(cfg, 9)
     counts = truth.graph.edge_counts()
     assert counts == {"family": 2, "schoolmate": 0, "workmate": 0}
     # two disjoint pairs, not one path
@@ -175,7 +173,7 @@ def test_impossible_hazard_means_nobody_aware(matcher):
     cfg.events = []
     cfg.background_query_p = 0.0
     cfg.post_aware_query_p = 0.0
-    dataset, truth = generate(cfg)
+    dataset, truth = generate(cfg, SMALL_WORLD_SEED)
     assert len(truth.timeline) == 0
     assert match_mask(dataset.events, matcher).sum() == 0
     assert len(label_awareness(dataset.events, matcher)) == 0
@@ -184,7 +182,7 @@ def test_impossible_hazard_means_nobody_aware(matcher):
 def test_certain_hazard_means_everyone_aware_first_day(matcher):
     cfg = small_world_config()
     cfg.hazard.intercept = 1000.0
-    dataset, truth = generate(cfg)
+    dataset, truth = generate(cfg, SMALL_WORLD_SEED)
     cols = dataset.population
     assert np.array_equal(truth.timeline.ids, cols.ids)
     days = dataset.calendar.day_of(truth.timeline.first_aware)
@@ -197,7 +195,7 @@ def test_certain_hazard_means_everyone_aware_first_day(matcher):
 def test_query_noise_only_delays_recovery(matcher):
     cfg = small_world_config()
     cfg.query_noise = 0.5
-    dataset, truth = generate(cfg)
+    dataset, truth = generate(cfg, SMALL_WORLD_SEED)
     recovered = label_awareness(dataset.events, matcher)
     # with suppressed queries some individuals go missing, none appear early
     assert np.all(np.isin(recovered.ids, truth.timeline.ids))
@@ -237,8 +235,8 @@ def test_ppe_purchases_respect_stockout(small_world):
 def test_generation_is_deterministic():
     cfg_a = small_world_config()
     cfg_b = small_world_config()
-    ds_a, truth_a = generate(cfg_a)
-    ds_b, truth_b = generate(cfg_b)
+    ds_a, truth_a = generate(cfg_a, SMALL_WORLD_SEED)
+    ds_b, truth_b = generate(cfg_b, SMALL_WORLD_SEED)
     assert ds_a == ds_b
     assert truth_a.timeline == truth_b.timeline
     assert truth_a.graph == truth_b.graph
@@ -264,14 +262,14 @@ def test_generate_sorts_the_event_log_once(monkeypatch):
         return canonical(*columns)
 
     monkeypatch.setattr(EventLog, "canonical", classmethod(counted))
-    dataset, _ = generate(small_world_config())
+    dataset, _ = generate(small_world_config(), SMALL_WORLD_SEED)
     assert rows == [len(dataset.events)]
 
 
 def test_generate_draws_the_history_in_blocks_of_any_size(monkeypatch):
-    want = generate(small_world_config())
+    want = generate(small_world_config(), SMALL_WORLD_SEED)
     monkeypatch.setattr(simulate, "HISTORY_BLOCK_ROWS", 7)
-    dataset, truth = generate(small_world_config())
+    dataset, truth = generate(small_world_config(), SMALL_WORLD_SEED)
     assert dataset == want[0]
     assert truth.timeline == want[1].timeline
     assert truth.graph == want[1].graph
@@ -283,7 +281,7 @@ def test_generate_holds_one_spare_column_beside_the_event_log():
         cfg.n_individuals = n
         cfg.history_months = 120  # events, not individuals, set the peak
         out = []
-        peak = traced_peak(lambda: out.append(generate(cfg)))
+        peak = traced_peak(lambda: out.append(generate(cfg, SMALL_WORLD_SEED)))
         return peak, len(out[0][0].events)
 
     # both sizes span several history blocks, whose temporaries then cancel
@@ -295,10 +293,8 @@ def test_generate_holds_one_spare_column_beside_the_event_log():
 
 def test_different_seed_changes_output():
     cfg = small_world_config()
-    cfg.seed = 322
-    ds, truth = generate(cfg)
-    base_cfg = small_world_config()
-    base_ds, base_truth = generate(base_cfg)
+    ds, truth = generate(cfg, SMALL_WORLD_SEED + 1)
+    base_ds, base_truth = generate(cfg, SMALL_WORLD_SEED)
     assert not (ds == base_ds)
     assert not (truth.timeline == base_truth.timeline)
 
@@ -348,7 +344,7 @@ def test_unknown_keys_rejected():
 
 @pytest.mark.parametrize("data, message", [
     ({"n_individuals": "10"}, "n_individuals must be of type int"),
-    ({"seed": True}, "seed must be of type int"),
+    ({"stockout_day": True}, "stockout_day must be of type int"),
     ({"query_noise": "0.1"}, "query_noise must be of type float"),
     ({"aware_query_texts": "mask"}, "aware_query_texts must be of type list"),
     ({"aware_query_texts": ["mask", 3]}, "aware_query_texts must be of type list"),
