@@ -21,8 +21,9 @@ from .domain import (
     Dataset,
     EventLog,
     PopulationColumns,
-    Region,
+    RegionColumns,
     infer_calendar,
+    raise_violations,
     validate_dataset,
 )
 from .errors import (

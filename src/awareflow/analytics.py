@@ -500,21 +500,20 @@ def spearman(xs, ys):
 
 def _unit_factor(dataset, factor, unit_ids, level, D):
     """Per-unit factor values, shape (U, D); static factors repeat."""
-    by_unit = {}
-    for r in dataset.regions:
-        by_unit.setdefault(r.city_id if level == "city" else r.province_id, []).append(r)
+    regions = dataset.regions
+    unit_of = regions.city_id if level == "city" else regions.province_id
     out = np.zeros((len(unit_ids), D), dtype=np.float64)
-    for k, uid in enumerate(unit_ids):
-        members = by_unit[int(uid)]
+    for k, uid in enumerate(unit_ids.tolist()):
+        members = np.flatnonzero(unit_of == uid)
         if factor == "confirmed_cases":
-            for r in members:
-                cases = np.asarray(r.daily_confirmed_cases, dtype=np.float64)
+            for cases in regions.daily_confirmed_cases[members]:
+                cases = np.asarray(cases, dtype=np.float64)
                 if len(cases) < D:
                     cases = np.pad(cases, (0, D - len(cases)))
                 out[k] += np.cumsum(cases[:D])
         else:
-            weights = np.array([r.population_count for r in members], dtype=np.float64)
-            vals = np.array([getattr(r, factor) for r in members], dtype=np.float64)
+            weights = regions.population_count[members].astype(np.float64)
+            vals = getattr(regions, factor)[members]
             out[k] = np.sum(vals * weights) / weights.sum()
     return out
 

@@ -67,7 +67,7 @@ from .awareness import (
     label_awareness,
 )
 from .config import RunConfig, load_run_config  # RunConfig is re-exported
-from .domain import DATASET_FILES, validate_dataset
+from .domain import DATASET_FILES, raise_violations, validate_dataset
 from .errors import (
     AnalyticsError,
     AwareflowError,
@@ -485,7 +485,7 @@ def cmd_gen(state):
     ddir = cfg.resolved_dataset_dir()
     files.make_dir(ddir, "dataset directory")
     dataset, truth = generate(cfg.simulator, cfg.seed)
-    validate_dataset(dataset).raise_violations("generated dataset")
+    raise_violations(validate_dataset(dataset), "generated dataset")
     # first, so that state.files() finds the calendar from here on
     files.write_calendar(state.dataset_path(CALENDAR_FILE), dataset.calendar)
     if state.fork_writer:

@@ -1,23 +1,24 @@
-"""Shared data model: population and address columns, columnar event log,
-region records, calendar, dataset validation.
+"""Shared data model: population, region and address columns, columnar
+event log, calendar, dataset validation.
 
 All dataset files are line-delimited JSON (one object per line, UTF-8),
 read and written by ``files``.  One field table per file (POPULATION_FIELDS,
 REGION_FIELDS, ADDRESS_FIELDS, EVENT_FIELDS) declares each key's kind,
 range or names and column; ``files.read_jsonl`` and ``validate_dataset``
-enforce it, and the writers follow it.  In memory the population, address and
-event tables are numpy columns named after the fields (``ids`` holds the
-population's ``id``, an address's ``active_interval`` is split into
+enforce it, and the writers follow it.  In memory every table is numpy
+columns named after the fields (``ids`` holds the population's ``id``, a
+region's ``name`` and ``daily_confirmed_cases`` are object columns of
+strings and tuples, an address's ``active_interval`` is split into
 ``active_start`` and ``active_end``, an event's ``query_text`` or
 ``category`` is its ``text_code`` into the log's ``text_pool``, and enum
-fields hold indexes into the tuples below); regions stay records.
+fields hold indexes into the tuples below).  The ``validate_*`` functions
+return the list of violations they find, and ``raise_violations`` raises it.
 Timestamps are integer epoch seconds; calendar days are local
 midnight-to-midnight in China standard time (UTC+8, no DST).  Ids are
 unsigned 64-bit decimals.
 """
 
 import copy
-import dataclasses
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -288,10 +289,6 @@ REGION_FIELDS = (
     Field("multi_ethnic_household_pct", "number", lo=0, hi=1),
     Field("population_count", "int", lo=1),
 )
-# a region record, one attribute per field in file order
-Region = dataclasses.make_dataclass(
-    "Region", [f.column for f in REGION_FIELDS], frozen=True, namespace={"__module__": __name__}
-)
 ADDRESS_FIELDS = (
     Field("individual_id", "id"),
     Field("address_id", "id"),
@@ -318,7 +315,11 @@ class Columns:
 
     def __init__(self, **columns):
         for name, dtype in self.DTYPES.items():
-            setattr(self, name, np.asarray(columns.pop(name), dtype=dtype))
+            values = columns.pop(name)
+            if dtype == object:
+                # one cell per row, also where every row holds a tuple of one length
+                values = np.fromiter(values, dtype=object, count=len(values))
+            setattr(self, name, np.asarray(values, dtype=dtype))
         if columns:
             raise TypeError(f"unknown columns {sorted(columns)}")
 
@@ -446,6 +447,13 @@ class PopulationColumns(Columns):
         return rows_of_ids(self.ids, individual_ids)
 
 
+class RegionColumns(Columns):
+    """The region table, city ids ascending; ``name`` holds strings and
+    ``daily_confirmed_cases`` a tuple of counts per row."""
+
+    DTYPES = {**column_dtypes(REGION_FIELDS), "name": np.dtype(object)}
+
+
 class AddressColumns(Columns):
     """The address table; ``kind`` indexes ADDRESS_KINDS."""
 
@@ -463,43 +471,31 @@ class Dataset:
     """Immutable-after-load container for one observation run."""
 
     population: PopulationColumns
-    regions: list
+    regions: RegionColumns
     addresses: AddressColumns  # None when loaded without its addresses file
     events: EventLog  # None when loaded without its events file
     calendar: Calendar
 
+    def home_regions(self):
+        """The row in ``regions`` of each individual's home city."""
+        return find_rows(self.regions.city_id, self.population.home_city)[0]
+
     def distance_km(self):
         """Per-individual distance to the epicenter via the home city."""
-        by_city = {r.city_id: r.distance_to_epicenter for r in self.regions}
-        return np.array(
-            [by_city[c] for c in self.population.home_city.tolist()], dtype=np.float64
-        )
+        return self.regions.distance_to_epicenter[self.home_regions()]
 
     def province_of_individuals(self):
-        by_city = {r.city_id: r.province_id for r in self.regions}
-        return np.array(
-            [by_city[c] for c in self.population.home_city.tolist()], dtype=np.int64
-        )
+        return self.regions.province_id[self.home_regions()]
 
 
-@dataclass
-class ValidationReport:
-    counts: dict
-    enum_histograms: dict
-    violations: list
-    notes: list
-
-    def ok(self):
-        return not self.violations
-
-    def raise_violations(self, what="dataset"):
-        """Raise IntegrityError naming the first ten violations, if there are any."""
-        if self.violations:
-            shown = "; ".join(self.violations[:10])
-            more = len(self.violations) - 10
-            if more > 0:
-                shown += f"; ... {more} more"
-            raise IntegrityError(f"{what} failed validation: {shown}", self.violations)
+def raise_violations(violations, what="dataset"):
+    """Raise IntegrityError naming the first ten violations, if there are any."""
+    if violations:
+        shown = "; ".join(violations[:10])
+        more = len(violations) - 10
+        if more > 0:
+            shown += f"; ... {more} more"
+        raise IntegrityError(f"{what} failed validation: {shown}", violations)
 
 
 # ---------------------------------------------------------------------------
@@ -522,30 +518,24 @@ def infer_calendar(events):
     return Calendar(lo, hi - lo + 1)
 
 
-def _histogram(codes, names):
-    """Count of each name whose code occurs."""
-    values, counts = np.unique(codes, return_counts=True)
-    return {names[v]: c for v, c in zip(values.tolist(), counts.tolist())}
-
-
-def _range_violations(fields, column_of, name_of):
-    """``<row name>: <key> <problem>`` for each int or number that is not
-    finite or outside its field's range; ``column_of(name)`` is a column."""
+def _range_violations(fields, table, what, keys):
+    """``<what> <key of the row>: <field key> <problem>`` for each int or
+    number of ``table`` that is not finite or outside its field's range."""
     violations = []
     for f in fields:
         if f.kind in ("int", "number"):
-            col = column_of(f.column)
+            col = getattr(table, f.column)
             for row in np.flatnonzero(f.outside(col)).tolist():
-                violations.append(f"{name_of(row)}: {f.key} {f.problem(col[row].item())}")
+                violations.append(f"{what} {keys[row]}: {f.key} {f.problem(col[row].item())}")
     return violations
 
 
 def validate_dataset(dataset):
-    """Collect entity counts, enum histograms, and invariant violations.
+    """The invariant violations of a dataset, as messages.
 
-    Violations are data, not failures: the report always comes back, and a
-    dataset accepted by load_dataset produces an empty violation list.  A
-    dataset without addresses or events has no counts and no checks of them.
+    Violations are data, not failures: a dataset accepted by load_dataset
+    gives an empty list.  A dataset without addresses or events has no
+    checks of them.
     """
     violations = []
 
@@ -556,68 +546,42 @@ def validate_dataset(dataset):
         violations.append(f"duplicate individual id {pid} ({c} records)")
 
     regions = dataset.regions
-    city_ids = {}
-    for r in regions:
-        city_ids[r.city_id] = city_ids.get(r.city_id, 0) + 1
-    for cid, c in city_ids.items():
-        if c > 1:
-            violations.append(f"duplicate city_id {cid} ({c} records)")
+    city_ids, city_counts = np.unique(regions.city_id, return_counts=True)
+    dup = city_counts > 1
+    for cid, c in zip(city_ids[dup].tolist(), city_counts[dup].tolist()):
+        violations.append(f"duplicate city_id {cid} ({c} records)")
 
     (cities,) = distinct_rows(pop.home_city.copy())
-    unknown_cities = [c for c in cities.tolist() if c not in city_ids]
-    for row in np.flatnonzero(np.isin(pop.home_city, unknown_cities)).tolist():
+    _, known = find_rows(city_ids, cities)
+    for row in np.flatnonzero(np.isin(pop.home_city, cities[~known])).tolist():
         violations.append(f"individual {pop.ids[row]}: unknown home_city {pop.home_city[row]}")
-    violations += _range_violations(
-        POPULATION_FIELDS, lambda name: getattr(pop, name),
-        lambda row: f"individual {pop.ids[row]}",
-    )
-    violations += _range_violations(
-        REGION_FIELDS, lambda name: np.array([getattr(r, name) for r in regions]),
-        lambda row: f"region {regions[row].city_id}",
-    )
-    if regions:
-        min_dist = min(r.distance_to_epicenter for r in regions)
+    violations += _range_violations(POPULATION_FIELDS, pop, "individual", pop.ids)
+    violations += _range_violations(REGION_FIELDS, regions, "region", regions.city_id)
+    if len(regions):
+        min_dist = regions.distance_to_epicenter.min().item()
         if min_dist != 0:
             violations.append(
                 f"no epicenter: minimum distance_to_epicenter is {min_dist}, not 0"
             )
-        for r in regions:
-            if (
-                r.daily_confirmed_cases
-                and len(r.daily_confirmed_cases) != dataset.calendar.n_days
-            ):
+        n_days = dataset.calendar.n_days
+        for cid, cases in zip(regions.city_id.tolist(), regions.daily_confirmed_cases):
+            if cases and len(cases) != n_days:
                 violations.append(
-                    f"region {r.city_id}: daily_confirmed_cases has "
-                    f"{len(r.daily_confirmed_cases)} entries, calendar has "
-                    f"{dataset.calendar.n_days} days"
+                    f"region {cid}: daily_confirmed_cases has "
+                    f"{len(cases)} entries, calendar has {n_days} days"
                 )
 
-    enums = [f for f in POPULATION_FIELDS if f.kind == "enum"]
-    report = ValidationReport(
-        counts={"individuals": pop.n, "regions": len(dataset.regions)},
-        enum_histograms={f.key: _histogram(getattr(pop, f.column), f.names) for f in enums},
-        violations=violations,
-        notes=[],
-    )
-    parts = []
     if dataset.addresses is not None:
-        parts.append(validate_addresses(dataset.addresses, ids))
+        violations += validate_addresses(dataset.addresses, ids)
     if dataset.events is not None:
-        parts.append(validate_events(dataset.events, ids, dataset.calendar))
-    for part in parts:
-        report.counts.update(part.counts)
-        report.enum_histograms.update(part.enum_histograms)
-        report.violations += part.violations
-        report.notes += part.notes
-    return report
+        violations += validate_events(dataset.events, ids, dataset.calendar)
+    return violations
 
 
 def validate_addresses(addresses, ids):
-    """The address count, address kinds, notes and violations of an address
-    table: addresses of individuals outside ``ids``, intervals that end
-    before they start."""
+    """The violations of an address table: addresses of individuals outside
+    ``ids``, intervals that end before they start."""
     violations = []
-    notes = []
     resident_bad = ~np.isin(addresses.individual_id, ids)
     interval_bad = addresses.active_start > addresses.active_end
     for row in np.flatnonzero(resident_bad | interval_bad).tolist():
@@ -629,27 +593,13 @@ def validate_addresses(addresses, ids):
                 f"address {aid} / individual {iid}: active_interval start "
                 f"{addresses.active_start[row]} > end {addresses.active_end[row]}"
             )
-    home = addresses.kind == ADDRESS_KINDS.index("home")
-    residents, _ = distinct_rows(addresses.individual_id[home], addresses.address_id[home])
-    _, homes_per_individual = np.unique(residents, return_counts=True)
-    multi_home = int((homes_per_individual > 1).sum())
-    if multi_home:
-        notes.append(
-            f"{multi_home} individuals appear at more than one home address; "
-            "all their family cliques are kept"
-        )
-    return ValidationReport(
-        counts={"addresses": len(addresses)},
-        enum_histograms={"address_kind": _histogram(addresses.kind, ADDRESS_KINDS)},
-        violations=violations,
-        notes=notes,
-    )
+    return violations
 
 
 def validate_events(events, ids, calendar):
-    """The event count, event types and violations of an event log: events
-    of individuals outside ``ids`` (ascending), events past the calendar end.
-    The ids are looked up a chunk of rows at a time."""
+    """The violations of an event log: events of individuals outside ``ids``
+    (ascending), events past the calendar end.  The ids are looked up a
+    chunk of rows at a time."""
     violations = []
     if len(events):
         # a chunk eight times as long as the population repeats most of its
@@ -675,10 +625,4 @@ def validate_events(events, ids, calendar):
                 f"events extend past the calendar end "
                 f"(day {(last + CHINA_UTC_OFFSET) // SECONDS_PER_DAY} > {calendar.end_day})"
             )
-    n_q = int(events.queries_mask().sum())
-    return ValidationReport(
-        counts={"events": len(events)},
-        enum_histograms={"event_type": {"query": n_q, "purchase": len(events) - n_q}},
-        violations=violations,
-        notes=[],
-    )
+    return violations

@@ -14,7 +14,6 @@ file, or none, under the final name.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -41,11 +40,12 @@ from .domain import (
     Dataset,
     EventLog,
     PopulationColumns,
-    Region,
+    RegionColumns,
     column_dtypes,
     find_rows,
     infer_calendar,
     intern_texts,
+    raise_violations,
     row_chunks,
     validate_addresses,
     validate_dataset,
@@ -457,8 +457,8 @@ def read_population(path):
 def read_regions(path):
     columns, pool = read_jsonl(path, REGION_FIELDS)
     columns["name"] = np.array(pool, dtype=object)[columns["name"]]
-    rows = zip(*(col.tolist() for col in columns.values()))
-    return sorted((Region(*row) for row in rows), key=lambda r: r.city_id)
+    regions = RegionColumns(**columns)
+    return regions.take(np.argsort(regions.city_id, kind="stable"))
 
 
 def read_addresses(path):
@@ -489,8 +489,10 @@ def write_population(path, population):
 
 
 def write_regions(path, regions):
+    keys = [f.key for f in REGION_FIELDS]
+    columns = (getattr(regions, f.column).tolist() for f in REGION_FIELDS)
     write_text(path, (
-        json.dumps(dataclasses.asdict(r), separators=(",", ":")) + "\n" for r in regions
+        json.dumps(dict(zip(keys, row)), separators=(",", ":")) + "\n" for row in zip(*columns)
     ))
 
 
@@ -565,21 +567,21 @@ def load_dataset(
             raise ValueError("a dataset loaded without events needs a calendar")
         calendar = infer_calendar(events)
     dataset = Dataset(population, regions, addresses, events, calendar)
-    validate_dataset(dataset).raise_violations()
+    raise_violations(validate_dataset(dataset))
     return dataset
 
 
 def load_addresses(path, ids):
     """The addresses of a file, checked against the population ``ids``."""
     addresses = read_addresses(path)
-    validate_addresses(addresses, ids).raise_violations()
+    raise_violations(validate_addresses(addresses, ids))
     return addresses
 
 
 def load_events(path, ids, calendar):
     """The events of a file, checked against the population ``ids`` and the ``calendar``."""
     events = read_events(path)
-    validate_events(events, ids, calendar).raise_violations()
+    raise_violations(validate_events(events, ids, calendar))
     return events
 
 

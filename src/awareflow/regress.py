@@ -27,40 +27,33 @@ AGE_BRACKETS = (
 )
 
 
+# the reference level of each categorical term, which gets no column
+GENDER_REF = "male"
+EDUCATION_REF = "bachelor"
+OCCUPATION_REF = "white_collar"
+AGE_BRACKET_REF = "25_49"
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Which columns enter the design and which levels are references."""
+    """How age enters the design: standardized ("linear") or as brackets."""
 
-    gender_ref: str = "male"
-    education_ref: str = "bachelor"
-    occupation_ref: str = "white_collar"
-    age_mode: str = "linear"  # "linear" (standardized) or "brackets"
-    age_bracket_ref: str = "25_49"
+    age_mode: str = "linear"
 
     def validate(self):
-        if self.gender_ref not in GENDERS:
-            raise ConfigError(f"unknown gender_ref {self.gender_ref!r}")
-        if self.education_ref not in EDUCATIONS:
-            raise ConfigError(f"unknown education_ref {self.education_ref!r}")
-        if self.occupation_ref not in OCCUPATIONS:
-            raise ConfigError(f"unknown occupation_ref {self.occupation_ref!r}")
         if self.age_mode not in ("linear", "brackets"):
             raise ConfigError("age_mode must be 'linear' or 'brackets'")
-        if self.age_bracket_ref not in {b[0] for b in AGE_BRACKETS}:
-            raise ConfigError(f"unknown age_bracket_ref {self.age_bracket_ref!r}")
         return self
 
     def column_names(self):
         names = ["intercept"]
-        names += [f"gender_{g}" for g in GENDERS if g != self.gender_ref]
+        names += [f"gender_{g}" for g in GENDERS if g != GENDER_REF]
         if self.age_mode == "linear":
             names.append("age_std")
         else:
-            names += [
-                f"age_{b[0]}" for b in AGE_BRACKETS if b[0] != self.age_bracket_ref
-            ]
-        names += [f"education_{e}" for e in EDUCATIONS if e != self.education_ref]
-        names += [f"occupation_{o}" for o in OCCUPATIONS if o != self.occupation_ref]
+            names += [f"age_{b[0]}" for b in AGE_BRACKETS if b[0] != AGE_BRACKET_REF]
+        names += [f"education_{e}" for e in EDUCATIONS if e != EDUCATION_REF]
+        names += [f"occupation_{o}" for o in OCCUPATIONS if o != OCCUPATION_REF]
         names += ["distance_std", "purchasing_power_std", "has_child", "married"]
         for layer in LAYERS:
             names += [f"{layer}_aware_frac", f"{layer}_has_neighbors"]
@@ -119,22 +112,21 @@ class DesignBuilder:
         X = np.zeros((n_s, k), dtype=np.float64)
         col = {name: j for j, name in enumerate(self.names)}
         X[:, col["intercept"]] = 1.0
-        sp = self.spec
         for field, levels, ref in (
-            ("gender", GENDERS, sp.gender_ref),
-            ("education", EDUCATIONS, sp.education_ref),
-            ("occupation", OCCUPATIONS, sp.occupation_ref),
+            ("gender", GENDERS, GENDER_REF),
+            ("education", EDUCATIONS, EDUCATION_REF),
+            ("occupation", OCCUPATIONS, OCCUPATION_REF),
         ):
             codes = getattr(cols, field)[self.sample_rows]
             for i, level in enumerate(levels):
                 if level != ref:
                     X[:, col[f"{field}_{level}"]] = codes == i
         age = cols.age[self.sample_rows].astype(np.float64)
-        if sp.age_mode == "linear":
+        if self.spec.age_mode == "linear":
             X[:, col["age_std"]] = _standardize(age)
         else:
             for name, lo, hi in AGE_BRACKETS:
-                if name != sp.age_bracket_ref:
+                if name != AGE_BRACKET_REF:
                     X[:, col[f"age_{name}"]] = (age >= lo) & (age <= hi)
         X[:, col["distance_std"]] = _standardize(dataset.distance_km()[self.sample_rows])
         X[:, col["purchasing_power_std"]] = _standardize(cols.purchasing_power[self.sample_rows])
@@ -169,7 +161,7 @@ class DesignBuilder:
 class FitConfig:
     max_iter: Annotated[int, Bounds(1)] = 100
     tol: Annotated[float, Bounds(0, open_lo=True)] = 1e-8
-    ridge: Annotated[float, Bounds(0)] = 1e-4
+    ridge: Annotated[float, Bounds(0, open_lo=True)] = 1e-4
     coef_cap: Annotated[float, Bounds(0, open_lo=True)] = 30.0  # a larger |coef| is separation
 
 

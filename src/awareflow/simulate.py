@@ -35,7 +35,7 @@ from .domain import (
     EventLog,
     Field,
     PopulationColumns,
-    Region,
+    RegionColumns,
     Timestamp,
 )
 from .errors import ConfigError
@@ -369,6 +369,12 @@ class SimConfig:
                 problems.append(
                     f"demographics.{name}: probabilities must be finite, >= 0 and sum > 0"
                 )
+        for name, allowed in (
+            ("education", EDUCATIONS), ("occupation", OCCUPATIONS), ("layer_weights", LAYERS)
+        ):
+            unknown = set(getattr(self.hazard, name)) - set(allowed)
+            if unknown:
+                problems.append(f"hazard.{name}: unknown keys {sorted(unknown)}")
         pp = d.purchasing_power_probs
         if len(pp) != MAX_PURCHASING_POWER:
             problems.append(
@@ -475,31 +481,26 @@ def _make_regions(rng, config):
     pop = np.maximum(10_000, rng.lognormal(12.5, 0.4, size=n_c)).astype(np.int64)
 
     lag = dist / max(r.spread_km_per_day, 1e-9)
-    days = np.arange(config.n_days, dtype=np.float64)
-    regions = []
-    for c in range(n_c):
-        t = days - r.epidemic_start_day - lag[c]
-        # a curve past the cap may overflow to inf, which the cap absorbs
-        with np.errstate(over="ignore"):
-            cases = np.where(t >= 0, np.exp(r.epidemic_growth * t), 0.0)
-        cases = np.minimum(cases, pop[c] / 50).astype(np.int64)
-        regions.append(
-            Region(
-                city_id=c,
-                province_id=c * n_p // n_c,
-                name=f"city_{c:03d}",
-                distance_to_epicenter=float(dist[c]),
-                gdp=float(gdp[c]),
-                daily_confirmed_cases=tuple(int(v) for v in cases),
-                cultural_tightness=float(tight[c]),
-                paddy_rice_pct=float(paddy[c]),
-                innovation_index=float(innov[c]),
-                illiteracy_pct=float(illit[c]),
-                multi_ethnic_household_pct=float(ethnic[c]),
-                population_count=int(pop[c]),
-            )
-        )
-    return regions
+    # city x day
+    t = np.arange(config.n_days, dtype=np.float64) - r.epidemic_start_day - lag[:, None]
+    # a curve past the cap may overflow to inf, which the cap absorbs
+    with np.errstate(over="ignore"):
+        curve = np.where(t >= 0, np.exp(r.epidemic_growth * t), 0.0)
+    cases = np.minimum(curve, pop[:, None] / 50).astype(np.int64)
+    return RegionColumns(
+        city_id=np.arange(n_c),
+        province_id=np.arange(n_c) * n_p // n_c,
+        name=[f"city_{c:03d}" for c in range(n_c)],
+        distance_to_epicenter=dist,
+        gdp=gdp,
+        daily_confirmed_cases=list(map(tuple, cases.tolist())),
+        cultural_tightness=tight,
+        paddy_rice_pct=paddy,
+        innovation_index=innov,
+        illiteracy_pct=illit,
+        multi_ethnic_household_pct=ethnic,
+        population_count=pop,
+    )
 
 
 def _prob_vector(probs, keys):
@@ -579,7 +580,7 @@ def generate_population(config, seed):
     n = config.n_individuals
     d = config.demographics
 
-    city_pop = np.array([r.population_count for r in regions], dtype=np.float64)
+    city_pop = regions.population_count.astype(np.float64)
     home_city = rng.choice(len(regions), size=n, p=city_pop / city_pop.sum())
     gender = (rng.random(n) < d.female_p).astype(np.int8)  # 1 = female
     age = rng.integers(d.age_min, d.age_max + 1, size=n).astype(np.int16)

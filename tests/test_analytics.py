@@ -34,7 +34,7 @@ from awareflow.analytics import (
 )
 from awareflow.awareness import NEVER, AwarenessTimeline
 from awareflow.cli import TABLES
-from awareflow.domain import Calendar, Dataset, EventLog
+from awareflow.domain import Calendar, Dataset, EventLog, validate_dataset
 from awareflow.errors import AnalyticsError, CohortError, ParseError
 from awareflow import files
 from awareflow.files import format_value, parse_number, read_tsv, write_tsv
@@ -47,7 +47,7 @@ from oracles import (
     tsv_file_scan,
     two_province_fixture,
 )
-from test_domain import make_addresses, make_population, make_region
+from test_domain import make_addresses, make_population, make_region, make_regions
 
 
 def tl(entries):
@@ -282,7 +282,7 @@ def test_neighborhood_ratio_over_times_matches_each_time():
 def analytics_dataset():
     return Dataset(
         population=make_population(range(1, 9)),
-        regions=[make_region(0), make_region(1, province_id=1, distance=300.0)],
+        regions=make_regions(make_region(0), make_region(1, province_id=1, distance=300.0)),
         addresses=make_addresses([]),
         events=EventLog.empty(),
         calendar=Calendar(0, 1),
@@ -497,13 +497,15 @@ def test_province_percentages_monotone_and_bounded(small_world, timeline_small):
 
 # --- geographic correlation ------------------------------------------------------------------
 
-def geo_dataset(gdp_by_city=(1.0, 2.0, 3.0), tightness=0.5):
-    regions = []
-    for c, gdp in enumerate(gdp_by_city):
-        r = make_region(c, province_id=c, distance=0.0 if c == 0 else 100.0 * c, n_days=5)
-        regions.append(
-            type(r)(**{**r.__dict__, "gdp": gdp, "cultural_tightness": tightness})
+def geo_dataset(gdp_by_city=(1.0, 2.0, 3.0), tightness=0.5, cases_by_city=None):
+    regions = make_regions(*(
+        make_region(
+            c, province_id=c, distance=0.0 if c == 0 else 100.0 * c, n_days=5,
+            gdp=gdp, cultural_tightness=tightness,
+            **({} if cases_by_city is None else {"daily_confirmed_cases": cases_by_city[c]}),
         )
+        for c, gdp in enumerate(gdp_by_city)
+    ))
     home_cities = [c for c in range(len(gdp_by_city)) for _ in range(4)]
     population = make_population(range(1, len(home_cities) + 1), home_cities=home_cities)
     return Dataset(population, regions, make_addresses([]), EventLog.empty(), Calendar(0, 5))
@@ -527,6 +529,18 @@ def test_geo_correlation_constant_factor_is_nan():
     ds = geo_dataset(gdp_by_city=(5.0, 5.0, 5.0))
     rho = geo_correlation_series(ds, tl({1: 0, 5: 0, 9: 0, 10: 0}), "gdp")
     assert np.isnan(rho).all()
+
+
+def test_geo_correlation_region_without_cases_counts_zero():
+    # city 0 has no case counts; cities 1 and 2 count 1 and 2 cases a day
+    ds = geo_dataset(cases_by_city=[(), (1,) * 5, (2,) * 5])
+    assert validate_dataset(ds) == []
+    fac = analytics._unit_factor(ds, "confirmed_cases", np.array([0, 1, 2]), "city", 5)
+    assert fac.tolist() == [[0.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 4.0, 6.0, 8.0, 10.0]]
+    # 1, 2, 3 aware in cities 0, 1, 2: ranks match the cases every day
+    timeline = tl({1: 0, 5: 0, 6: 0, 9: 0, 10: 0, 11: 0})
+    rho = geo_correlation_series(ds, timeline, "confirmed_cases", level="city")
+    assert np.allclose(rho, 1.0)
 
 
 def test_geo_correlation_needs_two_units():

@@ -815,7 +815,7 @@ CONFIG_FAULTS = (
     ("regression-tol-negative", ("regression", "tol"), -1, "regression.tol must be > 0, got -1"),
     (
         "regression-ridge-negative", ("regression", "ridge"), -1,
-        "regression.ridge must be >= 0, got -1",
+        "regression.ridge must be > 0, got -1",
     ),
     (
         "regression-coef-cap-negative", ("regression", "coef_cap"), -1,
@@ -849,6 +849,22 @@ CONFIG_FAULTS = (
     ),
     # the run's seed is the one seed: the simulator takes it from there
     ("simulator-seed", ("simulator", "seed"), 7, "unknown simulator keys: seed"),
+    # a ridge of 0 would make the penalized refit of a separated fit unpenalized
+    ("regression-ridge-zero", ("regression", "ridge"), 0, "regression.ridge must be > 0, got 0"),
+    # a key of a level table that names no level would be hashed but change nothing
+    (
+        "simulator-hazard-unknown-level", ("simulator", "hazard", "education", "Bachelor"), 5,
+        "invalid simulator config: hazard.education: unknown keys ['Bachelor']",
+    ),
+    (
+        "simulator-hazard-unknown-layer", ("simulator", "hazard", "layer_weights", "famly"), 9,
+        "invalid simulator config: hazard.layer_weights: unknown keys ['famly']",
+    ),
+    (
+        "simulator-demographics-unknown-level",
+        ("simulator", "demographics", "education_probs", "phd"), 0.1,
+        "invalid simulator config: demographics.education_probs: unknown keys ['phd']",
+    ),
 )
 
 

@@ -20,7 +20,7 @@ from awareflow.domain import (
     Dataset,
     EventLog,
     PopulationColumns,
-    Region,
+    RegionColumns,
     day_number,
     infer_calendar,
     month_number,
@@ -573,21 +573,29 @@ def test_event_reader_rejects_bad_type(tmp_path):
 
 # --- validation fixtures ----------------------------------------------------
 
-def make_region(city_id=0, province_id=0, distance=0.0, n_days=1):
-    return Region(
-        city_id=city_id,
-        province_id=province_id,
-        name=f"city-{city_id}",
-        distance_to_epicenter=distance,
-        gdp=100.0,
-        daily_confirmed_cases=tuple([0] * n_days),
-        cultural_tightness=0.5,
-        paddy_rice_pct=0.2,
-        innovation_index=1.0,
-        illiteracy_pct=0.05,
-        multi_ethnic_household_pct=0.1,
-        population_count=1000,
-    )
+def make_region(city_id=0, province_id=0, distance=0.0, n_days=1, **values):
+    """One region's column values by name; ``values`` set any of them."""
+    return {
+        "city_id": city_id,
+        "province_id": province_id,
+        "name": f"city-{city_id}",
+        "distance_to_epicenter": distance,
+        "gdp": 100.0,
+        "daily_confirmed_cases": tuple([0] * n_days),
+        "cultural_tightness": 0.5,
+        "paddy_rice_pct": 0.2,
+        "innovation_index": 1.0,
+        "illiteracy_pct": 0.05,
+        "multi_ethnic_household_pct": 0.1,
+        "population_count": 1000,
+        **values,
+    }
+
+
+def make_regions(*regions):
+    """The region table of ``make_region`` dicts, city ids ascending."""
+    regions = sorted(regions, key=lambda r: r["city_id"])
+    return RegionColumns.from_rows([tuple(r[name] for name in RegionColumns.DTYPES) for r in regions])
 
 
 def make_population(ids, home_cities=None):
@@ -618,7 +626,7 @@ def make_addresses(rows):
 def tiny_dataset(population, addresses=(), events=None):
     return Dataset(
         population=population,
-        regions=[make_region(0), make_region(1, distance=300.0)],
+        regions=make_regions(make_region(0), make_region(1, distance=300.0)),
         addresses=make_addresses(addresses),
         events=events if events is not None else EventLog.empty(),
         calendar=Calendar(0, 1),
@@ -627,29 +635,22 @@ def tiny_dataset(population, addresses=(), events=None):
 
 def test_valid_ten_individuals_no_violations():
     ds = tiny_dataset(make_population(range(1, 11)))
-    report = validate_dataset(ds)
-    assert report.ok()
-    assert report.violations == []
-    assert report.counts["individuals"] == 10
-    assert report.enum_histograms["education"] == {"bachelor": 10}
+    assert validate_dataset(ds) == []
 
 
 def test_unknown_home_city_violation_names_individual():
     ds = tiny_dataset(make_population([1, 2, 3], home_cities=[0, 0, 99]))
-    report = validate_dataset(ds)
-    assert report.violations == ["individual 3: unknown home_city 99"]
+    assert validate_dataset(ds) == ["individual 3: unknown home_city 99"]
 
 
 def test_duplicate_individual_id_violation():
     ds = tiny_dataset(make_population([7, 7]))
-    report = validate_dataset(ds)
-    assert "duplicate individual id 7 (2 records)" in report.violations
+    assert "duplicate individual id 7 (2 records)" in validate_dataset(ds)
 
 
 def test_interval_start_after_end_violation():
     ds = tiny_dataset(make_population([1]), addresses=[(1, 10, "home", 100, 50)])
-    report = validate_dataset(ds)
-    assert report.violations == [
+    assert validate_dataset(ds) == [
         "address 10 / individual 1: active_interval start 100 > end 50"
     ]
 
@@ -657,22 +658,18 @@ def test_interval_start_after_end_violation():
 def test_missing_epicenter_violation():
     ds = Dataset(
         population=make_population([1]),
-        regions=[make_region(0, distance=5.0)],
+        regions=make_regions(make_region(0, distance=5.0)),
         addresses=make_addresses([]),
         events=EventLog.empty(),
         calendar=Calendar(0, 1),
     )
-    report = validate_dataset(ds)
-    assert "no epicenter: minimum distance_to_epicenter is 5.0, not 0" in report.violations
+    assert "no epicenter: minimum distance_to_epicenter is 5.0, not 0" in validate_dataset(ds)
 
 
 def test_event_for_unknown_individual_violation():
     events = make_events([("query", 42, 1000, "x", False)])
     ds = tiny_dataset(make_population([1]), events=events)
-    report = validate_dataset(ds)
-    assert any(
-        v == "event references unknown individual 42" for v in report.violations
-    )
+    assert "event references unknown individual 42" in validate_dataset(ds)
 
 
 def test_unknown_event_individuals_are_named_across_lookup_chunks(monkeypatch):
@@ -682,8 +679,7 @@ def test_unknown_event_individuals_are_named_across_lookup_chunks(monkeypatch):
     ids = np.array([3, 50, 77], dtype=np.uint64)  # lookup chunks of 24 rows
     unknown = sorted(set(events.individual_id.tolist()) - set(ids.tolist()))
     assert len(unknown) > 50
-    report = validate_events(events, ids, calendar)
-    assert report.violations == [
+    assert validate_events(events, ids, calendar) == [
         f"event references unknown individual {i}" for i in unknown[:50]
     ] + [f"... {len(unknown) - 50} more unknown event individuals"]
 
@@ -693,9 +689,10 @@ def test_declared_ranges_are_violations():
     pop = make_population([1, 2])
     pop.purchasing_power[0] = 9
     pop.age[1] = -3
-    bad = dataclasses.replace(make_region(1, distance=300.0), gdp=math.inf, paddy_rice_pct=1.5)
-    ds = Dataset(pop, [make_region(0), bad], make_addresses([]), EventLog.empty(), Calendar(0, 1))
-    assert validate_dataset(ds).violations == [
+    bad = make_region(1, distance=300.0, gdp=math.inf, paddy_rice_pct=1.5)
+    regions = make_regions(make_region(0), bad)
+    ds = Dataset(pop, regions, make_addresses([]), EventLog.empty(), Calendar(0, 1))
+    assert validate_dataset(ds) == [
         "individual 2: age must be >= 0, got -3",
         "individual 1: purchasing_power must be in [1, 7], got 9",
         "region 1: gdp must be finite, got inf",
@@ -703,12 +700,10 @@ def test_declared_ranges_are_violations():
     ]
 
 
-def test_multi_home_is_a_note_not_a_violation():
+def test_multi_home_is_not_a_violation():
     addrs = [(1, 10, "home", 0, 100), (1, 11, "home", 0, 100)]
     ds = tiny_dataset(make_population([1]), addresses=addrs)
-    report = validate_dataset(ds)
-    assert report.ok()
-    assert any("more than one home address" in n for n in report.notes)
+    assert validate_dataset(ds) == []
 
 
 def test_load_dataset_raises_integrity_error(tmp_path):
@@ -728,9 +723,7 @@ def test_dataset_loaded_without_events(tmp_path):
     tables = (paths["population"], paths["regions"], paths["addresses"])
     loaded = load_dataset(*tables, None, calendar=ds.calendar)
     assert loaded.events is None
-    report = validate_dataset(loaded)
-    assert report.ok() and "events" not in report.counts
-    assert "event_type" not in report.enum_histograms
+    assert validate_dataset(loaded) == []
     with pytest.raises(ValueError, match="needs a calendar"):
         load_dataset(*tables, None)
     # the events file alone gets the checks load_dataset gives it
@@ -747,17 +740,11 @@ def test_dataset_loaded_without_addresses(tmp_path):
     paths = save_dataset(ds, tmp_path)
     loaded = load_dataset(paths["population"], paths["regions"], None, paths["events"])
     assert loaded.addresses is None
-    report = validate_dataset(loaded)
-    assert report.ok() and report.notes == []
-    assert "addresses" not in report.counts
-    assert "address_kind" not in report.enum_histograms
+    assert validate_dataset(loaded) == []
     # the addresses file alone gets the checks load_dataset gives it
     addresses = load_addresses(paths["addresses"], loaded.population.ids)
     assert addresses == ds.addresses.canonical()
-    full = validate_dataset(dataclasses.replace(loaded, addresses=addresses))
-    assert full.counts["addresses"] == 3
-    assert full.enum_histograms["address_kind"] == {"home": 3}
-    assert any("more than one home address" in n for n in full.notes)
+    assert validate_dataset(dataclasses.replace(loaded, addresses=addresses)) == []
     with pytest.raises(IntegrityError, match="address 10: unknown individual 2"):
         load_addresses(paths["addresses"], np.array([1], dtype=np.uint64))
     save_dataset(tiny_dataset(make_population([1]), addresses=[(1, 10, "home", 100, 50)]), tmp_path)
@@ -777,6 +764,33 @@ def test_infer_calendar_uses_query_span():
     assert infer_calendar(EventLog.empty()) == Calendar(0, 1)
 
 
+def test_region_rows_hold_one_tuple_of_cases_each():
+    # equal-length tuples would make np.asarray a 2-D array
+    regions = make_regions(make_region(1, n_days=3), make_region(0, n_days=3))
+    cases = regions.daily_confirmed_cases
+    assert cases.shape == (2,) and cases.dtype == object
+    assert cases.tolist() == [(0, 0, 0), (0, 0, 0)]
+    assert regions.city_id.tolist() == [0, 1]
+    assert len(RegionColumns.from_rows([])) == 0
+
+
+def test_regions_file_reads_sorted_and_writes_back_byte_for_byte(tmp_path):
+    regions = [
+        make_region(2, province_id=1, distance=40.0, n_days=2),
+        make_region(0, n_days=2),
+        make_region(1, distance=30.5, n_days=0),  # no case counts
+    ]
+    lines = {r["city_id"]: json.dumps(r, separators=(",", ":")) + "\n" for r in regions}
+    path = tmp_path / "regions.jsonl"
+    path.write_text("".join(lines.values()))
+    table = files.read_regions(path)
+    assert table == make_regions(*regions)
+    assert table.city_id.tolist() == [0, 1, 2]
+    assert table.daily_confirmed_cases.tolist() == [(0, 0), (), (0, 0)]
+    files.write_regions(tmp_path / "out.jsonl", table)
+    assert (tmp_path / "out.jsonl").read_text() == "".join(lines[c] for c in sorted(lines))
+
+
 # --- full round trip --------------------------------------------------------
 
 def test_simulated_dataset_round_trips_through_disk(tmp_path, small_world):
@@ -787,7 +801,7 @@ def test_simulated_dataset_round_trips_through_disk(tmp_path, small_world):
         calendar=dataset.calendar,
     )
     assert loaded == dataset
-    assert validate_dataset(loaded).ok()
+    assert validate_dataset(loaded) == []
 
 
 READERS = dict(zip(domain.DATASET_FILES, (
@@ -838,6 +852,7 @@ def test_columns_view_is_consistent(small_world):
         with pytest.raises(IntegrityError, match=f"unknown individual id {unknown}$"):
             cols.rows_of([some[0], unknown])
     # distances come from the home city of each individual
-    by_city = {r.city_id: r.distance_to_epicenter for r in dataset.regions}
+    regions = dataset.regions
     dist = dataset.distance_km()
-    assert dist[17] == by_city[int(cols.home_city[17])]
+    (home,) = np.flatnonzero(regions.city_id == cols.home_city[17])
+    assert dist[17] == regions.distance_to_epicenter[home]

@@ -196,8 +196,6 @@ def test_column_names_layout():
 def test_feature_spec_validation():
     with pytest.raises(ConfigError, match="age_mode"):
         FeatureSpec(age_mode="spline").validate()
-    with pytest.raises(ConfigError, match="education_ref"):
-        FeatureSpec(education_ref="phd").validate()
 
 
 @pytest.fixture(scope="module")
