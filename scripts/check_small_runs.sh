@@ -5,10 +5,11 @@
 # written by a forked process beside the later stages, whatever the runner's
 # core count), with each stage after gen in a fresh process (so every reader
 # parses from disk), and with the stages that read neither addresses.jsonl
-# nor events.jsonl run while both files are moved aside.  Then check that
-# the command-line flags set the config keys they name, that a failed dataset
-# write leaves the same files under both --jobs settings, and that no run
-# left a temporary *.tmp file behind.
+# nor events.jsonl run while both files are moved aside; and check that the
+# dataset, loaded and written again by the library, keeps its bytes.  Then
+# check that the command-line flags set the config keys they name, that a
+# failed dataset write leaves the same files under both --jobs settings, and
+# that no run left a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
 #
 #     sh scripts/check_small_runs.sh [scratch-dir]
@@ -17,10 +18,31 @@ dir=${1:-$(mktemp -d)}
 run() { python -m awareflow.cli "$@"; }
 compare() { python "$(dirname "$0")/compare_runs.py" "$@"; }
 
+# load the dataset directory $1 (and its truth) and write it into $2
+rewrite() {
+  python - "$1" "$2" <<'PY'
+import os
+import sys
+
+from awareflow import files
+from awareflow.domain import DATASET_FILES
+
+src, dst = sys.argv[1:]
+calendar = files.read_calendar(os.path.join(src, "calendar.json"))
+dataset = files.load_dataset(*(os.path.join(src, n) for n in DATASET_FILES), calendar=calendar)
+truth = files.read_truth(src, dataset.population.ids)
+files.save_dataset(dataset, dst)
+files.write_calendar(os.path.join(dst, "calendar.json"), dataset.calendar)
+files.write_truth(truth, dst)
+PY
+}
+
 check() {
   config=$1
   d="$dir/$config"
   run all --config "$config" --out "$d/s"
+  rewrite "$d/s/dataset" "$d/rewritten"
+  compare "$d/s/dataset" "$d/rewritten"
   run all --config "$config" --out "$d/s1" --jobs 1
   compare "$d/s" "$d/s1"
   run all --config "$config" --out "$d/j2" --jobs 2

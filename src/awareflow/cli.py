@@ -42,6 +42,7 @@ import numpy as np
 from . import __version__, files, jobs
 from .analytics import (
     GROUPINGS,
+    PHASE_ORDER,
     Phase,
     PhaseSegmentation,
     cross_ratio,
@@ -168,26 +169,45 @@ TABLES = {
 # artifact checks
 # ---------------------------------------------------------------------------
 
-def check_phases(path, columns):
-    """Refuse phases.tsv columns that no segmentation writes, naming the
-    line: a repeated phase, one that ends before it starts, one that does
-    not start after the previous one ends, or a ``complete`` that is not 0
-    or 1 or differs from the first row's."""
+def check_phases(path, calendar, columns):
+    """Refuse phases.tsv columns that segment_phases does not write, naming
+    the line: phases other than a run of PHASE_ORDER from Normal or
+    Beginning, days that do not follow on from day 0, a ``complete`` other
+    than 1 exactly when all five phases are present, and, given the
+    ``calendar``, a last day other than the window's or dates other than
+    those of the days.  A file without phases names its header."""
     names, starts, ends, _, _, completes = columns
-    for k, (name, start, end, complete) in enumerate(zip(names, starts, ends, completes)):
-        if name in names[:k]:
-            problem = f"repeated phase {name!r}"
+    if not len(names):
+        raise ParseError(path, 1, "no phases")
+    iso = calendar.iso_dates() if calendar else []
+    for k, (name, start, end, start_date, end_date, c) in enumerate(zip(*columns)):
+        phase, prev = f"phase {name!r}", (ends[k - 1] if k else -1)  # prev: the last day before it
+        if name not in PHASE_ORDER:
+            problem = f"unknown {phase}"
+        elif name in names[:k]:
+            problem = f"repeated {phase}"
+        elif k and PHASE_ORDER.index(name) != PHASE_ORDER.index(names[k - 1]) + 1:
+            problem = f"{phase} cannot follow {names[k - 1]!r}"
+        elif not k and name not in PHASE_ORDER[:2]:  # only Normal can be empty
+            problem = f"{phase} cannot come first"
         elif start > end:
-            problem = f"phase {name!r} ends on day {end}, before it starts on day {start}"
-        elif k and start <= ends[k - 1]:
+            problem = f"{phase} ends on day {end}, before it starts on day {start}"
+        elif k and start <= prev:
             problem = (
-                f"phase {name!r} starts on day {start}, "
-                f"not after the previous phase ends on day {ends[k - 1]}"
+                f"{phase} starts on day {start}, not after the previous phase ends on day {prev}"
             )
-        elif complete not in (0, 1):
-            problem = f"complete is {complete}, not 0 or 1"
-        elif complete != completes[0]:
-            problem = f"complete is {complete} here but {completes[0]} on line 2"
+        elif start != prev + 1:
+            problem = f"{phase} starts on day {start}, not on day {prev + 1}"
+        elif c not in (0, 1):
+            problem = f"complete is {c}, not 0 or 1"
+        elif c != completes[0]:
+            problem = f"complete is {c} here but {completes[0]} on line 2"
+        elif c != (len(names) == len(PHASE_ORDER)):
+            problem = f"complete is {c}, but {len(names)} of the five phases are present"
+        elif calendar and (end >= len(iso) or k == len(names) - 1 and end < len(iso) - 1):
+            problem = f"{phase} ends on day {end}; the window ends on day {len(iso) - 1}"
+        elif calendar and (start_date != iso[start] or end_date != iso[end]):
+            problem = f"dates {start_date} to {end_date} are not {iso[start]} to {iso[end]}"
         else:
             continue
         raise ParseError(path, k + 2, problem)
@@ -213,7 +233,7 @@ def phase_segmentation(columns):
     """The PhaseSegmentation of phases.tsv columns."""
     names, starts, ends, _, _, complete = columns
     phases = [Phase(*phase) for phase in zip(names, starts, ends)]
-    return PhaseSegmentation(phases, bool(complete[-1]) if len(complete) else True)
+    return PhaseSegmentation(phases, bool(complete[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +414,8 @@ class PipelineState:
         header = name != "qualified.txt"
         columns = files.read_tsv(path, TABLES[name], header=header)
         if name == "phases.tsv":
-            check_phases(path, columns)
+            # report reads no dataset file: it checks the days without the window
+            check_phases(path, getattr(self.loaded.get("dataset"), "calendar", None), columns)
         if name not in ("qualified.txt", "labels.tsv"):
             return columns
         ids, *rest = columns

@@ -2,18 +2,18 @@
 event log, calendar, dataset validation.
 
 All dataset files are line-delimited JSON (one object per line, UTF-8),
-read and written by ``files``.  One field table per file (POPULATION_FIELDS,
-REGION_FIELDS, ADDRESS_FIELDS, EVENT_FIELDS) declares each key's kind,
-range or names and column; ``files.read_jsonl`` and ``validate_dataset``
-enforce it, and the writers follow it.  In memory every table is numpy
-columns named after the fields (``ids`` holds the population's ``id``, a
-region's ``name`` and ``daily_confirmed_cases`` are object columns of
-strings and tuples, an address's ``active_interval`` is split into
-``active_start`` and ``active_end``, an event's ``query_text`` or
+read and written by ``files``.  One field table per file (DATASET_FIELDS)
+declares each key's kind, range or names and column: ``files.read_jsonl``
+and ``validate_dataset`` enforce it, and ``files.write_jsonl`` takes every
+key from it, so a file's keys are in table order.  In memory every table is
+numpy columns named after the fields (``ids`` holds the population's
+``id``, a region's ``name`` and ``daily_confirmed_cases`` are object
+columns of strings and tuples, an address's ``active_interval`` is split
+into ``active_start`` and ``active_end``, an event's ``query_text`` or
 ``category`` is its ``text_code`` into the log's ``text_pool``, and enum
 fields hold indexes into the tuples below).  The ``validate_*`` functions
-return the list of violations they find, and ``raise_violations`` raises it.
-Timestamps are integer epoch seconds; calendar days are local
+return the list of violations they find, and ``raise_violations`` raises
+it.  Timestamps are integer epoch seconds; calendar days are local
 midnight-to-midnight in China standard time (UTC+8, no DST).  Ids are
 unsigned 64-bit decimals.
 """
@@ -46,8 +46,6 @@ OCCUPATIONS = (
 )
 # alphabetical, so sorting kind codes sorts kind names
 ADDRESS_KINDS = ("company", "home", "school_dorm")
-# the dataset's files, in load_dataset's argument order
-DATASET_FILES = ("population.jsonl", "regions.jsonl", "addresses.jsonl", "events.jsonl")
 EVENT_TYPES = ("query", "purchase")  # indexed by the EVENT_KIND_* codes
 EVENT_KIND_QUERY = 0
 EVENT_KIND_PURCHASE = 1
@@ -133,7 +131,7 @@ def intern_texts(texts, codes_of):
     """Each text's code in the dict ``codes_of`` (text -> code); a text not
     yet there is added with the next code."""
     return np.fromiter(
-        (codes_of.setdefault(t, len(codes_of)) for t in texts), dtype=np.int64, count=len(texts)
+        (codes_of.setdefault(t, len(codes_of)) for t in texts), dtype=np.int32, count=len(texts)
     )
 
 
@@ -168,7 +166,7 @@ _KINDS = {
     "int": (np.int64, {int}, "must be an integer"),
     "number": (np.float64, {int, float}, "must be a number"),
     "bool": (bool, {bool}, "must be a boolean"),
-    "text": (np.int64, {str}, "must be a string"),
+    "text": (np.int32, {str}, "must be a string"),
     "enum": (np.int8, {str}, "must be a string"),
     "interval": (np.int64, {list}, "must be [start, end] epoch seconds"),
     "counts": (object, {list}, "must be a list of ints >= 0"),
@@ -303,6 +301,11 @@ EVENT_FIELDS = (
     Field("category", "text", column="text_code", when=EVENT_KIND_PURCHASE),
     Field("is_ppe", "bool", when=EVENT_KIND_PURCHASE),
 )
+# the dataset's files, in load_dataset's argument order, and their field tables
+DATASET_FILES = ("population.jsonl", "regions.jsonl", "addresses.jsonl", "events.jsonl")
+DATASET_FIELDS = dict(zip(DATASET_FILES, (
+    POPULATION_FIELDS, REGION_FIELDS, ADDRESS_FIELDS, EVENT_FIELDS,
+)))
 
 
 class Columns:

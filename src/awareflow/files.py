@@ -8,9 +8,10 @@ columns: ``ByteLines`` cuts a TSV or edge file's bytes into cells, and a
 JSONL table is parsed a block of lines at a time into one object per line.
 Each column check returns the mask of the rows it refuses, so the reader
 raises the ParseError of the first bad line, and in it of the first bad
-field, without parsing the file again.  Every write goes through
-``atomic_output``, so that a process that dies mid-write leaves the old
-file, or none, under the final name.
+field, without parsing the file again.  ``write_jsonl`` takes every key of
+a JSONL table from its field table, the one place that spells it.  Every
+write goes through ``atomic_output``, so that a process that dies
+mid-write leaves the old file, or none, under the final name.
 """
 
 import contextlib
@@ -26,13 +27,8 @@ import numpy as np
 from .awareness import NEVER, AwarenessTimeline
 from .domain import (
     ADDRESS_FIELDS,
-    ADDRESS_KINDS,
-    DATASET_FILES,
-    EDUCATIONS,
+    DATASET_FIELDS,
     EVENT_FIELDS,
-    EVENT_KIND_QUERY,
-    GENDERS,
-    OCCUPATIONS,
     POPULATION_FIELDS,
     REGION_FIELDS,
     AddressColumns,
@@ -471,82 +467,64 @@ def read_events(path):
     return EventLog.canonical(**columns, text_pool=pool)
 
 
-_JSON_BOOLS = ("false", "true")
+# json.dumps(v, separators=(",", ":")), with one encoder
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+_SPECS = {"id": "%d", "int": "%d", "interval": "[%d,%d]"}  # any other value is a %s
 
 
-def write_population(path, population):
-    def lines(rows):
-        columns = (getattr(population, name)[rows].tolist() for name in PopulationColumns.DTYPES)
-        return [
-            f'{{"id":{i},"gender":"{GENDERS[g]}","age":{a},'
-            f'"education":"{EDUCATIONS[e]}","occupation":"{OCCUPATIONS[o]}",'
-            f'"purchasing_power":{pp},"has_child":{_JSON_BOOLS[c]},'
-            f'"married":{_JSON_BOOLS[m]},"home_city":{h},"qualified":{_JSON_BOOLS[q]}}}\n'
-            for i, g, a, e, o, pp, c, m, h, q in zip(*columns)
-        ]
+def write_jsonl(path, fields, columns, text_pool=()):
+    """Write a JSONL table of ``fields`` from ``columns`` (column name ->
+    array, as read_jsonl returns them), each row's line as
+    ``json.dumps(obj, separators=(",", ":"))`` writes it.  A text column
+    holds codes into ``text_pool`` or, as an object column, the texts.
 
-    write_text(path, chunked(population.n, lines))
+    Each key is JSON-encoded once, into a line template.  An enum, bool or
+    text cell is a prebuilt ``"key":value`` string picked by the row's
+    code; the last, empty one stands for a ``when`` field (always one of
+    these kinds) that the row does not carry.  Each WRITE_CHUNK_ROWS chunk
+    is formatted with one ``%``."""
+    first = columns[fields[0].column]  # its codes decide which when fields a row carries
+    template, slots = "", []  # slots: (field, its column, its cells), in template order
+    for k, f in enumerate(fields):
+        head = ("," if k else "{") + json.dumps(f.key) + ":"
+        col, cells = columns[f.columns[0]], None
+        if f.kind in ("enum", "bool", "text"):
+            choices = {"enum": f.names, "bool": (False, True), "text": text_pool}[f.kind]
+            if col.dtype == object:  # a text column of the texts themselves
+                choices, col = col, np.arange(len(col))
+            cells = np.array([head + _ENCODE(v) for v in choices] + [""], dtype=object)
+            head = ""
+        template += head.replace("%", "%%") + (_SPECS.get(f.kind, "%s") if f.null is None else "%s")
+        slots.append((f, col, cells))
+    template += "}\n"
 
+    def values(f, col, cells, rows):
+        """The values that the template of ``rows`` takes for field ``f``."""
+        if cells is not None:
+            code = col[rows].astype(np.intp)
+            if f.when is not None:
+                code[first[rows] != f.when] = -1
+            return [cells[code].tolist()]
+        if f.kind in ("number", "counts"):
+            return [list(map(_ENCODE, col[rows].tolist()))]
+        if f.null is not None:
+            return [["null" if v == f.null else v for v in col[rows].tolist()]]
+        return [columns[name][rows].tolist() for name in f.columns]  # an interval has two
 
-def write_regions(path, regions):
-    keys = [f.key for f in REGION_FIELDS]
-    columns = (getattr(regions, f.column).tolist() for f in REGION_FIELDS)
-    write_text(path, (
-        json.dumps(dict(zip(keys, row)), separators=(",", ":")) + "\n" for row in zip(*columns)
-    ))
+    def chunk(rows):
+        cols = [v for slot in slots for v in values(*slot, rows)]
+        return (template * len(cols[0])) % tuple(itertools.chain.from_iterable(zip(*cols)))
 
-
-def write_addresses(path, addresses):
-    def lines(rows):
-        columns = (getattr(addresses, name)[rows].tolist() for name in AddressColumns.DTYPES)
-        return [
-            f'{{"individual_id":{i},"address_id":{a},"kind":"{ADDRESS_KINDS[k]}",'
-            f'"active_interval":[{lo},{hi}]}}\n'
-            for i, a, k, lo, hi in zip(*columns)
-        ]
-
-    write_text(path, chunked(len(addresses), lines))
-
-
-def write_events(path, events):
-    """One line per event, as ``json.dumps(obj, separators=(",", ":"))`` writes
-    it.  Each distinct text is JSON-encoded once, into three line tails (a
-    query's, a purchase's with ``is_ppe`` false or true), and a row picks its
-    tail by ``3 * text_code + variant``."""
-    tails = []
-    for t in events.text_pool:
-        enc = json.dumps(t)
-        tails += (
-            f',"query_text":{enc}}}\n',
-            f',"category":{enc},"is_ppe":false}}\n',
-            f',"category":{enc},"is_ppe":true}}\n',
-        )
-    heads = ('{"type":"query","individual_id":', '{"type":"purchase","individual_id":')
-
-    def lines(rows):
-        purchase = events.kind[rows] != EVENT_KIND_QUERY
-        variant = 3 * events.text_code[rows] + purchase + (purchase & events.is_ppe[rows])
-        return [
-            f'{heads[p]}{i},"timestamp":{t}{tails[v]}'
-            for p, i, t, v in zip(
-                purchase.tolist(),
-                events.individual_id[rows].tolist(),
-                events.timestamp[rows].tolist(),
-                variant.tolist(),
-            )
-        ]
-
-    write_text(path, chunked(len(events), lines))
+    write_text(path, map(chunk, row_chunks(len(first))))
 
 
 def save_dataset(dataset, directory):
     """Write the four dataset files into ``directory``; returns their paths."""
     make_dir(directory, "dataset directory")
-    paths = {name.split(".")[0]: os.path.join(directory, name) for name in DATASET_FILES}
-    write_population(paths["population"], dataset.population)
-    write_regions(paths["regions"], dataset.regions)
-    write_addresses(paths["addresses"], dataset.addresses)
-    write_events(paths["events"], dataset.events)
+    paths = {name.split(".")[0]: os.path.join(directory, name) for name in DATASET_FIELDS}
+    for (table, path), fields in zip(paths.items(), DATASET_FIELDS.values()):
+        columns = getattr(dataset, table)
+        write_jsonl(path, fields, vars(columns), getattr(columns, "text_pool", ()))
     return paths
 
 
@@ -590,11 +568,8 @@ def write_truth(truth, directory):
     make_dir(directory, "truth directory")
     labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
     ids = truth.graph.ids
-    aligned = truth.timeline.aligned(ids)
-    write_text(labels_path, chunked(len(ids), lambda rows: [
-        f'{{"individual_id":{i},"first_aware":{"null" if t == NEVER else t}}}\n'
-        for i, t in zip(ids[rows].tolist(), aligned[rows].tolist())
-    ]))
+    labels = {"individual_id": ids, "first_aware": truth.timeline.aligned(ids)}
+    write_jsonl(labels_path, TRUTH_LABEL_FIELDS, labels)
     write_edges(truth.graph, edges_path)
     return {"truth_labels": labels_path, "truth_network": edges_path}
 

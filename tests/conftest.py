@@ -56,7 +56,8 @@ def random_event_columns(n, calendar, n_ids=200, seed=0):
     kind = rng.integers(0, 2, size=n).astype(np.uint8)
     ts = rng.integers(calendar.day_start_ts(-400), calendar.day_start_ts(0), size=n)
     iid = rng.integers(1, n_ids + 1, size=n).astype(np.uint64)
-    return kind, iid, ts, rng.integers(0, 5, size=n), (kind == 1) & (rng.random(n) < 0.3)
+    code = rng.integers(0, 5, size=n).astype(EventLog.DTYPES["text_code"])
+    return kind, iid, ts, code, (kind == 1) & (rng.random(n) < 0.3)
 
 
 def traced_peak(fn, *args):

@@ -548,3 +548,34 @@ def write_events_rows(path, kind, individual_id, timestamp, text, is_ppe):
                     "category": x, "is_ppe": bool(p),
                 }
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+
+
+def jsonl_rows(fields, columns, text_pool):
+    """The line of each row of a JSONL table's columns, one json.dumps of
+    an object built key by key: a field with ``when`` only where the first
+    field's code is its ``when``, a nullable int's null value as null."""
+    first = columns[fields[0].column]
+    lines = []
+    for k in range(len(first)):
+        obj = {}
+        for f in fields:
+            if f.when is not None and first[k] != f.when:
+                continue
+            v = columns[f.columns[0]][k]
+            if f.kind == "enum":
+                v = f.names[v]
+            elif f.kind == "text":
+                v = text_pool[v]
+            elif f.kind == "bool":
+                v = bool(v)
+            elif f.kind == "number":
+                v = float(v)
+            elif f.kind == "counts":
+                v = list(v)
+            elif f.kind == "interval":
+                v = [int(v), int(columns[f.columns[1]][k])]
+            else:
+                v = None if f.null is not None and v == f.null else int(v)
+            obj[f.key] = v
+        lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
+    return lines

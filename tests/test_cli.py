@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from awareflow import cli, domain, files
+from awareflow import analytics, cli, domain, files
 from awareflow.config import load_run_config
 from awareflow.domain import Calendar
 from awareflow.errors import CohortError, NumericalError, ParseError
@@ -235,17 +235,17 @@ def test_a_dataset_write_that_fails_after_later_stages_leaves_the_files_of_one_j
 ):
     one = failed_dataset_write(micro_config, tmp_path / "one", "1")
     labels = tmp_path / "two" / "labels.tsv"
-    write_events = files.write_events
+    write_jsonl = files.write_jsonl
 
-    def held(path, events):
+    def held(path, *args):
         # the forked writer inherits this: it fails on events.jsonl only
         # once `label` has written its outputs, or after 10 s
         deadline = time.monotonic() + 10
-        while not labels.exists() and time.monotonic() < deadline:
+        while str(path).endswith("events.jsonl") and not labels.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-        write_events(path, events)
+        write_jsonl(path, *args)
 
-    monkeypatch.setattr(files, "write_events", held)
+    monkeypatch.setattr(files, "write_jsonl", held)
     capfd.readouterr()
     two = failed_dataset_write(micro_config, tmp_path / "two", "2")
     assert "[label] ok" in capfd.readouterr().out
@@ -285,17 +285,17 @@ def test_a_later_stage_failure_leaves_what_one_process_leaves(micro_config, tmp_
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_loading_a_file_the_writer_owns_waits_for_it(micro_config, tmp_path, monkeypatch):
     go = tmp_path / "go"
-    write_addresses = files.write_addresses
+    write_jsonl = files.write_jsonl
 
-    def held(path, addresses):
+    def held(path, *args):
         # the forked writer inherits this: it writes addresses.jsonl only
         # once the test says go, or after 10 s
         deadline = time.monotonic() + 10
-        while not go.exists() and time.monotonic() < deadline:
+        while str(path).endswith("addresses.jsonl") and not go.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-        write_addresses(path, addresses)
+        write_jsonl(path, *args)
 
-    monkeypatch.setattr(files, "write_addresses", held)
+    monkeypatch.setattr(files, "write_jsonl", held)
     state = cli.PipelineState(load_run_config(micro_config, out_dir=str(tmp_path)), fork_writer=True)
     try:
         cli.STEP_FUNCS["gen"](state)
@@ -899,6 +899,22 @@ FAULTS = [
         "cohort", substitute("phases.tsv", r"(Beginning[^\n]*)\t0\n", r"\1\t1\n"), 4,
         id="phases-complete-differs",
     ),
+    pytest.param("cohort", substitute("phases.tsv", r"Beginning\t", "Bogus\t"), 4, id="phases-unknown"),
+    pytest.param(
+        "regress", substitute("phases.tsv", r"\t\d+(\t\S+\t\S+\t\d\n)$", r"\t500\1"), 4,
+        id="phases-past-the-window",
+    ),
+    pytest.param(
+        "cohort", substitute("phases.tsv", r"(Beginning\t\d+\t\d+\t)[^\t]+", r"\g<1>1999-01-01"), 4,
+        id="phases-wrong-date",
+    ),
+    pytest.param(
+        "cohort", substitute("phases.tsv", r"Beginning\t12\t", "Beginning\t13\t"), 4, id="phases-gap"
+    ),
+    pytest.param(
+        "report", replace("phases.tsv", "phase\tstart_day\tend_day\tstart_date\tend_date\tcomplete\n"),
+        4, id="phases-header-only",
+    ),
     pytest.param(
         "report", append("geo_correlations.tsv", "city\tdistance_to_epicenter\t0\n"), 4,
         id="geo-short-row",
@@ -1119,33 +1135,67 @@ def test_config_faults_name_the_section(micro_config, tmp_path, capsys, name, pa
     assert not (tmp_path / "run").exists()
 
 
+PHASE_CALENDAR = Calendar.from_dates("2019-12-01", "2020-01-11")  # days 0 to 41
 PHASE_ROWS = [
     ("Normal", 0, 11, "2019-12-01", "2019-12-12", 0),
     ("Beginning", 12, 39, "2019-12-13", "2020-01-09", 0),
-    ("Growth", 40, 40, "2020-01-10", "2020-01-10", 0),
+    ("Growth", 40, 41, "2020-01-10", "2020-01-11", 0),
 ]
 
 
 @pytest.mark.parametrize("k, row, line_no, message", [
-    (2, ("Normal", 41, 50, "", "", 0), 4, "repeated phase 'Normal'"),
-    (1, ("Beginning", 12, 11, "", "", 0), 3,
+    (2, ("Normal", 40, 41, "2020-01-10", "2020-01-11", 0), 4, "repeated phase 'Normal'"),
+    (1, ("Beginning", 12, 11, "2019-12-13", "2019-12-12", 0), 3,
      "phase 'Beginning' ends on day 11, before it starts on day 12"),
-    (1, ("Beginning", 11, 39, "", "", 0), 3,
+    (1, ("Beginning", 11, 39, "2019-12-12", "2020-01-09", 0), 3,
      "phase 'Beginning' starts on day 11, not after the previous phase ends on day 11"),
-    (2, ("Growth", 5, 6, "", "", 0), 4,
+    (2, ("Growth", 5, 6, "2019-12-06", "2019-12-07", 0), 4,
      "phase 'Growth' starts on day 5, not after the previous phase ends on day 39"),
-    (2, ("Growth", 40, 40, "", "", 1), 4, "complete is 1 here but 0 on line 2"),
-    (0, ("Normal", 0, 11, "", "", 2), 2, "complete is 2, not 0 or 1"),
+    (2, ("Growth", 40, 41, "2020-01-10", "2020-01-11", 1), 4, "complete is 1 here but 0 on line 2"),
+    (0, ("Normal", 0, 11, "2019-12-01", "2019-12-12", 2), 2, "complete is 2, not 0 or 1"),
+    (2, ("Bogus", 40, 41, "2020-01-10", "2020-01-11", 0), 4, "unknown phase 'Bogus'"),
+    (0, ("Growth", 0, 11, "2019-12-01", "2019-12-12", 0), 2, "phase 'Growth' cannot come first"),
+    (1, ("Growth", 12, 39, "2019-12-13", "2020-01-09", 0), 3, "phase 'Growth' cannot follow 'Normal'"),
+    (0, ("Normal", 1, 11, "2019-12-02", "2019-12-12", 0), 2,
+     "phase 'Normal' starts on day 1, not on day 0"),
+    (2, ("Growth", 41, 41, "2020-01-11", "2020-01-11", 0), 4,
+     "phase 'Growth' starts on day 41, not on day 40"),
+    (2, ("Growth", 40, 500, "2020-01-10", "2020-01-11", 0), 4,
+     "phase 'Growth' ends on day 500; the window ends on day 41"),
+    (2, ("Growth", 40, 40, "2020-01-10", "2020-01-10", 0), 4,
+     "phase 'Growth' ends on day 40; the window ends on day 41"),
+    (1, ("Beginning", 12, 39, "1999-01-01", "2020-01-09", 0), 3,
+     "dates 1999-01-01 to 2020-01-09 are not 2019-12-13 to 2020-01-09"),
+    (2, ("Growth", 40, 41, "2020-01-10", "2020-01-10", 0), 4,
+     "dates 2020-01-10 to 2020-01-10 are not 2020-01-10 to 2020-01-11"),
+    (0, ("Normal", 0, 11, "2019-12-01", "2019-12-12", 1), 2,
+     "complete is 1, but 3 of the five phases are present"),
 ])
 def test_check_phases_names_the_bad_line(k, row, line_no, message):
     def check(rows):
-        cli.check_phases("phases.tsv", [list(column) for column in zip(*rows)] or [[]] * 6)
+        columns = [list(column) for column in zip(*rows)] or [[]] * 6
+        cli.check_phases("phases.tsv", PHASE_CALENDAR, columns)
 
     check(PHASE_ROWS)
-    check([])
     with pytest.raises(ParseError) as exc:
         check(PHASE_ROWS[:k] + [row] + PHASE_ROWS[k + 1:])
     assert (exc.value.line_no, str(exc.value)) == (line_no, f"phases.tsv:{line_no}: {message}")
+    with pytest.raises(ParseError, match="^phases.tsv:1: no phases$"):
+        check([])
+
+
+def test_check_phases_without_a_calendar_leaves_the_window_and_dates_unchecked():
+    def check(rows):
+        cli.check_phases("phases.tsv", None, [list(column) for column in zip(*rows)])
+
+    check([("Normal", 0, 11, "1999-01-01", "", 0), ("Beginning", 12, 500, "", "", 0)])
+    five = [(name, k, k, "", "", 1) for k, name in enumerate(analytics.PHASE_ORDER)]
+    check(five)
+    check([(name, k, k, "", "", 0) for k, name in enumerate(analytics.PHASE_ORDER[1:])])
+    with pytest.raises(ParseError, match="^phases.tsv:3: phase 'Beginning' starts on day 13,"):
+        check([("Normal", 0, 11, "", "", 0), ("Beginning", 13, 500, "", "", 0)])
+    with pytest.raises(ParseError, match="^phases.tsv:2: complete is 0, but 5 of the five phases"):
+        check([row[:5] + (0,) for row in five])
 
 
 LABEL_CALENDAR = Calendar.from_dates("2020-01-01", "2020-01-10")

@@ -35,13 +35,16 @@ from awareflow.files import (
     load_events,
     read_events,
     save_dataset,
-    write_events,
 )
 
 from conftest import make_events, random_event_columns, traced_peak
 from oracles import jsonl_file_scan, jsonl_values, write_events_rows
 
 CN = timezone(timedelta(hours=8))
+
+
+def write_events(path, log):
+    files.write_jsonl(path, domain.EVENT_FIELDS, vars(log), log.text_pool)
 
 
 # --- calendar ---------------------------------------------------------------
@@ -447,7 +450,7 @@ def test_block_reader_raises_the_per_line_error(
     assert exc.value.line_no == 7
     assert str(exc.value) == f"{path}:7: {message}"
     assert opened == [path]  # the bad line is named from the one read
-    assert jsonl_file_scan(path.read_bytes(), FIELD_TABLES[name]) == (7, message)
+    assert jsonl_file_scan(path.read_bytes(), domain.DATASET_FIELDS[name]) == (7, message)
 
 
 @pytest.mark.parametrize("name, bad, message", [
@@ -477,7 +480,7 @@ def test_block_reader_names_the_first_bad_field_of_the_first_bad_line(
     with pytest.raises(ParseError) as exc:
         reader(path)
     assert str(exc.value) == f"{path}:7: {message}"
-    assert jsonl_file_scan(path.read_bytes(), FIELD_TABLES[name]) == (7, message)
+    assert jsonl_file_scan(path.read_bytes(), domain.DATASET_FIELDS[name]) == (7, message)
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
@@ -490,7 +493,7 @@ def test_read_jsonl_matches_a_line_by_line_scan(tmp_path, monkeypatch, name, new
     if name == "events.jsonl":
         padded.append(_query(6, 109, "fe}ver"))
     path = _lines_file(tmp_path / name, padded, newline)
-    fields = FIELD_TABLES[name]
+    fields = domain.DATASET_FIELDS[name]
     want = jsonl_file_scan(path.read_bytes(), fields)
     assert len(next(iter(want.values()))) == len(padded) - 2
     assert jsonl_values(fields, *files.read_jsonl(path, fields)) == want
@@ -787,7 +790,7 @@ def test_regions_file_reads_sorted_and_writes_back_byte_for_byte(tmp_path):
     assert table == make_regions(*regions)
     assert table.city_id.tolist() == [0, 1, 2]
     assert table.daily_confirmed_cases.tolist() == [(0, 0), (), (0, 0)]
-    files.write_regions(tmp_path / "out.jsonl", table)
+    files.write_jsonl(tmp_path / "out.jsonl", domain.REGION_FIELDS, vars(table))
     assert (tmp_path / "out.jsonl").read_text() == "".join(lines[c] for c in sorted(lines))
 
 
@@ -806,9 +809,6 @@ def test_simulated_dataset_round_trips_through_disk(tmp_path, small_world):
 
 READERS = dict(zip(domain.DATASET_FILES, (
     files.read_population, files.read_regions, files.read_addresses, read_events,
-)))
-FIELD_TABLES = dict(zip(domain.DATASET_FILES, (
-    domain.POPULATION_FIELDS, domain.REGION_FIELDS, domain.ADDRESS_FIELDS, domain.EVENT_FIELDS,
 )))
 
 
@@ -835,7 +835,7 @@ def test_writers_write_the_declared_keys_in_order(tmp_path, small_world, name):
     assert len(keys_of) == (2 if name == "events.jsonl" else 1)
     for etype, keys in keys_of.items():
         code = None if etype is None else domain.EVENT_TYPES.index(etype)
-        assert keys == [f.key for f in FIELD_TABLES[name] if f.when in (None, code)]
+        assert keys == [f.key for f in domain.DATASET_FIELDS[name] if f.when in (None, code)]
 
 
 def test_columns_view_is_consistent(small_world):
