@@ -7,9 +7,10 @@
 # parses from disk), and with the stages that read neither addresses.jsonl
 # nor events.jsonl run while both files are moved aside; and check that the
 # dataset, loaded and written again by the library, keeps its bytes.  Then
-# check that the command-line flags set the config keys they name, that a
-# failed dataset write leaves the same files under both --jobs settings, and
-# that no run left a temporary *.tmp file behind.
+# check that a stage refuses artifacts older than the dataset (exit 4) until
+# the later stages run again, that the command-line flags set the config
+# keys they name, that a failed dataset write leaves the same files under
+# both --jobs settings, and that no run left a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
 #
 #     sh scripts/check_small_runs.sh [scratch-dir]
@@ -64,6 +65,22 @@ check() {
 
 for config in small fig1a recovery; do
   check "$config"
+done
+# provenance: over a copy of a finished run, a dataset generated again with
+# another seed makes `regress` exit 4 (its upstream manifests record the old
+# dataset), and once every later stage has run again in order, `report` runs
+d="$dir/provenance"
+cp -r "$dir/small/s" "$d"
+run gen --config small --seed 8 --out "$d"
+code=0
+run regress --config small --out "$d" 2>"$d/err" || code=$?
+if [ "$code" -ne 4 ]; then
+  echo "regress over a regenerated dataset exited $code, not 4:" >&2
+  cat "$d/err" >&2
+  exit 1
+fi
+for stage in infer-net label segment cohort geo-corr regress report; do
+  run "$stage" --config small --out "$d"
 done
 # the flags set their keys over the config before it is checked: `all` on
 # small with --seed and --phase-thresholds writes what `all` writes over a

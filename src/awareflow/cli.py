@@ -15,19 +15,27 @@ error all come from these declarations.
 Every subcommand writes its artifacts plus a deterministic manifest (no
 timestamps, no absolute paths) so that identical config + seed runs are
 byte-identical.  A manifest's ``inputs`` hash every file the stage read,
-the dataset tables it declares included; its ``outputs`` every file it
-wrote.  Only ``gen`` and ``infer-net`` touch the address table, so only
-their manifests list ``addresses.jsonl``; only ``gen`` and ``label`` touch
-the event log, so only theirs list ``events.jsonl`` while ``calendar.json``
-exists.  Every file goes through ``files``: artifacts of earlier stages
-through validating readers, outputs atomically, and a stage removes its old
-manifest first.  When ``jobs`` allows two processes, `all` hands the
-dataset write to a forked writer (see ``jobs``) and runs the analytic
-stages from memory meanwhile; their manifests wait for the writer.
+the dataset tables it declares and the manifests of its upstream stages
+included; its ``outputs`` every file it wrote.  Only ``gen`` and
+``infer-net`` touch the address table, so only their manifests list
+``addresses.jsonl``; only ``gen`` and ``label`` touch the event log, so
+only theirs list ``events.jsonl`` while ``calendar.json`` exists.  Every
+file goes through ``files``: artifacts of earlier stages through validating
+readers, outputs atomically, and a stage removes its old manifest first.
+When ``jobs`` allows two processes, `all` hands the dataset write to a
+forked writer (see ``jobs``) and runs the analytic stages from memory
+meanwhile; their manifests wait for the writer.
 
-Exit codes: 0 ok, 2 config error or unwritable output, 3 missing artifact,
-4 a dataset file or an earlier stage's artifact unreadable or failing its
-checks, 5 numerical/analytic failure.
+Manifests are commit records.  A stage trusts a file another process wrote
+only once it has parsed it and found its SHA-256 where the manifests of its
+upstream stages record it: a file that differs from a recorded output was
+edited since, one that differs from a recorded input is newer than the
+stage that read it, and either fails naming the stage to rerun.
+
+Exit codes: 0 ok, 2 config error or unwritable output, 3 missing artifact
+or upstream manifest, 4 a dataset file or an earlier stage's artifact
+unreadable, failing its checks or not the file its manifests record,
+5 numerical/analytic failure.
 """
 
 import argparse
@@ -42,7 +50,6 @@ import numpy as np
 from . import __version__, files, jobs
 from .analytics import (
     GROUPINGS,
-    PHASE_ORDER,
     Phase,
     PhaseSegmentation,
     cross_ratio,
@@ -165,70 +172,6 @@ TABLES = {
 }
 
 
-# ---------------------------------------------------------------------------
-# artifact checks
-# ---------------------------------------------------------------------------
-
-def check_phases(path, calendar, columns):
-    """Refuse phases.tsv columns that segment_phases does not write, naming
-    the line: phases other than a run of PHASE_ORDER from Normal or
-    Beginning, days that do not follow on from day 0, a ``complete`` other
-    than 1 exactly when all five phases are present, and, given the
-    ``calendar``, a last day other than the window's or dates other than
-    those of the days.  A file without phases names its header."""
-    names, starts, ends, _, _, completes = columns
-    if not len(names):
-        raise ParseError(path, 1, "no phases")
-    iso = calendar.iso_dates() if calendar else []
-    for k, (name, start, end, start_date, end_date, c) in enumerate(zip(*columns)):
-        phase, prev = f"phase {name!r}", (ends[k - 1] if k else -1)  # prev: the last day before it
-        if name not in PHASE_ORDER:
-            problem = f"unknown {phase}"
-        elif name in names[:k]:
-            problem = f"repeated {phase}"
-        elif k and PHASE_ORDER.index(name) != PHASE_ORDER.index(names[k - 1]) + 1:
-            problem = f"{phase} cannot follow {names[k - 1]!r}"
-        elif not k and name not in PHASE_ORDER[:2]:  # only Normal can be empty
-            problem = f"{phase} cannot come first"
-        elif start > end:
-            problem = f"{phase} ends on day {end}, before it starts on day {start}"
-        elif k and start <= prev:
-            problem = (
-                f"{phase} starts on day {start}, not after the previous phase ends on day {prev}"
-            )
-        elif start != prev + 1:
-            problem = f"{phase} starts on day {start}, not on day {prev + 1}"
-        elif c not in (0, 1):
-            problem = f"complete is {c}, not 0 or 1"
-        elif c != completes[0]:
-            problem = f"complete is {c} here but {completes[0]} on line 2"
-        elif c != (len(names) == len(PHASE_ORDER)):
-            problem = f"complete is {c}, but {len(names)} of the five phases are present"
-        elif calendar and (end >= len(iso) or k == len(names) - 1 and end < len(iso) - 1):
-            problem = f"{phase} ends on day {end}; the window ends on day {len(iso) - 1}"
-        elif calendar and (start_date != iso[start] or end_date != iso[end]):
-            problem = f"dates {start_date} to {end_date} are not {iso[start]} to {iso[end]}"
-        else:
-            continue
-        raise ParseError(path, k + 2, problem)
-
-
-def check_label_days(path, calendar, ts, day, date):
-    """Refuse labels.tsv rows whose first_aware_day or first_aware_date is
-    not what cmd_label writes for their first_aware_ts, naming the line."""
-    want_day = calendar.day_of(ts)
-    want_date = calendar.dates_of(ts)
-    bad_day = day != want_day
-    bad = bad_day | (date != want_date)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if bad_day[k]:
-            problem = f"first_aware_day {day[k]} is not day {want_day[k]} of first_aware_ts {ts[k]}"
-        else:
-            problem = f"first_aware_date {date[k]!r} is not {want_date[k]!r}, day {day[k]}"
-        raise ParseError(path, k + 2, problem)
-
-
 def phase_segmentation(columns):
     """The PhaseSegmentation of phases.tsv columns."""
     names, starts, ends, _, _, complete = columns
@@ -245,8 +188,9 @@ def phase_segmentation(columns):
 # calendar.json; without calendar.json the window is inferred from the
 # events, so events.jsonl takes its place), "addresses" (addresses.jsonl),
 # "events" (events.jsonl), "truth" (the simulator's ground truth next to
-# them) and "patterns" (the query pattern file).
-Stage = namedtuple("Stage", "name reads writes")
+# them) and "patterns" (the query pattern file).  ``upstream`` names the
+# stages that write what a stage reads, whose manifests it reads too.
+Stage = namedtuple("Stage", "name reads writes upstream")
 STAGES = {}  # stage name -> Stage, in pipeline order
 STEP_FUNCS = {}  # stage name -> cmd_<stage>; `all` and each subcommand dispatch here
 
@@ -256,10 +200,9 @@ def manifest_name(command):
 
 
 def producer(artifact):
-    """The stage that writes ``artifact``."""
+    """The stage that writes ``artifact``, or None for a file no stage writes."""
     return next(
-        s.name for s in STAGES.values()
-        if artifact in s.writes or artifact == manifest_name(s.name)
+        (s for s in STAGES if artifact in STAGES[s].writes or artifact == manifest_name(s)), None
     )
 
 
@@ -267,19 +210,23 @@ def stage(name, reads=(), writes=()):
     """Declare the decorated body as stage ``name``; declare in pipeline order.
 
     The body returns the manifest stats.  The ``cmd_<stage>`` that takes
-    its place removes the stage's old manifest, runs the body, then writes
-    the manifest (inputs: the files of ``reads``; outputs: the files of
-    ``writes``), so that a manifest marks a completed run of its stage.
+    its place removes the stage's old manifest, parses and checks what the
+    stage reads (``PipelineState.check``), runs the body, then writes the
+    manifest (inputs: the files of ``reads`` and the upstream manifests
+    read; outputs: the files of ``writes``), so that a manifest marks a
+    completed run of its stage.
     """
-    spec = STAGES[name] = Stage(name, tuple(reads), tuple(writes))
+    writers = {producer(artifact) for artifact in reads}
+    upstream = tuple(s for s in STAGES if s in writers)
+    spec = STAGES[name] = Stage(name, tuple(reads), tuple(writes), upstream)
 
     def declare(body):
         def cmd(state):
             files.discard(state.out_path(manifest_name(name)))
+            inputs = state.check(spec)
             stats = body(state)
-            return write_manifest(
-                state, name, state.files(spec.reads), state.files(spec.writes), stats
-            )
+            state.ran.add(name)
+            return write_manifest(state, name, inputs, state.files(spec.writes), stats)
 
         cmd.__name__ = cmd.__qualname__ = body.__name__
         cmd.__doc__ = body.__doc__
@@ -295,9 +242,9 @@ class PipelineState:
     ``load`` serves an artifact from ``loaded`` when an earlier stage of the
     same process left it there, otherwise parses it from disk through its
     validating reader, otherwise raises MissingArtifactError naming the
-    stage that writes it.  ``digests`` maps each file path hashed into a
-    manifest to its SHA-256, so that `all` hashes each file once, and
-    ``config_sha256`` is the config's digest, hashed once per run.
+    stage that writes it.  ``digest`` hashes each file once per process,
+    for ``check`` and the manifests alike, ``ran`` names the stages run in
+    this process, and ``config_sha256`` is the config's digest.
 
     ``writer`` is the forked dataset writer of `gen` while it runs, when
     ``fork_writer`` lets `gen` start one; ``pending`` holds the manifests
@@ -311,6 +258,7 @@ class PipelineState:
         self.config_sha256 = cfg.digest()
         self.loaded = {}
         self.digests = {}
+        self.ran = set()
         self.fork_writer = fork_writer
         self.writer = None
         self.pending = []
@@ -339,6 +287,13 @@ class PipelineState:
         self.digests.update(digests)
         for manifest in pending:
             write_manifest(self, *manifest)
+
+    def digest(self, path):
+        """The SHA-256 of ``path``: a process writes each file once, before
+        any stage reads it, so a file hashed once keeps that digest."""
+        if path not in self.digests:
+            self.digests[path] = files.sha256_file(path)
+        return self.digests[path]
 
     # paths -----------------------------------------------------------------
 
@@ -393,6 +348,32 @@ class PipelineState:
             self.loaded[name] = self._read(name, paths)
         return self.loaded[name]
 
+    def check(self, spec):
+        """Parse what ``spec`` reads, then hold its files and its upstream
+        manifests to what the manifests of stages that ran in another process
+        record; returns those files.  A file unlike a recorded output changed
+        after its stage wrote it, one unlike a recorded input is newer than
+        the stage: IntegrityError names the stage to rerun.  Gen's manifest
+        is read only where it exists or gen ran here: a dataset without it
+        was brought in by hand, and is held to what its first reader records."""
+        for name in spec.reads:
+            self.load(name)
+        upstream = [
+            s for s in spec.upstream
+            if s != "gen" or s in self.ran or os.path.exists(self.out_path(manifest_name(s)))
+        ]
+        paths = self.files(spec.reads + tuple(map(manifest_name, upstream)))
+        # load every manifest before hashing anything: a missing one names its stage
+        manifests = [(s, self.load(manifest_name(s))) for s in upstream if s not in self.ran]
+        for s, manifest in manifests:
+            for path in paths:
+                digest, rel = self.digest(path), self.rel(path)
+                if manifest["outputs"].get(rel, digest) != digest:
+                    raise IntegrityError(f"{path} is not the file `{s}` wrote; run `{s}` again")
+                if manifest["inputs"].get(rel, digest) != digest:
+                    raise IntegrityError(f"{path} changed after `{s}` read it; run `{s}` again")
+        return paths
+
     def _read(self, name, paths):
         if name == "dataset":
             *tables, last = paths
@@ -400,6 +381,8 @@ class PipelineState:
                 return files.load_dataset(*tables, None, None, calendar=files.read_calendar(last))
             return files.load_dataset(*tables, None, last)
         (path,) = paths
+        if name == "patterns":
+            return files.load_patterns(path)
         if name == "addresses":
             return files.load_addresses(path, self.load("dataset").population.ids)
         if name == "events":
@@ -411,23 +394,12 @@ class PipelineState:
             return files.read_edges(path, self.load("dataset").population.ids)
         if name.startswith("manifest_"):
             return files.read_manifest(path)
-        header = name != "qualified.txt"
-        columns = files.read_tsv(path, TABLES[name], header=header)
-        if name == "phases.tsv":
-            # report reads no dataset file: it checks the days without the window
-            check_phases(path, getattr(self.loaded.get("dataset"), "calendar", None), columns)
-        if name not in ("qualified.txt", "labels.tsv"):
-            return columns
-        ids, *rest = columns
-        repeated = np.ones(len(ids), dtype=bool)
-        repeated[np.unique(ids, return_index=True)[1]] = False
-        if repeated.any():
-            k = int(np.argmax(repeated))
-            raise ParseError(path, k + 1 + header, f"repeated individual id {ids[k]}")
+        columns = files.read_tsv(path, TABLES[name], header=name != "qualified.txt")
         if name == "qualified.txt":
-            return np.sort(ids)
-        check_label_days(path, self.load("dataset").calendar, *rest)
-        return AwarenessTimeline(ids, rest[0])
+            return columns[0]
+        if name == "labels.tsv":
+            return AwarenessTimeline(*columns[:2])
+        return columns
 
     def cohort(self):
         """The dataset, the qualified ids and the timeline of the qualified."""
@@ -450,20 +422,13 @@ def write_manifest(state, command, inputs, outputs, stats=None):
     if state.writer is not None:
         state.pending.append((command, inputs, outputs, stats))
         return path
-    cfg = state.cfg
-    digests = state.digests
-    # a process writes each file once, before any stage reads it, so a
-    # file hashed when it was written or read keeps that digest
-    for p in (*inputs, *outputs):
-        if p not in digests:
-            digests[p] = files.sha256_file(p)
     manifest = {
         "command": command,
         "version": __version__,
-        "seed": cfg.seed,
+        "seed": state.cfg.seed,
         "config_sha256": state.config_sha256,
-        "inputs": {state.rel(p): digests[p] for p in inputs},
-        "outputs": {state.rel(p): digests[p] for p in outputs},
+        "inputs": {state.rel(p): state.digest(p) for p in inputs},
+        "outputs": {state.rel(p): state.digest(p) for p in outputs},
         "stats": stats or {},
     }
     files.write_json(path, manifest)
@@ -544,7 +509,7 @@ def cmd_label(state):
     cfg = state.cfg
     calendar = state.load("dataset").calendar
     events = state.load("events")
-    matcher = compile_query_set(files.load_patterns(cfg.patterns_path()))
+    matcher = compile_query_set(state.load("patterns"))
     window = history_window(calendar, cfg.history_months)
     qualified = filter_qualified(events, window, min_per_month=cfg.min_purchases_per_month)
     timeline = label_awareness(events, matcher, threshold=cfg.threshold)
@@ -744,9 +709,9 @@ def cmd_regress(state):
 
 @stage(
     "report",
-    # the manifest of every earlier stage, for its stats
-    reads=tuple(map(manifest_name, STAGES))
-    + ("phases.tsv", "profiles.tsv", "geo_correlations.tsv", "hysteresis.tsv"),
+    # and the manifest of every earlier stage, for its stats
+    reads=("phases.tsv", "profiles.tsv", "geo_correlations.tsv", "hysteresis.tsv")
+    + tuple(map(manifest_name, STAGES)),
     writes=("report.json", "report.txt"),
 )
 def cmd_report(state):

@@ -275,18 +275,32 @@ def write_calendar(path, calendar):
     write_json(path, {"start_date": iso[0], "end_date": iso[-1]}, indent=None)
 
 
+_HEX = set("0123456789abcdef")  # the digits of a hexdigest
+
+
 def read_manifest(path):
-    manifest = read_json(path)
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("stats"), dict):
-        raise ParseError(path, 1, "expected a manifest object with a stats object")
-    return manifest
+    """A manifest: a ``command`` string, a ``stats`` object, and ``inputs``
+    and ``outputs`` objects from relative paths to SHA-256 hex digests."""
+    m = read_json(path)
+    digests = [m.get(key) for key in ("inputs", "outputs")] if isinstance(m, dict) else [None]
+    if not (
+        all(isinstance(d, dict) for d in digests)
+        and isinstance(m.get("command"), str) and isinstance(m.get("stats"), dict)
+        and all(
+            not os.path.isabs(k) and isinstance(v, str) and len(v) == 64 and set(v) <= _HEX
+            for d in digests for k, v in d.items()
+        )
+    ):
+        raise ParseError(path, 1, "expected a manifest: command, inputs and outputs digests, stats")
+    return m
 
 
 def sha256_file(path):
-    h = hashlib.sha256()
+    """The SHA-256 hex digest of ``path``, read through one reused 1 MB buffer."""
+    h, buffer = hashlib.sha256(), bytearray(1 << 20)
     with reading(path) as fh:
-        for chunk in iter(lambda: fh.read(1 << 22), b""):
-            h.update(chunk)
+        while n := fh.readinto(buffer):
+            h.update(memoryview(buffer)[:n])
     return h.hexdigest()
 
 

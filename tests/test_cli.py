@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -17,9 +18,8 @@ import warnings
 import numpy as np
 import pytest
 
-from awareflow import analytics, cli, domain, files
+from awareflow import cli, domain, files
 from awareflow.config import load_run_config
-from awareflow.domain import Calendar
 from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
 
@@ -485,57 +485,28 @@ def test_marks_at_the_int64_extremes_run(micro_config, tmp_path):
     assert set(rows["n_obs"][last]) == {150} and set(rows["error"][last]) == {"NA"}
 
 
-# The dataset bytes of `gen --config small`, which the batched event and
-# edge writers must reproduce exactly.
-SMALL_DATASET_SHA256 = {
-    "addresses.jsonl": "5c379d8645893f366d2bc7310723cfdf343389071dc42c9ed904663a71170c06",
-    "calendar.json": "d7b4a1642b58953a818455192559feae2bc0fe523e1c32e7d0d82b56769e99b5",
-    "events.jsonl": "b8f7554081370eb7a856ad369341f27a85d477752c55dcc49c79b74d1affa1a7",
-    "population.jsonl": "3f317e0411148533011a9f58234168e7a08840b6ae2a99417faa0617ca59acf5",
-    "regions.jsonl": "489a8f4b63abc45f62abef0ca78821a809eae8950aa8d9af67944b1608c41020",
-    "truth_labels.jsonl": "33d2a42f714b7a1ec205be37986c84ae1544e877e1505402095b5f4e93cc4312",
-    "truth_network.edges": "4fe6d332c4b40e8a3886859923e8602e953ecd09e39af97aeff759e61e2d5868",
-}
+# The SHA-256 of every file `all` writes on each bundled config, as
+# scripts/pin_runs.py writes them.  A change that alters a file on purpose
+# reruns the script and says why.
+PIN_RUNS = runpy.run_path(os.path.join(os.path.dirname(__file__), "..", "scripts", "pin_runs.py"))
+PINS = PIN_RUNS["read_pins"]()
+SMALL_RUN_SHA256 = PINS["small"]
+
+
+@pytest.mark.parametrize("config", list(PIN_RUNS["CONFIGS"]))
+def test_bundled_runs_keep_their_pinned_bytes(tmp_path, config):
+    got, want = PIN_RUNS["run_digests"](config, str(tmp_path)), PINS[config]
+    differ = sorted(name for name in set(got) | set(want) if got.get(name) != want.get(name))
+    assert not differ, f"{config}: {len(differ)} files differ from the pins: {', '.join(differ)}"
 
 
 def test_small_preset_dataset_bytes_are_pinned(tmp_path):
     assert cli.main(["gen", "--config", "small", "--out", str(tmp_path)]) == 0
-    assert tree_hashes(str(tmp_path / "dataset")) == SMALL_DATASET_SHA256
-
-
-# Every file `all --config small` writes.  A change that alters an artifact
-# on purpose updates its hash here and says why.
-SMALL_RUN_SHA256 = {
-    **{f"dataset/{name}": digest for name, digest in SMALL_DATASET_SHA256.items()},
-    "aware_purchasing_power.tsv": "935e92eb95c629e4feab1a5d9221b46cefe29d2b261c56b3a9c74d753ccab809",
-    "cross_ratios.tsv": "9f5c210ab0bf8f8a9567d71e974a477a4422a61d6fd81344b2ae2fc34af36c46",
-    "geo_correlations.tsv": "0cf48c74783108399fe652baef025a9feea582def14aec573a472ef475cc1987",
-    "hysteresis.tsv": "21b6da6121709e3cf30ab31f9d227614c2037de8f8951bf7d5fff54f6c40f8b9",
-    "labels.tsv": "65332539e38dd6b1c4572c14b3d6f5bc8a942d2156bd9280a10351d8c02b6b5b",
-    "lead_days.tsv": "3b673607f9eb22f552deb7c1a6c2b640375b463bc9cb97cb4a8c3877138d2e94",
-    "manifest_all.json": "ceb3983ac1cc12df4b5a523aca73312338cb267c960c774e3e394f6e30044068",
-    "manifest_cohort.json": "7550bb467e1d4cfd55c79d6ca79eb34550c97f9b8859ca7efa9dfd822311c611",
-    "manifest_gen.json": "e341f47f6b14ca21b3e0c977629a73d1d676e8d3bad36b7a3f0352e9656e8621",
-    "manifest_geo_corr.json": "682ff163c43f15cd017826dc45a955178c11db1d97eeb086db6a356959fea61b",
-    "manifest_infer_net.json": "5fe08458f06ddc658c9dbc1aed3182a92d16394dbf2d31efb8feaab5c7595bdf",
-    "manifest_label.json": "6045389bc01aacb28a70e714d1d0cd676caf7d86d7ac3288fe21064b4d056a22",
-    "manifest_regress.json": "2293b1fd6b5ef759372d6201e30301520ae0ce953dc920520103263f7bf2b2f0",
-    "manifest_report.json": "adc7cc3e6891a46fbf57faad2d2a25a10d011d5f0fd00c36e1a5f8a26f1fa34e",
-    "manifest_segment.json": "5f99abbcf340ccad3132ce9534415d4b023964f72a4022fdc27b637fec1a4c7d",
-    "national_trend.tsv": "b2724a4658eada235eb8993d8c5a8bfe5684ff5072bdd82ff16e6c0518068005",
-    "neighborhood_phase_means.tsv": "dd782110f2e37f59511522cbdc85f488fb68c1853566ba09185666ec9fb1ade6",
-    "neighborhood_ratios.tsv": "d0ffc7261ac860edf33990dbfd9133df1b2859074c749c7477e393c0da8a9755",
-    "networks.edges": "4fe6d332c4b40e8a3886859923e8602e953ecd09e39af97aeff759e61e2d5868",
-    "phases.tsv": "619315e18b7ce2acfc7acd83e452d651b4cd1f6e90ac678413dc5ca4d75bcb30",
-    "profiles.tsv": "6fed53510b701c54a950daee70da9db331d69a122a5bd476e91d1f075cc2de9c",
-    "province_trend.tsv": "82cdf41d8213e301f7642fa6c0641e51a8b648a0de77cf1b55322d7b6bc7762b",
-    "qualified.txt": "2e79ce90974ad7eb391209a00ee459302f79f464af75e26db65b3fc9fc3e87d5",
-    "regression.tsv": "0bac88e86388e77945881a420207d980957dc54b1b1ca4a461af0faa1c937251",
-    "report.json": "488f27a9346e8128032555517cd1eafac9a1da0ecef2a68517d0c911487e0809",
-    "report.txt": "346fa7087bd5db47dd88d27da2fc221e1a2167bef21fb502191c3533873a7841",
-    "schedule.tsv": "a0274ac9d4380a3c7fbb1076a362ab0b36c5725d241635570ddc7cd7946e4f00",
-    "trends.tsv": "08266b1ded3aa47a777d46c9143bbb7580dcd8a8c7b344b1a64b74eb855dd66a",
-}
+    pinned = {
+        name.removeprefix("dataset/"): digest
+        for name, digest in SMALL_RUN_SHA256.items() if name.startswith("dataset/")
+    }
+    assert tree_hashes(str(tmp_path / "dataset")) == pinned
 
 
 def test_a_capped_epidemic_curve_does_not_overflow(tmp_path):
@@ -737,6 +708,51 @@ def directory_argument(flag):
         (out / "a-directory").mkdir()
         return [flag, str(out / "a-directory")]
     return fault
+
+
+def cut_lines(name, n):
+    """Keep the first ``n`` lines."""
+    def fault(out, config):
+        path = out / name
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:n]))
+    return fault
+
+
+def manifest_value(name, key, value):
+    """Set ``key`` of the manifest ``name`` to ``value``."""
+    def fault(out, config):
+        manifest = json.loads((out / name).read_text())
+        manifest[key] = value
+        (out / name).write_text(json.dumps(manifest))
+    return fault
+
+
+def rerun(stage, *flags):
+    """Run ``stage`` again over the finished run, with ``flags``."""
+    def fault(out, config):
+        path = out.parent / "rerun.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([stage, "--config", str(path), "--out", str(out), *flags]) == 0
+    return fault
+
+
+def resegmented(out, config):
+    """Run segment again with other phase thresholds, which change phases.tsv."""
+    flags = phase_thresholds_file(out, '{"growth_high": 0.9, "sustain_days": 2}')
+    rerun("segment", *flags)(out, config)
+
+
+# (id, stage, fault, exit code, what the message names): artifacts that no
+# longer match the manifests of the stages that wrote or read them
+PROVENANCE_FAULTS = (
+    ("stale-upstream", "regress", rerun("gen", "--seed", "8"), 4, "run `infer-net` again"),
+    ("truncated-upstream", "cohort", cut_lines("labels.tsv", 50), 4, "run `label` again"),
+    ("resegmented", "report", resegmented, 4, "run `cohort` again"),
+    (
+        "manifest-missing", "cohort", lambda out, config: (out / "manifest_segment.json").unlink(),
+        3, "run `segment` first",
+    ),
+)
 
 
 def simulator_setting(section, **values):
@@ -945,6 +961,14 @@ FAULTS = [
     pytest.param("infer-net", replace("dataset/calendar.json", "{}\n"), 4, id="calendar-empty"),
     pytest.param("report", replace("manifest_gen.json", "not json\n"), 4, id="manifest-not-json"),
     pytest.param(
+        "report", manifest_value("manifest_regress.json", "outputs", []), 4,
+        id="manifest-outputs-not-an-object",
+    ),
+    *(
+        pytest.param(stage, fault, code, id=name)
+        for name, stage, fault, code, _ in PROVENANCE_FAULTS
+    ),
+    pytest.param(
         "segment", lambda out, config: ["--phase-thresholds", str(out / "missing.json")], 2,
         id="missing-phase-thresholds",
     ),
@@ -1123,6 +1147,83 @@ def test_faults_exit_with_documented_code(
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "stage, fault, code, message",
+    [pytest.param(*case[1:], id=case[0]) for case in PROVENANCE_FAULTS],
+)
+def test_provenance_faults_name_the_stage_to_rerun(
+    all_run, micro_config, tmp_path, capsys, stage, fault, code, message
+):
+    out = tmp_path / "run"
+    shutil.copytree(all_run, out)
+    with open(micro_config) as fh:
+        fault(out, json.load(fh))
+    capsys.readouterr()
+    assert cli.main([stage, "--config", micro_config, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+
+
+def fuzz_edit(data, rng):
+    """``data`` with one byte flipped, inserted or deleted, cut at a line, or
+    one line repeated or dropped; never ``data`` itself."""
+    op = rng.choice(("flip", "insert", "delete", "cut", "repeat", "drop"))
+    if op in ("cut", "repeat", "drop"):
+        lines = data.splitlines(keepends=True)
+        k = rng.randrange(len(lines))
+        kept = {"cut": [], "repeat": lines[k:k + 1] * 2 + lines[k + 1:], "drop": lines[k + 1:]}
+        return b"".join(lines[:k] + kept[op])
+    at = rng.randrange(len(data))
+    if op == "flip":
+        return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    if op == "insert":
+        return data[:at] + bytes([rng.randrange(256)]) + data[at:]
+    return data[:at] + data[at + 1:]
+
+
+def test_every_edit_of_what_a_stage_reads_fails_it(all_run, micro_config, tmp_path, capsys):
+    # targets: (stage, file) for a dataset or artifact file the stage reads,
+    # (stage, file, manifest, key) for the digest that a manifest the stage
+    # reads records for a file the stage reads
+    targets = []
+    state = cli.PipelineState(load_run_config(micro_config, out_dir=all_run))
+    for name, spec in cli.STAGES.items():
+        manifests = tuple(map(cli.manifest_name, spec.upstream))
+        read = {state.rel(path) for path in state.files(spec.reads + manifests)}
+        targets += [
+            (name, state.rel(path)) for path in state.files(spec.reads)  # not the patterns
+            if path.startswith(all_run) and not os.path.basename(path).startswith("manifest_")
+        ]
+        for manifest in manifests:
+            with open(os.path.join(all_run, manifest)) as fh:
+                recorded = json.load(fh)
+            targets += [
+                (name, file, manifest, key)
+                for key in ("inputs", "outputs") for file in recorded[key] if file in read
+            ]
+    rng = random.Random(20261)
+    start = time.monotonic()
+    for case in range(240):
+        stage, file, *digest = rng.choice(targets)
+        out = tmp_path / "run"
+        shutil.copytree(all_run, out)
+        if digest:
+            manifest, key = digest
+            recorded = json.loads((out / manifest).read_text())
+            old = recorded[key][file]
+            recorded[key][file] = fuzz_edit(old.encode(), rng).decode("latin-1")
+            files.write_json(out / manifest, recorded)
+        else:
+            (out / file).write_bytes(fuzz_edit((out / file).read_bytes(), rng))
+        code = cli.main([stage, "--config", micro_config, "--out", str(out)])
+        assert 2 <= code <= 5, (case, stage, file, digest, capsys.readouterr().err)
+        capsys.readouterr()
+        shutil.rmtree(out)
+    assert time.monotonic() - start < 30
+    # the targets cover every stage that reads anything, with both kinds
+    assert {t[0] for t in targets} == {name for name, spec in cli.STAGES.items() if spec.reads}
+    assert {len(t) for t in targets} == {2, 4}
+
+
 @pytest.mark.parametrize("name, path, value, message", CONFIG_FAULTS)
 def test_config_faults_name_the_section(micro_config, tmp_path, capsys, name, path, value, message):
     with open(micro_config) as fh:
@@ -1133,103 +1234,6 @@ def test_config_faults_name_the_section(micro_config, tmp_path, capsys, name, pa
     assert cli.main(["label", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-
-
-PHASE_CALENDAR = Calendar.from_dates("2019-12-01", "2020-01-11")  # days 0 to 41
-PHASE_ROWS = [
-    ("Normal", 0, 11, "2019-12-01", "2019-12-12", 0),
-    ("Beginning", 12, 39, "2019-12-13", "2020-01-09", 0),
-    ("Growth", 40, 41, "2020-01-10", "2020-01-11", 0),
-]
-
-
-@pytest.mark.parametrize("k, row, line_no, message", [
-    (2, ("Normal", 40, 41, "2020-01-10", "2020-01-11", 0), 4, "repeated phase 'Normal'"),
-    (1, ("Beginning", 12, 11, "2019-12-13", "2019-12-12", 0), 3,
-     "phase 'Beginning' ends on day 11, before it starts on day 12"),
-    (1, ("Beginning", 11, 39, "2019-12-12", "2020-01-09", 0), 3,
-     "phase 'Beginning' starts on day 11, not after the previous phase ends on day 11"),
-    (2, ("Growth", 5, 6, "2019-12-06", "2019-12-07", 0), 4,
-     "phase 'Growth' starts on day 5, not after the previous phase ends on day 39"),
-    (2, ("Growth", 40, 41, "2020-01-10", "2020-01-11", 1), 4, "complete is 1 here but 0 on line 2"),
-    (0, ("Normal", 0, 11, "2019-12-01", "2019-12-12", 2), 2, "complete is 2, not 0 or 1"),
-    (2, ("Bogus", 40, 41, "2020-01-10", "2020-01-11", 0), 4, "unknown phase 'Bogus'"),
-    (0, ("Growth", 0, 11, "2019-12-01", "2019-12-12", 0), 2, "phase 'Growth' cannot come first"),
-    (1, ("Growth", 12, 39, "2019-12-13", "2020-01-09", 0), 3, "phase 'Growth' cannot follow 'Normal'"),
-    (0, ("Normal", 1, 11, "2019-12-02", "2019-12-12", 0), 2,
-     "phase 'Normal' starts on day 1, not on day 0"),
-    (2, ("Growth", 41, 41, "2020-01-11", "2020-01-11", 0), 4,
-     "phase 'Growth' starts on day 41, not on day 40"),
-    (2, ("Growth", 40, 500, "2020-01-10", "2020-01-11", 0), 4,
-     "phase 'Growth' ends on day 500; the window ends on day 41"),
-    (2, ("Growth", 40, 40, "2020-01-10", "2020-01-10", 0), 4,
-     "phase 'Growth' ends on day 40; the window ends on day 41"),
-    (1, ("Beginning", 12, 39, "1999-01-01", "2020-01-09", 0), 3,
-     "dates 1999-01-01 to 2020-01-09 are not 2019-12-13 to 2020-01-09"),
-    (2, ("Growth", 40, 41, "2020-01-10", "2020-01-10", 0), 4,
-     "dates 2020-01-10 to 2020-01-10 are not 2020-01-10 to 2020-01-11"),
-    (0, ("Normal", 0, 11, "2019-12-01", "2019-12-12", 1), 2,
-     "complete is 1, but 3 of the five phases are present"),
-])
-def test_check_phases_names_the_bad_line(k, row, line_no, message):
-    def check(rows):
-        columns = [list(column) for column in zip(*rows)] or [[]] * 6
-        cli.check_phases("phases.tsv", PHASE_CALENDAR, columns)
-
-    check(PHASE_ROWS)
-    with pytest.raises(ParseError) as exc:
-        check(PHASE_ROWS[:k] + [row] + PHASE_ROWS[k + 1:])
-    assert (exc.value.line_no, str(exc.value)) == (line_no, f"phases.tsv:{line_no}: {message}")
-    with pytest.raises(ParseError, match="^phases.tsv:1: no phases$"):
-        check([])
-
-
-def test_check_phases_without_a_calendar_leaves_the_window_and_dates_unchecked():
-    def check(rows):
-        cli.check_phases("phases.tsv", None, [list(column) for column in zip(*rows)])
-
-    check([("Normal", 0, 11, "1999-01-01", "", 0), ("Beginning", 12, 500, "", "", 0)])
-    five = [(name, k, k, "", "", 1) for k, name in enumerate(analytics.PHASE_ORDER)]
-    check(five)
-    check([(name, k, k, "", "", 0) for k, name in enumerate(analytics.PHASE_ORDER[1:])])
-    with pytest.raises(ParseError, match="^phases.tsv:3: phase 'Beginning' starts on day 13,"):
-        check([("Normal", 0, 11, "", "", 0), ("Beginning", 13, 500, "", "", 0)])
-    with pytest.raises(ParseError, match="^phases.tsv:2: complete is 0, but 5 of the five phases"):
-        check([row[:5] + (0,) for row in five])
-
-
-LABEL_CALENDAR = Calendar.from_dates("2020-01-01", "2020-01-10")
-# first_aware_ts, first_aware_day and first_aware_date as cmd_label writes them:
-# day 3 of the window, and days before and after it
-LABEL_ROWS = [
-    (LABEL_CALENDAR.day_start_ts(3) + 100, 3, "2020-01-04"),
-    (LABEL_CALENDAR.day_start_ts(-2), -2, "NA"),
-    (LABEL_CALENDAR.day_start_ts(10) - 1, 9, "2020-01-10"),
-    (LABEL_CALENDAR.day_start_ts(10), 10, "NA"),
-]
-
-
-@pytest.mark.parametrize("k, row, message", [
-    (0, (LABEL_ROWS[0][0], 4, "2020-01-04"),
-     f"first_aware_day 4 is not day 3 of first_aware_ts {LABEL_ROWS[0][0]}"),
-    (2, (LABEL_ROWS[2][0], 9, "2020-01-09"), "first_aware_date '2020-01-09' is not '2020-01-10', day 9"),
-    (1, (LABEL_ROWS[1][0], -2, "2019-12-30"), "first_aware_date '2019-12-30' is not 'NA', day -2"),
-    (3, (LABEL_ROWS[3][0], 10, "2020-01-11"), "first_aware_date '2020-01-11' is not 'NA', day 10"),
-])
-def test_check_label_days_names_the_bad_line(k, row, message):
-    def check(rows):
-        ts, day, date = zip(*rows) if rows else ((), (), ())
-        cli.check_label_days(
-            "labels.tsv", LABEL_CALENDAR, np.array(ts, dtype=np.int64),
-            np.array(day, dtype=np.int64), np.array(date, dtype=object),
-        )
-
-    check(LABEL_ROWS)
-    check([])
-    with pytest.raises(ParseError) as exc:
-        check(LABEL_ROWS[:k] + [row] + LABEL_ROWS[k + 1:])
-    line_no = k + 2
-    assert (exc.value.line_no, str(exc.value)) == (line_no, f"labels.tsv:{line_no}: {message}")
 
 
 @pytest.mark.parametrize("stage", list(cli.STEP_FUNCS))

@@ -1,6 +1,8 @@
 """The file module's writes: a writer that dies mid-write leaves no
-partial file, and the JSONL writer writes what json.dumps writes."""
+partial file, and the JSONL writer writes what json.dumps writes; its
+file digests and the shape its manifest reader accepts."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 
 from awareflow import domain, files
 from awareflow.domain import Field, column_dtypes
+
+from awareflow.errors import ParseError
 
 from conftest import make_events
 from oracles import jsonl_rows
@@ -125,3 +129,30 @@ def test_write_jsonl_writes_each_row_as_json_dumps_and_reads_back(tmp_path, monk
             assert np.array_equal(np.array(pool)[read[name]][carried], np.array(TEXTS)[col][carried])
         else:
             assert read[name].dtype == col.dtype and np.array_equal(read[name], col), name
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (2 << 20) + 7])
+def test_sha256_file_is_hashlib_across_buffer_boundaries(tmp_path, size):
+    data = np.random.default_rng(size).bytes(size)
+    path = tmp_path / "data"
+    path.write_bytes(data)
+    assert files.sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+MANIFEST = {"command": "label", "inputs": {"a.jsonl": "0" * 64}, "outputs": {}, "stats": {}}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("command", 5), ("command", None), ("stats", []), ("inputs", []), ("outputs", None),
+    ("inputs", {"a.tsv": "0" * 63}), ("inputs", {"a.tsv": "0" * 65}), ("inputs", {"a.tsv": 5}),
+    ("outputs", {"a.tsv": "A" * 64}), ("outputs", {"a.tsv": "g" * 64}),
+    ("outputs", {"/run/a.tsv": "0" * 64}),
+])
+def test_read_manifest_refuses_other_shapes_on_line_1(tmp_path, key, value):
+    path = tmp_path / "manifest.json"
+    files.write_json(path, MANIFEST)
+    assert files.read_manifest(path) == MANIFEST
+    files.write_json(path, {**MANIFEST, key: value})
+    with pytest.raises(ParseError) as exc:
+        files.read_manifest(path)
+    assert exc.value.line_no == 1
