@@ -10,7 +10,8 @@
 # check that a stage refuses artifacts older than the dataset (exit 4) until
 # the later stages run again, that the command-line flags set the config
 # keys they name, that a failed dataset write leaves the same files under
-# both --jobs settings, and that no run left a temporary *.tmp file behind.
+# both --jobs settings, that scripts/stage_peaks.py runs, and that no run
+# left a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
 #
 #     sh scripts/check_small_runs.sh [scratch-dir]
@@ -68,20 +69,23 @@ for config in small fig1a recovery; do
 done
 # provenance: over a copy of a finished run, a dataset generated again with
 # another seed makes `regress` exit 4 (its upstream manifests record the old
-# dataset), and once every later stage has run again in order, `report` runs
+# dataset), and once every later stage has run again in order with that
+# seed, `report` runs
 d="$dir/provenance"
 cp -r "$dir/small/s" "$d"
 run gen --config small --seed 8 --out "$d"
 code=0
-run regress --config small --out "$d" 2>"$d/err" || code=$?
+run regress --config small --seed 8 --out "$d" 2>"$d/err" || code=$?
 if [ "$code" -ne 4 ]; then
   echo "regress over a regenerated dataset exited $code, not 4:" >&2
   cat "$d/err" >&2
   exit 1
 fi
 for stage in infer-net label segment cohort geo-corr regress report; do
-  run "$stage" --config small --out "$d"
+  run "$stage" --config small --seed 8 --out "$d"
 done
+# the per-stage timing script runs over a copy of a finished run
+python "$(dirname "$0")/stage_peaks.py" small "$dir/small/s" --repeats 1
 # the flags set their keys over the config before it is checked: `all` on
 # small with --seed and --phase-thresholds writes what `all` writes over a
 # copy of small that carries the same seed and phase thresholds

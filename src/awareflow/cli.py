@@ -718,9 +718,16 @@ def cmd_report(state):
     """Summary bundle assembled from the artifacts (never from memory, so
     `all` and stepwise invocations produce identical bytes)."""
     cfg = state.cfg
-    stats = {
-        name: state.load(manifest_name(name))["stats"] for name in STAGES if name != "report"
-    }
+    stats = {}
+    for name in STAGES:
+        if name != "report":
+            manifest = state.load(manifest_name(name))
+            if manifest.get("seed") != cfg.seed:
+                raise IntegrityError(
+                    f"{state.out_path(manifest_name(name))} records seed {manifest.get('seed')},"
+                    f" not the run's {cfg.seed}; run `{name}` again"
+                )
+            stats[name] = manifest["stats"]
     gen_stats = stats["gen"]
     label_stats = stats["label"]
     segment_stats = stats["segment"]

@@ -4,11 +4,13 @@ calendars and manifests, and pattern files.
 
 Every read opens its file through ``reading``, which turns an OSError into
 an AwareflowError naming the file.  Each format has one parse, over
-columns: ``ByteLines`` cuts a TSV or edge file's bytes into cells, and a
-JSONL table is parsed a block of lines at a time into one object per line.
-Each column check returns the mask of the rows it refuses, so the reader
-raises the ParseError of the first bad line, and in it of the first bad
-field, without parsing the file again.  ``write_jsonl`` takes every key of
+columns, and every reader takes its file one READ_CHUNK_BYTES chunk of
+whole lines at a time, keeping only the columns it returns: ``ByteLines``
+cuts each chunk of a TSV or edge file into cells, and a JSONL table is
+parsed a block of lines at a time into one object per line.  Each column
+check returns the mask of the rows it refuses, so the reader raises the
+ParseError of the first bad line, and in it of the first bad field,
+without parsing the file again.  ``write_jsonl`` takes every key of
 a JSONL table from its field table, the one place that spells it.  Every
 write goes through ``atomic_output``, so that a process that dies
 mid-write leaves the old file, or none, under the final name.
@@ -52,8 +54,9 @@ from .kernels import sort_rows
 from .netinfer import LAYER_CODES, LAYERS, MultiplexGraph, build_layer
 from .simulate import TRUTH_FILES, TRUTH_LABEL_FIELDS, GroundTruth
 
-# JSONL files are parsed this many lines at a time
-READ_BLOCK_LINES = 5_000
+# every reader takes its file about this many bytes at a time: the whole
+# lines of a TSV or edge file chunk, or a block of JSONL lines
+READ_CHUNK_BYTES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +91,15 @@ def text_lines(data):
     return lines
 
 
-def text_blocks(path, size, error=IntegrityError):
-    """(number of the first line, lines) of each run of ``size`` lines of a
-    UTF-8 text file; the first line with an undecodable byte raises
+def text_blocks(path, error=IntegrityError):
+    """(number of the first line, lines) of each block of whole lines of a
+    UTF-8 text file, read up to READ_CHUNK_BYTES characters at a time (one
+    line at least); the first line with an undecodable byte raises
     ParseError before its block is yielded."""
     with reading(path, error, encoding="utf-8") as fh:
         fh.reconfigure(errors="surrogateescape")  # bad bytes read as lone surrogates
         first = 1
-        while block := list(itertools.islice(fh, size)):
+        while block := fh.readlines(READ_CHUNK_BYTES):
             if not all(map(str.isascii, block)):
                 for line_no, line in enumerate(block, start=first):
                     try:
@@ -106,16 +110,38 @@ def text_blocks(path, size, error=IntegrityError):
             first += len(block)
 
 
+def line_chunks(path):
+    """(number of the first line, bytes) of each run of whole lines of a
+    file, read READ_CHUNK_BYTES at a time, every line end ("\\n", "\\r\\n"
+    or "\\r", as text mode reads them) as "\\n"; only the last line of the
+    file may lack one.  A line longer than a read spans reads."""
+    with reading(path) as fh:
+        first, rest = 1, b""
+        while read := fh.read(READ_CHUNK_BYTES):
+            data = rest + read
+            last = len(read) < READ_CHUNK_BYTES  # a short read ends the file
+            cr = not last and data.endswith(b"\r")  # perhaps half of a "\r\n"
+            if cr:
+                data = data[:-1]
+            if b"\r" in data:
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            cut = len(data) if last else data.rfind(b"\n") + 1
+            rest = data[cut:] + b"\r" * cr
+            if cut:
+                yield first, data[:cut]
+                first += data.count(b"\n", 0, cut)
+        if rest:
+            yield first, rest.replace(b"\r", b"\n")
+
+
 class ByteLines:
-    """The lines of a file's bytes as text mode ends them ("\\r\\n" and
-    "\\r" read as "\\n"), each cut at the byte ``sep`` into ``n_fields``
-    cells, but for the first ``skip``, whose text ``head`` holds.  ``start``
-    and ``end`` hold each cut line's byte offsets; ``other`` marks the lines
-    with another count of ``sep``, whose cells are empty."""
+    """The lines of a chunk of whole lines as line_chunks yields them, each
+    cut at the byte ``sep`` into ``n_fields`` cells, but for the first
+    ``skip``, whose text ``head`` holds.  ``start`` and ``end`` hold each
+    cut line's byte offsets; ``other`` marks the lines with another count
+    of ``sep``, whose cells are empty."""
 
     def __init__(self, data, sep, n_fields, skip=0):
-        if b"\r" in data:
-            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         self.data, self.buf = data, np.frombuffer(data, dtype=np.uint8)
         end = np.flatnonzero(self.buf == ord("\n"))
         if data[-1:] not in (b"", b"\n"):
@@ -309,7 +335,7 @@ def load_patterns(path):
     try:
         return [
             pattern
-            for _, lines in text_blocks(path, READ_BLOCK_LINES, ConfigError)
+            for _, lines in text_blocks(path, ConfigError)
             for line in lines
             if (pattern := line.split("#", 1)[0].strip())
         ]
@@ -443,14 +469,14 @@ def _block(path, fields, first, raw, codes_of):
 
 def read_jsonl(path, fields):
     """(column name -> array, text pool) of a JSONL table of ``fields``,
-    parsed a block of READ_BLOCK_LINES lines at a time with one json.loads
-    and column checks.  Text columns hold codes into the pool; blank lines
+    parsed a text_blocks block at a time with one json.loads and column
+    checks.  Text columns hold codes into the pool; blank lines
     are skipped.  The first bad line of a block, and in it the first bad
     field, raises its ParseError."""
     codes_of = {}
     blocks = [
         _block(path, fields, first, raw, codes_of)
-        for first, raw in text_blocks(path, READ_BLOCK_LINES)
+        for first, raw in text_blocks(path)
     ]
     columns = {
         name: np.concatenate([b[name] for b in blocks] or [np.empty(0, dtype=dtype)])
@@ -624,40 +650,44 @@ def read_edges(path, ids):
     splits them) over a known layer and two distinct ids of ``ids``; the
     first other line raises its ParseError."""
     ids = np.asarray(ids, dtype=np.uint64)
-    layer, rows = _edge_rows(path, ids)
-    layers = {
-        name: build_layer(rows[layer == code], len(ids)) for name, code in LAYER_CODES.items()
-    }
+    pairs = _edge_rows(path, ids)
+    # each layer's chunks are joined as it is built, and let go
+    layers = {name: build_layer(np.concatenate(pairs.pop(name)), len(ids)) for name in LAYERS}
     return MultiplexGraph(ids, layers)
 
 
 def _edge_rows(path, ids):
-    """The layer code of each line of an edge file, -1 for a blank one, and
-    the rows in ``ids`` of its two ids; the offsets of the lines go with
-    the call, before the layers are built."""
-    lines = ByteLines(read_bytes(path), " ", 3)
-    layer = name_codes(lines.buf, *lines.cell(0), LAYERS)
-    (a, a_odd), (b, b_odd) = (digit_runs(lines.buf, *lines.cell(j)) for j in (1, 2))
-    blank, bad = np.zeros((2, len(layer)), dtype=bool)
-    # a line the bulk scan cannot read is split as str.split() splits it
-    for k in np.flatnonzero(lines.other | (layer < 0) | a_odd | b_odd).tolist():
-        fields = lines.text(k).split()
-        blank[k] = not fields
-        try:
-            name, x, y = fields
-            code, x, y = LAYER_CODES[name], int(x), int(y)
-        except (KeyError, ValueError):
-            bad[k] = bool(fields)
-            continue
-        bad[k] = min(x, y) < 0 or max(x, y) >= 2**64
-        if not bad[k]:
-            layer[k], a[k], b[k] = code, x, y
-    (a_rows, a_in), (b_rows, b_in) = find_rows(ids, a), find_rows(ids, b)
-    bad |= ~blank & ~(a_in & b_in & (a != b))
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ParseError(path, k + 1, f"bad edge line {lines.text(k).strip()!r}")
-    return layer, np.column_stack([a_rows, b_rows])
+    """Layer name -> (k, 2) arrays, one per read chunk, of the rows in
+    ``ids`` of the two ids of each of the layer's edge lines; the first bad
+    line raises its ParseError."""
+    pairs = {name: [np.empty((0, 2), dtype=np.int64)] for name in LAYERS}
+    for first, data in line_chunks(path):
+        lines = ByteLines(data, " ", 3)
+        layer = name_codes(lines.buf, *lines.cell(0), LAYERS)
+        (a, a_odd), (b, b_odd) = (digit_runs(lines.buf, *lines.cell(j)) for j in (1, 2))
+        blank, bad = np.zeros((2, len(layer)), dtype=bool)
+        # a line the bulk scan cannot read is split as str.split() splits it
+        for k in np.flatnonzero(lines.other | (layer < 0) | a_odd | b_odd).tolist():
+            fields = lines.text(k).split()
+            blank[k] = not fields
+            try:
+                name, x, y = fields
+                code, x, y = LAYER_CODES[name], int(x), int(y)
+            except (KeyError, ValueError):
+                bad[k] = bool(fields)
+                continue
+            bad[k] = min(x, y) < 0 or max(x, y) >= 2**64
+            if not bad[k]:
+                layer[k], a[k], b[k] = code, x, y
+        (a_rows, a_in), (b_rows, b_in) = find_rows(ids, a), find_rows(ids, b)
+        bad |= ~blank & ~(a_in & b_in & (a != b))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ParseError(path, first + k, f"bad edge line {lines.text(k).strip()!r}")
+        rows = np.column_stack([a_rows, b_rows])
+        for code, kept in enumerate(pairs.values()):
+            kept.append(rows[layer == code])
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +757,9 @@ def write_tsv(path, table, columns, header=True):
     write_text(path, itertools.chain(head, chunked(len(columns[0]), lines)))
 
 
+_ARRAY_PARSES = (np.uint64, np.int64)  # the parses whose columns are arrays of their dtype
+
+
 def _tsv_column(lines, j, parse):
     """The cells of field ``j`` of ``lines`` under ``parse``, and the mask of
     the cells it refuses: an array of the dtype for np.uint64 and np.int64,
@@ -736,7 +769,7 @@ def _tsv_column(lines, j, parse):
     OverflowError."""
     data, (first, stop) = lines.data, lines.cell(j)
     bad = np.zeros(len(first), dtype=bool)
-    if parse in (np.uint64, np.int64):
+    if parse in _ARRAY_PARSES:
         col, odd = digit_runs(lines.buf, first, stop, signed=parse is np.int64)
         rows = np.flatnonzero(odd)
     else:
@@ -760,19 +793,31 @@ def read_tsv(path, columns, header=True):
     The first bad line raises its ParseError: a wrong header or field count,
     or else its first field that parse refuses."""
     names = [name for name, _ in columns]
-    lines = ByteLines(read_bytes(path), "\t", len(columns), skip=int(header))
-    found = lines.head[0].split("\t") if lines.head else [""]
-    if header and found != names:
-        raise ParseError(path, 1, f"expected header {names}, found {found}")
-    parsed = [_tsv_column(lines, j, parse) for j, (_, parse) in enumerate(columns)]
-    # the faults of each line: its field count, then its fields in order
-    bad = np.column_stack([lines.other, *(b for _, b in parsed)])
-    if bad.any():
-        k, j = divmod(int(np.argmax(bad)), bad.shape[1])
-        if j:
-            message = f"bad {names[j - 1]} {lines.text(k, j - 1)!r}"
-        else:
-            found = lines.text(k).count("\t") + 1
-            message = f"expected {len(columns)} fields, found {found}"
-        raise ParseError(path, k + 1 + header, message)
-    return [col for col, _ in parsed]
+    found = None if header else names  # the header, once read
+    # each column's arrays, one per read chunk
+    parts = [
+        [np.empty(0, dtype=parse if parse in _ARRAY_PARSES else object)] for _, parse in columns
+    ]
+    for first, data in line_chunks(path):
+        skip = int(found is None)
+        lines = ByteLines(data, "\t", len(columns), skip=skip)
+        if skip:
+            found = lines.head[0].split("\t")
+            if found != names:
+                raise ParseError(path, 1, f"expected header {names}, found {found}")
+        parsed = [_tsv_column(lines, j, parse) for j, (_, parse) in enumerate(columns)]
+        # the faults of each line: its field count, then its fields in order
+        bad = np.column_stack([lines.other, *(b for _, b in parsed)])
+        if bad.any():
+            k, j = divmod(int(np.argmax(bad)), bad.shape[1])
+            if j:
+                message = f"bad {names[j - 1]} {lines.text(k, j - 1)!r}"
+            else:
+                n_found = lines.text(k).count("\t") + 1
+                message = f"expected {len(columns)} fields, found {n_found}"
+            raise ParseError(path, first + skip + k, message)
+        for part, (col, _) in zip(parts, parsed):
+            part.append(col)
+    if found is None:  # an empty file
+        raise ParseError(path, 1, f"expected header {names}, found ['']")
+    return [np.concatenate(part) for part in parts]

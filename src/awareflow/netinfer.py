@@ -45,30 +45,32 @@ class Layer:
 
 def build_layer(pairs, n_nodes):
     """Canonicalize a raw (E, 2) pair array into a Layer."""
-    if len(pairs) == 0:
-        return Layer(
-            edges=np.empty((0, 2), dtype=np.int64),
-            indptr=np.zeros(n_nodes + 1, dtype=np.int64),
-            indices=np.empty(0, dtype=np.int32),
-        )
-    pairs = np.asarray(pairs, dtype=np.int64)
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = lo * np.int64(n_nodes) + hi
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    edges = np.empty_like(pairs)
+    np.minimum(pairs[:, 0], pairs[:, 1], out=edges[:, 0])
+    np.maximum(pairs[:, 0], pairs[:, 1], out=edges[:, 1])
+    keys = edges[:, 0] * np.int64(n_nodes) + edges[:, 1]
     # edges read back from a write_edges dump come sorted and distinct
     if not (keys[1:] > keys[:-1]).all():
         (keys,) = distinct_rows(keys)
-    lo = keys // n_nodes
-    hi = keys % n_nodes
-    edges = np.column_stack([lo, hi])
-    # with the keys ascending, a stable sort by source alone orders each
-    # node's neighbors: first the lower ends (ascending), then the higher
-    src = np.concatenate([hi, lo])
-    dst = np.concatenate([lo, hi])
-    order = np.argsort(src, kind="stable")
-    indices = dst[order].astype(np.int32)
+        edges = np.column_stack([keys // n_nodes, keys % n_nodes])
+    del keys
+    lo, hi = edges.T
+    n_above = np.bincount(lo, minlength=n_nodes)  # each node's neighbors above it
+    n_below = np.bincount(hi, minlength=n_nodes)
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
+    np.cumsum(n_above + n_below, out=indptr[1:])
+    # Each node's neighbors ascend: those below it, then those above.  The
+    # edges ascend by lower end, then higher, so the slots above take the
+    # higher ends in edge order, and the slots below the lower ends in the
+    # order of the distinct keys (higher end, lower end).
+    below = np.repeat(np.tile([True, False], n_nodes), np.column_stack([n_below, n_above]).ravel())
+    indices = np.empty(2 * len(edges), dtype=np.int32)
+    keys = hi * np.int64(n_nodes) + lo
+    keys.sort()
+    indices[below] = np.remainder(keys, n_nodes, out=keys)
+    del keys
+    indices[~below] = hi
     return Layer(edges=edges, indptr=indptr, indices=indices)
 
 

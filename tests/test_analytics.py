@@ -2,6 +2,7 @@
 reference scans."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from awareflow import files
 from awareflow.files import format_value, parse_number, read_tsv, write_tsv
 from awareflow.netinfer import build_from_groups
 
+from conftest import traced_peak
 from oracles import (
     neighborhood_ratio_brute,
     phase_scan,
@@ -717,13 +719,56 @@ TSV_FILE_SHAPES = [
 
 @pytest.mark.parametrize("table, data", TSV_FILE_SHAPES)
 def test_read_tsv_columns_matches_a_line_by_line_scan(tmp_path, monkeypatch, table, data):
+    assert_tsv_reads_as_scanned(tmp_path, monkeypatch, table, data)
+
+
+# a read of one, two or seven bytes: every line, "\r\n" pair and header spans reads
+@pytest.mark.parametrize("chunk", [1, 2, 7], ids=lambda n: f"chunk-{n}")
+@pytest.mark.parametrize("table, data", TSV_FILE_SHAPES)
+def test_read_tsv_in_reads_of_a_few_bytes_matches_a_line_by_line_scan(
+    tmp_path, monkeypatch, table, data, chunk
+):
+    monkeypatch.setattr(files, "READ_CHUNK_BYTES", chunk)
+    assert_tsv_reads_as_scanned(tmp_path, monkeypatch, table, data)
+
+
+def test_read_tsv_holds_its_columns_and_a_read(tmp_path):
+    # 200k rows of labels.tsv (7.9 MB): 18.2 MB of columns and date texts;
+    # the whole-file parse peaked at 3.6 times that
+    rng = np.random.default_rng(27)
+    n = 200_000
+    ts = rng.integers(-10**7, 10**7, size=n) + 1_577_808_000
+    day = ts // 86_400 - 18_262
+    dates = [f"2020-{1 + d % 12:02d}-{1 + d % 28:02d}" for d in day.tolist()]
+    ids = rng.integers(10**12, 2 * 10**12, size=n).astype(np.uint64)
+    path = tmp_path / "labels.tsv"
+    write_tsv(path, TABLES["labels.tsv"], [ids, ts, day, dates])
+    out = []
+    peak = traced_peak(lambda: out.append(read_tsv(path, TABLES["labels.tsv"])))
+    for column, want in zip(out[0], (ids, ts, day, dates)):
+        assert column.tolist() == list(want)
+    held = sum(c.nbytes for c in out[0]) + sum(map(sys.getsizeof, out[0][3].tolist()))
+    assert peak <= 2 * held + 4 * files.READ_CHUNK_BYTES
+
+
+def assert_tsv_reads_as_scanned(tmp_path, monkeypatch, table, data):
+    """read_tsv of the bytes ``data`` of ``table`` gives the columns, or
+    raises the error, of tsv_file_scan, and cuts each chunk it reads into
+    cells once."""
     columns = TABLES[table]
     header = table != "qualified.txt"
     path = tmp_path / table
     path.write_bytes(data)
-    calls = []
-    byte_lines = files.ByteLines
+    calls, chunks = [], []
+    byte_lines, line_chunks = files.ByteLines, files.line_chunks
+
+    def counted_chunks(path):
+        for chunk in line_chunks(path):
+            chunks.append(chunk)
+            yield chunk
+
     monkeypatch.setattr(files, "ByteLines", lambda *a, **k: calls.append(a) or byte_lines(*a, **k))
+    monkeypatch.setattr(files, "line_chunks", counted_chunks)
     want = tsv_file_scan(data, columns, header)
     if isinstance(want, tuple):
         with pytest.raises(ParseError) as exc:
@@ -740,4 +785,4 @@ def test_read_tsv_columns_matches_a_line_by_line_scan(tmp_path, monkeypatch, tab
                 assert column.dtype == object
                 # repr tells nan, -0.0 and 1.0 from 1 apart
                 assert list(map(repr, column.tolist())) == list(map(repr, cells))
-    assert len(calls) == 1  # no shape is cut into cells a second time
+    assert len(calls) == len(chunks)  # no chunk is cut into cells a second time

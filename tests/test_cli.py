@@ -427,7 +427,7 @@ def jsonl_reader(fields):
 
 
 def test_readers_agree_with_their_oracles_on_mutated_files(all_run, tmp_path, monkeypatch):
-    monkeypatch.setattr(files, "READ_BLOCK_LINES", 16)  # a few hundred blocks per JSONL file
+    monkeypatch.setattr(files, "READ_CHUNK_BYTES", 2048)  # hundreds of reads of a large file
     dataset = os.path.join(all_run, "dataset")
     ids = files.read_population(os.path.join(dataset, "population.jsonl")).ids
 
@@ -748,6 +748,8 @@ PROVENANCE_FAULTS = (
     ("stale-upstream", "regress", rerun("gen", "--seed", "8"), 4, "run `infer-net` again"),
     ("truncated-upstream", "cohort", cut_lines("labels.tsv", 50), 4, "run `label` again"),
     ("resegmented", "report", resegmented, 4, "run `cohort` again"),
+    # the digests match, but regression.tsv was fitted on another seed's sample
+    ("report-other-seed", "report", rerun("regress", "--seed", "9"), 4, "run `regress` again"),
     (
         "manifest-missing", "cohort", lambda out, config: (out / "manifest_segment.json").unlink(),
         3, "run `segment` first",

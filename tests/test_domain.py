@@ -4,6 +4,7 @@ validation invariants."""
 import dataclasses
 import json
 import math
+import os
 import random
 from datetime import date, datetime, timedelta, timezone
 
@@ -289,7 +290,7 @@ def _fault(case, record, message, /, **edits):
 
 PURCHASE = json.loads(_purchase(6, 109))
 
-# A bad line at line 7, in the middle of the second of three 4-line blocks,
+# A bad line at line 7, past the first block of lines the reader takes,
 # and the error the reader raises for it.
 BLOCK_FAULTS = [
     pytest.param(
@@ -417,6 +418,10 @@ BLOCK_FAULTS = [
 ]
 
 
+# a read chunk of a few lines of TABLES: two to six, by table
+BLOCK_BYTES = 400
+
+
 def _lines_file(path, lines, newline=b"\n"):
     data = [line.encode() if isinstance(line, str) else line for line in lines]
     path.write_bytes(newline.join(data) + newline)
@@ -435,7 +440,22 @@ NEWLINE_FAULTS = [
 def test_block_reader_raises_the_per_line_error(
     tmp_path, monkeypatch, name, bad, message, newline
 ):
-    monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
+    assert_line_7_raises(tmp_path, monkeypatch, name, bad, message, newline, BLOCK_BYTES)
+
+
+# a budget of one, two or seven characters: every block holds one line
+@pytest.mark.parametrize("chunk", [1, 2, 7], ids=lambda n: f"chunk-{n}")
+@pytest.mark.parametrize("name, bad, message, newline", NEWLINE_FAULTS)
+def test_block_reader_raises_the_per_line_error_in_reads_of_a_few_bytes(
+    tmp_path, monkeypatch, name, bad, message, newline, chunk
+):
+    assert_line_7_raises(tmp_path, monkeypatch, name, bad, message, newline, chunk)
+
+
+def assert_line_7_raises(tmp_path, monkeypatch, name, bad, message, newline, chunk):
+    """The reader of the table ``name``, in blocks of ``chunk`` characters,
+    raises ``message`` for the line ``bad`` at line 7, opening the file once."""
+    monkeypatch.setattr(files, "READ_CHUNK_BYTES", chunk)
     reading, opened = files.reading, []
 
     def counted(path, *args, **kwargs):
@@ -474,7 +494,7 @@ def test_block_reader_raises_the_per_line_error(
 def test_block_reader_names_the_first_bad_field_of_the_first_bad_line(
     tmp_path, monkeypatch, name, bad, message
 ):
-    monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
+    monkeypatch.setattr(files, "READ_CHUNK_BYTES", BLOCK_BYTES)
     lines, reader = TABLES[name]
     path = _lines_file(tmp_path / name, lines[:6] + bad + lines[6:])
     with pytest.raises(ParseError) as exc:
@@ -486,7 +506,7 @@ def test_block_reader_names_the_first_bad_field_of_the_first_bad_line(
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("name", list(TABLES))
 def test_read_jsonl_matches_a_line_by_line_scan(tmp_path, monkeypatch, name, newline):
-    monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
+    monkeypatch.setattr(files, "READ_CHUNK_BYTES", BLOCK_BYTES)
     lines, _ = TABLES[name]
     # blank lines, and a "}" inside a text where the table has one
     padded = [*lines[:3], "", "  \t", *lines[3:]]
@@ -500,7 +520,7 @@ def test_read_jsonl_matches_a_line_by_line_scan(tmp_path, monkeypatch, name, new
 
 
 def test_block_reader_line_endings_blank_lines_and_fallback(tmp_path, monkeypatch):
-    monkeypatch.setattr(files, "READ_BLOCK_LINES", 4)
+    monkeypatch.setattr(files, "READ_CHUNK_BYTES", BLOCK_BYTES)
     lines = EVENT_LINES + [EXTRA]
     expected = read_events(_lines_file(tmp_path / "plain.jsonl", lines))
     assert len(expected) == 11
@@ -817,9 +837,8 @@ def test_each_file_round_trips_in_blocks_smaller_than_it(tmp_path, monkeypatch, 
     _, dataset, _ = small_world
     table = name.split(".")[0]
     path = save_dataset(dataset, tmp_path)[table]
-    monkeypatch.setattr(files, "READ_BLOCK_LINES", 5)
-    with open(path) as fh:
-        assert len(fh.readlines()) > 5
+    monkeypatch.setattr(files, "READ_CHUNK_BYTES", 512)
+    assert os.path.getsize(path) > 512
     assert READERS[name](path) == getattr(dataset, table)
 
 

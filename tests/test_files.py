@@ -3,6 +3,7 @@ partial file, and the JSONL writer writes what json.dumps writes; its
 file digests and the shape its manifest reader accepts."""
 
 import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -129,6 +130,26 @@ def test_write_jsonl_writes_each_row_as_json_dumps_and_reads_back(tmp_path, monk
             assert np.array_equal(np.array(pool)[read[name]][carried], np.array(TEXTS)[col][carried])
         else:
             assert read[name].dtype == col.dtype and np.array_equal(read[name], col), name
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("data", [
+    b"", b"\n", b"a", b"a\nbb\n", b"a\nbb", b"a\r\nbb\r\n", b"a\rbb\r", b"\r", b"\r\r\n\n\r",
+    b"\r\n" * 5, b"long line " * 9 + b"\r\nx\r", b"\n\nend",
+])
+def test_line_chunks_are_the_lines_of_text_mode(tmp_path, monkeypatch, data, chunk):
+    monkeypatch.setattr(files, "READ_CHUNK_BYTES", chunk)
+    path = tmp_path / "data"
+    path.write_bytes(data)
+    chunks = list(files.line_chunks(path))
+    with open(path, encoding="latin-1", newline=None) as fh:
+        lines = fh.read().encode("latin-1").splitlines(keepends=True)
+    assert b"".join(part for _, part in chunks) == b"".join(lines)
+    assert all(part for _, part in chunks)
+    assert all(part.endswith(b"\n") for _, part in chunks[:-1])  # whole lines only
+    # each chunk's number is the number of its first line
+    starts = itertools.accumulate((part.count(b"\n") for _, part in chunks), initial=1)
+    assert [first for first, _ in chunks] == list(starts)[:len(chunks)]
 
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (2 << 20) + 7])

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from awareflow import files
 from awareflow.errors import IntegrityError, ParseError
 from awareflow.kernels import neighbor_count_sweep
 from awareflow.netinfer import (
@@ -13,10 +14,12 @@ from awareflow.netinfer import (
     LAYERS,
     MultiplexGraph,
     build_from_groups,
+    build_layer,
     infer_networks,
 )
 from awareflow.files import read_edges, write_edges
 
+from conftest import traced_peak
 from oracles import clique_edges_scan, edge_file_scan, graph_edge_sets, group_edges_scan
 from test_domain import make_addresses
 
@@ -361,6 +364,22 @@ EDGE_IDS = np.arange(5, dtype=np.uint64)
 
 @pytest.mark.parametrize("data, line_no", EDGE_FILE_SHAPES)
 def test_read_edges_matches_a_line_by_line_scan(tmp_path, data, line_no):
+    assert_edges_read_as_scanned(tmp_path, data, line_no)
+
+
+# a read of one, two or seven bytes: every line and "\r\n" pair spans reads
+@pytest.mark.parametrize("chunk", [1, 2, 7], ids=lambda n: f"chunk-{n}")
+@pytest.mark.parametrize("data, line_no", EDGE_FILE_SHAPES)
+def test_read_edges_in_reads_of_a_few_bytes_matches_a_line_by_line_scan(
+    tmp_path, monkeypatch, data, line_no, chunk
+):
+    monkeypatch.setattr(files, "READ_CHUNK_BYTES", chunk)
+    assert_edges_read_as_scanned(tmp_path, data, line_no)
+
+
+def assert_edges_read_as_scanned(tmp_path, data, line_no):
+    """read_edges of the bytes ``data`` gives the edge sets of
+    edge_file_scan, or raises the error it names at ``line_no``."""
     path = tmp_path / "networks.edges"
     path.write_bytes(data)
     want = edge_file_scan(data, EDGE_IDS)
@@ -393,3 +412,64 @@ def test_read_edges_reads_ids_up_to_the_uint64_limit(tmp_path):
     path.write_bytes(data)
     assert graph_edge_sets(read_edges(path, ids)) == edge_file_scan(data, ids)
     assert read_edges(path, ids).edge_counts() == {"family": 1, "schoolmate": 0, "workmate": 1}
+
+
+def random_edges(n_nodes, n_edges, seed):
+    """``n_edges`` distinct (lower, higher) node pairs, ascending."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n_nodes, size=(2, 3 * n_edges))
+    lo, hi = np.minimum(a, b)[a != b], np.maximum(a, b)[a != b]
+    keys = np.unique(lo * n_nodes + hi)[:n_edges]
+    assert len(keys) == n_edges
+    return np.column_stack([keys // n_nodes, keys % n_nodes])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_layer_lists_each_nodes_neighbors_ascending(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    pairs = rng.integers(0, n, size=(int(rng.integers(0, 120)), 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    want = sorted({(min(a, b), max(a, b)) for a, b in pairs.tolist()})
+    for given in (pairs, np.array(want, dtype=np.int64).reshape(-1, 2)):
+        layer = build_layer(given, n)
+        assert layer.edges.dtype == np.int64 and layer.edges.tolist() == [list(e) for e in want]
+        assert layer.indptr.dtype == np.int64 and layer.indices.dtype == np.int32
+        for node in range(n):
+            near = sorted({b for a, b in want if a == node} | {a for a, b in want if b == node})
+            assert layer.neighbors(node).tolist() == near
+
+
+def layer_bytes(layer):
+    return layer.edges.nbytes + layer.indptr.nbytes + layer.indices.nbytes
+
+
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_build_layer_holds_little_beyond_the_layer(order):
+    # 200k edges over 100k nodes: 5.6 MB of layer; the argsort of both
+    # directions peaked at 4.0 times that
+    pairs = random_edges(100_000, 200_000, seed=27)
+    if order == "shuffled":
+        pairs = pairs[np.random.default_rng(1).permutation(len(pairs)), ::-1].copy()
+    out = []
+    peak = traced_peak(lambda: out.append(build_layer(pairs, 100_000)))
+    assert peak <= 2.5 * layer_bytes(out[0])
+
+
+def test_read_edges_holds_its_graph_and_a_read(tmp_path):
+    # 200k edge lines (7.4 MB) over 100k ids of 13 digits: 7.2 MB of graph;
+    # the whole-file parse peaked at 3.9 times that
+    rng = np.random.default_rng(27)
+    ids = np.sort(rng.choice(10**12, size=100_000, replace=False)).astype(np.uint64) + 10**12
+    pairs = random_edges(len(ids), 200_000, seed=27)
+    cuts = [0, 20_000, 90_000, len(pairs)]
+    layers = {
+        name: build_layer(pairs[lo:hi], len(ids)) for name, lo, hi in zip(LAYERS, cuts, cuts[1:])
+    }
+    path = tmp_path / "networks.edges"
+    write_edges(MultiplexGraph(ids, layers), path)
+    out = []
+    peak = traced_peak(lambda: out.append(read_edges(path, ids)))
+    assert out[0] == MultiplexGraph(ids, layers)
+    held = sum(map(layer_bytes, out[0].layers.values()))
+    assert peak <= 2 * held + 4 * files.READ_CHUNK_BYTES
