@@ -4,9 +4,12 @@
 # compare every artifact byte for byte: with one job, with two (the dataset
 # written by a forked process beside the later stages, whatever the runner's
 # core count), with each stage after gen in a fresh process (so every reader
-# parses from disk), and with the stages that read neither addresses.jsonl
-# nor events.jsonl run while both files are moved aside; and check that the
-# dataset, loaded and written again by the library, keeps its bytes.  Then
+# parses from disk), and with the stages that read neither the address
+# columns nor events.jsonl run while those files are moved aside.  Export
+# the dataset as JSONL, as data brought in by hand, and check that every
+# stage from infer-net to regress writes the same analytic artifacts over
+# it (report summarizes gen's manifest, which such data lacks), and that
+# the export, stored again as gen stores it, keeps the dataset's bytes.  Then
 # check that a stage refuses artifacts older than the dataset (exit 4) until
 # the later stages run again, that the command-line flags set the config
 # keys they name, that a failed dataset write leaves the same files under
@@ -20,31 +23,51 @@ dir=${1:-$(mktemp -d)}
 run() { python -m awareflow.cli "$@"; }
 compare() { python "$(dirname "$0")/compare_runs.py" "$@"; }
 
-# load the dataset directory $1 (and its truth) and write it into $2
+# load the dataset directory $1 (and its truth), its tables as column files
+# or JSONL, and write it into $2 with files.$3: save_dataset exports every
+# table as JSONL, store_dataset writes the tables as gen does
 rewrite() {
-  python - "$1" "$2" <<'PY'
+  python - "$@" <<'PY'
 import os
 import sys
 
 from awareflow import files
-from awareflow.domain import DATASET_FILES
 
-src, dst = sys.argv[1:]
-calendar = files.read_calendar(os.path.join(src, "calendar.json"))
-dataset = files.load_dataset(*(os.path.join(src, n) for n in DATASET_FILES), calendar=calendar)
-truth = files.read_truth(src, dataset.population.ids)
-files.save_dataset(dataset, dst)
+src, dst, writer = sys.argv[1:]
+population, addresses = (
+    files.read_table(table, files.table_paths(src, table)) for table in ("population", "addresses")
+)
+dataset = files.validated_dataset(
+    population, files.read_regions(os.path.join(src, "regions.jsonl")), addresses,
+    files.read_events(os.path.join(src, "events.jsonl")),
+    files.read_calendar(os.path.join(src, "calendar.json")),
+)
+getattr(files, writer)(dataset, dst)
 files.write_calendar(os.path.join(dst, "calendar.json"), dataset.calendar)
-files.write_truth(truth, dst)
+files.write_truth(files.read_truth(src, dataset.population.ids), dst)
 PY
+}
+
+# copy the analytic artifacts of the run $1 into $2: every file outside
+# dataset/ but the manifests and the report
+analytic() {
+  mkdir "$2"
+  find "$1" -maxdepth 1 -type f ! -name 'manifest_*' ! -name 'report.*' -exec cp {} "$2" \;
 }
 
 check() {
   config=$1
   d="$dir/$config"
   run all --config "$config" --out "$d/s"
-  rewrite "$d/s/dataset" "$d/rewritten"
-  compare "$d/s/dataset" "$d/rewritten"
+  rewrite "$d/s/dataset" "$d/h/dataset" save_dataset
+  for stage in infer-net label segment cohort geo-corr regress; do
+    run "$stage" --config "$config" --out "$d/h"
+  done
+  analytic "$d/s" "$d/s_analytic"
+  analytic "$d/h" "$d/h_analytic"
+  compare "$d/s_analytic" "$d/h_analytic"
+  rewrite "$d/h/dataset" "$d/stored" store_dataset
+  compare "$d/s/dataset" "$d/stored"
   run all --config "$config" --out "$d/s1" --jobs 1
   compare "$d/s" "$d/s1"
   run all --config "$config" --out "$d/j2" --jobs 2
@@ -56,11 +79,11 @@ check() {
   compare "$d/s" "$d/s2"
   cp -r "$d/s" "$d/s3"
   mkdir "$d/aside"
-  mv "$d/s3/dataset/addresses.jsonl" "$d/s3/dataset/events.jsonl" "$d/aside/"
+  mv "$d/s3/dataset/addresses."*.npy "$d/s3/dataset/events.jsonl" "$d/aside/"
   for stage in segment cohort geo-corr regress report; do
     run "$stage" --config "$config" --out "$d/s3"
   done
-  mv "$d/aside/addresses.jsonl" "$d/aside/events.jsonl" "$d/s3/dataset/"
+  mv "$d/aside/"* "$d/s3/dataset/"
   compare "$d/s" "$d/s3"
 }
 

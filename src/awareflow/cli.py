@@ -17,9 +17,11 @@ timestamps, no absolute paths) so that identical config + seed runs are
 byte-identical.  A manifest's ``inputs`` hash every file the stage read,
 the dataset tables it declares and the manifests of its upstream stages
 included; its ``outputs`` every file it wrote.  Only ``gen`` and
-``infer-net`` touch the address table, so only their manifests list
-``addresses.jsonl``; only ``gen`` and ``label`` touch the event log, so
-only theirs list ``events.jsonl`` while ``calendar.json`` exists.  Every
+``infer-net`` touch the address table, so only their manifests list its
+files; only ``gen`` and ``label`` touch the event log, so only theirs list
+``events.jsonl`` while ``calendar.json`` exists.  `gen` stores the
+population and address tables as column files; a dataset directory that
+holds a table as JSONL instead was brought in by hand.  Every
 file goes through ``files``: artifacts of earlier stages through validating
 readers, outputs atomically, and a stage removes its old manifest first.
 When ``jobs`` allows two processes, `all` hands the dataset write to a
@@ -75,7 +77,12 @@ from .awareness import (
     label_awareness,
 )
 from .config import RunConfig, load_run_config  # RunConfig is re-exported
-from .domain import DATASET_FILES, raise_violations, validate_dataset
+from .domain import (
+    DATASET_FILES,
+    column_files,
+    raise_violations,
+    validate_dataset,
+)
 from .errors import (
     AnalyticsError,
     AwareflowError,
@@ -104,9 +111,13 @@ from .simulate import TRUTH_FILES, generate
 # RNG stream for drawing the regression sample; simulator streams are < 100
 SAMPLE_STREAM = 101
 CALENDAR_FILE = "calendar.json"
-*TABLE_FILES, ADDRESSES_FILE, EVENTS_FILE = DATASET_FILES
-DATASET_GROUPS = {"addresses": (ADDRESSES_FILE,), "events": (EVENTS_FILE,), "truth": TRUTH_FILES}
-WRITER_FILES = (*DATASET_FILES, *TRUTH_FILES)  # what write_dataset writes
+_, REGIONS_FILE, _, EVENTS_FILE = DATASET_FILES
+DATASET_GROUPS = {"events": (EVENTS_FILE,), "truth": TRUTH_FILES}
+# what write_dataset writes
+WRITER_FILES = (
+    *column_files("population"), REGIONS_FILE, *column_files("addresses"), EVENTS_FILE,
+    *TRUTH_FILES,
+)
 
 # Columns of every TSV artifact, as (name, parse) pairs for files.read_tsv;
 # the writers take the header from here.  Ids, timestamps and days that
@@ -184,11 +195,13 @@ def phase_segmentation(columns):
 # ---------------------------------------------------------------------------
 
 # A stage reads and writes artifacts: files in the run directory, named by
-# file name, or the groups "dataset" (the population and region files plus
-# calendar.json; without calendar.json the window is inferred from the
-# events, so events.jsonl takes its place), "addresses" (addresses.jsonl),
-# "events" (events.jsonl), "truth" (the simulator's ground truth next to
-# them) and "patterns" (the query pattern file).  ``upstream`` names the
+# file name, or the groups "dataset" (the population's files, regions.jsonl
+# and calendar.json; without calendar.json the window is inferred from the
+# events, so events.jsonl takes its place), "addresses" (the address
+# table's files), "events" (events.jsonl), "truth" (the simulator's ground
+# truth next to them) and "patterns" (the query pattern file).  A table's
+# files are its column files where gen ran in this process or any of them
+# exists, else its JSONL file.  ``upstream`` names the
 # stages that write what a stage reads, whose manifests it reads too.
 Stage = namedtuple("Stage", "name reads writes upstream")
 STAGES = {}  # stage name -> Stage, in pipeline order
@@ -312,17 +325,25 @@ class PipelineState:
             return os.path.basename(path)
         return rp.replace(os.sep, "/")
 
+    def table_paths(self, table):
+        """The files of a dataset table: its column files once gen has run
+        here, whether or not its writer has written them yet."""
+        ddir = self.cfg.resolved_dataset_dir()
+        return files.table_paths(ddir, table, columns="gen" in self.ran)
+
     def files(self, artifacts):
         """Every file of the named artifacts."""
         out = []
         for name in artifacts:
             if name == "dataset":
-                out += [self.dataset_path(n) for n in TABLE_FILES]
+                out += [*self.table_paths("population"), self.dataset_path(REGIONS_FILE)]
                 # the file that fixes the observation window
                 window = self.dataset_path(CALENDAR_FILE)
                 if not os.path.exists(window):
                     window = self.dataset_path(EVENTS_FILE)
                 out.append(window)
+            elif name == "addresses":
+                out += self.table_paths(name)
             elif name in DATASET_GROUPS:
                 out += [self.dataset_path(n) for n in DATASET_GROUPS[name]]
             elif name == "patterns":
@@ -376,15 +397,21 @@ class PipelineState:
 
     def _read(self, name, paths):
         if name == "dataset":
-            *tables, last = paths
-            if os.path.basename(last) == CALENDAR_FILE:
-                return files.load_dataset(*tables, None, None, calendar=files.read_calendar(last))
-            return files.load_dataset(*tables, None, last)
+            *population, regions, window = paths
+            with_calendar = os.path.basename(window) == CALENDAR_FILE
+            calendar = files.read_calendar(window) if with_calendar else None
+            return files.validated_dataset(
+                files.read_table("population", population),
+                files.read_regions(regions),
+                None,
+                None if with_calendar else files.read_events(window),
+                calendar,
+            )
+        if name == "addresses":
+            return files.load_addresses(paths, self.load("dataset").population.ids)
         (path,) = paths
         if name == "patterns":
             return files.load_patterns(path)
-        if name == "addresses":
-            return files.load_addresses(path, self.load("dataset").population.ids)
         if name == "events":
             dataset = self.load("dataset")
             if dataset.events is not None:
@@ -394,11 +421,13 @@ class PipelineState:
             return files.read_edges(path, self.load("dataset").population.ids)
         if name.startswith("manifest_"):
             return files.read_manifest(path)
+        if name == "labels.tsv":
+            # the dates are counted among the fields, but no cell is decoded
+            ids, ts, _, _ = files.read_tsv(path, (*TABLES[name][:3], ("first_aware_date", None)))
+            return AwarenessTimeline(ids, ts)
         columns = files.read_tsv(path, TABLES[name], header=name != "qualified.txt")
         if name == "qualified.txt":
             return columns[0]
-        if name == "labels.tsv":
-            return AwarenessTimeline(*columns[:2])
         return columns
 
     def cohort(self):
@@ -459,7 +488,7 @@ def by_day(iso, keys, width=0):
 def write_dataset(dataset, truth, ddir):
     """Write the dataset and truth files into ``ddir``, calendar.json
     aside; returns the SHA-256 of each, by path."""
-    paths = [*files.save_dataset(dataset, ddir).values(), *files.write_truth(truth, ddir).values()]
+    paths = [*files.store_dataset(dataset, ddir), *files.write_truth(truth, ddir).values()]
     return {path: files.sha256_file(path) for path in paths}
 
 

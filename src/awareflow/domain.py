@@ -1,11 +1,15 @@
 """Shared data model: population, region and address columns, columnar
 event log, calendar, dataset validation.
 
-All dataset files are line-delimited JSON (one object per line, UTF-8),
-read and written by ``files``.  One field table per file (DATASET_FIELDS)
-declares each key's kind, range or names and column: ``files.read_jsonl``
-and ``validate_dataset`` enforce it, and ``files.write_jsonl`` takes every
-key from it, so a file's keys are in table order.  In memory every table is
+Every dataset table can be line-delimited JSON (one object per line,
+UTF-8), the form of data brought in and exported, read and written by
+``files``.  One field table per file (DATASET_FIELDS) declares each key's
+kind, range or names and column: ``files.read_jsonl`` and
+``validate_dataset`` enforce it, and ``files.write_jsonl`` takes every key
+from it, so a file's keys are in table order.  ``gen`` stores the tables of
+COLUMN_TABLES as one ``np.save`` file per column instead, in the field's
+dtype, and ``files.read_columns`` checks them against the same field
+tables.  In memory every table is
 numpy columns named after the fields (``ids`` holds the population's
 ``id``, a region's ``name`` and ``daily_confirmed_cases`` are object
 columns of strings and tuples, an address's ``active_interval`` is split
@@ -242,17 +246,37 @@ class Field:
             return f"must fit in {self.dtype}, got {v}"
         return None
 
+    def _range(self):
+        """The inclusive (lo, hi) of a column of this field; None leaves a side open."""
+        if self.kind == "enum":
+            return 0, len(self.names) - 1  # its codes
+        return (0 if self.kind == "id" and self.lo is None else self.lo), self.hi
+
     def outside(self, col):
         """The mask of the values of a column of this field, of its dtype,
         that ``problem`` refuses: outside its bounds or, for a number, not
-        finite."""
-        lo = 0 if self.kind == "id" and self.lo is None else self.lo
-        bad = ~np.isfinite(col) if self.kind == "number" else np.zeros(len(col), dtype=bool)
+        finite; and of the stored values no JSON value reads as: an enum
+        code past its names, a bool byte other than 0 and 1."""
+        lo, hi = self._range()
+        if self.kind == "number":
+            bad = ~np.isfinite(col)
+        elif self.kind == "bool":
+            bad = col.view(np.uint8) > 1
+        else:
+            bad = np.zeros(len(col), dtype=bool)
         if lo is not None:
             bad |= col < lo
-        if self.hi is not None:
-            bad |= col > self.hi
+        if hi is not None:
+            bad |= col > hi
         return bad
+
+    def stored_problem(self, col, row):
+        """Why ``outside`` refuses row ``row`` of the column ``col`` of this field."""
+        if self.kind == "bool":
+            return f"must be a byte 0 or 1, got {col.view(np.uint8)[row]}"
+        if self.kind == "enum":
+            return f"code {Bounds(*self._range()).problem(col[row].item())}"
+        return self.problem(col[row].item())
 
 
 def column_dtypes(fields):
@@ -301,7 +325,7 @@ EVENT_FIELDS = (
     Field("category", "text", column="text_code", when=EVENT_KIND_PURCHASE),
     Field("is_ppe", "bool", when=EVENT_KIND_PURCHASE),
 )
-# the dataset's files, in load_dataset's argument order, and their field tables
+# the dataset's JSONL files, in load_dataset's argument order, and their field tables
 DATASET_FILES = ("population.jsonl", "regions.jsonl", "addresses.jsonl", "events.jsonl")
 DATASET_FIELDS = dict(zip(DATASET_FILES, (
     POPULATION_FIELDS, REGION_FIELDS, ADDRESS_FIELDS, EVENT_FIELDS,
@@ -312,9 +336,12 @@ class Columns:
     """A table held as equal-length numpy columns, one attribute each.
 
     ``DTYPES`` names the columns, in row-tuple order, with their dtypes.
+    ``ORDER`` names the columns whose values order the rows, most
+    significant first, and ``UNIQUE`` says that no two rows tie on them.
     """
 
     DTYPES = {}
+    ORDER, UNIQUE = (), False
 
     def __init__(self, **columns):
         for name, dtype in self.DTYPES.items():
@@ -345,6 +372,18 @@ class Columns:
         return type(other) is type(self) and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in self.DTYPES
         )
+
+    def disorder(self):
+        """The first row that sorts before the row above it by ORDER (or,
+        UNIQUE, ties with it); None when the rows are in order."""
+        before = np.zeros(max(len(self) - 1, 0), dtype=bool)
+        tied = np.ones_like(before)
+        for name in self.ORDER:
+            col = getattr(self, name)
+            before |= tied & (col[1:] < col[:-1])
+            tied &= col[1:] == col[:-1]
+        bad = before | tied if self.UNIQUE else before
+        return int(np.argmax(bad)) + 1 if bad.any() else None
 
 
 class EventLog(Columns):
@@ -440,7 +479,9 @@ class PopulationColumns(Columns):
     and OCCUPATIONS.
     """
 
-    DTYPES = column_dtypes(POPULATION_FIELDS)
+    FIELDS = POPULATION_FIELDS
+    DTYPES = column_dtypes(FIELDS)
+    ORDER, UNIQUE = ("ids",), True
 
     @property
     def n(self):
@@ -460,13 +501,23 @@ class RegionColumns(Columns):
 class AddressColumns(Columns):
     """The address table; ``kind`` indexes ADDRESS_KINDS."""
 
-    DTYPES = column_dtypes(ADDRESS_FIELDS)
+    FIELDS = ADDRESS_FIELDS
+    DTYPES = column_dtypes(FIELDS)
+    ORDER = ("individual_id", "kind", "address_id", "active_start")
 
     def canonical(self):
-        """The rows sorted by (individual_id, kind, address_id, active_start), stably."""
-        return self.take(np.lexsort(
-            (self.active_start, self.address_id, self.kind, self.individual_id)
-        ))
+        """The rows sorted by ORDER, stably."""
+        return self.take(np.lexsort([getattr(self, name) for name in reversed(self.ORDER)]))
+
+
+# the tables gen stores as one np.save file per column of their FIELDS,
+# <table>.<column>.npy, rows in ORDER
+COLUMN_TABLES = {"population": PopulationColumns, "addresses": AddressColumns}
+
+
+def column_files(table):
+    """The file names of the columns of the COLUMN_TABLES table ``table``, in field order."""
+    return tuple(f"{table}.{name}.npy" for name in COLUMN_TABLES[table].DTYPES)
 
 
 @dataclass

@@ -13,12 +13,14 @@ class ConfigError(AwareflowError):
 
 
 class ParseError(AwareflowError):
-    """A record failed schema validation while reading a file."""
+    """A record failed schema validation while reading a file; ``line_no``
+    is None for a file without lines, such as a column file."""
 
     def __init__(self, path, line_no, message):
         self.path = str(path)
         self.line_no = line_no
-        super().__init__(f"{self.path}:{line_no}: {message}")
+        where = "" if line_no is None else f":{line_no}"
+        super().__init__(f"{self.path}{where}: {message}")
 
 
 class IntegrityError(AwareflowError):

@@ -1,6 +1,6 @@
-"""Every on-disk format, read and written in one place: JSONL dataset
-tables and truth labels, edge files, TSV artifacts, JSON configs,
-calendars and manifests, and pattern files.
+"""Every on-disk format, read and written in one place: the column files
+and JSONL tables of the dataset, truth labels, edge files, TSV artifacts,
+JSON configs, calendars and manifests, and pattern files.
 
 Every read opens its file through ``reading``, which turns an OSError into
 an AwareflowError naming the file.  Each format has one parse, over
@@ -11,9 +11,12 @@ parsed a block of lines at a time into one object per line.  Each column
 check returns the mask of the rows it refuses, so the reader raises the
 ParseError of the first bad line, and in it of the first bad field,
 without parsing the file again.  ``write_jsonl`` takes every key of
-a JSONL table from its field table, the one place that spells it.  Every
-write goes through ``atomic_output``, so that a process that dies
-mid-write leaves the old file, or none, under the final name.
+a JSONL table from its field table, the one place that spells it.  A
+column file is what ``np.save`` writes for one column of a table of
+``domain.COLUMN_TABLES``; ``read_columns`` checks each against its field,
+reading no data before its header has passed.  Every write goes through
+``atomic_output``, so that a process that dies mid-write leaves the old
+file, or none, under the final name.
 """
 
 import contextlib
@@ -21,6 +24,7 @@ import hashlib
 import itertools
 import json
 import os
+import tokenize
 import warnings
 from operator import itemgetter
 
@@ -29,7 +33,9 @@ import numpy as np
 from .awareness import NEVER, AwarenessTimeline
 from .domain import (
     ADDRESS_FIELDS,
+    COLUMN_TABLES,
     DATASET_FIELDS,
+    DATASET_FILES,
     EVENT_FIELDS,
     POPULATION_FIELDS,
     REGION_FIELDS,
@@ -40,6 +46,7 @@ from .domain import (
     PopulationColumns,
     RegionColumns,
     column_dtypes,
+    column_files,
     find_rows,
     infer_calendar,
     intern_texts,
@@ -215,15 +222,16 @@ def name_codes(buf, first, stop, names):
 
 
 @contextlib.contextmanager
-def atomic_output(path):
-    """A UTF-8 text file written as ``<path>.tmp`` (umask permissions) and
-    renamed over ``path`` when the block completes.  Any exception removes
-    it, so ``path`` keeps its old bytes or stays absent; an OSError raises
-    ConfigError (exit 2) naming ``path``.  No fsync: this guards against a
-    process that dies, not a power loss."""
+def atomic_output(path, binary=False):
+    """A UTF-8 text file (a binary one with ``binary``) written as
+    ``<path>.tmp`` (umask permissions) and renamed over ``path`` when the
+    block completes.  Any exception removes it, so ``path`` keeps its old
+    bytes or stays absent; an OSError raises ConfigError (exit 2) naming
+    ``path``.  No fsync: this guards against a process that dies, not a
+    power loss."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except OSError as exc:
@@ -558,28 +566,63 @@ def write_jsonl(path, fields, columns, text_pool=()):
     write_text(path, map(chunk, row_chunks(len(first))))
 
 
+def _write_table(dataset, directory, name):
+    """Write the dataset's table of the JSONL file ``name`` into
+    ``directory``; returns its path."""
+    path = os.path.join(directory, name)
+    columns = getattr(dataset, name.removesuffix(".jsonl"))
+    write_jsonl(path, DATASET_FIELDS[name], vars(columns), getattr(columns, "text_pool", ()))
+    return path
+
+
 def save_dataset(dataset, directory):
-    """Write the four dataset files into ``directory``; returns their paths."""
+    """Export the dataset as its four JSONL files into ``directory``;
+    returns their paths, by table."""
     make_dir(directory, "dataset directory")
-    paths = {name.split(".")[0]: os.path.join(directory, name) for name in DATASET_FIELDS}
-    for (table, path), fields in zip(paths.items(), DATASET_FIELDS.values()):
-        columns = getattr(dataset, table)
-        write_jsonl(path, fields, vars(columns), getattr(columns, "text_pool", ()))
+    return {
+        name.removesuffix(".jsonl"): _write_table(dataset, directory, name)
+        for name in DATASET_FILES
+    }
+
+
+def store_dataset(dataset, directory):
+    """Write the dataset into ``directory`` as `gen` stores it: each table
+    of COLUMN_TABLES as its column files, removing the JSONL file they
+    replace, and every other table as its JSONL file; returns the paths
+    written.  The rows of a table of columns must be in its ORDER, as
+    ``generate`` gives them."""
+    make_dir(directory, "dataset directory")
+    paths = []
+    for name in DATASET_FILES:
+        table = name.removesuffix(".jsonl")
+        if table in COLUMN_TABLES:
+            paths += write_columns(directory, table, getattr(dataset, table))
+            discard(os.path.join(directory, name))
+        else:
+            paths.append(_write_table(dataset, directory, name))
     return paths
 
 
 def load_dataset(
     population_path, regions_path, addresses_path, events_path, calendar=None
 ):
-    """Parse, assemble, and validate one dataset from disk.  Without
-    ``addresses_path`` or ``events_path`` the dataset carries None for the
-    table; without events it needs a ``calendar``, else a missing one is
-    inferred from them.  A bad record raises ParseError, a violated
-    cross-record invariant (keys, duplicates, intervals) IntegrityError."""
-    population = read_population(population_path)
-    regions = read_regions(regions_path)
-    addresses = None if addresses_path is None else read_addresses(addresses_path)
-    events = None if events_path is None else read_events(events_path)
+    """Parse, assemble, and validate one dataset from its JSONL files.
+    Without ``addresses_path`` or ``events_path`` the dataset carries None
+    for the table.  A bad record raises ParseError, a violated cross-record
+    invariant (keys, duplicates, intervals) IntegrityError."""
+    return validated_dataset(
+        read_population(population_path),
+        read_regions(regions_path),
+        None if addresses_path is None else read_addresses(addresses_path),
+        None if events_path is None else read_events(events_path),
+        calendar,
+    )
+
+
+def validated_dataset(population, regions, addresses, events, calendar=None):
+    """The Dataset of its tables once ``validate_dataset`` finds no
+    violation (else IntegrityError).  Without events it needs a
+    ``calendar``, else a missing one is inferred from them."""
     if calendar is None:
         if events is None:
             raise ValueError("a dataset loaded without events needs a calendar")
@@ -589,9 +632,10 @@ def load_dataset(
     return dataset
 
 
-def load_addresses(path, ids):
-    """The addresses of a file, checked against the population ``ids``."""
-    addresses = read_addresses(path)
+def load_addresses(paths, ids):
+    """The address table of its files (see ``read_table``), checked
+    against the population ``ids``."""
+    addresses = read_table("addresses", paths)
     raise_violations(validate_addresses(addresses, ids))
     return addresses
 
@@ -621,6 +665,100 @@ def read_truth(directory, ids):
     aware = labels["first_aware"] != NEVER
     timeline = AwarenessTimeline(labels["individual_id"][aware], labels["first_aware"][aware])
     return GroundTruth(timeline, read_edges(edges_path, ids))
+
+
+# ---------------------------------------------------------------------------
+# column files: one np.save file per column of a table
+# ---------------------------------------------------------------------------
+
+def table_paths(directory, table, columns=False):
+    """The files of the COLUMN_TABLES table ``table`` in ``directory``: its
+    column files where ``columns`` or any of them exists (as `gen` stores
+    it), else its JSONL file (data brought in by hand)."""
+    paths = [os.path.join(directory, name) for name in column_files(table)]
+    if columns or any(map(os.path.exists, paths)):
+        return paths
+    return [os.path.join(directory, f"{table}.jsonl")]
+
+
+def read_table(table, paths):
+    """The COLUMN_TABLES table ``table`` of the files that table_paths
+    names: its column files (see read_columns), or its JSONL file, whose
+    rows are put in canonical order."""
+    if len(paths) == 1 and str(paths[0]).endswith(".jsonl"):
+        return {"population": read_population, "addresses": read_addresses}[table](paths[0])
+    return read_columns(table, paths)
+
+
+def write_column(path, col):
+    """Write the one-dimensional array ``col`` to ``path`` as np.save writes it."""
+    with atomic_output(path, binary=True) as fh:
+        np.save(fh, col, allow_pickle=False)
+
+
+def write_columns(directory, table, data):
+    """Write each column of ``data``, a table of COLUMN_TABLES named
+    ``table``, into ``directory`` as its column file, in its field's dtype;
+    returns the paths, in column_files order."""
+    paths = table_paths(directory, table, columns=True)
+    for path, (name, dtype) in zip(paths, data.DTYPES.items()):
+        write_column(path, np.asarray(getattr(data, name), dtype=dtype))
+    return paths
+
+
+def read_column(path, dtype, n=None):
+    """The one-dimensional array of ``dtype`` (of ``n`` rows, unless None)
+    that np.save wrote to ``path``.  The header is checked before any data
+    is read, so no array of another dtype is loaded (an object array is
+    never unpickled), and the data must fill the file to its end; any other
+    file raises ParseError naming it."""
+    with reading(path) as fh, warnings.catch_warnings():
+        # a header np.save does not write may make numpy warn, or fail in
+        # its tokenizer, as it re-reads the header the way Python 2 wrote it
+        warnings.simplefilter("error", UserWarning)
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):  # the version np.save writes for any field's dtype
+                raise ValueError(f"format version {version}, not (1, 0)")
+            shape, _, found = np.lib.format.read_array_header_1_0(fh)
+        except (ValueError, TypeError, SyntaxError, UserWarning, tokenize.TokenError) as exc:
+            raise ParseError(path, None, f"not a .npy file: {exc}") from None
+        if found != dtype or len(shape) != 1:
+            raise ParseError(
+                path, None, f"expected a column of {dtype}, found {found} of shape {shape}"
+            )
+        if n is not None and shape[0] != n:
+            raise ParseError(path, None, f"expected {n} rows, found {shape[0]}")
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != shape[0] * dtype.itemsize:
+            raise ParseError(
+                path, None, f"expected {shape[0] * dtype.itemsize} bytes of data, found {size}"
+            )
+        return np.fromfile(fh, dtype=dtype, count=shape[0])
+
+
+def read_columns(table, paths):
+    """The COLUMN_TABLES table ``table`` of its column files ``paths``, in
+    column_files order.  Each column must have its field's dtype, the
+    length of the first and no value that ``Field.outside`` refuses; then
+    the rows must be in the table's ORDER.  The first fault raises
+    ParseError naming its file and, for a value, its row (from 0)."""
+    cls = COLUMN_TABLES[table]
+    fields = [f for f in cls.FIELDS for _ in f.columns]
+    columns, n = {}, None
+    for path, name, f in zip(paths, cls.DTYPES, fields):
+        col = columns[name] = read_column(path, f.dtype, n)
+        n, bad = len(col), f.outside(col)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ParseError(path, None, f"row {row}: {f.key} {f.stored_problem(col, row)}")
+    data = cls(**columns)
+    row = data.disorder()
+    if row is not None:
+        order = ", ".join(cls.ORDER) + (" without ties" if cls.UNIQUE else "")
+        path = paths[list(cls.DTYPES).index(cls.ORDER[0])]
+        raise ParseError(path, None, f"row {row}: the rows must ascend by {order}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +904,12 @@ def _tsv_column(lines, j, parse):
     whose decimal runs are read in bulk, an object array of what ``parse``
     returns for any other.  A cell the bulk scan cannot read goes through
     ``parse`` on its own, and is refused where that raises ValueError or
-    OverflowError."""
+    OverflowError.  A parse of None decodes no cell and refuses none: the
+    column is None."""
     data, (first, stop) = lines.data, lines.cell(j)
     bad = np.zeros(len(first), dtype=bool)
+    if parse is None:
+        return None, bad
     if parse in _ARRAY_PARSES:
         col, odd = digit_runs(lines.buf, first, stop, signed=parse is np.int64)
         rows = np.flatnonzero(odd)
@@ -789,7 +930,8 @@ def _tsv_column(lines, j, parse):
 def read_tsv(path, columns, header=True):
     """The columns of a write_tsv file (``header=False``: one without a header)
     of ``columns``, (name, parse) pairs such as ("day", int): arrays of the
-    dtype np.uint64 or np.int64 of that parse, object arrays for any other.
+    dtype np.uint64 or np.int64 of that parse, None for a parse of None
+    (a column only counted among the fields), object arrays for any other.
     The first bad line raises its ParseError: a wrong header or field count,
     or else its first field that parse refuses."""
     names = [name for name, _ in columns]
@@ -820,4 +962,6 @@ def read_tsv(path, columns, header=True):
             part.append(col)
     if found is None:  # an empty file
         raise ParseError(path, 1, f"expected header {names}, found ['']")
-    return [np.concatenate(part) for part in parts]
+    return [
+        None if parse is None else np.concatenate(part) for part, (_, parse) in zip(parts, columns)
+    ]

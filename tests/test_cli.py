@@ -22,6 +22,7 @@ from awareflow import cli, domain, files
 from awareflow.config import load_run_config
 from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
+from awareflow.simulate import TRUTH_FILES
 
 from conftest import assert_no_child_left, small_world_config, tree_hashes, wait_until_exited
 from oracles import edge_file_scan, graph_edge_sets, jsonl_file_scan, jsonl_values, tsv_file_scan
@@ -84,14 +85,43 @@ def all_run(micro_config, tmp_path_factory):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def jsonl_run(all_run, micro_config, tmp_path_factory):
+    """The micro dataset brought in by hand: all_run's dataset exported as
+    JSONL by save_dataset, beside its calendar and truth, with no
+    manifest_gen.json; every stage from infer-net to regress run over it
+    (report summarizes gen's manifest)."""
+    out = tmp_path_factory.mktemp("jsonl_run")
+    source = os.path.join(all_run, "dataset")
+    shutil.copytree(source, out / "dataset", ignore=shutil.ignore_patterns("*.npy"))
+    population, addresses = (
+        files.read_table(table, files.table_paths(source, table))
+        for table in ("population", "addresses")
+    )
+    dataset = files.validated_dataset(
+        population, files.read_regions(os.path.join(source, "regions.jsonl")), addresses,
+        files.read_events(os.path.join(source, "events.jsonl")),
+        files.read_calendar(os.path.join(source, "calendar.json")),
+    )
+    files.save_dataset(dataset, out / "dataset")
+    for stage in list(cli.STAGES)[1:-1]:
+        assert cli.main([stage, "--config", micro_config, "--out", str(out)]) == 0
+    return str(out)
+
+
+def hand_brought(fault):
+    """``fault``, to be made on jsonl_run instead of all_run."""
+    fault.hand_brought = True
+    return fault
+
+
 def test_all_writes_every_artifact(all_run):
     for name in ARTIFACTS + STEP_MANIFESTS + ("manifest_all.json",):
         assert os.path.exists(os.path.join(all_run, name)), name
-    for name in (
-        "population.jsonl", "regions.jsonl", "addresses.jsonl",
-        "events.jsonl", "calendar.json",
-    ):
-        assert os.path.exists(os.path.join(all_run, "dataset", name)), name
+    tables = domain.column_files("population") + domain.column_files("addresses")
+    assert sorted(os.listdir(os.path.join(all_run, "dataset"))) == sorted([
+        *tables, "regions.jsonl", "events.jsonl", "calendar.json", *TRUTH_FILES,
+    ])
     # every write renamed its temporary file into place
     assert not [name for _, _, names in os.walk(all_run) for name in names if name.endswith(".tmp")]
 
@@ -285,22 +315,22 @@ def test_a_later_stage_failure_leaves_what_one_process_leaves(micro_config, tmp_
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_loading_a_file_the_writer_owns_waits_for_it(micro_config, tmp_path, monkeypatch):
     go = tmp_path / "go"
-    write_jsonl = files.write_jsonl
+    write_columns = files.write_columns
 
-    def held(path, *args):
-        # the forked writer inherits this: it writes addresses.jsonl only
-        # once the test says go, or after 10 s
+    def held(directory, table, data):
+        # the forked writer inherits this: it writes the address columns
+        # only once the test says go, or after 10 s
         deadline = time.monotonic() + 10
-        while str(path).endswith("addresses.jsonl") and not go.exists() and time.monotonic() < deadline:
+        while table == "addresses" and not go.exists() and time.monotonic() < deadline:
             time.sleep(0.01)
-        write_jsonl(path, *args)
+        return write_columns(directory, table, data)
 
-    monkeypatch.setattr(files, "write_jsonl", held)
+    monkeypatch.setattr(files, "write_columns", held)
     state = cli.PipelineState(load_run_config(micro_config, out_dir=str(tmp_path)), fork_writer=True)
     try:
         cli.STEP_FUNCS["gen"](state)
         assert state.writer is not None
-        assert not os.path.exists(state.dataset_path("addresses.jsonl"))
+        assert not os.path.exists(state.dataset_path("addresses.individual_id.npy"))
         assert not (tmp_path / "manifest_gen.json").exists()  # it waits for the writer
         addresses = state.loaded.pop("addresses")
         go.touch()
@@ -426,10 +456,13 @@ def jsonl_reader(fields):
     return read, lambda data: jsonl_file_scan(data, fields)
 
 
-def test_readers_agree_with_their_oracles_on_mutated_files(all_run, tmp_path, monkeypatch):
+def test_readers_agree_with_their_oracles_on_mutated_files(
+    all_run, jsonl_run, tmp_path, monkeypatch
+):
     monkeypatch.setattr(files, "READ_CHUNK_BYTES", 2048)  # hundreds of reads of a large file
     dataset = os.path.join(all_run, "dataset")
-    ids = files.read_population(os.path.join(dataset, "population.jsonl")).ids
+    population = os.path.join(jsonl_run, "dataset", "population.jsonl")
+    ids = files.read_population(population).ids
 
     def edge_scan(data):
         want = edge_file_scan(data, ids)
@@ -441,7 +474,7 @@ def test_readers_agree_with_their_oracles_on_mutated_files(all_run, tmp_path, mo
         os.path.join(all_run, "networks.edges"): (
             lambda path: graph_edge_sets(files.read_edges(path, ids)), edge_scan,
         ),
-        os.path.join(dataset, "population.jsonl"): jsonl_reader(domain.POPULATION_FIELDS),
+        population: jsonl_reader(domain.POPULATION_FIELDS),
         os.path.join(dataset, "events.jsonl"): jsonl_reader(domain.EVENT_FIELDS),
     }
     rng = random.Random(20211)
@@ -632,9 +665,9 @@ def test_missing_patterns_file_exits_2(micro_config, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
-def test_corrupt_dataset_exits_4(tmp_path, micro_config, capsys):
+def test_corrupt_dataset_exits_4(jsonl_run, tmp_path, micro_config, capsys):
     out = tmp_path / "corrupt"
-    assert cli.main(["gen", "--config", micro_config, "--out", str(out)]) == 0
+    shutil.copytree(jsonl_run, out)
     pop = out / "dataset" / "population.jsonl"
     with open(pop, "a", encoding="utf-8") as fh:
         fh.write("this is not json\n")
@@ -667,8 +700,7 @@ def repeat_lines(name, n):
 def events_of_first_individual(*timestamps):
     """Append a query event at each of ``timestamps`` by the first individual."""
     def fault(out, config):
-        with open(out / "dataset" / "population.jsonl") as fh:
-            iid = json.loads(fh.readline())["id"]
+        iid = np.load(out / "dataset" / "population.ids.npy", allow_pickle=False)[0]
         for ts in timestamps:
             line = f'{{"type":"query","individual_id":{iid},"timestamp":{ts}'
             append("dataset/events.jsonl", line + ',"query_text":"x"}\n')(out, config)
@@ -945,7 +977,8 @@ FAULTS = [
     # no address names an unknown individual here: the edges are what fail
     *(
         pytest.param(
-            stage, replace("dataset/population.jsonl", ""), 4, id=f"population-empty-{stage}"
+            stage, hand_brought(replace("dataset/population.jsonl", "")), 4,
+            id=f"population-empty-{stage}",
         )
         for stage in ("cohort", "regress")
     ),
@@ -1035,14 +1068,14 @@ FAULTS = [
     ),
     pytest.param(
         "infer-net",
-        append(
+        hand_brought(append(
             "dataset/addresses.jsonl",
             f'{{"individual_id":1,"address_id":1,"kind":"home","active_interval":[0,{10**20}]}}\n',
-        ),
+        )),
         4, id="address-interval-overflow",
     ),
     pytest.param(
-        "infer-net", append("dataset/population.jsonl", POPULATION_LINE), 4,
+        "infer-net", hand_brought(append("dataset/population.jsonl", POPULATION_LINE)), 4,
         id="population-age-overflow",
     ),
     pytest.param("segment", append("qualified.txt", "999999999\n"), 4, id="qualified-unknown-id"),
@@ -1071,7 +1104,10 @@ FAULTS = [
     # an int longer than the interpreter converts from a string
     pytest.param(
         "infer-net",
-        append("dataset/population.jsonl", POPULATION_LINE.replace("40000", "1" * 5000)), 4,
+        hand_brought(
+            append("dataset/population.jsonl", POPULATION_LINE.replace("40000", "1" * 5000))
+        ),
+        4,
         id="population-int-too-many-digits",
     ),
     # one "}" ending the line, so the line goes through the block parser
@@ -1136,10 +1172,11 @@ FAULTS = [
 
 @pytest.mark.parametrize("stage, fault, code", FAULTS)
 def test_faults_exit_with_documented_code(
-    all_run, micro_config, tmp_path, capsys, stage, fault, code
+    request, micro_config, tmp_path, capsys, stage, fault, code
 ):
     out = tmp_path / "run"
-    shutil.copytree(all_run, out)
+    run = "jsonl_run" if getattr(fault, "hand_brought", False) else "all_run"
+    shutil.copytree(request.getfixturevalue(run), out)
     with open(micro_config) as fh:
         config = json.load(fh)
     extra = fault(out, config) or []
@@ -1147,6 +1184,132 @@ def test_faults_exit_with_documented_code(
     cfg_path.write_text(json.dumps(config))
     assert cli.main([stage, "--config", str(cfg_path), "--out", str(out), *extra]) == code
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_hand_brought_jsonl_dataset_runs_to_the_analytic_bytes_of_gen(all_run, jsonl_run):
+    def analytic(run):
+        return {
+            name: digest for name, digest in tree_hashes(run).items()
+            if not name.startswith(("dataset", "manifest_", "report."))
+        }
+
+    assert analytic(jsonl_run) == analytic(all_run)
+    with open(os.path.join(jsonl_run, "manifest_infer_net.json")) as fh:
+        inputs = json.load(fh)["inputs"]
+    assert {"dataset/population.jsonl", "dataset/addresses.jsonl"} <= set(inputs)
+    assert not [name for name in inputs if name.endswith(".npy")]
+
+
+def test_gen_replaces_the_jsonl_tables_of_a_hand_brought_dataset(
+    jsonl_run, micro_config, tmp_path
+):
+    out = tmp_path / "run"
+    shutil.copytree(jsonl_run, out)
+    assert cli.main(["gen", "--config", micro_config, "--out", str(out)]) == 0
+    names = set(os.listdir(out / "dataset"))
+    assert not {"population.jsonl", "addresses.jsonl"} & names
+    assert set(domain.column_files("population") + domain.column_files("addresses")) <= names
+
+
+def column_edit(name, edit):
+    """Save ``edit`` of the column in dataset/``name`` over it, pickle allowed."""
+    def fault(out, config):
+        path = out / "dataset" / name
+        np.save(path, edit(np.load(path, allow_pickle=False)), allow_pickle=True)
+    return fault
+
+
+def truncated(name, n):
+    """Cut the last ``n`` bytes of dataset/``name``."""
+    def fault(out, config):
+        path = out / "dataset" / name
+        path.write_bytes(path.read_bytes()[:-n])
+    return fault
+
+
+def removed(name):
+    return lambda out, config: (out / "dataset" / name).unlink()
+
+
+# (id, stage, fault, exit code, the file and what the message names)
+COLUMN_FAULTS = (
+    (
+        "column-wrong-dtype", "segment",
+        column_edit("population.age.npy", lambda c: c.astype(np.int64)), 4,
+        "population.age.npy", "expected a column of int16, found int64",
+    ),
+    (
+        "column-wrong-length", "cohort", column_edit("population.married.npy", lambda c: c[:-1]),
+        4, "population.married.npy", "expected 400 rows, found 399",
+    ),
+    (
+        "column-unsorted-ids", "geo-corr", column_edit("population.ids.npy", lambda c: c[::-1]),
+        4, "population.ids.npy", "row 1: the rows must ascend by ids without ties",
+    ),
+    (
+        "column-repeated-ids", "regress",
+        column_edit("population.ids.npy", lambda c: np.repeat(c[::2], 2)), 4,
+        "population.ids.npy", "row 1: the rows must ascend by ids without ties",
+    ),
+    (
+        "column-unsorted-addresses", "infer-net",
+        column_edit("addresses.individual_id.npy", lambda c: c[::-1]), 4,
+        "addresses.individual_id.npy",
+        "the rows must ascend by individual_id, kind, address_id, active_start",
+    ),
+    (
+        "column-enum-out-of-range", "label",
+        column_edit("population.occupation.npy", lambda c: np.full_like(c, 7)), 4,
+        "population.occupation.npy", "row 0: occupation code must be in [0, 6], got 7",
+    ),
+    (
+        "column-bool-byte", "segment",
+        column_edit("population.has_child.npy", lambda c: np.full(len(c), 2, np.uint8).view(bool)),
+        4, "population.has_child.npy", "row 0: has_child must be a byte 0 or 1, got 2",
+    ),
+    (
+        "column-negative-home-city", "segment",
+        column_edit("population.home_city.npy", lambda c: c - 10**6), 4,
+        "population.home_city.npy", "row 0: home_city must be an unsigned 64-bit integer",
+    ),
+    (
+        "column-truncated", "cohort", truncated("population.home_city.npy", 3), 4,
+        "population.home_city.npy", "expected 3200 bytes of data, found 3197",
+    ),
+    (
+        "column-header-truncated", "infer-net", truncated("addresses.kind.npy", 3000), 4,
+        "addresses.kind.npy", "not a .npy file",
+    ),
+    (
+        "column-object-array", "infer-net",
+        column_edit("addresses.kind.npy", lambda c: c.astype(object)), 4,
+        "addresses.kind.npy", "expected a column of int8, found object",
+    ),
+    (
+        "column-missing", "segment", removed("population.gender.npy"), 3,
+        "population.gender.npy", "run `gen` first",
+    ),
+    (
+        "address-column-missing", "infer-net", removed("addresses.active_end.npy"), 3,
+        "addresses.active_end.npy", "run `gen` first",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "stage, fault, code, name, message",
+    [pytest.param(*case[1:], id=case[0]) for case in COLUMN_FAULTS],
+)
+def test_column_faults_name_the_file(
+    all_run, micro_config, tmp_path, capsys, stage, fault, code, name, message
+):
+    out = tmp_path / "run"
+    shutil.copytree(all_run, out)
+    fault(out, None)
+    capsys.readouterr()
+    assert cli.main([stage, "--config", micro_config, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert f"dataset/{name}" in err and message in err, err
 
 
 @pytest.mark.parametrize(
@@ -1293,12 +1456,13 @@ def test_stages_without_events_run_without_events_jsonl(all_run, micro_config, t
 ADDRESSLESS_STAGES = ("label", "segment", "cohort", "geo-corr", "regress")
 
 
-def test_stages_without_addresses_run_without_addresses_jsonl(
+def test_stages_without_addresses_run_without_the_address_columns(
     all_run, micro_config, tmp_path, capsys
 ):
     out = tmp_path / "run"
     shutil.copytree(all_run, out)
-    (out / "dataset" / "addresses.jsonl").unlink()
+    for name in domain.column_files("addresses"):
+        (out / "dataset" / name).unlink()
     want = tree_hashes(str(out))
     for name in ADDRESSLESS_STAGES:
         for artifact in cli.STAGES[name].writes + (cli.manifest_name(name),):

@@ -36,6 +36,7 @@ from awareflow.files import (
     load_events,
     read_events,
     save_dataset,
+    store_dataset,
 )
 
 from conftest import make_events, random_event_columns, traced_peak
@@ -764,15 +765,22 @@ def test_dataset_loaded_without_addresses(tmp_path):
     loaded = load_dataset(paths["population"], paths["regions"], None, paths["events"])
     assert loaded.addresses is None
     assert validate_dataset(loaded) == []
-    # the addresses file alone gets the checks load_dataset gives it
-    addresses = load_addresses(paths["addresses"], loaded.population.ids)
-    assert addresses == ds.addresses.canonical()
-    assert validate_dataset(dataclasses.replace(loaded, addresses=addresses)) == []
-    with pytest.raises(IntegrityError, match="address 10: unknown individual 2"):
-        load_addresses(paths["addresses"], np.array([1], dtype=np.uint64))
-    save_dataset(tiny_dataset(make_population([1]), addresses=[(1, 10, "home", 100, 50)]), tmp_path)
-    with pytest.raises(IntegrityError, match="active_interval start 100 > end 50"):
-        load_addresses(paths["addresses"], loaded.population.ids)
+    # the addresses file, or the address columns, alone get the checks
+    # load_dataset gives the file
+    store_dataset(dataclasses.replace(ds, addresses=ds.addresses.canonical()), tmp_path / "columns")
+    columns = files.table_paths(tmp_path / "columns", "addresses")
+    for table in ([paths["addresses"]], columns):
+        addresses = load_addresses(table, loaded.population.ids)
+        assert addresses == ds.addresses.canonical()
+        assert validate_dataset(dataclasses.replace(loaded, addresses=addresses)) == []
+        with pytest.raises(IntegrityError, match="address 10: unknown individual 2"):
+            load_addresses(table, np.array([1], dtype=np.uint64))
+    reversed_interval = tiny_dataset(make_population([1]), addresses=[(1, 10, "home", 100, 50)])
+    save_dataset(reversed_interval, tmp_path)
+    store_dataset(reversed_interval, tmp_path / "columns")
+    for table in ([paths["addresses"]], columns):
+        with pytest.raises(IntegrityError, match="active_interval start 100 > end 50"):
+            load_addresses(table, loaded.population.ids)
 
 
 def test_infer_calendar_uses_query_span():

@@ -1,15 +1,17 @@
 """The file module's writes: a writer that dies mid-write leaves no
-partial file, and the JSONL writer writes what json.dumps writes; its
-file digests and the shape its manifest reader accepts."""
+partial file, the JSONL writer writes what json.dumps writes, and a
+column file has pinned bytes; its file digests, the shape its manifest
+reader accepts and the column files its column reader refuses."""
 
 import hashlib
 import itertools
 import os
+import re
 
 import numpy as np
 import pytest
 
-from awareflow import domain, files
+from awareflow import cli, domain, files
 from awareflow.domain import Field, column_dtypes
 
 from awareflow.errors import ParseError
@@ -177,3 +179,97 @@ def test_read_manifest_refuses_other_shapes_on_line_1(tmp_path, key, value):
     with pytest.raises(ParseError) as exc:
         files.read_manifest(path)
     assert exc.value.line_no == 1
+
+
+# the header np.save writes for a one-dimensional column of n < 10 rows:
+# format 1.0, the header's length (118), its dict and the spaces that
+# leave room for a longer shape and align the data at 128 bytes
+def npy_header(descr, n):
+    text = b"{'descr': '%s', 'fortran_order': False, 'shape': (%d,), }" % (descr, n)
+    return b"\x93NUMPY\x01\x00v\x00" + text + b" " * 60 + b"\n"
+
+
+# a column of each dtype of the population and address fields, and its bytes
+COLUMN_BYTES = [
+    (
+        np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+        npy_header(b"<u8", 3) + bytes.fromhex("00000000000000000100000000000000ffffffffffffffff"),
+    ),
+    (
+        np.array([-(2**63), -1, 2**63 - 1], dtype=np.int64),
+        npy_header(b"<i8", 3) + bytes.fromhex("0000000000000080ffffffffffffffffffffffffffffff7f"),
+    ),
+    (
+        np.array([-32768, 0, 32767], dtype=np.int16),
+        npy_header(b"<i2", 3) + bytes.fromhex("00800000ff7f"),
+    ),
+    (np.array([-128, 0, 127], dtype=np.int8), npy_header(b"|i1", 3) + bytes.fromhex("80007f")),
+    (np.array([False, True]), npy_header(b"|b1", 2) + bytes.fromhex("0001")),
+]
+
+
+def test_column_dtypes_are_the_pinned_ones():
+    dtypes = {
+        dtype.name for cls in domain.COLUMN_TABLES.values() for dtype in cls.DTYPES.values()
+    }
+    assert dtypes == {col.dtype.name for col, _ in COLUMN_BYTES}
+
+
+@pytest.mark.parametrize("col, data", COLUMN_BYTES, ids=[c.dtype.name for c, _ in COLUMN_BYTES])
+def test_a_column_file_has_pinned_bytes_and_reads_back(tmp_path, col, data):
+    path = tmp_path / "column.npy"
+    files.write_column(path, col)
+    assert path.read_bytes() == data
+    read = files.read_column(path, col.dtype, len(col))
+    assert read.dtype == col.dtype and np.array_equal(read, col)
+
+
+UNPICKLED = []
+
+
+def unpickle(value):
+    UNPICKLED.append(value)
+    return value
+
+
+class Trap:
+    """An object whose unpickling leaves a mark in UNPICKLED."""
+
+    def __reduce__(self):
+        return unpickle, ("unpickled",)
+
+
+def test_an_object_column_is_refused_unread(tmp_path):
+    path = tmp_path / "column.npy"
+    np.save(path, np.array([Trap(), 1], dtype=object), allow_pickle=True)
+    assert np.load(path, allow_pickle=True)[0] == "unpickled"  # the trap works
+    UNPICKLED.clear()
+    with pytest.raises(ParseError) as exc:
+        files.read_column(path, np.dtype(np.int8), 2)
+    assert str(exc.value) == f"{path}: expected a column of int8, found object of shape (2,)"
+    assert UNPICKLED == []
+    assert [code for kinds, code in cli.EXIT_CODES if isinstance(exc.value, kinds)] == [4]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data[:-1], "expected 24 bytes of data, found 23"),
+    (lambda data: data + b"\0", "expected 24 bytes of data, found 25"),
+    (lambda data: data[:100], "not a .npy file: EOF"),
+    (lambda data: b"", "not a .npy file: EOF"),
+    (
+        lambda data: b"\x93NUMPY\x03\x00" + data[8:],
+        "not a .npy file: format version (3, 0), not (1, 0)",
+    ),
+    (lambda data: data.replace(b"<u8", b">u8"), "expected a column of uint64, found >u8"),
+    (lambda data: data.replace(b"(3,)", b"(4,)"), "expected 3 rows, found 4"),
+    (
+        lambda data: data.replace(b"(3,)", b"(3, 1)").replace(b"}  ", b"} "),
+        "found uint64 of shape (3, 1)",
+    ),
+])
+def test_read_column_refuses_other_files(tmp_path, edit, message):
+    path = tmp_path / "column.npy"
+    files.write_column(path, np.array([1, 2, 3], dtype=np.uint64))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ParseError, match=re.escape(message)):
+        files.read_column(path, np.dtype(np.uint64), 3)
