@@ -7,9 +7,9 @@
 # parses from disk), and with the stages that read neither the address
 # columns nor events.jsonl run while those files are moved aside.  Export
 # the dataset as JSONL, as data brought in by hand, and check that every
-# stage from infer-net to regress writes the same analytic artifacts over
-# it (report summarizes gen's manifest, which such data lacks), and that
-# the export, stored again as gen stores it, keeps the dataset's bytes.  Then
+# stage after gen runs over it and writes the same analytic artifacts
+# (report, without gen's manifest, leaves its population block empty), and
+# that the export, stored again as gen stores it, keeps the dataset's bytes.  Then
 # check that a stage refuses artifacts older than the dataset (exit 4) until
 # the later stages run again, that the command-line flags set the config
 # keys they name, that a failed dataset write leaves the same files under
@@ -60,7 +60,7 @@ check() {
   d="$dir/$config"
   run all --config "$config" --out "$d/s"
   rewrite "$d/s/dataset" "$d/h/dataset" save_dataset
-  for stage in infer-net label segment cohort geo-corr regress; do
+  for stage in infer-net label segment cohort geo-corr regress report; do
     run "$stage" --config "$config" --out "$d/h"
   done
   analytic "$d/s" "$d/s_analytic"

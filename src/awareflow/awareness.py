@@ -14,7 +14,14 @@ of their third matching query, cumulatively, and stays aware forever.
 
 import numpy as np
 
-from .domain import EVENT_KIND_PURCHASE, find_rows, month_number, row_chunks
+from .domain import (
+    EVENT_KIND_PURCHASE,
+    EVENT_KIND_QUERY,
+    find_rows,
+    month_number,
+    month_start_ts,
+    row_chunks,
+)
 from .errors import CohortError, PatternSyntaxError
 from .kernels import distinct_rows, sort_rows
 
@@ -100,36 +107,39 @@ def history_window(calendar, months=60):
 def filter_qualified(events, window, min_per_month=1):
     """Ids with >= min_per_month purchases in every month of the window.
 
-    ``window`` is (first_month_number, n_months) as from history_window.
-    Result is a sorted uint64 array.  The events are walked WRITE_CHUNK_ROWS
-    rows at a time, twice: once for the ids that buy inside the window, once
-    to count their purchases per (id, month), so that the memory used grows
-    with the buyers, not with the events.
+    ``window`` is (first_month_number, n_months) as from history_window,
+    ``events`` a log in canonical (time) order and ``min_per_month`` at
+    least 1.  Result is a sorted uint64 array.  The log is walked one month
+    at a time, each month found by a search of the timestamps and read
+    WRITE_CHUNK_ROWS rows at a time: the first month's buyers are the
+    candidates, and each month keeps those of them that buy often enough in
+    it.  The memory used grows with the individuals, not with the events
+    or the months.
     """
     first_month, n_months = window
     if n_months <= 0:
         raise CohortError("history window must cover at least one month")
+    edges = np.searchsorted(
+        events.timestamp, month_start_ts(np.arange(first_month, first_month + n_months + 1))
+    )
 
-    def purchases():
-        """(ids, months into the window) of each chunk's purchases inside it."""
-        for rows in row_chunks(len(events)):
-            buy = events.kind[rows] == EVENT_KIND_PURCHASE
-            months = month_number(events.timestamp[rows][buy]) - first_month
-            inside = (months >= 0) & (months < n_months)
-            yield events.individual_id[rows][buy][inside], months[inside]
+    def buyers(lo, hi):
+        """The buyer of each purchase from row lo to row hi, a chunk at a time."""
+        for rows in row_chunks(hi, lo):
+            yield events.individual_id[rows][events.kind[rows] == EVENT_KIND_PURCHASE]
 
-    buyers = np.empty(0, dtype=np.uint64)
-    for ids, _ in purchases():
+    qualified = np.empty(0, dtype=np.uint64)
+    for ids in buyers(edges[0], edges[1]):
         (ids,) = distinct_rows(ids)  # ascending lookups are the fast ones
-        new = ids[~find_rows(buyers, ids)[1]]
-        buyers = np.insert(buyers, np.searchsorted(buyers, new), new)
-    # no count exceeds the number of events
-    counts = np.zeros(len(buyers) * n_months, dtype=np.min_scalar_type(len(events)))
-    for ids, months in purchases():
-        ids, inverse = np.unique(ids, return_inverse=True)
-        key, n = np.unique(np.searchsorted(buyers, ids)[inverse] * n_months + months, return_counts=True)
-        counts[key] += n.astype(counts.dtype)
-    return buyers[(counts.reshape(-1, n_months) >= min_per_month).all(axis=1)]
+        new = ids[~find_rows(qualified, ids)[1]]
+        qualified = np.insert(qualified, np.searchsorted(qualified, new), new)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        counts = np.zeros(len(qualified), dtype=np.int64)
+        for ids in buyers(lo, hi):
+            at, found = find_rows(qualified, ids)
+            np.add.at(counts, at[found], 1)
+        qualified = qualified[counts >= min_per_month]
+    return qualified
 
 
 class AwarenessTimeline:
@@ -197,12 +207,18 @@ class AwarenessTimeline:
 def match_mask(events, matcher):
     """Boolean mask over all events: query events whose text matches.
 
-    Each distinct text of the log's pool is matched once.
+    Each distinct text of the log's pool is matched once, and the mask is
+    filled WRITE_CHUNK_ROWS rows at a time.
     """
     pool_hit = np.fromiter(
         (matcher.matches(t) for t in events.text_pool), dtype=bool, count=len(events.text_pool)
     )
-    return events.queries_mask() & pool_hit[events.text_code]
+    hit = np.empty(len(events), dtype=bool)
+    for rows in row_chunks(len(events)):  # indexing by the int32 codes casts them to intp
+        np.logical_and(
+            events.kind[rows] == EVENT_KIND_QUERY, pool_hit[events.text_code[rows]], out=hit[rows]
+        )
+    return hit
 
 
 def label_awareness(events, matcher, threshold=3):

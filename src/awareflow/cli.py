@@ -375,15 +375,14 @@ class PipelineState:
         record; returns those files.  A file unlike a recorded output changed
         after its stage wrote it, one unlike a recorded input is newer than
         the stage: IntegrityError names the stage to rerun.  Gen's manifest
-        is read only where it exists or gen ran here: a dataset without it
-        was brought in by hand, and is held to what its first reader records."""
-        for name in spec.reads:
+        is read only where ``has_gen``: a dataset without it was brought in
+        by hand, and is held to what its first reader records."""
+        absent = () if self.has_gen() else (manifest_name("gen"),)
+        reads = tuple(name for name in spec.reads if name not in absent)
+        for name in reads:
             self.load(name)
-        upstream = [
-            s for s in spec.upstream
-            if s != "gen" or s in self.ran or os.path.exists(self.out_path(manifest_name(s)))
-        ]
-        paths = self.files(spec.reads + tuple(map(manifest_name, upstream)))
+        upstream = [s for s in spec.upstream if manifest_name(s) not in absent]
+        paths = self.files(reads + tuple(map(manifest_name, upstream)))
         # load every manifest before hashing anything: a missing one names its stage
         manifests = [(s, self.load(manifest_name(s))) for s in upstream if s not in self.ran]
         for s, manifest in manifests:
@@ -394,6 +393,11 @@ class PipelineState:
                 if manifest["inputs"].get(rel, digest) != digest:
                     raise IntegrityError(f"{path} changed after `{s}` read it; run `{s}` again")
         return paths
+
+    def has_gen(self):
+        """Whether gen's manifest is there to read: gen ran here or wrote it
+        before.  A dataset without it was brought in by hand."""
+        return "gen" in self.ran or os.path.exists(self.out_path(manifest_name("gen")))
 
     def _read(self, name, paths):
         if name == "dataset":
@@ -745,11 +749,13 @@ def cmd_regress(state):
 )
 def cmd_report(state):
     """Summary bundle assembled from the artifacts (never from memory, so
-    `all` and stepwise invocations produce identical bytes)."""
+    `all` and stepwise invocations produce identical bytes).  Over a dataset
+    brought in by hand, without gen's manifest, the population block is
+    empty."""
     cfg = state.cfg
-    stats = {}
+    stats = {"gen": {}}
     for name in STAGES:
-        if name != "report":
+        if name != "report" and (name != "gen" or state.has_gen()):
             manifest = state.load(manifest_name(name))
             if manifest.get("seed") != cfg.seed:
                 raise IntegrityError(
@@ -827,11 +833,21 @@ def cmd_report(state):
     return {}
 
 
+def read_after(name):
+    """The artifacts that the stages after ``name`` read: what `all` keeps
+    loaded once ``name`` has run."""
+    later = list(STAGES)[list(STAGES).index(name) + 1 :]
+    return {artifact for s in later for artifact in STAGES[s].reads}
+
+
 def cmd_all(state):
     files.discard(state.out_path(manifest_name("all")))
     for name, cmd in STEP_FUNCS.items():
         state.join(wait=False)
         cmd(state)
+        # an artifact past its last reader is let go, the event log after label
+        for artifact in set(state.loaded) - read_after(name):
+            del state.loaded[artifact]
         print(f"[{name}] ok", flush=True)
     manifests = [state.out_path(manifest_name(name)) for name in STAGES]
     return write_manifest(state, "all", [], manifests, {"steps": list(STEP_FUNCS)})

@@ -55,9 +55,13 @@ EVENT_KIND_QUERY = 0
 EVENT_KIND_PURCHASE = 1
 
 MAX_PURCHASING_POWER = 7
-# The row writers format this many rows per join and filter_qualified counts
-# this many events at a time, so that neither holds a copy of a whole table.
+# The row writers format this many rows per join, and filter_qualified and
+# match_mask take this many events at a time, so that none holds a copy of a
+# whole table.
 WRITE_CHUNK_ROWS = 10_000
+# EventLog.canonical sorts time buckets of at least this many rows where it
+# can, so that the overhead of each sort stays small beside its work
+SORT_BUCKET_ROWS = 1 << 16
 
 
 def day_number(ts):
@@ -69,6 +73,13 @@ def month_number(ts):
     """China-local month number (months since 1970-01) of a timestamp."""
     days = day_number(ts)
     return days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
+
+
+def month_start_ts(months):
+    """Epoch seconds of China-local midnight opening each month number."""
+    m = np.asarray(months, dtype=np.int64).astype("datetime64[M]")
+    days = m.astype("datetime64[D]").astype(np.int64)
+    return days * SECONDS_PER_DAY - CHINA_UTC_OFFSET
 
 
 class Calendar:
@@ -405,7 +416,9 @@ class EventLog(Columns):
         return cls.from_rows([])
 
     @classmethod
-    def canonical(cls, kind, individual_id, timestamp, text_code, is_ppe, text_pool):
+    def canonical(
+        cls, kind, individual_id, timestamp, text_code, is_ppe, text_pool, bounds=None
+    ):
         """Build an EventLog in canonical global order.
 
         ``text_code`` indexes ``text_pool``, which may be unsorted and hold
@@ -413,17 +426,26 @@ class EventLog(Columns):
         that occur, sorted.  The order is insensitive to input permutation:
         ties on (timestamp, individual, kind) are broken by the text rank.
 
-        The log takes the columns over: one that already has its log dtype
-        is recoded, a chunk of rows at a time, and sorted in place by
-        ``sort_rows``, so the sort needs one spare uint64 column rather than
-        a second log.
+        ``bounds`` (ascending row numbers from 0 to the row count) cuts the
+        rows into buckets whose times ascend: every timestamp of a bucket
+        precedes every one of the next.  Each bucket is sorted alone, which
+        puts the whole log in order; without ``bounds`` the table is one
+        bucket.  The log takes the columns over: one that already has its
+        log dtype is recoded a chunk of rows at a time and sorted in place by
+        ``sort_rows``, so the sort needs a spare uint64 key only as long as
+        the rows it sorts at once (neighbouring buckets joined up to
+        SORT_BUCKET_ROWS rows), not a second log.
         """
         log = cls(
             kind=kind, individual_id=individual_id, timestamp=timestamp,
             text_code=text_code, is_ppe=is_ppe,
         )
         code = log.text_code
-        used = np.flatnonzero(np.bincount(code, minlength=len(text_pool)))
+        # a chunk at a time: np.bincount would cast the codes to a whole intp column
+        seen = np.zeros(len(text_pool), dtype=bool)
+        for rows in row_chunks(len(code)):
+            seen[code[rows]] = True
+        used = np.flatnonzero(seen)
         texts = [text_pool[i] for i in used.tolist()]
         log.text_pool = tuple(sorted(set(texts)))
         rank = {t: r for r, t in enumerate(log.text_pool)}
@@ -432,7 +454,18 @@ class EventLog(Columns):
         for rows in row_chunks(len(code)):
             part = code[rows]
             part[...] = recode[part]
-        sort_rows(log.timestamp, log.individual_id, log.kind, code, log.is_ppe)
+        if bounds is None:
+            bounds = (0, len(code))
+        lo = bounds[0]
+        for hi in bounds[1:]:
+            # neighbouring buckets are sorted together up to SORT_BUCKET_ROWS rows
+            if hi - lo >= SORT_BUCKET_ROWS or hi == bounds[-1]:
+                rows = slice(lo, hi)
+                sort_rows(
+                    log.timestamp[rows], log.individual_id[rows], log.kind[rows], code[rows],
+                    log.is_ppe[rows],
+                )
+                lo = hi
         return log
 
     def queries_mask(self):
@@ -467,9 +500,10 @@ def rows_of_ids(ids, individual_ids):
     return rows
 
 
-def row_chunks(n):
-    """Slices of ``n`` rows, WRITE_CHUNK_ROWS at a time."""
-    return (slice(lo, lo + WRITE_CHUNK_ROWS) for lo in range(0, n, WRITE_CHUNK_ROWS))
+def row_chunks(stop, start=0):
+    """Slices of the rows from ``start`` to ``stop``, WRITE_CHUNK_ROWS at a time."""
+    step = WRITE_CHUNK_ROWS
+    return (slice(lo, min(lo + step, stop)) for lo in range(start, stop, step))
 
 
 class PopulationColumns(Columns):

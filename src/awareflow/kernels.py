@@ -42,13 +42,15 @@ def sort_rows(*columns):
     """Sort equal-length integer or bool columns in place as rows, the first
     column most significant.
 
-    One column is sorted as it is.  When the value ranges (max - min) of
-    several columns fit in 64 bits together, each row is packed into one
-    uint64 key, every column less its minimum shifted into place, and the
-    keys are sorted and unpacked; the sort then needs one spare uint64
-    column.  Wider ranges fall back to a lexsort and a permute, a column at
-    a time.  Rows that tie are equal in every column, so the result does
-    not depend on the sort's stability.
+    One column is sorted as it is, and a constant column is left as it is.
+    When the value ranges (max - min) of the other columns fit in 64 bits
+    together, each row is packed into one uint64 key, every column less its
+    minimum shifted into place, and the keys are sorted and unpacked; the
+    sort then needs a spare uint64 key as long as the columns it is given,
+    which EventLog.canonical gives it a time bucket at a time.  Wider ranges
+    fall back to a lexsort and a permute, a column at a time.  Rows that tie
+    are equal in every column, so the result does not depend on the sort's
+    stability.
     """
     if len(columns[0]) < 2:
         return
@@ -57,14 +59,18 @@ def sort_rows(*columns):
         return
     lows = [int(c.min()) for c in columns]
     widths = [(int(c.max()) - lo).bit_length() for c, lo in zip(columns, lows)]
+    # a constant column is in order whatever the others do
+    varying = [(c, lo, width) for c, lo, width in zip(columns, lows, widths) if width]
+    if not varying:
+        return
     if sum(widths) > 64:
-        order = np.lexsort(columns[::-1])
-        for column in columns:
+        order = np.lexsort([c for c, _, _ in reversed(varying)])
+        for column, _, _ in varying:
             column[...] = column[order]
         return
     key = np.zeros(len(columns[0]), dtype=np.uint64)
     used = 0
-    for column, lo, width in zip(columns, lows, widths):
+    for column, lo, width in varying:
         if used:
             np.left_shift(key, U64(width), out=key)
         # key + column - lo wraps mod 2**64 on the way and lands in range
@@ -72,7 +78,7 @@ def sort_rows(*columns):
         np.subtract(key, U64(lo % 2**64), out=key)
         used += width
     key.sort()
-    for column, lo, width in reversed(list(zip(columns, lows, widths))):
+    for column, lo, width in reversed(varying):
         np.bitwise_and(key, U64(2**width - 1), out=column, casting="unsafe")
         if lo:
             np.add(column, column.dtype.type(lo), out=column)

@@ -71,9 +71,10 @@ def _standardize(x):
 class DesignBuilder:
     """Design matrices of a sample at each of ``times``.
 
-    Everything that does not depend on time is computed once; the exposure
+    Everything that does not depend on time is computed once.  The exposure
     columns come from one neighbor-count sweep per layer over the sorted
-    ``times``.
+    ``times``, which ``at`` advances in lockstep to the time it is asked
+    for; asked for an earlier time than the last, it starts them again.
     """
 
     def __init__(self, dataset, graph, timeline, sample_ids, times, spec=None):
@@ -100,12 +101,14 @@ class DesignBuilder:
         # at(k) reads step self._step[k] of the sweep over the sorted times
         self._step = np.empty(n_times, dtype=np.int64)
         self._step[order] = np.arange(n_times)
-        bucket = timeline.buckets(cols.ids, times[order])
-        self._sample_bucket = bucket[self.sample_rows]
+        self._bucket = timeline.buckets(cols.ids, times[order])
+        self._sample_bucket = self._bucket[self.sample_rows]
         # sample rows are neither aware neighbors nor retained neighbors: the
-        # sweep never reaches their bucket, and its last step, which covers
-        # every other bucket, counts the retained degree
-        bucket[self.sample_rows] = n_times + 1
+        # sweeps never reach their bucket
+        self._bucket[self.sample_rows] = n_times
+        retained = np.ones(cols.n, dtype=bool)
+        retained[self.sample_rows] = False
+        retained = np.flatnonzero(retained)
 
         n_s = len(self.sample_rows)
         k = len(self.names)
@@ -133,26 +136,36 @@ class DesignBuilder:
         X[:, col["has_child"]] = cols.has_child[self.sample_rows]
         X[:, col["married"]] = cols.married[self.sample_rows]
 
-        # per layer, each sample row's share of aware retained neighbors at
-        # each step, 0 without retained neighbors
-        self._frac = {}
+        # per layer, each sample row's count of retained neighbors
+        self._layers = []
         for layer in LAYERS:
             lyr = graph.layer(layer)
-            sweep = kernels.neighbor_count_sweep(lyr.indptr, lyr.indices, bucket, n_times + 1)
-            hits = np.array([counts[self.sample_rows] for counts in sweep])
-            deg = hits[-1]
+            deg = np.zeros(cols.n, dtype=np.int64)
+            kernels.increment_neighbor_counts(lyr.indptr, lyr.indices, retained, deg)
+            deg = deg[self.sample_rows]
             X[:, col[f"{layer}_has_neighbors"]] = deg > 0
-            self._frac[layer] = np.zeros((n_times, n_s))
-            np.divide(hits[:-1], deg, out=self._frac[layer], where=deg > 0)
+            # without retained neighbors there is no aware one: 0 / 1
+            self._layers.append((col[f"{layer}_aware_frac"], lyr, np.maximum(deg, 1)))
         self._static = X
-        self._col = col
+        self._sweeps = ()
+        self._swept = n_times  # past every step, so that the first at() starts the sweeps
 
     def at(self, k):
         """(X, y) at times[k]: exposure columns filled, labels thresholded."""
         step = self._step[k]
+        if step < self._swept:
+            self._sweeps = [
+                kernels.neighbor_count_sweep(lyr.indptr, lyr.indices, self._bucket, len(self._step))
+                for _, lyr, _ in self._layers
+            ]
+            self._swept = -1
+        while self._swept < step:
+            self._counts = [next(sweep) for sweep in self._sweeps]
+            self._swept += 1
         X = self._static.copy()
-        for layer in LAYERS:
-            X[:, self._col[f"{layer}_aware_frac"]] = self._frac[layer][step]
+        # each sample row's share of aware retained neighbors
+        for (j, _, deg), aware in zip(self._layers, self._counts):
+            np.divide(aware[self.sample_rows], deg, out=X[:, j])
         y = (self._sample_bucket <= step).astype(np.float64)
         return X, y
 

@@ -21,7 +21,6 @@ from . import kernels
 from .awareness import NEVER, AwarenessTimeline, history_window
 from .domain import (
     ADDRESS_KINDS,
-    CHINA_UTC_OFFSET,
     SECONDS_PER_DAY,
     EDUCATIONS,
     EVENT_KIND_PURCHASE,
@@ -37,6 +36,7 @@ from .domain import (
     PopulationColumns,
     RegionColumns,
     Timestamp,
+    month_start_ts,
 )
 from .errors import ConfigError
 from .netinfer import LAYERS, MultiplexGraph, build_from_groups
@@ -94,13 +94,6 @@ DEFAULT_CATEGORIES = (
     "beauty",
     "snacks",
 )
-
-
-def month_start_ts(months):
-    """Epoch seconds of China-local midnight opening each month number."""
-    m = np.asarray(months, dtype=np.int64).astype("datetime64[M]")
-    days = m.astype("datetime64[D]").astype(np.int64)
-    return days * SECONDS_PER_DAY - CHINA_UTC_OFFSET
 
 
 def _weights_ok(weights):
@@ -524,42 +517,92 @@ def _draw_cells(rng, n_rows, n_months, p):
 class PurchaseHistory:
     """The purchases before the window, drawn as far as who buys in which
     month: ``grids`` (present, extra) mark the individual x month cells with
-    a purchase, once and again.  ``fill`` draws the rest from ``rng``."""
+    a purchase, once and again, one bit a cell (``np.packbits`` of each
+    individual's row), and ``month_cells`` counts each grid's marks per
+    month.  ``fill`` draws the rest from ``rng``."""
 
     rng: "np.random.Generator"  # a string, so that importing this module skips numpy.random
     ids: np.ndarray
     grids: tuple
+    month_cells: tuple
     month_start: np.ndarray
     month_len: np.ndarray
     first_category: int
     n_categories: int
 
-    def __len__(self):
-        return sum(int(np.count_nonzero(grid)) for grid in self.grids)
+    @classmethod
+    def of_grids(cls, rng, ids, grids, month_start, month_len, **codes):
+        """The history of the bool individual x month ``grids``."""
+        return cls(
+            rng, ids, tuple(np.packbits(grid, axis=1) for grid in grids),
+            tuple(grid.sum(axis=0) for grid in grids), month_start, month_len, **codes,
+        )
+
+    def month_rows(self):
+        """The purchases of each month, over both grids."""
+        return sum(self.month_cells)
 
     def fill(self, kind, individual_id, timestamp, text_code, is_ppe):
-        """Write the purchases into event columns, each ``len(self)`` long.
+        """Write the purchases into event columns, each as long as the
+        purchases, a month's bucket at a time: the rows of month m are
+        those from the m-th to the (m + 1)-th cumulative sum of
+        ``month_rows``, in no set order.
 
-        Per grid, the timestamps are drawn a block of HISTORY_BLOCK_ROWS
-        individuals at a time, in row-major cell order, and then the codes,
-        in one draw: a bounded draw may use buffered 32-bit halves, so a
-        split one could change the stream.
+        Per grid, the stream holds the timestamps, drawn a block of
+        HISTORY_BLOCK_ROWS individuals at a time in row-major cell order,
+        and then the codes.  One pass over the blocks draws both: the codes
+        come from a second generator set ahead past the grid's timestamps
+        (``_ahead``), a block at a time as int32, since a bounded 32-bit
+        draw takes its halves from one buffered stream.
         """
         kind[...] = EVENT_KIND_PURCHASE
         is_ppe[...] = False
-        at = 0
-        for grid in self.grids:
-            first = at
-            for lo in range(0, len(grid), HISTORY_BLOCK_ROWS):
-                rows, months = np.nonzero(grid[lo : lo + HISTORY_BLOCK_ROWS])
-                end = at + len(rows)
-                individual_id[at:end] = self.ids[lo + rows]
-                timestamp[at:end] = self.month_start[months] + (
-                    self.rng.random(len(rows)) * (self.month_len[months] - 1)
-                ).astype(np.int64)
-                at = end
-            codes = self.rng.integers(0, self.n_categories, size=at - first)
-            np.add(codes, self.first_category, out=text_code[first:at])
+        # the start and the span of the month of each cell of a block, by its flat index
+        cell_month = [
+            np.tile(values, HISTORY_BLOCK_ROWS) for values in (self.month_start, self.month_len - 1)
+        ]
+        cursor = np.zeros(len(self.month_start), dtype=np.int64)
+        np.cumsum(self.month_rows()[:-1], out=cursor[1:])
+        for grid, per_month in zip(self.grids, self.month_cells):
+            codes = _ahead(self.rng, int(per_month.sum()))
+            for lo, block, cells, dest in _placed_cells(grid, cursor):
+                first, span = (values.take(cells) for values in cell_month)
+                individual_id[dest] = np.repeat(self.ids[lo : lo + len(block)], block.sum(axis=1))
+                timestamp[dest] = first + (self.rng.random(len(dest)) * span).astype(np.int64)
+                drawn = codes.integers(0, self.n_categories, size=len(dest), dtype=np.int32)
+                text_code[dest] = drawn + np.int32(self.first_category)
+            self.rng.bit_generator.state = codes.bit_generator.state
+
+
+def _ahead(rng, n):
+    """A generator whose stream is that of ``rng`` after ``n`` float64
+    draws, each of which takes one 64-bit output of the bit generator.  The
+    buffered 32-bit half that ``rng`` may hold is kept, as ``rng`` keeps it
+    through such draws."""
+    state = rng.bit_generator.state
+    bits = type(rng.bit_generator)()
+    bits.state = state
+    bits.advance(n)  # which drops the buffered half
+    ahead = bits.state
+    ahead["has_uint32"], ahead["uinteger"] = state["has_uint32"], state["uinteger"]
+    bits.state = ahead
+    return np.random.Generator(bits)
+
+
+def _placed_cells(grid, cursor):
+    """Per block of HISTORY_BLOCK_ROWS rows of the packed individual x month
+    ``grid``, (first row, block, cells, dest): the block unpacked, the flat
+    indices of its marked cells, ascending, and the row each lands on.  A
+    cell of month m lands at ``cursor[m]`` plus the cells of month m in the
+    rows above it, and ``cursor`` moves past the block."""
+    for lo in range(0, len(grid), HISTORY_BLOCK_ROWS):
+        packed = grid[lo : lo + HISTORY_BLOCK_ROWS]
+        block = np.unpackbits(packed, axis=1, count=len(cursor)).view(bool)
+        at = np.cumsum(block, axis=0)  # each cell's count in its month, itself included
+        at += cursor - 1
+        cursor[...] = at[-1] + 1
+        cells = np.flatnonzero(block)
+        yield lo, block, cells, at.ravel().take(cells)
 
 
 def generate_population(config, seed):
@@ -671,7 +714,7 @@ def generate_population(config, seed):
             present[stuck, rng.integers(0, n_m, size=len(stuck))] = False
     extra = _draw_cells(rng, n, n_m, config.extra_purchase_p)
     extra &= present
-    history = PurchaseHistory(
+    history = PurchaseHistory.of_grids(
         rng, ids, (present, extra), m_start, m_len,
         first_category=len(config.aware_query_texts) + len(config.noise_query_texts),
         n_categories=len(config.purchase_categories),
@@ -722,9 +765,10 @@ def hazard_probability(config, base, layer_fracs, shock_level):
 
 def simulate_diffusion(dataset, graph, config, seed):
     """Run the daily awareness process of run ``seed``; returns
-    (window_events, truth), the events as a list of chunks, each the five
-    event columns (kind, individual_id, timestamp, text_code, is_ppe) coded
-    into ``config.text_pool()``.
+    (window_events, day_rows, truth): the events as a list of chunks, each
+    the five event columns (kind, individual_id, timestamp, text_code,
+    is_ppe) coded into ``config.text_pool()``, day by day, and the rows of
+    each day.  A day's events fall within that day.
 
     Emits, per newly aware individual, three awareness queries the same
     day (each independently suppressed with probability query_noise) and
@@ -772,6 +816,7 @@ def simulate_diffusion(dataset, graph, config, seed):
     n_categories = len(config.purchase_categories)
 
     chunks = []
+    day_rows = []
 
     def emit(kind, iid, ts, code, ppe=False):
         n_rows = len(iid)
@@ -779,6 +824,7 @@ def simulate_diffusion(dataset, graph, config, seed):
 
     for d in range(calendar.n_days):
         day_start = calendar.day_start_ts(d)
+        first_chunk = len(chunks)
 
         shock = np.zeros(n, dtype=np.float64)
         for day0, mag, mask in event_rows:
@@ -871,10 +917,11 @@ def simulate_diffusion(dataset, graph, config, seed):
                 uc = kernels.counter_uniforms(seed, S_BG_CAT, bids, d)
                 codes = n_aware + n_noise + (uc * n_categories).astype(np.int64)
                 emit(EVENT_KIND_PURCHASE, bids, ts_b, codes)
+        day_rows.append(sum(len(chunk[1]) for chunk in chunks[first_chunk:]))
 
     aware_rows = np.flatnonzero(first_moment != NEVER)
     timeline = AwarenessTimeline(ids[aware_rows], first_moment[aware_rows])
-    return chunks, GroundTruth(timeline=timeline, graph=graph)
+    return chunks, day_rows, GroundTruth(timeline=timeline, graph=graph)
 
 
 def generate(config, seed):
@@ -883,18 +930,20 @@ def generate(config, seed):
     SimConfig.from_dict checks one read from JSON.
 
     The five event columns are allocated once, at their final length: the
-    window's chunks are copied into their tail, the history is drawn into
-    their head, and EventLog.canonical sorts them in place.
+    history is drawn into their head, a month's bucket at a time, and the
+    window's day-major chunks are copied into their tail.  Every bucket, a
+    history month or a window day, holds the rows of its own span of time,
+    so EventLog.canonical sorts the columns in place a bucket at a time.
     """
     dataset, truth_graph, history = generate_population(config, seed)
-    window, truth = simulate_diffusion(dataset, truth_graph, config, seed)
-    n_history = len(history)
-    n_rows = n_history + sum(len(chunk[0]) for chunk in window)
-    columns = [np.empty(n_rows, dtype) for dtype in EventLog.DTYPES.values()]
+    window, day_rows, truth = simulate_diffusion(dataset, truth_graph, config, seed)
+    bounds = np.cumsum([0, *history.month_rows(), *day_rows])
+    n_history = bounds[len(history.month_start)]
+    columns = [np.empty(bounds[-1], dtype) for dtype in EventLog.DTYPES.values()]
     for column, parts in zip(columns, zip(*window)):
         np.concatenate(parts, out=column[n_history:])
     del window
     history.fill(*(column[:n_history] for column in columns))
-    del history  # its month grids, before the sort's spare column
-    dataset.events = EventLog.canonical(*columns, config.text_pool())
+    del history  # its month grids
+    dataset.events = EventLog.canonical(*columns, config.text_pool(), bounds=bounds)
     return dataset, truth

@@ -579,3 +579,17 @@ def jsonl_rows(fields, columns, text_pool):
             obj[f.key] = v
         lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
     return lines
+
+
+def qualified_two_pass(kind, individual_id, timestamp, window, min_per_month=1, purchase=1):
+    """The ids of the buyers inside ``window`` (first month number, months)
+    whose purchases per month, counted in one buyers x months table, reach
+    min_per_month in every month: the two passes filter_qualified once made."""
+    first_month, n_months = window
+    days = (np.asarray(timestamp, dtype=np.int64) + 8 * 3600) // 86400  # China local days
+    months = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) - first_month
+    buy = (kind == purchase) & (months >= 0) & (months < n_months)
+    buyers, row = np.unique(individual_id[buy], return_inverse=True)
+    counts = np.zeros((len(buyers), n_months), dtype=np.int64)
+    np.add.at(counts, (row, months[buy]), 1)
+    return buyers[(counts >= min_per_month).all(axis=1)]

@@ -16,12 +16,12 @@ from awareflow.awareness import (
     parse_pattern,
 )
 from awareflow import domain
-from awareflow.domain import Calendar, EventLog
+from awareflow.domain import Calendar, EventLog, month_start_ts
 from awareflow.errors import CohortError, PatternSyntaxError
 from awareflow.files import load_patterns
 
 from conftest import make_events, random_event_columns, traced_peak
-from oracles import first_aware_scan, months_before, qualified_scan
+from oracles import first_aware_scan, months_before, qualified_scan, qualified_two_pass
 
 MASK = "(n95|kn95|kf94)&(face mask)"
 
@@ -308,6 +308,62 @@ def test_filter_qualified_memory_does_not_grow_with_the_events(monkeypatch):
     peak(1000)  # numpy sets up what it needs on first use
     # less than a bool column of the 60,000 events added
     assert peak(80_000) - peak(20_000) < 60_000
+
+
+def random_history_log(rng, window, n_ids):
+    """A canonical log of queries and purchases of ids 1 to ``n_ids`` from the
+    month before ``window`` to the month after it, each id buying at its own
+    rate, so that some buy in every month and some buy twice a month."""
+    first_month, n_months = window
+    edges = month_start_ts(np.arange(first_month - 1, first_month + n_months + 2))
+    rate = rng.uniform(0.2, 4.0, size=n_ids)
+    per_id = rng.poisson(rate * (n_months + 2))
+    iid = np.repeat(np.arange(1, n_ids + 1, dtype=np.uint64), per_id)
+    ts = rng.integers(edges[0], edges[-1], size=len(iid))
+    kind = (rng.random(len(iid)) < 0.8).astype(np.uint8)
+    code = rng.integers(0, 3, size=len(iid)).astype(np.int32)
+    return EventLog.canonical(kind, iid, ts, code, np.zeros(len(iid), dtype=bool), ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_filter_qualified_agrees_with_the_two_pass_count_on_random_logs(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    cal = Calendar.from_dates("2020-01-05", "2020-01-09")
+    window = history_window(cal, months=int(rng.integers(1, 9)))
+    events = random_history_log(rng, window, n_ids=80)
+    for chunk in (domain.WRITE_CHUNK_ROWS, 7):  # chunks that split a month's rows
+        monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", chunk)
+        for least in (1, 2, 3):
+            want = qualified_two_pass(
+                events.kind, events.individual_id, events.timestamp, window, least
+            )
+            got = filter_qualified(events, window, min_per_month=least)
+            assert got.dtype == np.uint64 and got.tolist() == want.tolist(), (chunk, least)
+
+
+def test_filter_qualified_memory_grows_with_the_individuals_not_the_months(monkeypatch):
+    monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", 1000)
+    cal = Calendar.from_dates("2020-01-05", "2020-01-09")
+
+    def peak(n_ids, months):
+        window = history_window(cal, months=months)
+        # each individual buys once in every month of the window: all qualify
+        ts = np.repeat(month_start_ts(window[0] + np.arange(months)) + 86400, n_ids)
+        iid = np.tile(np.arange(1, n_ids + 1, dtype=np.uint64), months)
+        n = len(iid)
+        events = EventLog.canonical(
+            np.ones(n, dtype=np.uint8), iid, ts, np.zeros(n, dtype=np.int32),
+            np.zeros(n, dtype=bool), ["books"],
+        )
+        assert len(filter_qualified(events, window)) == n_ids
+        return traced_peak(filter_qualified, events, window)
+
+    peak(100, 2)  # numpy sets up what it needs on first use
+    # four times the buyer-months: a buyers x months count table would add
+    # 2000 x 36 counts, at least 72 KB
+    assert peak(2000, 48) - peak(2000, 12) < 4_000
+    # twice the individuals: a few int64 columns of them
+    assert peak(4000, 12) - peak(2000, 12) < 5 * 8 * 2000
 
 
 def test_purchases_at_month_starts_qualify():

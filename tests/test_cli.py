@@ -89,8 +89,7 @@ def all_run(micro_config, tmp_path_factory):
 def jsonl_run(all_run, micro_config, tmp_path_factory):
     """The micro dataset brought in by hand: all_run's dataset exported as
     JSONL by save_dataset, beside its calendar and truth, with no
-    manifest_gen.json; every stage from infer-net to regress run over it
-    (report summarizes gen's manifest)."""
+    manifest_gen.json; every stage after gen run over it."""
     out = tmp_path_factory.mktemp("jsonl_run")
     source = os.path.join(all_run, "dataset")
     shutil.copytree(source, out / "dataset", ignore=shutil.ignore_patterns("*.npy"))
@@ -104,7 +103,7 @@ def jsonl_run(all_run, micro_config, tmp_path_factory):
         files.read_calendar(os.path.join(source, "calendar.json")),
     )
     files.save_dataset(dataset, out / "dataset")
-    for stage in list(cli.STAGES)[1:-1]:
+    for stage in list(cli.STAGES)[1:]:
         assert cli.main([stage, "--config", micro_config, "--out", str(out)]) == 0
     return str(out)
 
@@ -124,6 +123,40 @@ def test_all_writes_every_artifact(all_run):
     ])
     # every write renamed its temporary file into place
     assert not [name for _, _, names in os.walk(all_run) for name in names if name.endswith(".tmp")]
+
+
+# the outputs a stage leaves loaded for the stages after it
+KEPT_OUTPUTS = {
+    "gen": {"dataset", "addresses", "events"},
+    "infer-net": {"networks.edges"},
+    "label": {"labels.tsv", "qualified.txt"},
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_all_lets_each_artifact_go_after_its_last_reader(micro_config, tmp_path, monkeypatch, jobs):
+    held, states = [], []
+
+    def watched(cmd):
+        def run(state):
+            held.append(set(state.loaded))  # what the stage before left loaded
+            states.append(state)
+            return cmd(state)
+        return run
+
+    for name, cmd in list(cli.STEP_FUNCS.items()):
+        monkeypatch.setitem(cli.STEP_FUNCS, name, watched(cmd))
+    out = str(tmp_path / "run")
+    assert cli.main(["all", "--config", micro_config, "--out", out, "--jobs", jobs]) == 0
+    held = held[1:] + [set(states[-1].loaded)]  # after each stage
+    names = list(cli.STAGES)
+    seen = set()
+    for k, name in enumerate(names):
+        seen |= set(cli.STAGES[name].reads) | KEPT_OUTPUTS.get(name, set())
+        later = {artifact for s in names[k + 1 :] for artifact in cli.STAGES[s].reads}
+        assert held[k] == seen & later, name
+    assert held[-1] == set()
+    assert {"events", "addresses"} <= held[0] and "events" not in held[2]
 
 
 def test_manifest_shape(all_run, micro_config):
@@ -1198,6 +1231,16 @@ def test_a_hand_brought_jsonl_dataset_runs_to_the_analytic_bytes_of_gen(all_run,
         inputs = json.load(fh)["inputs"]
     assert {"dataset/population.jsonl", "dataset/addresses.jsonl"} <= set(inputs)
     assert not [name for name in inputs if name.endswith(".npy")]
+
+
+def test_report_over_a_hand_brought_dataset_leaves_the_population_empty(all_run, jsonl_run):
+    def report(run):
+        with open(os.path.join(run, "report.json")) as fh:
+            return json.load(fh)
+
+    assert report(jsonl_run) == {**report(all_run), "population": {}}
+    with open(os.path.join(jsonl_run, "manifest_report.json")) as fh:
+        assert "manifest_gen.json" not in json.load(fh)["inputs"]
 
 
 def test_gen_replaces_the_jsonl_tables_of_a_hand_brought_dataset(

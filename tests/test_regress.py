@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from awareflow import kernels
 from awareflow.analytics import EventMark, Phase, PhaseSegmentation
 from awareflow.awareness import AwarenessTimeline
 from awareflow.domain import Calendar
@@ -291,6 +292,31 @@ def test_design_at_each_time_equals_design_at_that_time_alone(design_inputs):
         X, y = builder.at(k)
         X1, y1 = DesignBuilder(dataset, graph, timeline, sample, [t]).at(0)
         assert np.array_equal(X, X1) and np.array_equal(y, y1), k
+
+
+def test_design_builder_sweeps_once_over_times_asked_in_order(design_inputs, monkeypatch):
+    dataset, graph, timeline, sample = design_inputs
+    sweeps = []
+    sweep = kernels.neighbor_count_sweep
+
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(kernels, "neighbor_count_sweep", counted)
+    times = [int(t) for t in dataset.calendar.day_ends()]
+    builder = DesignBuilder(dataset, graph, timeline, sample, times)
+    designs = []
+    for k in range(len(times)):
+        X, y = builder.at(k)
+        X2, y2 = builder.at(k)  # the same time again reads the same step
+        assert np.array_equal(X, X2) and np.array_equal(y, y2)
+        designs.append((X, y))
+    assert len(sweeps) == len(LAYERS)
+    # an earlier time starts the sweeps again
+    X, y = builder.at(3)
+    assert len(sweeps) == 2 * len(LAYERS)
+    assert np.array_equal(X, designs[3][0]) and np.array_equal(y, designs[3][1])
 
 
 # --- checkpoint schedule -----------------------------------------------------------

@@ -255,15 +255,25 @@ def test_written_bytes_do_not_depend_on_the_chunk_size(small_world, tmp_path, mo
 
 def test_generate_sorts_the_event_log_once(monkeypatch):
     canonical = EventLog.canonical
-    rows = []
+    calls = []
 
-    def counted(cls, *columns):
-        rows.append(len(columns[1]))
-        return canonical(*columns)
+    def counted(cls, *columns, bounds=None):
+        calls.append(([column.copy() for column in columns[:5]], columns[5], list(bounds)))
+        return canonical(*columns, bounds=bounds)
 
     monkeypatch.setattr(EventLog, "canonical", classmethod(counted))
-    dataset, _ = generate(small_world_config(), SMALL_WORLD_SEED)
-    assert rows == [len(dataset.events)]
+    cfg = small_world_config()
+    dataset, _ = generate(cfg, SMALL_WORLD_SEED)
+    ((columns, pool, bounds),) = calls
+    # one bucket per history month and per window day, covering every row
+    assert len(bounds) == cfg.history_months + cfg.n_days + 1
+    assert bounds[0] == 0 and bounds[-1] == len(dataset.events)
+    assert all(lo <= hi for lo, hi in zip(bounds, bounds[1:]))
+    # sorted a bucket at a time, the log is the one a sort of the whole
+    # table gives (canonical takes its columns over, so each call gets copies)
+    assert canonical(*(c.copy() for c in columns), pool) == dataset.events
+    monkeypatch.setattr(domain, "SORT_BUCKET_ROWS", 1)
+    assert canonical(*columns, pool, bounds=bounds) == dataset.events
 
 
 def test_generate_draws_the_history_in_blocks_of_any_size(monkeypatch):
@@ -275,7 +285,7 @@ def test_generate_draws_the_history_in_blocks_of_any_size(monkeypatch):
     assert truth.graph == want[1].graph
 
 
-def test_generate_holds_one_spare_column_beside_the_event_log():
+def test_generate_holds_little_beside_the_event_log():
     def peak_and_rows(n):
         cfg = small_world_config()
         cfg.n_individuals = n
@@ -287,8 +297,35 @@ def test_generate_holds_one_spare_column_beside_the_event_log():
     # both sizes span several history blocks, whose temporaries then cancel
     (small, small_rows), (large, large_rows) = peak_and_rows(4000), peak_and_rows(8000)
     column_bytes = sum(np.dtype(t).itemsize for t in EventLog.DTYPES.values())
-    # the log itself, the sort's uint64 key and the per-individual tables
-    assert large - small < 1.5 * column_bytes * (large_rows - small_rows)
+    # the log itself, the bit grids of the history and the per-individual
+    # tables: the sort's key spans one time bucket, not the log
+    assert large - small < 1.1 * column_bytes * (large_rows - small_rows)
+
+
+@pytest.mark.parametrize("k", [5, 12, 17])
+def test_int32_code_draws_a_block_at_a_time_give_the_stream_of_one_draw(k):
+    # the history's per-block code draws rest on this; an odd first draw
+    # leaves a buffered 32-bit half behind
+    whole, blocks = np.random.default_rng(3), np.random.default_rng(3)
+    for rng in (whole, blocks):
+        rng.integers(0, k, size=3, dtype=np.int32)
+    want = whole.integers(0, k, size=1000)
+    got = np.concatenate([blocks.integers(0, k, size=m, dtype=np.int32) for m in (1, 250, 333, 416)])
+    assert np.array_equal(got, want)
+    assert whole.random() == blocks.random()
+
+
+@pytest.mark.parametrize("first", [0, 1, 4])
+def test_a_generator_set_ahead_draws_what_follows_the_float_draws(first):
+    rng, ahead = np.random.default_rng(11), np.random.default_rng(11)
+    for g in (rng, ahead):
+        g.integers(0, 9, size=first, dtype=np.int32)  # an odd count buffers a half
+    later = simulate._ahead(ahead, 500)
+    floats = rng.random(500)
+    codes = rng.integers(0, 9, size=301, dtype=np.int32)
+    assert np.array_equal(ahead.random(500), floats)
+    assert np.array_equal(later.integers(0, 9, size=301, dtype=np.int32), codes)
+    assert later.random() == rng.random()
 
 
 def test_different_seed_changes_output():
