@@ -9,8 +9,9 @@ a summary bundle, and ``all`` chains them in order.
 
 Each stage is declared once, by ``@stage(name, reads=..., writes=...)`` in
 pipeline order.  The subcommand list, the order of ``all``, every
-manifest's inputs and outputs and the stage named by a missing-artifact
-error all come from these declarations.
+manifest's inputs and outputs, the stage named by a missing-artifact error
+and the artifacts ``all`` lets go after their last reader all come from
+these declarations.
 
 Every subcommand writes its artifacts plus a deterministic manifest (no
 timestamps, no absolute paths) so that identical config + seed runs are
