@@ -23,9 +23,9 @@ dir=${1:-$(mktemp -d)}
 run() { python -m awareflow.cli "$@"; }
 compare() { python "$(dirname "$0")/compare_runs.py" "$@"; }
 
-# load the dataset directory $1 (and its truth), its tables as column files
-# or JSONL, and write it into $2 with files.$3: save_dataset exports every
-# table as JSONL, store_dataset writes the tables as gen does
+# load the dataset directory $1, its tables as column files or JSONL, and
+# write it into $2 with files.$3: save_dataset exports every table as
+# JSONL, store_dataset writes the tables as gen does
 rewrite() {
   python - "$@" <<'PY'
 import os
@@ -44,7 +44,6 @@ dataset = files.validated_dataset(
 )
 getattr(files, writer)(dataset, dst)
 files.write_calendar(os.path.join(dst, "calendar.json"), dataset.calendar)
-files.write_truth(files.read_truth(src, dataset.population.ids), dst)
 PY
 }
 

@@ -21,9 +21,9 @@ included; its ``outputs`` every file it wrote.  Only ``gen`` and
 ``infer-net`` touch the address table, so only their manifests list its
 files; only ``gen`` and ``label`` touch the event log, so only theirs list
 ``events.jsonl`` while ``calendar.json`` exists.  `gen` stores the
-population and address tables as column files; a dataset directory that
-holds a table as JSONL instead was brought in by hand.  Every
-file goes through ``files``: artifacts of earlier stages through validating
+population and address tables as column files, and the simulator's truth
+nowhere; a table held as JSONL was brought in by hand.  Every file goes
+through ``files``: artifacts of earlier stages through validating
 readers, outputs atomically, and a stage removes its old manifest first.
 When ``jobs`` allows two processes, `all` hands the dataset write to a
 forked writer (see ``jobs``) and runs the analytic stages from memory
@@ -107,18 +107,14 @@ from .regress import (
     run_time_evolving,
     typical_profile,
 )
-from .simulate import TRUTH_FILES, generate
+from .simulate import generate
 
 # RNG stream for drawing the regression sample; simulator streams are < 100
 SAMPLE_STREAM = 101
 CALENDAR_FILE = "calendar.json"
 _, REGIONS_FILE, _, EVENTS_FILE = DATASET_FILES
-DATASET_GROUPS = {"events": (EVENTS_FILE,), "truth": TRUTH_FILES}
 # what write_dataset writes
-WRITER_FILES = (
-    *column_files("population"), REGIONS_FILE, *column_files("addresses"), EVENTS_FILE,
-    *TRUTH_FILES,
-)
+WRITER_FILES = (*column_files("population"), REGIONS_FILE, *column_files("addresses"), EVENTS_FILE)
 
 # Columns of every TSV artifact, as (name, parse) pairs for files.read_tsv;
 # the writers take the header from here.  Ids, timestamps and days that
@@ -198,12 +194,11 @@ def phase_segmentation(columns):
 # A stage reads and writes artifacts: files in the run directory, named by
 # file name, or the groups "dataset" (the population's files, regions.jsonl
 # and calendar.json; without calendar.json the window is inferred from the
-# events, so events.jsonl takes its place), "addresses" (the address
-# table's files), "events" (events.jsonl), "truth" (the simulator's ground
-# truth next to them) and "patterns" (the query pattern file).  A table's
-# files are its column files where gen ran in this process or any of them
-# exists, else its JSONL file.  ``upstream`` names the
-# stages that write what a stage reads, whose manifests it reads too.
+# events, so events.jsonl takes its place), "addresses" (the address table's
+# files), "events" (events.jsonl) and "patterns" (the query pattern file).  A
+# table's files are its column files where gen ran in this process or any of
+# them exists, else its JSONL file.  ``upstream`` names the stages that write
+# what a stage reads, whose manifests it reads too.
 Stage = namedtuple("Stage", "name reads writes upstream")
 STAGES = {}  # stage name -> Stage, in pipeline order
 STEP_FUNCS = {}  # stage name -> cmd_<stage>; `all` and each subcommand dispatch here
@@ -345,8 +340,8 @@ class PipelineState:
                 out.append(window)
             elif name == "addresses":
                 out += self.table_paths(name)
-            elif name in DATASET_GROUPS:
-                out += [self.dataset_path(n) for n in DATASET_GROUPS[name]]
+            elif name == "events":
+                out.append(self.dataset_path(EVENTS_FILE))
             elif name == "patterns":
                 out.append(self.cfg.patterns_path())
             else:
@@ -490,14 +485,13 @@ def by_day(iso, keys, width=0):
 # stages, in pipeline order
 # ---------------------------------------------------------------------------
 
-def write_dataset(dataset, truth, ddir):
-    """Write the dataset and truth files into ``ddir``, calendar.json
-    aside; returns the SHA-256 of each, by path."""
-    paths = [*files.store_dataset(dataset, ddir), *files.write_truth(truth, ddir).values()]
-    return {path: files.sha256_file(path) for path in paths}
+def write_dataset(dataset, ddir):
+    """Write the dataset files into ``ddir``, calendar.json aside;
+    returns the SHA-256 of each, by path."""
+    return {path: files.sha256_file(path) for path in files.store_dataset(dataset, ddir)}
 
 
-@stage("gen", writes=("dataset", "addresses", "events", "truth"))
+@stage("gen", writes=("dataset", "addresses", "events"))
 def cmd_gen(state):
     cfg = state.cfg
     if cfg.simulator is None:
@@ -509,9 +503,9 @@ def cmd_gen(state):
     # first, so that state.files() finds the calendar from here on
     files.write_calendar(state.dataset_path(CALENDAR_FILE), dataset.calendar)
     if state.fork_writer:
-        state.writer = jobs.Forked(write_dataset, dataset, truth, ddir)
+        state.writer = jobs.Forked(write_dataset, dataset, ddir)
     else:
-        state.digests.update(write_dataset(dataset, truth, ddir))
+        state.digests.update(write_dataset(dataset, ddir))
     # later stages see the dataset as they would load it from disk
     state.loaded["dataset"] = replace(dataset, events=None, addresses=None)
     state.loaded["addresses"] = dataset.addresses
@@ -741,6 +735,14 @@ def cmd_regress(state):
     }
 
 
+# the stats that report reads as a JSON object or array, by stage
+REPORT_STATS = {
+    "infer-net": {"edges": dict}, "cohort": {"lead_days": dict},
+    "regress": {"missing_percentages": list},
+}
+JSON_NAMES = {dict: "object", list: "array"}
+
+
 @stage(
     "report",
     # and the manifest of every earlier stage, for its stats
@@ -757,13 +759,16 @@ def cmd_report(state):
     stats = {"gen": {}}
     for name in STAGES:
         if name != "report" and (name != "gen" or state.has_gen()):
-            manifest = state.load(manifest_name(name))
+            path, manifest = state.out_path(manifest_name(name)), state.load(manifest_name(name))
             if manifest.get("seed") != cfg.seed:
                 raise IntegrityError(
-                    f"{state.out_path(manifest_name(name))} records seed {manifest.get('seed')},"
-                    f" not the run's {cfg.seed}; run `{name}` again"
+                    f"{path} records seed {manifest.get('seed')}, not the run's {cfg.seed};"
+                    f" run `{name}` again"
                 )
             stats[name] = manifest["stats"]
+            for key, kind in REPORT_STATS.get(name, {}).items():
+                if type(stats[name].get(key, kind())) is not kind:
+                    raise ParseError(path, 1, f"stats.{key} must be a JSON {JSON_NAMES[kind]}")
     gen_stats = stats["gen"]
     label_stats = stats["label"]
     segment_stats = stats["segment"]

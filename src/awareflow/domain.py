@@ -193,12 +193,12 @@ _INT64 = range(-(2**63), 2**63)
 class Field:
     """One key of a JSONL table, the column it fills and the values it takes.
 
-    An ``int`` may be null when ``null`` gives its fill value; an ``enum``
-    holds its index in ``names``; ``text`` holds a code into the table's
-    text pool; an ``interval`` fills ``<column>_start`` and ``<column>_end``.
-    ``lo`` and ``hi`` bound an int or number inclusively.  Only the rows
-    whose first field (an enum) has the code ``when`` carry a field with
-    ``when``; the others hold zero in its column.
+    An ``enum`` holds its index in ``names``; ``text`` holds a code into
+    the table's text pool; an ``interval`` fills ``<column>_start`` and
+    ``<column>_end``.  ``lo`` and ``hi`` bound an int or number
+    inclusively.  Only the rows whose first field (an enum) has the code
+    ``when`` carry a field with ``when``; the others hold zero in its
+    column.
     """
 
     key: str
@@ -209,7 +209,6 @@ class Field:
     names: tuple = ()
     dtype: object = None
     when: int = None
-    null: int = None
 
     def __post_init__(self):
         dtype = _KINDS[self.kind][0] if self.dtype is None else self.dtype
@@ -229,8 +228,6 @@ class Field:
     def problem(self, v):
         """Why this field rejects the JSON value ``v``; None when it accepts it."""
         _, types, problem = _KINDS[self.kind]
-        if v is None and self.null is not None:
-            return None
         if type(v) not in types or (
             self.kind == "id" and v not in range(2**64)
             or self.kind == "interval"

@@ -1,6 +1,6 @@
 """Every on-disk format, read and written in one place: the column files
-and JSONL tables of the dataset, truth labels, edge files, TSV artifacts,
-JSON configs, calendars and manifests, and pattern files.
+and JSONL tables of the dataset, edge files, TSV artifacts, JSON
+configs, calendars and manifests, and pattern files.
 
 Every read opens its file through ``reading``, which turns an OSError into
 an AwareflowError naming the file.  Each format has one parse, over
@@ -30,7 +30,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from .awareness import NEVER, AwarenessTimeline
 from .domain import (
     ADDRESS_FIELDS,
     COLUMN_TABLES,
@@ -59,7 +58,6 @@ from .domain import (
 from .errors import ConfigError, IntegrityError, ParseError
 from .kernels import sort_rows
 from .netinfer import LAYER_CODES, LAYERS, MultiplexGraph, build_layer
-from .simulate import TRUTH_FILES, TRUTH_LABEL_FIELDS, GroundTruth
 
 # every reader takes its file about this many bytes at a time: the whole
 # lines of a TSV or edge file chunk, or a block of JSONL lines
@@ -393,8 +391,6 @@ def _column(f, objs, codes_of):
         values = list(map(itemgetter(f.key), objs))
     except KeyError:
         values = [obj.get(f.key, _MISSING) for obj in objs]
-    if f.null is not None:
-        values = [f.null if v is None else v for v in values]
     if f.kind != "counts" and set(map(type, values)) <= f.json_types:
         try:
             col = _array(f, values, codes_of)
@@ -542,7 +538,7 @@ def write_jsonl(path, fields, columns, text_pool=()):
                 choices, col = col, np.arange(len(col))
             cells = np.array([head + _ENCODE(v) for v in choices] + [""], dtype=object)
             head = ""
-        template += head.replace("%", "%%") + (_SPECS.get(f.kind, "%s") if f.null is None else "%s")
+        template += head.replace("%", "%%") + _SPECS.get(f.kind, "%s")
         slots.append((f, col, cells))
     template += "}\n"
 
@@ -555,8 +551,6 @@ def write_jsonl(path, fields, columns, text_pool=()):
             return [cells[code].tolist()]
         if f.kind in ("number", "counts"):
             return [list(map(_ENCODE, col[rows].tolist()))]
-        if f.null is not None:
-            return [["null" if v == f.null else v for v in col[rows].tolist()]]
         return [columns[name][rows].tolist() for name in f.columns]  # an interval has two
 
     def chunk(rows):
@@ -645,26 +639,6 @@ def load_events(path, ids, calendar):
     events = read_events(path)
     raise_violations(validate_events(events, ids, calendar))
     return events
-
-
-def write_truth(truth, directory):
-    """Write the GroundTruth's labels and network into ``directory``; returns their paths."""
-    make_dir(directory, "truth directory")
-    labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
-    ids = truth.graph.ids
-    labels = {"individual_id": ids, "first_aware": truth.timeline.aligned(ids)}
-    write_jsonl(labels_path, TRUTH_LABEL_FIELDS, labels)
-    write_edges(truth.graph, edges_path)
-    return {"truth_labels": labels_path, "truth_network": edges_path}
-
-
-def read_truth(directory, ids):
-    """The GroundTruth that write_truth wrote into ``directory``, over the node ``ids``."""
-    labels_path, edges_path = (os.path.join(directory, n) for n in TRUTH_FILES)
-    labels = read_jsonl(labels_path, TRUTH_LABEL_FIELDS)[0]
-    aware = labels["first_aware"] != NEVER
-    timeline = AwarenessTimeline(labels["individual_id"][aware], labels["first_aware"][aware])
-    return GroundTruth(timeline, read_edges(edges_path, ids))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .domain import (
     Calendar,
     Dataset,
     EventLog,
-    Field,
     PopulationColumns,
     RegionColumns,
     Timestamp,
@@ -413,11 +412,6 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data):
         return build_section(cls, data, "simulator", "simulator").validate()
-
-
-TRUTH_FILES = ("truth_labels.jsonl", "truth_network.edges")
-# truth_labels.jsonl; first_aware is null for an individual never aware
-TRUTH_LABEL_FIELDS = (Field("individual_id", "id"), Field("first_aware", "int", null=NEVER))
 
 
 @dataclass

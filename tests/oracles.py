@@ -238,8 +238,6 @@ def jsonl_values(fields, columns, pool):
             values = [(f.names or pool)[v] for v in values]
         elif f.kind == "counts":
             values = [list(v) for v in values]
-        elif f.null is not None:
-            values = [None if v == f.null else v for v in values]
         out[f.key] = values
     return out
 
@@ -553,7 +551,7 @@ def write_events_rows(path, kind, individual_id, timestamp, text, is_ppe):
 def jsonl_rows(fields, columns, text_pool):
     """The line of each row of a JSONL table's columns, one json.dumps of
     an object built key by key: a field with ``when`` only where the first
-    field's code is its ``when``, a nullable int's null value as null."""
+    field's code is its ``when``."""
     first = columns[fields[0].column]
     lines = []
     for k in range(len(first)):
@@ -575,7 +573,7 @@ def jsonl_rows(fields, columns, text_pool):
             elif f.kind == "interval":
                 v = [int(v), int(columns[f.columns[1]][k])]
             else:
-                v = None if f.null is not None and v == f.null else int(v)
+                v = int(v)
             obj[f.key] = v
         lines.append(json.dumps(obj, separators=(",", ":")) + "\n")
     return lines

@@ -22,7 +22,6 @@ from awareflow import cli, domain, files
 from awareflow.config import load_run_config
 from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
-from awareflow.simulate import TRUTH_FILES
 
 from conftest import assert_no_child_left, small_world_config, tree_hashes, wait_until_exited
 from oracles import edge_file_scan, graph_edge_sets, jsonl_file_scan, jsonl_values, tsv_file_scan
@@ -88,7 +87,7 @@ def all_run(micro_config, tmp_path_factory):
 @pytest.fixture(scope="module")
 def jsonl_run(all_run, micro_config, tmp_path_factory):
     """The micro dataset brought in by hand: all_run's dataset exported as
-    JSONL by save_dataset, beside its calendar and truth, with no
+    JSONL by save_dataset, beside its calendar, with no
     manifest_gen.json; every stage after gen run over it."""
     out = tmp_path_factory.mktemp("jsonl_run")
     source = os.path.join(all_run, "dataset")
@@ -118,9 +117,14 @@ def test_all_writes_every_artifact(all_run):
     for name in ARTIFACTS + STEP_MANIFESTS + ("manifest_all.json",):
         assert os.path.exists(os.path.join(all_run, name)), name
     tables = domain.column_files("population") + domain.column_files("addresses")
-    assert sorted(os.listdir(os.path.join(all_run, "dataset"))) == sorted([
-        *tables, "regions.jsonl", "events.jsonl", "calendar.json", *TRUTH_FILES,
-    ])
+    dataset = sorted(os.listdir(os.path.join(all_run, "dataset")))
+    assert dataset == sorted([*tables, "regions.jsonl", "events.jsonl", "calendar.json"])
+    # every dataset file is read by a stage after gen
+    read = set()
+    for name in set(STEP_MANIFESTS) - {"manifest_gen.json"}:
+        with open(os.path.join(all_run, name)) as fh:
+            read.update(json.load(fh)["inputs"])
+    assert [name for name in dataset if f"dataset/{name}" not in read] == []
     # every write renamed its temporary file into place
     assert not [name for _, _, names in os.walk(all_run) for name in names if name.endswith(".tmp")]
 
@@ -1031,6 +1035,14 @@ FAULTS = [
     pytest.param(
         "report", manifest_value("manifest_regress.json", "outputs", []), 4,
         id="manifest-outputs-not-an-object",
+    ),
+    pytest.param(
+        "report", manifest_value("manifest_cohort.json", "stats", {"lead_days": 5}), 4,
+        id="manifest-stat-lead-days-not-an-object",
+    ),
+    pytest.param(
+        "report", manifest_value("manifest_regress.json", "stats", {"missing_percentages": 5}), 4,
+        id="manifest-stat-missing-percentages-not-a-list",
     ),
     *(
         pytest.param(stage, fault, code, id=name)

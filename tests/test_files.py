@@ -79,7 +79,6 @@ EVERY_KIND = (
     Field("type", "enum", column="kind", names=("a", "b")),
     Field("id", "id"),
     Field("int", "int"),
-    Field("maybe", "int", null=INT64.max),
     Field("rate %d", "number", column="rate"),
     Field("flag", "bool"),
     Field("text \"%s\"", "text", column="text"),
@@ -97,7 +96,6 @@ def every_kind_columns(n):
         "kind": [i % 2 for i in range(n)],
         "id": [0 if i % 3 == 0 else 2**64 - 1 - i for i in range(n)],
         "int": [INT64.min + i if i % 2 == 0 else INT64.max - i for i in range(n)],
-        "maybe": [INT64.max if i % 3 == 1 else i - 3 for i in range(n)],
         "rate": [(0.1, 1e16, 5e-324, 0.0, -2.5, 1e300)[i % 6] for i in range(n)],
         "flag": [i % 4 == 1 for i in range(n)],
         "text": [i % len(TEXTS) for i in range(n)],

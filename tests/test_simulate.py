@@ -8,15 +8,14 @@ import pytest
 from awareflow.awareness import label_awareness, match_mask
 from awareflow import domain, simulate
 from awareflow.domain import ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, OCCUPATIONS, EventLog
-from awareflow.errors import ConfigError, ParseError
-from awareflow.files import read_truth, save_dataset, write_truth
+from awareflow.errors import ConfigError
+from awareflow.files import save_dataset
 from awareflow.netinfer import LAYERS, infer_networks
 from awareflow.simulate import (
     HazardCoefficients,
     NetworkConfig,
     RegionConfig,
     SimConfig,
-    TRUTH_FILES,
     _chunk_sizes,
     generate,
     hazard_base,
@@ -243,13 +242,11 @@ def test_generation_is_deterministic():
 
 
 def test_written_bytes_do_not_depend_on_the_chunk_size(small_world, tmp_path, monkeypatch):
-    _, dataset, truth = small_world
-    files = DATASET_FILES + TRUTH_FILES
+    _, dataset, _ = small_world
     for name, rows in (("whole", len(dataset.events)), ("chunked", 3)):
         monkeypatch.setattr(domain, "WRITE_CHUNK_ROWS", rows)
         save_dataset(dataset, tmp_path / name)
-        write_truth(truth, tmp_path / name)
-    for name in files:
+    for name in DATASET_FILES:
         assert (tmp_path / "whole" / name).read_bytes() == (tmp_path / "chunked" / name).read_bytes()
 
 
@@ -343,26 +340,6 @@ def test_inferred_equals_truth_when_groups_under_caps(small_world, graph_small):
 
 
 # --- persistence and config ---------------------------------------------------------
-
-def test_ground_truth_round_trip(tmp_path, small_world):
-    _, dataset, truth = small_world
-    write_truth(truth, tmp_path)
-    loaded = read_truth(tmp_path, dataset.population.ids)
-    assert loaded.timeline == truth.timeline
-    assert loaded.graph == truth.graph
-
-
-def test_ground_truth_bad_line_is_parse_error(tmp_path, small_world):
-    _, dataset, truth = small_world
-    write_truth(truth, tmp_path)
-    path = tmp_path / "truth_labels.jsonl"
-    lines = path.read_text().splitlines()
-    lines[2] = '{"individual_id":5,"first_aware":"x"}'
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError) as exc:
-        read_truth(tmp_path, dataset.population.ids)
-    assert str(exc.value) == f"{path}:3: first_aware must be an integer"
-
 
 def test_sim_config_dict_round_trip():
     cfg = small_world_config()
