@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .netinfer import DEFAULT_CAPS
 from .presets import PRESET_NAMES, default_patterns_path, load_preset
 from .regress import FeatureSpec, FitConfig
-from .simulate import SimConfig, build_section
+from .simulate import HistoryMonths, SimConfig, build_section
 
 INT64_MAX = 2**63 - 1
 
@@ -58,8 +58,7 @@ class RunConfig:
     jobs: Annotated[int, Bounds(0, INT64_MAX)] = 0
     patterns: str = None  # None = bundled default pattern file
     threshold: Annotated[int, Bounds(1, INT64_MAX)] = 3
-    # 10,000 years keep the qualification key (row * n_months + month) in int64
-    history_months: Annotated[int, Bounds(1, 12 * 10_000)] = 60
+    history_months: HistoryMonths = 60
     min_purchases_per_month: Annotated[int, Bounds(1, INT64_MAX)] = 1
     caps: Caps = field(default_factory=Caps)
     phase_thresholds: PhaseThresholds = field(

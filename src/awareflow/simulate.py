@@ -2,10 +2,11 @@
 
 Produces datasets with known ground truth: the true multiplex network
 comes from the address groups it plants, and the true first-aware moment
-of every individual is recorded as diffusion runs.  Per-individual
-randomness in the diffusion uses counter-based streams (hash of seed,
-stream, individual id, day), so results are bitwise reproducible and do
-not depend on evaluation order or chunking.
+of every individual is recorded as diffusion runs.  The regions,
+individuals and address groups come from a numpy Generator seeded with
+the run's seed, and every event from counter-based streams (hash of seed,
+stream, individual id, and month or day), so results are bitwise
+reproducible and the events do not depend on evaluation order or chunking.
 """
 
 import math
@@ -56,10 +57,11 @@ S_BG_BUY = 11
 S_BG_TS = 12
 S_BG_CAT = 13
 S_PPE_TS = 14
-
-# individuals per block of the purchase-history draws, which bounds their
-# temporaries whatever the population
-HISTORY_BLOCK_ROWS = 1024
+S_HIST_PRESENT = 15
+S_HIST_EXTRA = 16
+S_HIST_SKIP = 17
+S_HIST_TS = 18
+S_HIST_CAT = 19
 
 DEFAULT_AWARE_TEXTS = (
     "wuhan pneumonia cases",
@@ -170,6 +172,10 @@ def _setting(tp, value, key, problems):
         name = {tuple: "list", dict: "object"}.get(origin, kind.__name__)
         problems.append(f"{key} must be of type {name}")
         return value
+    if kind is float:  # as doubles: numpy would hold an int past 2**64 as an object
+        items = [(k, float(v) if abs(v) <= sys.float_info.max else v) for k, v in items]
+        cast = [v for _, v in items]
+        value = tuple(cast) if origin is tuple else dict(zip(value, cast)) if origin else cast[0]
     for k, v in items:
         if kind is float and not abs(v) <= sys.float_info.max:  # NaN or beyond a double
             problems.append(f"{k} must be finite, got {v}")
@@ -187,6 +193,8 @@ def _is_a(kind, v):
 
 Probability = Annotated[float, Bounds(0, 1)]
 GroupSize = Annotated[int, Bounds(1, 500)]  # the largest school or company group
+# at most 10,000 years, whose month numbers and timestamps int64 holds
+HistoryMonths = Annotated[int, Bounds(1, 12 * 10_000)]
 
 
 @dataclass
@@ -247,7 +255,8 @@ class HazardCoefficients:
 
 @dataclass
 class RegionConfig:
-    n_cities: Annotated[int, Bounds(1)] = 12
+    # the region table holds each city's daily cases as a tuple of Python ints
+    n_cities: Annotated[int, Bounds(1, 10_000)] = 12
     n_provinces: int = 4
     max_distance_km: Annotated[float, Bounds(0)] = 2500.0
     epidemic_growth: float = 0.22
@@ -298,7 +307,7 @@ class NetworkConfig:
 
 @dataclass
 class SimConfig:
-    n_individuals: Annotated[int, Bounds(1)] = 1000
+    n_individuals: Annotated[int, Bounds(1, 2**31 - 1)] = 1000  # the graph's rows are int32
     calendar_start: str = "2019-12-01"
     n_days: Annotated[int, Bounds(1)] = 88
     regions: RegionConfig = field(default_factory=RegionConfig)
@@ -308,7 +317,7 @@ class SimConfig:
     events: list[ShockEvent] = field(default_factory=list, metadata={"label": "event"})
     stockout_day: int = 62
     query_noise: Probability = 0.0
-    history_months: Annotated[int, Bounds(1)] = 60
+    history_months: HistoryMonths = 60
     unqualified_month_p: Probability = 0.75
     extra_purchase_p: Probability = 0.20
     post_aware_query_p: Probability = 0.03
@@ -495,108 +504,59 @@ def _prob_vector(probs, keys):
     return v / v.sum()
 
 
-def _draw_cells(rng, n_rows, n_months, p):
-    """The cells of an ``n_rows`` x ``n_months`` grid that a draw below ``p``
-    marks: the values of ``rng.random((n_rows, n_months)) < p``, drawn
-    HISTORY_BLOCK_ROWS rows at a time, since consecutive draws continue
-    one stream."""
-    grid = np.empty((n_rows, n_months), dtype=bool)
-    for lo in range(0, n_rows, HISTORY_BLOCK_ROWS):
-        block = grid[lo : lo + HISTORY_BLOCK_ROWS]
-        np.less(rng.random(block.shape), p, out=block)
-    return grid
-
-
-@dataclass
 class PurchaseHistory:
-    """The purchases before the window, drawn as far as who buys in which
-    month: ``grids`` (present, extra) mark the individual x month cells with
-    a purchase, once and again, one bit a cell (``np.packbits`` of each
-    individual's row), and ``month_cells`` counts each grid's marks per
-    month.  ``fill`` draws the rest from ``rng``."""
+    """The purchases before the window, in ``months`` (month numbers).
 
-    rng: "np.random.Generator"  # a string, so that importing this module skips numpy.random
-    ids: np.ndarray
-    grids: tuple
-    month_cells: tuple
-    month_start: np.ndarray
-    month_len: np.ndarray
-    first_category: int
-    n_categories: int
+    Each month, a qualified individual buys once and any other with
+    ``unqualified_month_p``, and a buyer buys again with ``extra_purchase_p``.
+    An unqualified individual who would buy every month skips one: ``stuck``
+    holds their rows and ``skip`` those months.  Every draw is a counter
+    stream keyed on (individual id, month number), so ``month`` draws any
+    month alone, and ``month_rows`` counts each month's purchases."""
 
-    @classmethod
-    def of_grids(cls, rng, ids, grids, month_start, month_len, **codes):
-        """The history of the bool individual x month ``grids``."""
-        return cls(
-            rng, ids, tuple(np.packbits(grid, axis=1) for grid in grids),
-            tuple(grid.sum(axis=0) for grid in grids), month_start, month_len, **codes,
+    def __init__(self, config, seed, population, months):
+        self.config, self.seed, self.months = config, seed, months
+        self.ids, self.qualified = population.ids, population.qualified
+        stuck = np.flatnonzero(~self.qualified)
+        for month in months:
+            stuck = stuck[self._uniforms(S_HIST_PRESENT, stuck, month) < config.unqualified_month_p]
+        self.stuck = stuck
+        self.skip = months[(self._uniforms(S_HIST_SKIP, stuck, 0) * len(months)).astype(np.int64)]
+        self.month_rows = [sum(map(len, self.buyers(month))) for month in months]
+
+    def _uniforms(self, stream, rows, tag):
+        # a month before 1970 has a negative number, and the tag is a uint64
+        return kernels.counter_uniforms(self.seed, stream, self.ids[rows], int(tag) % 2**64)
+
+    def buyers(self, month):
+        """The rows of the individuals who buy in ``month`` once, and of
+        those who buy again."""
+        once = self.qualified.copy()
+        unqualified = np.flatnonzero(~once)
+        draws = self._uniforms(S_HIST_PRESENT, unqualified, month)
+        once[unqualified] = draws < self.config.unqualified_month_p
+        once[self.stuck[self.skip == month]] = False
+        rows = np.flatnonzero(once)
+        return rows, rows[self._uniforms(S_HIST_EXTRA, rows, month) < self.config.extra_purchase_p]
+
+    def month(self, month):
+        """The purchases of ``month`` as the five event columns (kind,
+        individual_id, timestamp, text_code, is_ppe), the first purchases
+        and then the second ones, coded into ``config.text_pool()``."""
+        start, end = month_start_ts([month, month + 1]).tolist()
+        n_categories = len(self.config.purchase_categories)
+        first_category = len(self.config.aware_query_texts) + len(self.config.noise_query_texts)
+        rows = self.buyers(month)
+        ts, cat = (
+            np.concatenate([self._uniforms(s, r, 2 * month + g) for g, r in enumerate(rows)])
+            for s in (S_HIST_TS, S_HIST_CAT)
         )
-
-    def month_rows(self):
-        """The purchases of each month, over both grids."""
-        return sum(self.month_cells)
-
-    def fill(self, kind, individual_id, timestamp, text_code, is_ppe):
-        """Write the purchases into event columns, each as long as the
-        purchases, a month's bucket at a time: the rows of month m are
-        those from the m-th to the (m + 1)-th cumulative sum of
-        ``month_rows``, in no set order.
-
-        Per grid, the stream holds the timestamps, drawn a block of
-        HISTORY_BLOCK_ROWS individuals at a time in row-major cell order,
-        and then the codes.  One pass over the blocks draws both: the codes
-        come from a second generator set ahead past the grid's timestamps
-        (``_ahead``), a block at a time as int32, since a bounded 32-bit
-        draw takes its halves from one buffered stream.
-        """
-        kind[...] = EVENT_KIND_PURCHASE
-        is_ppe[...] = False
-        # the start and the span of the month of each cell of a block, by its flat index
-        cell_month = [
-            np.tile(values, HISTORY_BLOCK_ROWS) for values in (self.month_start, self.month_len - 1)
-        ]
-        cursor = np.zeros(len(self.month_start), dtype=np.int64)
-        np.cumsum(self.month_rows()[:-1], out=cursor[1:])
-        for grid, per_month in zip(self.grids, self.month_cells):
-            codes = _ahead(self.rng, int(per_month.sum()))
-            for lo, block, cells, dest in _placed_cells(grid, cursor):
-                first, span = (values.take(cells) for values in cell_month)
-                individual_id[dest] = np.repeat(self.ids[lo : lo + len(block)], block.sum(axis=1))
-                timestamp[dest] = first + (self.rng.random(len(dest)) * span).astype(np.int64)
-                drawn = codes.integers(0, self.n_categories, size=len(dest), dtype=np.int32)
-                text_code[dest] = drawn + np.int32(self.first_category)
-            self.rng.bit_generator.state = codes.bit_generator.state
-
-
-def _ahead(rng, n):
-    """A generator whose stream is that of ``rng`` after ``n`` float64
-    draws, each of which takes one 64-bit output of the bit generator.  The
-    buffered 32-bit half that ``rng`` may hold is kept, as ``rng`` keeps it
-    through such draws."""
-    state = rng.bit_generator.state
-    bits = type(rng.bit_generator)()
-    bits.state = state
-    bits.advance(n)  # which drops the buffered half
-    ahead = bits.state
-    ahead["has_uint32"], ahead["uinteger"] = state["has_uint32"], state["uinteger"]
-    bits.state = ahead
-    return np.random.Generator(bits)
-
-
-def _placed_cells(grid, cursor):
-    """Per block of HISTORY_BLOCK_ROWS rows of the packed individual x month
-    ``grid``, (first row, block, cells, dest): the block unpacked, the flat
-    indices of its marked cells, ascending, and the row each lands on.  A
-    cell of month m lands at ``cursor[m]`` plus the cells of month m in the
-    rows above it, and ``cursor`` moves past the block."""
-    for lo in range(0, len(grid), HISTORY_BLOCK_ROWS):
-        packed = grid[lo : lo + HISTORY_BLOCK_ROWS]
-        block = np.unpackbits(packed, axis=1, count=len(cursor)).view(bool)
-        at = np.cumsum(block, axis=0)  # each cell's count in its month, itself included
-        at += cursor - 1
-        cursor[...] = at[-1] + 1
-        cells = np.flatnonzero(block)
-        yield lo, block, cells, at.ravel().take(cells)
+        rows = np.concatenate(rows)
+        return (
+            np.full(len(rows), EVENT_KIND_PURCHASE, dtype=np.uint8), self.ids[rows],
+            start + (ts * (end - start - 1)).astype(np.int64),
+            first_category + (cat * n_categories).astype(np.int64), np.zeros(len(rows), dtype=bool),
+        )
 
 
 def generate_population(config, seed):
@@ -604,12 +564,8 @@ def generate_population(config, seed):
     addresses, history.
 
     Returns (dataset, truth_graph, history): dataset.events is empty and
-    ``history`` is the PurchaseHistory whose ``fill`` writes the pre-window
-    purchases, coded into ``config.text_pool()``.  Only the month grids of
-    the history are drawn here, a block of individuals at a time; the
-    timestamps and codes are drawn from the same generator when ``fill``
-    runs, which ``simulate_diffusion`` may precede, since it draws from
-    counter streams alone.
+    ``history`` is the PurchaseHistory whose ``month`` draws a month of the
+    pre-window purchases, which are only counted here.
     """
     rng = np.random.default_rng(seed)
     calendar = config.calendar()
@@ -695,24 +651,7 @@ def generate_population(config, seed):
 
     truth_graph = build_from_groups(ids, groups)
 
-    # purchase history: qualified individuals buy every month, the rest
-    # have gaps (at least one month is always forced out)
-    bounds = month_start_ts(np.arange(first_month, first_month + n_m + 1))
-    m_start, m_len = bounds[:-1], np.diff(bounds)
-    present = np.ones((n, n_m), dtype=bool)
-    nq_rows = np.flatnonzero(~qualified)
-    if len(nq_rows):
-        present[nq_rows] = _draw_cells(rng, len(nq_rows), n_m, config.unqualified_month_p)
-        stuck = nq_rows[present[nq_rows].all(axis=1)]
-        if len(stuck):
-            present[stuck, rng.integers(0, n_m, size=len(stuck))] = False
-    extra = _draw_cells(rng, n, n_m, config.extra_purchase_p)
-    extra &= present
-    history = PurchaseHistory.of_grids(
-        rng, ids, (present, extra), m_start, m_len,
-        first_category=len(config.aware_query_texts) + len(config.noise_query_texts),
-        n_categories=len(config.purchase_categories),
-    )
+    history = PurchaseHistory(config, seed, population, np.arange(first_month, first_month + n_m))
 
     # same canonical order the JSONL reader produces, so a generated
     # dataset compares equal after a save/load round trip
@@ -931,13 +870,14 @@ def generate(config, seed):
     """
     dataset, truth_graph, history = generate_population(config, seed)
     window, day_rows, truth = simulate_diffusion(dataset, truth_graph, config, seed)
-    bounds = np.cumsum([0, *history.month_rows(), *day_rows])
-    n_history = bounds[len(history.month_start)]
+    bounds = np.cumsum([0, *history.month_rows, *day_rows])
+    n_history = bounds[len(history.months)]
     columns = [np.empty(bounds[-1], dtype) for dtype in EventLog.DTYPES.values()]
     for column, parts in zip(columns, zip(*window)):
         np.concatenate(parts, out=column[n_history:])
     del window
-    history.fill(*(column[:n_history] for column in columns))
-    del history  # its month grids
+    for month, lo, hi in zip(history.months, bounds, bounds[1:]):
+        for column, values in zip(columns, history.month(month)):
+            column[lo:hi] = values
     dataset.events = EventLog.canonical(*columns, config.text_pool(), bounds=bounds)
     return dataset, truth

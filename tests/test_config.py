@@ -17,6 +17,7 @@ import pytest
 from awareflow import cli, config, files, simulate
 from awareflow.config import RunConfig
 from awareflow.domain import SECONDS_PER_DAY, Timestamp
+from awareflow.errors import ConfigError
 from awareflow.presets import PRESET_NAMES, default_patterns_path, load_preset, preset_path
 
 from conftest import small_world_config, tree_hashes
@@ -98,6 +99,46 @@ def test_all_builds_and_checks_the_config_once(tmp_path, monkeypatch):
         "simulator cross-field checks": 1,
     }
 
+
+
+def set_key(data, path, value):
+    """``data`` with the value at the key path ``path`` set to ``value``."""
+    *parents, last = path
+    node = data
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    return data
+
+
+@pytest.mark.parametrize("path, message", [
+    (("simulator", "n_individuals"), "simulator.n_individuals must be in [1, 2147483647]"),
+    (("simulator", "history_months"), "simulator.history_months must be in [1, 120000]"),
+    (("simulator", "regions", "n_cities"), "simulator.regions.n_cities must be in [1, 10000]"),
+])
+def test_a_size_past_what_its_arrays_hold_is_refused(path, message):
+    data = set_key(load_preset("small"), path, 2**62)
+    with pytest.raises(ConfigError) as refused:
+        RunConfig.from_dict(data)
+    assert str(refused.value) == f"{message}, got {2**62}"
+
+
+def test_an_int_for_a_float_setting_is_a_double(small_world):
+    _, dataset, _ = small_world
+    key = ("simulator", "hazard", "occupation", "white_collar")
+    for value in (2**64, -(2**70)):
+        cfg = RunConfig.from_dict(set_key(load_preset("small"), key, value))
+        got = cfg.simulator.hazard.occupation["white_collar"]
+        assert type(got) is float and got == value
+        # which numpy holds as a double, not as an object
+        base = simulate.hazard_base(cfg.simulator, dataset.population, dataset.distance_km())
+        assert base.dtype == np.float64
+    # the ints of a list setting too, and one beyond a double is refused
+    probs = ("simulator", "demographics", "purchasing_power_probs")
+    cfg = RunConfig.from_dict(set_key(load_preset("small"), probs, [1, 2, 3, 4, 5, 6, 7]))
+    assert cfg.simulator.demographics.purchasing_power_probs == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+    with pytest.raises(ConfigError, match=r"white_collar must be finite, got 1797\d{305}$"):
+        RunConfig.from_dict(set_key(load_preset("small"), key, 2**1024))
 
 
 # The settings that by design reach no artifact, with the reason.

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from awareflow.awareness import label_awareness, match_mask
+from awareflow.awareness import filter_qualified, history_window, label_awareness, match_mask
 from awareflow import domain, simulate
 from awareflow.domain import ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, OCCUPATIONS, EventLog
 from awareflow.errors import ConfigError
@@ -273,13 +273,64 @@ def test_generate_sorts_the_event_log_once(monkeypatch):
     assert canonical(*columns, pool, bounds=bounds) == dataset.events
 
 
-def test_generate_draws_the_history_in_blocks_of_any_size(monkeypatch):
-    want = generate(small_world_config(), SMALL_WORLD_SEED)
-    monkeypatch.setattr(simulate, "HISTORY_BLOCK_ROWS", 7)
-    dataset, truth = generate(small_world_config(), SMALL_WORLD_SEED)
-    assert dataset == want[0]
-    assert truth.timeline == want[1].timeline
-    assert truth.graph == want[1].graph
+def history_rows(columns, leave_out=()):
+    """The rows of the event ``columns`` (kind, individual_id, timestamp,
+    text_code, is_ppe), sorted, less those of the ids ``leave_out``."""
+    keep = ~np.isin(columns[1], leave_out)
+    return sorted(zip(*(column[keep].tolist() for column in columns)))
+
+
+def test_a_history_month_drawn_alone_is_its_bucket_of_the_log():
+    cfg = small_world_config()
+    dataset, _ = generate(cfg, SMALL_WORLD_SEED)
+    _, _, history = simulate.generate_population(cfg, SMALL_WORLD_SEED)
+    events = dataset.events
+    pool = np.array(cfg.text_pool())
+    codes = {text: code for code, text in enumerate(cfg.text_pool())}
+    log_codes = np.array([codes[text] for text in events.text_pool])[events.text_code]
+    log = (events.kind, events.individual_id, events.timestamp, log_codes, events.is_ppe)
+    assert len(history.months) == cfg.history_months
+    for month in history.months:
+        lo, hi = np.searchsorted(events.timestamp, domain.month_start_ts([month, month + 1]))
+        drawn = history.month(month)
+        assert history_rows(drawn) == history_rows([column[lo:hi] for column in log])
+        assert set(pool[drawn[3]]) <= set(cfg.purchase_categories)
+
+    # a longer history draws the same rows in the months both hold, but for
+    # the individuals that the stuck rule has skip that month in either
+    longer = small_world_config()
+    longer.history_months += 6
+    _, _, more = simulate.generate_population(longer, SMALL_WORLD_SEED)
+    assert np.array_equal(more.months[6:], history.months)
+    # who buys in each of the longer history's months buys in each of the shorter's
+    assert np.isin(more.stuck, history.stuck).all() and len(history.stuck)
+    for month in history.months:
+        skipped = np.union1d(history.stuck[history.skip == month], more.stuck[more.skip == month])
+        skipped = history.ids[skipped]
+        want = history_rows(history.month(month), leave_out=skipped)
+        assert history_rows(more.month(month), leave_out=skipped) == want
+
+
+# a history that opens before 1970 has negative month numbers
+@pytest.mark.parametrize("calendar_start", [None, "1970-03-01"])
+def test_each_unqualified_individual_skips_one_month_when_all_would_buy(calendar_start):
+    cfg = small_world_config()
+    cfg.unqualified_month_p = 1.0
+    cfg.calendar_start = calendar_start or cfg.calendar_start
+    dataset, _ = generate(cfg, SMALL_WORLD_SEED)
+    events, population = dataset.events, dataset.population
+    first_month, n_months = window = history_window(dataset.calendar, cfg.history_months)
+    before = events.timestamp < domain.month_start_ts(first_month + n_months)
+    rows = np.flatnonzero(before)
+    assert np.all(events.kind[rows] == domain.EVENT_KIND_PURCHASE)
+    bought = np.unique(
+        events.individual_id[rows].astype(np.int64) * n_months
+        + domain.month_number(events.timestamp[rows]) - first_month
+    )
+    months_bought = np.bincount(bought // n_months, minlength=population.n + 1)[1:]
+    assert np.all(months_bought == np.where(population.qualified, n_months, n_months - 1))
+    assert (~population.qualified).any()
+    assert np.array_equal(filter_qualified(events, window), population.ids[population.qualified])
 
 
 def test_generate_holds_little_beside_the_event_log():
@@ -291,38 +342,11 @@ def test_generate_holds_little_beside_the_event_log():
         peak = traced_peak(lambda: out.append(generate(cfg, SMALL_WORLD_SEED)))
         return peak, len(out[0][0].events)
 
-    # both sizes span several history blocks, whose temporaries then cancel
     (small, small_rows), (large, large_rows) = peak_and_rows(4000), peak_and_rows(8000)
     column_bytes = sum(np.dtype(t).itemsize for t in EventLog.DTYPES.values())
-    # the log itself, the bit grids of the history and the per-individual
-    # tables: the sort's key spans one time bucket, not the log
+    # the log itself and the per-individual tables, a history month's
+    # draws among them: the sort's key spans one time bucket, not the log
     assert large - small < 1.1 * column_bytes * (large_rows - small_rows)
-
-
-@pytest.mark.parametrize("k", [5, 12, 17])
-def test_int32_code_draws_a_block_at_a_time_give_the_stream_of_one_draw(k):
-    # the history's per-block code draws rest on this; an odd first draw
-    # leaves a buffered 32-bit half behind
-    whole, blocks = np.random.default_rng(3), np.random.default_rng(3)
-    for rng in (whole, blocks):
-        rng.integers(0, k, size=3, dtype=np.int32)
-    want = whole.integers(0, k, size=1000)
-    got = np.concatenate([blocks.integers(0, k, size=m, dtype=np.int32) for m in (1, 250, 333, 416)])
-    assert np.array_equal(got, want)
-    assert whole.random() == blocks.random()
-
-
-@pytest.mark.parametrize("first", [0, 1, 4])
-def test_a_generator_set_ahead_draws_what_follows_the_float_draws(first):
-    rng, ahead = np.random.default_rng(11), np.random.default_rng(11)
-    for g in (rng, ahead):
-        g.integers(0, 9, size=first, dtype=np.int32)  # an odd count buffers a half
-    later = simulate._ahead(ahead, 500)
-    floats = rng.random(500)
-    codes = rng.integers(0, 9, size=301, dtype=np.int32)
-    assert np.array_equal(ahead.random(500), floats)
-    assert np.array_equal(later.integers(0, 9, size=301, dtype=np.int32), codes)
-    assert later.random() == rng.random()
 
 
 def test_different_seed_changes_output():
