@@ -6,15 +6,15 @@
 # core count), with each stage after gen in a fresh process (so every reader
 # parses from disk), and with the stages that read neither the address
 # columns nor events.jsonl run while those files are moved aside.  Export
-# the dataset as JSONL, as data brought in by hand, and check that every
-# stage after gen runs over it and writes the same analytic artifacts
-# (report, without gen's manifest, leaves its population block empty), and
-# that the export, stored again as gen stores it, keeps the dataset's bytes.  Then
-# check that a stage refuses artifacts older than the dataset (exit 4) until
-# the later stages run again, that the command-line flags set the config
-# keys they name, that a failed dataset write leaves the same files under
-# both --jobs settings, that scripts/stage_peaks.py runs, and that no run
-# left a temporary *.tmp file behind.
+# the dataset as JSONL, as data brought in by hand, and check that `all`
+# with the config less its simulator section stores it as gen stored the
+# generated dataset, byte for byte, and writes the same analytic
+# artifacts, and that a second such run, with the other --jobs setting,
+# changes no file.  Then check that a stage refuses artifacts older than the
+# dataset (exit 4) until the later stages run again, that the command-line
+# flags set the config keys they name, that a failed dataset write leaves
+# the same files under both --jobs settings, that scripts/stage_peaks.py
+# runs, and that no run left a temporary *.tmp file behind.
 # Needs awareflow importable (installed, or PYTHONPATH=src) and no scipy:
 #
 #     sh scripts/check_small_runs.sh [scratch-dir]
@@ -23,27 +23,41 @@ dir=${1:-$(mktemp -d)}
 run() { python -m awareflow.cli "$@"; }
 compare() { python "$(dirname "$0")/compare_runs.py" "$@"; }
 
-# load the dataset directory $1, its tables as column files or JSONL, and
-# write it into $2 with files.$3: save_dataset exports every table as
-# JSONL, store_dataset writes the tables as gen does
-rewrite() {
+# export the dataset that gen stored in $1 into $2 as data brought in:
+# the four JSONL tables of save_dataset, beside its calendar.json
+export_jsonl() {
   python - "$@" <<'PY'
 import os
 import sys
 
 from awareflow import files
 
-src, dst, writer = sys.argv[1:]
+src, dst = sys.argv[1:]
 population, addresses = (
-    files.read_table(table, files.table_paths(src, table)) for table in ("population", "addresses")
+    files.read_columns(table, files.table_paths(src, table)) for table in ("population", "addresses")
 )
 dataset = files.validated_dataset(
     population, files.read_regions(os.path.join(src, "regions.jsonl")), addresses,
     files.read_events(os.path.join(src, "events.jsonl")),
     files.read_calendar(os.path.join(src, "calendar.json")),
 )
-getattr(files, writer)(dataset, dst)
+files.save_dataset(dataset, dst)
 files.write_calendar(os.path.join(dst, "calendar.json"), dataset.calendar)
+PY
+}
+
+# write the preset $1 less its simulator section into the config file $2
+without_simulator() {
+  python - "$@" <<'PY'
+import json
+import sys
+
+from awareflow.presets import load_preset
+
+config = load_preset(sys.argv[1])
+del config["simulator"]
+with open(sys.argv[2], "w") as fh:
+    json.dump(config, fh)
 PY
 }
 
@@ -58,15 +72,20 @@ check() {
   config=$1
   d="$dir/$config"
   run all --config "$config" --out "$d/s"
-  rewrite "$d/s/dataset" "$d/h/dataset" save_dataset
-  for stage in infer-net label segment cohort geo-corr regress report; do
-    run "$stage" --config "$config" --out "$d/h"
-  done
+  without_simulator "$config" "$d/ingest.json"
+  export_jsonl "$d/s/dataset" "$d/h/dataset"
+  run all --config "$d/ingest.json" --out "$d/h" --jobs 1
+  # the stored files, less the brought tables that gen keeps as their source
+  mkdir "$d/stored"
+  cp "$d/h/dataset/"*.npy "$d/h/dataset/regions.jsonl" "$d/h/dataset/events.jsonl" \
+    "$d/h/dataset/calendar.json" "$d/stored/"
+  compare "$d/s/dataset" "$d/stored"
   analytic "$d/s" "$d/s_analytic"
   analytic "$d/h" "$d/h_analytic"
   compare "$d/s_analytic" "$d/h_analytic"
-  rewrite "$d/h/dataset" "$d/stored" store_dataset
-  compare "$d/s/dataset" "$d/stored"
+  cp -r "$d/h" "$d/h2"
+  run all --config "$d/ingest.json" --out "$d/h2" --jobs 2
+  compare "$d/h" "$d/h2"
   run all --config "$config" --out "$d/s1" --jobs 1
   compare "$d/s" "$d/s1"
   run all --config "$config" --out "$d/j2" --jobs 2

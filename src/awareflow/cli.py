@@ -1,11 +1,12 @@
 """Command-line pipeline driver.
 
-Subcommands cover the full run: ``gen`` simulates a dataset, ``infer-net``
-rebuilds the shared-address networks, ``label`` derives awareness labels
-and the qualified cohort, ``segment`` computes trends and phases,
-``cohort`` the group-level analytics, ``geo-corr`` the geographic
-correlation series, ``regress`` the time-evolving model suite, ``report``
-a summary bundle, and ``all`` chains them in order.
+Subcommands cover the full run: ``gen`` stores a dataset, simulated or
+brought in as JSONL, ``infer-net`` rebuilds the shared-address networks,
+``label`` derives awareness labels and the qualified cohort, ``segment``
+computes trends and phases, ``cohort`` the group-level analytics,
+``geo-corr`` the geographic correlation series, ``regress`` the
+time-evolving model suite, ``report`` a summary bundle, and ``all`` chains
+them in order.
 
 Each stage is declared once, by ``@stage(name, reads=..., writes=...)`` in
 pipeline order.  The subcommand list, the order of ``all``, every
@@ -20,9 +21,14 @@ the dataset tables it declares and the manifests of its upstream stages
 included; its ``outputs`` every file it wrote.  Only ``gen`` and
 ``infer-net`` touch the address table, so only their manifests list its
 files; only ``gen`` and ``label`` touch the event log, so only theirs list
-``events.jsonl`` while ``calendar.json`` exists.  `gen` stores the
-population and address tables as column files, and the simulator's truth
-nowhere; a table held as JSONL was brought in by hand.  Every file goes
+``events.jsonl``.  `gen` is the one writer of the stored dataset: the
+population and address tables as column files, ``calendar.json`` and the
+JSONL regions and events, and the simulator's truth nowhere.  Without a
+``simulator`` section it reads the JSONL tables brought into the dataset
+directory, which stay there as their source, and infers the window from
+the events where ``calendar.json`` is missing; its manifest lists what it
+wrote, never those tables.  No later stage reads a JSONL table of the
+population or addresses, or infers a window.  Every file goes
 through ``files``: artifacts of earlier stages through validating
 readers, outputs atomically, and a stage removes its old manifest first.
 When ``jobs`` allows two processes, `all` hands the dataset write to a
@@ -192,13 +198,11 @@ def phase_segmentation(columns):
 # ---------------------------------------------------------------------------
 
 # A stage reads and writes artifacts: files in the run directory, named by
-# file name, or the groups "dataset" (the population's files, regions.jsonl
-# and calendar.json; without calendar.json the window is inferred from the
-# events, so events.jsonl takes its place), "addresses" (the address table's
-# files), "events" (events.jsonl) and "patterns" (the query pattern file).  A
-# table's files are its column files where gen ran in this process or any of
-# them exists, else its JSONL file.  ``upstream`` names the stages that write
-# what a stage reads, whose manifests it reads too.
+# file name, or the groups "dataset" (the population's column files,
+# regions.jsonl and calendar.json), "addresses" (the address table's column
+# files), "events" (events.jsonl) and "patterns" (the query pattern file).
+# ``upstream`` names the stages that write what a stage reads, whose
+# manifests it reads too.
 Stage = namedtuple("Stage", "name reads writes upstream")
 STAGES = {}  # stage name -> Stage, in pipeline order
 STEP_FUNCS = {}  # stage name -> cmd_<stage>; `all` and each subcommand dispatch here
@@ -321,25 +325,16 @@ class PipelineState:
             return os.path.basename(path)
         return rp.replace(os.sep, "/")
 
-    def table_paths(self, table):
-        """The files of a dataset table: its column files once gen has run
-        here, whether or not its writer has written them yet."""
-        ddir = self.cfg.resolved_dataset_dir()
-        return files.table_paths(ddir, table, columns="gen" in self.ran)
-
     def files(self, artifacts):
         """Every file of the named artifacts."""
+        ddir = self.cfg.resolved_dataset_dir()
         out = []
         for name in artifacts:
             if name == "dataset":
-                out += [*self.table_paths("population"), self.dataset_path(REGIONS_FILE)]
-                # the file that fixes the observation window
-                window = self.dataset_path(CALENDAR_FILE)
-                if not os.path.exists(window):
-                    window = self.dataset_path(EVENTS_FILE)
-                out.append(window)
+                out += files.table_paths(ddir, "population")
+                out += [self.dataset_path(REGIONS_FILE), self.dataset_path(CALENDAR_FILE)]
             elif name == "addresses":
-                out += self.table_paths(name)
+                out += files.table_paths(ddir, name)
             elif name == "events":
                 out.append(self.dataset_path(EVENTS_FILE))
             elif name == "patterns":
@@ -361,7 +356,7 @@ class PipelineState:
                 self.join()
             for path in paths:
                 if not os.path.exists(path):
-                    raise MissingArtifactError(path, producer(name))
+                    raise MissingArtifactError(path, f"run `{producer(name)}` first")
             self.loaded[name] = self._read(name, paths)
         return self.loaded[name]
 
@@ -370,17 +365,12 @@ class PipelineState:
         manifests to what the manifests of stages that ran in another process
         record; returns those files.  A file unlike a recorded output changed
         after its stage wrote it, one unlike a recorded input is newer than
-        the stage: IntegrityError names the stage to rerun.  Gen's manifest
-        is read only where ``has_gen``: a dataset without it was brought in
-        by hand, and is held to what its first reader records."""
-        absent = () if self.has_gen() else (manifest_name("gen"),)
-        reads = tuple(name for name in spec.reads if name not in absent)
-        for name in reads:
+        the stage: IntegrityError names the stage to rerun."""
+        for name in spec.reads:
             self.load(name)
-        upstream = [s for s in spec.upstream if manifest_name(s) not in absent]
-        paths = self.files(reads + tuple(map(manifest_name, upstream)))
+        paths = self.files(spec.reads + tuple(map(manifest_name, spec.upstream)))
         # load every manifest before hashing anything: a missing one names its stage
-        manifests = [(s, self.load(manifest_name(s))) for s in upstream if s not in self.ran]
+        manifests = [(s, self.load(manifest_name(s))) for s in spec.upstream if s not in self.ran]
         for s, manifest in manifests:
             for path in paths:
                 digest, rel = self.digest(path), self.rel(path)
@@ -390,22 +380,15 @@ class PipelineState:
                     raise IntegrityError(f"{path} changed after `{s}` read it; run `{s}` again")
         return paths
 
-    def has_gen(self):
-        """Whether gen's manifest is there to read: gen ran here or wrote it
-        before.  A dataset without it was brought in by hand."""
-        return "gen" in self.ran or os.path.exists(self.out_path(manifest_name("gen")))
-
     def _read(self, name, paths):
         if name == "dataset":
-            *population, regions, window = paths
-            with_calendar = os.path.basename(window) == CALENDAR_FILE
-            calendar = files.read_calendar(window) if with_calendar else None
+            *population, regions, calendar = paths
             return files.validated_dataset(
-                files.read_table("population", population),
+                files.read_columns("population", population),
                 files.read_regions(regions),
                 None,
-                None if with_calendar else files.read_events(window),
-                calendar,
+                None,
+                files.read_calendar(calendar),
             )
         if name == "addresses":
             return files.load_addresses(paths, self.load("dataset").population.ids)
@@ -414,8 +397,6 @@ class PipelineState:
             return files.load_patterns(path)
         if name == "events":
             dataset = self.load("dataset")
-            if dataset.events is not None:
-                return dataset.events
             return files.load_events(path, dataset.population.ids, dataset.calendar)
         if name == "networks.edges":
             return files.read_edges(path, self.load("dataset").population.ids)
@@ -491,16 +472,37 @@ def write_dataset(dataset, ddir):
     return {path: files.sha256_file(path) for path in files.store_dataset(dataset, ddir)}
 
 
+def brought_dataset(state):
+    """The dataset of the four JSONL tables brought into the dataset
+    directory, in the window of its calendar.json, else the one its query
+    events span.  A missing table exits 3 naming it, before any is read."""
+    paths = [state.dataset_path(name) for name in DATASET_FILES]
+    for path in paths:
+        if not os.path.exists(path):
+            raise MissingArtifactError(
+                path, "bring it into the dataset directory, or give the config a simulator section"
+            )
+    window = state.dataset_path(CALENDAR_FILE)
+    calendar = files.read_calendar(window) if os.path.exists(window) else None
+    return files.load_dataset(*paths, calendar)
+
+
 @stage("gen", writes=("dataset", "addresses", "events"))
 def cmd_gen(state):
+    """Store the dataset, simulated from the simulator section or, without
+    one, brought in as JSONL (``brought_dataset``): every file is written
+    from memory once the whole dataset has passed its checks, and the
+    brought tables stay as its source, so that gen run again writes the
+    same bytes."""
     cfg = state.cfg
-    if cfg.simulator is None:
-        raise ConfigError("config has no simulator section; `gen` needs one")
     ddir = cfg.resolved_dataset_dir()
-    files.make_dir(ddir, "dataset directory")
-    dataset, truth = generate(cfg.simulator, cfg.seed)
-    raise_violations(validate_dataset(dataset), "generated dataset")
-    # first, so that state.files() finds the calendar from here on
+    if cfg.simulator is None:
+        dataset, stats = brought_dataset(state), {}
+    else:
+        files.make_dir(ddir, "dataset directory")
+        dataset, truth = generate(cfg.simulator, cfg.seed)
+        raise_violations(validate_dataset(dataset), "generated dataset")
+        stats = {"truth_aware": len(truth.timeline)}
     files.write_calendar(state.dataset_path(CALENDAR_FILE), dataset.calendar)
     if state.fork_writer:
         state.writer = jobs.Forked(write_dataset, dataset, ddir)
@@ -515,8 +517,8 @@ def cmd_gen(state):
         "regions": len(dataset.regions),
         "addresses": len(dataset.addresses),
         "events": len(dataset.events),
-        "truth_aware": len(truth.timeline),
         "n_days": dataset.calendar.n_days,
+        **stats,
     }
 
 
@@ -752,13 +754,11 @@ JSON_NAMES = {dict: "object", list: "array"}
 )
 def cmd_report(state):
     """Summary bundle assembled from the artifacts (never from memory, so
-    `all` and stepwise invocations produce identical bytes).  Over a dataset
-    brought in by hand, without gen's manifest, the population block is
-    empty."""
+    `all` and stepwise invocations produce identical bytes)."""
     cfg = state.cfg
-    stats = {"gen": {}}
+    stats = {}
     for name in STAGES:
-        if name != "report" and (name != "gen" or state.has_gen()):
+        if name != "report":
             path, manifest = state.out_path(manifest_name(name)), state.load(manifest_name(name))
             if manifest.get("seed") != cfg.seed:
                 raise IntegrityError(

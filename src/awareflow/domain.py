@@ -2,20 +2,21 @@
 event log, calendar, dataset validation.
 
 Every dataset table can be line-delimited JSON (one object per line,
-UTF-8), the form of data brought in and exported, read and written by
-``files``.  One field table per file (DATASET_FIELDS) declares each key's
-kind, range or names and column: ``files.read_jsonl`` and
+UTF-8), the form in which data is brought in and exported, read and
+written by ``files``.  One field table per file (DATASET_FIELDS) declares
+each key's kind, range or names and column: ``files.read_jsonl`` and
 ``validate_dataset`` enforce it, and ``files.write_jsonl`` takes every key
-from it, so a file's keys are in table order.  ``gen`` stores the tables of
-COLUMN_TABLES as one ``np.save`` file per column instead, in the field's
-dtype, and ``files.read_columns`` checks them against the same field
-tables.  In memory every table is
-numpy columns named after the fields (``ids`` holds the population's
-``id``, a region's ``name`` and ``daily_confirmed_cases`` are object
-columns of strings and tuples, an address's ``active_interval`` is split
-into ``active_start`` and ``active_end``, an event's ``query_text`` or
-``category`` is its ``text_code`` into the log's ``text_pool``, and enum
-fields hold indexes into the tuples below).  The ``validate_*`` functions
+from it, so a file's keys are in table order.  ``gen``, the one writer of
+the stored dataset, stores the tables of COLUMN_TABLES as one ``np.save``
+file per column instead, in the field's dtype, and the stages after it read
+only those, through ``files.read_columns``, which checks them against the
+same field tables.  In memory every table is numpy columns named after
+the fields (``ids`` holds the population's ``id``, a region's ``name`` and
+``daily_confirmed_cases`` are object columns of strings and tuples, an
+address's ``active_interval`` is split into ``active_start`` and
+``active_end``, an event's ``query_text`` or ``category`` is its
+``text_code`` into the log's ``text_pool``, and enum fields hold indexes
+into the tuples below).  The ``validate_*`` functions
 return the list of violations they find, and ``raise_violations`` raises
 it.  Timestamps are integer epoch seconds; calendar days are local
 midnight-to-midnight in China standard time (UTC+8, no DST).  Ids are

@@ -32,14 +32,12 @@ class IntegrityError(AwareflowError):
 
 
 class MissingArtifactError(AwareflowError):
-    """A downstream stage was invoked before its upstream artifact exists."""
+    """A stage was invoked before a file it reads exists; ``remedy`` says
+    what makes it, as in "run `gen` first"."""
 
-    def __init__(self, artifact, needed_command):
+    def __init__(self, artifact, remedy):
         self.artifact = str(artifact)
-        self.needed_command = needed_command
-        super().__init__(
-            f"missing artifact {self.artifact!r}: run `{needed_command}` first"
-        )
+        super().__init__(f"missing artifact {self.artifact!r}: {remedy}")
 
 
 class CohortError(AwareflowError):

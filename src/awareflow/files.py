@@ -581,17 +581,16 @@ def save_dataset(dataset, directory):
 
 def store_dataset(dataset, directory):
     """Write the dataset into ``directory`` as `gen` stores it: each table
-    of COLUMN_TABLES as its column files, removing the JSONL file they
-    replace, and every other table as its JSONL file; returns the paths
-    written.  The rows of a table of columns must be in its ORDER, as
-    ``generate`` gives them."""
+    of COLUMN_TABLES as its column files, beside any JSONL file of the
+    table, which is left as it is, and every other table as its JSONL file;
+    returns the paths written.  The rows of a table of columns must be in
+    its ORDER, as ``generate`` and ``load_dataset`` give them."""
     make_dir(directory, "dataset directory")
     paths = []
     for name in DATASET_FILES:
         table = name.removesuffix(".jsonl")
         if table in COLUMN_TABLES:
             paths += write_columns(directory, table, getattr(dataset, table))
-            discard(os.path.join(directory, name))
         else:
             paths.append(_write_table(dataset, directory, name))
     return paths
@@ -627,9 +626,9 @@ def validated_dataset(population, regions, addresses, events, calendar=None):
 
 
 def load_addresses(paths, ids):
-    """The address table of its files (see ``read_table``), checked
-    against the population ``ids``."""
-    addresses = read_table("addresses", paths)
+    """The address table of its column files ``paths`` (see
+    ``read_columns``), checked against the population ``ids``."""
+    addresses = read_columns("addresses", paths)
     raise_violations(validate_addresses(addresses, ids))
     return addresses
 
@@ -645,23 +644,9 @@ def load_events(path, ids, calendar):
 # column files: one np.save file per column of a table
 # ---------------------------------------------------------------------------
 
-def table_paths(directory, table, columns=False):
-    """The files of the COLUMN_TABLES table ``table`` in ``directory``: its
-    column files where ``columns`` or any of them exists (as `gen` stores
-    it), else its JSONL file (data brought in by hand)."""
-    paths = [os.path.join(directory, name) for name in column_files(table)]
-    if columns or any(map(os.path.exists, paths)):
-        return paths
-    return [os.path.join(directory, f"{table}.jsonl")]
-
-
-def read_table(table, paths):
-    """The COLUMN_TABLES table ``table`` of the files that table_paths
-    names: its column files (see read_columns), or its JSONL file, whose
-    rows are put in canonical order."""
-    if len(paths) == 1 and str(paths[0]).endswith(".jsonl"):
-        return {"population": read_population, "addresses": read_addresses}[table](paths[0])
-    return read_columns(table, paths)
+def table_paths(directory, table):
+    """The column files of the COLUMN_TABLES table ``table`` in ``directory``."""
+    return [os.path.join(directory, name) for name in column_files(table)]
 
 
 def write_column(path, col):
@@ -674,7 +659,7 @@ def write_columns(directory, table, data):
     """Write each column of ``data``, a table of COLUMN_TABLES named
     ``table``, into ``directory`` as its column file, in its field's dtype;
     returns the paths, in column_files order."""
-    paths = table_paths(directory, table, columns=True)
+    paths = table_paths(directory, table)
     for path, (name, dtype) in zip(paths, data.DTYPES.items()):
         write_column(path, np.asarray(getattr(data, name), dtype=dtype))
     return paths

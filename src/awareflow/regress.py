@@ -172,7 +172,8 @@ class DesignBuilder:
 
 @dataclass
 class FitConfig:
-    max_iter: Annotated[int, Bounds(1)] = 100
+    # bounded: a separated checkpoint's unpenalized fit runs every iteration before its ridge refit
+    max_iter: Annotated[int, Bounds(1, 10_000)] = 100
     tol: Annotated[float, Bounds(0, open_lo=True)] = 1e-8
     ridge: Annotated[float, Bounds(0, open_lo=True)] = 1e-4
     coef_cap: Annotated[float, Bounds(0, open_lo=True)] = 30.0  # a larger |coef| is separation

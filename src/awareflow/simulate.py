@@ -10,10 +10,7 @@ reproducible and the events do not depend on evaluation order or chunking.
 """
 
 import math
-import numbers
-import sys
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Annotated
 
 import numpy as np
@@ -101,94 +98,6 @@ def _weights_ok(weights):
     """Whether ``weights`` normalize into probabilities: each finite and
     >= 0, with a finite sum above 0."""
     return all(0 <= w < math.inf for w in weights) and 0 < sum(weights) < math.inf
-
-
-def build_section(cls, values, label, path, problems=None):
-    """``cls(**values)`` from a JSON object, built and checked in one walk.
-
-    A field typed as a dataclass, or as ``list[X]`` of one, is built from its
-    JSON in turn; ``_setting`` checks every other value.  Messages name the
-    object ``label`` (a field's ``label`` metadata, else its key); ``path`` is
-    its dotted key, "" at the top.  Raises ConfigError at once for a value
-    that is not an object, a list field that is not a list, unknown keys and
-    missing keys, and after the walk for each value of a wrong type or out of
-    bounds."""
-    if not isinstance(values, dict):
-        raise ConfigError(f"{label} must be an object")
-    declared = [f for f in fields(cls) if f.init]
-    unknown = sorted(set(values) - {f.name for f in declared})
-    if unknown:
-        raise ConfigError(f"unknown {label} keys: {', '.join(unknown)}")
-    missing = [
-        f.name for f in declared
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING
-    ]
-    if missing:
-        raise ConfigError(f"{label} lacks keys: {', '.join(missing)}")
-    top = problems is None
-    problems = [] if top else problems
-    built = {}
-    for f in declared:
-        value = values.get(f.name)
-        if f.name not in values or value is None and f.default is None:
-            continue
-        key = f"{path}.{f.name}" if path else f.name
-        name = f.metadata.get("label", key)
-        if is_dataclass(f.type):
-            built[f.name] = build_section(f.type, value, name, key, problems)
-        elif typing.get_origin(f.type) is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"{key} must be a list")
-            (item_cls,) = typing.get_args(f.type)
-            built[f.name] = [
-                build_section(item_cls, item, name, f"{key}[{i}]", problems)
-                for i, item in enumerate(value)
-            ]
-        else:
-            built[f.name] = _setting(f.type, value, key, problems)
-    if top and problems:
-        raise ConfigError("; ".join(problems))
-    return cls(**built)
-
-
-def _setting(tp, value, key, problems):
-    """``value``, the JSON at ``key`` of a field typed ``tp``, a list taken as
-    a tuple.  Appends to ``problems`` why it lacks that type or, item by item,
-    why it is not finite or lies outside the Bounds of ``Annotated[X, Bounds]``.
-    """
-    bounds = getattr(tp, "__metadata__", ())
-    tp = typing.get_args(tp)[0] if bounds else tp
-    origin = typing.get_origin(tp)
-    if origin is tuple and isinstance(value, (list, tuple)):
-        value = tuple(value)
-        items = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
-    elif origin is dict and isinstance(value, dict):
-        items = [(f"{key}.{k}", v) for k, v in value.items()]
-    else:
-        items = None if origin else [(key, value)]
-    # the type of each item: X of tuple[X, ...] or of dict[str, X]
-    kind = typing.get_args(tp)[origin is dict] if origin else tp
-    if items is None or not all(_is_a(kind, v) for _, v in items):
-        name = {tuple: "list", dict: "object"}.get(origin, kind.__name__)
-        problems.append(f"{key} must be of type {name}")
-        return value
-    if kind is float:  # as doubles: numpy would hold an int past 2**64 as an object
-        items = [(k, float(v) if abs(v) <= sys.float_info.max else v) for k, v in items]
-        cast = [v for _, v in items]
-        value = tuple(cast) if origin is tuple else dict(zip(value, cast)) if origin else cast[0]
-    for k, v in items:
-        if kind is float and not abs(v) <= sys.float_info.max:  # NaN or beyond a double
-            problems.append(f"{k} must be finite, got {v}")
-        else:
-            problems += [f"{k} {p}" for b in bounds if (p := b.problem(v))]
-    return value
-
-
-def _is_a(kind, v):
-    """Whether ``v`` is a JSON value of type ``kind``: a bool is no number,
-    and an int counts as a float."""
-    kind = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 Probability = Annotated[float, Bounds(0, 1)]
@@ -341,7 +250,7 @@ class SimConfig:
         )
 
     def validate(self):
-        """The checks that span fields: build_section checks each field's type
+        """The checks that span fields: config.build_section checks each field's type
         and bounds as it builds the config.  Raises ConfigError."""
         problems = []
         try:
@@ -417,10 +326,6 @@ class SimConfig:
     def to_dict(self):
         """The config as nested dicts, lists and tuples, which JSON writes as arrays."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data):
-        return build_section(cls, data, "simulator", "simulator").validate()
 
 
 @dataclass
@@ -860,7 +765,7 @@ def simulate_diffusion(dataset, graph, config, seed):
 def generate(config, seed):
     """Full synthetic run of ``seed``, the run's seed: population, history,
     diffusion, merged log.  The config is not checked here;
-    SimConfig.from_dict checks one read from JSON.
+    config.RunConfig.from_dict checks one read from JSON.
 
     The five event columns are allocated once, at their final length: the
     history is drawn into their head, a month's bucket at a time, and the

@@ -42,7 +42,7 @@ from awareflow.regress import (
     run_time_evolving,
     score_vector,
 )
-from awareflow.simulate import SimConfig, generate
+from awareflow.simulate import generate
 
 from oracles import (
     maximize_loglik_coordinate,
@@ -58,7 +58,7 @@ def city_world(matcher):
     """One 10k-individual noise-free world shared by several criteria,
     with the wall time of the simulate -> label -> infer cycle."""
     preset = load_preset("fig1a")
-    sim = SimConfig.from_dict(preset["simulator"]).validate()
+    sim = RunConfig.from_dict(preset).simulator
     t0 = time.perf_counter()
     dataset, truth = generate(sim, preset["seed"])
     timeline = label_awareness(dataset.events, matcher)
@@ -198,8 +198,7 @@ def test_criterion_4_sign_recovery_across_seeds(matcher):
     )
 
     def recovered(seed):
-        sim = SimConfig.from_dict(preset["simulator"])
-        dataset, _ = generate(sim.validate(), seed)
+        dataset, _ = generate(RunConfig.from_dict(preset).simulator, seed)
         timeline = label_awareness(dataset.events, matcher)
         window = history_window(dataset.calendar, preset["history_months"])
         qualified = filter_qualified(dataset.events, window)

@@ -85,32 +85,59 @@ def all_run(micro_config, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def jsonl_run(all_run, micro_config, tmp_path_factory):
-    """The micro dataset brought in by hand: all_run's dataset exported as
-    JSONL by save_dataset, beside its calendar, with no
-    manifest_gen.json; every stage after gen run over it."""
-    out = tmp_path_factory.mktemp("jsonl_run")
-    source = os.path.join(all_run, "dataset")
-    shutil.copytree(source, out / "dataset", ignore=shutil.ignore_patterns("*.npy"))
+def ingest_config(micro_config, tmp_path_factory):
+    """The micro config less its simulator section: `gen` then stores the
+    JSONL tables brought into the dataset directory."""
+    with open(micro_config) as fh:
+        config = json.load(fh)
+    del config["simulator"]
+    path = tmp_path_factory.mktemp("cfg") / "ingest.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def stored_dataset(directory):
+    """The dataset that `gen` stored in ``directory``."""
     population, addresses = (
-        files.read_table(table, files.table_paths(source, table))
+        files.read_columns(table, files.table_paths(directory, table))
         for table in ("population", "addresses")
     )
-    dataset = files.validated_dataset(
-        population, files.read_regions(os.path.join(source, "regions.jsonl")), addresses,
-        files.read_events(os.path.join(source, "events.jsonl")),
-        files.read_calendar(os.path.join(source, "calendar.json")),
+    return files.validated_dataset(
+        population, files.read_regions(os.path.join(directory, "regions.jsonl")), addresses,
+        files.read_events(os.path.join(directory, "events.jsonl")),
+        files.read_calendar(os.path.join(directory, "calendar.json")),
     )
+
+
+@pytest.fixture(scope="module")
+def jsonl_export(all_run, tmp_path_factory):
+    """A run directory whose dataset is brought in: all_run's dataset as
+    the four JSONL tables save_dataset exports, beside its calendar.json."""
+    out = tmp_path_factory.mktemp("jsonl_export")
+    dataset = stored_dataset(os.path.join(all_run, "dataset"))
     files.save_dataset(dataset, out / "dataset")
-    for stage in list(cli.STAGES)[1:]:
-        assert cli.main([stage, "--config", micro_config, "--out", str(out)]) == 0
+    files.write_calendar(out / "dataset" / "calendar.json", dataset.calendar)
+    return str(out)
+
+
+@pytest.fixture(scope="module")
+def jsonl_run(jsonl_export, ingest_config, tmp_path_factory):
+    """`all` over jsonl_export, with the micro config less its simulator section."""
+    out = tmp_path_factory.mktemp("jsonl_run")
+    shutil.copytree(jsonl_export, out, dirs_exist_ok=True)
+    assert cli.main(["all", "--config", ingest_config, "--out", str(out)]) == 0
     return str(out)
 
 
 def hand_brought(fault):
-    """``fault``, to be made on jsonl_run instead of all_run."""
-    fault.hand_brought = True
-    return fault
+    """``fault``, made on jsonl_export, whose tables `gen` then reads: the
+    config loses its simulator section."""
+    def brought(out, config):
+        del config["simulator"]
+        return fault(out, config)
+
+    brought.hand_brought = True
+    return brought
 
 
 def test_all_writes_every_artifact(all_run):
@@ -702,13 +729,13 @@ def test_missing_patterns_file_exits_2(micro_config, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
-def test_corrupt_dataset_exits_4(jsonl_run, tmp_path, micro_config, capsys):
+def test_corrupt_dataset_exits_4(jsonl_export, tmp_path, ingest_config, capsys):
     out = tmp_path / "corrupt"
-    shutil.copytree(jsonl_run, out)
+    shutil.copytree(jsonl_export, out)
     pop = out / "dataset" / "population.jsonl"
     with open(pop, "a", encoding="utf-8") as fh:
         fh.write("this is not json\n")
-    assert cli.main(["infer-net", "--config", micro_config, "--out", str(out)]) == 4
+    assert cli.main(["gen", "--config", ingest_config, "--out", str(out)]) == 4
     assert "invalid JSON" in capsys.readouterr().err
 
 
@@ -897,7 +924,7 @@ CONFIG_FAULTS = (
     ),
     (
         "regression-max-iter-zero", ("regression", "max_iter"), 0,
-        "regression.max_iter must be >= 1, got 0",
+        "regression.max_iter must be in [1, 10000], got 0",
     ),
     ("regression-tol-negative", ("regression", "tol"), -1, "regression.tol must be > 0, got -1"),
     (
@@ -1011,13 +1038,9 @@ FAULTS = [
         id="edges-unknown-id",
     ),
     pytest.param("cohort", append("networks.edges", "family 1 1\n"), 4, id="edges-self-loop"),
-    # no address names an unknown individual here: the edges are what fail
-    *(
-        pytest.param(
-            stage, hand_brought(replace("dataset/population.jsonl", "")), 4,
-            id=f"population-empty-{stage}",
-        )
-        for stage in ("cohort", "regress")
+    # every event then names an unknown individual
+    pytest.param(
+        "gen", hand_brought(replace("dataset/population.jsonl", "")), 4, id="population-empty"
     ),
     pytest.param("segment", repeat_lines("qualified.txt", 5), 4, id="qualified-duplicate-id"),
     pytest.param("segment", repeat_lines("labels.tsv", 3), 4, id="labels-duplicate-id"),
@@ -1112,7 +1135,7 @@ FAULTS = [
         id="events-past-end-near-int64-max",
     ),
     pytest.param(
-        "infer-net",
+        "gen",
         hand_brought(append(
             "dataset/addresses.jsonl",
             f'{{"individual_id":1,"address_id":1,"kind":"home","active_interval":[0,{10**20}]}}\n',
@@ -1120,7 +1143,7 @@ FAULTS = [
         4, id="address-interval-overflow",
     ),
     pytest.param(
-        "infer-net", hand_brought(append("dataset/population.jsonl", POPULATION_LINE)), 4,
+        "gen", hand_brought(append("dataset/population.jsonl", POPULATION_LINE)), 4,
         id="population-age-overflow",
     ),
     pytest.param("segment", append("qualified.txt", "999999999\n"), 4, id="qualified-unknown-id"),
@@ -1148,7 +1171,7 @@ FAULTS = [
     ),
     # an int longer than the interpreter converts from a string
     pytest.param(
-        "infer-net",
+        "gen",
         hand_brought(
             append("dataset/population.jsonl", POPULATION_LINE.replace("40000", "1" * 5000))
         ),
@@ -1220,7 +1243,7 @@ def test_faults_exit_with_documented_code(
     request, micro_config, tmp_path, capsys, stage, fault, code
 ):
     out = tmp_path / "run"
-    run = "jsonl_run" if getattr(fault, "hand_brought", False) else "all_run"
+    run = "jsonl_export" if getattr(fault, "hand_brought", False) else "all_run"
     shutil.copytree(request.getfixturevalue(run), out)
     with open(micro_config) as fh:
         config = json.load(fh)
@@ -1231,39 +1254,99 @@ def test_faults_exit_with_documented_code(
     assert "error:" in capsys.readouterr().err
 
 
-def test_a_hand_brought_jsonl_dataset_runs_to_the_analytic_bytes_of_gen(all_run, jsonl_run):
-    def analytic(run):
+BROUGHT = ("dataset/population.jsonl", "dataset/addresses.jsonl")  # the tables gen only reads
+
+
+def manifest(run, stage):
+    with open(os.path.join(run, cli.manifest_name(stage))) as fh:
+        return json.load(fh)
+
+
+def test_gen_stores_a_brought_dataset_as_it_stores_a_generated_one(all_run, jsonl_run):
+    def stored(run):
+        """The dataset files and analytic artifacts of ``run``."""
         return {
             name: digest for name, digest in tree_hashes(run).items()
-            if not name.startswith(("dataset", "manifest_", "report."))
+            if not name.startswith(("manifest_", "report.")) and name not in BROUGHT
         }
 
-    assert analytic(jsonl_run) == analytic(all_run)
-    with open(os.path.join(jsonl_run, "manifest_infer_net.json")) as fh:
-        inputs = json.load(fh)["inputs"]
-    assert {"dataset/population.jsonl", "dataset/addresses.jsonl"} <= set(inputs)
-    assert not [name for name in inputs if name.endswith(".npy")]
+    assert stored(jsonl_run) == stored(all_run)
+    assert set(BROUGHT) <= set(tree_hashes(jsonl_run))
+    # gen lists what it wrote, and no brought table; its stats are a
+    # generated run's, less the simulator's truth
+    generated, brought = manifest(all_run, "gen"), manifest(jsonl_run, "gen")
+    assert brought["inputs"] == {} and brought["outputs"] == generated["outputs"]
+    del generated["stats"]["truth_aware"]
+    assert brought["stats"] == generated["stats"]
+    for stage in list(cli.STAGES)[1:]:
+        inputs = manifest(jsonl_run, stage)["inputs"]
+        assert inputs.keys() == manifest(all_run, stage)["inputs"].keys(), stage
 
 
-def test_report_over_a_hand_brought_dataset_leaves_the_population_empty(all_run, jsonl_run):
+def test_report_over_a_brought_dataset_fills_its_population_block(all_run, jsonl_run):
     def report(run):
         with open(os.path.join(run, "report.json")) as fh:
-            return json.load(fh)
+            return {**json.load(fh), "config_sha256": None}
 
-    assert report(jsonl_run) == {**report(all_run), "population": {}}
-    with open(os.path.join(jsonl_run, "manifest_report.json")) as fh:
-        assert "manifest_gen.json" not in json.load(fh)["inputs"]
+    want = report(all_run)
+    del want["population"]["truth_aware"]
+    assert report(jsonl_run) == want
+    assert set(want["population"]) == {"individuals", "regions", "addresses", "events", "n_days"}
 
 
-def test_gen_replaces_the_jsonl_tables_of_a_hand_brought_dataset(
-    jsonl_run, micro_config, tmp_path
+def test_gen_stores_the_columns_of_brought_tables_and_keeps_them(
+    jsonl_export, ingest_config, tmp_path
+):
+    out = tmp_path / "run"
+    shutil.copytree(jsonl_export, out)
+    assert cli.main(["gen", "--config", ingest_config, "--out", str(out)]) == 0
+    names = set(os.listdir(out / "dataset"))
+    assert {"population.jsonl", "addresses.jsonl"} <= names
+    assert set(domain.column_files("population") + domain.column_files("addresses")) <= names
+    # and gen run again reads them to the same bytes
+    want = tree_hashes(str(out))
+    assert cli.main(["gen", "--config", ingest_config, "--out", str(out)]) == 0
+    assert tree_hashes(str(out)) == want
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_all_again_over_an_ingested_dataset_writes_the_same_bytes(
+    jsonl_run, ingest_config, tmp_path, jobs
 ):
     out = tmp_path / "run"
     shutil.copytree(jsonl_run, out)
-    assert cli.main(["gen", "--config", micro_config, "--out", str(out)]) == 0
-    names = set(os.listdir(out / "dataset"))
-    assert not {"population.jsonl", "addresses.jsonl"} & names
-    assert set(domain.column_files("population") + domain.column_files("addresses")) <= names
+    assert cli.main(["all", "--config", ingest_config, "--out", str(out), "--jobs", jobs]) == 0
+    assert tree_hashes(str(out)) == tree_hashes(jsonl_run)
+
+
+@pytest.mark.parametrize("name", domain.DATASET_FILES)
+def test_gen_without_a_brought_table_exits_3_naming_it(
+    jsonl_export, ingest_config, tmp_path, capsys, name
+):
+    out = tmp_path / "run"
+    shutil.copytree(jsonl_export, out)
+    (out / "dataset" / name).unlink()
+    want = tree_hashes(str(out))
+    capsys.readouterr()
+    assert cli.main(["gen", "--config", ingest_config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"dataset/{name}" in err and "simulator section" in err and "Traceback" not in err, err
+    assert tree_hashes(str(out)) == want
+
+
+@pytest.mark.parametrize("name", domain.DATASET_FILES)
+def test_an_ingest_that_fails_on_a_bad_line_writes_no_file(
+    jsonl_export, ingest_config, tmp_path, capsys, name
+):
+    out = tmp_path / "run"
+    shutil.copytree(jsonl_export, out)
+    with open(out / "dataset" / name, "a", encoding="utf-8") as fh:
+        fh.write("{\n")
+    want = tree_hashes(str(out))
+    capsys.readouterr()
+    assert cli.main(["gen", "--config", ingest_config, "--out", str(out)]) == 4
+    assert f"{name}:" in capsys.readouterr().err
+    assert tree_hashes(str(out)) == want
 
 
 def column_edit(name, edit):
@@ -1529,14 +1612,35 @@ def test_stages_without_addresses_run_without_the_address_columns(
     assert "run `gen` first" in capsys.readouterr().err
 
 
-def test_without_calendar_every_stage_lists_events(all_run, micro_config, tmp_path):
+def test_gen_infers_a_missing_window_once_and_writes_it(jsonl_export, ingest_config, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(jsonl_export, out)
+    calendar = out / "dataset" / "calendar.json"
+    calendar.unlink()
+    assert cli.main(["gen", "--config", ingest_config, "--out", str(out)]) == 0
+    events = files.read_events(out / "dataset" / "events.jsonl")
+    assert files.read_calendar(calendar) == domain.infer_calendar(events)
+    assert "dataset/calendar.json" in manifest(str(out), "gen")["outputs"]
+
+
+def test_a_stage_over_a_dataset_not_stored_by_gen_exits_3_naming_gen(
+    all_run, jsonl_export, micro_config, tmp_path, capsys
+):
+    # without calendar.json
     out = tmp_path / "run"
     shutil.copytree(all_run, out)
     (out / "dataset" / "calendar.json").unlink()
     for name in EVENTLESS_STAGES + ("label",):
-        assert cli.main([name, "--config", micro_config, "--out", str(out)]) == 0
-        with open(out / cli.manifest_name(name)) as fh:
-            assert "dataset/events.jsonl" in json.load(fh)["inputs"], name
+        capsys.readouterr()
+        assert cli.main([name, "--config", micro_config, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "dataset/calendar.json" in err and "run `gen` first" in err, (name, err)
+    # with the tables only as JSONL
+    out = tmp_path / "brought"
+    shutil.copytree(jsonl_export, out)
+    assert cli.main(["infer-net", "--config", micro_config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "dataset/population.ids.npy" in err and "run `gen` first" in err, err
 
 
 def test_a_failed_stage_leaves_no_manifest_behind(all_run, micro_config, tmp_path, capsys):

@@ -81,12 +81,12 @@ def test_all_builds_and_checks_the_config_once(tmp_path, monkeypatch):
 
     # the values that one walk over the micro config checks, --out included
     out = str(tmp_path / "run")
-    count(simulate, "_setting", "value checks")
+    count(config, "_setting", "value checks")
     RunConfig.from_dict({**micro_run_config(), "out_dir": out})
     per_walk = calls.pop("value checks")
     assert per_walk > 0
 
-    count(config, "build_section", "builds")
+    count(RunConfig, "from_dict", "builds")
     count(RunConfig, "validate", "run config cross-field checks")
     count(simulate.SimConfig, "validate", "simulator cross-field checks")
     path = tmp_path / "micro.json"
@@ -121,6 +121,16 @@ def test_a_size_past_what_its_arrays_hold_is_refused(path, message):
     with pytest.raises(ConfigError) as refused:
         RunConfig.from_dict(data)
     assert str(refused.value) == f"{message}, got {2**62}"
+
+
+@pytest.mark.parametrize("value", [10_001, 2**63, 2**64])
+def test_a_max_iter_past_its_bound_is_refused(value):
+    # every unpenalized fit of a separated checkpoint runs all max_iter
+    # iterations, so a huge one never finishes
+    data = set_key(load_preset("small"), ("regression", "max_iter"), value)
+    with pytest.raises(ConfigError) as refused:
+        RunConfig.from_dict(data)
+    assert str(refused.value) == f"regression.max_iter must be in [1, 10000], got {value}"
 
 
 def test_an_int_for_a_float_setting_is_a_double(small_world):
@@ -185,8 +195,9 @@ def moves(key, tp, value):
     """Values inside the Bounds of ``tp`` for the setting at ``key``, now
     ``value``, in the order the gate tries them.  Moves of +1 or x1.1 leave
     many settings without effect on a 400-person world, so a number moves
-    to a Bounds end, by 10 or by a factor of 10, a timestamp by a whole day,
-    and a list through its first item."""
+    to its lower Bounds end, by 10 or by a factor of 10, and last to its
+    upper end, which may ask for a far larger run; a timestamp moves by a
+    whole day, and a list through its first item."""
     bounds = getattr(tp, "__metadata__", ())
     kind = typing.get_args(tp)[0] if bounds else tp
     if typing.get_origin(kind) is tuple:
@@ -204,7 +215,7 @@ def moves(key, tp, value):
         if len(ends) == 2 and None not in ends:
             steps.insert(0, sum(ends) / 2)
     return [
-        v for v in dict.fromkeys([*ends, *steps])
+        v for v in dict.fromkeys([*ends[::2], *steps, *ends[1::2]])  # the upper ends last
         if v is not None and v != value and not any(b.problem(v) for b in bounds)
     ]
 

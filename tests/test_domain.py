@@ -765,22 +765,25 @@ def test_dataset_loaded_without_addresses(tmp_path):
     loaded = load_dataset(paths["population"], paths["regions"], None, paths["events"])
     assert loaded.addresses is None
     assert validate_dataset(loaded) == []
-    # the addresses file, or the address columns, alone get the checks
-    # load_dataset gives the file
+    # the address columns alone get the checks that load_dataset gives the
+    # JSONL table
     store_dataset(dataclasses.replace(ds, addresses=ds.addresses.canonical()), tmp_path / "columns")
     columns = files.table_paths(tmp_path / "columns", "addresses")
-    for table in ([paths["addresses"]], columns):
-        addresses = load_addresses(table, loaded.population.ids)
-        assert addresses == ds.addresses.canonical()
-        assert validate_dataset(dataclasses.replace(loaded, addresses=addresses)) == []
-        with pytest.raises(IntegrityError, match="address 10: unknown individual 2"):
-            load_addresses(table, np.array([1], dtype=np.uint64))
+    addresses = load_addresses(columns, loaded.population.ids)
+    assert addresses == ds.addresses.canonical()
+    assert validate_dataset(dataclasses.replace(loaded, addresses=addresses)) == []
+    one = tiny_dataset(make_population([1]), addresses=addrs)
     reversed_interval = tiny_dataset(make_population([1]), addresses=[(1, 10, "home", 100, 50)])
-    save_dataset(reversed_interval, tmp_path)
-    store_dataset(reversed_interval, tmp_path / "columns")
-    for table in ([paths["addresses"]], columns):
-        with pytest.raises(IntegrityError, match="active_interval start 100 > end 50"):
-            load_addresses(table, loaded.population.ids)
+    for data, message in (
+        (one, "address 10: unknown individual 2"),
+        (reversed_interval, "active_interval start 100 > end 50"),
+    ):
+        canonical = dataclasses.replace(data, addresses=data.addresses.canonical())
+        store_dataset(canonical, tmp_path / "columns")
+        with pytest.raises(IntegrityError, match=message):
+            load_addresses(columns, data.population.ids)
+        with pytest.raises(IntegrityError, match=message):
+            load_dataset(*save_dataset(data, tmp_path / "jsonl").values())
 
 
 def test_infer_calendar_uses_query_span():

@@ -8,6 +8,7 @@ import pytest
 from awareflow.awareness import filter_qualified, history_window, label_awareness, match_mask
 from awareflow import domain, simulate
 from awareflow.domain import ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, OCCUPATIONS, EventLog
+from awareflow.config import RunConfig
 from awareflow.errors import ConfigError
 from awareflow.files import save_dataset
 from awareflow.netinfer import LAYERS, infer_networks
@@ -365,19 +366,25 @@ def test_inferred_equals_truth_when_groups_under_caps(small_world, graph_small):
 
 # --- persistence and config ---------------------------------------------------------
 
+def sim_config(data):
+    """The simulator section of the JSON object ``data``, built and checked
+    as a run config builds it."""
+    return RunConfig.from_dict({"simulator": data}).simulator
+
+
 def test_sim_config_dict_round_trip():
     cfg = small_world_config()
-    again = SimConfig.from_dict(cfg.to_dict())
+    again = sim_config(cfg.to_dict())
     assert again == cfg
 
 
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown simulator keys: bogus$"):
-        SimConfig.from_dict({"n_individuals": 5, "bogus": 1})
+        sim_config({"n_individuals": 5, "bogus": 1})
     with pytest.raises(ConfigError, match="unknown simulator.network keys"):
-        SimConfig.from_dict({"network": {"village_p": 0.5}})
+        sim_config({"network": {"village_p": 0.5}})
     with pytest.raises(ConfigError, match="unknown event keys"):
-        SimConfig.from_dict({"events": [{"label": "x", "timestamp": 0, "magnitude": 1.0, "where": "cn"}]})
+        sim_config({"events": [{"label": "x", "timestamp": 0, "magnitude": 1.0, "where": "cn"}]})
 
 
 @pytest.mark.parametrize("data, message", [
@@ -397,7 +404,7 @@ def test_unknown_keys_rejected():
 ])
 def test_wrong_value_types_rejected(data, message):
     with pytest.raises(ConfigError, match=message):
-        SimConfig.from_dict(data)
+        sim_config(data)
 
 
 def test_validate_rejects_oversized_families():
