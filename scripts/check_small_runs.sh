@@ -33,14 +33,7 @@ import sys
 from awareflow import files
 
 src, dst = sys.argv[1:]
-population, addresses = (
-    files.read_columns(table, files.table_paths(src, table)) for table in ("population", "addresses")
-)
-dataset = files.validated_dataset(
-    population, files.read_regions(os.path.join(src, "regions.jsonl")), addresses,
-    files.read_events(os.path.join(src, "events.jsonl")),
-    files.read_calendar(os.path.join(src, "calendar.json")),
-)
+dataset = files.load_stored(src)
 files.save_dataset(dataset, dst)
 files.write_calendar(os.path.join(dst, "calendar.json"), dataset.calendar)
 PY

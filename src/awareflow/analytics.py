@@ -318,16 +318,16 @@ def cross_group_ratio(timeline, group_a, group_b, t):
     return None if np.isnan(r) else r
 
 
-def _neighborhood_ratio(frac, aware, has):
-    """The NeighborhoodRatio of aware-neighbor shares ``frac`` at one time."""
-    a_rows = aware & has
-    u_rows = ~aware & has
-    n_a, n_u = int(a_rows.sum()), int(u_rows.sum())
+def _neighborhood_ratio(frac, aware):
+    """The NeighborhoodRatio at one time of the individuals with neighbors:
+    their aware-neighbor shares ``frac``, ``aware`` marking the aware."""
+    n_a = int(np.count_nonzero(aware))
+    n_u = len(aware) - n_a
     if n_a == 0 or n_u == 0:
         reason = "no_aware_with_neighbors" if n_a == 0 else "no_unaware_with_neighbors"
         return NeighborhoodRatio(None, np.nan, np.nan, n_a, n_u, reason)
-    num = float(frac[a_rows].mean())
-    den = float(frac[u_rows].mean())
+    num = float(frac[aware].mean())
+    den = float(frac[~aware].mean())
     if den > 0:
         return NeighborhoodRatio(num / den, num, den, n_a, n_u)
     if num > 0:
@@ -345,16 +345,15 @@ def neighborhood_awareness_ratio(graph, layer, timeline, times):
     if layer not in LAYERS:
         raise AnalyticsError(f"unknown layer {layer!r}")
     lyr = graph.layer(layer)
-    bucket = timeline.buckets(graph.ids, times)
-    deg = lyr.degrees()
-    has = deg > 0
-    frac = np.zeros(graph.n_nodes, dtype=np.float64)
-    out = []
-    sweep = kernels.neighbor_count_sweep(lyr.indptr, lyr.indices, bucket, len(times))
-    for k, counts in enumerate(sweep):
-        frac[has] = counts[has] / deg[has]
-        out.append(_neighborhood_ratio(frac, bucket <= k, has))
-    return out
+    # the layer over its rows with neighbors, the only rows either average
+    # takes: every neighbor of one is one, and the edges keep their order
+    rows = np.flatnonzero(lyr.degrees())
+    renumber = np.zeros(graph.n_nodes, dtype=lyr.indices.dtype)
+    renumber[rows] = np.arange(len(rows))
+    indptr, indices = np.append(lyr.indptr[rows], lyr.indptr[-1]), renumber[lyr.indices]
+    deg, bucket = np.diff(indptr), timeline.buckets(graph.ids[rows], times)
+    sweep = kernels.neighbor_count_sweep(indptr, indices, bucket, len(times))
+    return [_neighborhood_ratio(counts / deg, bucket <= k) for k, counts in enumerate(sweep)]
 
 
 def phase_means(keys, values, phases):

@@ -136,8 +136,8 @@ def filter_qualified(events, window, min_per_month=1):
     for lo, hi in zip(edges[:-1], edges[1:]):
         counts = np.zeros(len(qualified), dtype=np.int64)
         for ids in buyers(lo, hi):
-            at, found = find_rows(qualified, ids)
-            np.add.at(counts, at[found], 1)
+            at, found = find_rows(qualified, np.sort(ids))
+            counts += np.bincount(at[found], minlength=len(qualified))
         qualified = qualified[counts >= min_per_month]
     return qualified
 

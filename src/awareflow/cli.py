@@ -17,23 +17,21 @@ these declarations.
 Every subcommand writes its artifacts plus a deterministic manifest (no
 timestamps, no absolute paths) so that identical config + seed runs are
 byte-identical.  A manifest's ``inputs`` hash every file the stage read,
-the dataset tables it declares and the manifests of its upstream stages
-included; its ``outputs`` every file it wrote.  Only ``gen`` and
-``infer-net`` touch the address table, so only their manifests list its
-files; only ``gen`` and ``label`` touch the event log, so only theirs list
-``events.jsonl``.  `gen` is the one writer of the stored dataset: the
-population and address tables as column files, ``calendar.json`` and the
-JSONL regions and events, and the simulator's truth nowhere.  Without a
-``simulator`` section it reads the JSONL tables brought into the dataset
-directory, which stay there as their source, and infers the window from
-the events where ``calendar.json`` is missing; its manifest lists what it
-wrote, never those tables.  No later stage reads a JSONL table of the
-population or addresses, or infers a window.  Every file goes
-through ``files``: artifacts of earlier stages through validating
-readers, outputs atomically, and a stage removes its old manifest first.
-When ``jobs`` allows two processes, `all` hands the dataset write to a
-forked writer (see ``jobs``) and runs the analytic stages from memory
-meanwhile; their manifests wait for the writer.
+the dataset groups it declares and the manifests of its upstream stages
+included; its ``outputs`` every file it wrote.  `gen` is the one writer of
+the stored dataset, whose groups ``dataset``, ``addresses`` and ``events``
+``files.STORED_GROUPS`` declares with their files, loader and writer; this
+module names the groups only.  Only ``gen`` and ``infer-net`` touch the
+``addresses`` group and only ``gen`` and ``label`` the ``events`` group, so
+only their manifests list those files.  Without a ``simulator`` section
+`gen` reads the JSONL tables brought into the dataset directory, which stay
+there as their source, and infers the window from the events where none
+was brought in; its manifest lists what it wrote, never those tables.
+Every file goes through ``files``: artifacts of earlier stages through
+validating readers, outputs atomically, and a stage removes its old
+manifest first.  When ``jobs`` allows two processes, `all` hands the
+dataset write to a forked writer (see ``jobs``) and runs the analytic
+stages from memory meanwhile; their manifests wait for the writer.
 
 Manifests are commit records.  A stage trusts a file another process wrote
 only once it has parsed it and found its SHA-256 where the manifests of its
@@ -52,7 +50,6 @@ import itertools
 import os
 import sys
 from collections import namedtuple
-from dataclasses import replace
 
 import numpy as np
 
@@ -84,12 +81,7 @@ from .awareness import (
     label_awareness,
 )
 from .config import RunConfig, load_run_config  # RunConfig is re-exported
-from .domain import (
-    DATASET_FILES,
-    column_files,
-    raise_violations,
-    validate_dataset,
-)
+from .domain import raise_violations, validate_dataset
 from .errors import (
     AnalyticsError,
     AwareflowError,
@@ -117,10 +109,6 @@ from .simulate import generate
 
 # RNG stream for drawing the regression sample; simulator streams are < 100
 SAMPLE_STREAM = 101
-CALENDAR_FILE = "calendar.json"
-_, REGIONS_FILE, _, EVENTS_FILE = DATASET_FILES
-# what write_dataset writes
-WRITER_FILES = (*column_files("population"), REGIONS_FILE, *column_files("addresses"), EVENTS_FILE)
 
 # Columns of every TSV artifact, as (name, parse) pairs for files.read_tsv;
 # the writers take the header from here.  Ids, timestamps and days that
@@ -198,9 +186,8 @@ def phase_segmentation(columns):
 # ---------------------------------------------------------------------------
 
 # A stage reads and writes artifacts: files in the run directory, named by
-# file name, or the groups "dataset" (the population's column files,
-# regions.jsonl and calendar.json), "addresses" (the address table's column
-# files), "events" (events.jsonl) and "patterns" (the query pattern file).
+# file name, the groups of the stored dataset (files.STORED_GROUPS: "dataset",
+# "addresses" and "events") and "patterns" (the query pattern file).
 # ``upstream`` names the stages that write what a stage reads, whose
 # manifests it reads too.
 Stage = namedtuple("Stage", "name reads writes upstream")
@@ -313,9 +300,6 @@ class PipelineState:
     def out_path(self, name):
         return os.path.join(self.cfg.out_dir, name)
 
-    def dataset_path(self, name):
-        return os.path.join(self.cfg.resolved_dataset_dir(), name)
-
     def rel(self, path):
         rp = os.path.relpath(path, self.cfg.out_dir)
         if rp.startswith(".."):
@@ -327,16 +311,10 @@ class PipelineState:
 
     def files(self, artifacts):
         """Every file of the named artifacts."""
-        ddir = self.cfg.resolved_dataset_dir()
         out = []
         for name in artifacts:
-            if name == "dataset":
-                out += files.table_paths(ddir, "population")
-                out += [self.dataset_path(REGIONS_FILE), self.dataset_path(CALENDAR_FILE)]
-            elif name == "addresses":
-                out += files.table_paths(ddir, name)
-            elif name == "events":
-                out.append(self.dataset_path(EVENTS_FILE))
+            if name in files.STORED_GROUPS:
+                out += files.group_paths(self.cfg.resolved_dataset_dir(), name)
             elif name == "patterns":
                 out.append(self.cfg.patterns_path())
             else:
@@ -347,16 +325,11 @@ class PipelineState:
 
     def load(self, name):
         if name not in self.loaded:
-            paths = self.files([name])
-            # a file the writer owns, or a manifest that waits for it
-            if self.writer is not None and (
-                name.startswith("manifest_")
-                or not {self.dataset_path(n) for n in WRITER_FILES}.isdisjoint(paths)
-            ):
+            # a group the dataset writer stores, or a manifest that waits for it
+            if name.startswith("manifest_") or name in STAGES["gen"].writes:
                 self.join()
-            for path in paths:
-                if not os.path.exists(path):
-                    raise MissingArtifactError(path, f"run `{producer(name)}` first")
+            paths = self.files([name])
+            files.require(paths, f"run `{producer(name)}` first")
             self.loaded[name] = self._read(name, paths)
         return self.loaded[name]
 
@@ -381,23 +354,11 @@ class PipelineState:
         return paths
 
     def _read(self, name, paths):
-        if name == "dataset":
-            *population, regions, calendar = paths
-            return files.validated_dataset(
-                files.read_columns("population", population),
-                files.read_regions(regions),
-                None,
-                None,
-                files.read_calendar(calendar),
-            )
-        if name == "addresses":
-            return files.load_addresses(paths, self.load("dataset").population.ids)
+        if name in files.STORED_GROUPS:
+            return files.read_group(self.cfg.resolved_dataset_dir(), name, self.load)
         (path,) = paths
         if name == "patterns":
             return files.load_patterns(path)
-        if name == "events":
-            dataset = self.load("dataset")
-            return files.load_events(path, dataset.population.ids, dataset.calendar)
         if name == "networks.edges":
             return files.read_edges(path, self.load("dataset").population.ids)
         if name.startswith("manifest_"):
@@ -407,9 +368,7 @@ class PipelineState:
             ids, ts, _, _ = files.read_tsv(path, (*TABLES[name][:3], ("first_aware_date", None)))
             return AwarenessTimeline(ids, ts)
         columns = files.read_tsv(path, TABLES[name], header=name != "qualified.txt")
-        if name == "qualified.txt":
-            return columns[0]
-        return columns
+        return columns[0] if name == "qualified.txt" else columns
 
     def cohort(self):
         """The dataset, the qualified ids and the timeline of the qualified."""
@@ -466,52 +425,27 @@ def by_day(iso, keys, width=0):
 # stages, in pipeline order
 # ---------------------------------------------------------------------------
 
-def write_dataset(dataset, ddir):
-    """Write the dataset files into ``ddir``, calendar.json aside;
-    returns the SHA-256 of each, by path."""
-    return {path: files.sha256_file(path) for path in files.store_dataset(dataset, ddir)}
-
-
-def brought_dataset(state):
-    """The dataset of the four JSONL tables brought into the dataset
-    directory, in the window of its calendar.json, else the one its query
-    events span.  A missing table exits 3 naming it, before any is read."""
-    paths = [state.dataset_path(name) for name in DATASET_FILES]
-    for path in paths:
-        if not os.path.exists(path):
-            raise MissingArtifactError(
-                path, "bring it into the dataset directory, or give the config a simulator section"
-            )
-    window = state.dataset_path(CALENDAR_FILE)
-    calendar = files.read_calendar(window) if os.path.exists(window) else None
-    return files.load_dataset(*paths, calendar)
-
-
-@stage("gen", writes=("dataset", "addresses", "events"))
+@stage("gen", writes=tuple(files.STORED_GROUPS))
 def cmd_gen(state):
     """Store the dataset, simulated from the simulator section or, without
-    one, brought in as JSONL (``brought_dataset``): every file is written
+    one, brought in as JSONL (``files.ingest_jsonl``): every file is written
     from memory once the whole dataset has passed its checks, and the
     brought tables stay as its source, so that gen run again writes the
     same bytes."""
     cfg = state.cfg
     ddir = cfg.resolved_dataset_dir()
     if cfg.simulator is None:
-        dataset, stats = brought_dataset(state), {}
+        dataset, stats = files.ingest_jsonl(ddir), {}
     else:
-        files.make_dir(ddir, "dataset directory")
         dataset, truth = generate(cfg.simulator, cfg.seed)
         raise_violations(validate_dataset(dataset), "generated dataset")
         stats = {"truth_aware": len(truth.timeline)}
-    files.write_calendar(state.dataset_path(CALENDAR_FILE), dataset.calendar)
     if state.fork_writer:
-        state.writer = jobs.Forked(write_dataset, dataset, ddir)
+        state.writer = jobs.Forked(files.store_dataset, dataset, ddir)
     else:
-        state.digests.update(write_dataset(dataset, ddir))
-    # later stages see the dataset as they would load it from disk
-    state.loaded["dataset"] = replace(dataset, events=None, addresses=None)
-    state.loaded["addresses"] = dataset.addresses
-    state.loaded["events"] = dataset.events
+        state.digests.update(files.store_dataset(dataset, ddir))
+    # later stages see each group as they would load it from disk
+    state.loaded.update(files.stored_groups(dataset))
     return {
         "individuals": dataset.population.n,
         "regions": len(dataset.regions),

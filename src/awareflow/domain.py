@@ -542,14 +542,9 @@ class AddressColumns(Columns):
         return self.take(np.lexsort([getattr(self, name) for name in reversed(self.ORDER)]))
 
 
-# the tables gen stores as one np.save file per column of their FIELDS,
-# <table>.<column>.npy, rows in ORDER
+# the tables gen stores as one np.save file per column of their FIELDS
+# (files.stored_paths), rows in ORDER
 COLUMN_TABLES = {"population": PopulationColumns, "addresses": AddressColumns}
-
-
-def column_files(table):
-    """The file names of the columns of the COLUMN_TABLES table ``table``, in field order."""
-    return tuple(f"{table}.{name}.npy" for name in COLUMN_TABLES[table].DTYPES)
 
 
 @dataclass

@@ -1,6 +1,6 @@
-"""Every on-disk format, read and written in one place: the column files
-and JSONL tables of the dataset, edge files, TSV artifacts, JSON
-configs, calendars and manifests, and pattern files.
+"""Every on-disk format, read and written in one place: the stored dataset
+and its JSONL tables, edge files, TSV artifacts, JSON configs, calendars
+and manifests, and pattern files.
 
 Every read opens its file through ``reading``, which turns an OSError into
 an AwareflowError naming the file.  Each format has one parse, over
@@ -14,9 +14,13 @@ without parsing the file again.  ``write_jsonl`` takes every key of
 a JSONL table from its field table, the one place that spells it.  A
 column file is what ``np.save`` writes for one column of a table of
 ``domain.COLUMN_TABLES``; ``read_columns`` checks each against its field,
-reading no data before its header has passed.  Every write goes through
-``atomic_output``, so that a process that dies mid-write leaves the old
-file, or none, under the final name.
+reading no data before its header has passed.  ``STORED_GROUPS`` declares
+once the groups of the dataset that `gen` stores, with their files; the
+stored form of a table (its column files or its JSONL file) follows from
+``COLUMN_TABLES``.  ``store_dataset`` writes every group, ``read_group``
+reads and checks one, and ``ingest_jsonl`` reads the JSONL tables brought
+in.  Every write goes through ``atomic_output``, so that a process that
+dies mid-write leaves the old file, or none, under the final name.
 """
 
 import contextlib
@@ -26,6 +30,8 @@ import json
 import os
 import tokenize
 import warnings
+from collections import namedtuple
+from dataclasses import replace
 from operator import itemgetter
 
 import numpy as np
@@ -45,7 +51,6 @@ from .domain import (
     PopulationColumns,
     RegionColumns,
     column_dtypes,
-    column_files,
     find_rows,
     infer_calendar,
     intern_texts,
@@ -55,7 +60,7 @@ from .domain import (
     validate_dataset,
     validate_events,
 )
-from .errors import ConfigError, IntegrityError, ParseError
+from .errors import ConfigError, IntegrityError, MissingArtifactError, ParseError
 from .kernels import sort_rows
 from .netinfer import LAYER_CODES, LAYERS, MultiplexGraph, build_layer
 
@@ -560,12 +565,10 @@ def write_jsonl(path, fields, columns, text_pool=()):
     write_text(path, map(chunk, row_chunks(len(first))))
 
 
-def _write_table(dataset, directory, name):
-    """Write the dataset's table of the JSONL file ``name`` into
-    ``directory``; returns its path."""
-    path = os.path.join(directory, name)
-    columns = getattr(dataset, name.removesuffix(".jsonl"))
-    write_jsonl(path, DATASET_FIELDS[name], vars(columns), getattr(columns, "text_pool", ()))
+def _write_table(path, columns):
+    """Write the dataset table ``columns`` as its JSONL file ``path``; returns ``path``."""
+    fields = DATASET_FIELDS[os.path.basename(path)]
+    write_jsonl(path, fields, vars(columns), getattr(columns, "text_pool", ()))
     return path
 
 
@@ -573,32 +576,11 @@ def save_dataset(dataset, directory):
     """Export the dataset as its four JSONL files into ``directory``;
     returns their paths, by table."""
     make_dir(directory, "dataset directory")
-    return {
-        name.removesuffix(".jsonl"): _write_table(dataset, directory, name)
-        for name in DATASET_FILES
-    }
+    paths = {name.removesuffix(".jsonl"): os.path.join(directory, name) for name in DATASET_FILES}
+    return {table: _write_table(path, getattr(dataset, table)) for table, path in paths.items()}
 
 
-def store_dataset(dataset, directory):
-    """Write the dataset into ``directory`` as `gen` stores it: each table
-    of COLUMN_TABLES as its column files, beside any JSONL file of the
-    table, which is left as it is, and every other table as its JSONL file;
-    returns the paths written.  The rows of a table of columns must be in
-    its ORDER, as ``generate`` and ``load_dataset`` give them."""
-    make_dir(directory, "dataset directory")
-    paths = []
-    for name in DATASET_FILES:
-        table = name.removesuffix(".jsonl")
-        if table in COLUMN_TABLES:
-            paths += write_columns(directory, table, getattr(dataset, table))
-        else:
-            paths.append(_write_table(dataset, directory, name))
-    return paths
-
-
-def load_dataset(
-    population_path, regions_path, addresses_path, events_path, calendar=None
-):
+def load_dataset(population_path, regions_path, addresses_path, events_path, calendar=None):
     """Parse, assemble, and validate one dataset from its JSONL files.
     Without ``addresses_path`` or ``events_path`` the dataset carries None
     for the table.  A bad record raises ParseError, a violated cross-record
@@ -625,29 +607,9 @@ def validated_dataset(population, regions, addresses, events, calendar=None):
     return dataset
 
 
-def load_addresses(paths, ids):
-    """The address table of its column files ``paths`` (see
-    ``read_columns``), checked against the population ``ids``."""
-    addresses = read_columns("addresses", paths)
-    raise_violations(validate_addresses(addresses, ids))
-    return addresses
-
-
-def load_events(path, ids, calendar):
-    """The events of a file, checked against the population ``ids`` and the ``calendar``."""
-    events = read_events(path)
-    raise_violations(validate_events(events, ids, calendar))
-    return events
-
-
 # ---------------------------------------------------------------------------
 # column files: one np.save file per column of a table
 # ---------------------------------------------------------------------------
-
-def table_paths(directory, table):
-    """The column files of the COLUMN_TABLES table ``table`` in ``directory``."""
-    return [os.path.join(directory, name) for name in column_files(table)]
-
 
 def write_column(path, col):
     """Write the one-dimensional array ``col`` to ``path`` as np.save writes it."""
@@ -657,12 +619,9 @@ def write_column(path, col):
 
 def write_columns(directory, table, data):
     """Write each column of ``data``, a table of COLUMN_TABLES named
-    ``table``, into ``directory`` as its column file, in its field's dtype;
-    returns the paths, in column_files order."""
-    paths = table_paths(directory, table)
-    for path, (name, dtype) in zip(paths, data.DTYPES.items()):
+    ``table``, into ``directory`` as its column file, in its field's dtype."""
+    for path, (name, dtype) in zip(stored_paths(directory, table), data.DTYPES.items()):
         write_column(path, np.asarray(getattr(data, name), dtype=dtype))
-    return paths
 
 
 def read_column(path, dtype, n=None):
@@ -698,7 +657,7 @@ def read_column(path, dtype, n=None):
 
 def read_columns(table, paths):
     """The COLUMN_TABLES table ``table`` of its column files ``paths``, in
-    column_files order.  Each column must have its field's dtype, the
+    field order.  Each column must have its field's dtype, the
     length of the first and no value that ``Field.outside`` refuses; then
     the rows must be in the table's ORDER.  The first fault raises
     ParseError naming its file and, for a value, its row (from 0)."""
@@ -718,6 +677,117 @@ def read_columns(table, paths):
         path = paths[list(cls.DTYPES).index(cls.ORDER[0])]
         raise ParseError(path, None, f"row {row}: the rows must ascend by {order}")
     return data
+
+
+# ---------------------------------------------------------------------------
+# the stored dataset: the groups that `gen` writes, declared once
+# ---------------------------------------------------------------------------
+
+CALENDAR_FILE = "calendar.json"
+
+# The groups of the stored dataset, by the artifact names under which `gen`
+# writes them and later stages read them: the tables of each, in the order
+# of their files, a table of COLUMN_TABLES as its column files and any other
+# as its one file of ONE_FILE.  "dataset" comes first: the other groups are
+# checked against it.
+STORED_GROUPS = {
+    "dataset": ("population", "regions", "calendar"),
+    "addresses": ("addresses",),
+    "events": ("events",),
+}
+# each stored table outside COLUMN_TABLES, kept in one file: its name, reader and writer
+OneFile = namedtuple("OneFile", "name read write")
+ONE_FILE = {
+    "regions": OneFile("regions.jsonl", read_regions, _write_table),
+    "events": OneFile("events.jsonl", read_events, _write_table),
+    "calendar": OneFile(CALENDAR_FILE, read_calendar, write_calendar),
+}
+
+
+def stored_paths(directory, table):
+    """The files of ``table``, a table of STORED_GROUPS, in ``directory``: a
+    table of COLUMN_TABLES has one per column, <table>.<column>.npy."""
+    if table in COLUMN_TABLES:
+        names = [f"{table}.{name}.npy" for name in COLUMN_TABLES[table].DTYPES]
+    else:
+        names = [ONE_FILE[table].name]
+    return [os.path.join(directory, name) for name in names]
+
+
+def group_paths(directory, group):
+    """The files of the stored group ``group`` in ``directory``."""
+    return [path for table in STORED_GROUPS[group] for path in stored_paths(directory, table)]
+
+
+def store_dataset(dataset, directory):
+    """Write every file of every group of ``dataset`` into ``directory``, and
+    no other file; returns the SHA-256 of each, by path.  The rows of a table
+    of columns must be in its ORDER, as ``generate`` and ``load_dataset``
+    give them."""
+    make_dir(directory, "dataset directory")
+    digests = {}
+    for table in itertools.chain.from_iterable(STORED_GROUPS.values()):
+        paths, data = stored_paths(directory, table), getattr(dataset, table)
+        if table in COLUMN_TABLES:
+            write_columns(directory, table, data)
+        else:
+            ONE_FILE[table].write(*paths, data)
+        digests.update((path, sha256_file(path)) for path in paths)
+    return digests
+
+
+def _read_table(directory, table):
+    paths = stored_paths(directory, table)
+    return read_columns(table, paths) if table in COLUMN_TABLES else ONE_FILE[table].read(*paths)
+
+
+def read_group(directory, group, load):
+    """The stored group ``group`` in ``directory``, checked: "dataset" as the
+    Dataset of its tables, without addresses or events, and any other as its
+    table, checked against ``load("dataset")``.  A bad file raises ParseError
+    naming it, a violated invariant IntegrityError."""
+    tables = {table: _read_table(directory, table) for table in STORED_GROUPS[group]}
+    if group == "dataset":
+        return validated_dataset(addresses=None, events=None, **tables)
+    base = load("dataset")
+    data, ids = tables[group], base.population.ids
+    raise_violations(
+        validate_addresses(data, ids) if group == "addresses"
+        else validate_events(data, ids, base.calendar)
+    )
+    return data
+
+
+def stored_groups(dataset):
+    """Each group of STORED_GROUPS of ``dataset``, as ``read_group`` reads it."""
+    bare = replace(dataset, addresses=None, events=None)
+    return {"dataset": bare, "addresses": dataset.addresses, "events": dataset.events}
+
+
+def load_stored(directory):
+    """The Dataset that `gen` stored in ``directory``, each group through
+    ``read_group``; a missing file raises MissingArtifactError naming it."""
+    groups = {}
+    for group in STORED_GROUPS:
+        require(group_paths(directory, group), "run `gen` first")
+        groups[group] = read_group(directory, group, groups.get)
+    return replace(groups["dataset"], addresses=groups["addresses"], events=groups["events"])
+
+
+def require(paths, remedy):
+    """Raise MissingArtifactError, saying ``remedy``, for the first missing file of ``paths``."""
+    for path in paths:
+        if not os.path.exists(path):
+            raise MissingArtifactError(path, remedy)
+
+
+def ingest_jsonl(directory):
+    """The dataset of the JSONL tables brought into ``directory``, in the window of its
+    calendar.json, else of its query events; a missing table raises MissingArtifactError."""
+    paths = [os.path.join(directory, name) for name in DATASET_FILES]
+    require(paths, "bring it into the dataset directory, or give the config a simulator section")
+    window = os.path.join(directory, CALENDAR_FILE)
+    return load_dataset(*paths, read_calendar(window) if os.path.exists(window) else None)
 
 
 # ---------------------------------------------------------------------------

@@ -96,25 +96,12 @@ def ingest_config(micro_config, tmp_path_factory):
     return str(path)
 
 
-def stored_dataset(directory):
-    """The dataset that `gen` stored in ``directory``."""
-    population, addresses = (
-        files.read_columns(table, files.table_paths(directory, table))
-        for table in ("population", "addresses")
-    )
-    return files.validated_dataset(
-        population, files.read_regions(os.path.join(directory, "regions.jsonl")), addresses,
-        files.read_events(os.path.join(directory, "events.jsonl")),
-        files.read_calendar(os.path.join(directory, "calendar.json")),
-    )
-
-
 @pytest.fixture(scope="module")
 def jsonl_export(all_run, tmp_path_factory):
     """A run directory whose dataset is brought in: all_run's dataset as
     the four JSONL tables save_dataset exports, beside its calendar.json."""
     out = tmp_path_factory.mktemp("jsonl_export")
-    dataset = stored_dataset(os.path.join(all_run, "dataset"))
+    dataset = files.load_stored(os.path.join(all_run, "dataset"))
     files.save_dataset(dataset, out / "dataset")
     files.write_calendar(out / "dataset" / "calendar.json", dataset.calendar)
     return str(out)
@@ -127,6 +114,11 @@ def jsonl_run(jsonl_export, ingest_config, tmp_path_factory):
     shutil.copytree(jsonl_export, out, dirs_exist_ok=True)
     assert cli.main(["all", "--config", ingest_config, "--out", str(out)]) == 0
     return str(out)
+
+
+def column_files(table):
+    """The names of the column files of ``table`` in the dataset directory."""
+    return [f"{table}.{name}.npy" for name in domain.COLUMN_TABLES[table].DTYPES]
 
 
 def hand_brought(fault):
@@ -143,7 +135,7 @@ def hand_brought(fault):
 def test_all_writes_every_artifact(all_run):
     for name in ARTIFACTS + STEP_MANIFESTS + ("manifest_all.json",):
         assert os.path.exists(os.path.join(all_run, name)), name
-    tables = domain.column_files("population") + domain.column_files("addresses")
+    tables = column_files("population") + column_files("addresses")
     dataset = sorted(os.listdir(os.path.join(all_run, "dataset")))
     assert dataset == sorted([*tables, "regions.jsonl", "events.jsonl", "calendar.json"])
     # every dataset file is read by a stage after gen
@@ -394,7 +386,7 @@ def test_loading_a_file_the_writer_owns_waits_for_it(micro_config, tmp_path, mon
     try:
         cli.STEP_FUNCS["gen"](state)
         assert state.writer is not None
-        assert not os.path.exists(state.dataset_path("addresses.individual_id.npy"))
+        assert not (tmp_path / "dataset" / "addresses.individual_id.npy").exists()
         assert not (tmp_path / "manifest_gen.json").exists()  # it waits for the writer
         addresses = state.loaded.pop("addresses")
         go.touch()
@@ -1302,7 +1294,7 @@ def test_gen_stores_the_columns_of_brought_tables_and_keeps_them(
     assert cli.main(["gen", "--config", ingest_config, "--out", str(out)]) == 0
     names = set(os.listdir(out / "dataset"))
     assert {"population.jsonl", "addresses.jsonl"} <= names
-    assert set(domain.column_files("population") + domain.column_files("addresses")) <= names
+    assert set(column_files("population") + column_files("addresses")) <= names
     # and gen run again reads them to the same bytes
     want = tree_hashes(str(out))
     assert cli.main(["gen", "--config", ingest_config, "--out", str(out)]) == 0
@@ -1599,7 +1591,7 @@ def test_stages_without_addresses_run_without_the_address_columns(
 ):
     out = tmp_path / "run"
     shutil.copytree(all_run, out)
-    for name in domain.column_files("addresses"):
+    for name in column_files("addresses"):
         (out / "dataset" / name).unlink()
     want = tree_hashes(str(out))
     for name in ADDRESSLESS_STAGES:

@@ -30,14 +30,7 @@ from awareflow.domain import (
 )
 from awareflow.errors import IntegrityError, ParseError
 from awareflow import files
-from awareflow.files import (
-    load_addresses,
-    load_dataset,
-    load_events,
-    read_events,
-    save_dataset,
-    store_dataset,
-)
+from awareflow.files import load_dataset, read_events, save_dataset, store_dataset
 
 from conftest import make_events, random_event_columns, traced_peak
 from oracles import jsonl_file_scan, jsonl_values, write_events_rows
@@ -750,12 +743,18 @@ def test_dataset_loaded_without_events(tmp_path):
     assert validate_dataset(loaded) == []
     with pytest.raises(ValueError, match="needs a calendar"):
         load_dataset(*tables, None)
-    # the events file alone gets the checks load_dataset gives it
-    assert load_events(paths["events"], loaded.population.ids, ds.calendar) == events
+    # the stored events group alone gets the checks load_dataset gives the file
+    store_dataset(ds, tmp_path / "stored")
+
+    def stored_events(population, calendar):
+        base = dataclasses.replace(loaded, population=population, calendar=calendar)
+        return files.read_group(tmp_path / "stored", "events", {"dataset": base}.get)
+
+    assert stored_events(loaded.population, ds.calendar) == events
     with pytest.raises(IntegrityError, match="event references unknown individual 2"):
-        load_events(paths["events"], np.array([1], dtype=np.uint64), ds.calendar)
+        stored_events(make_population([1]), ds.calendar)
     with pytest.raises(IntegrityError, match="events extend past the calendar end"):
-        load_events(paths["events"], loaded.population.ids, Calendar(-5, 1))
+        stored_events(loaded.population, Calendar(-5, 1))
 
 
 def test_dataset_loaded_without_addresses(tmp_path):
@@ -765,11 +764,14 @@ def test_dataset_loaded_without_addresses(tmp_path):
     loaded = load_dataset(paths["population"], paths["regions"], None, paths["events"])
     assert loaded.addresses is None
     assert validate_dataset(loaded) == []
-    # the address columns alone get the checks that load_dataset gives the
-    # JSONL table
+    # the stored addresses group alone gets the checks that load_dataset
+    # gives the JSONL table
     store_dataset(dataclasses.replace(ds, addresses=ds.addresses.canonical()), tmp_path / "columns")
-    columns = files.table_paths(tmp_path / "columns", "addresses")
-    addresses = load_addresses(columns, loaded.population.ids)
+
+    def stored_addresses(data):
+        return files.read_group(tmp_path / "columns", "addresses", {"dataset": data}.get)
+
+    addresses = stored_addresses(loaded)
     assert addresses == ds.addresses.canonical()
     assert validate_dataset(dataclasses.replace(loaded, addresses=addresses)) == []
     one = tiny_dataset(make_population([1]), addresses=addrs)
@@ -781,7 +783,7 @@ def test_dataset_loaded_without_addresses(tmp_path):
         canonical = dataclasses.replace(data, addresses=data.addresses.canonical())
         store_dataset(canonical, tmp_path / "columns")
         with pytest.raises(IntegrityError, match=message):
-            load_addresses(columns, data.population.ids)
+            stored_addresses(data)
         with pytest.raises(IntegrityError, match=message):
             load_dataset(*save_dataset(data, tmp_path / "jsonl").values())
 

@@ -1,12 +1,14 @@
 """The file module's writes: a writer that dies mid-write leaves no
 partial file, the JSONL writer writes what json.dumps writes, and a
 column file has pinned bytes; its file digests, the shape its manifest
-reader accepts and the column files its column reader refuses."""
+reader accepts and the column files its column reader refuses; and the
+stored dataset's groups, their files pinned, each read back as stored."""
 
 import hashlib
 import itertools
 import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ import pytest
 from awareflow import cli, domain, files
 from awareflow.domain import Field, column_dtypes
 
-from awareflow.errors import ParseError
+from awareflow.config import load_run_config
+from awareflow.errors import MissingArtifactError, ParseError
 
 from conftest import make_events
 from oracles import jsonl_rows
@@ -271,3 +274,62 @@ def test_read_column_refuses_other_files(tmp_path, edit, message):
     path.write_bytes(edit(path.read_bytes()))
     with pytest.raises(ParseError, match=re.escape(message)):
         files.read_column(path, np.dtype(np.uint64), 3)
+
+
+# the file names of each stored group, in the order of its files: the one
+# declaration that a new stored form of a table changes
+STORED_FILES = {
+    "dataset": [
+        *(f"population.{name}.npy" for name in domain.PopulationColumns.DTYPES),
+        "regions.jsonl",
+        "calendar.json",
+    ],
+    "addresses": [f"addresses.{name}.npy" for name in domain.AddressColumns.DTYPES],
+    "events": ["events.jsonl"],
+}
+
+
+@pytest.fixture(scope="module")
+def stored(small_world, tmp_path_factory):
+    """The directory where store_dataset stored the small world, and the
+    digests it returned."""
+    _, dataset, _ = small_world
+    directory = str(tmp_path_factory.mktemp("stored"))
+    return directory, files.store_dataset(dataset, directory)
+
+
+def test_store_dataset_writes_exactly_the_declared_files(stored):
+    directory, digests = stored
+    declared = {group: files.group_paths(directory, group) for group in files.STORED_GROUPS}
+    assert {group: list(map(os.path.basename, paths)) for group, paths in declared.items()} == (
+        STORED_FILES
+    )
+    assert sorted(os.listdir(directory)) == sorted(itertools.chain(*STORED_FILES.values()))
+    assert sorted(digests) == sorted(itertools.chain(*declared.values()))
+    for path, digest in digests.items():
+        with open(path, "rb") as fh:
+            assert digest == hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_each_group_reads_back_as_stored(stored, small_world):
+    _, dataset, _ = small_world
+    directory, _ = stored
+    groups = files.stored_groups(dataset)
+    assert list(groups) == list(files.STORED_GROUPS)
+    for group in files.STORED_GROUPS:
+        assert files.read_group(directory, group, groups.get) == groups[group], group
+    assert files.load_stored(directory) == dataset
+
+
+@pytest.mark.parametrize("name", list(itertools.chain(*STORED_FILES.values())))
+def test_a_missing_stored_file_exits_3_naming_it(stored, tmp_path, name):
+    directory = tmp_path / "dataset"
+    shutil.copytree(stored[0], directory)
+    os.unlink(directory / name)
+    group = next(g for g, names in STORED_FILES.items() if name in names)
+    state = cli.PipelineState(load_run_config("small", out_dir=str(tmp_path)))
+    for load in (lambda: files.load_stored(directory), lambda: state.load(group)):
+        with pytest.raises(MissingArtifactError) as exc:
+            load()
+        assert exc.value.artifact == str(directory / name)
+        assert [code for kinds, code in cli.EXIT_CODES if isinstance(exc.value, kinds)] == [3]
