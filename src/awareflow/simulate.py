@@ -36,7 +36,7 @@ from .domain import (
     month_start_ts,
 )
 from .errors import ConfigError
-from .netinfer import LAYERS, MultiplexGraph, build_from_groups
+from .netinfer import DEFAULT_CAPS, KIND_TO_LAYER, LAYERS, MultiplexGraph, build_from_groups
 from .regress import expit
 
 # counter-rng stream ids, one per decision kind
@@ -101,7 +101,6 @@ def _weights_ok(weights):
 
 
 Probability = Annotated[float, Bounds(0, 1)]
-GroupSize = Annotated[int, Bounds(1, 500)]  # the largest school or company group
 # at most 10,000 years, whose month numbers and timestamps int64 holds
 HistoryMonths = Annotated[int, Bounds(1, 12 * 10_000)]
 
@@ -111,7 +110,8 @@ class ShockEvent:
     """External attention shock: a bump on the hazard's linear predictor.
 
     The bump applies on the day containing ``timestamp`` and halves each
-    day after.  scope limits it to one province or city.
+    day after.  scope limits it to the province or city ``scope_id``; a
+    national shock ignores scope_id.
     """
 
     label: str
@@ -208,10 +208,10 @@ class NetworkConfig:
     family_size_probs: tuple[float, ...] = (0.20, 0.35, 0.25, 0.15, 0.05)
     school_p: Probability = 0.25
     school_size_min: Annotated[int, Bounds(1)] = 5
-    school_size_max: GroupSize = 30
+    school_size_max: Annotated[int, Bounds(1, DEFAULT_CAPS["school_dorm"])] = 30
     company_p: Probability = 0.50
     company_size_min: Annotated[int, Bounds(1)] = 3
-    company_size_max: GroupSize = 15
+    company_size_max: Annotated[int, Bounds(1, DEFAULT_CAPS["company"])] = 15
 
 
 @dataclass
@@ -302,18 +302,23 @@ class SimConfig:
                     f"smallest possible family size {min(feasible)} exceeds the "
                     f"population of {self.n_individuals}"
                 )
-            if len(fam) > 10:
-                problems.append("family sizes above 10 would exceed the home-layer cap")
+            if len(fam) > (cap := DEFAULT_CAPS["home"]):
+                problems.append(f"family sizes above {cap} would exceed the home-layer cap")
         for label, lo, hi in (
             ("school", net.school_size_min, net.school_size_max),
             ("company", net.company_size_min, net.company_size_max),
         ):
             if lo > hi:
                 problems.append(f"network.{label} size range [{lo}, {hi}] is invalid")
-        problems += [
-            f"event {ev.label!r}: unknown scope {ev.scope!r}"
-            for ev in self.events if ev.scope not in ("national", "province", "city")
-        ]
+        n_scopes = {"national": None, "province": r.n_provinces, "city": r.n_cities}
+        for ev in self.events:
+            if ev.scope not in n_scopes:
+                problems.append(f"event {ev.label!r}: unknown scope {ev.scope!r}")
+            elif n_scopes[ev.scope] is not None and not 0 <= ev.scope_id < n_scopes[ev.scope]:
+                problems.append(
+                    f"event {ev.label!r}: {ev.scope} scope_id {ev.scope_id} is not in "
+                    f"[0, {n_scopes[ev.scope]})"
+                )
         for name in ("aware_query_texts", "noise_query_texts", "purchase_categories"):
             if not getattr(self, name):
                 problems.append(f"{name} must not be empty")
@@ -510,64 +515,54 @@ def generate_population(config, seed):
         qualified=qualified,
     )
 
-    # shared-address groups; everyone is glued to one home, schools and
-    # companies are opt-in samples within the home city
     first_month, n_m = history_window(calendar, config.history_months)
     hist_start = int(month_start_ts(first_month))
     window_end = calendar.day_start_ts(calendar.n_days) - 1
-    interval = (hist_start, window_end)
 
+    # each layer's shared-address groups as member rows: everyone is glued to
+    # one home, schools and companies are opt-in samples within the home city
     net = config.network
-    groups = {"family": [], "schoolmate": [], "workmate": []}
-    group_members, group_kinds, group_addresses = [], [], []
-    next_addr = {"home": 1_000_000, "school_dorm": 2_000_000, "company": 3_000_000}
-
-    def add_group(kind, layer, member_rows):
-        member_rows = np.asarray(member_rows, dtype=np.int64)
-        group_members.append(member_rows)
-        group_kinds.append(ADDRESS_KINDS.index(kind))
-        group_addresses.append(next_addr[kind])
-        next_addr[kind] += 1
-        groups[layer].append(member_rows)
-
+    groups = {layer: [] for layer in LAYERS}
     for c in range(len(regions)):
         rows_c = np.flatnonzero(home_city == c)
         if len(rows_c) == 0:
             continue
         perm = rng.permutation(rows_c)
-        offset = 0
-        for size in _chunk_sizes(rng, len(perm), net.family_size_probs):
-            add_group("home", "family", perm[offset : offset + size])
-            offset += size
-
-        attend = perm[rng.random(len(perm)) < net.school_p]
-        offset = 0
-        while offset < len(attend):
-            size = int(rng.integers(net.school_size_min, net.school_size_max + 1))
-            add_group("school_dorm", "schoolmate", attend[offset : offset + size])
-            offset += size
-
-        employed = perm[rng.random(len(perm)) < net.company_p]
-        offset = 0
-        while offset < len(employed):
-            size = int(rng.integers(net.company_size_min, net.company_size_max + 1))
-            add_group("company", "workmate", employed[offset : offset + size])
-            offset += size
+        sizes = _chunk_sizes(rng, len(perm), net.family_size_probs)
+        groups["family"] += np.split(perm, np.cumsum(sizes[:-1]))
+        for layer, p, size_min, size_max in (
+            ("schoolmate", net.school_p, net.school_size_min, net.school_size_max),
+            ("workmate", net.company_p, net.company_size_min, net.company_size_max),
+        ):
+            members = perm[rng.random(len(perm)) < p]
+            offset = 0
+            while offset < len(members):
+                size = int(rng.integers(size_min, size_max + 1))
+                groups[layer].append(members[offset : offset + size])
+                offset += size
 
     truth_graph = build_from_groups(ids, groups)
 
     history = PurchaseHistory(config, seed, population, np.arange(first_month, first_month + n_m))
 
-    # same canonical order the JSONL reader produces, so a generated
-    # dataset compares equal after a save/load round trip
-    sizes = [len(m) for m in group_members]
-    member_rows = np.concatenate(group_members)
+    # each group has one address of its layer's kind, numbered in order past
+    # the kind's base; the rows take the canonical order the JSONL reader
+    # produces, so a generated dataset compares equal after a round trip
+    bases = {"home": 1_000_000, "school_dorm": 2_000_000, "company": 3_000_000}
+    member_rows, address_id, kind = [], [], []
+    for kind_name, base in bases.items():
+        layer_groups = groups[KIND_TO_LAYER[kind_name]]
+        sizes = [len(m) for m in layer_groups]
+        member_rows += layer_groups
+        address_id.append(np.repeat(base + np.arange(len(sizes)), sizes))
+        kind.append(np.full(sum(sizes), ADDRESS_KINDS.index(kind_name)))
+    member_rows = np.concatenate(member_rows)
     addresses = AddressColumns(
         individual_id=ids[member_rows],
-        address_id=np.repeat(group_addresses, sizes),
-        kind=np.repeat(group_kinds, sizes),
-        active_start=np.full(len(member_rows), interval[0]),
-        active_end=np.full(len(member_rows), interval[1]),
+        address_id=np.concatenate(address_id),
+        kind=np.concatenate(kind),
+        active_start=np.full(len(member_rows), hist_start),
+        active_end=np.full(len(member_rows), window_end),
     ).canonical()
     dataset = Dataset(population, regions, addresses, EventLog.empty(), calendar)
     return dataset, truth_graph, history
@@ -608,10 +603,17 @@ def simulate_diffusion(dataset, graph, config, seed):
     is_ppe) coded into ``config.text_pool()``, day by day, and the rows of
     each day.  A day's events fall within that day.
 
-    Emits, per newly aware individual, three awareness queries the same
-    day (each independently suppressed with probability query_noise) and
-    a PPE purchase while stock lasts; plus background noise queries and
-    purchases for everyone.
+    Each day d emits five streams of events, drawn from the counter streams
+    named below at the tags that follow them:
+    - three awareness queries per newly aware individual after the
+      first-aware moment, each suppressed with probability query_noise
+      (S_SUPPRESS, S_QUERY_JITTER and S_TEXT at (d << 2) | k, k = 1, 2, 3);
+    - a PPE purchase per newly aware individual after that moment, up to
+      stockout_day (S_PPE_TS at d);
+    - queries by those aware before d (S_POST and S_POST_TS at d,
+      S_SUPPRESS and S_TEXT at d << 2);
+    - background queries (S_NOISE_Q, S_NOISE_TS and S_NOISE_TEXT at d);
+    - background purchases (S_BG_BUY, S_BG_TS and S_BG_CAT at d).
     """
     cols = dataset.population
     calendar = dataset.calendar
@@ -619,62 +621,69 @@ def simulate_diffusion(dataset, graph, config, seed):
     ids = cols.ids
 
     z0 = hazard_base(config, cols, dataset.distance_km())
-    layer_csr = {}
-    inv_deg = {}
-    counts = {}
-    for name in LAYERS:
-        lyr = graph.layer(name)
-        layer_csr[name] = (lyr.indptr, lyr.indices)
-        deg = lyr.degrees().astype(np.float64)
-        with np.errstate(divide="ignore"):
-            inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-        inv_deg[name] = inv
-        counts[name] = np.zeros(n, dtype=np.int64)
+    layers = {name: graph.layer(name) for name in LAYERS}
+    # 1 / degree, and 0 for an individual without neighbors in the layer
+    inv_deg = {
+        name: (lyr.degrees() > 0) / np.maximum(lyr.degrees(), 1.0) for name, lyr in layers.items()
+    }
+    counts = {name: np.zeros(n, dtype=np.int64) for name in LAYERS}
 
-    province = dataset.province_of_individuals()
-    event_rows = []
-    for ev in config.events:
-        day0 = int(calendar.day_of(ev.timestamp))
-        if ev.scope == "national":
-            mask = None
-        elif ev.scope == "province":
-            mask = province == ev.scope_id
-        else:
-            mask = cols.home_city == ev.scope_id
-        event_rows.append((day0, float(ev.magnitude), mask))
+    # each shock's first day, magnitude and the rows it reaches
+    scope_rows = {"province": dataset.province_of_individuals(), "city": cols.home_city}
+    event_rows = [
+        (int(calendar.day_of(ev.timestamp)), float(ev.magnitude),
+         scope_rows[ev.scope] == ev.scope_id if ev.scope in scope_rows else slice(None))
+        for ev in config.events
+    ]
 
     aware = np.zeros(n, dtype=bool)
     first_moment = np.full(n, NEVER, dtype=np.int64)
     first_day = np.full(n, -1, dtype=np.int64)
     noise = config.query_noise
 
+    # each stream's text codes, a range of config.text_pool(); its last
+    # text, the PPE category, only the PPE purchases code to
+    n_aware, n_noise = len(config.aware_query_texts), len(config.noise_query_texts)
     ppe_code = len(config.text_pool()) - 1
-    n_aware = len(config.aware_query_texts)
-    n_noise = len(config.noise_query_texts)
-    n_categories = len(config.purchase_categories)
+    aware_codes, noise_codes = range(n_aware), range(n_aware, n_aware + n_noise)
+    category_codes = range(n_aware + n_noise, ppe_code)
 
     chunks = []
     day_rows = []
 
-    def emit(kind, iid, ts, code, ppe=False):
-        n_rows = len(iid)
-        chunks.append((np.full(n_rows, kind, dtype=np.uint8), iid, ts, code, np.full(n_rows, ppe)))
+    def below(stream, eids, tag, p):
+        """The ids of ``eids`` whose ``stream`` draw at ``tag`` is below ``p``."""
+        if not len(eids) or p <= 0:
+            return eids[:0]
+        return eids[kernels.counter_uniforms(seed, stream, eids, tag) < p]
+
+    def emit(kind, eids, start, span, time_draw, text):
+        """Append the events of ``eids`` as a chunk: each at ``start`` plus
+        the share of ``span`` seconds that its (stream, tag) ``time_draw``
+        picks, with the text code ``text`` or, for a (stream, tag, codes)
+        ``text``, the code of the range ``codes`` that its draw picks."""
+        if not len(eids):
+            return
+        stream, tag = time_draw
+        ts = start + (kernels.counter_uniforms(seed, stream, eids, tag) * span).astype(np.int64)
+        if isinstance(text, int):
+            code = np.full(len(eids), text)
+        else:
+            stream, tag, codes = text
+            u = kernels.counter_uniforms(seed, stream, eids, tag)
+            code = codes.start + (u * len(codes)).astype(np.int64)
+        kinds = np.full(len(eids), kind, dtype=np.uint8)
+        chunks.append((kinds, eids, ts, code, code == ppe_code))
 
     for d in range(calendar.n_days):
         day_start = calendar.day_start_ts(d)
         first_chunk = len(chunks)
 
         shock = np.zeros(n, dtype=np.float64)
-        for day0, mag, mask in event_rows:
-            if d < day0:
-                continue
-            f = mag * 0.5 ** (d - day0)
-            if f < 1e-9:
-                continue
-            if mask is None:
-                shock += f
-            else:
-                shock[mask] += f
+        for day0, mag, rows in event_rows:
+            f = mag * 0.5 ** (d - day0) if d >= day0 else 0.0
+            if f >= 1e-9:
+                shock[rows] += f
 
         un = np.flatnonzero(~aware)
         if len(un):
@@ -694,67 +703,34 @@ def simulate_diffusion(dataset, graph, config, seed):
             first_moment[new] = moment
             first_day[new] = d
             aware[new] = True
-            new64 = new.astype(np.int64)
-            for name in LAYERS:
-                indptr, indices = layer_csr[name]
-                kernels.increment_neighbor_counts(indptr, indices, new64, counts[name])
+            for name, lyr in layers.items():
+                kernels.increment_neighbor_counts(lyr.indptr, lyr.indices, new, counts[name])
 
             room = day_start + SECONDS_PER_DAY - 1 - moment
             for k in (1, 2, 3):
                 tag = (d << 2) | k
-                uj = kernels.counter_uniforms(seed, S_QUERY_JITTER, new_ids, tag)
-                ts_k = moment + (uj * room).astype(np.int64)
                 keep = kernels.counter_uniforms(seed, S_SUPPRESS, new_ids, tag) >= noise
-                ut = kernels.counter_uniforms(seed, S_TEXT, new_ids, tag)
-                codes = (ut * n_aware).astype(np.int64)
-                emit(EVENT_KIND_QUERY, new_ids[keep], ts_k[keep], codes[keep])
-
-            if d <= config.stockout_day:
-                up = kernels.counter_uniforms(seed, S_PPE_TS, new_ids, d)
-                ts_p = moment + (up * room).astype(np.int64)
                 emit(
-                    EVENT_KIND_PURCHASE, new_ids, ts_p,
-                    np.full(len(new_ids), ppe_code), ppe=True,
+                    EVENT_KIND_QUERY, new_ids[keep], moment[keep], room[keep],
+                    (S_QUERY_JITTER, tag), (S_TEXT, tag, aware_codes),
                 )
+            if d <= config.stockout_day:
+                emit(EVENT_KIND_PURCHASE, new_ids, moment, room, (S_PPE_TS, d), ppe_code)
 
         # individuals aware before today occasionally keep searching
-        post = np.flatnonzero(aware & (first_day < d))
-        if len(post) and config.post_aware_query_p > 0:
-            pids = ids[post]
-            sel = kernels.counter_uniforms(seed, S_POST, pids, d) < config.post_aware_query_p
-            pids = pids[sel]
-            if len(pids):
-                tag = d << 2
-                keep = kernels.counter_uniforms(seed, S_SUPPRESS, pids, tag) >= noise
-                pids = pids[keep]
-            if len(pids):
-                ts_q = day_start + (
-                    kernels.counter_uniforms(seed, S_POST_TS, pids, d) * (SECONDS_PER_DAY - 1)
-                ).astype(np.int64)
-                ut = kernels.counter_uniforms(seed, S_TEXT, pids, d << 2)
-                emit(EVENT_KIND_QUERY, pids, ts_q, (ut * n_aware).astype(np.int64))
-
-        if config.background_query_p > 0:
-            sel = kernels.counter_uniforms(seed, S_NOISE_Q, ids, d) < config.background_query_p
-            nids = ids[sel]
-            if len(nids):
-                ts_q = day_start + (
-                    kernels.counter_uniforms(seed, S_NOISE_TS, nids, d) * (SECONDS_PER_DAY - 1)
-                ).astype(np.int64)
-                ut = kernels.counter_uniforms(seed, S_NOISE_TEXT, nids, d)
-                codes = n_aware + (ut * n_noise).astype(np.int64)
-                emit(EVENT_KIND_QUERY, nids, ts_q, codes)
-
-        if config.background_purchase_p > 0:
-            sel = kernels.counter_uniforms(seed, S_BG_BUY, ids, d) < config.background_purchase_p
-            bids = ids[sel]
-            if len(bids):
-                ts_b = day_start + (
-                    kernels.counter_uniforms(seed, S_BG_TS, bids, d) * (SECONDS_PER_DAY - 1)
-                ).astype(np.int64)
-                uc = kernels.counter_uniforms(seed, S_BG_CAT, bids, d)
-                codes = n_aware + n_noise + (uc * n_categories).astype(np.int64)
-                emit(EVENT_KIND_PURCHASE, bids, ts_b, codes)
+        post = below(S_POST, ids[aware & (first_day < d)], d, config.post_aware_query_p)
+        if len(post):
+            post = post[kernels.counter_uniforms(seed, S_SUPPRESS, post, d << 2) >= noise]
+        day = (day_start, SECONDS_PER_DAY - 1)
+        emit(EVENT_KIND_QUERY, post, *day, (S_POST_TS, d), (S_TEXT, d << 2, aware_codes))
+        emit(
+            EVENT_KIND_QUERY, below(S_NOISE_Q, ids, d, config.background_query_p), *day,
+            (S_NOISE_TS, d), (S_NOISE_TEXT, d, noise_codes),
+        )
+        emit(
+            EVENT_KIND_PURCHASE, below(S_BG_BUY, ids, d, config.background_purchase_p), *day,
+            (S_BG_TS, d), (S_BG_CAT, d, category_codes),
+        )
         day_rows.append(sum(len(chunk[1]) for chunk in chunks[first_chunk:]))
 
     aware_rows = np.flatnonzero(first_moment != NEVER)

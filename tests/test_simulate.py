@@ -1,13 +1,17 @@
 """Synthetic world generator: hazard math, network shapes, recoverability."""
 
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from awareflow.awareness import filter_qualified, history_window, label_awareness, match_mask
-from awareflow import domain, simulate
-from awareflow.domain import ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, OCCUPATIONS, EventLog
+from awareflow import cli, domain, simulate
+from awareflow.domain import (
+    ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, EVENT_KIND_PURCHASE, OCCUPATIONS, EventLog,
+)
 from awareflow.config import RunConfig
 from awareflow.errors import ConfigError
 from awareflow.files import save_dataset
@@ -16,6 +20,7 @@ from awareflow.simulate import (
     HazardCoefficients,
     NetworkConfig,
     RegionConfig,
+    ShockEvent,
     SimConfig,
     _chunk_sizes,
     generate,
@@ -232,6 +237,53 @@ def test_ppe_purchases_respect_stockout(small_world):
     assert np.all(buy_counts == 1)
 
 
+def event_rows(events):
+    """The rows of ``events`` as a multiset of (kind, individual_id,
+    timestamp, text, is_ppe)."""
+    texts = [events.text_pool[code] for code in events.text_code.tolist()]
+    columns = (events.kind, events.individual_id, events.timestamp, events.is_ppe)
+    kind, iid, ts, ppe = (column.tolist() for column in columns)
+    return Counter(zip(kind, iid, ts, texts, ppe))
+
+
+def stream_of(cfg, truth, setting):
+    """Whether a row (kind, individual_id, timestamp, text, is_ppe) belongs
+    to the daily stream that ``setting`` turns off."""
+    cal = cfg.calendar()
+    window_start = cal.day_start_ts(0)
+    timeline = truth.timeline
+    first_day = dict(zip(timeline.ids.tolist(), cal.day_of(timeline.first_aware).tolist()))
+    return {
+        "background_purchase_p": lambda kind, iid, ts, text, ppe: (
+            kind == EVENT_KIND_PURCHASE and not ppe and ts >= window_start
+        ),
+        "background_query_p": lambda kind, iid, ts, text, ppe: text in cfg.noise_query_texts,
+        "post_aware_query_p": lambda kind, iid, ts, text, ppe: (
+            text in cfg.aware_query_texts and cal.day_of(ts) > first_day[iid]
+        ),
+        "stockout_day": lambda kind, iid, ts, text, ppe: ppe,
+    }[setting]
+
+
+@pytest.mark.parametrize("setting, off", [
+    ("background_purchase_p", 0.0),
+    ("background_query_p", 0.0),
+    ("post_aware_query_p", 0.0),
+    ("stockout_day", -1),
+])
+def test_turning_off_a_daily_stream_drops_only_its_rows(small_world, setting, off):
+    cfg, dataset, truth = small_world
+    changed = small_world_config()
+    setattr(changed, setting, off)
+    changed_dataset, changed_truth = generate(changed.validate(), SMALL_WORLD_SEED)
+    assert changed_truth.timeline == truth.timeline
+    rows = event_rows(dataset.events)
+    in_stream = stream_of(cfg, truth, setting)
+    dropped = Counter({row: k for row, k in rows.items() if in_stream(*row)})
+    assert dropped
+    assert event_rows(changed_dataset.events) == rows - dropped
+
+
 def test_generation_is_deterministic():
     cfg_a = small_world_config()
     cfg_b = small_world_config()
@@ -417,6 +469,36 @@ def test_validate_rejects_family_bigger_than_population():
     cfg = SimConfig(n_individuals=1, network=NetworkConfig(family_size_probs=(0.0, 1.0)))
     with pytest.raises(ConfigError, match="smallest possible family size 2 exceeds the population of 1"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("scope, scope_id", [
+    ("province", 3), ("province", -1), ("city", 6), ("city", 99),
+])
+def test_validate_rejects_a_shock_outside_its_scope(scope, scope_id):
+    cfg = small_world_config()  # 3 provinces, 6 cities
+    cfg.events.append(ShockEvent("far", cfg.events[0].timestamp, 5.0, scope, scope_id))
+    with pytest.raises(ConfigError, match=f"event 'far': {scope} scope_id {scope_id} is not in"):
+        cfg.validate()
+
+
+def test_a_shock_outside_its_scope_exits_2(tmp_path, capsys):
+    cfg = small_world_config()
+    cfg.events.append(ShockEvent("far", cfg.events[0].timestamp, 5.0, "city", 99))
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"simulator": cfg.to_dict()}))
+    assert cli.main(["gen", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "event 'far': city scope_id 99 is not in [0, 6)" in capsys.readouterr().err
+
+
+def test_validate_accepts_every_region_and_any_national_scope_id():
+    cfg = small_world_config()
+    ts = cfg.events[0].timestamp
+    cfg.events += [
+        ShockEvent("last province", ts, 1.0, "province", 2),
+        ShockEvent("last city", ts, 1.0, "city", 5),
+        ShockEvent("everywhere", ts, 1.0, "national", 99),
+    ]
+    assert cfg.validate() is cfg
 
 
 def test_validate_rejects_ppe_in_categories():
