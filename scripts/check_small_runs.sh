@@ -84,7 +84,7 @@ check() {
   run all --config "$config" --out "$d/j2" --jobs 2
   compare "$d/s1" "$d/j2"
   cp -r "$d/s" "$d/s2"
-  for stage in infer-net label segment cohort geo-corr regress report; do
+  for stage in label infer-net segment cohort geo-corr regress report; do
     run "$stage" --config "$config" --out "$d/s2"
   done
   compare "$d/s" "$d/s2"
@@ -115,7 +115,7 @@ if [ "$code" -ne 4 ]; then
   cat "$d/err" >&2
   exit 1
 fi
-for stage in infer-net label segment cohort geo-corr regress report; do
+for stage in label infer-net segment cohort geo-corr regress report; do
   run "$stage" --config small --seed 8 --out "$d"
 done
 # the per-stage timing script runs over a copy of a finished run

@@ -1,8 +1,8 @@
 """Command-line pipeline driver.
 
 Subcommands cover the full run: ``gen`` stores a dataset, simulated or
-brought in as JSONL, ``infer-net`` rebuilds the shared-address networks,
-``label`` derives awareness labels and the qualified cohort, ``segment``
+brought in as JSONL, ``label`` derives awareness labels and the qualified
+cohort, ``infer-net`` rebuilds the shared-address networks, ``segment``
 computes trends and phases, ``cohort`` the group-level analytics,
 ``geo-corr`` the geographic correlation series, ``regress`` the
 time-evolving model suite, ``report`` a summary bundle, and ``all`` chains
@@ -456,16 +456,6 @@ def cmd_gen(state):
     }
 
 
-@stage("infer-net", reads=("dataset", "addresses"), writes=("networks.edges",))
-def cmd_infer_net(state):
-    ids = state.load("dataset").population.ids
-    # infer_networks fills in the kinds the caps section leaves out
-    graph = infer_networks(state.load("addresses"), ids, caps=vars(state.cfg.caps))
-    files.write_edges(graph, state.out_path("networks.edges"))
-    state.loaded["networks.edges"] = graph
-    return {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}
-
-
 @stage(
     "label", reads=("dataset", "events", "patterns"), writes=("qualified.txt", "labels.tsv")
 )
@@ -491,6 +481,16 @@ def cmd_label(state):
         "qualified_aware": int(np.isin(timeline.ids, qualified).sum()),
         "threshold": cfg.threshold,
     }
+
+
+@stage("infer-net", reads=("dataset", "addresses"), writes=("networks.edges",))
+def cmd_infer_net(state):
+    ids = state.load("dataset").population.ids
+    # infer_networks fills in the kinds the caps section leaves out
+    graph = infer_networks(state.load("addresses"), ids, caps=vars(state.cfg.caps))
+    files.write_edges(graph, state.out_path("networks.edges"))
+    state.loaded["networks.edges"] = graph
+    return {"edges": {name: int(graph.layer(name).edge_count) for name in LAYERS}}
 
 
 @stage(

@@ -26,15 +26,23 @@ _TAG = U64(0xC2B2AE3D27D4EB4F)
 _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 
 
+def _mix(z):
+    """The splitmix64 finalizer of the uint64 ``z`` plus the golden gamma."""
+    z = z + _GOLDEN
+    z = (z ^ (z >> U64(30))) * _MIX1
+    z = (z ^ (z >> U64(27))) * _MIX2
+    return z ^ (z >> U64(31))
+
+
 def counter_uniforms(seed, stream, ids, tag):
-    """Hash (seed, stream, id, tag) into float64 uniforms in [0, 1)."""
+    """Hash (seed, stream, id, tag) into float64 uniforms in [0, 1).
+
+    The seed is mixed before the id joins it: XOR-ed in as it is, seeds s
+    and s ^ k would draw for id i what the other draws for id i ^ k, so
+    neighbouring seeds would simulate one world with its ids relabelled."""
     with np.errstate(over="ignore"):  # uint64 wraparound is the point
-        z = U64(seed) ^ (U64(stream) * _GOLDEN)
-        z = z ^ ids.astype(np.uint64) ^ (U64(tag) * _TAG)
-        z = z + _GOLDEN
-        z = (z ^ (z >> U64(30))) * _MIX1
-        z = (z ^ (z >> U64(27))) * _MIX2
-        z = z ^ (z >> U64(31))
+        z = _mix(U64(seed)) ^ (U64(stream) * _GOLDEN)
+        z = _mix(z ^ ids.astype(np.uint64) ^ (U64(tag) * _TAG))
     return (z >> U64(11)).astype(np.float64) * _INV53
 
 

@@ -2,11 +2,11 @@
 
 Produces datasets with known ground truth: the true multiplex network
 comes from the address groups it plants, and the true first-aware moment
-of every individual is recorded as diffusion runs.  The regions,
-individuals and address groups come from a numpy Generator seeded with
-the run's seed, and every event from counter-based streams (hash of seed,
-stream, individual id, and month or day), so results are bitwise
-reproducible and the events do not depend on evaluation order or chunking.
+of every individual is recorded as diffusion runs.  Every draw comes from
+counter-based streams (a hash of seed, stream, key and tag; the key is an
+individual id, a city index or a group index), the regions, individuals
+and address groups as much as the events, so results are bitwise
+reproducible and no draw depends on evaluation order or chunking.
 """
 
 import math
@@ -59,6 +59,19 @@ S_HIST_EXTRA = 16
 S_HIST_SKIP = 17
 S_HIST_TS = 18
 S_HIST_CAT = 19
+S_CITY_JITTER = 20
+S_NORMAL_RADIUS = 21
+S_NORMAL_ANGLE = 22
+S_PERSON = 23
+S_GROUP_SIZE = 24
+
+# the tags of the S_PERSON draws, one per decision about an individual
+PERSON_TAGS = (
+    "home_city", "gender", "age", "education", "occupation", "purchasing_power",
+    "has_child", "married", "qualified", "order", "schoolmate", "workmate",
+)
+# the tags of the S_NORMAL_* draws of a city, one per attribute
+CITY_NORMAL_TAGS = ("tightness", "paddy", "innovation", "illiteracy", "ethnic", "gdp", "population")
 
 DEFAULT_AWARE_TEXTS = (
     "wuhan pneumonia cases",
@@ -218,7 +231,9 @@ class NetworkConfig:
 class SimConfig:
     n_individuals: Annotated[int, Bounds(1, 2**31 - 1)] = 1000  # the graph's rows are int32
     calendar_start: str = "2019-12-01"
-    n_days: Annotated[int, Bounds(1)] = 88
+    # the region table holds a case count per city and day, and each day
+    # costs the diffusion a pass over the population
+    n_days: Annotated[int, Bounds(1, 1000)] = 88
     regions: RegionConfig = field(default_factory=RegionConfig)
     demographics: DemographicsConfig = field(default_factory=DemographicsConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -341,50 +356,71 @@ class GroundTruth:
     graph: MultiplexGraph
 
 
-def _chunk_sizes(rng, total, size_probs):
-    """Partition `total` into chunk sizes drawn from size_probs (1-based).
-
-    The draws are those of one ``rng.choice(len(probs), p=probs)`` per
-    chunk, which maps one ``rng.random()`` through the cumulative
-    probabilities; they are made in batches that the chunks use up: no
-    chunk exceeds len(probs), so ceil(remaining / len(probs)) more chunks
-    are always needed.
-    """
-    sizes = []
-    remaining = total
-    probs = np.asarray(size_probs, dtype=np.float64)
-    cdf = (probs / probs.sum()).cumsum()
+def _pick(u, weights):
+    """The index that each uniform of ``u`` picks from ``weights``, each
+    index with a chance in proportion to its weight; an index of weight 0
+    is never picked."""
+    cdf = np.cumsum(weights, dtype=np.float64)
     cdf /= cdf[-1]
-    while remaining > 0:
-        draws = cdf.searchsorted(rng.random(-(-remaining // len(cdf))), side="right") + 1
-        sizes += draws.tolist()
-        remaining -= int(draws.sum())
-    if sizes:
-        sizes[-1] += remaining  # the last chunk takes only what is left
-    return sizes
+    return cdf.searchsorted(u, side="right")
 
 
-def _make_regions(rng, config):
+def _normals(seed, keys, tag):
+    """Standard normals by Box-Muller from the S_NORMAL_RADIUS and
+    S_NORMAL_ANGLE draws of ``keys`` at ``tag``."""
+    u = kernels.counter_uniforms(seed, S_NORMAL_RADIUS, keys, tag)
+    v = kernels.counter_uniforms(seed, S_NORMAL_ANGLE, keys, tag)
+    return np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * np.pi * v)
+
+
+def _city_groups(seed, layer, cities, size_of):
+    """Each row's group number when the rows of each city (``cities``,
+    ascending) are split into groups in their order.
+
+    The k-th group of city c takes the size that ``size_of`` maps the
+    S_GROUP_SIZE draw of the key c << 32 | k at the layer's tag to, and the
+    city's last group what is left.  A city of m rows needs at most m
+    groups, so every city's draws are made at once, m of them, and the
+    groups are numbered from 0 across the cities.
+    """
+    count = np.bincount(cities)
+    first = (np.cumsum(count) - count)[cities]  # the position of each city's first row
+    count = count[cities]
+    k = np.arange(len(cities)) - first
+    keys = (cities.astype(np.uint64) << np.uint64(32)) | k.astype(np.uint64)
+    size = size_of(kernels.counter_uniforms(seed, S_GROUP_SIZE, keys, LAYERS.index(layer)))
+    begin = np.cumsum(size) - size
+    begin -= begin[first]  # where the k-th group would begin within its city
+    opens = np.zeros(len(cities), dtype=bool)
+    opens[(first + begin)[begin < count]] = True
+    return np.cumsum(opens) - 1
+
+
+def _make_regions(config, seed):
     r = config.regions
     n_c, n_p = r.n_cities, r.n_provinces
+    cities = np.arange(n_c)
     dist = np.zeros(n_c)
     if n_c > 1:
         base = np.linspace(0.0, 1.0, n_c)[1:]
-        jitter = rng.uniform(0.9, 1.1, size=n_c - 1)
+        jitter = 0.9 + 0.2 * kernels.counter_uniforms(seed, S_CITY_JITTER, cities[1:], 0)
         dist[1:] = np.maximum(50.0, base * jitter * r.max_distance_km)
     rel = dist / max(r.max_distance_km, 1.0)
 
-    def coupled(level, slope, lo=0.0, hi=1.0, scale=1.0):
-        noise = rng.normal(0.0, r.attr_noise, size=n_c)
-        return np.clip((level + slope * rel + noise) * scale, lo, hi)
+    def noise(name):
+        return r.attr_noise * _normals(seed, cities, CITY_NORMAL_TAGS.index(name))
 
-    gdp = 90_000.0 * np.exp(-1.2 * rel) * rng.lognormal(0.0, r.attr_noise, size=n_c)
-    tight = coupled(0.70, -0.35)
-    paddy = coupled(0.55, -0.30)
-    innov = coupled(0.65, -0.35)
-    illit = coupled(0.04, +0.12)
-    ethnic = coupled(0.05, +0.18)
-    pop = np.maximum(10_000, rng.lognormal(12.5, 0.4, size=n_c)).astype(np.int64)
+    def coupled(name, level, slope):
+        return np.clip(level + slope * rel + noise(name), 0.0, 1.0)
+
+    gdp = 90_000.0 * np.exp(-1.2 * rel) * np.exp(noise("gdp"))
+    tight = coupled("tightness", 0.70, -0.35)
+    paddy = coupled("paddy", 0.55, -0.30)
+    innov = coupled("innovation", 0.65, -0.35)
+    illit = coupled("illiteracy", 0.04, +0.12)
+    ethnic = coupled("ethnic", 0.05, +0.18)
+    lognormal = np.exp(12.5 + 0.4 * _normals(seed, cities, CITY_NORMAL_TAGS.index("population")))
+    pop = np.maximum(10_000, lognormal).astype(np.int64)
 
     lag = dist / max(r.spread_km_per_day, 1e-9)
     # city x day
@@ -394,8 +430,8 @@ def _make_regions(rng, config):
         curve = np.where(t >= 0, np.exp(r.epidemic_growth * t), 0.0)
     cases = np.minimum(curve, pop[:, None] / 50).astype(np.int64)
     return RegionColumns(
-        city_id=np.arange(n_c),
-        province_id=np.arange(n_c) * n_p // n_c,
+        city_id=cities,
+        province_id=cities * n_p // n_c,
         name=[f"city_{c:03d}" for c in range(n_c)],
         distance_to_epicenter=dist,
         gdp=gdp,
@@ -407,11 +443,6 @@ def _make_regions(rng, config):
         multi_ethnic_household_pct=ethnic,
         population_count=pop,
     )
-
-
-def _prob_vector(probs, keys):
-    v = np.array([probs.get(k, 0.0) for k in keys], dtype=np.float64)
-    return v / v.sum()
 
 
 class PurchaseHistory:
@@ -477,71 +508,70 @@ def generate_population(config, seed):
     ``history`` is the PurchaseHistory whose ``month`` draws a month of the
     pre-window purchases, which are only counted here.
     """
-    rng = np.random.default_rng(seed)
     calendar = config.calendar()
-    regions = _make_regions(rng, config)
+    regions = _make_regions(config, seed)
     n = config.n_individuals
     d = config.demographics
-
-    city_pop = regions.population_count.astype(np.float64)
-    home_city = rng.choice(len(regions), size=n, p=city_pop / city_pop.sum())
-    gender = (rng.random(n) < d.female_p).astype(np.int8)  # 1 = female
-    age = rng.integers(d.age_min, d.age_max + 1, size=n).astype(np.int16)
-    education = rng.choice(
-        len(EDUCATIONS), size=n, p=_prob_vector(d.education_probs, EDUCATIONS)
-    ).astype(np.int8)
-    occupation = rng.choice(
-        len(OCCUPATIONS), size=n, p=_prob_vector(d.occupation_probs, OCCUPATIONS)
-    ).astype(np.int8)
-    pp_probs = np.asarray(d.purchasing_power_probs, dtype=np.float64)
-    purchasing_power = (
-        rng.choice(MAX_PURCHASING_POWER, size=n, p=pp_probs / pp_probs.sum()) + 1
-    ).astype(np.int8)
-    has_child = rng.random(n) < d.has_child_p
-    married = rng.random(n) < d.married_p
-    qualified = rng.random(n) < d.qualified_p
-
     ids = np.arange(1, n + 1, dtype=np.uint64)
+
+    def person(name):
+        """The S_PERSON draw of every individual at the tag of ``name``."""
+        return kernels.counter_uniforms(seed, S_PERSON, ids, PERSON_TAGS.index(name))
+
+    home_city = _pick(person("home_city"), regions.population_count)
+    age_span = d.age_max - d.age_min + 1
     population = PopulationColumns(
         ids=ids,
-        gender=gender,
-        age=age,
-        education=education,
-        occupation=occupation,
-        purchasing_power=purchasing_power,
-        has_child=has_child,
-        married=married,
+        gender=(person("gender") < d.female_p).astype(np.int8),  # 1 = female
+        age=(d.age_min + (person("age") * age_span).astype(np.int64)).astype(np.int16),
+        education=_pick(
+            person("education"), [d.education_probs.get(e, 0.0) for e in EDUCATIONS]
+        ).astype(np.int8),
+        occupation=_pick(
+            person("occupation"), [d.occupation_probs.get(o, 0.0) for o in OCCUPATIONS]
+        ).astype(np.int8),
+        purchasing_power=(
+            _pick(person("purchasing_power"), d.purchasing_power_probs) + 1
+        ).astype(np.int8),
+        has_child=person("has_child") < d.has_child_p,
+        married=person("married") < d.married_p,
         home_city=home_city,
-        qualified=qualified,
+        qualified=person("qualified") < d.qualified_p,
     )
 
     first_month, n_m = history_window(calendar, config.history_months)
     hist_start = int(month_start_ts(first_month))
     window_end = calendar.day_start_ts(calendar.n_days) - 1
 
-    # each layer's shared-address groups as member rows: everyone is glued to
-    # one home, schools and companies are opt-in samples within the home city
+    # each layer's shared-address groups as (member rows, group numbers): the
+    # rows of each city in a random order are split into homes, and schools
+    # and companies split the opt-in samples of that order
     net = config.network
-    groups = {layer: [] for layer in LAYERS}
-    for c in range(len(regions)):
-        rows_c = np.flatnonzero(home_city == c)
-        if len(rows_c) == 0:
-            continue
-        perm = rng.permutation(rows_c)
-        sizes = _chunk_sizes(rng, len(perm), net.family_size_probs)
-        groups["family"] += np.split(perm, np.cumsum(sizes[:-1]))
-        for layer, p, size_min, size_max in (
-            ("schoolmate", net.school_p, net.school_size_min, net.school_size_max),
-            ("workmate", net.company_p, net.company_size_min, net.company_size_max),
-        ):
-            members = perm[rng.random(len(perm)) < p]
-            offset = 0
-            while offset < len(members):
-                size = int(rng.integers(size_min, size_max + 1))
-                groups[layer].append(members[offset : offset + size])
-                offset += size
+    order = np.lexsort((person("order"), home_city))
 
-    truth_graph = build_from_groups(ids, groups)
+    def uniform_size(lo, hi):
+        return lambda u: lo + (u * (hi - lo + 1)).astype(np.int64)
+
+    groups = {}
+    for layer, rows, size_of in (
+        ("family", order, lambda u: _pick(u, net.family_size_probs) + 1),
+        (
+            "schoolmate", order[person("schoolmate")[order] < net.school_p],
+            uniform_size(net.school_size_min, net.school_size_max),
+        ),
+        (
+            "workmate", order[person("workmate")[order] < net.company_p],
+            uniform_size(net.company_size_min, net.company_size_max),
+        ),
+    ):
+        groups[layer] = rows, _city_groups(seed, layer, home_city[rows], size_of)
+
+    # build_from_groups takes each group's rows as an array
+    members = {}
+    for layer, (rows, group) in groups.items():
+        cuts = np.flatnonzero(np.diff(group, prepend=-1, append=-1)).tolist()
+        members[layer] = [rows[i:j] for i, j in zip(cuts, cuts[1:])]
+    truth_graph = build_from_groups(ids, members)
 
     history = PurchaseHistory(config, seed, population, np.arange(first_month, first_month + n_m))
 
@@ -551,11 +581,10 @@ def generate_population(config, seed):
     bases = {"home": 1_000_000, "school_dorm": 2_000_000, "company": 3_000_000}
     member_rows, address_id, kind = [], [], []
     for kind_name, base in bases.items():
-        layer_groups = groups[KIND_TO_LAYER[kind_name]]
-        sizes = [len(m) for m in layer_groups]
-        member_rows += layer_groups
-        address_id.append(np.repeat(base + np.arange(len(sizes)), sizes))
-        kind.append(np.full(sum(sizes), ADDRESS_KINDS.index(kind_name)))
+        rows, group = groups[KIND_TO_LAYER[kind_name]]
+        member_rows.append(rows)
+        address_id.append(base + group)
+        kind.append(np.full(len(rows), ADDRESS_KINDS.index(kind_name)))
     member_rows = np.concatenate(member_rows)
     addresses = AddressColumns(
         individual_id=ids[member_rows],

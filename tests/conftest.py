@@ -6,6 +6,7 @@ staying fast to generate, so it is built once per session.
 """
 
 import hashlib
+import json
 import os
 import tracemalloc
 
@@ -35,6 +36,23 @@ from awareflow.simulate import (
 # interpreters that tests start import the package from the same tree
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(awareflow.__file__)))
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+@pytest.fixture(scope="module")
+def micro_config(tmp_path_factory):
+    """The path of a run config over the 400-person world the unit tests use;
+    history_months matches the simulated purchase history depth."""
+    sim = small_world_config()
+    run = {
+        "seed": 7,
+        "threshold": 3,
+        "history_months": sim.history_months,
+        "regression": {"sample_size": 150},
+        "simulator": sim.to_dict(),
+    }
+    path = tmp_path_factory.mktemp("cfg") / "micro.json"
+    path.write_text(json.dumps(run))
+    return str(path)
 
 
 def make_events(rows):

@@ -23,7 +23,7 @@ from awareflow.config import load_run_config
 from awareflow.errors import CohortError, NumericalError, ParseError
 from awareflow.presets import load_preset
 
-from conftest import assert_no_child_left, small_world_config, tree_hashes, wait_until_exited
+from conftest import assert_no_child_left, tree_hashes, wait_until_exited
 from oracles import edge_file_scan, graph_edge_sets, jsonl_file_scan, jsonl_values, tsv_file_scan
 
 STEP_MANIFESTS = (
@@ -58,23 +58,6 @@ ARTIFACTS = (
     "report.json",
     "report.txt",
 )
-
-
-@pytest.fixture(scope="module")
-def micro_config(tmp_path_factory):
-    # run the CLI against the same 400-person world the unit tests use;
-    # history_months must match the simulated purchase history depth
-    sim = small_world_config()
-    run = {
-        "seed": 7,
-        "threshold": 3,
-        "history_months": sim.history_months,
-        "regression": {"sample_size": 150},
-        "simulator": sim.to_dict(),
-    }
-    path = tmp_path_factory.mktemp("cfg") / "micro.json"
-    path.write_text(json.dumps(run))
-    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -565,12 +548,16 @@ def test_marks_at_the_int64_extremes_run(micro_config, tmp_path):
     assert set(dates) == {"NA"}
     assert status.tolist() == ["zero_baseline"] + ["absent"] * 3
     # at the last mark the never aware still count as unaware: its models see
-    # as many aware as the last percentage checkpoint, not the whole sample
+    # the sample's members that ever became aware, not the whole sample
     names = [name for name, _ in cli.TABLES["regression.tsv"]]
     rows = dict(zip(names, files.read_tsv(out / "regression.tsv", cli.TABLES["regression.tsv"])))
+    (qualified,) = files.read_tsv(out / "qualified.txt", cli.TABLES["qualified.txt"], header=False)
+    aware = files.read_tsv(out / "labels.tsv", cli.TABLES["labels.tsv"])[0]
+    ever_aware = int(np.isin(cli.regression_sample(7, 150, qualified), aware).sum())
     last = rows["trigger"] == "event_last"
     pct = rows["kind"] == "percentage"
-    assert last.any() and set(rows["n_aware"][last]) == {max(rows["n_aware"][pct])}
+    assert last.any() and set(rows["n_aware"][last]) == {ever_aware}
+    assert max(rows["n_aware"][pct]) <= ever_aware < 150
     assert set(rows["n_obs"][last]) == {150} and set(rows["error"][last]) == {"NA"}
 
 
@@ -770,9 +757,29 @@ def patterns_file(out, data):
 
 
 def substitute(name, pattern, repl):
+    """Replace the first match of ``pattern`` in ``name``.  A pattern that
+    matches nothing, or a replacement that leaves the file as it was, fails
+    the test, which would otherwise run over an unchanged file."""
     def fault(out, config):
         path = out / name
-        path.write_text(re.sub(pattern, repl, path.read_text(), count=1))
+        before = path.read_text()
+        text, n = re.subn(pattern, repl, before, count=1)
+        assert n == 1, f"{pattern!r} matches nothing in {name}"
+        assert text != before, f"{pattern!r} leaves {name} as it was"
+        path.write_text(text)
+    return fault
+
+
+def substitute_phase(phase, edit):
+    """substitute on phases.tsv with the (pattern, replacement) that ``edit``
+    makes of the start_day, end_day and complete cells of ``phase``'s row."""
+    def fault(out, config):
+        for line in (out / "phases.tsv").read_text().splitlines():
+            name, start, end, _, _, complete = line.split("\t")
+            if name == phase:
+                edited = edit(int(start), int(end), int(complete))
+                return substitute("phases.tsv", *edited)(out, config)
+        raise AssertionError(f"phases.tsv has no {phase} row")
     return fault
 
 
@@ -833,7 +840,7 @@ def resegmented(out, config):
 # (id, stage, fault, exit code, what the message names): artifacts that no
 # longer match the manifests of the stages that wrote or read them
 PROVENANCE_FAULTS = (
-    ("stale-upstream", "regress", rerun("gen", "--seed", "8"), 4, "run `infer-net` again"),
+    ("stale-upstream", "regress", rerun("gen", "--seed", "8"), 4, "run `label` again"),
     ("truncated-upstream", "cohort", cut_lines("labels.tsv", 50), 4, "run `label` again"),
     ("resegmented", "report", resegmented, 4, "run `cohort` again"),
     # the digests match, but regression.tsv was fitted on another seed's sample
@@ -910,6 +917,11 @@ CONFIG_FAULTS = (
         "threshold must be in [1, 9223372036854775807], got 0",
     ),
     ("caps-out-of-bounds", ("caps",), {"home": 1}, "caps.home must be >= 2, got 1"),
+    # a window past the calendar's range is refused by its length first
+    (
+        "simulator-n-days-out-of-bounds", ("simulator", "n_days"), 3_000_000,
+        "simulator.n_days must be in [1, 1000], got 3000000",
+    ),
     (
         "simulator-section-out-of-bounds", ("simulator", "network", "school_p"), 1.5,
         "simulator.network.school_p must be in [0, 1], got 1.5",
@@ -994,16 +1006,19 @@ FAULTS = [
         for stage in ("cohort", "regress")
     ),
     pytest.param(
-        "cohort", substitute("phases.tsv", r"\t0\t11\t", "\t12\t11\t"), 4,
-        id="phases-end-before-start",
+        "cohort",
+        substitute_phase("Normal", lambda s, e, c: (rf"\nNormal\t{s}\t", f"\nNormal\t{e + 1}\t")),
+        4, id="phases-end-before-start",
     ),
     pytest.param(
-        "regress", substitute("phases.tsv", r"Beginning\t12\t", "Beginning\t11\t"), 4,
-        id="phases-overlap",
+        "regress",
+        substitute_phase("Beginning", lambda s, e, c: (rf"Beginning\t{s}\t", f"Beginning\t{s - 1}\t")),
+        4, id="phases-overlap",
     ),
     pytest.param(
-        "cohort", substitute("phases.tsv", r"(Beginning[^\n]*)\t0\n", r"\1\t1\n"), 4,
-        id="phases-complete-differs",
+        "cohort",
+        substitute_phase("Beginning", lambda s, e, c: (rf"(Beginning.*)\t{c}\n", rf"\1\t{1 - c}\n")),
+        4, id="phases-complete-differs",
     ),
     pytest.param("cohort", substitute("phases.tsv", r"Beginning\t", "Bogus\t"), 4, id="phases-unknown"),
     pytest.param(
@@ -1015,7 +1030,9 @@ FAULTS = [
         id="phases-wrong-date",
     ),
     pytest.param(
-        "cohort", substitute("phases.tsv", r"Beginning\t12\t", "Beginning\t13\t"), 4, id="phases-gap"
+        "cohort",
+        substitute_phase("Beginning", lambda s, e, c: (rf"Beginning\t{s}\t", f"Beginning\t{s + 1}\t")),
+        4, id="phases-gap",
     ),
     pytest.param(
         "report", replace("phases.tsv", "phase\tstart_day\tend_day\tstart_date\tend_date\tcomplete\n"),

@@ -249,7 +249,7 @@ def test_every_setting_changes_an_artifact(tmp_path):
     # each threshold acts
     data = {**micro_run_config(), "jobs": 1}
     data["simulator"]["events"][0]["scope"] = "province"
-    data["phase_thresholds"] = {"growth_high": 0.3, "province_share": 0.5}
+    data["phase_thresholds"] = {"growth_high": 0.3, "province_share": 0.3}
     cfg = RunConfig.from_dict(data)
     cfg.marks = cfg.event_marks(cfg.simulator.calendar())
     base = json.loads(json.dumps({k: v for k, v in asdict(cfg).items() if k != "source"}))

@@ -2,13 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from awareflow.awareness import filter_qualified, history_window, label_awareness, match_mask
-from awareflow import cli, domain, simulate
+from awareflow import cli, domain, kernels, simulate
 from awareflow.domain import (
     ADDRESS_KINDS, DATASET_FILES, EDUCATIONS, EVENT_KIND_PURCHASE, OCCUPATIONS, EventLog,
 )
@@ -22,7 +24,6 @@ from awareflow.simulate import (
     RegionConfig,
     ShockEvent,
     SimConfig,
-    _chunk_sizes,
     generate,
     hazard_base,
     hazard_probability,
@@ -113,24 +114,61 @@ def test_hazard_matches_formula_at_random_points(small_world):
 
 # --- world shapes ---------------------------------------------------------------
 
-def test_chunk_sizes_make_the_draws_of_one_choice_per_chunk():
-    def one_choice_per_chunk(rng, total, size_probs):
-        sizes, remaining = [], total
-        probs = np.asarray(size_probs, dtype=np.float64)
-        probs = probs / probs.sum()
-        while remaining > 0:
-            sizes.append(min(int(rng.choice(len(probs), p=probs)) + 1, remaining))
-            remaining -= sizes[-1]
-        return sizes
+def test_city_groups_split_each_city_into_sizes_of_the_draw():
+    def one_group_at_a_time(seed, cities, size_of):
+        # city c's k-th group takes the size of the draw keyed on c << 32 | k,
+        # until the city's rows are used up
+        group = []
+        for c in np.unique(cities).tolist():
+            left, k = int((cities == c).sum()), 0
+            while left:
+                key = np.array([c << 32 | k], dtype=np.uint64)
+                u = kernels.counter_uniforms(seed, simulate.S_GROUP_SIZE, key, 0)
+                size = min(int(size_of(u)[0]), left)
+                group += [group[-1] + 1 if group else 0] * size
+                left, k = left - size, k + 1
+        return group
 
+    counts = [*range(12), 97, 1000, 0, 3]
+    cities = np.repeat(np.arange(len(counts)), counts)
     for probs in [(0.20, 0.35, 0.25, 0.15, 0.05), (1.0,), (0.0, 0.0, 2.0), (3.0, 0.0, 1e-9, 1.0)]:
+        def size_of(u):
+            return simulate._pick(u, probs) + 1
+
         for seed in range(3):
-            for total in [*range(12), 97, 1000]:
-                want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                want = one_choice_per_chunk(want_rng, total, probs)
-                assert _chunk_sizes(got_rng, total, probs) == want
-                assert sum(want) == total
-                assert got_rng.random() == want_rng.random()  # the same draws were used up
+            group = simulate._city_groups(seed, "family", cities, size_of)
+            assert group.tolist() == one_group_at_a_time(seed, cities, size_of)
+            # each city's sizes sum to its rows, and each lies in [1, len(probs)]
+            sizes = np.bincount(group)
+            first = np.flatnonzero(np.diff(group, prepend=-1))
+            assert np.bincount(cities[first], sizes, len(counts)).tolist() == counts
+            assert sizes.min() >= 1 and sizes.max() <= len(probs)
+
+
+def test_demographics_do_not_depend_on_the_population_size():
+    # each individual's draws are keyed on their id, and the city
+    # populations on the city
+    cfg = small_world_config()
+    fewer = small_world_config()
+    fewer.n_individuals = cfg.n_individuals // 3
+    many, _, _ = simulate.generate_population(cfg, SMALL_WORLD_SEED)
+    few, _, _ = simulate.generate_population(fewer, SMALL_WORLD_SEED)
+    assert few.population == many.population.take(slice(0, few.population.n))
+    assert few.regions == many.regions
+
+
+def test_gen_and_all_leave_numpy_random_unimported(micro_config, tmp_path):
+    # every draw comes from the counter streams, so no run loads numpy.random
+    for command in ("gen", "all"):
+        code = (
+            "import sys; from awareflow import cli; "
+            f"code = cli.main([{command!r}, '--config', {micro_config!r}, "
+            f"'--out', {str(tmp_path / command)!r}]); "
+            "print('numpy.random' in sys.modules); sys.exit(code)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", command
 
 
 def test_single_individual_world():
