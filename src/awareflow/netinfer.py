@@ -120,19 +120,35 @@ def _clique_pairs(group, rows, cap=None):
     return np.column_stack([rows[a], rows[b]])
 
 
-def build_from_groups(ids, groups_by_layer):
-    """Assemble a graph from explicit member groups (used as ground truth).
+def build_from_memberships(ids, members_by_layer):
+    """Assemble a graph from (group number, row) memberships (used as ground
+    truth).
 
-    ``groups_by_layer`` maps layer name to a list of row-index arrays; each
-    group becomes a clique with no cap or interval checks applied.
+    ``members_by_layer`` maps layer name to a pair of equal-length arrays,
+    the group numbers and the rows; each group becomes a clique with no cap
+    or interval checks applied.
     """
-    layers = {}
-    for name in LAYERS:
-        groups = groups_by_layer.get(name, ())
+    none = (np.empty(0, dtype=np.int64),) * 2
+    return MultiplexGraph(
+        ids,
+        {
+            name: build_layer(_clique_pairs(*members_by_layer.get(name, none)), len(ids))
+            for name in LAYERS
+        },
+    )
+
+
+def build_from_groups(ids, groups_by_layer):
+    """Assemble a graph from explicit member groups.
+
+    ``groups_by_layer`` maps layer name to a list of row-index arrays, one
+    per group; see build_from_memberships.
+    """
+    members = {}
+    for name, groups in groups_by_layer.items():
         group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-        rows = np.concatenate([np.empty(0, dtype=np.int64), *groups])
-        layers[name] = build_layer(_clique_pairs(group, rows), len(ids))
-    return MultiplexGraph(ids, layers)
+        members[name] = group, np.concatenate([np.empty(0, dtype=np.int64), *groups])
+    return build_from_memberships(ids, members)
 
 
 def infer_networks(addresses, ids, caps=None):

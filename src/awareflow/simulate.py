@@ -36,7 +36,7 @@ from .domain import (
     month_start_ts,
 )
 from .errors import ConfigError
-from .netinfer import DEFAULT_CAPS, KIND_TO_LAYER, LAYERS, MultiplexGraph, build_from_groups
+from .netinfer import DEFAULT_CAPS, KIND_TO_LAYER, LAYERS, MultiplexGraph, build_from_memberships
 from .regress import expit
 
 # counter-rng stream ids, one per decision kind
@@ -543,7 +543,7 @@ def generate_population(config, seed):
     hist_start = int(month_start_ts(first_month))
     window_end = calendar.day_start_ts(calendar.n_days) - 1
 
-    # each layer's shared-address groups as (member rows, group numbers): the
+    # each layer's shared-address groups as (group numbers, member rows): the
     # rows of each city in a random order are split into homes, and schools
     # and companies split the opt-in samples of that order
     net = config.network
@@ -564,14 +564,8 @@ def generate_population(config, seed):
             uniform_size(net.company_size_min, net.company_size_max),
         ),
     ):
-        groups[layer] = rows, _city_groups(seed, layer, home_city[rows], size_of)
-
-    # build_from_groups takes each group's rows as an array
-    members = {}
-    for layer, (rows, group) in groups.items():
-        cuts = np.flatnonzero(np.diff(group, prepend=-1, append=-1)).tolist()
-        members[layer] = [rows[i:j] for i, j in zip(cuts, cuts[1:])]
-    truth_graph = build_from_groups(ids, members)
+        groups[layer] = _city_groups(seed, layer, home_city[rows], size_of), rows
+    truth_graph = build_from_memberships(ids, groups)
 
     history = PurchaseHistory(config, seed, population, np.arange(first_month, first_month + n_m))
 
@@ -581,7 +575,7 @@ def generate_population(config, seed):
     bases = {"home": 1_000_000, "school_dorm": 2_000_000, "company": 3_000_000}
     member_rows, address_id, kind = [], [], []
     for kind_name, base in bases.items():
-        rows, group = groups[KIND_TO_LAYER[kind_name]]
+        group, rows = groups[KIND_TO_LAYER[kind_name]]
         member_rows.append(rows)
         address_id.append(base + group)
         kind.append(np.full(len(rows), ADDRESS_KINDS.index(kind_name)))
